@@ -36,6 +36,16 @@
 //! `vendor/reactor` — the only place wall time exists, behind the same
 //! audited lint boundary as `doctagger::timing` (`xtask lint` enforces it).
 //!
+//! ## One core, one thread
+//!
+//! A core is the unit of parallelism: a driver may run many cores on many
+//! threads (`peerd` runs one per daemon thread), so the [`PeerCore`] entry
+//! points that do model work — `train`, `predict`, `ingest`, `poll_timers`,
+//! `start_anti_entropy` — run under [`parallel::inline`] and never fan out
+//! into `vendor/parallel` workers themselves (`ml::multilabel`'s per-tag
+//! `par_map` would otherwise spawn threads inside every daemon). Results are
+//! bit-identical either way — that is the `parallel` determinism contract.
+//!
 //! ## Why both drivers converge
 //!
 //! Real sockets deliver frames in arbitrary interleavings; the simulator is
@@ -169,12 +179,12 @@ impl PeerCore {
     /// Appends `data` to the peer's local collection, (re)trains its local
     /// model and returns the outputs that propagate it.
     pub fn train(&mut self, now: Millis, data: &MultiLabelDataset) -> Vec<Output> {
-        match self {
+        parallel::inline(|| match self {
             PeerCore::Pace(c) => c.train(now, data),
             PeerCore::Cempar(c) => c.train(now, data),
             PeerCore::Centralized(c) => c.train(now, data),
             PeerCore::Local(c) => c.train(now, data),
-        }
+        })
     }
 
     /// Starts a prediction for `x`. Returns the request id and the outputs;
@@ -182,12 +192,12 @@ impl PeerCore {
     /// immediately for protocols that predict locally (PACE, local-only),
     /// after the response round-trip for the routed ones.
     pub fn predict(&mut self, now: Millis, x: &SparseVector) -> (u64, Vec<Output>) {
-        match self {
+        parallel::inline(|| match self {
             PeerCore::Pace(c) => c.predict(now, x),
             PeerCore::Cempar(c) => c.predict(now, x),
             PeerCore::Centralized(c) => c.predict(now, x),
             PeerCore::Local(c) => c.predict(now, x),
-        }
+        })
     }
 
     /// Emits an anti-entropy digest of this core's holdings to `partner`.
@@ -195,12 +205,12 @@ impl PeerCore {
     /// whose digest reveals it is *behind* on this core's own contribution
     /// triggers a re-push from here on the next digest exchange.
     pub fn start_anti_entropy(&mut self, now: Millis, partner: PeerId) -> Vec<Output> {
-        match self {
+        parallel::inline(|| match self {
             PeerCore::Pace(c) => c.start_anti_entropy(now, partner),
             PeerCore::Cempar(c) => c.start_anti_entropy(now, partner),
             PeerCore::Centralized(c) => c.start_anti_entropy(now, partner),
             PeerCore::Local(_) => Vec::new(),
-        }
+        })
     }
 
     /// The `(source, version)` pairs installed in this core — the equivalence
@@ -227,20 +237,20 @@ impl PeerCore {
 
 impl ProtocolCore for PeerCore {
     fn ingest(&mut self, now: Millis, from: PeerId, frame: &[u8]) -> Vec<Output> {
-        match self {
+        parallel::inline(|| match self {
             PeerCore::Pace(c) => c.ingest(now, from, frame),
             PeerCore::Cempar(c) => c.ingest(now, from, frame),
             PeerCore::Centralized(c) => c.ingest(now, from, frame),
             PeerCore::Local(c) => c.ingest(now, from, frame),
-        }
+        })
     }
 
     fn poll_timers(&mut self, now: Millis) -> Vec<Output> {
-        match self {
+        parallel::inline(|| match self {
             PeerCore::Pace(c) => c.poll_timers(now),
             PeerCore::Cempar(c) => c.poll_timers(now),
             PeerCore::Centralized(c) => c.poll_timers(now),
             PeerCore::Local(c) => c.poll_timers(now),
-        }
+        })
     }
 }

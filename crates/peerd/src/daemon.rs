@@ -1,22 +1,31 @@
 //! The per-peer daemon loop: one sans-io core behind one TCP listener.
 //!
 //! Each daemon owns a [`PeerCore`], a listening socket, a set of
-//! connections, a [`reactor::Poller`] and a [`reactor::TimerWheel`], and is
-//! driven by two event sources:
+//! connections, a [`reactor::Poller`] and a [`reactor::TimerWheel`]. The
+//! loop is purely event-driven — it blocks in `Poller::wait` until one of
+//! three things happens and makes no wake-up otherwise (an idle daemon
+//! sleeps in `epoll_wait` indefinitely):
 //!
 //! * **sockets** — readable connections feed complete frames into
 //!   `core.ingest`, and the resulting `Emit` outputs are written to lazily
 //!   established outbound connections (one directed connection per ordered
 //!   peer pair; the sender id travels in the transport header);
 //! * **commands** — the application half of the driver contract: train,
-//!   predict, anti-entropy, snapshot, shutdown, delivered over an `mpsc`
-//!   channel and polled between waits.
+//!   predict, anti-entropy, snapshot, shutdown. [`command_channel`] pairs an
+//!   `mpsc` channel with a [`reactor::Waker`] registered with the poller:
+//!   [`CommandSender::send`] queues the command, then wakes the loop, which
+//!   drains the waker and then the queue. Dropping the sender closes both,
+//!   and the daemon exits as on [`Command::Shutdown`];
+//! * **timers** — core timers (`SetTimer`/`CancelTimer` outputs, virtual
+//!   milliseconds) map onto the wall clock as `epoch + at`, and the earliest
+//!   one is the `wait` timeout. The daemon's epoch is its start instant, so
+//!   `now` passed to the core is simply elapsed wall milliseconds. This is
+//!   the audited boundary where virtual time meets real time — nothing
+//!   outside `peerd`/`vendor/reactor` touches a clock.
 //!
-//! Core timers (`SetTimer`/`CancelTimer` outputs, virtual milliseconds) map
-//! onto the wall clock as `epoch + at`: the daemon's epoch is its start
-//! instant, so `now` passed to the core is simply elapsed wall milliseconds.
-//! This is the audited boundary where virtual time meets real time — nothing
-//! outside `peerd`/`vendor/reactor` touches a clock.
+//! The core runs on the daemon's thread and nowhere else: the `PeerCore`
+//! entry points execute `vendor/parallel` calls inline, so a fleet is
+//! exactly one thread per peer.
 
 use crate::framing::{encode_frame, FrameReader};
 use ml::multilabel::TagPrediction;
@@ -24,18 +33,14 @@ use ml::MultiLabelDataset;
 use p2pclassify::sansio::{LocalEffect, Output, PeerCore, ProtocolCore};
 use p2pclassify::LinkStats;
 use p2psim::PeerId;
-use reactor::{Interest, Poller, TimerWheel, Token};
+use reactor::{Drained, Interest, Poller, TimerWheel, Token, WakeReceiver, Waker};
 use std::collections::BTreeMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 use textproc::SparseVector;
-
-/// How often the loop checks its command channel when no socket or timer
-/// event arrives earlier (epoll cannot wait on an `mpsc`).
-const COMMAND_POLL: Duration = Duration::from_millis(5);
 
 /// A request to a running daemon.
 #[derive(Debug)]
@@ -52,6 +57,52 @@ pub enum Command {
     Snapshot(Sender<Snapshot>),
     /// Leave the loop; the thread returns.
     Shutdown,
+}
+
+/// The sending half of a daemon's command channel.
+///
+/// Dropping it without [`Command::Shutdown`] also ends the daemon, after the
+/// commands already queued.
+#[derive(Debug)]
+pub struct CommandSender {
+    // Declared (so dropped) before the waker: by the time the daemon sees
+    // the waker closed, the queue already reports disconnected.
+    queue: Sender<Command>,
+    waker: Waker,
+}
+
+impl CommandSender {
+    /// Queues `command` and wakes the daemon to handle it.
+    pub fn send(&self, command: Command) -> io::Result<()> {
+        self.queue
+            .send(command)
+            .map_err(|_| io::Error::new(ErrorKind::BrokenPipe, "daemon exited"))?;
+        self.waker.wake()
+    }
+}
+
+/// The daemon's half of a command channel; hand it to [`daemon`].
+#[derive(Debug)]
+pub struct CommandReceiver {
+    queue: Receiver<Command>,
+    wake: WakeReceiver,
+}
+
+/// A command channel for one daemon: an `mpsc` queue whose sender also
+/// wakes the daemon's poller, since `epoll` cannot wait on an `mpsc`.
+pub fn command_channel() -> io::Result<(CommandSender, CommandReceiver)> {
+    let (queue_tx, queue_rx) = channel();
+    let (waker, wake) = Waker::pair()?;
+    Ok((
+        CommandSender {
+            queue: queue_tx,
+            waker,
+        },
+        CommandReceiver {
+            queue: queue_rx,
+            wake,
+        },
+    ))
 }
 
 /// A daemon's externally observable state.
@@ -97,6 +148,7 @@ struct Daemon {
 }
 
 const LISTENER_TOKEN: usize = 0;
+const COMMAND_TOKEN: usize = 1;
 
 impl Daemon {
     fn now_ms(&self) -> u64 {
@@ -260,17 +312,40 @@ impl Daemon {
         }
         true
     }
+
+    /// Handles every queued command after a wake-up. Returns `false` when
+    /// the daemon should exit: on [`Command::Shutdown`], or when the
+    /// [`CommandSender`] is gone — a closed waker stays readable forever on
+    /// the level-triggered poller, so carrying on would spin.
+    fn drain_commands(&mut self, commands: &CommandReceiver) -> bool {
+        // Waker first: a command sent during the drain below leaves it
+        // readable, and the next wait picks that command up.
+        let Ok(drained) = commands.wake.drain() else {
+            return false;
+        };
+        loop {
+            match commands.queue.try_recv() {
+                Ok(command) => {
+                    if !self.handle(command) {
+                        return false;
+                    }
+                }
+                Err(TryRecvError::Empty) => return drained == Drained::Open,
+                Err(TryRecvError::Disconnected) => return false,
+            }
+        }
+    }
 }
 
 /// Runs one peer daemon to completion (until [`Command::Shutdown`] or the
-/// command channel closes). This is the thread body: the caller binds the
-/// listener first (so the fleet's address map exists before any daemon
+/// [`CommandSender`] is dropped). This is the thread body: the caller binds
+/// the listener first (so the fleet's address map exists before any daemon
 /// starts) and hands it over together with the full address map.
 pub fn daemon(
     core: PeerCore,
     listener: TcpListener,
     addrs: BTreeMap<u64, SocketAddr>,
-    commands: Receiver<Command>,
+    commands: CommandReceiver,
 ) {
     let Ok(poller) = Poller::new() else {
         return;
@@ -285,6 +360,13 @@ pub fn daemon(
             Interest::READABLE,
         )
         .is_err()
+        || poller
+            .register(
+                commands.wake.as_raw_fd(),
+                Token(COMMAND_TOKEN),
+                Interest::READABLE,
+            )
+            .is_err()
     {
         return;
     }
@@ -295,7 +377,7 @@ pub fn daemon(
         wheel: TimerWheel::new(),
         listener,
         conns: BTreeMap::new(),
-        next_token: LISTENER_TOKEN + 1,
+        next_token: COMMAND_TOKEN + 1,
         outbound: BTreeMap::new(),
         addrs,
         pending_predictions: BTreeMap::new(),
@@ -305,34 +387,25 @@ pub fn daemon(
     };
     let mut events = Vec::new();
     loop {
-        // Commands first: they are what makes progress happen.
-        loop {
-            match commands.try_recv() {
-                Ok(command) => {
-                    if !d.handle(command) {
-                        return;
-                    }
-                }
-                Err(std::sync::mpsc::TryRecvError::Empty) => break,
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => return,
-            }
-        }
-        // Wait for readiness, the next timer, or the command-poll tick,
-        // whichever comes first.
-        let now = Instant::now();
-        let timeout = d
-            .wheel
-            .timeout_from(now)
-            .map_or(COMMAND_POLL, |t| t.min(COMMAND_POLL));
+        // Block until a socket, a command or the next core timer.
+        let timeout = d.wheel.timeout_from(Instant::now());
         events.clear();
-        if d.poller.wait(&mut events, Some(timeout)).is_err() {
+        if d.poller.wait(&mut events, timeout).is_err() {
             return;
         }
         for &event in &events {
-            if event.token == Token(LISTENER_TOKEN) {
-                d.accept_ready();
-            } else if event.readable && !d.read_ready(event.token.0) {
-                d.drop_conn(event.token.0);
+            match event.token.0 {
+                LISTENER_TOKEN => d.accept_ready(),
+                COMMAND_TOKEN => {
+                    if !d.drain_commands(&commands) {
+                        return;
+                    }
+                }
+                token => {
+                    if event.readable && !d.read_ready(token) {
+                        d.drop_conn(token);
+                    }
+                }
             }
         }
         // Fire due core timers.

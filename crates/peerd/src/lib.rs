@@ -12,7 +12,15 @@
 //! each [`daemon()`] owns one core, one listening socket and one command
 //! channel, which is exactly the deployment shape of the paper's
 //! peer-as-a-process architecture and keeps every core single-threaded (the
-//! cores are `!Sync`-agnostic pure state machines; nothing here locks).
+//! cores are `!Sync`-agnostic pure state machines; nothing here locks). One
+//! thread per peer is meant literally: the `PeerCore` entry points run any
+//! `vendor/parallel` call inline, so a daemon never spawns workers.
+//!
+//! The loop is event-driven, with no periodic tick: a daemon sleeps in
+//! `epoll_wait` until a socket is readable, its earliest core timer is due,
+//! or a command arrives — [`command_channel`] couples the `mpsc` queue with
+//! a [`reactor::Waker`], so a command costs a wake-up (under a microsecond),
+//! not a polling interval.
 //!
 //! `peerd` and `vendor/reactor` are the workspace's two audited wall-clock /
 //! thread boundaries: everything protocol-side stays virtual-time and
@@ -27,6 +35,6 @@ pub mod daemon;
 pub mod framing;
 pub mod loopback;
 
-pub use daemon::{daemon, Command, Snapshot};
+pub use daemon::{command_channel, daemon, Command, CommandReceiver, CommandSender, Snapshot};
 pub use framing::{encode_frame, FrameReader};
 pub use loopback::LoopbackHarness;

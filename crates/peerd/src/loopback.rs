@@ -9,7 +9,7 @@
 //! expected value — the socket-world analogue of the simulator's
 //! `run_until_quiescent`.
 
-use crate::daemon::{daemon, Command, Snapshot};
+use crate::daemon::{command_channel, daemon, Command, CommandSender, Snapshot};
 use ml::multilabel::TagPrediction;
 use ml::MultiLabelDataset;
 use p2pclassify::sansio::PeerCore;
@@ -17,15 +17,20 @@ use p2psim::PeerId;
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::channel;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use textproc::SparseVector;
 
+/// Pause between the snapshots of [`LoopbackHarness::wait_installed`]: a
+/// snapshot round trip costs tens of microseconds, so a finer poll would
+/// only take CPU from the daemons that are converging.
+const INSTALL_POLL: Duration = Duration::from_millis(1);
+
 /// A running fleet of peer daemons on loopback TCP.
 pub struct LoopbackHarness {
     peers: Vec<PeerId>,
-    commands: BTreeMap<u64, Sender<Command>>,
+    commands: BTreeMap<u64, CommandSender>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -43,7 +48,7 @@ impl LoopbackHarness {
         let mut commands = BTreeMap::new();
         let mut handles = Vec::with_capacity(cores.len());
         for (core, listener) in cores.into_iter().zip(listeners) {
-            let (tx, rx) = channel();
+            let (tx, rx) = command_channel()?;
             commands.insert(core.id().0, tx);
             let addrs = addrs.clone();
             handles.push(std::thread::spawn(move || {
@@ -67,7 +72,6 @@ impl LoopbackHarness {
             .get(&peer.0)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "unknown peer"))?
             .send(command)
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "daemon exited"))
     }
 
     /// Trains `peer` on `data` (asynchronous: propagation happens in the
@@ -120,7 +124,7 @@ impl LoopbackHarness {
             if Instant::now() >= deadline {
                 return Ok(snapshot.installed);
             }
-            std::thread::sleep(Duration::from_millis(10));
+            std::thread::sleep(INSTALL_POLL);
         }
     }
 
