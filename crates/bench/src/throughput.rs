@@ -101,8 +101,7 @@ pub struct ThroughputRow {
     /// Fitted lexicon size.
     pub lexicon: usize,
     /// Corpus vectorization rate. The `ScoringBackend` switch does not touch
-    /// ingest, so there is no scalar-vs-batched comparison here (on one core
-    /// the parallel vectorizer degenerates to the sequential path).
+    /// ingest, so there is no scalar-vs-batched comparison here.
     pub ingest: StageRate,
     /// Full distributed learning phase (training + propagation + indexing).
     /// Also backend-independent — the honest training before/after is the

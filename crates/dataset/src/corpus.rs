@@ -111,11 +111,13 @@ impl Corpus {
 
     /// The tag-id set of a document.
     pub fn tag_ids_of(&self, id: DocumentId) -> BTreeSet<u32> {
-        self.documents[id]
-            .tags
-            .iter()
-            .filter_map(|t| self.tag_id(t))
-            .collect()
+        // Inserted one by one: a handful of ids goes straight into one leaf,
+        // where `collect` would first buffer and sort them in a `Vec`.
+        let mut ids = BTreeSet::new();
+        for tag in &self.documents[id].tags {
+            ids.extend(self.tag_id(tag));
+        }
+        ids
     }
 
     /// Documents owned by each user, ordered by user id.

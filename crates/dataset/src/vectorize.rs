@@ -116,6 +116,47 @@ mod tests {
     }
 
     #[test]
+    fn build_is_unchanged_against_the_two_pass_oracle() {
+        // The composition `VectorizedCorpus::build` ran before the one-pass
+        // ingest: public tokenizer, filter, stemmer and vocabulary counters,
+        // twice over the corpus. Lexicon, statistics and every vector must
+        // agree with it bit for bit, and the tags with the corpus.
+        use textproc::{PorterStemmer, StopWordFilter, Tokenizer, Vocabulary};
+        let (corpus, v) = vectorized();
+        let (tokenizer, filter) = (Tokenizer::default(), StopWordFilter::english());
+        let terms = |text: &str| {
+            let mut terms = filter.filter(tokenizer.tokenize(text));
+            PorterStemmer::new().stem_all(&mut terms);
+            terms
+        };
+        let mut vocabulary = Vocabulary::new();
+        for d in corpus.documents() {
+            vocabulary.observe_document(terms(&d.text).iter().map(String::as_str));
+        }
+        let fitted = v.pipeline().vocabulary();
+        assert_eq!(fitted.num_docs(), vocabulary.num_docs());
+        assert!(fitted.iter().eq(vocabulary.iter()), "lexicon differs");
+        for (_, id) in fitted.iter() {
+            assert_eq!(fitted.doc_freq(id), vocabulary.doc_freq(id));
+        }
+        for d in corpus.documents() {
+            let counts = vocabulary.count_tokens(terms(&d.text).iter().map(String::as_str));
+            let mut want = SparseVector::from_sorted_pairs(
+                counts
+                    .iter()
+                    .map(|(&id, &tf)| (id, f64::from(tf) * vocabulary.idf(id))),
+            );
+            want.l2_normalize();
+            let got = v.vector(d.id);
+            assert_eq!(got.indices(), want.indices(), "document {}", d.id);
+            let bits =
+                |v: &SparseVector| v.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&want), "document {}", d.id);
+            assert_eq!(*v.tags(d.id), corpus.tag_ids_of(d.id));
+        }
+    }
+
+    #[test]
     fn examples_carry_the_right_tags() {
         let (corpus, v) = vectorized();
         for d in corpus.documents().iter().take(20) {

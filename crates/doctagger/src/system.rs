@@ -125,6 +125,8 @@ impl P2PDocTagger {
         self.network = Some(P2PNetwork::new(sim));
         self.vectorized = Some(vectorized);
         self.corpus = Some(corpus);
+        // The previous corpus' split names document ids this one may not have.
+        self.split = None;
         self.library = DocumentLibrary::new();
         self.tag_store = TagStore::new();
         self.refinements = RefinementLog::new();
@@ -318,10 +320,6 @@ impl P2PDocTagger {
         let mut failed_peer_offline = 0;
         let mut failed_unreachable = 0;
         for (&doc, result) in docs.iter().zip(results) {
-            let truth = {
-                let corpus = self.corpus.as_ref().expect("ingested");
-                corpus.tag_ids_of(doc)
-            };
             match result {
                 Ok(tag_ids) => {
                     tagged += 1;
@@ -344,7 +342,8 @@ impl P2PDocTagger {
                     predictions.push(BTreeSet::new());
                 }
             }
-            truths.push(truth);
+            let vectorized = self.vectorized.as_ref().expect("ingested");
+            truths.push(vectorized.tags(doc).clone());
         }
         let metrics = MultiLabelMetrics::evaluate(&predictions, &truths, &universe);
         Ok(AutoTagOutcome {
@@ -566,6 +565,30 @@ mod tests {
         });
         sys.ingest(&corpus);
         (sys, corpus, split)
+    }
+
+    #[test]
+    fn reingest_forgets_the_previous_split() {
+        let (mut sys, big, split) = system_with(ProtocolKind::pace());
+        sys.learn(&split).unwrap();
+        sys.auto_tag_all().unwrap();
+
+        let small = CorpusGenerator::new(CorpusSpec {
+            num_users: 3,
+            ..CorpusSpec::tiny()
+        })
+        .generate();
+        assert!(small.len() < big.len());
+        assert!(split.test.iter().any(|&doc| doc >= small.len()));
+        sys.ingest(&small);
+        // The old split names documents the new corpus does not have.
+        assert!(sys.split.is_none());
+        assert!(matches!(sys.auto_tag_all(), Err(ProtocolError::NotTrained)));
+
+        let split = TrainTestSplit::demo_protocol(&small, 3);
+        sys.learn(&split).unwrap();
+        let outcome = sys.auto_tag_all().unwrap();
+        assert_eq!(outcome.tagged + outcome.failed, split.test.len());
     }
 
     #[test]

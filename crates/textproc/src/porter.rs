@@ -24,11 +24,19 @@ impl PorterStemmer {
     /// `a..=z`, are returned unchanged (the algorithm is defined for English
     /// ASCII words only).
     pub fn stem(&self, word: &str) -> String {
+        self.stem_into(word, &mut Vec::new()).to_string()
+    }
+
+    /// [`Self::stem`] without the allocations: the stem is spelled in the
+    /// reused `buf` (or is `word` itself when the word is left unchanged).
+    pub(crate) fn stem_into<'a>(&self, word: &'a str, buf: &'a mut Vec<u8>) -> &'a str {
         if word.len() <= 2 || !word.bytes().all(|b| b.is_ascii_lowercase()) {
-            return word.to_string();
+            return word;
         }
+        buf.clear();
+        buf.extend_from_slice(word.as_bytes());
         let mut s = Stem {
-            b: word.as_bytes().to_vec(),
+            b: buf,
             k: word.len() - 1,
             j: 0,
         };
@@ -38,7 +46,8 @@ impl PorterStemmer {
         s.step3();
         s.step4();
         s.step5();
-        String::from_utf8(s.b[..=s.k].to_vec()).expect("stemmer output is ASCII")
+        let k = s.k;
+        std::str::from_utf8(&buf[..=k]).expect("stemmer output is ASCII")
     }
 
     /// Stems every token in place.
@@ -49,15 +58,15 @@ impl PorterStemmer {
     }
 }
 
-struct Stem {
-    b: Vec<u8>,
+struct Stem<'a> {
+    b: &'a mut Vec<u8>,
     /// Index of the last character of the current word.
     k: usize,
     /// General offset used by the `ends`/`setto` machinery.
     j: usize,
 }
 
-impl Stem {
+impl Stem<'_> {
     /// Is the character at position `i` a consonant?
     fn cons(&self, i: usize) -> bool {
         match self.b[i] {

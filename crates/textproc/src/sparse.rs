@@ -127,6 +127,15 @@ impl SparseVector {
         Self::from_parts(indices, values)
     }
 
+    /// Replaces every stored value by `f(index, value)` in place (copy-on-write
+    /// when the storage is shared). `f` must not return `0.0`.
+    pub(crate) fn map_values(&mut self, mut f: impl FnMut(u32, f64) -> f64) {
+        let values = Arc::make_mut(&mut self.values).iter_mut();
+        values
+            .zip(self.indices.iter())
+            .for_each(|(v, &i)| *v = f(i, *v));
+    }
+
     /// Creates a vector from a dense slice, skipping zero entries. Dense
     /// enumeration is already index-sorted, so this uses the direct
     /// [`Self::from_sorted_pairs`] path (no sort).

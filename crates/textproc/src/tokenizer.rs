@@ -42,35 +42,40 @@ impl Tokenizer {
     /// stripped, so that "don't" becomes "dont").
     pub fn tokenize(&self, text: &str) -> Vec<String> {
         let mut tokens = Vec::new();
-        let mut current = String::new();
-        for ch in text.chars() {
-            if ch.is_alphanumeric() {
-                if self.lowercase {
-                    current.extend(ch.to_lowercase());
-                } else {
-                    current.push(ch);
-                }
-            } else if ch == '\'' {
-                // apostrophes are dropped but do not break the token: don't -> dont
-            } else if !current.is_empty() {
-                self.push_token(&mut tokens, std::mem::take(&mut current));
-            }
-        }
-        if !current.is_empty() {
-            self.push_token(&mut tokens, current);
-        }
+        let keep = |run: &str| tokens.extend(self.keeps(run).then(|| run.to_string()));
+        self.scan(text, &mut String::new(), keep);
         tokens
     }
 
-    fn push_token(&self, tokens: &mut Vec<String>, token: String) {
-        let char_len = token.chars().count();
-        if char_len < self.min_len || char_len > self.max_len {
-            return;
+    /// The one text scanner, shared with the vectorizer: hands `emit` every
+    /// maximal alphanumeric run (lower-cased when configured, apostrophes
+    /// stripped), spelled in the reused `buf`. The length and digit rules are
+    /// [`Self::keeps`], which a memoising caller applies once per distinct run.
+    pub(crate) fn scan(&self, text: &str, buf: &mut String, mut emit: impl FnMut(&str)) {
+        buf.clear();
+        // The trailing space flushes the last run.
+        for ch in text.chars().chain([' ']) {
+            if !ch.is_alphanumeric() {
+                // apostrophes are dropped but do not break the token: don't -> dont
+                if ch != '\'' && !buf.is_empty() {
+                    emit(buf);
+                    buf.clear();
+                }
+            } else if !self.lowercase {
+                buf.push(ch);
+            } else if ch.is_ascii() {
+                buf.push(ch.to_ascii_lowercase());
+            } else {
+                // 'İ' lower-cases to "i\u{307}": the combining mark is no token char.
+                buf.extend(ch.to_lowercase().filter(|c| c.is_alphanumeric()));
+            }
         }
-        if !self.keep_numeric && token.chars().any(|c| c.is_ascii_digit()) {
-            return;
-        }
-        tokens.push(token);
+    }
+
+    /// The length and digit rules a scanned run must pass to be a token.
+    pub(crate) fn keeps(&self, run: &str) -> bool {
+        (self.min_len..=self.max_len).contains(&run.chars().count())
+            && (self.keep_numeric || !run.bytes().any(|b| b.is_ascii_digit()))
     }
 }
 
@@ -122,6 +127,66 @@ mod tests {
         let t = Tokenizer::new();
         assert!(t.tokenize("").is_empty());
         assert!(t.tokenize("   ,,, !!").is_empty());
+    }
+
+    #[test]
+    fn lowercase_expansion_keeps_only_alphanumeric_chars() {
+        // 'İ' (U+0130) lower-cases to "i\u{307}"; the combining dot is not a
+        // token character.
+        let t = Tokenizer::new();
+        assert_eq!(t.tokenize("İstanbul"), vec!["istanbul"]);
+        assert_eq!(t.tokenize("İİ aİb"), vec!["ii", "aib"]);
+    }
+
+    /// The char-by-char, `String`-per-token tokenizer the scanner replaced
+    /// (with the lower-case expansion filtered), kept as its oracle.
+    fn reference(t: &Tokenizer, text: &str) -> Vec<String> {
+        let mut runs = vec![String::new()];
+        for ch in text.chars() {
+            let run = runs.last_mut().unwrap();
+            if !ch.is_alphanumeric() {
+                if ch != '\'' {
+                    runs.push(String::new());
+                }
+            } else if t.lowercase {
+                run.extend(ch.to_lowercase().filter(|c| c.is_alphanumeric()));
+            } else {
+                run.push(ch);
+            }
+        }
+        runs.retain(|run| {
+            let n = run.chars().count();
+            n >= t.min_len
+                && n <= t.max_len
+                && (t.keep_numeric || !run.chars().any(|c| c.is_ascii_digit()))
+        });
+        runs
+    }
+
+    #[test]
+    fn scanner_matches_the_charwise_reference() {
+        let texts = [
+            "Peer-to-peer networks, share resources!",
+            "Don't STOP 'quoted' o''clock '",
+            "a I x86 42 ok ٣٣٣ x٣",
+            "İstanbul İİ aİb ǅungla ẞ straße Müller 中文 λόγος 𝕏𝕏",
+            "trailing token",
+            "",
+            " \t\n,,,",
+        ];
+        for lowercase in [true, false] {
+            for keep_numeric in [true, false] {
+                let t = Tokenizer {
+                    lowercase,
+                    keep_numeric,
+                    min_len: 2,
+                    max_len: 8,
+                };
+                for text in texts {
+                    assert_eq!(t.tokenize(text), reference(&t, text), "{t:?} {text:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::stopwords::StopWordFilter;
 use crate::tokenizer::Tokenizer;
 use crate::vocabulary::Vocabulary;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Term weighting schemes for document vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -105,6 +106,17 @@ pub struct PreprocessPipeline {
     stemming: bool,
 }
 
+/// Call-local scratch of the scanner: reused run and stem buffers, the memo
+/// from each distinct scanned run to its term id (`None`: dropped or unknown;
+/// lookup-only, never iterated) and the current document's `(id, tf)` pairs.
+#[derive(Default)]
+struct Scratch {
+    run: String,
+    stem: Vec<u8>,
+    memo: HashMap<String, Option<u32>>,
+    tf: Vec<(u32, f64)>,
+}
+
 impl Default for PreprocessPipeline {
     fn default() -> Self {
         PreprocessPipelineBuilder::new().build()
@@ -140,20 +152,65 @@ impl PreprocessPipeline {
 
     /// Tokenizes, filters and stems a raw document into processed terms.
     pub fn terms(&self, text: &str) -> Vec<String> {
-        let tokens = self.tokenizer.tokenize(text);
-        let mut tokens = self.stop_words.filter(tokens);
-        if self.stemming {
-            self.stemmer.stem_all(&mut tokens);
+        let (mut terms, mut stem) = (Vec::new(), Vec::new());
+        self.tokenizer.scan(text, &mut String::new(), |run| {
+            terms.extend(self.term_of(run, &mut stem).map(str::to_string));
+        });
+        terms
+    }
+
+    /// The processed term of one scanned run (token rules, stop- and sensitive-
+    /// word filter, Porter stem into the reused `stem`); `None` when dropped.
+    fn term_of<'a>(&self, run: &'a str, stem: &'a mut Vec<u8>) -> Option<&'a str> {
+        let kept = self.tokenizer.keeps(run) && !self.stop_words.is_filtered(run);
+        kept.then(|| match self.stemming {
+            true => self.stemmer.stem_into(run, stem),
+            false => run,
+        })
+    }
+
+    /// Scans `text` once, leaving its terms' `(id, tf)` pairs, ascending by id,
+    /// in `s.tf`. [`Self::term_of`] and `id_of` (term to id) run once per
+    /// *distinct run* of the call, later occurrences being one memo probe; an
+    /// inserting `id_of` still hands out ids in first-seen order, since a
+    /// term's first occurrence is the first occurrence of its run.
+    fn scan_tf(&self, text: &str, s: &mut Scratch, mut id_of: impl FnMut(&str) -> Option<u32>) {
+        s.tf.clear();
+        self.tokenizer.scan(text, &mut s.run, |run| {
+            let id = s.memo.get(run).copied().unwrap_or_else(|| {
+                let id = self.term_of(run, &mut s.stem).and_then(&mut id_of);
+                s.memo.insert(run.to_string(), id);
+                id
+            });
+            s.tf.extend(id.map(|id| (id, 1.0)));
+        });
+        s.tf.sort_unstable_by_key(|&(id, _)| id);
+        // Run-length count: a repeat is folded into the first pair of its id.
+        s.tf.dedup_by(|next, kept| (next.0 == kept.0).then(|| kept.1 += next.1).is_some());
+    }
+
+    /// The fitting pass: observes `docs` in order, growing the vocabulary and
+    /// its document frequencies, and hands `each` every document's `(id, tf)`s.
+    fn observe<'a, I: IntoIterator<Item = &'a str>>(
+        &mut self,
+        docs: I,
+        mut each: impl FnMut(&[(u32, f64)]),
+    ) {
+        // Moved out for the pass so that the scanner can borrow `self` shared.
+        let mut vocabulary = std::mem::take(&mut self.vocabulary);
+        let mut s = Scratch::default();
+        for doc in docs {
+            self.scan_tf(doc, &mut s, |term| vocabulary.get_or_insert(term));
+            vocabulary.observe_ids(s.tf.iter().map(|&(id, _)| id));
+            each(&s.tf);
         }
-        tokens
+        self.vocabulary = vocabulary;
     }
 
     /// Observes a document, growing the vocabulary (fit step). Returns nothing;
     /// use [`Self::transform`] afterwards, or [`Self::fit_transform`] for both.
     pub fn fit_one(&mut self, text: &str) {
-        let terms = self.terms(text);
-        self.vocabulary
-            .observe_document(terms.iter().map(String::as_str));
+        self.observe([text], |_| {});
     }
 
     /// Fits the vocabulary on a corpus and freezes it.
@@ -161,57 +218,71 @@ impl PreprocessPipeline {
     where
         I: IntoIterator<Item = &'a str>,
     {
-        for doc in docs {
-            self.fit_one(doc);
-        }
+        self.observe(docs, |_| {});
         self.vocabulary.freeze();
+    }
+
+    /// Turns a term-frequency vector into the configured weighting, in place.
+    fn reweight(&self, v: &mut SparseVector, idf: impl Fn(u32) -> f64) {
+        match self.weighting {
+            Weighting::Tf => {}
+            Weighting::Binary => v.map_values(|_, _| 1.0),
+            Weighting::LogTf => v.map_values(|_, tf| 1.0 + tf.ln()),
+            Weighting::TfIdf => v.map_values(|id, tf| tf * idf(id)),
+        }
+        if self.l2_normalize {
+            v.l2_normalize();
+        }
+    }
+
+    /// The idf of every word id, computed once for a batch.
+    fn idf_table(&self) -> Vec<f64> {
+        let ids = 0..self.vocabulary.len() as u32;
+        ids.map(|id| self.vocabulary.idf(id)).collect()
+    }
+
+    /// Scans one document against the fitted vocabulary and weights it.
+    fn vectorize(&self, text: &str, s: &mut Scratch, idf: impl Fn(u32) -> f64) -> SparseVector {
+        self.scan_tf(text, s, |term| self.vocabulary.id_of(term));
+        let mut v = SparseVector::from_sorted_pairs(s.tf.iter().copied());
+        self.reweight(&mut v, idf);
+        v
     }
 
     /// Transforms a document into its sparse feature vector using the fitted
     /// vocabulary (unknown words are ignored).
     pub fn transform(&self, text: &str) -> SparseVector {
-        let terms = self.terms(text);
-        let counts = self
-            .vocabulary
-            .count_tokens(terms.iter().map(String::as_str));
-        // `counts` is a BTreeMap: ascending unique ids, so the sorted
-        // constructor applies and the weight loop runs in deterministic
-        // order by construction.
-        let mut v = SparseVector::from_sorted_pairs(counts.iter().map(|(&id, &tf)| {
-            let tf = tf as f64;
-            let w = match self.weighting {
-                Weighting::Tf => tf,
-                Weighting::Binary => 1.0,
-                Weighting::LogTf => 1.0 + tf.ln(),
-                Weighting::TfIdf => tf * self.vocabulary.idf(id),
-            };
-            (id, w)
-        }));
-        if self.l2_normalize {
-            v.l2_normalize();
-        }
-        v
+        self.vectorize(text, &mut Scratch::default(), |id| self.vocabulary.idf(id))
     }
 
     /// Transforms a batch of documents with the fitted vocabulary, in input
-    /// order. Each document is independent, so the batch is vectorized in
-    /// parallel when cores are available; the ordered reduction keeps the
-    /// output identical to a sequential `map`.
+    /// order, sharing one memo and one idf table across the batch.
     pub fn transform_batch(&self, docs: &[&str]) -> Vec<SparseVector> {
-        parallel::par_map(docs, |d| self.transform(d))
+        let (idf, mut s) = (self.idf_table(), Scratch::default());
+        let vectorize = |doc: &&str| self.vectorize(doc, &mut s, |id| idf[id as usize]);
+        docs.iter().map(vectorize).collect()
     }
 
     /// Fits on the corpus and returns the vector of every document, in order.
     ///
-    /// Fitting observes documents sequentially (vocabulary ids depend on
-    /// first-seen order); the transform pass uses [`Self::transform_batch`].
+    /// Every document is scanned once: the fitting pass leaves its term
+    /// frequencies in its final vector, and once the document frequencies are
+    /// complete those vectors are re-weighted in place — bit-identical to
+    /// [`Self::fit`] followed by [`Self::transform_batch`].
     pub fn fit_transform<'a, I>(&mut self, docs: I) -> Vec<SparseVector>
     where
         I: IntoIterator<Item = &'a str>,
     {
-        let docs: Vec<&str> = docs.into_iter().collect();
-        self.fit(docs.iter().copied());
-        self.transform_batch(&docs)
+        let docs = docs.into_iter();
+        let mut vectors = Vec::with_capacity(docs.size_hint().0);
+        self.observe(docs, |tf| {
+            vectors.push(SparseVector::from_sorted_pairs(tf.iter().copied()))
+        });
+        self.vocabulary.freeze();
+        let idf = self.idf_table();
+        let reweight = |v| self.reweight(v, |id| idf[id as usize]);
+        vectors.iter_mut().for_each(reweight);
+        vectors
     }
 
     /// Size of the fitted lexicon.
@@ -229,6 +300,161 @@ mod tests {
         "Support vector machines learn classification models from training documents.",
         "Tagging documents with collaborative tags eases document retrieval.",
     ];
+
+    /// `terms` as it was before the one-pass scanner: the public tokenizer,
+    /// filter and stemmer composed per document.
+    fn oracle_terms(
+        tokenizer: &Tokenizer,
+        filter: &StopWordFilter,
+        stemming: bool,
+        text: &str,
+    ) -> Vec<String> {
+        let mut terms = filter.filter(tokenizer.tokenize(text));
+        if stemming {
+            PorterStemmer::new().stem_all(&mut terms);
+        }
+        terms
+    }
+
+    /// What `fit` + `transform` were before the one-pass scanner:
+    /// [`oracle_terms`] and the public vocabulary counters, twice over the
+    /// corpus. Kept as the oracle the scanner is held to.
+    fn oracle(
+        tokenizer: &Tokenizer,
+        filter: &StopWordFilter,
+        stemming: bool,
+        weighting: Weighting,
+        l2: bool,
+        docs: &[&str],
+    ) -> (Vocabulary, Vec<SparseVector>) {
+        let terms = |text: &str| oracle_terms(tokenizer, filter, stemming, text);
+        let mut vocabulary = Vocabulary::new();
+        for doc in docs {
+            vocabulary.observe_document(terms(doc).iter().map(String::as_str));
+        }
+        vocabulary.freeze();
+        let vectors = docs
+            .iter()
+            .map(|doc| {
+                let counts = vocabulary.count_tokens(terms(doc).iter().map(String::as_str));
+                let mut v = SparseVector::from_sorted_pairs(counts.iter().map(|(&id, &tf)| {
+                    let tf = tf as f64;
+                    let w = match weighting {
+                        Weighting::Tf => tf,
+                        Weighting::Binary => 1.0,
+                        Weighting::LogTf => 1.0 + tf.ln(),
+                        Weighting::TfIdf => tf * vocabulary.idf(id),
+                    };
+                    (id, w)
+                }));
+                if l2 {
+                    v.l2_normalize();
+                }
+                v
+            })
+            .collect();
+        (vocabulary, vectors)
+    }
+
+    fn assert_bit_identical(got: &[SparseVector], want: &[SparseVector], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (d, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.indices(), w.indices(), "{what}: doc {d}");
+            let bits =
+                |v: &SparseVector| v.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(w), "{what}: doc {d}");
+        }
+    }
+
+    fn assert_same_vocabulary(got: &Vocabulary, want: &Vocabulary, what: &str) {
+        assert_eq!(got.num_docs(), want.num_docs(), "{what}");
+        let entries = |v: &Vocabulary| {
+            v.iter()
+                .map(|(word, id)| (word.to_string(), id, v.doc_freq(id)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(entries(got), entries(want), "{what}");
+    }
+
+    #[test]
+    fn one_pass_scanner_matches_the_two_pass_oracle_bit_for_bit() {
+        let docs = [
+            "Peers don't share the peers' documents; PEERS tag tagging tagged documents.",
+            "",
+            "x86 ipv6 42 4chan a I ok ok ok",
+            "İstanbul İİ straße Müller naïve λόγος 中文 中文 ٣٣٣",
+            "supercalifragilisticexpialidociousandthensomemorelettersontop short",
+            "salary Salary SALARY's classification classifications",
+            "   ,,, !! '' ' ",
+            "tagging the tagged tags of a tagger, and the peers' peer",
+        ];
+        let mut filter = StopWordFilter::english();
+        filter.add_sensitive_word("salary");
+        let tokenizers = [
+            Tokenizer::default(),
+            Tokenizer {
+                lowercase: false,
+                min_len: 1,
+                max_len: 12,
+                keep_numeric: true,
+            },
+        ];
+        let weightings = [
+            Weighting::Tf,
+            Weighting::TfIdf,
+            Weighting::Binary,
+            Weighting::LogTf,
+        ];
+        for tokenizer in &tokenizers {
+            for weighting in weightings {
+                for (stemming, l2) in [(true, true), (true, false), (false, true), (false, false)] {
+                    let what = format!("{tokenizer:?} {weighting:?} stem={stemming} l2={l2}");
+                    let (vocabulary, want) =
+                        oracle(tokenizer, &filter, stemming, weighting, l2, &docs);
+                    let pipeline = || {
+                        PreprocessPipeline::builder()
+                            .tokenizer(tokenizer.clone())
+                            .stop_words(filter.clone())
+                            .weighting(weighting)
+                            .stemming(stemming)
+                            .l2_normalize(l2)
+                            .build()
+                    };
+
+                    let mut one_pass = pipeline();
+                    let got = one_pass.fit_transform(docs);
+                    assert_same_vocabulary(one_pass.vocabulary(), &vocabulary, &what);
+                    assert_bit_identical(&got, &want, &what);
+
+                    let mut two_step = pipeline();
+                    two_step.fit(docs);
+                    assert_same_vocabulary(two_step.vocabulary(), &vocabulary, &what);
+                    assert_bit_identical(&two_step.transform_batch(&docs), &want, &what);
+                    let singly: Vec<_> = docs.iter().map(|d| two_step.transform(d)).collect();
+                    assert_bit_identical(&singly, &want, &what);
+
+                    for doc in docs {
+                        let want = oracle_terms(tokenizer, &filter, stemming, doc);
+                        assert_eq!(one_pass.terms(doc), want, "{what}: {doc:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fit_one_per_document_equals_one_fit_over_all() {
+        let mut fitted = PreprocessPipeline::new();
+        fitted.fit_transform(DOCS);
+        let mut by_hand = PreprocessPipeline::new();
+        for doc in DOCS {
+            by_hand.fit_one(doc);
+        }
+        by_hand.vocabulary.freeze();
+        // The memo is call-local: sharing it across documents or not, same state.
+        assert_same_vocabulary(fitted.vocabulary(), by_hand.vocabulary(), "fit_one");
+        assert_eq!(fitted.transform(DOCS[0]), by_hand.transform(DOCS[0]));
+    }
 
     #[test]
     fn transform_matches_unsorted_reference_and_is_deterministic() {

@@ -107,11 +107,16 @@ impl Vocabulary {
                 *counts.entry(id).or_insert(0) += 1;
             }
         }
-        for &id in counts.keys() {
+        self.observe_ids(counts.keys().copied());
+        counts
+    }
+
+    /// Counts one fitted document given the distinct ids of its terms.
+    pub(crate) fn observe_ids(&mut self, distinct: impl IntoIterator<Item = u32>) {
+        for id in distinct {
             self.doc_freq[id as usize] += 1;
         }
         self.num_docs += 1;
-        counts
     }
 
     /// Converts tokens of an already-fitted document into term counts without

@@ -126,6 +126,82 @@ proptest! {
         prop_assert_eq!(run(&docs), run(&docs));
     }
 
+    #[test]
+    fn one_pass_ingest_matches_the_two_pass_oracle(
+        docs in prop::collection::vec(".{0,200}", 1..5),
+        weighting in 0usize..4,
+        stemming in any::<bool>(),
+        l2 in any::<bool>(),
+    ) {
+        // The public tokenizer, filter, stemmer and vocabulary counters,
+        // composed per document and twice over the corpus — what `fit` +
+        // `transform` did before the one-pass scanner — are the oracle.
+        let weighting = [Weighting::Tf, Weighting::TfIdf, Weighting::Binary, Weighting::LogTf][weighting];
+        let docs: Vec<&str> = docs.iter().map(String::as_str).collect();
+        let tokenizer = Tokenizer::default();
+        let mut filter = StopWordFilter::english();
+        filter.add_sensitive_word("ok");
+        let terms = |text: &str| {
+            let mut terms = filter.filter(tokenizer.tokenize(text));
+            if stemming {
+                PorterStemmer::new().stem_all(&mut terms);
+            }
+            terms
+        };
+        let mut vocabulary = Vocabulary::new();
+        for doc in &docs {
+            vocabulary.observe_document(terms(doc).iter().map(String::as_str));
+        }
+        let want: Vec<SparseVector> = docs
+            .iter()
+            .map(|doc| {
+                let counts = vocabulary.count_tokens(terms(doc).iter().map(String::as_str));
+                let mut v = SparseVector::from_sorted_pairs(counts.iter().map(|(&id, &tf)| {
+                    let tf = f64::from(tf);
+                    (id, match weighting {
+                        Weighting::Tf => tf,
+                        Weighting::Binary => 1.0,
+                        Weighting::LogTf => 1.0 + tf.ln(),
+                        Weighting::TfIdf => tf * vocabulary.idf(id),
+                    })
+                }));
+                if l2 {
+                    v.l2_normalize();
+                }
+                v
+            })
+            .collect();
+
+        let pipeline = || {
+            let mut p = PreprocessPipeline::builder()
+                .weighting(weighting)
+                .stemming(stemming)
+                .l2_normalize(l2)
+                .build();
+            p.stop_words_mut().add_sensitive_word("ok");
+            p
+        };
+        let mut one_pass = pipeline();
+        let one_pass_vectors = one_pass.fit_transform(docs.iter().copied());
+        let mut two_step = pipeline();
+        two_step.fit(docs.iter().copied());
+        let two_step_vectors = two_step.transform_batch(&docs);
+        for (p, got) in [(&one_pass, &one_pass_vectors), (&two_step, &two_step_vectors)] {
+            let v = p.vocabulary();
+            prop_assert_eq!(v.num_docs(), vocabulary.num_docs());
+            prop_assert_eq!(v.iter().collect::<Vec<_>>(), vocabulary.iter().collect::<Vec<_>>());
+            for (_, id) in v.iter() {
+                prop_assert_eq!(v.doc_freq(id), vocabulary.doc_freq(id));
+            }
+            prop_assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(g.indices(), w.indices());
+                let bits = |v: &SparseVector| v.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(g), bits(w));
+            }
+        }
+    }
+
     // ---------- parallel execution layer ---------------------------------------
 
     #[test]
