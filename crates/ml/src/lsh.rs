@@ -15,6 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::Hash;
 use textproc::SparseVector;
 
 /// Configuration of the random-hyperplane LSH index.
@@ -45,6 +46,11 @@ pub struct LshIndex<T> {
     /// One hash table per band: band signature → entry indices.
     tables: Vec<HashMap<u64, Vec<usize>>>,
     entries: Vec<(SparseVector, T)>,
+    /// Every entry's band signatures, `num_bands` per entry in entry order.
+    /// Projecting a key through the hyperplanes is the expensive part of an
+    /// insert; keeping the result lets [`Self::compact`] re-file survivors
+    /// instead of re-projecting them.
+    signatures: Vec<u64>,
     /// Cached `‖key‖²` per entry, for the batched query path.
     norms_sq: Vec<f64>,
     /// Inverted postings over key features: feature → `(entry, value)`.
@@ -54,13 +60,16 @@ pub struct LshIndex<T> {
     /// Tombstones: `live[i] == false` hides entry `i` from every query.
     /// Entries are append-only (hash tables and postings hold stable
     /// indices), so replacing an item's keys retires the old entries instead
-    /// of removing them; see [`Self::retire_matching`].
+    /// of removing them; see [`Self::retire`].
     live: Vec<bool>,
     /// Number of live entries.
     num_live: usize,
+    /// The live entries of each item, so [`Self::retire`] goes straight to
+    /// them. Looked up by key only, never iterated.
+    by_item: HashMap<T, Vec<usize>>,
 }
 
-impl<T> LshIndex<T> {
+impl<T: Clone + Eq + Hash> LshIndex<T> {
     /// Creates an empty index.
     pub fn new(config: LshConfig) -> Self {
         let tables = (0..config.num_bands).map(|_| HashMap::new()).collect();
@@ -68,10 +77,12 @@ impl<T> LshIndex<T> {
             config,
             tables,
             entries: Vec::new(),
+            signatures: Vec::new(),
             norms_sq: Vec::new(),
             postings: HashMap::new(),
             live: Vec::new(),
             num_live: 0,
+            by_item: HashMap::new(),
         }
     }
 
@@ -92,61 +103,77 @@ impl<T> LshIndex<T> {
 
     /// Inserts an item keyed by `key`.
     pub fn insert(&mut self, key: SparseVector, item: T) {
-        let idx = self.entries.len();
         for band in 0..self.config.num_bands {
             let sig = self.band_signature(&key, band);
-            self.tables[band].entry(sig).or_default().push(idx);
+            self.signatures.push(sig);
         }
-        self.norms_sq.push(key.norm_sq());
+        let norm_sq = key.norm_sq();
+        self.file(key, item, norm_sq);
+    }
+
+    /// Appends an entry whose band signatures are already the tail of
+    /// `signatures`, filing it under them in every table, in the postings
+    /// and under its item.
+    fn file(&mut self, key: SparseVector, item: T, norm_sq: f64) {
+        let idx = self.entries.len();
+        let bands = self.config.num_bands;
+        for (table, &sig) in self.tables.iter_mut().zip(&self.signatures[idx * bands..]) {
+            table.entry(sig).or_default().push(idx);
+        }
+        self.norms_sq.push(norm_sq);
         for (feature, value) in key.iter() {
             self.postings
                 .entry(feature)
                 .or_default()
                 .push((idx as u32, value));
         }
+        self.by_item.entry(item.clone()).or_default().push(idx);
         self.entries.push((key, item));
         self.live.push(true);
         self.num_live += 1;
     }
 
-    /// Retires every live entry whose item matches `pred` (tombstoning — the
-    /// entry keeps its index but disappears from all queries). This is how an
-    /// item whose keys changed is replaced: retire the old entries, insert
-    /// the new ones. Returns the number of entries retired.
+    /// Retires every live entry of `item` (tombstoning — the entry keeps its
+    /// index but disappears from all queries). This is how an item whose
+    /// keys changed is replaced: retire the old entries, insert the new
+    /// ones. Returns the number of entries retired.
     ///
     /// When tombstones start to dominate, the index compacts itself (live
-    /// entries are re-inserted in their original relative order), so a
+    /// entries are re-filed in their original relative order), so a
     /// long-running stream of replacements keeps query cost proportional to
     /// the *live* entry count, not the all-time insert count.
-    pub fn retire_matching<F: Fn(&T) -> bool>(&mut self, pred: F) -> usize {
-        let mut retired = 0;
-        for (i, (_, item)) in self.entries.iter().enumerate() {
-            if self.live[i] && pred(item) {
-                self.live[i] = false;
-                self.num_live -= 1;
-                retired += 1;
-            }
+    pub fn retire(&mut self, item: &T) -> usize {
+        let retired = self.by_item.remove(item).unwrap_or_default();
+        for &idx in &retired {
+            self.live[idx] = false;
         }
+        self.num_live -= retired.len();
         let dead = self.entries.len() - self.num_live;
         if dead > self.num_live.max(16) {
             self.compact();
         }
-        retired
+        retired.len()
     }
 
     /// Rebuilds the index from its live entries only, dropping tombstones
     /// from the hash tables, postings and entry store. Live entries keep
-    /// their relative order, so query tie-breaking is unchanged.
+    /// their relative order, so query tie-breaking is unchanged, and their
+    /// stored signatures and norms, so nothing is projected again.
     fn compact(&mut self) {
         let old_entries = std::mem::take(&mut self.entries);
+        let old_signatures = std::mem::take(&mut self.signatures);
+        let old_norms_sq = std::mem::take(&mut self.norms_sq);
         let old_live = std::mem::take(&mut self.live);
-        self.tables = (0..self.config.num_bands).map(|_| HashMap::new()).collect();
-        self.norms_sq.clear();
+        self.tables.iter_mut().for_each(HashMap::clear);
         self.postings.clear();
+        self.by_item.clear();
         self.num_live = 0;
-        for ((key, item), alive) in old_entries.into_iter().zip(old_live) {
-            if alive {
-                self.insert(key, item);
+        let bands = self.config.num_bands;
+        for (i, (key, item)) in old_entries.into_iter().enumerate() {
+            if old_live[i] {
+                self.signatures
+                    .extend_from_slice(&old_signatures[i * bands..(i + 1) * bands]);
+                self.file(key, item, old_norms_sq[i]);
             }
         }
     }
@@ -347,7 +374,7 @@ mod tests {
         }
         assert_eq!(idx.len(), 10);
         // Replace item 3: retire its old key, insert a new one far away.
-        let retired = idx.retire_matching(|&item| item == 3);
+        let retired = idx.retire(&3);
         assert_eq!(retired, 1);
         assert_eq!(idx.len(), 9);
         idx.insert(SparseVector::from_pairs([(0, 100.0)]), 3);
@@ -386,7 +413,7 @@ mod tests {
         }
         // Replace item 0's key many times, as incremental re-propagation does.
         for round in 0..100 {
-            idx.retire_matching(|&item| item == 0);
+            idx.retire(&0);
             idx.insert(SparseVector::from_pairs([(0, 0.1 * round as f64)]), 0);
         }
         assert_eq!(idx.len(), 8);
@@ -401,6 +428,59 @@ mod tests {
         // Queries still see exactly the live set.
         let hits = idx.query_exact(&SparseVector::from_pairs([(0, 3.0)]), 8);
         assert_eq!(hits.len(), 8);
+    }
+
+    #[test]
+    fn replace_heavy_index_answers_like_a_freshly_built_one() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut idx = LshIndex::new(LshConfig::default());
+        // The entries a fresh build would insert, in the replaced index's
+        // entry order: survivors first-inserted-first, replacements appended.
+        let mut model: Vec<(SparseVector, u32)> = Vec::new();
+        for item in 0..40u32 {
+            for _ in 0..3 {
+                let key = random_vec(&mut rng, 60, 10);
+                idx.insert(key.clone(), item);
+                model.push((key, item));
+            }
+        }
+        let mut compactions = 0;
+        for _ in 0..400 {
+            let item = rng.gen_range(0..40u32);
+            let before = idx.entries.len();
+            assert_eq!(idx.retire(&item), 3);
+            if idx.entries.len() < before {
+                compactions += 1;
+            }
+            model.retain(|(_, i)| *i != item);
+            for _ in 0..3 {
+                let key = random_vec(&mut rng, 60, 10);
+                idx.insert(key.clone(), item);
+                model.push((key, item));
+            }
+        }
+        assert!(compactions >= 3, "compaction exercised: {compactions}");
+        assert_eq!(idx.retire(&1_000), 0, "unknown items retire nothing");
+        let mut fresh = LshIndex::new(LshConfig::default());
+        for (key, item) in &model {
+            fresh.insert(key.clone(), *item);
+        }
+        assert_eq!(idx.len(), fresh.len());
+        let bits = |hits: Vec<(&u32, f64)>| -> Vec<(u32, u64)> {
+            hits.into_iter().map(|(i, d)| (*i, d.to_bits())).collect()
+        };
+        for _ in 0..25 {
+            let q = random_vec(&mut rng, 60, 10);
+            for k in [1, 7, 36, 200] {
+                assert_eq!(bits(idx.query(&q, k)), bits(fresh.query(&q, k)));
+                assert_eq!(
+                    bits(idx.query_batched(&q, k)),
+                    bits(fresh.query_batched(&q, k))
+                );
+                assert_eq!(bits(idx.query_batched(&q, k)), bits(idx.query(&q, k)));
+                assert_eq!(bits(idx.query_exact(&q, k)), bits(fresh.query_exact(&q, k)));
+            }
+        }
     }
 
     #[test]

@@ -125,6 +125,10 @@ impl CemparConfig {
 /// by the monolithic [`Cempar`] instance and the per-peer sans-io
 /// [`crate::sansio::CemparCore`], so a peer's contribution is identical
 /// whichever driver runs it.
+///
+/// One peer's fit is the unit of parallelism ([`parallel::inline`]): a lone
+/// refit never forks, batches of peers fan out in [`Cempar::train`] /
+/// [`Cempar::train_incremental`].
 pub(crate) fn train_cempar_local(
     config: &CemparConfig,
     data: &MultiLabelDataset,
@@ -132,14 +136,36 @@ pub(crate) fn train_cempar_local(
     if data.is_empty() {
         return None;
     }
-    let model = match config.train_backend {
+    let model = parallel::inline(|| match config.train_backend {
         TrainingBackend::Csr => config.one_vs_all.train_kernel_shared(data, &config.svm),
         TrainingBackend::Scalar => config.one_vs_all.train_kernel(data, &config.svm),
-    };
-    if model.num_tags() == 0 {
-        None
-    } else {
-        Some(model)
+    });
+    (model.num_tags() > 0).then_some(model)
+}
+
+/// Refits a peer's local model after `new` examples joined its `full`
+/// collection: a warm refit on the previous model's support vectors pooled
+/// with `new` (the classic incremental SVM) when there is a previous model
+/// and something new, a cold [`train_cempar_local`] otherwise. Like it, one
+/// peer's refit stays on the calling thread.
+fn refit_cempar_local(
+    config: &CemparConfig,
+    full: &MultiLabelDataset,
+    new: &MultiLabelDataset,
+    prev: Option<&OneVsAllModel<KernelSvm>>,
+) -> Option<OneVsAllModel<KernelSvm>> {
+    match prev {
+        Some(prev) if !new.is_empty() => {
+            let model = parallel::inline(|| {
+                config
+                    .one_vs_all
+                    .train_kernel_warm(full, new, &config.svm, prev)
+            });
+            (model.num_tags() > 0).then_some(model)
+        }
+        // Never trained (or nothing recorded since a failed propagation):
+        // cold-train on the full local collection.
+        _ => train_cempar_local(config, full),
     }
 }
 
@@ -374,10 +400,14 @@ impl Cempar {
             }
             WireCost::Measured => {
                 let frame = wire::encode_kernel_model(&model, self.config.wire.precision);
-                let delivered = self.link.send_frame(net, peer, super_peer, kind, &frame)?;
                 // The super-peer records what it decodes off the delivered
                 // bytes; a frame damaged beyond decoding was never
-                // contributed (the sender's pending queue retries it).
+                // delivered (the sender's pending queue retries it).
+                let delivered = self
+                    .link
+                    .send_frame(net, peer, super_peer, kind, &frame, |b| {
+                        wire::decode_kernel_model(b).is_ok()
+                    })?;
                 wire::decode_kernel_model(&delivered)
                     .map_err(|_| ProtocolError::Delivery(DeliveryError::Lost))?
             }
@@ -490,32 +520,21 @@ impl P2PTagClassifier for Cempar {
         }
         // Warm-start refits fan out across every peer with outstanding
         // examples: each refit retrains on the previous model's support
-        // vectors pooled with the peer's unabsorbed examples (the classic
-        // incremental SVM), instead of an SMO solve over the peer's full
-        // local collection.
+        // vectors pooled with the peer's unabsorbed examples, instead of an
+        // SMO solve over the peer's full local collection.
         let touched: Vec<PeerId> = self.pending.keys().copied().collect();
         let net_ref: &P2PNetwork = net;
         let local_models = parallel::par_map(&touched, |&peer| {
             if !net_ref.is_online(peer) {
                 return None;
             }
-            let full = &self.local_data[peer.index()];
-            let new = &self.pending[&peer];
             let region = self.region_of_peer(peer);
             let prev = self.regions[region]
                 .as_ref()
                 .and_then(|s| s.contributed.get(&peer));
-            let model = match prev {
-                Some(prev) if !new.is_empty() => {
-                    self.config
-                        .one_vs_all
-                        .train_kernel_warm(full, new, &self.config.svm, prev)
-                }
-                // Never trained (or nothing recorded since a failed
-                // propagation): cold-train on the full local collection.
-                _ => return self.train_local(full).map(|m| (peer, m)),
-            };
-            (model.num_tags() > 0).then_some((peer, model))
+            let full = &self.local_data[peer.index()];
+            refit_cempar_local(&self.config, full, &self.pending[&peer], prev)
+                .map(|model| (peer, model))
         });
 
         let mut touched_regions = Vec::new();
@@ -662,25 +681,13 @@ impl P2PTagClassifier for Cempar {
         // Warm refit: previous support vectors + any pending examples + the
         // correction itself; cold train only when the peer never contributed.
         let model = {
-            let full = &self.local_data[idx];
             let region = self.region_of_peer(peer);
             let prev = self.regions[region]
                 .as_ref()
                 .and_then(|s| s.contributed.get(&peer));
-            match prev {
-                Some(prev) => {
-                    let mut new = self.pending.get(&peer).cloned().unwrap_or_default();
-                    new.push(example.clone());
-                    let m = self.config.one_vs_all.train_kernel_warm(
-                        full,
-                        &new,
-                        &self.config.svm,
-                        prev,
-                    );
-                    (m.num_tags() > 0).then_some(m)
-                }
-                None => self.train_local(full),
-            }
+            let mut new = self.pending.get(&peer).cloned().unwrap_or_default();
+            new.push(example.clone());
+            refit_cempar_local(&self.config, &self.local_data[idx], &new, prev)
         };
         let Some(model) = model else {
             return Ok(());

@@ -155,9 +155,14 @@ impl Centralized {
                 .map(|_| data.clone()),
             WireCost::Measured => {
                 let frame = wire::encode_dataset(data);
-                let delivered = self.link.send_frame(net, from, server, kind, &frame).ok()?;
                 // A corrupted frame that fails strict decode never reaches
                 // the pool: the upload counts as lost and is retried later.
+                let delivered = self
+                    .link
+                    .send_frame(net, from, server, kind, &frame, |b| {
+                        wire::decode_dataset(b).is_ok()
+                    })
+                    .ok()?;
                 wire::decode_dataset(&delivered).ok()
             }
         }
@@ -420,12 +425,19 @@ impl P2PTagClassifier for Centralized {
                 }
                 WireCost::Measured => {
                     let frame = wire::encode_example(example);
-                    let delivered = self
-                        .link
-                        .send_frame(net, peer, server, MessageKind::RefinementUpdate, &frame)
-                        .map_err(|_| ProtocolError::NoModelReachable)?;
                     // Strict decode: a frame damaged in transit is a lost
                     // refinement, never a garbage example in the pool.
+                    let delivered = self
+                        .link
+                        .send_frame(
+                            net,
+                            peer,
+                            server,
+                            MessageKind::RefinementUpdate,
+                            &frame,
+                            |b| wire::decode_example(b).is_ok(),
+                        )
+                        .map_err(|_| ProtocolError::NoModelReachable)?;
                     wire::decode_example(&delivered).map_err(|_| ProtocolError::NoModelReachable)?
                 }
             };

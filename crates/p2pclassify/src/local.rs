@@ -55,7 +55,10 @@ impl LocalModel {
 
 /// Trains one peer's local-only model, warm-starting from a previous model
 /// when given — the protocol body shared by the monolithic [`LocalOnly`]
-/// instance and the per-peer sans-io [`crate::sansio::LocalCore`].
+/// instance and the per-peer sans-io [`crate::sansio::LocalCore`]. One
+/// peer's fit is the unit of parallelism ([`parallel::inline`]): a lone
+/// refit never forks, batches of peers fan out in [`LocalOnly::train`] /
+/// [`LocalOnly::train_incremental`].
 pub(crate) fn train_local_only(
     config: &LocalOnlyConfig,
     data: &MultiLabelDataset,
@@ -64,7 +67,7 @@ pub(crate) fn train_local_only(
     if data.is_empty() {
         return None;
     }
-    let m = match (config.train_backend, warm) {
+    let m = parallel::inline(|| match (config.train_backend, warm) {
         (TrainingBackend::Csr, Some(prev)) => {
             config
                 .one_vs_all
@@ -75,7 +78,7 @@ pub(crate) fn train_local_only(
             config.one_vs_all.train_linear_warm(data, &config.svm, prev)
         }
         (TrainingBackend::Scalar, None) => config.one_vs_all.train_linear(data, &config.svm),
-    };
+    });
     (m.num_tags() > 0).then(|| LocalModel::build(m))
 }
 

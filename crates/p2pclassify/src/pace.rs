@@ -24,13 +24,13 @@ use crate::protocol::{
     combine_confidence_votes, ConfidenceVoteAccumulator, P2PTagClassifier, PeerDataMap,
     ScoringBackend, TrainingBackend,
 };
-use crate::reliable::{LinkStats, ReliableLink, SendOutcome};
+use crate::reliable::{LinkStats, Outgoing, ReliableLink, SendOutcome};
 use crate::wire::{self, WireConfig, WireCost};
 use ml::batch::TagWeightMatrix;
 use ml::kmeans::{KMeans, KMeansConfig};
 use ml::lsh::{LshConfig, LshIndex};
 use ml::multilabel::{OneVsAllModel, OneVsAllTrainer, TagPrediction};
-use ml::svm::{LinearSvm, LinearSvmTrainer};
+use ml::svm::{BinaryClassifier, LinearSvm, LinearSvmTrainer};
 use ml::{MultiLabelDataset, MultiLabelExample, TagId};
 use p2psim::message::MessageKind;
 use p2psim::{P2PNetwork, PeerBitset, PeerId};
@@ -152,10 +152,6 @@ pub(crate) struct PaceModel {
 }
 
 impl PaceModel {
-    fn wire_size(&self) -> usize {
-        self.warm_model().wire_size() + 8
-    }
-
     /// The dense classifiers — borrowed directly when retained, else a
     /// transient reconstruction out of the CSR matrix (identical weights; see
     /// [`TagWeightMatrix::to_one_vs_all`]).
@@ -164,10 +160,6 @@ impl PaceModel {
             Some(m) => std::borrow::Cow::Borrowed(m),
             None => std::borrow::Cow::Owned(self.matrix.to_one_vs_all()),
         }
-    }
-
-    fn centroid_wire_size(&self) -> usize {
-        self.centroids.iter().map(SparseVector::wire_size).sum()
     }
 
     /// Distance from a query vector to this model (nearest centroid), the
@@ -214,17 +206,20 @@ impl PaceModel {
         &self.centroids
     }
 
-    /// Assembles an ensemble entry from its propagated parts, rebuilding the
+    /// Assembles an ensemble entry from its propagated parts, building the
     /// derived scoring structures (packed weight matrix, cached centroid
-    /// norms). Used both when a model is trained locally and when it is
-    /// decoded back out of a wire frame — the decoded path **must** rebuild
-    /// these here, so lossy wire settings honestly reach every scoring path.
-    pub(crate) fn assemble(
-        source: PeerId,
-        model: OneVsAllModel<LinearSvm>,
-        centroids: Vec<SparseVector>,
-        accuracy: f64,
-    ) -> Self {
+    /// norms). This is the only place they are built, and it runs on the
+    /// copy that is installed — decoded back out of its wire frames under
+    /// [`WireCost::Measured`], so lossy wire settings honestly reach every
+    /// scoring path — never on a trained copy that is about to be encoded
+    /// and dropped.
+    pub(crate) fn assemble(update: PaceUpdate) -> Self {
+        let PaceUpdate {
+            source,
+            model,
+            centroids,
+            accuracy,
+        } = update;
         let matrix = model.weight_matrix();
         let centroid_norms_sq = centroids.iter().map(SparseVector::norm_sq).collect();
         Self {
@@ -238,6 +233,32 @@ impl PaceModel {
     }
 }
 
+/// One peer's contribution as it travels: exactly what the model and
+/// centroid frames carry, and nothing derived from it.
+#[derive(Debug, Clone)]
+pub(crate) struct PaceUpdate {
+    /// The peer that trained the model.
+    pub(crate) source: PeerId,
+    /// Dense per-tag classifiers.
+    pub(crate) model: OneVsAllModel<LinearSvm>,
+    /// K-means centroids of the source's training vectors.
+    pub(crate) centroids: Vec<SparseVector>,
+    /// Training accuracy of `model` on the source's own data.
+    pub(crate) accuracy: f64,
+}
+
+/// `(model, centroids)` payload sizes of one contribution under
+/// [`WireCost::Estimated`].
+fn estimated_wire_sizes(
+    model: &OneVsAllModel<LinearSvm>,
+    centroids: &[SparseVector],
+) -> (usize, usize) {
+    (
+        model.wire_size() + 8,
+        centroids.iter().map(SparseVector::wire_size).sum(),
+    )
+}
+
 /// Trains one peer's PACE contribution — per-tag linear SVMs, guarded
 /// propagation pruning, averaged training accuracy, k-means centroids — from
 /// its local data, warm-starting from `warm` when given.
@@ -246,76 +267,78 @@ impl PaceModel {
 /// instance (simulator driver) and the per-peer sans-io
 /// [`crate::sansio::PaceCore`] (socket driver): both train through here, so
 /// the model a peer propagates is identical whichever driver runs it.
+///
+/// One peer's fit is the unit of parallelism: the body runs under
+/// [`parallel::inline`], so a lone refit (`refine`) never forks threads for
+/// a few dozen microseconds of work. Batches of peers fan out one level up,
+/// in [`Pace::train`] / [`Pace::train_incremental`].
 pub(crate) fn train_pace_model(
     config: &PaceConfig,
     peer: PeerId,
     data: &MultiLabelDataset,
     warm: Option<&OneVsAllModel<LinearSvm>>,
-) -> Option<PaceModel> {
+) -> Option<PaceUpdate> {
     if data.is_empty() {
         return None;
     }
-    let model = match (config.train_backend, warm) {
-        (TrainingBackend::Csr, Some(prev)) => {
-            config
-                .one_vs_all
-                .train_linear_warm_csr(data, &config.svm, prev)
-        }
-        (TrainingBackend::Csr, None) => config.one_vs_all.train_linear_csr(data, &config.svm),
-        (TrainingBackend::Scalar, Some(prev)) => {
-            config.one_vs_all.train_linear_warm(data, &config.svm, prev)
-        }
-        (TrainingBackend::Scalar, None) => config.one_vs_all.train_linear(data, &config.svm),
-    };
-    if model.num_tags() == 0 {
-        return None;
-    }
-    // Accuracy-guarded propagation pruning: when the measured wire is
-    // configured to prune, the peer ships (and votes with) the top-k
-    // weights per tag — unless that would cost more local training
-    // accuracy than the guard allows, in which case the full model
-    // stands. The accuracy below is computed on the model that actually
-    // propagates.
-    let model = match (config.wire.cost, config.wire.prune_top_k) {
-        (WireCost::Measured, Some(k)) => {
-            ml::codec::prune_model_guarded(&model, k, data, config.wire.prune_guard)
-        }
-        _ => model,
-    };
-    let matrix = model.weight_matrix();
-    // Training accuracy, averaged over the per-tag binary problems. One
-    // batched pass per training document scores every tag at once; the
-    // per-tag correct counts (and therefore the averaged accuracy) are
-    // identical to running each classifier over the corpus separately.
-    let mut correct = vec![0usize; matrix.num_tags()];
-    let mut decisions = Vec::new();
-    for (x, tags) in data.iter() {
-        matrix.decisions_into(x, &mut decisions);
-        for (slot, &tag) in matrix.tags().iter().enumerate() {
-            if (decisions[slot] >= 0.0) == tags.contains(&tag) {
-                correct[slot] += 1;
+    parallel::inline(|| {
+        let model = match (config.train_backend, warm) {
+            (TrainingBackend::Csr, Some(prev)) => {
+                config
+                    .one_vs_all
+                    .train_linear_warm_csr(data, &config.svm, prev)
             }
+            (TrainingBackend::Csr, None) => config.one_vs_all.train_linear_csr(data, &config.svm),
+            (TrainingBackend::Scalar, Some(prev)) => {
+                config.one_vs_all.train_linear_warm(data, &config.svm, prev)
+            }
+            (TrainingBackend::Scalar, None) => config.one_vs_all.train_linear(data, &config.svm),
+        };
+        if model.num_tags() == 0 {
+            return None;
         }
-    }
-    let accuracy = if matrix.num_tags() > 0 {
-        let acc_sum: f64 = correct.iter().map(|&c| c as f64 / data.len() as f64).sum();
-        acc_sum / matrix.num_tags() as f64
-    } else {
-        0.5
-    };
-    // K-means runs on the borrowed vector slice — no per-peer clone of
-    // the training corpus.
-    let kmeans = KMeans::fit(data.vectors(), &config.kmeans);
-    let centroids = kmeans.centroids().to_vec();
-    let centroid_norms_sq = centroids.iter().map(SparseVector::norm_sq).collect();
-    Some(PaceModel {
-        source: peer,
-        model: Some(model),
-        matrix,
-        centroids,
-        centroid_norms_sq,
-        accuracy,
+        // Accuracy-guarded propagation pruning: when the measured wire is
+        // configured to prune, the peer ships (and votes with) the top-k
+        // weights per tag — unless that would cost more local training
+        // accuracy than the guard allows, in which case the full model
+        // stands. The accuracy below is computed on the model that actually
+        // propagates.
+        let model = match (config.wire.cost, config.wire.prune_top_k) {
+            (WireCost::Measured, Some(k)) => {
+                ml::codec::prune_model_guarded(&model, k, data, config.wire.prune_guard)
+            }
+            _ => model,
+        };
+        let accuracy = training_accuracy(&model, data);
+        // K-means runs on the borrowed vector slice — no per-peer clone of
+        // the training corpus.
+        let kmeans = KMeans::fit(data.vectors(), &config.kmeans);
+        Some(PaceUpdate {
+            source: peer,
+            model,
+            centroids: kmeans.centroids().to_vec(),
+            accuracy,
+        })
     })
+}
+
+/// Training accuracy of `model` on `data`, averaged over the per-tag binary
+/// problems, from the per-classifier decisions. `ml::batch` pins those
+/// bit-identical (up to the sign of an exact zero, which `>= 0.0` cannot
+/// see) to the packed matrix's scatter, so this is the number a
+/// [`TagWeightMatrix`] pass over the corpus yields — without building one.
+fn training_accuracy(model: &OneVsAllModel<LinearSvm>, data: &MultiLabelDataset) -> f64 {
+    let acc_sum: f64 = model
+        .iter()
+        .map(|(tag, classifier)| {
+            let correct = data
+                .iter()
+                .filter(|(x, tags)| (classifier.decision(x) >= 0.0) == tags.contains(&tag))
+                .count();
+            correct as f64 / data.len() as f64
+        })
+        .sum();
+    acc_sum / model.num_tags() as f64
 }
 
 /// Ranks `candidates` by their centroid distance to the query and keeps the
@@ -461,7 +484,7 @@ impl Pace {
     }
 
     /// Trains one peer's local model + centroids from scratch.
-    fn train_local(&self, peer: PeerId, data: &MultiLabelDataset) -> Option<PaceModel> {
+    fn train_local(&self, peer: PeerId, data: &MultiLabelDataset) -> Option<PaceUpdate> {
         self.train_local_warm(peer, data, None)
     }
 
@@ -473,11 +496,11 @@ impl Pace {
         peer: PeerId,
         data: &MultiLabelDataset,
         warm: Option<&OneVsAllModel<LinearSvm>>,
-    ) -> Option<PaceModel> {
+    ) -> Option<PaceUpdate> {
         train_pace_model(&self.config, peer, data, warm)
     }
 
-    /// Broadcasts a model to all online peers, recording who received it, and
+    /// Broadcasts a model to all other peers, recording who received it, and
     /// installs it in the shared store and LSH index.
     ///
     /// Under [`WireCost::Measured`] the model and centroids are encoded into
@@ -487,39 +510,8 @@ impl Pace {
     /// are exactly the bytes the predictions run on. Under
     /// [`WireCost::Estimated`] the legacy `wire_size()` estimates are charged
     /// and the in-memory model is installed untouched.
-    fn propagate(&mut self, net: &mut P2PNetwork, pace_model: PaceModel, kind: MessageKind) {
-        let source = pace_model.source;
-        let (frames, model_bytes, centroid_bytes, pace_model) = match self.config.wire.cost {
-            WireCost::Estimated => (
-                None,
-                pace_model.wire_size(),
-                pace_model.centroid_wire_size(),
-                pace_model,
-            ),
-            WireCost::Measured => {
-                let model_frame = wire::encode_pace_model(
-                    pace_model
-                        .model
-                        .as_ref()
-                        .expect("freshly trained models carry their dense form"),
-                    pace_model.accuracy,
-                    self.config.wire.precision,
-                );
-                let centroid_frame = wire::encode_centroids(&pace_model.centroids);
-                let (model, accuracy) = wire::decode_pace_model(&model_frame)
-                    .expect("self-encoded PACE model frame decodes");
-                let centroids = wire::decode_centroids(&centroid_frame)
-                    .expect("self-encoded centroid frame decodes");
-                let decoded = PaceModel::assemble(source, model, centroids, accuracy);
-                let (model_len, centroid_len) = (model_frame.len(), centroid_frame.len());
-                (
-                    Some((model_frame, centroid_frame)),
-                    model_len,
-                    centroid_len,
-                    decoded,
-                )
-            }
-        };
+    fn propagate(&mut self, net: &mut P2PNetwork, update: PaceUpdate, kind: MessageKind) {
+        let source = update.source;
         let n = net.num_peers();
         if self.received.len() < n {
             self.received.resize_with(n, || PeerBitset::new(n));
@@ -530,56 +522,74 @@ impl Pace {
         self.versions[source.index()] += 1;
         // A peer always "has" its own model.
         self.received[source.index()].insert(source);
-        // Index walk: no target list is materialized for the O(peers)
-        // broadcast, so the only per-propagation allocations are the wire
-        // frames encoded once above. Every send routes through the link, so
-        // no outcome is silently discarded.
-        for i in 0..n {
-            let to = PeerId::from(i);
-            if to == source {
-                continue;
+        // The fan-out is the link's one broadcast walk: no target list is
+        // materialized, the only per-propagation allocations are the wire
+        // frames encoded once below, and every copy's outcome comes back
+        // here, so none is silently discarded.
+        let received = &mut self.received;
+        let record = |to: PeerId, outcomes: [SendOutcome; 2]| match outcomes {
+            [SendOutcome::Arrived, SendOutcome::Arrived] => {
+                received[to.index()].insert(source);
             }
-            let (model_out, centroid_out) = match &frames {
-                Some((model_frame, centroid_frame)) => (
-                    self.link
-                        .deliver_frame(net, source, to, kind, model_frame, |b| {
-                            wire::decode_pace_model(b).is_ok()
-                        }),
-                    self.link.deliver_frame(
-                        net,
-                        source,
-                        to,
-                        MessageKind::CentroidPropagation,
-                        centroid_frame,
-                        |b| wire::decode_centroids(b).is_ok(),
-                    ),
-                ),
-                None => (
-                    self.link.deliver_sized(net, source, to, kind, model_bytes),
-                    self.link.deliver_sized(
-                        net,
-                        source,
-                        to,
-                        MessageKind::CentroidPropagation,
-                        centroid_bytes,
-                    ),
-                ),
-            };
-            match (model_out, centroid_out) {
-                (SendOutcome::Arrived, SendOutcome::Arrived) => {
-                    self.received[to.index()].insert(source);
-                }
-                // A fault drop means the receiver provably missed *this*
-                // version while its old slab entry is gone: clear the bit so
-                // anti-entropy can repair the gap. Offline failures keep the
-                // pre-fault semantics (bit untouched), so fault-free runs
-                // behave bit-identically to the pre-reliability send path.
-                (SendOutcome::FaultLost, _) | (_, SendOutcome::FaultLost) => {
-                    self.received[to.index()].remove(source);
-                }
-                _ => {}
+            // A fault drop means the receiver provably missed *this*
+            // version while its old slab entry is gone: clear the bit so
+            // anti-entropy can repair the gap. Offline failures keep the
+            // pre-fault semantics (bit untouched), so fault-free runs
+            // behave bit-identically to the pre-reliability send path.
+            [SendOutcome::FaultLost, _] | [_, SendOutcome::FaultLost] => {
+                received[to.index()].remove(source);
             }
-        }
+            _ => {}
+        };
+        let installed = match self.config.wire.cost {
+            WireCost::Estimated => {
+                let (model_bytes, centroid_bytes) =
+                    estimated_wire_sizes(&update.model, &update.centroids);
+                let parts = [
+                    Outgoing::Sized {
+                        kind,
+                        size_bytes: model_bytes,
+                    },
+                    Outgoing::Sized {
+                        kind: MessageKind::CentroidPropagation,
+                        size_bytes: centroid_bytes,
+                    },
+                ];
+                self.link.broadcast(net, source, parts, record);
+                update
+            }
+            WireCost::Measured => {
+                let model_frame = wire::encode_pace_model(
+                    &update.model,
+                    update.accuracy,
+                    self.config.wire.precision,
+                );
+                let centroid_frame = wire::encode_centroids(&update.centroids);
+                let parts = [
+                    Outgoing::Frame {
+                        kind,
+                        frame: &model_frame,
+                        validate: &|b| wire::decode_pace_model(b).is_ok(),
+                    },
+                    Outgoing::Frame {
+                        kind: MessageKind::CentroidPropagation,
+                        frame: &centroid_frame,
+                        validate: &|b| wire::decode_centroids(b).is_ok(),
+                    },
+                ];
+                self.link.broadcast(net, source, parts, record);
+                let (model, accuracy) = wire::decode_pace_model(&model_frame)
+                    .expect("self-encoded PACE model frame decodes");
+                let centroids = wire::decode_centroids(&centroid_frame)
+                    .expect("self-encoded centroid frame decodes");
+                PaceUpdate {
+                    source,
+                    model,
+                    centroids,
+                    accuracy,
+                }
+            }
+        };
         // Replacing a peer's model: its old centroids must leave the index,
         // otherwise incremental re-propagations accumulate stale positions
         // that crowd the candidate set and skew model retrieval.
@@ -587,12 +597,12 @@ impl Pace {
             self.models.resize_with(n, || None);
         }
         if self.model_of(source).is_some() {
-            self.index.retire_matching(|s| *s == source);
+            self.index.retire(&source);
         }
+        let mut pace_model = PaceModel::assemble(installed);
         for c in &pace_model.centroids {
             self.index.insert(c.clone(), source);
         }
-        let mut pace_model = pace_model;
         if matches!(self.config.backend, ScoringBackend::Batched) {
             // At rest the batched backend scores through `matrix` and
             // warm-starts reconstruct from it, so the dense classifiers are
@@ -932,7 +942,11 @@ impl P2PTagClassifier for Pace {
                     let centroid_frame = wire::encode_centroids(&m.centroids);
                     (Some((model_frame, centroid_frame)), 0, 0)
                 }
-                WireCost::Estimated => (None, m.wire_size(), m.centroid_wire_size()),
+                WireCost::Estimated => {
+                    let (model_bytes, centroid_bytes) =
+                        estimated_wire_sizes(&m.warm_model(), &m.centroids);
+                    (None, model_bytes, centroid_bytes)
+                }
             });
             let Some((frames, model_bytes, centroid_bytes)) = payload else {
                 continue;
@@ -1021,6 +1035,87 @@ mod tests {
             horizon_secs: 100_000,
             ..Default::default()
         })
+    }
+
+    /// The equivalence suite's corpus generator (`tests/equivalence.rs`):
+    /// five feature-aligned tags plus co-occurring combinations.
+    fn equivalence_peer_data(num_peers: usize, per_peer: usize, seed: u64) -> PeerDataMap {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..num_peers)
+            .map(|_| {
+                let mut ds = MultiLabelDataset::new();
+                for _ in 0..per_peer {
+                    let which = rng.gen_range(0..5u32);
+                    let a = 0.7 + rng.gen_range(0.0..0.6);
+                    let b = 0.7 + rng.gen_range(0.0..0.6);
+                    let (vector, tags): (SparseVector, Vec<TagId>) = match which {
+                        0 => (SparseVector::from_pairs([(0, a)]), vec![1]),
+                        1 => (SparseVector::from_pairs([(1, a)]), vec![2]),
+                        2 => (SparseVector::from_pairs([(2, a), (0, 0.2)]), vec![3]),
+                        3 => (SparseVector::from_pairs([(0, a), (1, b)]), vec![1, 2]),
+                        _ => (SparseVector::from_pairs([(2, a), (3, b)]), vec![3, 4]),
+                    };
+                    ds.push(MultiLabelExample::new(vector, tags));
+                }
+                ds
+            })
+            .collect()
+    }
+
+    /// The accuracy the packed matrix's scatter yields: one batched pass per
+    /// training document, per-slot correct counts, averaged over the tags.
+    fn csr_scatter_accuracy(model: &OneVsAllModel<LinearSvm>, data: &MultiLabelDataset) -> f64 {
+        let matrix = model.weight_matrix();
+        let mut correct = vec![0usize; matrix.num_tags()];
+        let mut decisions = Vec::new();
+        for (x, tags) in data.iter() {
+            matrix.decisions_into(x, &mut decisions);
+            for (slot, &tag) in matrix.tags().iter().enumerate() {
+                if (decisions[slot] >= 0.0) == tags.contains(&tag) {
+                    correct[slot] += 1;
+                }
+            }
+        }
+        let acc_sum: f64 = correct.iter().map(|&c| c as f64 / data.len() as f64).sum();
+        acc_sum / matrix.num_tags() as f64
+    }
+
+    #[test]
+    fn accuracy_from_dense_decisions_equals_the_csr_scatter_bit_for_bit() {
+        let pruned = PaceConfig {
+            wire: WireConfig {
+                prune_top_k: Some(1),
+                ..WireConfig::default()
+            },
+            ..PaceConfig::default()
+        };
+        let mut checked = 0;
+        for config in [PaceConfig::default(), pruned] {
+            for seed in [3, 11, 21, 42, 77] {
+                let cold = equivalence_peer_data(6, 14, seed);
+                let more = equivalence_peer_data(6, 5, seed ^ 0xABCD);
+                for (i, (data, extra)) in cold.iter().zip(&more).enumerate() {
+                    let peer = PeerId::from(i);
+                    let first = train_pace_model(&config, peer, data, None).unwrap();
+                    assert_eq!(
+                        first.accuracy.to_bits(),
+                        csr_scatter_accuracy(&first.model, data).to_bits(),
+                        "cold fit, seed {seed}, peer {i}"
+                    );
+                    let mut grown = data.clone();
+                    grown.extend_from(extra);
+                    let warm = train_pace_model(&config, peer, &grown, Some(&first.model)).unwrap();
+                    assert_eq!(
+                        warm.accuracy.to_bits(),
+                        csr_scatter_accuracy(&warm.model, &grown).to_bits(),
+                        "warm refit, seed {seed}, peer {i}"
+                    );
+                    assert!(warm.accuracy > 0.5 && warm.accuracy <= 1.0);
+                    checked += 2;
+                }
+            }
+        }
+        assert_eq!(checked, 120);
     }
 
     #[test]

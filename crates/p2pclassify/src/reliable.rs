@@ -2,9 +2,10 @@
 //!
 //! [`ReliableLink`] is the send path every protocol routes its frames
 //! through. With [`ReliabilityConfig`] unset (the default) it is a strict
-//! passthrough to [`P2PNetwork::send_frame`] — same bytes charged, same RNG
-//! stream, bit-identical to the pre-reliability send path. With it set, each
-//! frame travels as a sequence-numbered, checksummed
+//! passthrough to [`P2PNetwork::send_frame`] (one copy) and
+//! [`P2PNetwork::broadcast_frames`] (one copy per peer) — same bytes charged,
+//! same RNG stream, bit-identical to the pre-reliability send path. With it
+//! set, each frame travels as a sequence-numbered, checksummed
 //! [`crate::wire::PayloadKind::Reliable`] wrapper:
 //!
 //! * every attempt (first try and each retransmit) charges the full wrapped
@@ -25,7 +26,7 @@
 
 use crate::wire::{self, ReliabilityConfig};
 use p2psim::message::MessageKind;
-use p2psim::network::{DeliveryError, P2PNetwork};
+use p2psim::network::{DeliveryError, P2PNetwork, Payload};
 use p2psim::peer::PeerId;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -42,7 +43,9 @@ pub struct LinkStats {
     pub sends: u64,
     /// Payloads the receiver ended up holding an intact copy of.
     pub delivered: u64,
-    /// Individual attempts dropped in transit (loss, burst, partition).
+    /// Individual attempts dropped in transit (loss, burst, partition), or —
+    /// on a passthrough link — delivered damaged and rejected by the
+    /// receiver's strict decoder.
     pub lost_sends: u64,
     /// Sends that failed because a peer was offline (churn, crash).
     pub offline_drops: u64,
@@ -81,6 +84,48 @@ pub enum SendOutcome {
     FaultLost,
     /// A peer was offline — churn/crash, not transit loss.
     Offline,
+}
+
+impl SendOutcome {
+    fn of<T>(sent: &Result<T, DeliveryError>) -> Self {
+        match sent {
+            Ok(_) => SendOutcome::Arrived,
+            Err(DeliveryError::Lost | DeliveryError::Partitioned) => SendOutcome::FaultLost,
+            Err(_) => SendOutcome::Offline,
+        }
+    }
+}
+
+/// One payload of a [`ReliableLink::broadcast`].
+#[derive(Clone, Copy)]
+pub enum Outgoing<'a> {
+    /// An encoded frame ([`ReliableLink::deliver_frame`] per receiver).
+    Frame {
+        /// Traffic category charged.
+        kind: MessageKind,
+        /// The encoded bytes every receiver is sent.
+        frame: &'a [u8],
+        /// The receiver's strict decoder, consulted only for a copy that was
+        /// damaged in transit.
+        validate: &'a dyn Fn(&[u8]) -> bool,
+    },
+    /// A size-only payload of the [`crate::wire::WireCost::Estimated`]
+    /// backend ([`ReliableLink::deliver_sized`] per receiver).
+    Sized {
+        /// Traffic category charged.
+        kind: MessageKind,
+        /// Bytes charged per copy.
+        size_bytes: usize,
+    },
+}
+
+impl<'a> Outgoing<'a> {
+    fn on_the_wire(self) -> (MessageKind, Payload<'a>) {
+        match self {
+            Outgoing::Frame { kind, frame, .. } => (kind, Payload::Frame(frame)),
+            Outgoing::Sized { kind, size_bytes } => (kind, Payload::Sized(size_bytes)),
+        }
+    }
 }
 
 /// Virtual-ms delay charged before retransmit `attempt` (1-based):
@@ -142,27 +187,21 @@ impl ReliableLink {
         kind: MessageKind,
         size_bytes: usize,
     ) -> Result<p2psim::SimTime, DeliveryError> {
-        self.stats.sends += 1;
-        match net.send(from, to, kind, size_bytes) {
-            Ok(latency) => {
-                self.stats.delivered += 1;
-                Ok(latency)
-            }
-            Err(e) => {
-                self.record_failure(e);
-                Err(e)
-            }
-        }
+        let sent = net.send(from, to, kind, size_bytes);
+        self.settle(&[], sent.map(|_| None), |_| true)?;
+        sent
     }
 
     /// Sends `frame` from `from` to `to`, returning the bytes the receiver
     /// actually holds afterwards (borrowed when they arrived intact).
     ///
-    /// Passthrough mode charges and fails exactly like a bare
-    /// [`P2PNetwork::send_frame`] — corrupted deliveries are returned as-is
-    /// for the caller's strict decoder to reject. Reliable mode runs the
-    /// ack/retransmit loop documented on the module and only ever returns
-    /// intact, deduplicated payload bytes.
+    /// `accepts` is the receiver's strict decoder. Passthrough mode charges
+    /// and fails exactly like a bare [`P2PNetwork::send_frame`], and consults
+    /// `accepts` only for a copy that was damaged in transit: one it accepts
+    /// is returned as delivered, one it rejects was never delivered
+    /// ([`DeliveryError::Lost`]). Reliable mode runs the ack/retransmit loop
+    /// documented on the module and only ever returns intact, deduplicated
+    /// payload bytes.
     pub fn send_frame<'a>(
         &mut self,
         net: &mut P2PNetwork,
@@ -170,26 +209,96 @@ impl ReliableLink {
         to: PeerId,
         kind: MessageKind,
         frame: &'a [u8],
+        accepts: impl FnOnce(&[u8]) -> bool,
+    ) -> Result<Cow<'a, [u8]>, DeliveryError> {
+        match self.reliability {
+            None => {
+                let sent = net
+                    .send_frame(from, to, kind, frame)
+                    .map(|delivery| delivery.corrupted);
+                self.settle(frame, sent, accepts)
+            }
+            Some(cfg) => {
+                self.stats.sends += 1;
+                self.send_reliable(net, from, to, kind, frame, cfg)
+            }
+        }
+    }
+
+    /// Books one passthrough copy whose trip through the network ended as
+    /// `sent` (`Ok(Some(bytes))` = arrived damaged). The one place a
+    /// passthrough delivery is counted, shared by the point-to-point sends
+    /// and [`Self::broadcast`]: a copy counts as delivered only once the
+    /// receiver accepted its bytes, so `delivered + lost_sends +
+    /// offline_drops == sends` holds whatever the fault layer does.
+    fn settle<'a>(
+        &mut self,
+        frame: &'a [u8],
+        sent: Result<Option<Vec<u8>>, DeliveryError>,
+        accepts: impl FnOnce(&[u8]) -> bool,
     ) -> Result<Cow<'a, [u8]>, DeliveryError> {
         self.stats.sends += 1;
-        match self.reliability {
-            None => match net.send_frame(from, to, kind, frame) {
-                Ok(delivery) => {
-                    self.stats.delivered += 1;
-                    Ok(match delivery.corrupted {
-                        Some(damaged) => {
-                            self.stats.corrupted_rx += 1;
-                            Cow::Owned(damaged)
-                        }
-                        None => Cow::Borrowed(frame),
+        let received = sent.and_then(|damaged| match damaged {
+            None => Ok(Cow::Borrowed(frame)),
+            Some(damaged) if accepts(&damaged) => Ok(Cow::Owned(damaged)),
+            Some(_) => {
+                self.stats.corrupted_rx += 1;
+                Err(DeliveryError::Lost)
+            }
+        });
+        match &received {
+            Ok(_) => self.stats.delivered += 1,
+            Err(e) => self.record_failure(*e),
+        }
+        received
+    }
+
+    /// Sends every payload of `parts` from `from` to every other peer,
+    /// receiver-major, and hands `on_receiver` each receiver's outcomes in
+    /// `parts` order — [`Self::deliver_frame`] / [`Self::deliver_sized`] for
+    /// each `(receiver, part)`, with identical [`LinkStats`] and network
+    /// statistics.
+    ///
+    /// A passthrough link puts the whole fan-out through
+    /// [`P2PNetwork::broadcast_frames`], which charges what does not depend
+    /// on the receiver once per part. With reliability configured every
+    /// receiver gets its own sequence-numbered wrapper, so the frames differ
+    /// per receiver and each goes out through [`Self::send_frame`].
+    pub fn broadcast<const N: usize>(
+        &mut self,
+        net: &mut P2PNetwork,
+        from: PeerId,
+        parts: [Outgoing<'_>; N],
+        mut on_receiver: impl FnMut(PeerId, [SendOutcome; N]),
+    ) {
+        if self.reliability.is_none() {
+            net.broadcast_frames(from, parts.map(Outgoing::on_the_wire), |to, sent| {
+                let mut sent = sent.into_iter();
+                let outcomes = parts.map(|part| {
+                    let copy = sent.next().expect("one result per part");
+                    SendOutcome::of(&match part {
+                        Outgoing::Frame {
+                            frame, validate, ..
+                        } => self.settle(frame, copy.map(|delivery| delivery.corrupted), validate),
+                        Outgoing::Sized { .. } => self.settle(&[], copy.map(|_| None), |_| true),
                     })
+                });
+                on_receiver(to, outcomes);
+            });
+            return;
+        }
+        for to in net.peers().filter(|&to| to != from) {
+            let outcomes = parts.map(|part| match part {
+                Outgoing::Frame {
+                    kind,
+                    frame,
+                    validate,
+                } => self.deliver_frame(net, from, to, kind, frame, validate),
+                Outgoing::Sized { kind, size_bytes } => {
+                    self.deliver_sized(net, from, to, kind, size_bytes)
                 }
-                Err(e) => {
-                    self.record_failure(e);
-                    Err(e)
-                }
-            },
-            Some(cfg) => self.send_reliable(net, from, to, kind, frame, cfg),
+            });
+            on_receiver(to, outcomes);
         }
     }
 
@@ -293,20 +402,9 @@ impl ReliableLink {
         to: PeerId,
         kind: MessageKind,
         frame: &[u8],
-        validate: impl Fn(&[u8]) -> bool,
+        validate: impl FnOnce(&[u8]) -> bool,
     ) -> SendOutcome {
-        match self.send_frame(net, from, to, kind, frame) {
-            Ok(Cow::Borrowed(_)) => SendOutcome::Arrived,
-            Ok(Cow::Owned(damaged)) => {
-                if validate(&damaged) {
-                    SendOutcome::Arrived
-                } else {
-                    SendOutcome::FaultLost
-                }
-            }
-            Err(DeliveryError::Lost | DeliveryError::Partitioned) => SendOutcome::FaultLost,
-            Err(_) => SendOutcome::Offline,
-        }
+        SendOutcome::of(&self.send_frame(net, from, to, kind, frame, validate))
     }
 
     /// [`Self::send_sized`] reduced to a [`SendOutcome`].
@@ -318,11 +416,7 @@ impl ReliableLink {
         kind: MessageKind,
         size_bytes: usize,
     ) -> SendOutcome {
-        match self.send_sized(net, from, to, kind, size_bytes) {
-            Ok(_) => SendOutcome::Arrived,
-            Err(DeliveryError::Lost | DeliveryError::Partitioned) => SendOutcome::FaultLost,
-            Err(_) => SendOutcome::Offline,
-        }
+        SendOutcome::of(&self.send_sized(net, from, to, kind, size_bytes))
     }
 
     fn record_failure(&mut self, e: DeliveryError) {
@@ -375,6 +469,7 @@ mod tests {
                     PeerId(2),
                     MessageKind::ModelPropagation,
                     &payload,
+                    |_| true,
                 )
                 .unwrap();
             assert!(matches!(out, Cow::Borrowed(_)));
@@ -397,6 +492,163 @@ mod tests {
     }
 
     #[test]
+    fn passthrough_counts_a_delivery_only_once_the_receiver_accepted_it() {
+        // Corruption only: every send reaches its receiver, some damaged.
+        let mut net = net_with(0.0, 0.5, 29);
+        let mut link = ReliableLink::new(None);
+        let payload = wire::encode_digest(&[(7, 3), (9, 1), (11, 4)]);
+        let accepts = |b: &[u8]| wire::decode_digest(b).is_ok();
+        let mut decoded = 0;
+        for i in 0..60u64 {
+            let (from, to) = (PeerId(i % 8), PeerId((i + 3) % 8));
+            // Both point-to-point entries, alternating.
+            let arrived = if i % 2 == 0 {
+                link.deliver_frame(
+                    &mut net,
+                    from,
+                    to,
+                    MessageKind::AntiEntropy,
+                    &payload,
+                    accepts,
+                ) == SendOutcome::Arrived
+            } else {
+                match link.send_frame(
+                    &mut net,
+                    from,
+                    to,
+                    MessageKind::AntiEntropy,
+                    &payload,
+                    accepts,
+                ) {
+                    Ok(bytes) => {
+                        assert!(
+                            wire::decode_digest(&bytes).is_ok(),
+                            "rejected bytes returned"
+                        );
+                        true
+                    }
+                    Err(e) => {
+                        assert_eq!(e, DeliveryError::Lost);
+                        false
+                    }
+                }
+            };
+            decoded += u64::from(arrived);
+        }
+        // And the broadcast entry.
+        link.broadcast(
+            &mut net,
+            PeerId(2),
+            [Outgoing::Frame {
+                kind: MessageKind::AntiEntropy,
+                frame: &payload,
+                validate: &accepts,
+            }],
+            |_, [outcome]| decoded += u64::from(outcome == SendOutcome::Arrived),
+        );
+        let stats = *link.stats();
+        assert_eq!(stats.sends, 67);
+        assert_eq!(stats.delivered, decoded, "delivered = frames that decoded");
+        assert_eq!(
+            stats.delivered + stats.lost_sends + stats.offline_drops,
+            stats.sends
+        );
+        assert_eq!(stats.offline_drops, 0);
+        assert_eq!(
+            stats.lost_sends, stats.corrupted_rx,
+            "every loss is a rejection"
+        );
+        assert!(stats.corrupted_rx > 5, "corruption exercised: {stats:?}");
+        // Some damage is survivable (a flipped bit inside a digest value
+        // still decodes): damaged-and-accepted copies are deliveries.
+        assert!(net.stats().faults.corrupted >= stats.corrupted_rx);
+        assert_eq!(net.stats().total_delivered(), stats.sends);
+    }
+
+    /// `broadcast` against the per-receiver `deliver_*` loop it replaces, on
+    /// two networks built alike: same outcomes, link and network statistics.
+    fn assert_broadcast_matches_deliver_loop(reliability: Option<ReliabilityConfig>, seed: u64) {
+        let mut batched_net = net_with(0.2, 0.3, seed);
+        let mut looped_net = net_with(0.2, 0.3, seed);
+        let mut batched = ReliableLink::new(reliability);
+        let mut looped = ReliableLink::new(reliability);
+        let model = wire::encode_digest(&[(1, 1), (2, 2), (3, 3), (4, 4)]);
+        let centroids = wire::encode_ack(77);
+        let model_ok = |b: &[u8]| wire::decode_digest(b).is_ok();
+        let centroids_ok = |b: &[u8]| wire::decode_ack(b).is_ok();
+        for round in 0..6u64 {
+            let from = PeerId(round % 8);
+            let mut got = Vec::new();
+            batched.broadcast(
+                &mut batched_net,
+                from,
+                [
+                    Outgoing::Frame {
+                        kind: MessageKind::RefinementUpdate,
+                        frame: &model,
+                        validate: &model_ok,
+                    },
+                    Outgoing::Frame {
+                        kind: MessageKind::CentroidPropagation,
+                        frame: &centroids,
+                        validate: &centroids_ok,
+                    },
+                    Outgoing::Sized {
+                        kind: MessageKind::Other,
+                        size_bytes: 99,
+                    },
+                ],
+                |to, outcomes| got.push((to, outcomes)),
+            );
+            let mut want = Vec::new();
+            for to in looped_net.peers().filter(|&to| to != from) {
+                let net = &mut looped_net;
+                want.push((
+                    to,
+                    [
+                        looped.deliver_frame(
+                            net,
+                            from,
+                            to,
+                            MessageKind::RefinementUpdate,
+                            &model,
+                            model_ok,
+                        ),
+                        looped.deliver_frame(
+                            net,
+                            from,
+                            to,
+                            MessageKind::CentroidPropagation,
+                            &centroids,
+                            centroids_ok,
+                        ),
+                        looped.deliver_sized(net, from, to, MessageKind::Other, 99),
+                    ],
+                ));
+            }
+            assert_eq!(got, want, "round {round}");
+            assert_eq!(batched.stats(), looped.stats(), "round {round}");
+            assert_eq!(
+                format!("{:?}", batched_net.stats()),
+                format!("{:?}", looped_net.stats()),
+                "round {round}"
+            );
+        }
+        let stats = batched.stats();
+        assert!(stats.lost_sends > 0 && stats.corrupted_rx > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn broadcast_matches_the_deliver_loop_on_a_passthrough_link() {
+        assert_broadcast_matches_deliver_loop(None, 31);
+    }
+
+    #[test]
+    fn broadcast_matches_the_deliver_loop_with_reliability_configured() {
+        assert_broadcast_matches_deliver_loop(Some(ReliabilityConfig::default()), 37);
+    }
+
+    #[test]
     fn reliable_link_recovers_from_heavy_loss() {
         let mut net = net_with(0.4, 0.0, 11);
         let mut link = ReliableLink::new(Some(ReliabilityConfig {
@@ -413,6 +665,7 @@ mod tests {
                     PeerId(2),
                     MessageKind::ModelPropagation,
                     &payload,
+                    |_| true,
                 )
                 .is_ok()
             {
@@ -444,6 +697,7 @@ mod tests {
                     PeerId(4),
                     MessageKind::ModelPropagation,
                     &payload,
+                    |_| true,
                 )
                 .unwrap();
             assert_eq!(out.as_ref(), payload.as_slice());
@@ -468,6 +722,7 @@ mod tests {
                 PeerId(2),
                 MessageKind::ModelPropagation,
                 &payload,
+                |_| true,
             )
             .unwrap_err();
         assert_eq!(err, DeliveryError::Lost);
@@ -508,6 +763,7 @@ mod tests {
                 PeerId(2),
                 MessageKind::ModelPropagation,
                 &payload,
+                |_| true,
             )
             .unwrap_err();
         assert_eq!(err, DeliveryError::Lost);
@@ -525,8 +781,14 @@ mod tests {
             for i in 0..30u64 {
                 let from = PeerId(i % 7);
                 let to = PeerId((i + 1) % 7);
-                let sent =
-                    link.send_frame(&mut net, from, to, MessageKind::ModelPropagation, &payload);
+                let sent = link.send_frame(
+                    &mut net,
+                    from,
+                    to,
+                    MessageKind::ModelPropagation,
+                    &payload,
+                    |_| true,
+                );
                 outcomes.push(if sent.is_ok() { '+' } else { '-' });
                 net.advance(SimTime::from_millis(250));
             }

@@ -16,9 +16,13 @@
 
 use super::reliable::ReliableCore;
 use super::{LocalEffect, Millis, Output, ProtocolCore};
-use crate::pace::{combine_pace_votes, rank_pace_models, train_pace_model, PaceConfig, PaceModel};
+use crate::pace::{
+    combine_pace_votes, rank_pace_models, train_pace_model, PaceConfig, PaceModel, PaceUpdate,
+};
 use crate::reliable::LinkStats;
 use crate::wire::{self, PayloadKind};
+use ml::multilabel::OneVsAllModel;
+use ml::svm::LinearSvm;
 use ml::MultiLabelDataset;
 use p2psim::message::MessageKind;
 use p2psim::PeerId;
@@ -76,18 +80,28 @@ impl PaceCore {
         self.ensemble.iter().map(|(&s, e)| (s, e.version)).collect()
     }
 
-    /// Encodes the install envelope for one ensemble entry.
-    fn install_frame(&self, entry: &Installed) -> Vec<u8> {
-        let model_frame = wire::encode_pace_model(
+    /// Encodes the install envelope for one model at `version`.
+    fn install_frame(
+        &self,
+        source: PeerId,
+        version: u64,
+        model: &OneVsAllModel<LinearSvm>,
+        accuracy: f64,
+        centroids: &[SparseVector],
+    ) -> Vec<u8> {
+        let model_frame = wire::encode_pace_model(model, accuracy, self.config.wire.precision);
+        let centroid_frame = wire::encode_centroids(centroids);
+        wire::encode_install(source.0, version, &[&model_frame, &centroid_frame])
+    }
+
+    /// The install envelope of an ensemble entry this peer holds.
+    fn held_install_frame(&self, entry: &Installed) -> Vec<u8> {
+        self.install_frame(
+            entry.model.source(),
+            entry.version,
             &entry.model.warm_model(),
             entry.model.accuracy(),
-            self.config.wire.precision,
-        );
-        let centroid_frame = wire::encode_centroids(entry.model.centroids());
-        wire::encode_install(
-            entry.model.source().0,
-            entry.version,
-            &[&model_frame, &centroid_frame],
+            entry.model.centroids(),
         )
     }
 
@@ -112,7 +126,7 @@ impl PaceCore {
             .ensemble
             .get(&self.id.0)
             .map(|e| e.model.warm_model().into_owned());
-        let Some(model) = train_pace_model(&self.config, self.id, &self.local_data, warm.as_ref())
+        let Some(update) = train_pace_model(&self.config, self.id, &self.local_data, warm.as_ref())
         else {
             return out;
         };
@@ -121,8 +135,13 @@ impl PaceCore {
             .get(&self.id.0)
             .map(|e| e.version + 1)
             .unwrap_or(1);
-        let entry = Installed { version, model };
-        let envelope = self.install_frame(&entry);
+        let envelope = self.install_frame(
+            self.id,
+            version,
+            &update.model,
+            update.accuracy,
+            &update.centroids,
+        );
         // Install the copy decoded off the wire, exactly like the measured
         // monolithic path: lossy wire settings affect this peer's own votes
         // the same way they affect everyone else's.
@@ -155,7 +174,12 @@ impl PaceCore {
         };
         let (model, accuracy) = wire::decode_pace_model(model_frame).ok()?;
         let centroids = wire::decode_centroids(centroid_frame).ok()?;
-        let model = PaceModel::assemble(PeerId(source), model, centroids, accuracy);
+        let model = PaceModel::assemble(PaceUpdate {
+            source: PeerId(source),
+            model,
+            centroids,
+            accuracy,
+        });
         self.install(source, version, model)
     }
 
@@ -215,7 +239,7 @@ impl ProtocolCore for PaceCore {
                         .ensemble
                         .iter()
                         .filter(|(s, e)| theirs.get(s).copied().unwrap_or(0) < e.version)
-                        .map(|(_, e)| self.install_frame(e))
+                        .map(|(_, e)| self.held_install_frame(e))
                         .collect();
                     for envelope in stale {
                         self.link.note_resync();

@@ -262,7 +262,9 @@ impl FaultState {
 
     /// Adjudicates one send at time `now`. Partition checks draw no
     /// randomness; loss/burst/latency draw from the fault stream in a fixed
-    /// order so replays agree.
+    /// order so replays agree. Only the inactive-plan check is inlined into
+    /// the send loops (every copy of an n² propagation asks).
+    #[inline]
     pub fn on_send(&mut self, now: SimTime, from: PeerId, to: PeerId) -> SendFault {
         if !self.plan.is_active() {
             return SendFault::Deliver {
@@ -270,6 +272,11 @@ impl FaultState {
                 spiked: false,
             };
         }
+        self.on_send_active(now, from, to)
+    }
+
+    /// [`Self::on_send`] under a plan with at least one knob enabled.
+    fn on_send_active(&mut self, now: SimTime, from: PeerId, to: PeerId) -> SendFault {
         for w in &self.plan.partitions {
             if w.active_at(now) && w.severs(from, to) {
                 return SendFault::Drop(FaultDrop::Partitioned);
@@ -309,11 +316,17 @@ impl FaultState {
     /// `Some((bytes, truncated))` is the frame as the receiver sees it.
     /// Damage is guaranteed to change the bytes (a "corruption" that leaves
     /// the frame identical would silently under-count).
+    #[inline]
     pub fn corrupt_frame(&mut self, frame: &[u8]) -> Option<(Vec<u8>, bool)> {
         let c = self.plan.corruption?;
         if frame.is_empty() || c.probability <= 0.0 {
             return None;
         }
+        self.corrupt_frame_with(c, frame)
+    }
+
+    /// [`Self::corrupt_frame`] for a non-empty frame under corruption `c`.
+    fn corrupt_frame_with(&mut self, c: CorruptionFaults, frame: &[u8]) -> Option<(Vec<u8>, bool)> {
         if !self.rng.gen_bool(c.probability.clamp(0.0, 1.0)) {
             return None;
         }
@@ -383,6 +396,13 @@ impl FaultState {
             })
             .copied()
             .collect()
+    }
+
+    /// The fault stream's next draw, without consuming it — lets tests pin
+    /// that two send paths left the stream in the same state.
+    #[cfg(test)]
+    pub(crate) fn peek_next_draw(&self) -> u64 {
+        rand::RngCore::next_u64(&mut self.rng.clone())
     }
 
     /// Exponential draw with the given mean, as a [`SimTime`] gap of at

@@ -58,7 +58,7 @@ pub mod prelude {
     };
     pub use crate::logging::{ActivityLog, LogEntry};
     pub use crate::message::{Envelope, MessageKind};
-    pub use crate::network::{DeliveryError, FrameDelivery, P2PNetwork};
+    pub use crate::network::{DeliveryError, FrameDelivery, P2PNetwork, Payload};
     pub use crate::overlay::{ChordOverlay, Overlay, SuperPeerDirectory, UnstructuredOverlay};
     pub use crate::peer::PeerId;
     pub use crate::physical::PhysicalNetwork;

@@ -69,6 +69,32 @@ pub struct FrameDelivery {
     pub corrupted: Option<Vec<u8>>,
 }
 
+/// What one message of a [`P2PNetwork::broadcast_frames`] call carries.
+#[derive(Debug, Clone, Copy)]
+pub enum Payload<'a> {
+    /// An encoded frame, as [`P2PNetwork::send_frame`] moves it: charged at
+    /// its exact length, and the fault layer can damage it in transit.
+    Frame(&'a [u8]),
+    /// A size only, as [`P2PNetwork::send`] moves it: there are no bytes to
+    /// damage, so no corruption draw is made.
+    Sized(usize),
+}
+
+impl Payload<'_> {
+    /// Bytes charged for one copy.
+    pub fn len(&self) -> usize {
+        match *self {
+            Payload::Frame(frame) => frame.len(),
+            Payload::Sized(size_bytes) => size_bytes,
+        }
+    }
+
+    /// Whether a copy charges no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// The round-based simulated P2P network.
 pub struct P2PNetwork {
     config: SimConfig,
@@ -266,11 +292,8 @@ impl P2PNetwork {
         kind: MessageKind,
         size_bytes: usize,
     ) -> Result<SimTime, DeliveryError> {
-        let extra = self.admit(from, to, kind, size_bytes)?;
-        let latency = self.physical.delivery_delay(from, to, size_bytes) + extra;
-        self.stats
-            .record_delivery(from, to, kind, size_bytes, latency);
-        Ok(latency)
+        self.send_one(from, to, kind, Payload::Sized(size_bytes))
+            .map(|delivery| delivery.latency)
     }
 
     /// Sends an encoded byte frame from `from` to `to`, charging its exact
@@ -287,34 +310,45 @@ impl P2PNetwork {
         kind: MessageKind,
         frame: &[u8],
     ) -> Result<FrameDelivery, DeliveryError> {
-        let extra = self.admit(from, to, kind, frame.len())?;
-        let latency = self.physical.delivery_delay(from, to, frame.len()) + extra;
-        self.stats
-            .record_delivery(from, to, kind, frame.len(), latency);
-        let corrupted = self.faults.corrupt_frame(frame).map(|(bytes, _)| {
-            self.stats.faults.corrupted += 1;
-            bytes
-        });
-        Ok(FrameDelivery { latency, corrupted })
+        self.send_one(from, to, kind, Payload::Frame(frame))
     }
 
-    /// Shared admission path of [`Self::send`] / [`Self::send_frame`]:
-    /// online checks, then the fault layer's verdict. Fault drops are
-    /// charged like churn drops (the bytes were put on the wire) and
-    /// counted in [`crate::stats::FaultStats`]. Returns the extra
-    /// fault-injected latency to add to the physical delay.
-    fn admit(
+    /// One point-to-point send: the sender's online check, then the same
+    /// [`Self::adjudicate`] → [`Self::in_transit`] steps a broadcast runs per
+    /// receiver, charged to the statistics right away.
+    fn send_one(
         &mut self,
         from: PeerId,
         to: PeerId,
         kind: MessageKind,
-        size_bytes: usize,
-    ) -> Result<SimTime, DeliveryError> {
+        payload: Payload<'_>,
+    ) -> Result<FrameDelivery, DeliveryError> {
         if !self.is_online(from) {
             return Err(DeliveryError::SenderOffline);
         }
+        let size_bytes = payload.len();
+        match self.adjudicate(from, to) {
+            Ok(extra) => {
+                let latency = self.physical.delivery_delay(from, to, size_bytes) + extra;
+                self.stats
+                    .record_delivery(from, to, kind, size_bytes, latency);
+                Ok(self.in_transit(payload, latency))
+            }
+            Err(e) => {
+                self.stats.record_drop(from, kind, size_bytes);
+                Err(e)
+            }
+        }
+    }
+
+    /// The verdict on one copy leaving an online sender for `to`: the
+    /// receiver's online check, then the fault layer's ruling. `Ok` carries
+    /// the extra fault-injected latency to add to the physical delay. Fault
+    /// verdicts are counted in [`crate::stats::FaultStats`] here; charging
+    /// the traffic (a drop costs the sender like a delivery does — the bytes
+    /// were put on the wire) is the caller's half.
+    fn adjudicate(&mut self, from: PeerId, to: PeerId) -> Result<SimTime, DeliveryError> {
         if !self.is_online(to) {
-            self.stats.record_drop(from, kind, size_bytes);
             return Err(DeliveryError::ReceiverOffline);
         }
         match self.faults.on_send(self.now, from, to) {
@@ -327,23 +361,103 @@ impl P2PNetwork {
                 }
                 Ok(extra_latency)
             }
-            SendFault::Drop(drop) => {
-                self.stats.record_drop(from, kind, size_bytes);
-                match drop {
-                    FaultDrop::Loss { burst: true } => {
-                        self.stats.faults.burst_lost += 1;
-                        Err(DeliveryError::Lost)
+            SendFault::Drop(FaultDrop::Loss { burst: true }) => {
+                self.stats.faults.burst_lost += 1;
+                Err(DeliveryError::Lost)
+            }
+            SendFault::Drop(FaultDrop::Loss { burst: false }) => {
+                self.stats.faults.lost += 1;
+                Err(DeliveryError::Lost)
+            }
+            SendFault::Drop(FaultDrop::Partitioned) => {
+                self.stats.faults.partition_drops += 1;
+                Err(DeliveryError::Partitioned)
+            }
+        }
+    }
+
+    /// What the receiver of an admitted copy sees: a frame may have been
+    /// damaged on the way (counted), a bare size cannot be.
+    fn in_transit(&mut self, payload: Payload<'_>, latency: SimTime) -> FrameDelivery {
+        let corrupted = match payload {
+            Payload::Frame(frame) => self.faults.corrupt_frame(frame).map(|(bytes, _)| {
+                self.stats.faults.corrupted += 1;
+                bytes
+            }),
+            Payload::Sized(_) => None,
+        };
+        FrameDelivery { latency, corrupted }
+    }
+
+    /// Sends every payload of `frames` from `from` to every other peer,
+    /// receiver-major (all of them to peer 0, then to peer 1, …), and hands
+    /// `on_receiver` each receiver's results in `frames` order.
+    ///
+    /// Outcomes, statistics and fault-stream draws are exactly those of the
+    /// equivalent loop of [`Self::send_frame`] / [`Self::send`] calls —
+    /// offline receivers and fault drops are charged to the sender, and a
+    /// sender that is itself offline charges nothing and fails every copy —
+    /// but what does not depend on the receiver is done once per frame
+    /// instead of once per copy: the sender's online check, the transmission
+    /// delay, and the by-kind and sender-side charges, which are tallied and
+    /// flushed into [`SimStats`] when the walk ends.
+    pub fn broadcast_frames<const N: usize>(
+        &mut self,
+        from: PeerId,
+        frames: [(MessageKind, Payload<'_>); N],
+        mut on_receiver: impl FnMut(PeerId, [Result<FrameDelivery, DeliveryError>; N]),
+    ) {
+        // Index walk + O(1) bit tests: no target list is materialized even
+        // when 10k peers are online.
+        let receivers = (0..self.config.num_peers)
+            .map(PeerId::from)
+            .filter(|&to| to != from);
+        if !self.is_online(from) {
+            for to in receivers {
+                on_receiver(
+                    to,
+                    std::array::from_fn(|_| Err(DeliveryError::SenderOffline)),
+                );
+            }
+            return;
+        }
+        let transmission =
+            frames.map(|(_, payload)| self.physical.transmission_delay(payload.len()));
+        let mut delivered = [0u64; N];
+        let mut dropped = [0u64; N];
+        for to in receivers {
+            // The pair's propagation latency, worked out for the first copy
+            // that gets through (an offline receiver never needs it).
+            let mut propagation = None;
+            let (mut bytes, mut deliveries, mut latency_sum) = (0u64, 0u64, SimTime::ZERO);
+            let results = std::array::from_fn(|i| {
+                let payload = frames[i].1;
+                match self.adjudicate(from, to) {
+                    Ok(extra) => {
+                        let propagation =
+                            *propagation.get_or_insert_with(|| self.physical.latency(from, to));
+                        let latency = propagation + transmission[i] + extra;
+                        delivered[i] += 1;
+                        bytes += payload.len() as u64;
+                        deliveries += 1;
+                        latency_sum += latency;
+                        Ok(self.in_transit(payload, latency))
                     }
-                    FaultDrop::Loss { burst: false } => {
-                        self.stats.faults.lost += 1;
-                        Err(DeliveryError::Lost)
-                    }
-                    FaultDrop::Partitioned => {
-                        self.stats.faults.partition_drops += 1;
-                        Err(DeliveryError::Partitioned)
+                    Err(e) => {
+                        dropped[i] += 1;
+                        Err(e)
                     }
                 }
+            });
+            if deliveries > 0 {
+                self.stats
+                    .record_received(to, bytes, deliveries, latency_sum);
             }
+            on_receiver(to, results);
+        }
+        for (i, (kind, payload)) in frames.into_iter().enumerate() {
+            self.stats
+                .record_sent(from, kind, payload.len(), delivered[i], dropped[i]);
         }
     }
 
@@ -385,24 +499,16 @@ impl P2PNetwork {
         Ok((result.owner, result.hops()))
     }
 
-    /// Sends `size_bytes` of `kind` from `from` to every other online peer.
+    /// Sends `size_bytes` of `kind` from `from` to every other peer — a
+    /// one-payload [`Self::broadcast_frames`], so it charges exactly like a
+    /// loop of [`Self::send`] over all other peers: an offline receiver is a
+    /// drop paid for by the sender, as in every protocol's own send loop.
     /// Returns the number of peers actually reached.
     pub fn broadcast(&mut self, from: PeerId, kind: MessageKind, size_bytes: usize) -> usize {
-        if !self.is_online(from) {
-            return 0;
-        }
-        // Index walk + O(1) bit tests: no target list is materialized even
-        // when 10k peers are online.
         let mut reached = 0;
-        for i in 0..self.config.num_peers {
-            let to = PeerId::from(i);
-            if to != from
-                && self.online.contains(to)
-                && self.send(from, to, kind, size_bytes).is_ok()
-            {
-                reached += 1;
-            }
-        }
+        self.broadcast_frames(from, [(kind, Payload::Sized(size_bytes))], |_, [sent]| {
+            reached += usize::from(sent.is_ok());
+        });
         reached
     }
 
@@ -469,6 +575,189 @@ mod tests {
         let reached = net.broadcast(PeerId(0), MessageKind::CentroidPropagation, 100);
         assert_eq!(reached, 15);
         assert_eq!(net.stats().total_bytes(), 1_500);
+    }
+
+    fn churned_network(faults: crate::faults::FaultPlan) -> P2PNetwork {
+        let mut net = P2PNetwork::new(SimConfig {
+            num_peers: 48,
+            churn: ChurnModel::Exponential {
+                mean_session_secs: 100.0,
+                mean_offline_secs: 100.0,
+            },
+            horizon_secs: 10_000,
+            faults,
+            ..Default::default()
+        });
+        net.advance(SimTime::from_secs(150));
+        assert!(net.num_online() > 4 && net.num_online() < 44);
+        net
+    }
+
+    /// Everything observable about a network after a batch of sends: the
+    /// whole statistics object (by kind, per-peer columns, senders, latency
+    /// sum, delivered count, fault counters) and the fault stream's position.
+    fn fingerprint(net: &P2PNetwork) -> (String, u64) {
+        (format!("{:?}", net.stats()), net.faults.peek_next_draw())
+    }
+
+    fn outcome(
+        sent: Result<FrameDelivery, DeliveryError>,
+    ) -> Result<(SimTime, Option<Vec<u8>>), DeliveryError> {
+        sent.map(|d| (d.latency, d.corrupted))
+    }
+
+    /// `broadcast_frames` against the loop of point-to-point sends it
+    /// replaces, on two networks built alike: same per-receiver outcomes,
+    /// same statistics, same next fault draw.
+    fn assert_broadcast_matches_send_loop(faults: crate::faults::FaultPlan, from_online: bool) {
+        let mut batched = churned_network(faults.clone());
+        let mut looped = churned_network(faults);
+        let from = batched
+            .peers()
+            .find(|&p| batched.is_online(p) == from_online)
+            .expect("churn leaves peers on both sides");
+        let model = vec![0xA5u8; 300];
+        let centroids = vec![0x5Au8; 40];
+        // Several rounds, so the tallies flush onto non-empty statistics and
+        // a partition window opens part-way through.
+        for round in 0..4 {
+            let mut got = Vec::new();
+            batched.broadcast_frames(
+                from,
+                [
+                    (MessageKind::ModelPropagation, Payload::Frame(&model)),
+                    (MessageKind::CentroidPropagation, Payload::Frame(&centroids)),
+                    (MessageKind::ModelPropagation, Payload::Sized(77)),
+                ],
+                |to, [a, b, c]| got.push((to, outcome(a), outcome(b), outcome(c))),
+            );
+            let mut want = Vec::new();
+            for to in looped.peers().filter(|&to| to != from) {
+                let a = looped.send_frame(from, to, MessageKind::ModelPropagation, &model);
+                let b = looped.send_frame(from, to, MessageKind::CentroidPropagation, &centroids);
+                let c = looped
+                    .send(from, to, MessageKind::ModelPropagation, 77)
+                    .map(|latency| FrameDelivery {
+                        latency,
+                        corrupted: None,
+                    });
+                want.push((to, outcome(a), outcome(b), outcome(c)));
+            }
+            assert_eq!(got, want, "round {round}");
+            assert_eq!(fingerprint(&batched), fingerprint(&looped), "round {round}");
+            batched.advance(SimTime::from_secs(20));
+            looped.advance(SimTime::from_secs(20));
+        }
+        if from_online {
+            assert!(batched.stats().total_dropped() > 0, "churn drops exercised");
+            assert!(batched.stats().total_delivered() > 0);
+        } else {
+            assert_eq!(batched.stats().total_messages(), 0);
+        }
+    }
+
+    fn hostile_plan() -> crate::faults::FaultPlan {
+        use crate::faults::*;
+        FaultPlan {
+            loss: 0.15,
+            burst: Some(BurstLoss {
+                enter: 0.1,
+                exit: 0.4,
+                loss: 0.8,
+            }),
+            latency: Some(LatencyFaults {
+                spike_probability: 0.1,
+                spike_ms: 200.0,
+                jitter_ms: 10.0,
+            }),
+            corruption: Some(CorruptionFaults {
+                probability: 0.3,
+                truncation: 0.4,
+            }),
+            partitions: vec![PartitionWindow {
+                start_secs: 180,
+                end_secs: 400,
+                scope: PartitionScope::Index { pivot: 20 },
+            }],
+            crashes: None,
+        }
+    }
+
+    #[test]
+    fn broadcast_frames_matches_the_send_loop_without_faults() {
+        let mut batched = small_network(16);
+        let mut looped = small_network(16);
+        let frame = [7u8; 120];
+        batched.broadcast_frames(
+            PeerId(3),
+            [(MessageKind::RefinementUpdate, Payload::Frame(&frame))],
+            |_, [sent]| assert!(sent.is_ok_and(|d| d.corrupted.is_none())),
+        );
+        for to in looped.peers().filter(|&to| to != PeerId(3)) {
+            looped
+                .send_frame(PeerId(3), to, MessageKind::RefinementUpdate, &frame)
+                .unwrap();
+        }
+        assert_eq!(fingerprint(&batched), fingerprint(&looped));
+        assert_eq!(batched.stats().total_delivered(), 15);
+    }
+
+    #[test]
+    fn broadcast_frames_matches_the_send_loop_under_churn() {
+        assert_broadcast_matches_send_loop(crate::faults::FaultPlan::default(), true);
+    }
+
+    #[test]
+    fn broadcast_frames_from_an_offline_sender_fails_every_copy_and_charges_nothing() {
+        assert_broadcast_matches_send_loop(crate::faults::FaultPlan::default(), false);
+        assert_broadcast_matches_send_loop(hostile_plan(), false);
+    }
+
+    #[test]
+    fn broadcast_frames_matches_the_send_loop_under_an_active_fault_plan() {
+        assert_broadcast_matches_send_loop(hostile_plan(), true);
+        let mut net = churned_network(hostile_plan());
+        let from = net.online_peers().next().unwrap();
+        for _ in 0..4 {
+            net.broadcast_frames(
+                from,
+                [(MessageKind::Other, Payload::Frame(&[1u8; 64]))],
+                |_, _| {},
+            );
+            net.advance(SimTime::from_secs(20));
+        }
+        let faults = net.stats().faults;
+        assert!(faults.lost > 0 && faults.burst_lost > 0, "{faults:?}");
+        assert!(
+            faults.corrupted > 0 && faults.partition_drops > 0,
+            "{faults:?}"
+        );
+        assert!(faults.latency_spikes > 0, "{faults:?}");
+    }
+
+    #[test]
+    fn broadcast_charges_like_a_loop_of_send_under_churn() {
+        let mut batched = churned_network(crate::faults::FaultPlan::default());
+        let mut looped = churned_network(crate::faults::FaultPlan::default());
+        let from = batched.online_peers().next().unwrap();
+        let reached = batched.broadcast(from, MessageKind::CentroidPropagation, 100);
+        let mut want = 0;
+        for to in looped.peers().filter(|&to| to != from) {
+            if looped
+                .send(from, to, MessageKind::CentroidPropagation, 100)
+                .is_ok()
+            {
+                want += 1;
+            }
+        }
+        assert_eq!(reached, want);
+        assert_eq!(reached, batched.num_online() - 1);
+        assert_eq!(fingerprint(&batched), fingerprint(&looped));
+        // Offline receivers are drops the sender paid for, not skipped.
+        let k = batched.stats().kind(MessageKind::CentroidPropagation);
+        assert_eq!(k.messages, 47);
+        assert_eq!(k.dropped as usize, 47 - reached);
+        assert_eq!(batched.stats().bytes_sent_by(from), 4_700);
     }
 
     #[test]

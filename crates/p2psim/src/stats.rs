@@ -143,26 +143,55 @@ impl SimStats {
         bytes: usize,
         latency: SimTime,
     ) {
-        let k = self.by_kind.entry(kind).or_default();
-        k.messages += 1;
-        k.bytes += bytes as u64;
-        bump(&mut self.bytes_sent_by_peer, from, bytes as u64);
-        bump(&mut self.bytes_received_by_peer, to, bytes as u64);
-        self.senders.insert(from);
-        self.latency_sum += latency;
-        self.delivered += 1;
+        self.record_sent(from, kind, bytes, 1, 0);
+        self.record_received(to, bytes as u64, 1, latency);
     }
 
     /// Records a message that was sent but never delivered. The bytes are
     /// charged to the sender (they were put on the wire) and to the kind's
     /// `bytes_dropped` counter — never to its delivered `bytes`.
     pub fn record_drop(&mut self, from: PeerId, kind: MessageKind, bytes: usize) {
+        self.record_sent(from, kind, bytes, 0, 1);
+    }
+
+    /// The sender-side half of the accounting, for `delivered + dropped`
+    /// copies of one `bytes`-sized message at once: the kind's counters and
+    /// the sender's column are charged what that many
+    /// [`Self::record_delivery`] / [`Self::record_drop`] calls would have
+    /// charged them, in one probe of the by-kind map. A broadcast flushes
+    /// each of its frames through here once instead of once per receiver.
+    /// Nothing sent records nothing (no empty by-kind entry appears).
+    pub fn record_sent(
+        &mut self,
+        from: PeerId,
+        kind: MessageKind,
+        bytes: usize,
+        delivered: u64,
+        dropped: u64,
+    ) {
+        if delivered + dropped == 0 {
+            return;
+        }
+        let bytes = bytes as u64;
         let k = self.by_kind.entry(kind).or_default();
-        k.messages += 1;
-        k.bytes_dropped += bytes as u64;
-        k.dropped += 1;
-        bump(&mut self.bytes_sent_by_peer, from, bytes as u64);
+        k.messages += delivered + dropped;
+        k.bytes += delivered * bytes;
+        k.bytes_dropped += dropped * bytes;
+        k.dropped += dropped;
+        bump(
+            &mut self.bytes_sent_by_peer,
+            from,
+            (delivered + dropped) * bytes,
+        );
         self.senders.insert(from);
+    }
+
+    /// The receiver-side half: `to` took delivery of `deliveries` messages
+    /// totalling `bytes`, whose one-way latencies sum to `latency`.
+    pub fn record_received(&mut self, to: PeerId, bytes: u64, deliveries: u64, latency: SimTime) {
+        bump(&mut self.bytes_received_by_peer, to, bytes);
+        self.latency_sum += latency;
+        self.delivered += deliveries;
     }
 
     /// Records the hop count of a DHT lookup.
