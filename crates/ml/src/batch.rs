@@ -17,7 +17,8 @@
 //! * [`BatchKernelScorer`] — the analogous entry point for [`KernelSvm`]
 //!   ensembles: the kernel row `K(sv, x)` is computed **once per distinct
 //!   support vector** and shared by every tag that retains that vector,
-//!   hoisting the (expensive) kernel evaluations out of the per-tag loop.
+//!   hoisting the (expensive) kernel evaluations out of the per-tag loop;
+//!   the row itself is one [`Kernel::eval_row`], a single scatter of `x`.
 //!
 //! # Equivalence contract
 //!
@@ -35,6 +36,7 @@ use crate::kernel::Kernel;
 use crate::multilabel::TagPrediction;
 use crate::svm::{KernelSvm, LinearSvm};
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use textproc::SparseVector;
 
 /// Logistic squashing, identical to the scalar scoring path's.
@@ -302,29 +304,43 @@ impl TagWeightMatrix {
 
 /// Hashable identity of a (kernel, support-vector) pair, used to deduplicate
 /// kernel evaluations across tags. Values are compared by bit pattern, which
-/// is exactly the granularity at which `Kernel::eval` results coincide.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct KernelRowKey {
+/// is exactly the granularity at which `Kernel::eval` results coincide. The
+/// key borrows the vector, so building a scorer allocates nothing per
+/// support vector to find its row.
+#[derive(Debug, Clone, Copy)]
+struct KernelRowKey<'a> {
     kernel: (u8, u64, u64, u32),
-    indices: Vec<u32>,
-    value_bits: Vec<u64>,
+    vector: &'a SparseVector,
 }
 
-impl KernelRowKey {
-    fn new(kernel: Kernel, v: &SparseVector) -> Self {
-        let kernel = match kernel {
-            Kernel::Linear => (0, 0, 0, 0),
-            Kernel::Rbf { gamma } => (1, gamma.to_bits(), 0, 0),
-            Kernel::Polynomial {
-                gamma,
-                coef0,
-                degree,
-            } => (2, gamma.to_bits(), coef0.to_bits(), degree),
-        };
-        Self {
-            kernel,
-            indices: v.indices().to_vec(),
-            value_bits: v.values().iter().map(|x| x.to_bits()).collect(),
+impl PartialEq for KernelRowKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.kernel == other.kernel
+            && self.vector.indices() == other.vector.indices()
+            && self
+                .vector
+                .values()
+                .iter()
+                .zip(other.vector.values())
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+impl Eq for KernelRowKey<'_> {}
+
+impl Hash for KernelRowKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.kernel.hash(state);
+        self.vector.indices().hash(state);
+        // Value bits go in through a stack buffer, 32 per `write`: hashing is
+        // most of a scorer build, and one `write_u64` per value costs half
+        // again as much.
+        let mut bytes = [0u8; 256];
+        for values in self.vector.values().chunks(32) {
+            for (slot, v) in bytes.chunks_exact_mut(8).zip(values) {
+                slot.copy_from_slice(&v.to_bits().to_le_bytes());
+            }
+            state.write(&bytes[..8 * values.len()]);
         }
     }
 }
@@ -342,8 +358,12 @@ pub struct BatchKernelScorer {
     biases: Vec<f64>,
     /// Per tag slot: `(unique_row_index, alpha · y)` in original SV order.
     terms: Vec<Vec<(u32, f64)>>,
-    /// Distinct (kernel, support vector) pairs.
-    unique: Vec<(Kernel, SparseVector)>,
+    /// Distinct (kernel, support vector) pairs' vectors, in first-seen order.
+    unique: Vec<SparseVector>,
+    /// `unique` as runs of one kernel: `(kernel, end)` covers
+    /// `unique[previous end..end]` — one run whenever the tags share a
+    /// kernel, as a region's cascaded models do.
+    runs: Vec<(Kernel, usize)>,
 }
 
 impl BatchKernelScorer {
@@ -355,8 +375,9 @@ impl BatchKernelScorer {
         let mut tags = Vec::new();
         let mut biases = Vec::new();
         let mut terms: Vec<Vec<(u32, f64)>> = Vec::new();
-        let mut unique: Vec<(Kernel, SparseVector)> = Vec::new();
-        let mut seen: HashMap<KernelRowKey, u32> = HashMap::new();
+        let mut unique: Vec<SparseVector> = Vec::new();
+        let mut runs: Vec<(Kernel, usize)> = Vec::new();
+        let mut seen: HashMap<KernelRowKey<'a>, u32> = HashMap::new();
         for (tag, model) in classifiers {
             if let Some(&last) = tags.last() {
                 debug_assert!(last < tag, "classifiers must arrive in ascending tag order");
@@ -366,9 +387,16 @@ impl BatchKernelScorer {
             let kernel = model.kernel();
             let mut tag_terms = Vec::with_capacity(model.num_support_vectors());
             for sv in model.support_vectors() {
-                let key = KernelRowKey::new(kernel, &sv.vector);
+                let key = KernelRowKey {
+                    kernel: kernel.bits(),
+                    vector: &sv.vector,
+                };
                 let idx = *seen.entry(key).or_insert_with(|| {
-                    unique.push((kernel, sv.vector.clone()));
+                    unique.push(sv.vector.clone());
+                    match runs.last_mut() {
+                        Some((k, end)) if k.bits() == key.kernel => *end += 1,
+                        _ => runs.push((kernel, unique.len())),
+                    }
                     (unique.len() - 1) as u32
                 });
                 let y = if sv.label { 1.0 } else { -1.0 };
@@ -381,6 +409,7 @@ impl BatchKernelScorer {
             biases,
             terms,
             unique,
+            runs,
         }
     }
 
@@ -409,16 +438,19 @@ impl BatchKernelScorer {
     /// Evaluates the shared kernel row once, then reduces per tag. Returns
     /// `(tag, decision)` in ascending tag order.
     ///
-    /// Per-tag sums start from the bias and add `alpha·y·K` terms in original
+    /// The row is one [`Kernel::eval_row`] of `x` against the distinct
+    /// support vectors (per kernel run), bit for bit `K(sv, x)`. Per-tag sums
+    /// start from the bias and add `alpha·y·K` terms in original
     /// support-vector order, exactly as the scalar
     /// [`crate::svm::BinaryClassifier::decision`] of [`KernelSvm`] does, so the
     /// decisions are identical to the scalar path's.
     pub fn decisions(&self, x: &SparseVector) -> Vec<(TagId, f64)> {
-        let row: Vec<f64> = self
-            .unique
-            .iter()
-            .map(|(kernel, sv)| kernel.eval(sv, x))
-            .collect();
+        let mut row = vec![0.0; self.unique.len()];
+        let mut start = 0;
+        for &(kernel, end) in &self.runs {
+            kernel.eval_row(x, &self.unique[start..end], &mut row[start..end]);
+            start = end;
+        }
         self.tags
             .iter()
             .zip(self.terms.iter().zip(&self.biases))
@@ -458,6 +490,7 @@ impl BatchKernelScorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::wild;
     use crate::multilabel::{OneVsAllModel, OneVsAllTrainer};
     use crate::svm::{BinaryClassifier, KernelSvmTrainer, LinearSvmTrainer, SupportVector};
     use crate::MultiLabelExample;
@@ -679,6 +712,85 @@ mod tests {
                 BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
             let scalar = OneVsAllModel::from_classifiers(models, 0.0, 1);
             prop_assert_eq!(scorer.scores(&x), scalar.scores(&x));
+        }
+
+        #[test]
+        fn kernel_decisions_equal_scalar_bitwise_on_any_values(
+            svs in prop::collection::vec(
+                (wild::vector(10), any::<bool>(), wild::value()),
+                1..10,
+            ),
+            x in wild::vector(14),
+            kernel_pick in 0usize..4,
+        ) {
+            // Three tags over overlapping SV subsets; the last kernel choice
+            // gives each tag its own kernel, so the row spans several runs.
+            let pool: Vec<SupportVector> = svs
+                .into_iter()
+                .map(|(vector, label, alpha)| SupportVector { vector, label, alpha })
+                .collect();
+            let models: BTreeMap<TagId, KernelSvm> = (0..3usize)
+                .map(|t| {
+                    let kernel = wild::KERNELS[if kernel_pick == 3 { t } else { kernel_pick }];
+                    let svs = pool.iter().skip(t).step_by(t + 1).cloned().collect();
+                    (t as TagId, KernelSvm::from_support_vectors(svs, 0.1 * t as f64, kernel))
+                })
+                .collect();
+            assert_decisions_bitwise(&models, &x);
+        }
+    }
+
+    /// The scorer's decisions equal each model's scalar decision in
+    /// `to_bits`, tag by tag.
+    fn assert_decisions_bitwise(models: &BTreeMap<TagId, KernelSvm>, x: &SparseVector) {
+        let scorer = BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
+        let decisions = scorer.decisions(x);
+        assert_eq!(decisions.len(), models.len());
+        for ((tag, got), (&want_tag, model)) in decisions.into_iter().zip(models) {
+            assert_eq!(tag, want_tag);
+            assert_eq!(
+                got.to_bits(),
+                model.decision(x).to_bits(),
+                "tag {tag}: {got} vs {}",
+                model.decision(x)
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_scorer_equals_scalar_on_decoded_models_with_non_finite_values() {
+        let sv = |pairs: &[(u32, f64)], label, alpha| SupportVector {
+            vector: sparse(pairs),
+            label,
+            alpha,
+        };
+        let mut models = BTreeMap::new();
+        for (tag, kernel) in wild::KERNELS.into_iter().enumerate() {
+            let model = KernelSvm::from_support_vectors(
+                vec![
+                    sv(&[(0, f64::NAN), (3, 1.0)], true, 0.5),
+                    sv(&[(1, f64::INFINITY)], false, f64::INFINITY),
+                    sv(&[(2, 1e-200), (4_000, -2.0)], true, f64::NAN),
+                    sv(&[(3, -1.5)], false, 0.25),
+                ],
+                if tag == 2 { f64::NEG_INFINITY } else { 0.3 },
+                kernel,
+            );
+            // Through the wire codec, as a super-peer receives it.
+            let mut frame = Vec::new();
+            crate::codec::encode_kernel_svm(&model, crate::WeightPrecision::F64, &mut frame);
+            let decoded =
+                crate::codec::decode_kernel_svm(&mut crate::ByteReader::new(&frame)).unwrap();
+            models.insert(tag as TagId, decoded);
+        }
+        for x in [
+            sparse(&[(0, 1.0), (1, 0.5), (3, 2.0)]),
+            sparse(&[(1, 0.0), (2, 1e-200), (3, -0.5)]),
+            sparse(&[(9_000, 1.0)]),
+            sparse(&[(1, f64::NEG_INFINITY), (4_000, f64::NAN)]),
+            SparseVector::new(),
+        ] {
+            assert_decisions_bitwise(&models, &x);
         }
     }
 }

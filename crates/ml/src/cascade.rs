@@ -7,6 +7,13 @@
 //! union of the partitions at a fraction of the cost. CEMPaR's super-peers use
 //! exactly this to build "regional cascaded models" from the local models that
 //! peers propagate to them (§2 of the paper).
+//!
+//! [`CascadeSvm::merge`] is a pure function of its input models, in the
+//! order given: retraining is seeded, and the Gram matrix of the pooled
+//! support vectors is exact ([`crate::svm::gram_matrix`]). CEMPaR relies on
+//! that to merge per tag and, when one contributor's model changes, to
+//! re-merge only the tags that model carries — every other tag's merge would
+//! reproduce its current result bit for bit.
 
 use crate::kernel::Kernel;
 use crate::svm::{KernelSvm, KernelSvmTrainer, SupportVector};

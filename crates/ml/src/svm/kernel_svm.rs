@@ -102,6 +102,32 @@ impl KernelSvm {
     pub fn bias(&self) -> f64 {
         self.bias
     }
+
+    /// Whether `other` is this model bit for bit: same kernel, bias, and
+    /// support vectors (indices, value and alpha bits, labels) in the same
+    /// order. Stricter than `==`, which compares floats by value (`NaN ≠
+    /// NaN`, `-0.0 == 0.0`); two bit-equal models compute bit-equal
+    /// decisions and merges.
+    pub fn bit_eq(&self, other: &Self) -> bool {
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        self.kernel.bits() == other.kernel.bits()
+            && same(self.bias, other.bias)
+            && self.support_vectors.len() == other.support_vectors.len()
+            && self
+                .support_vectors
+                .iter()
+                .zip(&other.support_vectors)
+                .all(|(a, b)| {
+                    a.label == b.label
+                        && same(a.alpha, b.alpha)
+                        && a.vector.indices() == b.vector.indices()
+                        && a.vector
+                            .values()
+                            .iter()
+                            .zip(b.vector.values())
+                            .all(|(&x, &y)| same(x, y))
+                })
+    }
 }
 
 impl BinaryClassifier for KernelSvm {
@@ -291,18 +317,21 @@ impl KernelSvmTrainer {
 }
 
 /// Precomputes the symmetric Gram matrix `K[i·n + j] = K(x_i, x_j)` in
-/// row-major order, evaluating each `(i, j ≥ i)` pair once — the exact fill
-/// order (and therefore the exact bits) the SMO trainer's inline
-/// precomputation used, hoisted out so label-independent consumers (the
-/// one-vs-all reduction) can share one matrix across tags.
+/// row-major order, hoisted out of the SMO trainer so label-independent
+/// consumers (the one-vs-all reduction) can share one matrix across tags.
+///
+/// Row `j` up to the diagonal is one [`Kernel::eval_row`] of `x_j` against
+/// `x_0 ..= x_j`, which yields `eval(x_i, x_j)` for every `i ≤ j`, and each
+/// value is mirrored across the diagonal: the very pairs, operand order and
+/// bits of the pairwise `eval` loop this replaced, one scatter per row
+/// instead of one merge-join per pair.
 pub fn gram_matrix(kernel: Kernel, xs: &[SparseVector]) -> Vec<f64> {
     let n = xs.len();
     let mut k = vec![0.0; n * n];
-    for i in 0..n {
-        for j in i..n {
-            let v = kernel.eval(&xs[i], &xs[j]);
-            k[i * n + j] = v;
-            k[j * n + i] = v;
+    for j in 0..n {
+        kernel.eval_row(&xs[j], &xs[..=j], &mut k[j * n..=j * n + j]);
+        for i in 0..j {
+            k[i * n + j] = k[j * n + i];
         }
     }
     k
@@ -388,6 +417,47 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_dataset_panics() {
         KernelSvmTrainer::default().train(&[], &[]);
+    }
+
+    /// The pairwise fill `gram_matrix` replaced, kept as its oracle: each
+    /// `(i, j ≥ i)` pair evaluated once and mirrored.
+    fn gram_matrix_pairwise(kernel: Kernel, xs: &[SparseVector]) -> Vec<f64> {
+        let n = xs.len();
+        let mut k = vec![0.0; n * n];
+        for i in 0..n {
+            for j in i..n {
+                let v = kernel.eval(&xs[i], &xs[j]);
+                k[i * n + j] = v;
+                k[j * n + i] = v;
+            }
+        }
+        k
+    }
+
+    #[test]
+    fn gram_matrix_equals_the_pairwise_loop_bit_for_bit() {
+        let bits = |k: Vec<f64>| k.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let (mut xs, _) = test_util::xor(40, 18);
+        // Non-finite and underflowing entries, a disjoint support, an empty
+        // vector and one indexed past everything else.
+        xs.push(SparseVector::from_pairs([(0, f64::NAN), (1, 1e-200)]));
+        xs.push(SparseVector::from_pairs([(1, -1e-200), (5, f64::INFINITY)]));
+        xs.push(SparseVector::from_pairs([
+            (0, -f64::NAN),
+            (5, f64::NEG_INFINITY),
+        ]));
+        xs.push(SparseVector::from_pairs([(7, 1.0)]));
+        xs.push(SparseVector::new());
+        xs.push(SparseVector::from_pairs([(1, 0.5), (9_000, 2.0)]));
+        for kernel in crate::kernel::wild::KERNELS {
+            for n in [0, 1, 2, xs.len()] {
+                assert_eq!(
+                    bits(gram_matrix(kernel, &xs[..n])),
+                    bits(gram_matrix_pairwise(kernel, &xs[..n])),
+                    "{kernel:?}, n = {n}"
+                );
+            }
+        }
     }
 
     #[test]

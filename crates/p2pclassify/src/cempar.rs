@@ -17,7 +17,8 @@
 //!    voting over the regional votes (weight = how many peers contributed to
 //!    the region).
 //! 5. **Refinement** — when a user corrects tags, the peer retrains its local
-//!    model and re-propagates it; the super-peer re-cascades.
+//!    model and re-propagates it; the super-peer re-cascades the tags the
+//!    new model changed, not the whole region.
 //!
 //! Only support vectors (word-id/weight pairs) ever leave a peer — never raw
 //! text — which is the privacy argument the paper makes.
@@ -37,7 +38,7 @@ use p2psim::message::MessageKind;
 use p2psim::network::DeliveryError;
 use p2psim::overlay::SuperPeerDirectory;
 use p2psim::{P2PNetwork, PeerId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use textproc::SparseVector;
 
 /// Configuration of the CEMPaR protocol.
@@ -169,65 +170,111 @@ fn refit_cempar_local(
     }
 }
 
-/// Cascades a region's contributed local models into the per-tag regional
-/// models (support-vector pooling + retrain). Pure, and iteration is in
-/// `BTreeMap` order over contributors, so the cascaded result depends only
-/// on the *set* of contributed `(peer, model)` pairs — never on their
-/// arrival order. That order-independence is what lets the sans-io core
-/// reach the same regional models over real sockets (arbitrary delivery
-/// interleaving) as the simulator's sequential loop.
-pub(crate) fn cascade_region_tags<'a>(
-    config: &CemparConfig,
-    contributed: impl Iterator<Item = &'a OneVsAllModel<KernelSvm>>,
-) -> BTreeMap<TagId, KernelSvm> {
-    let cascade = CascadeSvm::new(config.cascade.clone());
-    let mut tags: BTreeMap<TagId, Vec<KernelSvm>> = BTreeMap::new();
-    for model in contributed {
-        for (tag, clf) in model.iter() {
-            tags.entry(tag).or_default().push(clf.clone());
-        }
-    }
-    tags.into_iter()
-        .filter_map(|(tag, models)| cascade.merge(&models).map(|m| (tag, m)))
-        .collect()
+/// A super-peer's cascaded view of one region, kept by both drivers beside
+/// the region's contributions: the per-tag regional models, the batched
+/// scorer over them, and the tags whose merge is stale.
+///
+/// A region's model for tag `t` is a pure function of its contributors'
+/// classifiers for `t`, taken in `BTreeMap` order — so it depends only on
+/// the *set* of contributions, never their arrival order, and replacing one
+/// contribution changes only the tags the old or the new model carries.
+/// [`Self::replaced`] records exactly those; [`recascade`] re-merges them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RegionCascade {
+    /// The cascaded regional model, per tag.
+    pub(crate) regional: BTreeMap<TagId, KernelSvm>,
+    /// Batched scorer over `regional`: kernel rows are evaluated once per
+    /// distinct support vector and shared by every tag that retains it.
+    scorer: BatchKernelScorer,
+    /// Tags whose contributions changed since the last re-cascade.
+    dirty: BTreeSet<TagId>,
 }
 
-/// Scores a query against one region's cascaded models — the super-peer's
-/// half of CEMPaR prediction, shared by both drivers. The scalar and batched
-/// branches produce identical `TagPrediction`s in ascending-tag order.
-pub(crate) fn region_scores(
-    backend: ScoringBackend,
-    regional: &BTreeMap<TagId, KernelSvm>,
-    scorer: &BatchKernelScorer,
-    x: &SparseVector,
-) -> Vec<TagPrediction> {
-    match backend {
-        // Pre-refactor reference: every tag expands its own kernel
-        // sum, re-evaluating K(sv, x) for support vectors shared
-        // between tags.
-        ScoringBackend::Scalar => regional
-            .iter()
-            .map(|(&tag, clf)| {
-                let score = clf.decision(x);
-                TagPrediction {
-                    tag,
-                    score,
-                    confidence: 1.0 / (1.0 + (-score).exp()),
-                }
-            })
-            .collect(),
-        // Batched: one kernel row over the region's distinct support
-        // vectors, shared by every tag. Decisions (and their
-        // ascending-tag order) are identical to the scalar branch.
-        ScoringBackend::Batched => scorer
-            .decisions(x)
+impl RegionCascade {
+    /// Records that a contributor's model `old` was replaced by `new`: the
+    /// tags either carries go stale, except those whose classifier is
+    /// bit-identical in both (their merge inputs did not change).
+    pub(crate) fn replaced(
+        &mut self,
+        old: Option<&OneVsAllModel<KernelSvm>>,
+        new: &OneVsAllModel<KernelSvm>,
+    ) {
+        let stale = |t| match (old.and_then(|m| m.classifier(t)), new.classifier(t)) {
+            (Some(held), Some(clf)) => !held.bit_eq(clf),
+            _ => true,
+        };
+        let carried = old.into_iter().flat_map(|m| m.tags()).chain(new.tags());
+        self.dirty.extend(carried.filter(|&t| stale(t)));
+    }
+
+    /// Scores a query against the region's cascaded models — the
+    /// super-peer's half of CEMPaR prediction. The scalar and batched
+    /// branches produce identical `TagPrediction`s in ascending-tag order.
+    pub(crate) fn scores(&self, backend: ScoringBackend, x: &SparseVector) -> Vec<TagPrediction> {
+        let decisions: Vec<(TagId, f64)> = match backend {
+            // Pre-refactor reference: every tag expands its own kernel sum,
+            // re-evaluating K(sv, x) for support vectors shared between tags.
+            ScoringBackend::Scalar => self
+                .regional
+                .iter()
+                .map(|(&tag, clf)| (tag, clf.decision(x)))
+                .collect(),
+            // Batched: one kernel row over the region's distinct support
+            // vectors, shared by every tag.
+            ScoringBackend::Batched => self.scorer.decisions(x),
+        };
+        decisions
             .into_iter()
             .map(|(tag, score)| TagPrediction {
                 tag,
                 score,
                 confidence: 1.0 / (1.0 + (-score).exp()),
             })
-            .collect(),
+            .collect()
+    }
+}
+
+/// Re-cascades regions after their contributions changed — the one
+/// re-cascade both drivers run. Each region re-merges only its dirty tags
+/// (support-vector pooling + retrain of the tag's contributors, in
+/// `contributed` order), drops tags no contributor carries any more, and
+/// rebuilds its scorer once. Regions with nothing dirty are skipped; the
+/// merges of several regions fan out across cores, one region's stay on the
+/// calling thread.
+///
+/// Every other tag keeps its model: its contributors' classifiers are what
+/// they were at its last merge, and the merge is a pure function of them.
+/// So the result equals a from-scratch cascade of the same contributions,
+/// bit for bit, whichever changes led there.
+pub(crate) fn recascade<'a, I>(config: &CemparConfig, mut regions: Vec<(I, &mut RegionCascade)>)
+where
+    I: Iterator<Item = &'a OneVsAllModel<KernelSvm>> + Clone + Sync,
+{
+    regions.retain(|(_, region)| !region.dirty.is_empty());
+    let cascade = CascadeSvm::new(config.cascade.clone());
+    let merged = parallel::par_map(&regions, |(contributed, region)| {
+        region
+            .dirty
+            .iter()
+            .map(|&tag| {
+                let pool: Vec<KernelSvm> = contributed
+                    .clone()
+                    .filter_map(|m| m.classifier(tag).cloned())
+                    .collect();
+                (tag, cascade.merge(&pool))
+            })
+            .collect::<Vec<_>>()
+    });
+    for ((_, region), merged) in regions.into_iter().zip(merged) {
+        for (tag, model) in merged {
+            match model {
+                Some(model) => region.regional.insert(tag, model),
+                None => region.regional.remove(&tag),
+            };
+        }
+        region.scorer =
+            BatchKernelScorer::from_classifiers(region.regional.iter().map(|(&t, m)| (t, m)));
+        region.dirty.clear();
     }
 }
 
@@ -238,12 +285,8 @@ struct RegionState {
     super_peer: PeerId,
     /// Local models contributed by peers of this region.
     contributed: BTreeMap<PeerId, OneVsAllModel<KernelSvm>>,
-    /// The cascaded regional model, per tag.
-    regional: BTreeMap<TagId, KernelSvm>,
-    /// Batched scorer over `regional`: kernel rows are evaluated once per
-    /// distinct support vector and shared by every tag that retains it.
-    /// Rebuilt whenever the region is re-cascaded.
-    scorer: BatchKernelScorer,
+    /// The cascaded regional models.
+    cascade: RegionCascade,
 }
 
 impl RegionState {
@@ -309,7 +352,7 @@ impl Cempar {
         self.regions
             .iter()
             .flatten()
-            .flat_map(|r| r.regional.values())
+            .flat_map(|r| r.cascade.regional.values())
             .map(KernelSvm::num_support_vectors)
             .sum()
     }
@@ -324,59 +367,17 @@ impl Cempar {
         train_cempar_local(&self.config, data)
     }
 
-    /// Computes the cascaded per-tag regional models of one region from all
-    /// contributed local models (pure — does not touch `self.regions`, so
-    /// several regions can cascade concurrently).
-    fn cascade_tags(&self, state: &RegionState) -> BTreeMap<TagId, KernelSvm> {
-        cascade_region_tags(&self.config, state.contributed.values())
-    }
-
-    /// Cascades one region's contributed models and builds the matching
-    /// batched scorer (pure; the single source of the cascade + scorer
-    /// pairing used by [`Self::cascade_region`] and `train`).
-    fn cascaded_with_scorer(
-        &self,
-        state: &RegionState,
-    ) -> (BTreeMap<TagId, KernelSvm>, BatchKernelScorer) {
-        let regional = self.cascade_tags(state);
-        let scorer = BatchKernelScorer::from_classifiers(regional.iter().map(|(&t, m)| (t, m)));
-        (regional, scorer)
-    }
-
-    /// Re-cascades the regional per-tag models of one region and rebuilds its
-    /// batched scorer.
-    fn cascade_region(&mut self, region: usize) {
-        let Some(state) = self.regions[region].as_ref() else {
-            return;
-        };
-        let (regional, scorer) = self.cascaded_with_scorer(state);
-        let state = self.regions[region].as_mut().expect("checked above");
-        state.regional = regional;
-        state.scorer = scorer;
-    }
-
-    /// Re-cascades a set of touched regions: deduplicates, computes the
-    /// merged per-tag models (and their batched scorers) in parallel, then
-    /// installs them in region order.
-    fn cascade_regions(&mut self, mut touched: Vec<usize>) {
-        touched.sort_unstable();
-        touched.dedup();
-        let cascaded = parallel::par_map(&touched, |&region| {
-            self.regions[region]
-                .as_ref()
-                .map(|state| self.cascaded_with_scorer(state))
-        });
-        for (&region, result) in touched.iter().zip(cascaded) {
-            if let Some((regional, scorer)) = result {
-                let state = self.regions[region].as_mut().expect("region populated");
-                state.regional = regional;
-                state.scorer = scorer;
-            }
-        }
+    /// Re-cascades every region whose contributions changed since its last
+    /// cascade, re-merging only the changed tags ([`recascade`]).
+    fn recascade(&mut self) {
+        let regions = self.regions.iter_mut().flatten();
+        let jobs = regions.map(|s| (s.contributed.values(), &mut s.cascade));
+        recascade(&self.config, jobs.collect());
     }
 
     /// Propagates a peer's local model to its region's super-peer, charging the
-    /// DHT lookup and the model transfer. Returns the region index on success.
+    /// DHT lookup and the model transfer. The region records which of its
+    /// tags the new model changed; the caller re-cascades them.
     ///
     /// Under [`WireCost::Measured`] the support-vector model is encoded into
     /// a real frame, the send charges the frame length, and the super-peer
@@ -388,7 +389,7 @@ impl Cempar {
         peer: PeerId,
         model: OneVsAllModel<KernelSvm>,
         kind: MessageKind,
-    ) -> Result<usize, ProtocolError> {
+    ) -> Result<(), ProtocolError> {
         let region = self.region_of_peer(peer);
         let anchor = self.directory.anchor_key(region);
         let (super_peer, _hops) = net.dht_lookup(peer, anchor)?;
@@ -415,14 +416,14 @@ impl Cempar {
         let state = self.regions[region].get_or_insert_with(|| RegionState {
             super_peer,
             contributed: BTreeMap::new(),
-            regional: BTreeMap::new(),
-            scorer: BatchKernelScorer::default(),
+            cascade: RegionCascade::default(),
         });
         // The DHT may have re-elected a successor since the region was first
         // populated (churn); the latest resolved owner is authoritative.
         state.super_peer = super_peer;
+        state.cascade.replaced(state.contributed.get(&peer), &model);
         state.contributed.insert(peer, model);
-        Ok(region)
+        Ok(())
     }
 }
 
@@ -467,28 +468,26 @@ impl P2PTagClassifier for Cempar {
                 self.pending.insert(peer, MultiLabelDataset::new());
             }
         }
-        let mut touched_regions = Vec::new();
         for (peer, model) in local_models.into_iter().flatten() {
-            match self.propagate_model(net, peer, model, MessageKind::ModelPropagation) {
-                Ok(region) => touched_regions.push(region),
-                Err(_) => {
-                    // The peer could not reach its super-peer; its knowledge is
-                    // simply not contributed this round (no global failure).
-                    self.pending.insert(peer, MultiLabelDataset::new());
-                    let now = net.now();
-                    net.log_mut().log(
-                        now,
-                        Some(peer),
-                        "cempar",
-                        "model propagation failed; peer not contributing",
-                    );
-                }
+            if self
+                .propagate_model(net, peer, model, MessageKind::ModelPropagation)
+                .is_err()
+            {
+                // The peer could not reach its super-peer; its knowledge is
+                // simply not contributed this round (no global failure).
+                self.pending.insert(peer, MultiLabelDataset::new());
+                let now = net.now();
+                net.log_mut().log(
+                    now,
+                    Some(peer),
+                    "cempar",
+                    "model propagation failed; peer not contributing",
+                );
             }
         }
-        // Regions cascade independently; compute the merged per-tag models
-        // (and their batched scorers) in parallel, then install them in
-        // region order.
-        self.cascade_regions(touched_regions);
+        // Every region starts empty, so every contributed tag is dirty:
+        // regions cascade in full, in parallel.
+        self.recascade();
         self.trained = true;
         Ok(())
     }
@@ -537,12 +536,10 @@ impl P2PTagClassifier for Cempar {
                 .map(|model| (peer, model))
         });
 
-        let mut touched_regions = Vec::new();
         for (peer, model) in local_models.into_iter().flatten() {
             match self.propagate_model(net, peer, model, MessageKind::ModelPropagation) {
-                Ok(region) => {
+                Ok(()) => {
                     self.pending.remove(&peer);
-                    touched_regions.push(region);
                 }
                 Err(_) => {
                     // Keep the peer's pending examples for the next round.
@@ -556,8 +553,8 @@ impl P2PTagClassifier for Cempar {
                 }
             }
         }
-        // Only the regions that received a refreshed model re-cascade.
-        self.cascade_regions(touched_regions);
+        // Only the tags that a refreshed model changed re-cascade.
+        self.recascade();
         Ok(())
     }
 
@@ -587,7 +584,7 @@ impl P2PTagClassifier for Cempar {
         let x_eval = decoded_query.as_ref().unwrap_or(x);
         let mut votes: Vec<(f64, Vec<TagPrediction>)> = Vec::new();
         for state in self.regions.iter().flatten() {
-            if state.regional.is_empty() {
+            if state.cascade.regional.is_empty() {
                 continue;
             }
             // Route the query to the region's super-peer: DHT lookup + the
@@ -609,7 +606,7 @@ impl P2PTagClassifier for Cempar {
                 // tolerance: remaining regions still answer).
                 continue;
             }
-            let scores = region_scores(self.config.backend, &state.regional, &state.scorer, x_eval);
+            let scores = state.cascade.scores(self.config.backend, x_eval);
             // The response travels back as a real frame too: the requester
             // votes with the scores decoded from it.
             let (response_size, scores) = match self.config.wire.cost {
@@ -693,9 +690,9 @@ impl P2PTagClassifier for Cempar {
             return Ok(());
         };
         match self.propagate_model(net, peer, model, MessageKind::RefinementUpdate) {
-            Ok(region) => {
+            Ok(()) => {
                 self.pending.remove(&peer);
-                self.cascade_region(region);
+                self.recascade();
                 Ok(())
             }
             Err(e) => {
@@ -724,8 +721,7 @@ impl P2PTagClassifier for Cempar {
                 self.pending.entry(contributor).or_default();
             }
             state.contributed.clear();
-            state.regional.clear();
-            state.scorer = BatchKernelScorer::default();
+            state.cascade = RegionCascade::default();
         }
     }
 
@@ -781,6 +777,9 @@ impl P2PTagClassifier for Cempar {
         *self.link.stats()
     }
 }
+
+#[cfg(test)]
+mod recascade_oracle;
 
 #[cfg(test)]
 mod tests {

@@ -4,9 +4,9 @@
 //! (trains a local kernel model and installs it at its region's super-peer)
 //! and **super-peer** (collects a region's contributions, cascades them into
 //! per-tag regional models, answers routed prediction queries). Training,
-//! cascading and scoring re-use `train_cempar_local`,
-//! `cascade_region_tags` and `region_scores` — the protocol body shared
-//! with the monolithic [`crate::cempar::Cempar`].
+//! cascading and scoring re-use `train_cempar_local`, `recascade` and
+//! `RegionCascade` — the protocol body shared with the monolithic
+//! [`crate::cempar::Cempar`].
 //!
 //! Super-peer election is computed purely from the static peer list: the
 //! super-peer of region `r` is the ring successor of the region's anchor key
@@ -14,23 +14,23 @@
 //! the core; drivers may charge lookups separately).
 //!
 //! Order-independence: contributions are keyed `(source, version)` and only
-//! strictly newer versions install; the cascade iterates contributors in
-//! `BTreeMap` order and is recomputed lazily at query time, so the regional
-//! models depend only on the *set* of installed contributions, never their
-//! arrival order. Prediction fans one [`crate::wire::PayloadKind::QueryRequest`]
-//! out per region (request id = `query·R + region`, self-describing on both
-//! ends) and combines the weighted votes only once every region answered.
+//! strictly newer versions install; each install marks the tags it changed
+//! dirty, and the dirty tags are re-merged lazily at query time from the
+//! contributors in `BTreeMap` order, so the regional models depend only on
+//! the *set* of installed contributions, never their arrival order.
+//! Prediction fans one [`crate::wire::PayloadKind::QueryRequest`] out per
+//! region (request id = `query·R + region`, self-describing on both ends)
+//! and combines the weighted votes only once every region answered.
 
 use super::reliable::ReliableCore;
 use super::{LocalEffect, Millis, Output, ProtocolCore};
-use crate::cempar::{cascade_region_tags, region_scores, train_cempar_local, CemparConfig};
+use crate::cempar::{recascade, train_cempar_local, CemparConfig, RegionCascade};
 use crate::protocol::combine_weighted_scores;
 use crate::reliable::LinkStats;
 use crate::wire::{self, PayloadKind};
-use ml::batch::BatchKernelScorer;
 use ml::multilabel::{OneVsAllModel, TagPrediction};
 use ml::svm::KernelSvm;
-use ml::{MultiLabelDataset, TagId};
+use ml::MultiLabelDataset;
 use p2psim::message::MessageKind;
 use p2psim::overlay::SuperPeerDirectory;
 use p2psim::PeerId;
@@ -39,15 +39,11 @@ use textproc::SparseVector;
 
 /// One region's state at its super-peer.
 #[derive(Debug, Clone, Default)]
-struct RegionSlot {
+pub(crate) struct RegionSlot {
     /// Contributed models by source id, with their install versions.
-    contributed: BTreeMap<u64, (u64, OneVsAllModel<KernelSvm>)>,
-    /// The cascaded per-tag regional models.
-    regional: BTreeMap<TagId, KernelSvm>,
-    /// Batched scorer over `regional`.
-    scorer: BatchKernelScorer,
-    /// Contributions changed since the last cascade.
-    dirty: bool,
+    pub(crate) contributed: BTreeMap<u64, (u64, OneVsAllModel<KernelSvm>)>,
+    /// The cascaded regional models, and the tags installs changed since.
+    pub(crate) cascade: RegionCascade,
 }
 
 /// One in-flight prediction at the requester.
@@ -76,7 +72,7 @@ pub struct CemparCore {
     /// The latest model this peer contributed (re-pushed by anti-entropy).
     my_model: Option<OneVsAllModel<KernelSvm>>,
     /// Super-peer state, by region index.
-    regions: BTreeMap<usize, RegionSlot>,
+    pub(crate) regions: BTreeMap<usize, RegionSlot>,
     /// In-flight predictions by query index.
     outstanding: BTreeMap<u64, OutstandingQuery>,
     link: ReliableCore,
@@ -164,28 +160,21 @@ impl CemparCore {
         let slot = self.regions.entry(region).or_default();
         match slot.contributed.get(&source) {
             Some(&(held, _)) if held >= version => None,
-            _ => {
+            held => {
+                slot.cascade.replaced(held.map(|(_, m)| m), &model);
                 slot.contributed.insert(source, (version, model));
-                slot.dirty = true;
                 Some(Output::Effect(LocalEffect::Installed { source, version }))
             }
         }
     }
 
-    /// Re-cascades a region if its contributions changed. Lazy (runs at
+    /// Re-merges the tags of a region that installs changed. Lazy (runs at
     /// query time), so the result never depends on install order.
-    fn ensure_cascade(&mut self, region: usize) {
-        let Some(slot) = self.regions.get_mut(&region) else {
-            return;
-        };
-        if !slot.dirty {
-            return;
+    pub(crate) fn ensure_cascade(&mut self, region: usize) {
+        if let Some(slot) = self.regions.get_mut(&region) {
+            let contributed = slot.contributed.values().map(|(_, m)| m);
+            recascade(&self.config, vec![(contributed, &mut slot.cascade)]);
         }
-        let regional = cascade_region_tags(&self.config, slot.contributed.values().map(|(_, m)| m));
-        let scorer = BatchKernelScorer::from_classifiers(regional.iter().map(|(&t, m)| (t, m)));
-        slot.regional = regional;
-        slot.scorer = scorer;
-        slot.dirty = false;
     }
 
     /// The install envelope carrying this peer's current contribution.
@@ -287,10 +276,10 @@ impl CemparCore {
         let Some(slot) = self.regions.get(&region) else {
             return Some((request, 0, Vec::new()));
         };
-        if slot.regional.is_empty() {
+        if slot.cascade.regional.is_empty() {
             return Some((request, 0, Vec::new()));
         }
-        let scores = region_scores(self.config.backend, &slot.regional, &slot.scorer, &x);
+        let scores = slot.cascade.scores(self.config.backend, &x);
         Some((request, slot.contributed.len() as u64, scores))
     }
 
