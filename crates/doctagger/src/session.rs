@@ -355,7 +355,7 @@ impl SessionDriver {
             if learned {
                 let due = std::mem::take(&mut pending_refine);
                 for doc in due {
-                    let truth = self.truth_names(doc);
+                    let truth = self.truth_names(doc).clone();
                     match self.system.refine(doc, truth) {
                         Ok(()) => {
                             refined += 1;
@@ -388,7 +388,7 @@ impl SessionDriver {
                     let entry = self.system.library().entry(doc);
                     let mistagged = entry
                         .map(|e| {
-                            e.source == TagSource::Automatic && e.tags != self.truth_names(doc)
+                            e.source == TagSource::Automatic && e.tags != *self.truth_names(doc)
                         })
                         .unwrap_or(false);
                     if mistagged && self.refine_roll[doc] {
@@ -463,14 +463,14 @@ impl SessionDriver {
     }
 
     /// Ground-truth tag names of a document (what a correcting user enters).
-    fn truth_names(&self, doc: DocumentId) -> BTreeSet<String> {
-        self.system
+    fn truth_names(&self, doc: DocumentId) -> &BTreeSet<String> {
+        &self
+            .system
             .corpus()
             .expect("ingested")
             .document(doc)
             .expect("document exists")
             .tags
-            .clone()
     }
 
     /// Final-state evaluation: the library's current tags of every document

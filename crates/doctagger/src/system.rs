@@ -239,46 +239,45 @@ impl P2PDocTagger {
             self.protocol
                 .predict(network, peer, vectorized.vector(doc))?
         };
-        Ok(self.record_auto_tags(doc, &tag_ids))
+        self.record_auto_tags(doc, tag_ids);
+        Ok(self.library.tags_of(doc))
     }
 
     /// Maps predicted tag ids to names and records them for `doc` in the
     /// library and the tag store — the single write path shared by
-    /// [`Self::auto_tag`] and [`Self::auto_tag_all`].
+    /// [`Self::auto_tag`] and [`Self::auto_tag_all`]. Returns the ids of the
+    /// corpus tags the document now carries.
     ///
     /// Documents whose latest tags came from the user (`Manual` or `Refined`)
     /// are left untouched and keep their current tags: re-running the
     /// automated tagger must adapt to the user's corrections (§2), not
     /// overwrite them with machine output.
-    fn record_auto_tags(&mut self, doc: DocumentId, tag_ids: &BTreeSet<u32>) -> BTreeSet<String> {
+    fn record_auto_tags(&mut self, doc: DocumentId, mut tag_ids: BTreeSet<u32>) -> BTreeSet<u32> {
+        let corpus = self.corpus.as_ref().expect("ingested");
         if let Some(entry) = self.library.entry(doc) {
             if matches!(entry.source, TagSource::Manual | TagSource::Refined) {
-                return entry.tags.clone();
+                return entry.tags.iter().filter_map(|t| corpus.tag_id(t)).collect();
             }
         }
-        let (user, names) = {
-            let corpus = self.corpus.as_ref().expect("ingested");
-            let d = corpus.document(doc).expect("document exists");
-            let names: BTreeSet<String> = tag_ids
-                .iter()
-                .filter_map(|&t| corpus.tag_name(t).map(str::to_string))
-                .collect();
-            (d.user, names)
-        };
-        self.library
-            .assign(doc, user, names.clone(), TagSource::Automatic);
+        let user = corpus.document(doc).expect("document exists").user;
+        tag_ids.retain(|&t| corpus.tag_name(t).is_some());
+        let names: BTreeSet<String> = tag_ids
+            .iter()
+            .filter_map(|&t| corpus.tag_name(t).map(str::to_string))
+            .collect();
         self.tag_store
             .set_tags(&Self::path_of(doc, user), names.iter().cloned());
-        names
+        self.library.assign(doc, user, names, TagSource::Automatic);
+        tag_ids
     }
 
     /// Automatically tags every untagged (test) document and evaluates the
     /// result against the held-out ground truth.
     ///
     /// The whole test set is handed to the protocol as one batch
-    /// ([`P2PTagClassifier::predict_batch`]): protocols whose prediction is
-    /// communication-free fan the documents out across cores, while
-    /// query-paying protocols keep their sequential per-document loop.
+    /// ([`P2PTagClassifier::predict_batch`]): local-only prediction fans the
+    /// documents out across cores, while PACE and the query-paying protocols
+    /// run their per-document loop.
     /// Library updates, tag-store writes and metric accounting then apply in
     /// document order, so the outcome is identical to calling
     /// [`Self::auto_tag`] per document.
@@ -323,15 +322,7 @@ impl P2PDocTagger {
             match result {
                 Ok(tag_ids) => {
                     tagged += 1;
-                    self.record_auto_tags(doc, &tag_ids);
-                    let corpus = self.corpus.as_ref().expect("ingested");
-                    let assigned: BTreeSet<u32> = self
-                        .library
-                        .tags_of(doc)
-                        .iter()
-                        .filter_map(|t| corpus.tag_id(t))
-                        .collect();
-                    predictions.push(assigned);
+                    predictions.push(self.record_auto_tags(doc, tag_ids));
                 }
                 Err(e) => {
                     failed += 1;

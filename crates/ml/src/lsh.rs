@@ -9,6 +9,14 @@
 //! exact distance among hash-collision candidates (falling back to scanning
 //! when too few candidates collide, so recall never collapses).
 //!
+//! [`LshIndex::query`] is the scalar reference: one merge-join distance per
+//! scored entry. The batched entry points, [`LshIndex::query_batched`] and
+//! [`LshIndex::nearest_items`], share one scoring core that prices every
+//! entry in a single scatter over the query's postings, keeps a bounded
+//! top-k when it has to scan, and reads item distances (the nearest of an
+//! item's keys) from the same buffer. Both return the scalar results bit for
+//! bit.
+//!
 //! To avoid materializing dense random hyperplanes over a vocabulary-sized
 //! space, hyperplane components are derived on the fly from a deterministic
 //! 64-bit mix of `(seed, bit index, feature index)`.
@@ -54,7 +62,7 @@ pub struct LshIndex<T> {
     /// Cached `‖key‖²` per entry, for the batched query path.
     norms_sq: Vec<f64>,
     /// Inverted postings over key features: feature → `(entry, value)`.
-    /// Lets [`Self::query_batched`] compute every key dot product in one
+    /// Lets [`Self::top_entries`] compute every key dot product in one
     /// pass over the query's nonzeros instead of one merge-join per entry.
     postings: HashMap<u32, Vec<(u32, f64)>>,
     /// Tombstones: `live[i] == false` hides entry `i` from every query.
@@ -220,51 +228,106 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
             .collect()
     }
 
-    /// Batched variant of [`Self::query`], returning **identical** results.
-    ///
-    /// Differences are purely in evaluation strategy: entry norms are read
-    /// from the cache instead of recomputed, the query norm is computed once,
-    /// and when the candidate shortfall forces the full scan the dot products
-    /// of *all* entries are accumulated in one pass over the query's nonzeros
-    /// through the inverted postings (the same CSR scatter the batched tag
-    /// scorer uses) instead of one merge-join per entry. Every per-entry sum
-    /// adds the same intersection terms in the same ascending-feature order
-    /// as `SparseVector::dot`, so the distances — and therefore the ranking —
-    /// are bit-for-bit those of the scalar query.
+    /// Batched variant of [`Self::query`], returning **identical** results
+    /// from the scoring core it shares with [`Self::nearest_items`].
     pub fn query_batched(&self, query: &SparseVector, k: usize) -> Vec<(&T, f64)> {
-        if self.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let q_norm_sq = query.norm_sq();
-        let distance =
-            |i: usize, dot: f64| (self.norms_sq[i] + q_norm_sq - 2.0 * dot).max(0.0).sqrt();
-        let candidates = self.candidates(query);
-        let mut scored: Vec<(usize, f64)> = if candidates.len() < k {
-            let mut dots = vec![0.0f64; self.entries.len()];
-            for (feature, qv) in query.iter() {
-                if let Some(column) = self.postings.get(&feature) {
-                    for &(i, cv) in column {
-                        dots[i as usize] += cv * qv;
-                    }
-                }
-            }
-            dots.into_iter()
-                .enumerate()
-                .filter(|&(i, _)| self.live[i])
-                .map(|(i, dot)| (i, distance(i, dot)))
-                .collect()
-        } else {
-            candidates
-                .into_iter()
-                .map(|i| (i, distance(i, self.entries[i].0.dot(query))))
-                .collect()
-        };
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        scored
-            .into_iter()
-            .take(k)
+        let (top, _) = self.top_entries(query, k);
+        top.into_iter()
             .map(|(i, d)| (&self.entries[i].1, d))
             .collect()
+    }
+
+    /// The distinct items of [`Self::query_batched`]'s `k` entries, in
+    /// first-appearance order, each with its distance to `query`: the minimum
+    /// over *all* of the item's live keys, not only those among the `k`.
+    ///
+    /// This is "look up the `k` nearest keys, then rank their items by their
+    /// nearest key" in one pass over the index. The fold runs over the
+    /// item's keys in insertion order from `+∞` with `f64::min`, reading the
+    /// same dot buffer as the ranking, so the result is bit-for-bit that of
+    /// de-duplicating [`Self::query`]'s hits and folding
+    /// `SparseVector::distance` over each item's keys.
+    pub fn nearest_items(&self, query: &SparseVector, k: usize) -> Vec<(&T, f64)> {
+        let (top, distance) = self.top_entries(query, k);
+        let mut out: Vec<(&T, f64)> = Vec::new();
+        for (i, _) in top {
+            let item = &self.entries[i].1;
+            // At most `k` items: a linear scan beats hashing them.
+            if out.iter().any(|&(seen, _)| seen == item) {
+                continue;
+            }
+            let d = self.by_item[item]
+                .iter()
+                .map(|&j| distance(j))
+                .fold(f64::INFINITY, f64::min);
+            out.push((item, d));
+        }
+        out
+    }
+
+    /// The scoring core of every batched query: the top `k` live entries as
+    /// `(entry, distance)`, chosen by [`Self::query`]'s rules, and the
+    /// distance of any entry to `query`.
+    ///
+    /// The dot products of the query with *every* entry are accumulated in
+    /// one pass over the query's nonzeros through the inverted postings (the
+    /// same CSR scatter the batched tag scorer uses) into one buffer sized to
+    /// the entry count. Each sum adds the same intersection terms in the same
+    /// ascending-feature order as `SparseVector::dot`, and each distance
+    /// evaluates `SparseVector::distance`'s expression with the cached key
+    /// norm, so every distance is bit-for-bit the scalar one. Distances are
+    /// never NaN (`f64::max(NaN, 0.0)` is `0.0`), so the order is total.
+    ///
+    /// When at least `k` entries collide, the colliding entries are stably
+    /// sorted from their collision order, exactly as [`Self::query`] does.
+    /// Otherwise a bounded top-`k` list is filled in ascending entry order,
+    /// each entry placed after every equal one, which is what a stable sort
+    /// of all live entries keeps of its first `k`.
+    fn top_entries(
+        &self,
+        query: &SparseVector,
+        k: usize,
+    ) -> (Vec<(usize, f64)>, impl Fn(usize) -> f64 + '_) {
+        let mut dots = vec![0.0f64; self.entries.len()];
+        for (feature, qv) in query.iter() {
+            if let Some(column) = self.postings.get(&feature) {
+                for &(i, cv) in column {
+                    dots[i as usize] += cv * qv;
+                }
+            }
+        }
+        let q_norm_sq = query.norm_sq();
+        let distance = move |i: usize| {
+            (self.norms_sq[i] + q_norm_sq - 2.0 * dots[i])
+                .max(0.0)
+                .sqrt()
+        };
+        if self.is_empty() || k == 0 {
+            return (Vec::new(), distance);
+        }
+        let candidates = self.candidates(query);
+        let top = if candidates.len() < k {
+            let mut top: Vec<(usize, f64)> = Vec::with_capacity(k.min(self.num_live) + 1);
+            for i in (0..self.entries.len()).filter(|&i| self.live[i]) {
+                let d = distance(i);
+                // Once `k` are kept, an entry no nearer than the last one
+                // would land after it and be cut.
+                if top.len() == k && d >= top[k - 1].1 {
+                    continue;
+                }
+                let at = top.partition_point(|&(_, e)| e <= d);
+                top.insert(at, (i, d));
+                top.truncate(k);
+            }
+            top
+        } else {
+            let mut scored: Vec<(usize, f64)> =
+                candidates.into_iter().map(|i| (i, distance(i))).collect();
+            scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+            scored.truncate(k);
+            scored
+        };
+        (top, distance)
     }
 
     /// Exact (brute force) top-k query, for testing recall and the LSH-off
@@ -309,8 +372,10 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
     }
 }
 
-/// Deterministic pseudo-random hyperplane component in [-1, 1), derived from
+/// Deterministic pseudo-random hyperplane component in [-1, 1], derived from
 /// (seed, hyperplane id, feature index) via a 64-bit finalizer (splitmix64).
+/// The upper end is reachable: `z as f64` rounds every `z > u64::MAX − 2¹⁰`
+/// to `u64::MAX as f64`, which maps to exactly 1.0.
 fn hyperplane_component(seed: u64, plane_id: u64, feature: u32) -> f64 {
     let mut z = seed
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -320,13 +385,15 @@ fn hyperplane_component(seed: u64, plane_id: u64, feature: u32) -> f64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    // Map to [-1, 1).
+    // Map to [-1, 1].
     (z as f64 / u64::MAX as f64) * 2.0 - 1.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::wild;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -466,18 +533,15 @@ mod tests {
             fresh.insert(key.clone(), *item);
         }
         assert_eq!(idx.len(), fresh.len());
-        let bits = |hits: Vec<(&u32, f64)>| -> Vec<(u32, u64)> {
-            hits.into_iter().map(|(i, d)| (*i, d.to_bits())).collect()
-        };
         for _ in 0..25 {
             let q = random_vec(&mut rng, 60, 10);
             for k in [1, 7, 36, 200] {
                 assert_eq!(bits(idx.query(&q, k)), bits(fresh.query(&q, k)));
                 assert_eq!(
-                    bits(idx.query_batched(&q, k)),
-                    bits(fresh.query_batched(&q, k))
+                    bits(idx.nearest_items(&q, k)),
+                    bits(fresh.nearest_items(&q, k))
                 );
-                assert_eq!(bits(idx.query_batched(&q, k)), bits(idx.query(&q, k)));
+                assert_batched_matches_scalar(&idx, &q, k);
                 assert_eq!(bits(idx.query_exact(&q, k)), bits(fresh.query_exact(&q, k)));
             }
         }
@@ -515,30 +579,117 @@ mod tests {
         assert!(overlap >= 50, "overlap {overlap}");
     }
 
+    /// Hits as comparable bits.
+    fn bits<T: Clone>(hits: Vec<(&T, f64)>) -> Vec<(T, u64)> {
+        hits.into_iter()
+            .map(|(i, d)| (i.clone(), d.to_bits()))
+            .collect()
+    }
+
+    /// The composition [`LshIndex::nearest_items`] replaces: the scalar
+    /// query's hits de-duplicated in hit order, each item at the `f64::min`
+    /// fold of `SparseVector::distance` over its live keys in entry order.
+    fn nearest_items_oracle<T: Clone + Eq + Hash>(
+        idx: &LshIndex<T>,
+        q: &SparseVector,
+        k: usize,
+    ) -> Vec<(T, u64)> {
+        let mut out: Vec<(T, u64)> = Vec::new();
+        for (item, _) in idx.query(q, k) {
+            if out.iter().any(|(seen, _)| seen == item) {
+                continue;
+            }
+            let d = (0..idx.entries.len())
+                .filter(|&i| idx.live[i] && idx.entries[i].1 == *item)
+                .map(|i| idx.entries[i].0.distance(q))
+                .fold(f64::INFINITY, f64::min);
+            out.push((item.clone(), d.to_bits()));
+        }
+        out
+    }
+
+    /// Both batched entry points against their scalar compositions.
+    fn assert_batched_matches_scalar<T: Clone + Eq + Hash + std::fmt::Debug>(
+        idx: &LshIndex<T>,
+        q: &SparseVector,
+        k: usize,
+    ) {
+        assert_eq!(
+            bits(idx.query_batched(q, k)),
+            bits(idx.query(q, k)),
+            "k = {k}"
+        );
+        assert_eq!(
+            bits(idx.nearest_items(q, k)),
+            nearest_items_oracle(idx, q, k),
+            "k = {k}"
+        );
+    }
+
     #[test]
     fn batched_query_is_identical_to_scalar_query() {
         let mut rng = StdRng::seed_from_u64(9);
         // Small bucket width forces both the candidate path and (with large k)
-        // the full-scan fallback to be exercised.
+        // the full-scan fallback to be exercised. Three keys per item, so
+        // item distances fold over keys outside the top k.
         let mut idx = LshIndex::new(LshConfig::default());
-        let items: Vec<SparseVector> = (0..150).map(|_| random_vec(&mut rng, 60, 12)).collect();
-        for (i, v) in items.iter().enumerate() {
-            idx.insert(v.clone(), i);
+        let keys: Vec<SparseVector> = (0..150).map(|_| random_vec(&mut rng, 60, 12)).collect();
+        for (i, v) in keys.iter().enumerate() {
+            idx.insert(v.clone(), i / 3);
         }
+        let (mut candidate, mut fallback) = (0, 0);
         for _ in 0..30 {
             let q = random_vec(&mut rng, 60, 10);
             for k in [1, 5, 40, 200] {
-                let scalar: Vec<(usize, u64)> = idx
-                    .query(&q, k)
-                    .into_iter()
-                    .map(|(i, d)| (*i, d.to_bits()))
-                    .collect();
-                let batched: Vec<(usize, u64)> = idx
-                    .query_batched(&q, k)
-                    .into_iter()
-                    .map(|(i, d)| (*i, d.to_bits()))
-                    .collect();
-                assert_eq!(scalar, batched, "k = {k}");
+                if idx.candidates(&q).len() < k {
+                    fallback += 1;
+                } else {
+                    candidate += 1;
+                }
+                assert_batched_matches_scalar(&idx, &q, k);
+            }
+        }
+        assert!(candidate > 0 && fallback > 0, "{candidate} / {fallback}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn nearest_items_is_the_deduplicated_scalar_query(
+            ops in prop::collection::vec((0u32..10, wild::vector(16), 0u8..6), 0..90),
+            queries in prop::collection::vec(wild::vector(16), 0..4),
+            k in 1usize..40,
+            bands in 1usize..4,
+        ) {
+            // Narrow bands collide often, so both the candidate path and the
+            // fallback are taken across cases.
+            let mut idx = LshIndex::new(LshConfig {
+                bits_per_band: 3,
+                num_bands: bands,
+                seed: 11,
+            });
+            for (item, key, op) in ops {
+                match op {
+                    // Retires tombstone entries, and compact once the dead
+                    // outnumber the live.
+                    0 | 1 => {
+                        idx.retire(&item);
+                    }
+                    // Equal keys under different items: distance ties.
+                    2 => {
+                        idx.insert(key.clone(), item);
+                        idx.insert(key, (item + 1) % 10);
+                    }
+                    _ => idx.insert(key, item),
+                }
+            }
+            let empty = SparseVector::new();
+            let unseen = SparseVector::from_pairs([(1_000, 1.0), (1_001, -2.0)]);
+            for q in queries.iter().chain([&empty, &unseen]) {
+                for k in [k, 1, 36] {
+                    assert_batched_matches_scalar(&idx, q, k);
+                }
             }
         }
     }

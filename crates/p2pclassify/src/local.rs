@@ -201,7 +201,7 @@ impl P2PTagClassifier for LocalOnly {
         requests: &[(PeerId, &SparseVector)],
     ) -> Vec<Result<BTreeSet<TagId>, ProtocolError>> {
         // Local-only prediction never communicates, so batches parallelize
-        // across documents like PACE's.
+        // across documents.
         let net_ref: &P2PNetwork = net;
         parallel::par_map(requests, |&(peer, x)| {
             if !self.trained {

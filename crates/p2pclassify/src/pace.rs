@@ -15,7 +15,11 @@
 //!    the models' centroids), lets them vote, and weights each vote by the
 //!    model's training accuracy and its distance to the test vector — thereby
 //!    *adapting to the test data distribution*. Prediction is entirely local:
-//!    zero communication per query.
+//!    zero communication per query. Under the batched backend one pass over
+//!    the index's postings prices every centroid
+//!    ([`LshIndex::nearest_items`]); those same distances pick the nearest
+//!    centroids, rank the models they belong to (each at its nearest
+//!    centroid) and weight the votes, so no centroid is priced twice.
 //! 5. **Refinement** — the peer retrains its local model with the corrected
 //!    example and re-propagates it.
 
@@ -618,10 +622,6 @@ impl Pace {
         let Some(available) = self.received.get(peer.index()).filter(|a| !a.is_empty()) else {
             return Vec::new();
         };
-        let backend = self.config.backend;
-        // The query norm appears in every centroid distance; the batched
-        // backend computes it once per query instead of once per centroid.
-        let x_norm_sq = x.norm_sq();
         if !self.config.use_lsh {
             // Exact ranking over everything this peer holds — the same
             // shared body the sans-io core ranks its ensemble map with.
@@ -629,28 +629,36 @@ impl Pace {
                 &self.config,
                 available.ones().filter_map(|s| self.model_of(s)),
                 x,
-                x_norm_sq,
+                x.norm_sq(),
             );
         }
-        let mut candidates: Vec<(&PaceModel, f64)> = {
-            // Over-fetch from the index (several centroids can map to the same
-            // model, and some candidates may not have reached this peer).
-            let want = self.config.top_k * 4 + 8;
-            let hits = match backend {
-                ScoringBackend::Scalar => self.index.query(x, want),
-                ScoringBackend::Batched => self.index.query_batched(x, want),
-            };
-            let mut seen = BTreeSet::new();
-            let mut out = Vec::new();
-            for (source, _dist) in hits {
-                if !available.contains(*source) || !seen.insert(*source) {
-                    continue;
+        // Over-fetch from the index (several centroids can map to the same
+        // model, and some candidates may not have reached this peer).
+        let want = self.config.top_k * 4 + 8;
+        let mut candidates: Vec<(&PaceModel, f64)> = match self.config.backend {
+            ScoringBackend::Scalar => {
+                let mut seen = BTreeSet::new();
+                let mut out = Vec::new();
+                for (source, _dist) in self.index.query(x, want) {
+                    if !available.contains(*source) || !seen.insert(*source) {
+                        continue;
+                    }
+                    if let Some(m) = self.model_of(*source) {
+                        out.push((m, m.distance_to_scalar(x)));
+                    }
                 }
-                if let Some(m) = self.model_of(*source) {
-                    out.push((m, m.distance_to(x, backend, x_norm_sq)));
-                }
+                out
             }
-            out
+            // The index already priced every centroid while ranking them, so
+            // each hit model arrives at its nearest-centroid distance (its
+            // centroids are its index keys, in centroid order).
+            ScoringBackend::Batched => self
+                .index
+                .nearest_items(x, want)
+                .into_iter()
+                .filter(|(source, _)| available.contains(**source))
+                .filter_map(|(source, dist)| Some((self.model_of(*source)?, dist)))
+                .collect(),
         };
         candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         candidates.truncate(self.config.top_k.max(1));
@@ -659,8 +667,7 @@ impl Pace {
 
     /// Per-tag scores for a query, computed entirely locally (PACE's
     /// prediction phase is communication-free, so this only needs shared
-    /// access to the network for the online check — which is what lets
-    /// [`P2PTagClassifier::predict_batch`] fan queries out in parallel).
+    /// access to the network for the online check).
     fn scores_local(
         &self,
         net: &P2PNetwork,
@@ -769,27 +776,6 @@ impl P2PTagClassifier for Pace {
             self.config.rel_threshold,
             self.config.min_tags,
         ))
-    }
-
-    fn predict_batch(
-        &self,
-        net: &mut P2PNetwork,
-        requests: &[(PeerId, &SparseVector)],
-    ) -> Vec<Result<BTreeSet<TagId>, ProtocolError>> {
-        // PACE prediction is entirely local (zero communication per query),
-        // so a batch of documents fans out across cores; the ordered
-        // reduction returns results in request order, identical to the
-        // sequential loop.
-        let net_ref: &P2PNetwork = net;
-        parallel::par_map(requests, |&(peer, x)| {
-            let scores = self.scores_local(net_ref, peer, x)?;
-            Ok(crate::protocol::select_tags_adaptive(
-                &scores,
-                self.config.vote_threshold,
-                self.config.rel_threshold,
-                self.config.min_tags,
-            ))
-        })
     }
 
     fn train_incremental(

@@ -88,10 +88,14 @@ pub trait P2PTagClassifier {
     ///
     /// The default implementation is the sequential per-request loop, which
     /// every protocol that pays communication per query keeps (message
-    /// accounting must observe the same sends in the same order). Protocols
-    /// whose prediction is communication-free (PACE, local-only) override
-    /// this with a parallel map over the requests; the ordered reduction
-    /// keeps the results identical to the sequential loop.
+    /// accounting must observe the same sends in the same order). PACE keeps
+    /// it too: one of its queries is a single pass over the model index,
+    /// tens of microseconds, so a batch of a thousand documents is tens of
+    /// milliseconds — short enough that a two-worker fan-out's throughput
+    /// follows how much of the second core the host grants from one batch
+    /// to the next, while the loop's does not. Local-only prediction
+    /// overrides this with a parallel map over the requests; the ordered
+    /// reduction keeps the results identical to the sequential loop.
     fn predict_batch(
         &self,
         net: &mut P2PNetwork,

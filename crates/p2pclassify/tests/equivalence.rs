@@ -380,6 +380,127 @@ fn pace_backends_agree_through_refine_and_incremental() {
     assert_backends_agree_through_refine_and_incremental(8, 91, pace_with);
 }
 
+/// Per-peer data over 24 features in four interest groups: a peer draws
+/// mostly from its own group's six features and sometimes from the next
+/// group's, so a query collides with part of the index, not all of it.
+fn grouped_peer_data(num_peers: usize, per_peer: usize, seed: u64) -> Vec<MultiLabelDataset> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..num_peers)
+        .map(|p| {
+            let mut ds = MultiLabelDataset::new();
+            for _ in 0..per_peer {
+                let group = (p as u32 + u32::from(rng.gen_bool(0.2))) % 4;
+                let nnz = rng.gen_range(2..5usize);
+                let vector = SparseVector::from_pairs(
+                    (0..nnz).map(|_| (group * 6 + rng.gen_range(0..6u32), rng.gen_range(0.3..1.5))),
+                );
+                let mut tags = vec![group];
+                if vector.get(group * 6) > 0.9 {
+                    tags.push(8 + group % 3);
+                }
+                ds.push(MultiLabelExample::new(vector, tags));
+            }
+            ds
+        })
+        .collect()
+}
+
+/// PACE at a scale where model retrieval is really selective: 150 peers
+/// put ≈ 450 centroids in the index, against the 36 entries a query
+/// over-fetches, so queries take both the collision path and the full-scan
+/// fallback. Incremental rounds and refinements re-propagate models, which
+/// tombstones their old centroids, and the round that touches every peer
+/// compacts the index. After each stage the Scalar and Batched stacks must
+/// score and predict identically, and `predict_batch` must equal the
+/// sequential `predict` loop.
+#[test]
+fn pace_backends_agree_at_scale_through_tombstones_and_compaction() {
+    let num_peers = 150;
+    let data = grouped_peer_data(num_peers, 10, 111);
+    let mut net_s = network(num_peers);
+    let mut net_b = network(num_peers);
+    let mut scalar = pace_with(REFERENCE.0, REFERENCE.1);
+    let mut batched = pace_with(FAST.0, FAST.1);
+    scalar.train(&mut net_s, &data).unwrap();
+    batched.train(&mut net_b, &data).unwrap();
+
+    // Probes spanning a whole group look like its centroids and collide
+    // with many of them; documents like the peers' own collide with fewer,
+    // and scattered ones mostly fall back to the full scan (features past
+    // 23 are in no centroid).
+    let mut rng = StdRng::seed_from_u64(112);
+    let probes: Vec<SparseVector> = (0..12)
+        .map(|i| SparseVector::from_pairs((0..6).map(|f| ((i % 4) * 6 + f, 0.5 + 0.1 * f as f64))))
+        .chain(
+            grouped_peer_data(4, 3, 112)
+                .iter()
+                .flat_map(|ds| ds.iter().map(|(x, _)| x.clone())),
+        )
+        .chain((0..16).map(|_| {
+            let nnz = rng.gen_range(1..6usize);
+            SparseVector::from_pairs(
+                (0..nnz).map(|_| (rng.gen_range(0..61u32), rng.gen_range(0.2..1.4))),
+            )
+        }))
+        .collect();
+    let requests: Vec<(PeerId, &SparseVector)> = probes
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (PeerId((i * 37 % num_peers) as u64), p))
+        .collect();
+    let assert_agree = |scalar: &Pace,
+                        batched: &Pace,
+                        net_s: &mut P2PNetwork,
+                        net_b: &mut P2PNetwork,
+                        stage: &str| {
+        for (i, &(peer, probe)) in requests.iter().enumerate() {
+            assert_eq!(
+                scalar.scores(net_s, peer, probe),
+                batched.scores(net_b, peer, probe),
+                "scores diverge after {stage} on probe {i}"
+            );
+        }
+        let sequential: Vec<_> = requests
+            .iter()
+            .map(|&(peer, x)| scalar.predict(net_s, peer, x))
+            .collect();
+        assert_eq!(
+            sequential,
+            batched.predict_batch(net_b, &requests),
+            "predictions diverge after {stage}"
+        );
+    };
+    assert_agree(&scalar, &batched, &mut net_s, &mut net_b, "train");
+
+    // Every peer, then every third peer, gets new examples.
+    for (round, stride) in [1, 3].into_iter().enumerate() {
+        let fresh = grouped_peer_data(num_peers, 3, 113 + round as u64);
+        let new_data: Vec<MultiLabelDataset> = fresh
+            .into_iter()
+            .enumerate()
+            .map(|(p, ds)| {
+                if p % stride == 0 {
+                    ds
+                } else {
+                    MultiLabelDataset::new()
+                }
+            })
+            .collect();
+        scalar.train_incremental(&mut net_s, &new_data).unwrap();
+        batched.train_incremental(&mut net_b, &new_data).unwrap();
+        let stage = format!("train_incremental round {round}");
+        assert_agree(&scalar, &batched, &mut net_s, &mut net_b, &stage);
+    }
+
+    for (i, (x, tags)) in data[7].iter().take(4).enumerate() {
+        let peer = PeerId((7 + 40 * i) as u64);
+        let ex = MultiLabelExample::new(x.clone(), tags.iter().copied().chain([15]));
+        scalar.refine(&mut net_s, peer, &ex).unwrap();
+        batched.refine(&mut net_b, peer, &ex).unwrap();
+    }
+    assert_agree(&scalar, &batched, &mut net_s, &mut net_b, "refine");
+}
+
 #[test]
 fn cempar_backends_agree_through_refine_and_incremental() {
     assert_backends_agree_through_refine_and_incremental(12, 92, cempar_with(3));
