@@ -17,8 +17,11 @@
 //! * [`BatchKernelScorer`] — the analogous entry point for [`KernelSvm`]
 //!   ensembles: the kernel row `K(sv, x)` is computed **once per distinct
 //!   support vector** and shared by every tag that retains that vector,
-//!   hoisting the (expensive) kernel evaluations out of the per-tag loop;
-//!   the row itself is one [`Kernel::eval_row`], a single scatter of `x`.
+//!   hoisting the (expensive) kernel evaluations out of the per-tag loop.
+//!   The row itself is one scatter of the query's nonzeros through inverted
+//!   postings over the distinct vectors, so a query pays for the nonzeros
+//!   it shares with them, not for all of theirs; the postings and the
+//!   vectors' squared norms are built once, on the scorer's first query.
 //!
 //! # Equivalence contract
 //!
@@ -28,7 +31,15 @@
 //! support-vector) order, so every floating-point operation happens in the
 //! same sequence as the scalar code. The only tolerated deviation is the sign
 //! of an exact zero (the batched path skips explicitly-zero weights whose
-//! `0.0 · v` contributions cannot change a sum). Property tests in this
+//! `0.0 · v` contributions cannot change a sum). The kernel scorer has no
+//! such exception: its postings scatter forms each kernel's dot product
+//! from the same products in the same order as the merge-join, and
+//! finishes it through the same expression with the same norms, so its
+//! decisions match the scalar ones in every bit, NaN and ±∞ included. (Rust
+//! leaves unspecified which NaN an addition of two NaNs returns, so an
+//! optimizer that orders such operands differently in the two paths may
+//! flip a NaN decision's sign; unoptimized builds keep source order, and
+//! the tests hold them to every bit.) Property tests in this
 //! module and protocol-level tests in `p2pclassify` pin the equivalence.
 
 use crate::data::TagId;
@@ -37,6 +48,7 @@ use crate::multilabel::TagPrediction;
 use crate::svm::{KernelSvm, LinearSvm};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 use textproc::SparseVector;
 
 /// Logistic squashing, identical to the scalar scoring path's.
@@ -352,6 +364,11 @@ impl Hash for KernelRowKey<'_> {
 /// so the kernel row is recomputed per tag. This scorer stores each distinct
 /// `(kernel, support vector)` once, evaluates the kernel row once per query,
 /// and lets every tag read its terms from the shared row.
+///
+/// The row is priced through inverted postings over the distinct vectors,
+/// built with their squared norms on the first query after construction: a
+/// re-cascade that replaces the scorer before anyone queries it never pays
+/// for them.
 #[derive(Debug, Clone, Default)]
 pub struct BatchKernelScorer {
     tags: Vec<TagId>,
@@ -364,6 +381,135 @@ pub struct BatchKernelScorer {
     /// `unique[previous end..end]` — one run whenever the tags share a
     /// kernel, as a region's cascaded models do.
     runs: Vec<(Kernel, usize)>,
+    /// Postings and norms of `unique`, built by the first `decisions`.
+    index: OnceLock<SupportIndex>,
+}
+
+/// Inverted postings over a scorer's distinct support vectors, and their
+/// squared norms.
+///
+/// `features` holds, ascending, every index some vector stores;
+/// `offsets[k]..offsets[k + 1]` delimits feature `k`'s postings in the
+/// parallel `ids` / `values` arrays (12 bytes per stored nonzero), with
+/// vector ids ascending within each feature. A query index is found through
+/// `directory`: the span `features[0] ..= features[F - 1]` is cut into a
+/// power of two buckets, about two per feature, of width `1 << shift`, and
+/// `directory[b]..directory[b + 1]` are the positions of bucket `b`'s
+/// features, which a binary search covers. Over a vocabulary that is a
+/// handful of features per bucket; a skewed span (a hostile frame can carry
+/// any `u32`) only degrades it towards one binary search over `features`.
+/// (One binary search over all of `features` per query nonzero, about
+/// `log₂ F` hard-to-predict steps, costs more than the whole kernel row of a
+/// scorer with a few support vectors.)
+/// Everything is sized by the features and nonzeros actually present,
+/// never by an index value.
+#[derive(Debug, Clone)]
+struct SupportIndex {
+    norms_sq: Vec<f64>,
+    features: Vec<u32>,
+    /// `features[0]` and `features[F - 1] - features[0]` (0 and 0 when
+    /// there are none).
+    lo: u32,
+    span: u32,
+    directory: Vec<u32>,
+    shift: u32,
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl SupportIndex {
+    /// Indexes `vectors` (vector id = position) in two passes over the
+    /// nonzeros around one sort. The first pass packs each nonzero's
+    /// feature and position into a `u64` key, the sort orders the keys by
+    /// feature and then position, and the second pass emits the postings
+    /// in that order. Positions follow vector ids, so each feature's ids
+    /// come out ascending, and no nonzero is searched for.
+    fn build(vectors: &[SparseVector]) -> Self {
+        let norms_sq = vectors.iter().map(SparseVector::norm_sq).collect();
+        let nnz: usize = vectors.iter().map(SparseVector::nnz).sum();
+        // Positions, offsets and ids below are then `u32` without loss.
+        let nnz_u32 = u32::try_from(nnz).expect("fewer than 2³² stored nonzeros");
+        let mut keys: Vec<u64> = Vec::with_capacity(nnz);
+        let mut stored: Vec<(u32, f64)> = Vec::with_capacity(nnz);
+        for (id, z) in vectors.iter().enumerate() {
+            for (j, v) in z.iter() {
+                keys.push(u64::from(j) << 32 | stored.len() as u64);
+                stored.push((id as u32, v));
+            }
+        }
+        keys.sort_unstable();
+        let mut features: Vec<u32> = Vec::new();
+        let mut offsets: Vec<u32> = Vec::new();
+        let mut ids: Vec<u32> = Vec::with_capacity(nnz);
+        let mut values: Vec<f64> = Vec::with_capacity(nnz);
+        for (e, &key) in keys.iter().enumerate() {
+            let j = (key >> 32) as u32;
+            if features.last() != Some(&j) {
+                features.push(j);
+                offsets.push(e as u32);
+            }
+            let (id, v) = stored[key as u32 as usize];
+            ids.push(id);
+            values.push(v);
+        }
+        offsets.push(nnz_u32);
+        // `span >> shift` < buckets, so every feature has a bucket.
+        let buckets = 2 * features.len().next_power_of_two();
+        let lo = features.first().copied().unwrap_or(0);
+        let span = features.last().map_or(0, |&hi| hi - lo);
+        let shift = (u32::BITS - span.leading_zeros()).saturating_sub(buckets.trailing_zeros());
+        let mut directory = vec![0u32; buckets + 1];
+        for &j in &features {
+            directory[((j - lo) >> shift) as usize + 1] += 1;
+        }
+        for b in 1..directory.len() {
+            directory[b] += directory[b - 1];
+        }
+        Self {
+            norms_sq,
+            features,
+            lo,
+            span,
+            directory,
+            shift,
+            offsets,
+            ids,
+            values,
+        }
+    }
+
+    /// The position of feature `j` in `features`, if some vector stores it.
+    #[inline]
+    fn position(&self, j: u32) -> Option<usize> {
+        // Below `lo`, the offset wraps past `span`.
+        let offset = j.wrapping_sub(self.lo);
+        if offset > self.span {
+            return None;
+        }
+        let b = (offset >> self.shift) as usize;
+        let bucket = self.directory[b] as usize..self.directory[b + 1] as usize;
+        let p = self.features[bucket.clone()].binary_search(&j).ok()?;
+        Some(bucket.start + p)
+    }
+
+    /// Adds `z_j · x_j` into `row[id]` for every stored nonzero `z_j` of
+    /// vector `id` at an index `j` that `x` holds, taking `x`'s nonzeros in
+    /// ascending index order.
+    fn scatter(&self, x: &SparseVector, row: &mut [f64]) {
+        for (j, xv) in x.iter() {
+            let Some(k) = self.position(j) else {
+                continue;
+            };
+            let postings = self.offsets[k] as usize..self.offsets[k + 1] as usize;
+            for (&id, &zv) in self.ids[postings.clone()]
+                .iter()
+                .zip(&self.values[postings])
+            {
+                row[id as usize] += zv * xv;
+            }
+        }
+    }
 }
 
 impl BatchKernelScorer {
@@ -410,6 +556,7 @@ impl BatchKernelScorer {
             terms,
             unique,
             runs,
+            index: OnceLock::new(),
         }
     }
 
@@ -438,19 +585,14 @@ impl BatchKernelScorer {
     /// Evaluates the shared kernel row once, then reduces per tag. Returns
     /// `(tag, decision)` in ascending tag order.
     ///
-    /// The row is one [`Kernel::eval_row`] of `x` against the distinct
-    /// support vectors (per kernel run), bit for bit `K(sv, x)`. Per-tag sums
-    /// start from the bias and add `alpha·y·K` terms in original
-    /// support-vector order, exactly as the scalar
-    /// [`crate::svm::BinaryClassifier::decision`] of [`KernelSvm`] does, so the
-    /// decisions are identical to the scalar path's.
+    /// Per-tag sums start from the bias and add `alpha·y·K` terms from the
+    /// row (`K(sv, x)`, bit for bit) in original support-vector order,
+    /// exactly as the scalar [`crate::svm::BinaryClassifier::decision`] of
+    /// [`KernelSvm`] does, so the decisions are identical to the scalar
+    /// path's — infinities included, and a NaN wherever the scalar path
+    /// yields one.
     pub fn decisions(&self, x: &SparseVector) -> Vec<(TagId, f64)> {
-        let mut row = vec![0.0; self.unique.len()];
-        let mut start = 0;
-        for &(kernel, end) in &self.runs {
-            kernel.eval_row(x, &self.unique[start..end], &mut row[start..end]);
-            start = end;
-        }
+        let row = self.kernel_row(x);
         self.tags
             .iter()
             .zip(self.terms.iter().zip(&self.biases))
@@ -462,6 +604,30 @@ impl BatchKernelScorer {
                 (tag, sum)
             })
             .collect()
+    }
+
+    /// `K(z, x)` for every distinct support vector `z`, in `unique` order,
+    /// bit for bit [`Kernel::eval`]`(z, x)`.
+    ///
+    /// One scatter of `x` through the postings adds `z_j · x_j` into `z`'s
+    /// entry for every index both hold, in ascending index order from
+    /// `+0.0`: the products, operand order and summation order of the
+    /// merge-join `z.dot(x)` that `eval` forms. Each entry is then finished
+    /// through `eval`'s own expression with the cached `‖z‖²` and `‖x‖²`,
+    /// per kernel run. The first call builds the postings.
+    fn kernel_row(&self, x: &SparseVector) -> Vec<f64> {
+        let index = self.index.get_or_init(|| SupportIndex::build(&self.unique));
+        let mut row = vec![0.0; self.unique.len()];
+        index.scatter(x, &mut row);
+        let x_norm_sq = x.norm_sq();
+        let mut start = 0;
+        for &(kernel, end) in &self.runs {
+            for (dot, &z_norm_sq) in row[start..end].iter_mut().zip(&index.norms_sq[start..end]) {
+                *dot = kernel.finish_dot(*dot, || (z_norm_sq, x_norm_sq));
+            }
+            start = end;
+        }
+        row
     }
 
     /// Scores every tag, sorted by descending score — the batched equivalent
@@ -722,12 +888,18 @@ mod tests {
             ),
             x in wild::vector(14),
             kernel_pick in 0usize..4,
+            shift_pick in 0usize..3,
         ) {
             // Three tags over overlapping SV subsets; the last kernel choice
             // gives each tag its own kernel, so the row spans several runs.
+            // Every index may be shifted past 2²⁰, up to `u32::MAX`.
+            let shift = [0, (1u32 << 20) - 5, u32::MAX - 13][shift_pick];
+            let shifted =
+                |v: SparseVector| SparseVector::from_pairs(v.iter().map(|(j, z)| (j + shift, z)));
+            let x = shifted(x);
             let pool: Vec<SupportVector> = svs
                 .into_iter()
-                .map(|(vector, label, alpha)| SupportVector { vector, label, alpha })
+                .map(|(vector, label, alpha)| SupportVector { vector: shifted(vector), label, alpha })
                 .collect();
             let models: BTreeMap<TagId, KernelSvm> = (0..3usize)
                 .map(|t| {
@@ -740,21 +912,159 @@ mod tests {
         }
     }
 
-    /// The scorer's decisions equal each model's scalar decision in
-    /// `to_bits`, tag by tag.
+    /// `v`'s bits. An optimized build alone reads every NaN as the one NaN:
+    /// Rust leaves the sign and payload of a NaN that arithmetic produces
+    /// unspecified, and the optimizer may order the operands of an addition
+    /// of two NaNs differently in two code paths (a scatter into memory
+    /// versus a sum in a register). Unoptimized builds keep source operand
+    /// order, and there the NaNs must match bit for bit too.
+    fn value_bits(v: f64) -> u64 {
+        if v.is_nan() && cfg!(not(debug_assertions)) {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    /// The scorer's kernel row equals [`Kernel::eval_row`]'s, run by run,
+    /// and its decisions equal each model's scalar decision, all in
+    /// [`value_bits`].
     fn assert_decisions_bitwise(models: &BTreeMap<TagId, KernelSvm>, x: &SparseVector) {
         let scorer = BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
+        assert_row_matches_eval_row(&scorer, x);
         let decisions = scorer.decisions(x);
         assert_eq!(decisions.len(), models.len());
         for ((tag, got), (&want_tag, model)) in decisions.into_iter().zip(models) {
             assert_eq!(tag, want_tag);
             assert_eq!(
-                got.to_bits(),
-                model.decision(x).to_bits(),
+                value_bits(got),
+                value_bits(model.decision(x)),
                 "tag {tag}: {got} vs {}",
                 model.decision(x)
             );
         }
+    }
+
+    fn assert_row_matches_eval_row(scorer: &BatchKernelScorer, x: &SparseVector) {
+        let bits = |row: &[f64]| row.iter().copied().map(value_bits).collect::<Vec<_>>();
+        let mut want = vec![0.0; scorer.unique.len()];
+        let mut start = 0;
+        for &(kernel, end) in &scorer.runs {
+            let zs = &scorer.unique[start..end];
+            let norms: Vec<f64> = zs.iter().map(SparseVector::norm_sq).collect();
+            kernel.eval_row(x, x.norm_sq(), zs, &norms, &mut want[start..end]);
+            start = end;
+        }
+        assert_eq!(start, scorer.unique.len());
+        assert_eq!(bits(&scorer.kernel_row(x)), bits(&want));
+    }
+
+    fn decision_bits(scorer: &BatchKernelScorer, x: &SparseVector) -> Vec<(TagId, u64)> {
+        let decisions = scorer.decisions(x).into_iter();
+        decisions.map(|(tag, d)| (tag, value_bits(d))).collect()
+    }
+
+    /// Three tags, each with its own kernel (three runs), over support
+    /// vectors indexed up to `u32::MAX`.
+    fn far_indexed_models() -> BTreeMap<TagId, KernelSvm> {
+        let top = u32::MAX;
+        let sv = |pairs: &[(u32, f64)], label, alpha| SupportVector {
+            vector: sparse(pairs),
+            label,
+            alpha,
+        };
+        let pool = [
+            sv(&[(3, 1.5), (1 << 20, 0.5), (top, 1.0)], true, 0.5),
+            sv(&[((1 << 20) - 1, -1.0), (top - 1, -4.0)], false, 0.75),
+            sv(&[(top - 2, f64::INFINITY)], true, 0.25),
+            sv(&[(7, 2.0)], false, 1.0),
+        ];
+        wild::KERNELS
+            .into_iter()
+            .enumerate()
+            .map(|(t, kernel)| {
+                let svs = pool.iter().skip(t % 2).cloned().collect();
+                (
+                    t as TagId,
+                    KernelSvm::from_support_vectors(svs, 0.1, kernel),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn kernel_scorer_handles_indices_past_two_to_the_twenty_and_disjoint_queries() {
+        let top = u32::MAX;
+        let models = far_indexed_models();
+        let scorer = BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
+        assert_eq!(scorer.runs.len(), 3);
+        for x in [
+            sparse(&[
+                (3, 2.0),
+                (1 << 20, 1.0),
+                (top - 1, 0.5),
+                (top, f64::INFINITY),
+            ]),
+            sparse(&[((1 << 20) - 1, 1.0), (top - 2, 1e-200)]),
+            // Shares no feature with any support vector.
+            sparse(&[(0, 1.0), (5, -1.0), (top - 3, 2.0)]),
+            SparseVector::new(),
+        ] {
+            assert_decisions_bitwise(&models, &x);
+        }
+    }
+
+    #[test]
+    fn empty_scorers_score_only_their_biases() {
+        let x = sparse(&[(0, 1.0), (u32::MAX, 2.0)]);
+        for scorer in [
+            BatchKernelScorer::default(),
+            BatchKernelScorer::from_classifiers(std::iter::empty()),
+        ] {
+            assert!(scorer.decisions(&x).is_empty());
+            assert!(scorer.kernel_row(&x).is_empty());
+        }
+        // Tags whose models kept no support vector: no rows, bias only.
+        let bare = KernelSvm::from_support_vectors(Vec::new(), -0.5, Kernel::default());
+        let models = BTreeMap::from([(4u32, bare.clone()), (9u32, bare)]);
+        let scorer = BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
+        assert_eq!(scorer.num_unique_vectors(), 0);
+        assert_eq!(
+            decision_bits(&scorer, &x),
+            vec![(4, (-0.5f64).to_bits()), (9, (-0.5f64).to_bits())]
+        );
+        assert_decisions_bitwise(&models, &x);
+    }
+
+    #[test]
+    fn clones_score_alike_before_and_after_the_index_exists() {
+        let models = far_indexed_models();
+        let scorer = BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
+        let x = sparse(&[(3, 2.0), (7, -1.0), (u32::MAX, 0.5)]);
+        let before = scorer.clone();
+        assert!(scorer.index.get().is_none() && before.index.get().is_none());
+        let want = decision_bits(&scorer, &x);
+        assert!(scorer.index.get().is_some());
+        assert!(before.index.get().is_none(), "a clone owns its own index");
+        let after = scorer.clone();
+        assert!(after.index.get().is_some(), "a clone keeps a built index");
+        assert_eq!(decision_bits(&before, &x), want);
+        assert_eq!(decision_bits(&after, &x), want);
+        assert_eq!(decision_bits(&scorer, &x), want);
+    }
+
+    #[test]
+    fn kernel_scores_batch_on_a_fresh_scorer_equals_sequential_scores() {
+        let models = far_indexed_models();
+        let fresh = || BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
+        let docs: Vec<SparseVector> = (0..64u32)
+            .map(|i| sparse(&[(3, 0.1 * i as f64), (7, 1.0), (u32::MAX - i % 3, -0.5)]))
+            .collect();
+        // Every worker of the batch finds the index unbuilt and races to it.
+        let batch = fresh().scores_batch(&docs);
+        let sequential = fresh();
+        let want: Vec<Vec<TagPrediction>> = docs.iter().map(|x| sequential.scores(x)).collect();
+        assert_eq!(batch, want);
     }
 
     #[test]

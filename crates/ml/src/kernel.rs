@@ -1,11 +1,14 @@
 //! Kernel functions for the non-linear SVMs used by CEMPaR.
 //!
 //! Two entry points share one formula: [`Kernel::eval`] for a single pair,
-//! and [`Kernel::eval_row`] for one vector against many — the Gram fill of
-//! every kernel fit and the shared support-vector row of
-//! [`crate::BatchKernelScorer`]. The row scatters its fixed vector once into
-//! a per-thread scratch and lets each other vector gather its own nonzeros,
-//! instead of one merge-join per pair; it is bit-identical to `eval`.
+//! and [`Kernel::eval_row`] for one vector against many — the row primitive
+//! of [`crate::svm::gram_matrix`], which every kernel fit builds its Gram
+//! matrix with. The row scatters its fixed vector once into a per-thread
+//! scratch and lets each other vector gather its own nonzeros, instead of
+//! one merge-join per pair, and takes the squared norms the caller computed
+//! once; it is bit-identical to `eval`. [`crate::BatchKernelScorer`] prices
+//! a query through its own postings index, but finishes each dot product
+//! through the same private expression (`finish_dot`).
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -68,7 +71,9 @@ impl Kernel {
     }
 
     /// `K(z, x)` for every `z` of `zs`, written to `out` — the row of
-    /// [`Self::eval`]`(z, x)` values, bit for bit.
+    /// [`Self::eval`]`(z, x)` values, bit for bit, given
+    /// `x_norm_sq == x.norm_sq()` and `zs_norm_sq[k] == zs[k].norm_sq()`
+    /// (only RBF reads them).
     ///
     /// `x` is scattered once into the thread's scratch; each `z` then walks
     /// its own nonzeros in ascending index order and multiplies those whose
@@ -83,9 +88,17 @@ impl Kernel {
     /// holds, which is `NaN` when `v` is infinite.
     ///
     /// # Panics
-    /// Panics when `out.len() != zs.len()`.
-    pub fn eval_row(&self, x: &SparseVector, zs: &[SparseVector], out: &mut [f64]) {
+    /// Panics when `out` or `zs_norm_sq` is not as long as `zs`.
+    pub fn eval_row(
+        &self,
+        x: &SparseVector,
+        x_norm_sq: f64,
+        zs: &[SparseVector],
+        zs_norm_sq: &[f64],
+        out: &mut [f64],
+    ) {
         assert_eq!(out.len(), zs.len(), "one output per row vector");
+        assert_eq!(zs_norm_sq.len(), zs.len(), "one norm per row vector");
         let (xi, xv) = (x.indices(), x.values());
         // Only `x`'s indices below SCATTER_LIMIT are scattered, so no index
         // (a hostile frame can carry any `u32`) sizes an allocation; a `z`
@@ -102,8 +115,7 @@ impl Kernel {
             for (p, &j) in xi[..scattered].iter().enumerate() {
                 slot[j as usize] = p as u32 + 1;
             }
-            let x_norm_sq = x.norm_sq();
-            for (z, out) in zs.iter().zip(out) {
+            for ((z, &z_norm_sq), out) in zs.iter().zip(zs_norm_sq).zip(out) {
                 let mut dot = 0.0;
                 for (&j, &zv) in z.indices().iter().zip(z.values()) {
                     let p = slot
@@ -113,7 +125,7 @@ impl Kernel {
                         dot += zv * xv[p - 1];
                     }
                 }
-                *out = self.finish_dot(dot, || (z.norm_sq(), x_norm_sq));
+                *out = self.finish_dot(dot, || (z_norm_sq, x_norm_sq));
             }
             for &j in &xi[..scattered] {
                 slot[j as usize] = 0;
@@ -124,7 +136,8 @@ impl Kernel {
     /// The kernel value from the dot product of its two arguments and, for
     /// RBF only, their squared norms in argument order
     /// (`‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b`, as [`SparseVector::distance_sq`]).
-    fn finish_dot(&self, dot: f64, norms_sq: impl FnOnce() -> (f64, f64)) -> f64 {
+    #[inline]
+    pub(crate) fn finish_dot(&self, dot: f64, norms_sq: impl FnOnce() -> (f64, f64)) -> f64 {
         match *self {
             Kernel::Linear => dot,
             Kernel::Rbf { gamma } => {
@@ -215,6 +228,10 @@ mod tests {
         SparseVector::from_pairs(pairs.iter().copied())
     }
 
+    fn norms_sq(zs: &[SparseVector]) -> Vec<f64> {
+        zs.iter().map(SparseVector::norm_sq).collect()
+    }
+
     #[test]
     fn linear_kernel_is_dot_product() {
         let a = v(&[(0, 1.0), (1, 2.0)]);
@@ -282,7 +299,7 @@ mod tests {
             let x = if shift == 1 { far } else { x };
             for kernel in KERNELS {
                 let mut out = vec![0.0; rows.len()];
-                kernel.eval_row(&x, &rows, &mut out);
+                kernel.eval_row(&x, x.norm_sq(), &rows, &norms_sq(&rows), &mut out);
                 for (z, got) in rows.iter().zip(&out) {
                     prop_assert_eq!(got.to_bits(), kernel.eval(z, &x).to_bits(), "{:?}", kernel);
                 }
@@ -301,7 +318,7 @@ mod tests {
         ];
         for kernel in KERNELS {
             let mut out = [0.0; 3];
-            kernel.eval_row(&x, &zs, &mut out);
+            kernel.eval_row(&x, x.norm_sq(), &zs, &norms_sq(&zs), &mut out);
             for (z, got) in zs.iter().zip(out) {
                 assert_eq!(got.to_bits(), kernel.eval(z, &x).to_bits(), "{kernel:?}");
             }

@@ -4,6 +4,13 @@
 //! training data"; the resulting support vectors are the only artifact that is
 //! propagated (once) to a super-peer, where models are cascaded. This module
 //! provides that local model and exposes its support vectors for the cascade.
+//!
+//! Training fills a Gram matrix by rows ([`gram_matrix`], each `‖x‖²`
+//! computed once) and runs simplified SMO over it. Each SMO decision value
+//! sums over the current support set only — the indices with a nonzero
+//! dual, kept ascending with their `α·y` — and reads the contiguous Gram
+//! row, which the mirrored fill makes bitwise equal to the column; the
+//! result is bit for bit that of a full scan of the column.
 
 use super::BinaryClassifier;
 use crate::kernel::Kernel;
@@ -184,13 +191,23 @@ impl KernelSvmTrainer {
     /// Given `gram == gram_matrix(self.kernel, xs)`, the trained model is
     /// bit-identical to [`Self::train`]'s.
     ///
+    /// The matrix must be mirrored bit for bit (`gram[i·n + j]` and
+    /// `gram[j·n + i]` have the same bits), as [`gram_matrix`] builds it:
+    /// the solver reads an entry from whichever of the two is contiguous.
+    /// Debug builds check this.
+    ///
     /// # Panics
     /// Panics when `xs` and `ys` have different lengths or are empty, or when
     /// `gram.len() != xs.len()²`.
     pub fn train_with_gram(&self, xs: &[SparseVector], ys: &[bool], gram: &[f64]) -> KernelSvm {
         assert_eq!(xs.len(), ys.len(), "xs and ys must have equal length");
         assert!(!xs.is_empty(), "cannot train on an empty dataset");
-        assert_eq!(gram.len(), xs.len() * xs.len(), "gram matrix must be n × n");
+        let n = xs.len();
+        assert_eq!(gram.len(), n * n, "gram matrix must be n × n");
+        debug_assert!(
+            (0..n).all(|i| (0..i).all(|j| gram[i * n + j].to_bits() == gram[j * n + i].to_bits())),
+            "gram matrix must be mirrored bit for bit"
+        );
         if xs.len() == 1 {
             return self.single_example_model(xs, ys);
         }
@@ -211,24 +228,24 @@ impl KernelSvmTrainer {
         }
     }
 
-    /// The simplified-SMO optimization loop over a precomputed Gram matrix.
+    /// The simplified-SMO optimization loop over a precomputed, mirrored
+    /// Gram matrix.
+    ///
+    /// A decision value is `b` plus `α_i·y_i·K(i, idx)` over the indices
+    /// with `α_i != 0.0`, in ascending order. [`Duals`] keeps exactly those
+    /// indices and each one's `α_i·y_i`, and the sum reads `K(i, idx)` from
+    /// the contiguous row `idx`, which the mirror makes bitwise equal to
+    /// column `idx`: the same terms in the same order as a walk over all `n`
+    /// indices of a strided column, so the same bits.
     fn train_smo(&self, xs: &[SparseVector], ys: &[bool], k: &[f64]) -> KernelSvm {
         let n = xs.len();
         let y: Vec<f64> = ys.iter().map(|&b| if b { 1.0 } else { -1.0 }).collect();
         let kij = |i: usize, j: usize| k[i * n + j];
+        let row = |idx: usize| &k[idx * n..(idx + 1) * n];
 
-        let mut alpha = vec![0.0f64; n];
+        let mut duals = Duals::new(n);
         let mut b = 0.0f64;
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let decision = |alpha: &[f64], b: f64, idx: usize| -> f64 {
-            let mut s = b;
-            for i in 0..n {
-                if alpha[i] != 0.0 {
-                    s += alpha[i] * y[i] * kij(i, idx);
-                }
-            }
-            s
-        };
 
         let mut passes = 0;
         let mut iter = 0;
@@ -236,9 +253,10 @@ impl KernelSvmTrainer {
             iter += 1;
             let mut num_changed = 0;
             for i in 0..n {
-                let ei = decision(&alpha, b, i) - y[i];
-                let violates_kkt = (y[i] * ei < -self.tol && alpha[i] < self.c)
-                    || (y[i] * ei > self.tol && alpha[i] > 0.0);
+                let ei = duals.decision(row(i), b) - y[i];
+                let alpha_i = duals.alpha[i];
+                let violates_kkt = (y[i] * ei < -self.tol && alpha_i < self.c)
+                    || (y[i] * ei > self.tol && alpha_i > 0.0);
                 if !violates_kkt {
                     continue;
                 }
@@ -247,8 +265,8 @@ impl KernelSvmTrainer {
                 if j >= i {
                     j += 1;
                 }
-                let ej = decision(&alpha, b, j) - y[j];
-                let (ai_old, aj_old) = (alpha[i], alpha[j]);
+                let ej = duals.decision(row(j), b) - y[j];
+                let (ai_old, aj_old) = (alpha_i, duals.alpha[j]);
                 let (lo, hi) = if (y[i] - y[j]).abs() > f64::EPSILON {
                     (
                         (aj_old - ai_old).max(0.0),
@@ -273,8 +291,8 @@ impl KernelSvmTrainer {
                     continue;
                 }
                 let ai_new = ai_old + y[i] * y[j] * (aj_old - aj_new);
-                alpha[i] = ai_new;
-                alpha[j] = aj_new;
+                duals.set(i, ai_new, y[i]);
+                duals.set(j, aj_new, y[j]);
 
                 let b1 = b
                     - ei
@@ -301,11 +319,11 @@ impl KernelSvmTrainer {
         }
 
         let support_vectors = (0..n)
-            .filter(|&i| alpha[i] > 1e-8)
+            .filter(|&i| duals.alpha[i] > 1e-8)
             .map(|i| SupportVector {
                 vector: xs[i].clone(),
                 label: ys[i],
-                alpha: alpha[i],
+                alpha: duals.alpha[i],
             })
             .collect();
         KernelSvm {
@@ -313,6 +331,50 @@ impl KernelSvmTrainer {
             bias: b,
             kernel: self.kernel,
         }
+    }
+}
+
+/// SMO's dual variables, with the terms of a decision value kept ready.
+struct Duals {
+    alpha: Vec<f64>,
+    /// `alpha[i] · y[i]`: the product the decision sum forms first.
+    alpha_y: Vec<f64>,
+    /// The indices with `alpha != 0.0`, ascending (a NaN counts, `-0.0`
+    /// does not).
+    support: Vec<usize>,
+}
+
+impl Duals {
+    fn new(n: usize) -> Self {
+        Self {
+            alpha: vec![0.0; n],
+            alpha_y: vec![0.0; n],
+            support: Vec::new(),
+        }
+    }
+
+    /// Sets `alpha[i]` for a label `y_i = ±1`.
+    fn set(&mut self, i: usize, alpha: f64, y_i: f64) {
+        if (self.alpha[i] != 0.0) != (alpha != 0.0) {
+            match self.support.binary_search(&i) {
+                Ok(pos) => {
+                    self.support.remove(pos);
+                }
+                Err(pos) => self.support.insert(pos, i),
+            }
+        }
+        self.alpha[i] = alpha;
+        self.alpha_y[i] = alpha * y_i;
+    }
+
+    /// `b + Σ alpha_i·y_i·K(i, idx)` over the support in ascending order,
+    /// given Gram row `idx`.
+    fn decision(&self, k_row: &[f64], b: f64) -> f64 {
+        let mut s = b;
+        for &i in &self.support {
+            s += self.alpha_y[i] * k_row[i];
+        }
+        s
     }
 }
 
@@ -324,12 +386,16 @@ impl KernelSvmTrainer {
 /// `x_0 ..= x_j`, which yields `eval(x_i, x_j)` for every `i ≤ j`, and each
 /// value is mirrored across the diagonal: the very pairs, operand order and
 /// bits of the pairwise `eval` loop this replaced, one scatter per row
-/// instead of one merge-join per pair.
+/// instead of one merge-join per pair. Each `‖x_i‖²` is computed once and
+/// handed to every row. The mirror makes row `i` and column `i` bitwise
+/// equal, which the SMO solver relies on.
 pub fn gram_matrix(kernel: Kernel, xs: &[SparseVector]) -> Vec<f64> {
     let n = xs.len();
+    let norms_sq: Vec<f64> = xs.iter().map(SparseVector::norm_sq).collect();
     let mut k = vec![0.0; n * n];
     for j in 0..n {
-        kernel.eval_row(&xs[j], &xs[..=j], &mut k[j * n..=j * n + j]);
+        let row = &mut k[j * n..=j * n + j];
+        kernel.eval_row(&xs[j], norms_sq[j], &xs[..=j], &norms_sq[..=j], row);
         for i in 0..j {
             k[i * n + j] = k[j * n + i];
         }
@@ -457,6 +523,197 @@ mod tests {
                     "{kernel:?}, n = {n}"
                 );
             }
+        }
+    }
+
+    /// The solver `train_smo` replaced, kept as its oracle: every decision
+    /// value walks all `n` indices of a strided Gram column.
+    fn train_smo_full_scan(
+        trainer: &KernelSvmTrainer,
+        xs: &[SparseVector],
+        ys: &[bool],
+        k: &[f64],
+    ) -> KernelSvm {
+        let n = xs.len();
+        let y: Vec<f64> = ys.iter().map(|&b| if b { 1.0 } else { -1.0 }).collect();
+        let kij = |i: usize, j: usize| k[i * n + j];
+
+        let mut alpha = vec![0.0f64; n];
+        let mut b = 0.0f64;
+        let mut rng = StdRng::seed_from_u64(trainer.seed);
+        let decision = |alpha: &[f64], b: f64, idx: usize| -> f64 {
+            let mut s = b;
+            for i in 0..n {
+                if alpha[i] != 0.0 {
+                    s += alpha[i] * y[i] * kij(i, idx);
+                }
+            }
+            s
+        };
+
+        let mut passes = 0;
+        let mut iter = 0;
+        while passes < trainer.max_passes && iter < trainer.max_iter {
+            iter += 1;
+            let mut num_changed = 0;
+            for i in 0..n {
+                let ei = decision(&alpha, b, i) - y[i];
+                let violates_kkt = (y[i] * ei < -trainer.tol && alpha[i] < trainer.c)
+                    || (y[i] * ei > trainer.tol && alpha[i] > 0.0);
+                if !violates_kkt {
+                    continue;
+                }
+                let mut j = rng.gen_range(0..n - 1);
+                if j >= i {
+                    j += 1;
+                }
+                let ej = decision(&alpha, b, j) - y[j];
+                let (ai_old, aj_old) = (alpha[i], alpha[j]);
+                let (lo, hi) = if (y[i] - y[j]).abs() > f64::EPSILON {
+                    (
+                        (aj_old - ai_old).max(0.0),
+                        (trainer.c + aj_old - ai_old).min(trainer.c),
+                    )
+                } else {
+                    (
+                        (ai_old + aj_old - trainer.c).max(0.0),
+                        (ai_old + aj_old).min(trainer.c),
+                    )
+                };
+                if (hi - lo).abs() < 1e-12 {
+                    continue;
+                }
+                let eta = 2.0 * kij(i, j) - kij(i, i) - kij(j, j);
+                if eta >= 0.0 {
+                    continue;
+                }
+                let mut aj_new = aj_old - y[j] * (ei - ej) / eta;
+                aj_new = aj_new.clamp(lo, hi);
+                if (aj_new - aj_old).abs() < 1e-5 {
+                    continue;
+                }
+                let ai_new = ai_old + y[i] * y[j] * (aj_old - aj_new);
+                alpha[i] = ai_new;
+                alpha[j] = aj_new;
+
+                let b1 = b
+                    - ei
+                    - y[i] * (ai_new - ai_old) * kij(i, i)
+                    - y[j] * (aj_new - aj_old) * kij(i, j);
+                let b2 = b
+                    - ej
+                    - y[i] * (ai_new - ai_old) * kij(i, j)
+                    - y[j] * (aj_new - aj_old) * kij(j, j);
+                b = if ai_new > 0.0 && ai_new < trainer.c {
+                    b1
+                } else if aj_new > 0.0 && aj_new < trainer.c {
+                    b2
+                } else {
+                    (b1 + b2) / 2.0
+                };
+                num_changed += 1;
+            }
+            if num_changed == 0 {
+                passes += 1;
+            } else {
+                passes = 0;
+            }
+        }
+
+        let support_vectors = (0..n)
+            .filter(|&i| alpha[i] > 1e-8)
+            .map(|i| SupportVector {
+                vector: xs[i].clone(),
+                label: ys[i],
+                alpha: alpha[i],
+            })
+            .collect();
+        KernelSvm {
+            support_vectors,
+            bias: b,
+            kernel: trainer.kernel,
+        }
+    }
+
+    fn assert_smo_matches_full_scan(trainer: &KernelSvmTrainer, xs: &[SparseVector], ys: &[bool]) {
+        let gram = gram_matrix(trainer.kernel, xs);
+        let got = trainer.train_with_gram(xs, ys, &gram);
+        let want = train_smo_full_scan(trainer, xs, ys, &gram);
+        assert!(
+            got.bit_eq(&want),
+            "{:?}: bias {} vs {}, {} vs {} SVs",
+            trainer.kernel,
+            got.bias(),
+            want.bias(),
+            got.num_support_vectors(),
+            want.num_support_vectors()
+        );
+    }
+
+    #[test]
+    fn smo_over_the_support_set_equals_the_full_scan_on_trained_data() {
+        let (xs, ys) = test_util::xor(120, 11);
+        for kernel in crate::kernel::wild::KERNELS {
+            let trainer = KernelSvmTrainer {
+                kernel,
+                c: 10.0,
+                ..Default::default()
+            };
+            assert_smo_matches_full_scan(&trainer, &xs, &ys);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn smo_over_the_support_set_equals_the_full_scan(
+            pool in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u32..6, -1.5f64..1.5), 1..5),
+                    crate::kernel::wild::vector(6),
+                    proptest::prelude::any::<bool>(),
+                    0u8..4,
+                ),
+                1..9,
+            ),
+            duplicates in proptest::collection::vec(0usize..9, 0..4),
+            one_class in proptest::prelude::any::<bool>(),
+            kernel_pick in 0usize..3,
+            c in 0.05f64..20.0,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // Mostly finite vectors (SMO does real work); one in four from
+            // the non-finite strategy.
+            let mut xs: Vec<SparseVector> = Vec::new();
+            let mut ys: Vec<bool> = Vec::new();
+            for (tame, wild, label, pick) in &pool {
+                xs.push(if *pick == 0 {
+                    wild.clone()
+                } else {
+                    SparseVector::from_pairs(tame.iter().copied())
+                });
+                ys.push(*label);
+            }
+            // Duplicate vectors (and `n = 2` from a one-vector pool).
+            for &d in &duplicates {
+                xs.push(xs[d % pool.len()].clone());
+                ys.push(!ys[d % pool.len()]);
+            }
+            if xs.len() == 1 {
+                xs.push(xs[0].clone());
+                ys.push(!ys[0]);
+            }
+            if one_class {
+                ys.iter_mut().for_each(|y| *y = true);
+            }
+            let trainer = KernelSvmTrainer {
+                c,
+                kernel: crate::kernel::wild::KERNELS[kernel_pick],
+                seed,
+                ..Default::default()
+            };
+            assert_smo_matches_full_scan(&trainer, &xs, &ys);
         }
     }
 

@@ -469,7 +469,7 @@ impl P2PNetwork {
         }
         let result = self
             .overlay
-            .lookup(from, key)
+            .route(from, key)
             .ok_or(DeliveryError::NoRoute)?;
         // Charge each routing message along the path.
         let mut prev = from;

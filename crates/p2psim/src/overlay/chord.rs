@@ -4,10 +4,18 @@
 //! peer responsible for a key is the key's *successor* (first peer clockwise).
 //! Routing is greedy finger routing: at each hop the current peer forwards to
 //! the finger that most closely precedes the key, giving `O(log N)` hops.
+//!
+//! A member's finger table depends only on the ring, so it is built once per
+//! membership: [`Overlay::route`] memoizes the routing entry (successor and
+//! fingers, each with its ring key) of every peer a lookup passes through,
+//! and `add_peer`/`remove_peer` drop the memo. A hop then costs one map
+//! lookup and a scan of about `log N` fingers instead of 64 ring searches,
+//! and the owner, path and hop count are those of the uncached routing.
 
 use super::{LookupResult, Overlay};
 use crate::peer::PeerId;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Number of finger entries (the full 64-bit ring is covered with 64 fingers,
@@ -22,6 +30,44 @@ pub struct ChordOverlay {
     ring: BTreeMap<u64, PeerId>,
     /// Reverse map for membership checks.
     keys: BTreeMap<PeerId, u64>,
+    /// Routing entries built for the current membership, filled by
+    /// [`Overlay::route`] and dropped on every join or leave. A cache of the
+    /// current ring, so never part of the overlay's serialized form.
+    #[serde(skip)]
+    routes: BTreeMap<PeerId, RoutingEntry>,
+}
+
+/// What a member needs to forward a lookup: its ring key, its successor and
+/// its finger table, each peer with its ring key.
+#[derive(Debug, Clone)]
+struct RoutingEntry {
+    key: u64,
+    successor: (PeerId, u64),
+    fingers: Vec<(PeerId, u64)>,
+}
+
+impl RoutingEntry {
+    /// The peer this member forwards a lookup for `key` to: the successor
+    /// when `key` lies between the two, otherwise the finger closest before
+    /// `key` clockwise (the successor when none is closer).
+    fn next_hop(&self, key: u64) -> PeerId {
+        let (succ, succ_key) = self.successor;
+        if ChordOverlay::in_arc(self.key, succ_key, key) {
+            return succ;
+        }
+        let mut next = succ;
+        let mut best_dist = key.wrapping_sub(succ_key);
+        for &(finger, finger_key) in &self.fingers {
+            // Distance from finger to key going clockwise; smaller = closer
+            // predecessor of the key.
+            let dist = key.wrapping_sub(finger_key);
+            if dist < best_dist {
+                best_dist = dist;
+                next = finger;
+            }
+        }
+        next
+    }
 }
 
 impl ChordOverlay {
@@ -39,16 +85,19 @@ impl ChordOverlay {
         o
     }
 
-    /// The peer responsible for `key` (its successor on the ring).
-    pub fn owner_of(&self, key: u64) -> Option<PeerId> {
-        if self.ring.is_empty() {
-            return None;
-        }
+    /// The ring position and peer responsible for `key` (its successor on
+    /// the ring).
+    fn successor_of_key(&self, key: u64) -> Option<(u64, PeerId)> {
         self.ring
             .range(key..)
             .next()
             .or_else(|| self.ring.iter().next())
-            .map(|(_, &p)| p)
+            .map(|(&k, &p)| (k, p))
+    }
+
+    /// The peer responsible for `key` (its successor on the ring).
+    pub fn owner_of(&self, key: u64) -> Option<PeerId> {
+        self.successor_of_key(key).map(|(_, p)| p)
     }
 
     /// The ring key of a member peer.
@@ -59,30 +108,72 @@ impl ChordOverlay {
     /// The successor of a member peer on the ring.
     pub fn successor(&self, peer: PeerId) -> Option<PeerId> {
         let key = self.ring_key_of(peer)?;
-        self.ring
-            .range(key.wrapping_add(1)..)
-            .next()
-            .or_else(|| self.ring.iter().next())
-            .map(|(_, &p)| p)
+        self.owner_of(key.wrapping_add(1))
     }
 
     /// The finger table of a member peer: for each finger `i`, the peer
     /// responsible for `key + 2^i`. Duplicate entries are collapsed.
     pub fn finger_table(&self, peer: PeerId) -> Vec<PeerId> {
-        let Some(key) = self.ring_key_of(peer) else {
-            return Vec::new();
-        };
-        let mut fingers = Vec::new();
+        self.routing_entry(peer)
+            .map(|entry| entry.fingers.iter().map(|&(p, _)| p).collect())
+            .unwrap_or_default()
+    }
+
+    /// Builds a member's routing entry from the ring: 64 successor searches.
+    fn routing_entry(&self, peer: PeerId) -> Option<RoutingEntry> {
+        let key = self.ring_key_of(peer)?;
+        let (succ_key, succ) = self.successor_of_key(key.wrapping_add(1))?;
+        let mut fingers: Vec<(PeerId, u64)> = Vec::new();
         for i in 0..FINGER_BITS {
             let target = key.wrapping_add(1u64.wrapping_shl(i));
-            if let Some(owner) = self.owner_of(target) {
-                if owner != peer && fingers.last() != Some(&owner) {
-                    fingers.push(owner);
+            if let Some((owner_key, owner)) = self.successor_of_key(target) {
+                if owner != peer && fingers.last().map(|&(p, _)| p) != Some(owner) {
+                    fingers.push((owner, owner_key));
                 }
             }
         }
-        fingers.dedup();
-        fingers
+        Some(RoutingEntry {
+            key,
+            successor: (succ, succ_key),
+            fingers,
+        })
+    }
+
+    /// Greedy routing of `key` from `from`, asking `next_hop(current)` for
+    /// each hop; bounded by the ring size to guarantee termination even in
+    /// degenerate cases.
+    fn route_with(
+        &self,
+        from: PeerId,
+        key: u64,
+        mut next_hop: impl FnMut(PeerId) -> Option<PeerId>,
+    ) -> Option<LookupResult> {
+        if !self.contains(from) || self.ring.is_empty() {
+            return None;
+        }
+        let owner = self.owner_of(key)?;
+        let mut path = Vec::new();
+        let mut current = from;
+        for _ in 0..=self.len() {
+            if current == owner {
+                break;
+            }
+            current = next_hop(current)?;
+            path.push(current);
+        }
+        if current != owner {
+            return None;
+        }
+        if path.is_empty() {
+            // The source itself owns the key.
+            path.push(owner);
+        }
+        let messages = path.len();
+        Some(LookupResult {
+            owner,
+            path,
+            messages,
+        })
     }
 
     /// True when `x` lies on the clockwise arc `(a, b]` of the ring.
@@ -111,61 +202,28 @@ impl Overlay for ChordOverlay {
         self.keys.len()
     }
 
+    /// Routes through the memoized entries where they exist and builds the
+    /// others for this lookup only.
     fn lookup(&self, from: PeerId, key: u64) -> Option<LookupResult> {
-        if !self.contains(from) || self.ring.is_empty() {
-            return None;
-        }
-        let owner = self.owner_of(key)?;
-        let mut path = Vec::new();
-        let mut current = from;
-        // Greedy finger routing; bounded by the ring size to guarantee
-        // termination even in degenerate cases.
-        for _ in 0..=self.len() {
-            if current == owner {
-                break;
-            }
-            let cur_key = self.ring_key_of(current)?;
-            // If the key lies between us and our successor, the successor owns it.
-            let succ = self.successor(current)?;
-            let succ_key = self.ring_key_of(succ)?;
-            if Self::in_arc(cur_key, succ_key, key) {
-                path.push(succ);
-                current = succ;
-                continue;
-            }
-            // Otherwise forward to the closest preceding finger.
-            let fingers = self.finger_table(current);
-            let mut next = succ;
-            let mut best_dist = key.wrapping_sub(self.ring_key_of(succ)?);
-            for f in fingers {
-                let fk = self.ring_key_of(f)?;
-                // Distance from finger to key going clockwise; smaller = closer
-                // predecessor of the key.
-                let dist = key.wrapping_sub(fk);
-                if dist < best_dist && f != current {
-                    best_dist = dist;
-                    next = f;
-                }
-            }
-            if next == current {
-                next = succ;
-            }
-            path.push(next);
-            current = next;
-        }
-        if current != owner {
-            return None;
-        }
-        if path.is_empty() {
-            // The source itself owns the key.
-            path.push(owner);
-        }
-        let messages = path.len();
-        Some(LookupResult {
-            owner,
-            path,
-            messages,
+        self.route_with(from, key, |current| match self.routes.get(&current) {
+            Some(entry) => Some(entry.next_hop(key)),
+            None => Some(self.routing_entry(current)?.next_hop(key)),
         })
+    }
+
+    /// Routes like [`Self::lookup`] and memoizes every routing entry it
+    /// builds, until the next membership change.
+    fn route(&mut self, from: PeerId, key: u64) -> Option<LookupResult> {
+        let mut routes = std::mem::take(&mut self.routes);
+        let result = self.route_with(from, key, |current| {
+            let entry = match routes.entry(current) {
+                Entry::Occupied(held) => held.into_mut(),
+                Entry::Vacant(slot) => slot.insert(self.routing_entry(current)?),
+            };
+            Some(entry.next_hop(key))
+        });
+        self.routes = routes;
+        result
     }
 
     fn neighbors(&self, peer: PeerId) -> Vec<PeerId> {
@@ -182,11 +240,13 @@ impl Overlay for ChordOverlay {
         let key = peer.ring_key();
         self.ring.insert(key, peer);
         self.keys.insert(peer, key);
+        self.routes.clear();
     }
 
     fn remove_peer(&mut self, peer: PeerId) {
         if let Some(key) = self.keys.remove(&peer) {
             self.ring.remove(&key);
+            self.routes.clear();
         }
     }
 }
@@ -302,6 +362,150 @@ mod tests {
             let n = o.neighbors(PeerId(i)).len();
             assert!(n <= 66, "peer {i} has {n} neighbors");
             assert!(n >= 1);
+        }
+    }
+
+    /// The member responsible for `key`, searched in the ring directly.
+    fn ring_owner(o: &ChordOverlay, key: u64) -> Option<PeerId> {
+        o.ring
+            .range(key..)
+            .next()
+            .or_else(|| o.ring.iter().next())
+            .map(|(_, &p)| p)
+    }
+
+    /// A member's finger table, built from the ring directly: the owner of
+    /// `key + 2^i` for each `i`, without the member itself and with
+    /// duplicates collapsed.
+    fn ring_fingers(o: &ChordOverlay, peer: PeerId, key: u64) -> Vec<PeerId> {
+        let mut fingers = Vec::new();
+        for i in 0..FINGER_BITS {
+            if let Some(owner) = ring_owner(o, key.wrapping_add(1u64.wrapping_shl(i))) {
+                if owner != peer && fingers.last() != Some(&owner) {
+                    fingers.push(owner);
+                }
+            }
+        }
+        fingers.dedup();
+        fingers
+    }
+
+    /// The routing the memo replaced, kept as its oracle: every hop rebuilds
+    /// the current peer's successor and finger table from the ring, through
+    /// none of the overlay's own routing code.
+    fn lookup_uncached(o: &ChordOverlay, from: PeerId, key: u64) -> Option<LookupResult> {
+        let ring_key = |p: PeerId| o.keys.get(&p).copied();
+        if ring_key(from).is_none() || o.ring.is_empty() {
+            return None;
+        }
+        let owner = ring_owner(o, key)?;
+        let mut path = Vec::new();
+        let mut current = from;
+        for _ in 0..=o.keys.len() {
+            if current == owner {
+                break;
+            }
+            let cur_key = ring_key(current)?;
+            let succ = ring_owner(o, cur_key.wrapping_add(1))?;
+            let succ_key = ring_key(succ)?;
+            if ChordOverlay::in_arc(cur_key, succ_key, key) {
+                path.push(succ);
+                current = succ;
+                continue;
+            }
+            let fingers = ring_fingers(o, current, cur_key);
+            let mut next = succ;
+            let mut best_dist = key.wrapping_sub(succ_key);
+            for f in fingers {
+                let fk = ring_key(f)?;
+                let dist = key.wrapping_sub(fk);
+                if dist < best_dist && f != current {
+                    best_dist = dist;
+                    next = f;
+                }
+            }
+            if next == current {
+                next = succ;
+            }
+            path.push(next);
+            current = next;
+        }
+        if current != owner {
+            return None;
+        }
+        if path.is_empty() {
+            path.push(owner);
+        }
+        let messages = path.len();
+        Some(LookupResult {
+            owner,
+            path,
+            messages,
+        })
+    }
+
+    #[test]
+    fn finger_tables_and_successors_match_the_ring() {
+        let mut o = overlay(64);
+        o.remove_peer(PeerId(17));
+        for peer in o.members() {
+            let key = o.ring_key_of(peer).unwrap();
+            assert_eq!(o.finger_table(peer), ring_fingers(&o, peer, key));
+            assert_eq!(o.successor(peer), ring_owner(&o, key.wrapping_add(1)));
+        }
+        assert!(o.finger_table(PeerId(17)).is_empty());
+    }
+
+    #[test]
+    fn memo_fills_on_route_and_drops_on_membership_change() {
+        let mut o = overlay(64);
+        let key = mix64(77);
+        let want = lookup_uncached(&o, PeerId(9), key);
+        assert_eq!(o.route(PeerId(9), key), want);
+        assert!(!o.routes.is_empty());
+        // A memoized read and a repeated route agree with the oracle.
+        assert_eq!(o.lookup(PeerId(9), key), want);
+        assert_eq!(o.route(PeerId(9), key), want);
+        o.remove_peer(PeerId(63));
+        assert!(o.routes.is_empty());
+        assert_eq!(o.route(PeerId(9), key), lookup_uncached(&o, PeerId(9), key));
+        o.add_peer(PeerId(63));
+        assert!(o.routes.is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn memoized_lookup_equals_uncached_under_churn(
+            initial in 0u64..40,
+            ops in proptest::collection::vec((0u8..8, 0u64..48, proptest::prelude::any::<u64>()), 1..120),
+        ) {
+            let mut o = overlay(initial);
+            for (op, peer, key) in ops {
+                let peer = PeerId(peer);
+                match op {
+                    0 => o.add_peer(peer),
+                    1 => o.remove_peer(peer),
+                    // From the owner of a member's own key.
+                    2 => {
+                        let key = o.ring_key_of(peer).unwrap_or(key);
+                        let from = o.owner_of(key).unwrap_or(peer);
+                        let want = lookup_uncached(&o, from, key);
+                        proptest::prop_assert_eq!(o.lookup(from, key), want.clone());
+                        proptest::prop_assert_eq!(o.route(from, key), want);
+                    }
+                    // From any peer, member or not (`None` for a non-member).
+                    _ => {
+                        let want = lookup_uncached(&o, peer, key);
+                        if !o.contains(peer) {
+                            proptest::prop_assert!(want.is_none());
+                        }
+                        proptest::prop_assert_eq!(o.lookup(peer, key), want.clone());
+                        proptest::prop_assert_eq!(o.route(peer, key), want);
+                    }
+                }
+            }
         }
     }
 

@@ -66,6 +66,12 @@ pub trait Overlay {
     /// a member, empty overlay, or TTL exhausted for unstructured search).
     fn lookup(&self, from: PeerId, key: u64) -> Option<LookupResult>;
 
+    /// [`Self::lookup`], free to memoize routing state for later lookups
+    /// until the next membership change; the result is the same.
+    fn route(&mut self, from: PeerId, key: u64) -> Option<LookupResult> {
+        self.lookup(from, key)
+    }
+
     /// The overlay neighbours of `peer` (finger/successor entries or graph
     /// adjacency), used for gossip and maintenance-cost accounting.
     fn neighbors(&self, peer: PeerId) -> Vec<PeerId>;
@@ -112,6 +118,13 @@ impl Overlay for AnyOverlay {
         match self {
             AnyOverlay::Chord(o) => o.lookup(from, key),
             AnyOverlay::Unstructured(o) => o.lookup(from, key),
+        }
+    }
+
+    fn route(&mut self, from: PeerId, key: u64) -> Option<LookupResult> {
+        match self {
+            AnyOverlay::Chord(o) => o.route(from, key),
+            AnyOverlay::Unstructured(o) => o.route(from, key),
         }
     }
 
