@@ -22,6 +22,10 @@
 //!   postings over the distinct vectors, so a query pays for the nonzeros
 //!   it shares with them, not for all of theirs; the postings and the
 //!   vectors' squared norms are built once, on the scorer's first query.
+//!   Building the scorer finds the distinct vectors by storage first: a
+//!   support vector whose storage it has seen (a clone, as a decoded model
+//!   or a cascade's pooled vectors are) costs one address lookup, and a
+//!   vector's content is hashed only the first time its storage appears.
 //!
 //! # Equivalence contract
 //!
@@ -43,11 +47,11 @@
 //! module and protocol-level tests in `p2pclassify` pin the equivalence.
 
 use crate::data::TagId;
+use crate::distinct::DistinctIds;
 use crate::kernel::Kernel;
 use crate::multilabel::TagPrediction;
 use crate::svm::{KernelSvm, LinearSvm};
-use std::collections::{BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 use textproc::SparseVector;
 
@@ -314,56 +318,16 @@ impl TagWeightMatrix {
     }
 }
 
-/// Hashable identity of a (kernel, support-vector) pair, used to deduplicate
-/// kernel evaluations across tags. Values are compared by bit pattern, which
-/// is exactly the granularity at which `Kernel::eval` results coincide. The
-/// key borrows the vector, so building a scorer allocates nothing per
-/// support vector to find its row.
-#[derive(Debug, Clone, Copy)]
-struct KernelRowKey<'a> {
-    kernel: (u8, u64, u64, u32),
-    vector: &'a SparseVector,
-}
-
-impl PartialEq for KernelRowKey<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.kernel == other.kernel
-            && self.vector.indices() == other.vector.indices()
-            && self
-                .vector
-                .values()
-                .iter()
-                .zip(other.vector.values())
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-}
-
-impl Eq for KernelRowKey<'_> {}
-
-impl Hash for KernelRowKey<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.kernel.hash(state);
-        self.vector.indices().hash(state);
-        // Value bits go in through a stack buffer, 32 per `write`: hashing is
-        // most of a scorer build, and one `write_u64` per value costs half
-        // again as much.
-        let mut bytes = [0u8; 256];
-        for values in self.vector.values().chunks(32) {
-            for (slot, v) in bytes.chunks_exact_mut(8).zip(values) {
-                slot.copy_from_slice(&v.to_bits().to_le_bytes());
-            }
-            state.write(&bytes[..8 * values.len()]);
-        }
-    }
-}
-
 /// Batched scoring over per-tag [`KernelSvm`] models.
 ///
 /// The scalar path evaluates `K(sv, x)` once per (tag, support vector); in a
 /// cascade the same document vectors survive as support vectors of many tags,
 /// so the kernel row is recomputed per tag. This scorer stores each distinct
 /// `(kernel, support vector)` once, evaluates the kernel row once per query,
-/// and lets every tag read its terms from the shared row.
+/// and lets every tag read its terms from the shared row. Distinct vectors
+/// are numbered in first-appearance order by storage identity, falling back
+/// to indices and value bits on a storage's first sighting, so `unique`
+/// does not depend on how the vectors are stored.
 ///
 /// The row is priced through inverted postings over the distinct vectors,
 /// built with their squared norms on the first query after construction: a
@@ -523,7 +487,7 @@ impl BatchKernelScorer {
         let mut terms: Vec<Vec<(u32, f64)>> = Vec::new();
         let mut unique: Vec<SparseVector> = Vec::new();
         let mut runs: Vec<(Kernel, usize)> = Vec::new();
-        let mut seen: HashMap<KernelRowKey<'a>, u32> = HashMap::new();
+        let mut ids = DistinctIds::new();
         for (tag, model) in classifiers {
             if let Some(&last) = tags.last() {
                 debug_assert!(last < tag, "classifiers must arrive in ascending tag order");
@@ -533,18 +497,14 @@ impl BatchKernelScorer {
             let kernel = model.kernel();
             let mut tag_terms = Vec::with_capacity(model.num_support_vectors());
             for sv in model.support_vectors() {
-                let key = KernelRowKey {
-                    kernel: kernel.bits(),
-                    vector: &sv.vector,
-                };
-                let idx = *seen.entry(key).or_insert_with(|| {
+                let (idx, first) = ids.id(kernel.bits(), &sv.vector);
+                if first {
                     unique.push(sv.vector.clone());
                     match runs.last_mut() {
-                        Some((k, end)) if k.bits() == key.kernel => *end += 1,
+                        Some((k, end)) if k.bits() == kernel.bits() => *end += 1,
                         _ => runs.push((kernel, unique.len())),
                     }
-                    (unique.len() - 1) as u32
-                });
+                }
                 let y = if sv.label { 1.0 } else { -1.0 };
                 tag_terms.push((idx, sv.alpha * y));
             }
@@ -1010,6 +970,99 @@ mod tests {
             sparse(&[(0, 1.0), (5, -1.0), (top - 3, 2.0)]),
             SparseVector::new(),
         ] {
+            assert_decisions_bitwise(&models, &x);
+        }
+    }
+
+    /// A kernel's parameters by bit pattern.
+    type KernelBits = (u8, u64, u64, u32);
+
+    /// The content-only dedup `from_classifiers` replaced, kept as its
+    /// oracle: every support vector's (kernel, indices, value bits) looked
+    /// up in one map. Returns `(terms, unique, runs)` as the scorer keeps
+    /// them, coefficients and kernels by bits.
+    #[allow(clippy::type_complexity)]
+    fn content_only_dedup(
+        models: &BTreeMap<TagId, KernelSvm>,
+    ) -> (
+        Vec<Vec<(u32, u64)>>,
+        Vec<SparseVector>,
+        Vec<(KernelBits, usize)>,
+    ) {
+        let mut seen: BTreeMap<(KernelBits, Vec<u32>, Vec<u64>), u32> = BTreeMap::new();
+        let (mut terms, mut unique, mut runs) = (Vec::new(), Vec::new(), Vec::new());
+        for model in models.values() {
+            let kernel = model.kernel().bits();
+            let mut tag_terms = Vec::new();
+            for sv in model.support_vectors() {
+                let bits = sv.vector.values().iter().map(|v| v.to_bits()).collect();
+                let key = (kernel, sv.vector.indices().to_vec(), bits);
+                let idx = *seen.entry(key).or_insert_with(|| {
+                    unique.push(sv.vector.clone());
+                    match runs.last_mut() {
+                        Some((k, end)) if *k == kernel => *end += 1,
+                        _ => runs.push((kernel, unique.len())),
+                    }
+                    (unique.len() - 1) as u32
+                });
+                let y = if sv.label { 1.0 } else { -1.0 };
+                tag_terms.push((idx, (sv.alpha * y).to_bits()));
+            }
+            terms.push(tag_terms);
+        }
+        (terms, unique, runs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn scorer_dedup_by_storage_equals_the_content_only_loop(
+            pool in prop::collection::vec(wild::vector(10), 1..6),
+            tags in prop::collection::vec(
+                (
+                    0usize..3,
+                    prop::collection::vec((0usize..6, any::<bool>(), any::<bool>(), wild::value()), 0..6),
+                ),
+                0..5,
+            ),
+            x in wild::vector(12),
+        ) {
+            // Support vectors share the pool's storage or hold content-equal
+            // copies; tags mix kernels, so equal vectors of two kernels are
+            // two rows.
+            let copy = |v: &SparseVector| SparseVector::from_sorted_pairs(v.iter());
+            let models: BTreeMap<TagId, KernelSvm> = tags
+                .iter()
+                .enumerate()
+                .map(|(t, (kernel, svs))| {
+                    let svs = svs
+                        .iter()
+                        .map(|&(pick, shared, label, alpha)| {
+                            let v = &pool[pick % pool.len()];
+                            let vector = if shared { v.clone() } else { copy(v) };
+                            SupportVector { vector, label, alpha }
+                        })
+                        .collect();
+                    let model = KernelSvm::from_support_vectors(svs, 0.1, wild::KERNELS[*kernel]);
+                    (t as TagId, model)
+                })
+                .collect();
+            let scorer = BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
+            let (terms, unique, runs) = content_only_dedup(&models);
+            let term_bits: Vec<Vec<(u32, u64)>> = scorer
+                .terms
+                .iter()
+                .map(|t| t.iter().map(|&(idx, coef)| (idx, coef.to_bits())).collect())
+                .collect();
+            prop_assert_eq!(term_bits, terms);
+            prop_assert_eq!(scorer.unique.len(), unique.len());
+            for (got, want) in scorer.unique.iter().zip(&unique) {
+                prop_assert!(got.shares_storage_with(want));
+            }
+            let run_bits: Vec<(KernelBits, usize)> =
+                scorer.runs.iter().map(|&(k, end)| (k.bits(), end)).collect();
+            prop_assert_eq!(run_bits, runs);
             assert_decisions_bitwise(&models, &x);
         }
     }

@@ -32,6 +32,27 @@
 //! Framing (magic, version, payload kind) is the transport's concern and
 //! lives in `p2pclassify::wire`; this module encodes payload bodies only.
 //!
+//! # Kernel model bodies
+//!
+//! A document is a support vector of several of its tags, so a kernel
+//! one-vs-all model ([`encode_kernel_ova`]) is written as a dictionary:
+//! each distinct vector once (equal indices and value bits are one
+//! vector), then per tag its kernel, bias, labels, dual coefficients and
+//! one varint dictionary id per support vector. Ids follow first
+//! appearance, so the frame is canonical whatever the model's storage
+//! history, and the decoder hands every tag that keeps a vector the same
+//! allocation — the sharing the cascade merge and the scorer then find by
+//! storage identity instead of by hashing. A lone [`KernelSvm`]
+//! ([`encode_kernel_svm`]) still writes its vectors inline.
+//!
+//! # Decoding hostile bytes
+//!
+//! Decoders never size an allocation by a count the remaining bytes cannot
+//! back: a count of entries that take at least `b` bytes each is checked
+//! against the bytes left before anything is reserved (a value, a support
+//! vector, a dictionary entry or id, a score). Only tag sets, whose
+//! index blocks can describe eight entries per byte, keep the looser bound.
+//!
 //! # Propagation pruning
 //!
 //! [`prune_top_k`] keeps only the `k` largest-magnitude weights per tag — the
@@ -41,6 +62,7 @@
 //! stays within a configured budget of the full model's.
 
 use crate::data::{MultiLabelDataset, MultiLabelExample, TagId};
+use crate::distinct::DistinctIds;
 use crate::kernel::Kernel;
 use crate::multilabel::{OneVsAllModel, TagPrediction};
 use crate::svm::{BinaryClassifier, KernelSvm, LinearSvm, SupportVector};
@@ -151,13 +173,34 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a varint and checks it fits a `usize` count bounded by the
     /// remaining payload (a cheap defense against corrupt length prefixes
-    /// requesting absurd allocations).
+    /// requesting absurd allocations). The bound is loose — eight entries
+    /// per remaining byte, what a bitmap or contiguous index block can
+    /// describe — so only counts whose entries carry no bytes of their own
+    /// (tag sets) are read this way; see [`Self::read_count_of`].
     fn read_count(&mut self) -> Result<usize, CodecError> {
         let n = self.read_varint()?;
         if n > (self.remaining() as u64 + 1) * 8 {
             return Err(CodecError::Invalid("count exceeds payload size"));
         }
         Ok(n as usize)
+    }
+
+    /// Reads a count of entries that take at least `min_bytes` each of the
+    /// remaining payload, and rejects it when they cannot fit — so a count
+    /// never reserves more than the frame can fill.
+    fn read_count_of(&mut self, min_bytes: usize) -> Result<usize, CodecError> {
+        let n = self.read_varint()?;
+        self.check_fits(n, min_bytes)?;
+        Ok(n as usize)
+    }
+
+    /// Checks that `n` entries of at least `min_bytes` each fit in the
+    /// remaining payload.
+    fn check_fits(&self, n: u64, min_bytes: usize) -> Result<(), CodecError> {
+        match n.checked_mul(min_bytes as u64) {
+            Some(bytes) if bytes <= self.remaining() as u64 => Ok(()),
+            _ => Err(CodecError::Invalid("count exceeds payload size")),
+        }
     }
 
     /// Reads a little-endian `f64`.
@@ -250,7 +293,10 @@ fn read_index_block(r: &mut ByteReader<'_>, count: usize) -> Result<Vec<u32>, Co
         return Ok(Vec::new());
     }
     let mode = r.read_byte()?;
-    let mut out = Vec::with_capacity(count);
+    // Reserved only once the block is known to describe `count` entries:
+    // a contiguous block after the `u32` range check (its callers bound
+    // `count` by what follows it), the others once their bytes are there.
+    let mut out = Vec::new();
     match mode {
         IDX_CONTIGUOUS => {
             let first = r.read_varint()?;
@@ -265,6 +311,9 @@ fn read_index_block(r: &mut ByteReader<'_>, count: usize) -> Result<Vec<u32>, Co
             if first > u64::from(u32::MAX) {
                 return Err(CodecError::Invalid("index overflows u32"));
             }
+            // Every later index is a gap varint of at least one byte.
+            r.check_fits(count as u64 - 1, 1)?;
+            out.reserve_exact(count);
             let mut prev = first as u32;
             out.push(prev);
             for _ in 1..count {
@@ -290,6 +339,10 @@ fn read_index_block(r: &mut ByteReader<'_>, count: usize) -> Result<Vec<u32>, Co
                 return Err(CodecError::Invalid("bitmap index block overflows u32"));
             }
             let bits = r.read_bytes((span as usize).div_ceil(8))?;
+            if count as u64 > span {
+                return Err(CodecError::Invalid("bitmap population mismatches count"));
+            }
+            out.reserve_exact(count);
             for off in 0..span as usize {
                 if bits[off / 8] & (1 << (off % 8)) != 0 {
                     out.push(first as u32 + off as u32);
@@ -344,14 +397,18 @@ fn put_value_block(values: &[f64], precision: WeightPrecision, buf: &mut Vec<u8>
 /// the stream, so decoding works whatever the encoder chose).
 fn read_value_block(r: &mut ByteReader<'_>, count: usize) -> Result<Vec<f64>, CodecError> {
     let tag = r.read_byte()?;
-    let mut out = Vec::with_capacity(count);
+    let mut out = Vec::new();
     match tag {
         VAL_F64 => {
+            r.check_fits(count as u64, 8)?;
+            out.reserve_exact(count);
             for _ in 0..count {
                 out.push(r.read_f64()?);
             }
         }
         VAL_F32 => {
+            r.check_fits(count as u64, 4)?;
+            out.reserve_exact(count);
             for _ in 0..count {
                 out.push(f64::from(r.read_f32()?));
             }
@@ -359,6 +416,8 @@ fn read_value_block(r: &mut ByteReader<'_>, count: usize) -> Result<Vec<f64>, Co
         VAL_Q8 => {
             let max_abs = f64::from(r.read_f32()?);
             let step = max_abs / 127.0;
+            r.check_fits(count as u64, 1)?;
+            out.reserve_exact(count);
             for _ in 0..count {
                 let q = r.read_byte()? as i8;
                 out.push(f64::from(q) * step);
@@ -383,7 +442,8 @@ pub fn encode_vector(v: &SparseVector, buf: &mut Vec<u8>) {
 
 /// Decodes a sparse document vector.
 pub fn decode_vector(r: &mut ByteReader<'_>) -> Result<SparseVector, CodecError> {
-    let nnz = r.read_count()?;
+    // Each nonzero's value takes at least a byte of what follows.
+    let nnz = r.read_count_of(1)?;
     let indices = read_index_block(r, nnz)?;
     let values = read_value_block(r, nnz)?;
     Ok(SparseVector::from_sorted_pairs(
@@ -401,7 +461,7 @@ pub fn encode_vectors(vs: &[SparseVector], buf: &mut Vec<u8>) {
 
 /// Decodes a list of sparse vectors.
 pub fn decode_vectors(r: &mut ByteReader<'_>) -> Result<Vec<SparseVector>, CodecError> {
-    let n = r.read_count()?;
+    let n = r.read_count_of(MIN_VECTOR_BYTES)?;
     (0..n).map(|_| decode_vector(r)).collect()
 }
 
@@ -436,7 +496,7 @@ pub fn decode_linear_svm(r: &mut ByteReader<'_>) -> Result<LinearSvm, CodecError
     }
     let dim = dim as usize;
     let bias = r.read_f64()?;
-    let nnz = r.read_count()?;
+    let nnz = r.read_count_of(1)?;
     let indices = read_index_block(r, nnz)?;
     let values = read_value_block(r, nnz)?;
     let mut w = vec![0.0; dim];
@@ -487,10 +547,11 @@ fn read_kernel(r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
     }
 }
 
-/// Encodes a kernel SVM: kernel, bias, then the support-vector set (labels as
-/// a bitmap, dual coefficients as one value block at the requested precision,
-/// vectors losslessly).
-pub fn encode_kernel_svm(m: &KernelSvm, precision: WeightPrecision, buf: &mut Vec<u8>) {
+/// Writes a kernel SVM's head: kernel, bias, support-vector count, labels
+/// as a bitmap and dual coefficients as one value block at the requested
+/// precision. The support vectors' vectors follow, in whatever form the
+/// body uses.
+fn put_kernel_svm_head(m: &KernelSvm, precision: WeightPrecision, buf: &mut Vec<u8>) {
     put_kernel(m.kernel(), buf);
     put_f64(buf, m.bias());
     let svs = m.support_vectors();
@@ -504,61 +565,107 @@ pub fn encode_kernel_svm(m: &KernelSvm, precision: WeightPrecision, buf: &mut Ve
     buf.extend_from_slice(&labels);
     let alphas: Vec<f64> = svs.iter().map(|sv| sv.alpha).collect();
     put_value_block(&alphas, precision, buf);
-    for sv in svs {
+}
+
+/// A decoded kernel SVM head: everything but the support vectors' vectors.
+struct KernelSvmHead<'a> {
+    kernel: Kernel,
+    bias: f64,
+    labels: &'a [u8],
+    alphas: Vec<f64>,
+}
+
+impl KernelSvmHead<'_> {
+    fn read<'a>(r: &mut ByteReader<'a>) -> Result<KernelSvmHead<'a>, CodecError> {
+        let kernel = read_kernel(r)?;
+        let bias = r.read_f64()?;
+        // A support vector takes at least an alpha byte and a byte of its
+        // vector (or of its dictionary id).
+        let n = r.read_count_of(2)?;
+        let labels = r.read_bytes(n.div_ceil(8))?;
+        let alphas = read_value_block(r, n)?;
+        Ok(KernelSvmHead {
+            kernel,
+            bias,
+            labels,
+            alphas,
+        })
+    }
+
+    /// The model, given each support vector's vector in order.
+    fn finish(
+        self,
+        mut vector: impl FnMut() -> Result<SparseVector, CodecError>,
+    ) -> Result<KernelSvm, CodecError> {
+        let mut svs = Vec::with_capacity(self.alphas.len());
+        for (i, alpha) in self.alphas.into_iter().enumerate() {
+            svs.push(SupportVector {
+                vector: vector()?,
+                label: self.labels[i / 8] & (1 << (i % 8)) != 0,
+                alpha,
+            });
+        }
+        Ok(KernelSvm::from_support_vectors(svs, self.bias, self.kernel))
+    }
+}
+
+/// Fewest bytes an encoded vector takes: its nonzero count and the value
+/// block's precision tag.
+const MIN_VECTOR_BYTES: usize = 2;
+
+/// Encodes a kernel SVM on its own: its head, then each support vector's
+/// vector losslessly.
+pub fn encode_kernel_svm(m: &KernelSvm, precision: WeightPrecision, buf: &mut Vec<u8>) {
+    put_kernel_svm_head(m, precision, buf);
+    for sv in m.support_vectors() {
         encode_vector(&sv.vector, buf);
     }
 }
 
-/// Decodes a kernel SVM.
+/// Decodes a kernel SVM encoded by [`encode_kernel_svm`].
 pub fn decode_kernel_svm(r: &mut ByteReader<'_>) -> Result<KernelSvm, CodecError> {
-    let kernel = read_kernel(r)?;
-    let bias = r.read_f64()?;
-    let n = r.read_count()?;
-    let labels = r.read_bytes(n.div_ceil(8))?.to_vec();
-    let alphas = read_value_block(r, n)?;
-    let mut svs = Vec::with_capacity(n);
-    for (i, alpha) in alphas.into_iter().enumerate() {
-        let vector = decode_vector(r)?;
-        let label = labels[i / 8] & (1 << (i % 8)) != 0;
-        svs.push(SupportVector {
-            vector,
-            label,
-            alpha,
-        });
-    }
-    Ok(KernelSvm::from_support_vectors(svs, bias, kernel))
+    KernelSvmHead::read(r)?.finish(|| decode_vector(r))
 }
 
-/// Encodes a one-vs-all model shell (threshold, min-tags policy, tag
-/// universe) followed by one classifier body per tag via `enc`.
-fn encode_ova<C, F>(model: &OneVsAllModel<C>, buf: &mut Vec<u8>, mut enc: F)
-where
-    C: BinaryClassifier,
-    F: FnMut(&C, &mut Vec<u8>),
-{
+/// Encodes a one-vs-all model shell: threshold, min-tags policy, tag
+/// universe.
+fn put_ova_shell<C: BinaryClassifier>(model: &OneVsAllModel<C>, buf: &mut Vec<u8>) {
     put_f64(buf, model.threshold());
     put_varint(buf, model.min_tags() as u64);
     let tags: Vec<TagId> = model.tags().collect();
     put_varint(buf, tags.len() as u64);
     put_index_block(&tags, buf);
+}
+
+/// Decodes a one-vs-all model shell to `(threshold, min_tags, tags)`.
+fn read_ova_shell(r: &mut ByteReader<'_>) -> Result<(f64, usize, Vec<TagId>), CodecError> {
+    let threshold = r.read_f64()?;
+    let min_tags = r.read_varint()? as usize;
+    // Every tag has a classifier body of at least a byte.
+    let num_tags = r.read_count_of(1)?;
+    let tags = read_index_block(r, num_tags)?;
+    Ok((threshold, min_tags, tags))
+}
+
+/// Encodes a one-vs-all linear model (the PACE propagation payload body):
+/// the shell, then one [`encode_linear_svm`] body per tag.
+pub fn encode_linear_ova(
+    model: &OneVsAllModel<LinearSvm>,
+    precision: WeightPrecision,
+    buf: &mut Vec<u8>,
+) {
+    put_ova_shell(model, buf);
     for (_, clf) in model.iter() {
-        enc(clf, buf);
+        encode_linear_svm(clf, precision, buf);
     }
 }
 
-/// Decodes a one-vs-all model shell, reading one classifier per tag via `dec`.
-fn decode_ova<C, F>(r: &mut ByteReader<'_>, mut dec: F) -> Result<OneVsAllModel<C>, CodecError>
-where
-    C: BinaryClassifier,
-    F: FnMut(&mut ByteReader<'_>) -> Result<C, CodecError>,
-{
-    let threshold = r.read_f64()?;
-    let min_tags = r.read_varint()? as usize;
-    let num_tags = r.read_count()?;
-    let tags = read_index_block(r, num_tags)?;
+/// Decodes a one-vs-all linear model.
+pub fn decode_linear_ova(r: &mut ByteReader<'_>) -> Result<OneVsAllModel<LinearSvm>, CodecError> {
+    let (threshold, min_tags, tags) = read_ova_shell(r)?;
     let mut classifiers = BTreeMap::new();
     for tag in tags {
-        classifiers.insert(tag, dec(r)?);
+        classifiers.insert(tag, decode_linear_svm(r)?);
     }
     Ok(OneVsAllModel::from_classifiers(
         classifiers,
@@ -567,36 +674,87 @@ where
     ))
 }
 
-/// Encodes a one-vs-all linear model (the PACE propagation payload body).
-pub fn encode_linear_ova(
-    model: &OneVsAllModel<LinearSvm>,
-    precision: WeightPrecision,
-    buf: &mut Vec<u8>,
-) {
-    encode_ova(model, buf, |clf, buf| {
-        encode_linear_svm(clf, precision, buf);
-    });
-}
-
-/// Decodes a one-vs-all linear model.
-pub fn decode_linear_ova(r: &mut ByteReader<'_>) -> Result<OneVsAllModel<LinearSvm>, CodecError> {
-    decode_ova(r, decode_linear_svm)
-}
-
-/// Encodes a one-vs-all kernel model (the CEMPaR propagation payload body).
+/// Encodes a one-vs-all kernel model (the CEMPaR propagation payload body)
+/// with a dictionary of its distinct support vectors:
+///
+/// ```text
+/// shell            threshold, min tags, tag universe
+/// D                varint, then D vectors (encode_vector)
+/// per tag          kernel, bias, n, label bitmap, alpha value block,
+///                  then n varint dictionary ids
+/// ```
+///
+/// A document is a support vector of several of its tags, so a vector is
+/// written once however many tags keep it. Distinct means different
+/// indices or value bits, and ids follow first appearance (tags ascending,
+/// support vectors in order), so the frame depends only on the model's
+/// content, not on which of its vectors share storage.
 pub fn encode_kernel_ova(
     model: &OneVsAllModel<KernelSvm>,
     precision: WeightPrecision,
     buf: &mut Vec<u8>,
 ) {
-    encode_ova(model, buf, |clf, buf| {
-        encode_kernel_svm(clf, precision, buf);
-    });
+    put_ova_shell(model, buf);
+    let mut ids = DistinctIds::new();
+    let mut dictionary: Vec<&SparseVector> = Vec::new();
+    let mut sv_ids: Vec<u32> = Vec::new();
+    for (_, clf) in model.iter() {
+        for sv in clf.support_vectors() {
+            let (id, first) = ids.id((), &sv.vector);
+            if first {
+                dictionary.push(&sv.vector);
+            }
+            sv_ids.push(id);
+        }
+    }
+    put_varint(buf, dictionary.len() as u64);
+    for v in dictionary {
+        encode_vector(v, buf);
+    }
+    let mut sv_ids = sv_ids.into_iter();
+    for (_, clf) in model.iter() {
+        put_kernel_svm_head(clf, precision, buf);
+        for id in sv_ids.by_ref().take(clf.num_support_vectors()) {
+            put_varint(buf, u64::from(id));
+        }
+    }
 }
 
-/// Decodes a one-vs-all kernel model.
+/// Decodes a one-vs-all kernel model encoded by [`encode_kernel_ova`].
+///
+/// Every support vector's vector is a clone of its dictionary entry, so
+/// the decoded model holds one allocation per distinct vector, shared by
+/// every tag that keeps it. An id past the dictionary, or a dictionary
+/// entry no id references, is invalid.
 pub fn decode_kernel_ova(r: &mut ByteReader<'_>) -> Result<OneVsAllModel<KernelSvm>, CodecError> {
-    decode_ova(r, decode_kernel_svm)
+    let (threshold, min_tags, tags) = read_ova_shell(r)?;
+    let num_vectors = r.read_count_of(MIN_VECTOR_BYTES)?;
+    let dictionary = (0..num_vectors)
+        .map(|_| decode_vector(r))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut referenced = vec![false; num_vectors];
+    let mut classifiers = BTreeMap::new();
+    for tag in tags {
+        let head = KernelSvmHead::read(r)?;
+        let clf = head.finish(|| {
+            let id = r.read_varint()?;
+            let entry = usize::try_from(id)
+                .ok()
+                .filter(|&id| id < num_vectors)
+                .ok_or(CodecError::Invalid("dictionary id out of range"))?;
+            referenced[entry] = true;
+            Ok(dictionary[entry].clone())
+        })?;
+        classifiers.insert(tag, clf);
+    }
+    if referenced.contains(&false) {
+        return Err(CodecError::Invalid("unreferenced dictionary entry"));
+    }
+    Ok(OneVsAllModel::from_classifiers(
+        classifiers,
+        threshold,
+        min_tags,
+    ))
 }
 
 /// Encodes one tagged example (vector + tag-id index block).
@@ -654,7 +812,8 @@ pub fn encode_predictions(preds: &[TagPrediction], buf: &mut Vec<u8>) {
 /// Decodes a scored tag list, re-deriving each confidence as
 /// `logistic(score)` (see [`encode_predictions`]).
 pub fn decode_predictions(r: &mut ByteReader<'_>) -> Result<Vec<TagPrediction>, CodecError> {
-    let n = r.read_count()?;
+    // A tag varint and an `f64` score each.
+    let n = r.read_count_of(9)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let tag = u32::try_from(r.read_varint()?)
@@ -917,6 +1076,179 @@ mod tests {
         }
     }
 
+    /// The per-tag kernel body [`encode_kernel_ova`] replaced, kept as its
+    /// oracle: the shell, then each tag's [`encode_kernel_svm`], every
+    /// support vector written in full.
+    fn encode_kernel_ova_per_tag(
+        model: &OneVsAllModel<KernelSvm>,
+        precision: WeightPrecision,
+        buf: &mut Vec<u8>,
+    ) {
+        put_ova_shell(model, buf);
+        for (_, clf) in model.iter() {
+            encode_kernel_svm(clf, precision, buf);
+        }
+    }
+
+    fn encoded_kernel_ova(model: &OneVsAllModel<KernelSvm>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_kernel_ova(model, WeightPrecision::F64, &mut buf);
+        buf
+    }
+
+    /// A vector's content as a map key: indices and value bits.
+    fn content(v: &SparseVector) -> (Vec<u32>, Vec<u64>) {
+        let bits = v.values().iter().map(|x| x.to_bits()).collect();
+        (v.indices().to_vec(), bits)
+    }
+
+    /// Checks a kernel one-vs-all frame against the model it encodes and the
+    /// per-tag oracle: every tag decodes bit-equal, content-equal vectors
+    /// decode into one allocation, re-encoding reproduces the frame byte for
+    /// byte, and the frame is the oracle's bytes minus each repeated
+    /// vector's encoding plus the dictionary count and one id per support
+    /// vector (ids in first-appearance order by content).
+    fn check_kernel_ova_frame(model: &OneVsAllModel<KernelSvm>) {
+        let frame = encoded_kernel_ova(model);
+        let mut r = ByteReader::new(&frame);
+        let decoded = decode_kernel_ova(&mut r).expect("decodes");
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(decoded.threshold().to_bits(), model.threshold().to_bits());
+        assert_eq!(decoded.min_tags(), model.min_tags());
+        assert_eq!(decoded.num_tags(), model.num_tags());
+        for ((tag, want), (got_tag, got)) in model.iter().zip(decoded.iter()) {
+            assert_eq!(tag, got_tag);
+            assert!(got.bit_eq(want), "tag {}", tag);
+        }
+        let vectors: Vec<&SparseVector> = decoded
+            .iter()
+            .flat_map(|(_, clf)| clf.support_vectors())
+            .map(|sv| &sv.vector)
+            .collect();
+        for a in &vectors {
+            for b in &vectors {
+                if content(a) == content(b) {
+                    assert!(a.shares_storage_with(b));
+                }
+            }
+        }
+        assert_eq!(&encoded_kernel_ova(&decoded), &frame);
+
+        let mut oracle = Vec::new();
+        encode_kernel_ova_per_tag(model, WeightPrecision::F64, &mut oracle);
+        let mut ids: BTreeMap<(Vec<u32>, Vec<u64>), u64> = BTreeMap::new();
+        let (mut saved, mut added) = (0usize, 0usize);
+        for (_, clf) in model.iter() {
+            for sv in clf.support_vectors() {
+                let next = ids.len() as u64;
+                let id = *ids.entry(content(&sv.vector)).or_insert(next);
+                if id != next {
+                    let mut repeat = Vec::new();
+                    encode_vector(&sv.vector, &mut repeat);
+                    saved += repeat.len();
+                }
+                added += varint_len(id);
+            }
+        }
+        added += varint_len(ids.len() as u64);
+        assert_eq!(frame.len() + saved, oracle.len() + added);
+    }
+
+    #[test]
+    fn kernel_ova_frame_writes_each_distinct_vector_once() {
+        let ds = toy_dataset();
+        let model = OneVsAllTrainer::default().train_kernel(&ds, &KernelSvmTrainer::default());
+        check_kernel_ova_frame(&model);
+        let mut oracle = Vec::new();
+        encode_kernel_ova_per_tag(&model, WeightPrecision::F64, &mut oracle);
+        let frame = encoded_kernel_ova(&model);
+        // Both tags draw their support vectors from one peer's documents.
+        assert!(
+            frame.len() < oracle.len(),
+            "{} vs {}",
+            frame.len(),
+            oracle.len()
+        );
+        // The empty model: a shell and an empty dictionary.
+        let empty = OneVsAllModel::<KernelSvm>::from_classifiers(BTreeMap::new(), 0.5, 1);
+        check_kernel_ova_frame(&empty);
+    }
+
+    #[test]
+    fn kernel_ova_frames_of_the_old_layout_do_not_decode() {
+        // A per-tag body reads its first support vector's `nnz` where the
+        // dictionary count belongs, and what follows then fails to parse.
+        let ds = toy_dataset();
+        let model = OneVsAllTrainer::default().train_kernel(&ds, &KernelSvmTrainer::default());
+        let mut oracle = Vec::new();
+        encode_kernel_ova_per_tag(&model, WeightPrecision::F64, &mut oracle);
+        assert!(decode_kernel_ova(&mut ByteReader::new(&oracle)).is_err());
+    }
+
+    #[test]
+    fn counts_the_payload_cannot_fill_are_rejected_before_reserving() {
+        let too_many = Some(CodecError::Invalid("count exceeds payload size"));
+        // A reservation of `usize::MAX / 16` values or indices would abort
+        // the process, so reaching the assertions shows none was made.
+        for tag in [VAL_F64, VAL_F32, VAL_Q8] {
+            let block = [tag, 0, 0, 0, 0, 1, 2, 3];
+            let got = read_value_block(&mut ByteReader::new(&block), usize::MAX / 16);
+            assert_eq!(got.err(), too_many, "value tag {tag}");
+        }
+        let delta = [IDX_DELTA, 0, 0, 0];
+        let got = read_index_block(&mut ByteReader::new(&delta), usize::MAX / 16);
+        assert_eq!(got.err(), too_many);
+        let bitmap = [IDX_BITMAP, 0, 8, 0xFF];
+        assert!(read_index_block(&mut ByteReader::new(&bitmap), usize::MAX / 16).is_err());
+
+        // A vector whose contiguous index block (two bytes for any count)
+        // claims more nonzeros than there are bytes left for their values.
+        let mut body = Vec::new();
+        put_varint(&mut body, 64);
+        body.extend_from_slice(&[IDX_CONTIGUOUS, 0, VAL_Q8]);
+        body.extend_from_slice(&[1; 20]);
+        assert_eq!(decode_vector(&mut ByteReader::new(&body)).err(), too_many);
+        // A kernel SVM with more support vectors than bytes.
+        let mut body = vec![0];
+        put_f64(&mut body, 0.5);
+        put_varint(&mut body, 40);
+        body.extend_from_slice(&[0; 30]);
+        assert_eq!(
+            decode_kernel_svm(&mut ByteReader::new(&body)).err(),
+            too_many
+        );
+        // A score list with more entries than nine-byte slots.
+        let mut body = Vec::new();
+        put_varint(&mut body, 10);
+        body.extend_from_slice(&[0; 20]);
+        assert_eq!(
+            decode_predictions(&mut ByteReader::new(&body)).err(),
+            too_many
+        );
+        // A kernel one-vs-all dictionary longer than two bytes per entry.
+        let mut body = Vec::new();
+        put_f64(&mut body, 0.0);
+        put_varint(&mut body, 1);
+        put_varint(&mut body, 0);
+        put_varint(&mut body, 50);
+        body.extend_from_slice(&[0; 20]);
+        let got = decode_kernel_ova(&mut ByteReader::new(&body));
+        assert_eq!(got.err(), too_many);
+        // A tag whose ids cannot all be there.
+        let mut body = Vec::new();
+        put_f64(&mut body, 0.0);
+        put_varint(&mut body, 1);
+        put_varint(&mut body, 1);
+        body.extend_from_slice(&[IDX_CONTIGUOUS, 3]);
+        put_varint(&mut body, 0);
+        body.push(0);
+        put_f64(&mut body, 0.5);
+        put_varint(&mut body, 200);
+        body.extend_from_slice(&[0; 40]);
+        let got = decode_kernel_ova(&mut ByteReader::new(&body));
+        assert_eq!(got.err(), too_many);
+    }
+
     #[test]
     fn quantized_linear_model_stays_close() {
         let (xs, ys) = crate::svm::test_util::separable(120, 5);
@@ -1044,6 +1376,54 @@ mod tests {
             for p in &probes {
                 prop_assert_eq!(m.decision(p).to_bits(), decoded.decision(p).to_bits());
             }
+        }
+
+        #[test]
+        fn prop_kernel_ova_dictionary_roundtrip(
+            pool in prop::collection::vec(crate::kernel::wild::vector(12), 1..6),
+            tags in prop::collection::vec(
+                (
+                    0usize..3,
+                    crate::kernel::wild::value(),
+                    prop::collection::vec(
+                        (0usize..6, any::<bool>(), any::<bool>(), crate::kernel::wild::value()),
+                        0..6,
+                    ),
+                ),
+                0..5,
+            ),
+            threshold in -1.0f64..1.0,
+            min_tags in 0usize..3,
+        ) {
+            // Tags draw support vectors from one pool, each either sharing
+            // the pool vector's storage or holding a content-equal copy.
+            let copy = |v: &SparseVector| SparseVector::from_sorted_pairs(v.iter());
+            let build = |deep: bool| {
+                let classifiers = tags
+                    .iter()
+                    .enumerate()
+                    .map(|(t, (kernel, bias, svs))| {
+                        let svs = svs
+                            .iter()
+                            .map(|&(pick, shared, label, alpha)| {
+                                let v = &pool[pick % pool.len()];
+                                SupportVector {
+                                    vector: if shared && !deep { v.clone() } else { copy(v) },
+                                    label,
+                                    alpha,
+                                }
+                            })
+                            .collect();
+                        let kernel = crate::kernel::wild::KERNELS[*kernel];
+                        (3 * t as TagId, KernelSvm::from_support_vectors(svs, *bias, kernel))
+                    })
+                    .collect();
+                OneVsAllModel::from_classifiers(classifiers, threshold, min_tags)
+            };
+            let model = build(false);
+            check_kernel_ova_frame(&model);
+            // The frame depends on content only, not on storage history.
+            prop_assert_eq!(encoded_kernel_ova(&build(true)), encoded_kernel_ova(&model));
         }
 
         #[test]

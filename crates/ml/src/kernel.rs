@@ -1,19 +1,21 @@
 //! Kernel functions for the non-linear SVMs used by CEMPaR.
 //!
-//! Two entry points share one formula: [`Kernel::eval`] for a single pair,
-//! and [`Kernel::eval_row`] for one vector against many — the row primitive
-//! of [`crate::svm::gram_matrix`], which every kernel fit builds its Gram
-//! matrix with. The row scatters its fixed vector once into a per-thread
-//! scratch and lets each other vector gather its own nonzeros, instead of
-//! one merge-join per pair, and takes the squared norms the caller computed
-//! once; it is bit-identical to `eval`. [`crate::BatchKernelScorer`] prices
-//! a query through its own postings index, but finishes each dot product
-//! through the same private expression (`finish_dot`).
+//! [`Kernel::eval`] evaluates a single pair. The many-vector paths form
+//! their dot products by postings and finish each through the same private
+//! expression (`finish_dot`) with squared norms computed once:
+//! [`crate::svm::gram_matrix`], which every kernel fit and cascade merge
+//! builds its Gram matrix with, chains the vectors per feature; and
+//! [`crate::BatchKernelScorer`] prices a query through its postings index.
+//! Both are bit-identical to `eval`. `Kernel::eval_row` — one vector
+//! scattered into a per-thread scratch, every other vector gathering its
+//! own nonzeros — is the test oracle of both.
 
 use serde::{Deserialize, Serialize};
+#[cfg(test)]
 use std::cell::RefCell;
 use textproc::SparseVector;
 
+#[cfg(test)]
 thread_local! {
     /// [`Kernel::eval_row`]'s scatter of its fixed vector: `slot[j]` is one
     /// plus the position of index `j` among the vector's nonzeros, or 0 when
@@ -24,9 +26,10 @@ thread_local! {
     static SCATTER: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Features below this index are scattered (4 MiB of scratch per thread at
-/// most); a vocabulary is far smaller.
-const SCATTER_LIMIT: usize = 1 << 20;
+/// Features below this index are kept in per-thread tables (4 MiB per
+/// thread at most); a vocabulary is far smaller. Any larger index, which
+/// only a hostile frame carries, is looked up by binary search instead.
+pub(crate) const SCATTER_LIMIT: usize = 1 << 20;
 
 /// A Mercer kernel `K(x, z)` on sparse document vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -89,7 +92,8 @@ impl Kernel {
     ///
     /// # Panics
     /// Panics when `out` or `zs_norm_sq` is not as long as `zs`.
-    pub fn eval_row(
+    #[cfg(test)]
+    pub(crate) fn eval_row(
         &self,
         x: &SparseVector,
         x_norm_sq: f64,

@@ -42,6 +42,7 @@ pub mod batch;
 pub mod cascade;
 pub mod codec;
 pub mod data;
+mod distinct;
 pub mod kernel;
 pub mod kmeans;
 pub mod lsh;

@@ -6,17 +6,21 @@
 //! provides that local model and exposes its support vectors for the cascade.
 //!
 //! Training fills a Gram matrix by rows ([`gram_matrix`], each `‖x‖²`
-//! computed once) and runs simplified SMO over it. Each SMO decision value
+//! computed once, each row one walk of per-feature postings chains, so a
+//! pair costs the features its vectors share) and runs simplified SMO over
+//! it; a cascade merge hands [`KernelSvmTrainer::train_with_gram`] blocks of
+//! one Gram matrix shared by several pools. Each SMO decision value
 //! sums over the current support set only — the indices with a nonzero
 //! dual, kept ascending with their `α·y` — and reads the contiguous Gram
 //! row, which the mirrored fill makes bitwise equal to the column; the
 //! result is bit for bit that of a full scan of the column.
 
 use super::BinaryClassifier;
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, SCATTER_LIMIT};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use textproc::SparseVector;
 
 /// A support vector retained by a trained [`KernelSvm`].
@@ -378,29 +382,136 @@ impl Duals {
     }
 }
 
+thread_local! {
+    /// [`gram_matrix`]'s scratch: the per-feature chain heads and the
+    /// postings they point into. `heads[f]` is one plus the position, in
+    /// `postings`, of the latest vector linked that stores feature `f`, or
+    /// 0 when none does. Both are empty between calls (each call clears
+    /// what it set) and keep only their capacity: the heads grow to the
+    /// largest feature ever chained on this thread, the postings to the
+    /// most nonzeros one call held, so a call costs its vectors' nonzeros,
+    /// not the vocabulary.
+    static SCRATCH: RefCell<(Vec<u32>, Vec<Posting>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// One stored nonzero of a [`gram_matrix`] call: the vector holding it,
+/// its value, and one plus the position of the previous vector's nonzero
+/// at the same feature (0 ends the chain).
+#[derive(Clone, Copy)]
+struct Posting {
+    id: u32,
+    next: u32,
+    value: f64,
+}
+
 /// Precomputes the symmetric Gram matrix `K[i·n + j] = K(x_i, x_j)` in
 /// row-major order, hoisted out of the SMO trainer so label-independent
-/// consumers (the one-vs-all reduction) can share one matrix across tags.
+/// consumers (the one-vs-all reduction, a region's re-cascade) can share one
+/// matrix across tags.
 ///
-/// Row `j` up to the diagonal is one [`Kernel::eval_row`] of `x_j` against
-/// `x_0 ..= x_j`, which yields `eval(x_i, x_j)` for every `i ≤ j`, and each
-/// value is mirrored across the diagonal: the very pairs, operand order and
-/// bits of the pairwise `eval` loop this replaced, one scatter per row
-/// instead of one merge-join per pair. Each `‖x_i‖²` is computed once and
-/// handed to every row. The mirror makes row `i` and column `i` bitwise
-/// equal, which the SMO solver relies on.
+/// Row `j` up to the diagonal holds `eval(x_i, x_j)` for every `i ≤ j`,
+/// mirrored across the diagonal, which makes row `i` and column `i`
+/// bitwise equal, as the SMO solver relies on. The row is filled by
+/// postings: each of `x_j`'s nonzeros, in ascending index order, walks its
+/// feature's chain through `x_0 .. x_j`, adding `z_f · x_f` (`z = x_i`) into
+/// entry `i`, and is then linked into that chain; the diagonal sums
+/// `x_f · x_f` alongside. Entry `i` therefore sums the products the
+/// merge-join `x_i.dot(x_j)` forms — the same operands in the same order,
+/// from `+0.0`, in ascending index order — and is finished through `eval`'s
+/// own expression with each `‖x_i‖²` computed once: the bits of the
+/// pairwise `eval` loop, paid for by the nonzeros the vectors share rather
+/// than by all of theirs.
+///
+/// Features below 2²⁰ keep their chain heads in a per-thread table; any
+/// other index (a hostile frame can carry any `u32`) keeps it in a sorted
+/// list of the call's own, so no index sizes an allocation.
 pub fn gram_matrix(kernel: Kernel, xs: &[SparseVector]) -> Vec<f64> {
     let n = xs.len();
     let norms_sq: Vec<f64> = xs.iter().map(SparseVector::norm_sq).collect();
     let mut k = vec![0.0; n * n];
-    for j in 0..n {
-        let row = &mut k[j * n..=j * n + j];
-        kernel.eval_row(&xs[j], norms_sq[j], &xs[..=j], &norms_sq[..=j], row);
-        for i in 0..j {
-            k[i * n + j] = k[j * n + i];
+    let nnz: usize = xs.iter().map(SparseVector::nnz).sum();
+    assert!(u32::try_from(nnz).is_ok(), "fewer than 2³² stored nonzeros");
+    // Chain heads of the features past the table, by feature.
+    let mut beyond: Vec<(u32, u32)> = Vec::new();
+    SCRATCH.with(|scratch| {
+        let (heads, postings) = &mut *scratch.borrow_mut();
+        let top = xs.iter().filter_map(|x| below_limit(x).last()).max();
+        if let Some(&top) = top {
+            if heads.len() <= top as usize {
+                heads.resize(top as usize + 1, 0);
+            }
         }
-    }
+        postings.reserve(nnz);
+        for (j, x) in xs.iter().enumerate() {
+            let row = &mut k[j * n..=j * n + j];
+            let mut diagonal = 0.0;
+            for (f, xv) in x.iter() {
+                let head = chain_head(heads, &mut beyond, f);
+                let mut p = *head;
+                while p != 0 {
+                    // Copied out, so `value` is the multiply's first operand
+                    // in unoptimized builds too: a load folded into the
+                    // multiply swaps the operands, and with them which NaN a
+                    // NaN · NaN product returns.
+                    let Posting { id, next, value } = postings[p as usize - 1];
+                    row[id as usize] += value * xv;
+                    p = next;
+                }
+                diagonal += xv * xv;
+                postings.push(Posting {
+                    id: j as u32,
+                    next: *head,
+                    value: xv,
+                });
+                *head = postings.len() as u32;
+            }
+            row[j] = diagonal;
+            for (dot, &z_norm_sq) in row.iter_mut().zip(&norms_sq) {
+                *dot = kernel.finish_dot(*dot, || (z_norm_sq, norms_sq[j]));
+            }
+            for i in 0..j {
+                k[i * n + j] = k[j * n + i];
+            }
+        }
+        for x in xs {
+            for &f in below_limit(x) {
+                heads[f as usize] = 0;
+            }
+        }
+        postings.clear();
+    });
     k
+}
+
+/// `x`'s indices below 2²⁰, whose chain heads live in the thread's table
+/// (all of them, unless a hostile frame's index lies beyond).
+fn below_limit(x: &SparseVector) -> &[u32] {
+    let xi = x.indices();
+    match xi.last() {
+        Some(&last) if (last as usize) >= SCATTER_LIMIT => {
+            &xi[..xi.partition_point(|&f| (f as usize) < SCATTER_LIMIT)]
+        }
+        _ => xi,
+    }
+}
+
+/// The chain head of feature `f`: its slot in the thread's table below
+/// 2²⁰, its entry in the call's sorted `beyond` list (inserted at 0 on
+/// first sight) otherwise.
+#[inline]
+fn chain_head<'h>(heads: &'h mut [u32], beyond: &'h mut Vec<(u32, u32)>, f: u32) -> &'h mut u32 {
+    if (f as usize) < SCATTER_LIMIT {
+        return &mut heads[f as usize];
+    }
+    let p = match beyond.binary_search_by_key(&f, |&(g, _)| g) {
+        Ok(p) => p,
+        Err(p) => {
+            beyond.insert(p, (f, 0));
+            p
+        }
+    };
+    &mut beyond[p].1
 }
 
 #[cfg(test)]
@@ -517,6 +628,36 @@ mod tests {
         xs.push(SparseVector::from_pairs([(1, 0.5), (9_000, 2.0)]));
         for kernel in crate::kernel::wild::KERNELS {
             for n in [0, 1, 2, xs.len()] {
+                assert_eq!(
+                    bits(gram_matrix(kernel, &xs[..n])),
+                    bits(gram_matrix_pairwise(kernel, &xs[..n])),
+                    "{kernel:?}, n = {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gram_matrix_handles_indices_past_two_to_the_twenty() {
+        let bits = |k: Vec<f64>| k.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let top = u32::MAX;
+        let v = |pairs: &[(u32, f64)]| SparseVector::from_pairs(pairs.iter().copied());
+        let xs = [
+            v(&[
+                (3, 2.0),
+                (1 << 20, 0.5),
+                (top - 1, 1.5),
+                (top, f64::INFINITY),
+            ]),
+            v(&[((1 << 20) - 1, 1.0), (1 << 20, -2.0), (top, 1.0)]),
+            v(&[(top - 2, 3.0)]),
+            v(&[(3, 1.0), (top - 1, -1.0), (top, f64::NAN)]),
+            SparseVector::new(),
+            v(&[(top, -0.5)]),
+            v(&[((1 << 20) - 1, 4.0)]),
+        ];
+        for kernel in crate::kernel::wild::KERNELS {
+            for n in 0..=xs.len() {
                 assert_eq!(
                     bits(gram_matrix(kernel, &xs[..n])),
                     bits(gram_matrix_pairwise(kernel, &xs[..n])),

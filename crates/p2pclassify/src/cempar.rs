@@ -237,8 +237,10 @@ impl RegionCascade {
 /// Re-cascades regions after their contributions changed — the one
 /// re-cascade both drivers run. Each region re-merges only its dirty tags
 /// (support-vector pooling + retrain of the tag's contributors, in
-/// `contributed` order), drops tags no contributor carries any more, and
-/// rebuilds its scorer once. Regions with nothing dirty are skipped; the
+/// `contributed` order) in one [`CascadeSvm::merge_pools`], so the dirty
+/// tags' pools share one Gram matrix over their distinct support vectors;
+/// it drops tags no contributor carries any more, and rebuilds its scorer
+/// once. Regions with nothing dirty are skipped; the
 /// merges of several regions fan out across cores, one region's stay on the
 /// calling thread.
 ///
@@ -253,20 +255,18 @@ where
     regions.retain(|(_, region)| !region.dirty.is_empty());
     let cascade = CascadeSvm::new(config.cascade.clone());
     let merged = parallel::par_map(&regions, |(contributed, region)| {
-        region
+        let pools: Vec<Vec<&KernelSvm>> = region
             .dirty
             .iter()
             .map(|&tag| {
-                let pool: Vec<KernelSvm> = contributed
-                    .clone()
-                    .filter_map(|m| m.classifier(tag).cloned())
-                    .collect();
-                (tag, cascade.merge(&pool))
+                let pool = contributed.clone().filter_map(|m| m.classifier(tag));
+                pool.collect()
             })
-            .collect::<Vec<_>>()
+            .collect();
+        cascade.merge_pools(&pools)
     });
     for ((_, region), merged) in regions.into_iter().zip(merged) {
-        for (tag, model) in merged {
+        for (&tag, model) in region.dirty.iter().zip(merged) {
             match model {
                 Some(model) => region.regional.insert(tag, model),
                 None => region.regional.remove(&tag),

@@ -384,3 +384,52 @@ impl ProtocolCore for CemparCore {
         out
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ml::MultiLabelExample;
+
+    /// An install whose inner kernel frame carries the first frame version
+    /// (per-tag kernel bodies) installs nothing: its version byte is
+    /// rejected before the body is read, so the old layout is never misread
+    /// as a dictionary.
+    #[test]
+    fn installs_whose_kernel_part_has_version_one_are_rejected() {
+        let config = CemparConfig::default();
+        let mut data = MultiLabelDataset::new();
+        for i in 0..6 {
+            let s = 1.0 + 0.1 * i as f64;
+            data.push(MultiLabelExample::new(
+                SparseVector::from_pairs([(0, s)]),
+                [1],
+            ));
+            data.push(MultiLabelExample::new(
+                SparseVector::from_pairs([(1, s)]),
+                [2],
+            ));
+        }
+        let model = train_cempar_local(&config, &data).expect("two tags train");
+        let current = wire::encode_kernel_model(&model, config.wire.precision);
+        let mut old = current.clone();
+        old[1] = 1;
+        assert_eq!(
+            wire::decode_kernel_model(&old).err(),
+            Some(wire::WireError::BadVersion(1))
+        );
+
+        let peers: Vec<PeerId> = (0..4).map(PeerId).collect();
+        let mut observer = CemparCore::new(PeerId(0), peers, config);
+        let out = observer.ingest(0, PeerId(2), &wire::encode_install(2, 1, &[&old]));
+        assert!(out.is_empty(), "{out:?}");
+        assert!(observer.installed_versions().is_empty());
+        let out = observer.ingest(0, PeerId(2), &wire::encode_install(2, 1, &[&current]));
+        assert!(matches!(
+            out.as_slice(),
+            [Output::Effect(LocalEffect::Installed {
+                source: 2,
+                version: 1
+            })]
+        ));
+    }
+}

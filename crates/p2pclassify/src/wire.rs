@@ -1,7 +1,10 @@
 //! Protocol frame layer: every payload the four protocols put on the
 //! simulated network travels as a real byte frame built on [`ml::codec`].
 //!
-//! A frame is `magic (0xD7) | version (1) | payload kind | payload body`.
+//! A frame is `magic (0xD7) | version (2) | payload kind | payload body`.
+//! Version 2 carries kernel models as a dictionary of distinct support
+//! vectors plus per-tag ids ([`ml::codec::encode_kernel_ova`]); a frame of
+//! any other version is rejected, not misread.
 //! The body encodings live in [`ml::codec`]; this module adds the framing,
 //! strict decode validation (magic/version/kind checks, no trailing bytes)
 //! and the [`WireCost`] switch that mirrors the existing
@@ -31,8 +34,9 @@ use textproc::SparseVector;
 
 /// First byte of every frame.
 pub const MAGIC: u8 = 0xD7;
-/// Wire format version.
-pub const VERSION: u8 = 1;
+/// Wire format version: 2 since kernel one-vs-all bodies write each
+/// distinct support vector once.
+pub const VERSION: u8 = 2;
 
 /// Discriminates the payload carried by a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -620,6 +624,22 @@ mod tests {
         for (x, _) in ds.iter() {
             assert_eq!(model.scores(x), decoded.scores(x));
         }
+    }
+
+    #[test]
+    fn kernel_frames_of_version_one_are_rejected() {
+        // Version 1 wrote every support vector once per tag; its frames must
+        // fail the version check, not be read as a dictionary.
+        let ds = toy_dataset();
+        let model = OneVsAllTrainer::default().train_kernel(&ds, &KernelSvmTrainer::default());
+        let mut bytes = encode_kernel_model(&model, WeightPrecision::F64);
+        assert_eq!(bytes[1], 2);
+        bytes[1] = 1;
+        assert_eq!(
+            decode_kernel_model(&bytes).err(),
+            Some(WireError::BadVersion(1))
+        );
+        assert_eq!(peek_kind(&bytes), None);
     }
 
     #[test]

@@ -220,3 +220,96 @@ fn absurd_count_prefixes_are_rejected_without_allocation() {
     codec::put_varint(&mut body, u64::MAX);
     assert_eq!(run_codec_decoders(&body), 0);
 }
+
+/// A kernel one-vs-all body written by hand: an empty shell for tags
+/// `0..ids.len()`, the `dictionary`, then one linear-kernel tag per entry
+/// of `ids` whose support vectors carry those dictionary ids.
+fn kernel_ova_body(dictionary: &[SparseVector], ids: &[&[u64]]) -> Vec<u8> {
+    let mut body = Vec::new();
+    codec::put_f64(&mut body, 0.0); // threshold
+    codec::put_varint(&mut body, 1); // min tags
+    codec::put_varint(&mut body, ids.len() as u64);
+    if !ids.is_empty() {
+        body.extend_from_slice(&[2, 0]); // contiguous index block from tag 0
+    }
+    codec::put_varint(&mut body, dictionary.len() as u64);
+    for v in dictionary {
+        codec::encode_vector(v, &mut body);
+    }
+    for tag_ids in ids {
+        body.push(0); // linear kernel
+        codec::put_f64(&mut body, 0.5); // bias
+        codec::put_varint(&mut body, tag_ids.len() as u64);
+        body.resize(body.len() + tag_ids.len().div_ceil(8), 0xFF); // labels
+        body.push(0); // f64 alphas
+        for _ in tag_ids.iter() {
+            codec::put_f64(&mut body, 1.0);
+        }
+        for &id in tag_ids.iter() {
+            codec::put_varint(&mut body, id);
+        }
+    }
+    body
+}
+
+fn kernel_model_frame(body: &[u8]) -> Vec<u8> {
+    let mut frame = vec![
+        wire::MAGIC,
+        wire::VERSION,
+        wire::PayloadKind::KernelModel as u8,
+    ];
+    frame.extend_from_slice(body);
+    frame
+}
+
+/// The dictionary layout's own failure modes: an id past the dictionary,
+/// an entry no id references, and a dictionary cut short are errors in the
+/// codec and in the wire frame, never a model.
+#[test]
+fn bad_dictionary_ids_entries_and_truncations_are_rejected() {
+    let a = SparseVector::from_pairs([(0, 1.0), (5, -2.0)]);
+    let b = SparseVector::from_pairs([(3, 0.5)]);
+    let decode = |body: &[u8]| codec::decode_kernel_ova(&mut ByteReader::new(body));
+
+    // The hand-written layout is the encoder's: it decodes, and the two
+    // tags' copies of `b` are one allocation.
+    let good = kernel_ova_body(&[a.clone(), b.clone()], &[&[0, 1], &[1]]);
+    let model = decode(&good).expect("a well-formed body decodes");
+    let (first, second) = (model.classifier(0).unwrap(), model.classifier(1).unwrap());
+    assert_eq!(first.support_vectors()[0].vector, a);
+    assert!(first.support_vectors()[1]
+        .vector
+        .shares_storage_with(&second.support_vectors()[0].vector));
+    assert!(wire::decode_kernel_model(&kernel_model_frame(&good)).is_ok());
+
+    let out_of_range = kernel_ova_body(&[a.clone(), b.clone()], &[&[0, 2]]);
+    let unreferenced = kernel_ova_body(&[a.clone(), b.clone()], &[&[1]]);
+    let huge_id = kernel_ova_body(std::slice::from_ref(&a), &[&[u64::MAX]]);
+    for (body, what) in [
+        (&out_of_range, "dictionary id out of range"),
+        (&unreferenced, "unreferenced dictionary entry"),
+        (&huge_id, "dictionary id out of range"),
+    ] {
+        assert_eq!(
+            decode(body).err(),
+            Some(codec::CodecError::Invalid(what)),
+            "{what}"
+        );
+        assert!(wire::decode_kernel_model(&kernel_model_frame(body)).is_err());
+    }
+
+    // Every cut inside the dictionary (after its count, before the first
+    // tag's kernel byte) fails cleanly. Ahead of it: threshold, min tags,
+    // tag count, index block and the dictionary count.
+    let shell = 8 + 1 + 1 + 2 + 1;
+    let dictionary_end = shell + {
+        let mut vectors = Vec::new();
+        codec::encode_vector(&a, &mut vectors);
+        codec::encode_vector(&b, &mut vectors);
+        vectors.len()
+    };
+    for cut in shell..dictionary_end {
+        assert!(decode(&good[..cut]).is_err(), "cut at {cut}");
+        assert!(wire::decode_kernel_model(&kernel_model_frame(&good[..cut])).is_err());
+    }
+}

@@ -60,7 +60,7 @@ pub mod prelude {
 
 pub use csr::CsrMatrix;
 pub use porter::PorterStemmer;
-pub use sparse::SparseVector;
+pub use sparse::{SparseVector, StorageKey};
 pub use stopwords::StopWordFilter;
 pub use tokenizer::Tokenizer;
 pub use vectorizer::{PreprocessPipeline, PreprocessPipelineBuilder, Weighting};

@@ -16,6 +16,13 @@
 //! allocation. Mutating methods ([`SparseVector::set`],
 //! [`SparseVector::scale`], the normalizers) copy-on-write: they only clone
 //! the storage when it is actually shared.
+//!
+//! Sharing is also how consumers recognise one vector in many places:
+//! [`SparseVector::storage_key`] names a vector's storage, so a kernel
+//! model's codec, cascade merge and scorer find the clones of a support
+//! vector without reading its entries. A path that deep-copies a vector
+//! (rebuilding it from its pairs) loses that identity, and equal content
+//! must then be found by hashing it.
 
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
@@ -30,6 +37,11 @@ fn empty_backing() -> SharedBacking {
     let (i, v) = EMPTY.get_or_init(|| (Arc::new(Vec::new()), Arc::new(Vec::new())));
     (Arc::clone(i), Arc::clone(v))
 }
+
+/// Opaque identity of a [`SparseVector`]'s shared storage — see
+/// [`SparseVector::storage_key`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StorageKey(usize, usize);
 
 /// A sparse vector stored as parallel, index-sorted arrays behind shared
 /// (`Arc`) storage — see the module docs for the sharing contract.
@@ -70,6 +82,21 @@ impl SparseVector {
     /// report `true` until one of them is mutated).
     pub fn shares_storage_with(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.indices, &other.indices) && Arc::ptr_eq(&self.values, &other.values)
+    }
+
+    /// The identity of this vector's backing storage: two live vectors have
+    /// equal keys exactly when [`Self::shares_storage_with`] holds for them,
+    /// so a key finds a vector's clones without reading its entries.
+    ///
+    /// A key is an address. It means something only while the vector it
+    /// came from is alive (a freed allocation's address is reused), and it
+    /// differs from run to run, so a map keyed by it is for lookups only —
+    /// iterating one would leak allocation addresses into results.
+    pub fn storage_key(&self) -> StorageKey {
+        StorageKey(
+            Arc::as_ptr(&self.indices) as usize,
+            Arc::as_ptr(&self.values) as usize,
+        )
     }
 
     /// Creates a vector from unsorted `(index, value)` pairs.
@@ -517,6 +544,22 @@ mod tests {
         assert_eq!(d.get(0), 2.0);
         // The empty vector is allocation-shared globally.
         assert!(SparseVector::new().shares_storage_with(&SparseVector::default()));
+    }
+
+    #[test]
+    fn storage_keys_are_equal_exactly_for_shared_storage() {
+        let a = SparseVector::from_pairs([(0, 1.0), (3, 2.0)]);
+        let equal_content = SparseVector::from_pairs([(0, 1.0), (3, 2.0)]);
+        assert_eq!(a.storage_key(), a.clone().storage_key());
+        assert_ne!(a.storage_key(), equal_content.storage_key());
+        // A copy-on-write of the values alone is storage of its own.
+        let mut half = a.clone();
+        half.scale(2.0);
+        assert_ne!(a.storage_key(), half.storage_key());
+        assert_eq!(
+            SparseVector::new().storage_key(),
+            SparseVector::default().storage_key()
+        );
     }
 
     #[test]
