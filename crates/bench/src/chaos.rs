@@ -230,20 +230,6 @@ pub fn measure_regime(
     }
 }
 
-/// Runs a list of regimes (all four protocols each) and returns the grid.
-pub fn measure(
-    regimes: &[ChaosRegime],
-    num_users: usize,
-    scale: Scale,
-    epochs: usize,
-    seed: u64,
-) -> Vec<ChaosRow> {
-    regimes
-        .iter()
-        .map(|r| measure_regime(r, num_users, scale, epochs, seed))
-        .collect()
-}
-
 /// Renders the grid as the `BENCH_chaos.json` document.
 pub fn to_json(rows: &[ChaosRow], epochs: usize, seed: u64) -> String {
     let mut out = String::from("{\n");

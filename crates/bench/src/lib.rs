@@ -4,21 +4,15 @@
 //! quantitative claim of §1–2 — has a function here that builds the workload,
 //! runs the protocols over the simulated P2P environment, and returns the rows
 //! of the corresponding table. The `experiments` binary prints them; the
-//! Criterion benches in `benches/` time the hot paths of the same code.
+//! `scenarios` and `chaos` binaries run the regression matrices.
 //! `DESIGN.md` (experiment index) maps experiment ids to paper anchors.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod alloc;
 pub mod chaos;
 pub mod experiments;
-pub mod kernels;
-pub mod scale;
 pub mod scenarios;
-pub mod session;
-pub mod throughput;
-pub mod wire;
 pub mod workload;
 
 pub use experiments::*;

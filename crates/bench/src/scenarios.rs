@@ -142,20 +142,6 @@ pub fn measure_scenario(
     }
 }
 
-/// Runs a list of scenarios (all four protocols each) and returns the matrix.
-pub fn measure(
-    scenarios: &[ScenarioSpec],
-    num_users: usize,
-    scale: Scale,
-    epochs: usize,
-    seed: u64,
-) -> Vec<ScenarioRow> {
-    scenarios
-        .iter()
-        .map(|s| measure_scenario(s, num_users, scale, epochs, seed))
-        .collect()
-}
-
 /// Renders the matrix as the `BENCH_scenarios.json` document.
 pub fn to_json(rows: &[ScenarioRow], epochs: usize, seed: u64) -> String {
     let mut out = String::from("{\n");

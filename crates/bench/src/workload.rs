@@ -1,8 +1,6 @@
-//! Workload construction shared by the experiments and the Criterion benches.
+//! Workload construction shared by the experiments, scenario and chaos runners.
 
-use dataset::{
-    BurstSpec, CommunitySpec, Corpus, CorpusGenerator, CorpusSpec, TrainTestSplit, VectorizedCorpus,
-};
+use dataset::{BurstSpec, CommunitySpec, Corpus, CorpusGenerator, CorpusSpec, TrainTestSplit};
 use doctagger::{AutoTagOutcome, DocTaggerConfig, P2PDocTagger, ProtocolKind, SessionConfig};
 use p2pclassify::CemparConfig;
 use p2psim::churn::ChurnModel;
@@ -10,7 +8,7 @@ use p2psim::SimConfig;
 use std::sync::Arc;
 
 /// Scale of a generated workload. Experiments default to [`Scale::Demo`];
-/// benches use [`Scale::Small`] to keep iteration times reasonable.
+/// tests and the sweeps use [`Scale::Small`] to keep run times reasonable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// A few hundred documents — unit-test sized.
@@ -223,11 +221,6 @@ impl Workload {
         let corpus = Arc::new(CorpusGenerator::new(corpus_spec(num_users, scale, seed)).generate());
         let split = TrainTestSplit::stratified_by_user(&corpus, train_fraction, seed ^ 0xABCD);
         Self { corpus, split }
-    }
-
-    /// The vectorized form of the corpus (TF-IDF over the shared lexicon).
-    pub fn vectorize(&self) -> VectorizedCorpus {
-        VectorizedCorpus::build(&self.corpus)
     }
 }
 

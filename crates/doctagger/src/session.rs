@@ -184,12 +184,6 @@ impl SessionOutcome {
     pub fn cold_start_metrics(&self, count: usize) -> MultiLabelMetrics {
         self.final_by_user.merged_over(self.cold_start_peers(count))
     }
-
-    /// Total wall-clock seconds spent in the learning phase across epochs —
-    /// the time the incremental/full-retrain modes differ in.
-    pub fn total_learn_secs(&self) -> f64 {
-        self.epochs.iter().map(|e| e.learn_secs).sum()
-    }
 }
 
 /// The epoch driver: owns the system under test and replays the timeline.

@@ -9,7 +9,7 @@
 //! The exception exists because the session driver reports *measurement*
 //! alongside simulation: the per-epoch `learn_secs`/`refine_secs`/
 //! `auto_secs` fields of [`crate::session::EpochReport`] are how the
-//! session benchmark tracks incremental-training speedups. Those readings
+//! repository benchmark (`benchmark/`) times a session's phases. Those readings
 //! are observability output only — nothing in the epoch loop branches on
 //! them, so they cannot perturb replay determinism. Keeping the clock
 //! behind [`Stopwatch`] makes that boundary auditable: a grep for

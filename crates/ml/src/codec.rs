@@ -93,7 +93,7 @@ impl std::error::Error for CodecError {}
 /// coefficients) are put on the wire.
 ///
 /// [`WeightPrecision::F64`] round-trips bit-identically; the lossy modes trade
-/// bytes for a measured macro-F1 delta (reported by the `wire` benchmark).
+/// bytes for a macro-F1 delta.
 /// Document vectors, centroids and score payloads are always shipped at `f64`:
 /// only *model* weights are quantization candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

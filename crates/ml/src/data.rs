@@ -156,17 +156,6 @@ impl MultiLabelDataset {
         (&self.vectors, self.label_mask(tag))
     }
 
-    /// The pre-refactor form of [`Self::one_vs_all`], returning an owned copy
-    /// of the full feature-vector list per tag. Kept **only** as the legacy
-    /// reference the throughput benchmark measures the borrow-once/CSR
-    /// training paths against; never call this on a hot path. (With the
-    /// shared-storage [`SparseVector`] the per-vector copies are now
-    /// reference-count bumps, so even the legacy path no longer duplicates
-    /// the underlying entry arrays.)
-    pub fn one_vs_all_cloned(&self, tag: TagId) -> (Vec<SparseVector>, Vec<bool>) {
-        (self.vectors.clone(), self.label_mask(tag))
-    }
-
     /// Materializes the feature vectors as a row-major [`CsrMatrix`] — the
     /// contiguous borrow-once layout the CSR-native training path
     /// ([`crate::multilabel::OneVsAllTrainer::train_linear_csr`]) iterates.
@@ -243,12 +232,8 @@ mod tests {
         let (xs, ys) = ds.one_vs_all(1);
         assert_eq!(xs.len(), 3);
         assert_eq!(ys, vec![true, false, true]);
-        // The zero-copy view agrees with the legacy cloning one.
-        let (cloned_xs, cloned_ys) = ds.one_vs_all_cloned(1);
-        assert_eq!(ds.vectors(), cloned_xs.as_slice());
         assert_eq!(ds.vectors(), xs);
         assert_eq!(ds.label_mask(1), ys);
-        assert_eq!(cloned_ys, ys);
         let mut mask = Vec::new();
         ds.label_mask_into(2, &mut mask);
         assert_eq!(mask, ds.label_mask(2));

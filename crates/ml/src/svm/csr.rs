@@ -30,7 +30,7 @@
 //! reference; the property tests below and the protocol equivalence suite in
 //! `p2pclassify` pin the contract.
 
-use super::{LinearSolver, LinearSvm, LinearSvmTrainer};
+use super::{LinearSvm, LinearSvmTrainer};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -218,10 +218,7 @@ impl<'a> CsrLinearTrainer<'a> {
             "xs and ys must have equal length"
         );
         assert!(!ys.is_empty(), "cannot train on an empty dataset");
-        match self.trainer.solver {
-            LinearSolver::DualCoordinateDescent => self.train_dcd(ys),
-            LinearSolver::Pegasos => self.train_pegasos(ys),
-        }
+        self.train_dcd(ys)
     }
 
     /// Warm refit from `warm`'s weights — bit-identical to
@@ -342,43 +339,6 @@ impl<'a> CsrLinearTrainer<'a> {
         let bias = w[bias_index];
         LinearSvm::from_weights(w[..dim].to_vec(), bias)
     }
-
-    /// Pegasos over CSR rows; mirrors the scalar `train_pegasos`.
-    fn train_pegasos(&mut self, ys: &[bool]) -> LinearSvm {
-        let trainer = self.trainer;
-        let csr = self.csr;
-        let n = csr.num_rows();
-        let dim = csr.dim();
-        let lambda = 1.0 / (trainer.c * n as f64);
-        Self::fill_labels(&mut self.y, ys);
-        let y = &self.y;
-        let w = &mut self.w;
-        w.clear();
-        w.resize(dim, 0.0);
-        let mut bias = 0.0;
-        let mut t: usize = 0;
-        let mut orders = self.cold_orders.stream();
-        for _pass in 0..trainer.max_iter {
-            let order = orders.next_order();
-            for &i in order {
-                let i = i as usize;
-                t += 1;
-                let eta = 1.0 / (lambda * t as f64);
-                let yi = y[i];
-                let margin = yi * (csr.row_dot_dense(i, w) + bias);
-                // w ← (1 - ηλ) w [+ η y x when the margin is violated]
-                let shrink = 1.0 - eta * lambda;
-                for wj in w.iter_mut() {
-                    *wj *= shrink;
-                }
-                if margin < 1.0 {
-                    csr.row_axpy_into(i, eta * yi, w);
-                    bias += eta * yi * 0.1; // smaller rate on the unregularized bias
-                }
-            }
-        }
-        LinearSvm::from_weights(w.clone(), bias)
-    }
 }
 
 #[cfg(test)]
@@ -405,20 +365,6 @@ mod tests {
         let mut ctx = CsrLinearTrainer::new(&trainer, &csr);
         assert_bit_identical(&ctx.train(&ys), &scalar);
         // A second fit through the same (reused) scratch is identical too.
-        assert_bit_identical(&ctx.train(&ys), &scalar);
-    }
-
-    #[test]
-    fn csr_pegasos_matches_scalar_bitwise() {
-        let (xs, ys) = test_util::separable(120, 32);
-        let trainer = LinearSvmTrainer {
-            solver: LinearSolver::Pegasos,
-            max_iter: 30,
-            ..Default::default()
-        };
-        let scalar = trainer.train(&xs, &ys);
-        let csr = CsrMatrix::from_vectors(&xs);
-        let mut ctx = CsrLinearTrainer::new(&trainer, &csr);
         assert_bit_identical(&ctx.train(&ys), &scalar);
     }
 
@@ -518,16 +464,10 @@ mod tests {
         fn csr_trainer_equivalence_property(
             data in arb_dataset(),
             seed in 0u64..64,
-            pegasos in any::<bool>(),
         ) {
             let (xs, ys) = data;
             let trainer = LinearSvmTrainer {
                 seed,
-                solver: if pegasos {
-                    LinearSolver::Pegasos
-                } else {
-                    LinearSolver::DualCoordinateDescent
-                },
                 max_iter: 20,
                 ..Default::default()
             };

@@ -1,4 +1,5 @@
-//! Linear SVM trained with dual coordinate descent or Pegasos.
+//! Linear SVM trained cold with dual coordinate descent and refit warm with
+//! Pegasos-style stochastic sub-gradient descent.
 //!
 //! PACE uses "the state-of-the-art linear SVM algorithm to reduce computation
 //! and communication cost": a linear model is a single dense weight vector, so
@@ -11,27 +12,15 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use textproc::SparseVector;
 
-/// Which optimization algorithm trains the linear SVM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LinearSolver {
-    /// Dual coordinate descent for L1-loss (hinge) SVM — Hsieh et al. 2008,
-    /// the LIBLINEAR default. Deterministic given the seed, converges fast.
-    DualCoordinateDescent,
-    /// Pegasos primal stochastic sub-gradient descent (Shalev-Shwartz et al.).
-    Pegasos,
-}
-
 /// Hyper-parameters for linear SVM training.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LinearSvmTrainer {
-    /// Soft-margin cost parameter `C` (dual) / `1/(λ·n)` (Pegasos).
+    /// Soft-margin cost parameter `C` (dual) / `1/(λ·n)` (warm SGD).
     pub c: f64,
-    /// Maximum number of passes over the data.
+    /// Maximum number of passes over the data (dual solver).
     pub max_iter: usize,
     /// Convergence tolerance on the projected gradient (dual solver).
     pub tol: f64,
-    /// Optimization algorithm.
-    pub solver: LinearSolver,
     /// RNG seed controlling example shuffling.
     pub seed: u64,
     /// Number of SGD passes run by [`Self::train_warm`]. Warm-starting from an
@@ -61,7 +50,6 @@ impl Default for LinearSvmTrainer {
             c: 1.0,
             max_iter: 100,
             tol: 1e-4,
-            solver: LinearSolver::DualCoordinateDescent,
             seed: 7,
             warm_passes: default_warm_passes(),
             warm_min_examples: default_warm_min_examples(),
@@ -122,7 +110,9 @@ impl LinearSvmTrainer {
         }
     }
 
-    /// Trains a linear SVM on `(xs, ys)`.
+    /// Trains a linear SVM on `(xs, ys)` with dual coordinate descent for the
+    /// L1-loss (hinge) SVM — Hsieh et al. 2008, the LIBLINEAR default.
+    /// Deterministic given the seed.
     ///
     /// # Panics
     /// Panics when `xs` and `ys` have different lengths or are empty.
@@ -134,10 +124,7 @@ impl LinearSvmTrainer {
             .map(SparseVector::dim_lower_bound)
             .max()
             .unwrap_or(0);
-        match self.solver {
-            LinearSolver::DualCoordinateDescent => self.train_dcd(xs, ys, dim),
-            LinearSolver::Pegasos => self.train_pegasos(xs, ys, dim),
-        }
+        self.train_dcd(xs, ys, dim)
     }
 
     /// Incrementally refits a model on a (typically grown) dataset: primal
@@ -266,39 +253,6 @@ impl LinearSvmTrainer {
         w.truncate(dim);
         LinearSvm { weights: w, bias }
     }
-
-    /// Pegasos: primal stochastic sub-gradient descent on the hinge loss with
-    /// L2 regularization `λ = 1 / (C · n)`.
-    fn train_pegasos(&self, xs: &[SparseVector], ys: &[bool], dim: usize) -> LinearSvm {
-        let n = xs.len();
-        let lambda = 1.0 / (self.c * n as f64);
-        let mut w = vec![0.0; dim];
-        let mut bias = 0.0;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut t: usize = 0;
-        for _pass in 0..self.max_iter {
-            order.shuffle(&mut rng);
-            for &i in &order {
-                t += 1;
-                let eta = 1.0 / (lambda * t as f64);
-                let y = if ys[i] { 1.0 } else { -1.0 };
-                let margin = y * (xs[i].dot_dense(&w) + bias);
-                // w ← (1 - ηλ) w [+ η y x when the margin is violated]
-                let shrink = 1.0 - eta * lambda;
-                for wj in &mut w {
-                    *wj *= shrink;
-                }
-                if margin < 1.0 {
-                    for (idx, v) in xs[i].iter() {
-                        w[idx as usize] += eta * y * v;
-                    }
-                    bias += eta * y * 0.1; // smaller learning rate on the (unregularized) bias
-                }
-            }
-        }
-        LinearSvm { weights: w, bias }
-    }
 }
 
 #[cfg(test)]
@@ -311,18 +265,6 @@ mod tests {
         let (xs, ys) = test_util::separable(200, 1);
         let model = LinearSvmTrainer::default().train(&xs, &ys);
         assert!(accuracy_on(&model, &xs, &ys) > 0.97);
-    }
-
-    #[test]
-    fn pegasos_separates_linearly_separable_data() {
-        let (xs, ys) = test_util::separable(200, 2);
-        let trainer = LinearSvmTrainer {
-            solver: LinearSolver::Pegasos,
-            max_iter: 50,
-            ..Default::default()
-        };
-        let model = trainer.train(&xs, &ys);
-        assert!(accuracy_on(&model, &xs, &ys) > 0.95);
     }
 
     #[test]

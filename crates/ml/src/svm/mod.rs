@@ -23,7 +23,7 @@ mod linear;
 
 pub use csr::CsrLinearTrainer;
 pub use kernel_svm::{gram_matrix, KernelSvm, KernelSvmTrainer, SupportVector};
-pub use linear::{LinearSolver, LinearSvm, LinearSvmTrainer};
+pub use linear::{LinearSvm, LinearSvmTrainer};
 
 use textproc::SparseVector;
 

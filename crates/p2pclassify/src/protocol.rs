@@ -16,8 +16,8 @@ pub type PeerDataMap = Vec<MultiLabelDataset>;
 ///
 /// Both backends produce identical `TagPrediction`s (the equivalence tests in
 /// `tests/equivalence.rs` pin this); they differ only in cost. The scalar
-/// backend is retained as the pre-refactor reference — it is what the
-/// throughput benchmark measures the batched engine against.
+/// backend is retained as the pre-refactor reference those tests run whole
+/// protocol instances on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScoringBackend {
     /// One dot product / kernel expansion per (tag, classifier): the
@@ -35,8 +35,8 @@ pub enum ScoringBackend {
 /// Both backends produce **bit-identical models** (and therefore identical
 /// predictions — `tests/equivalence.rs` pins this across every protocol,
 /// including `train_incremental` warm starts); they differ only in memory
-/// traffic. The scalar backend is retained as the reference the throughput
-/// benchmark measures the shared-storage engine against.
+/// traffic. The scalar backend is retained as the reference
+/// `tests/equivalence.rs` compares the shared-storage engine against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrainingBackend {
     /// Per-tag fits over the `&[SparseVector]` view, each re-deriving the

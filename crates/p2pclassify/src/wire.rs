@@ -17,8 +17,8 @@
 //!   propagation is what makes the E3 communication tables falsifiable and
 //!   surfaces any estimate-vs-reality divergence as a test failure.
 //! * [`WireCost::Estimated`] — the legacy hand-rolled `wire_size()`
-//!   estimators, kept as the reference backend the `wire` benchmark measures
-//!   the codec against.
+//!   estimators, kept as the reference backend `tests/equivalence.rs`
+//!   compares the codec's costs and predictions against.
 //!
 //! With lossless settings ([`WeightPrecision::F64`], no pruning) the decoded
 //! artifacts are **bit-identical** to the encoded ones, so `Measured` changes
@@ -145,8 +145,8 @@ impl std::error::Error for WireError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireCost {
     /// The legacy hand-rolled `wire_size()` estimators (nothing is
-    /// serialized). Kept as the reference the `wire` benchmark compares the
-    /// codec against.
+    /// serialized). Kept as the reference `tests/equivalence.rs` compares
+    /// the codec against.
     Estimated,
     /// Real encoded frames: sends charge `encoded.len()` and receivers decode
     /// from the bytes.
@@ -217,7 +217,8 @@ impl Default for ReliabilityConfig {
 }
 
 impl WireConfig {
-    /// The legacy-estimator configuration (the pre-codec reference backend).
+    /// The legacy-estimator configuration: the pre-codec reference backend
+    /// `tests/equivalence.rs` compares measured frames against.
     pub fn estimated() -> Self {
         Self {
             cost: WireCost::Estimated,

@@ -16,7 +16,7 @@
 //! and the online set is a [`PeerBitset`] that churn events update in place.
 //! After the initial ramp-up (slab, heap and buffers grown to the run's
 //! high-water mark) processing an event performs zero heap allocations —
-//! `bench`'s `scale` harness pins this in CI with the counting allocator.
+//! `tests/steady_state_allocs.rs` pins this with a counting allocator.
 
 use crate::bitset::{Ones, PeerBitset};
 use crate::churn::ChurnTimeline;
