@@ -1,7 +1,7 @@
 //! Batched one-vs-all scoring: the hot path of the tagging system.
 //!
 //! The scalar path scores a document with one dot product per (tag,
-//! classifier): `T` walks over `T` different dense weight vectors, plus a
+//! classifier): `T` merge-joins against `T` different weight lists, plus a
 //! `Vec` allocation and a sort per call. At realistic tag-vocabulary sizes
 //! (Golder & Huberman: thousands of tags) that per-tag loop dominates the
 //! whole pipeline. This module packs all per-tag models into shared read-only
@@ -9,11 +9,11 @@
 //! single pass over the document's nonzeros:
 //!
 //! * [`TagWeightMatrix`] — a CSR-style sparse matrix over the per-tag
-//!   [`LinearSvm`] weight vectors, indexed by *feature*: row `j` holds the
+//!   [`LinearSvm`] nonzero weights, indexed by *feature*: row `j` holds the
 //!   `(tag, weight)` pairs of every tag whose model has a nonzero weight on
 //!   feature `j`. Scoring scatters each document nonzero into per-tag
-//!   accumulators (one contiguous `f64` slab), instead of gathering scattered
-//!   dense-vector entries per tag.
+//!   accumulators (one contiguous `f64` slab), instead of merge-joining the
+//!   document with every tag's weight list.
 //! * [`BatchKernelScorer`] — the analogous entry point for [`KernelSvm`]
 //!   ensembles: the kernel row `K(sv, x)` is computed **once per distinct
 //!   support vector** and shared by every tag that retains that vector,
@@ -33,11 +33,10 @@
 //! **identical** to the scalar [`crate::svm::BinaryClassifier`] path: per-tag terms are
 //! accumulated in the same (ascending document-feature / original
 //! support-vector) order, so every floating-point operation happens in the
-//! same sequence as the scalar code. The only tolerated deviation is the sign
-//! of an exact zero (the batched path skips explicitly-zero weights whose
-//! `0.0 · v` contributions cannot change a sum). The kernel scorer has no
-//! such exception: its postings scatter forms each kernel's dot product
-//! from the same products in the same order as the merge-join, and
+//! same sequence as the scalar code. A linear model stores no zero weight,
+//! so the matrix holds exactly the weights [`LinearSvm`]'s `decision`
+//! multiplies. The kernel scorer's postings scatter forms each kernel's dot
+//! product from the same products in the same order as the merge-join, and
 //! finishes it through the same expression with the same norms, so its
 //! decisions match the scalar ones in every bit, NaN and ±∞ included. (Rust
 //! leaves unspecified which NaN an addition of two NaNs returns, so an
@@ -91,8 +90,11 @@ pub struct TagWeightMatrix {
 }
 
 impl TagWeightMatrix {
-    /// Packs per-tag linear models into a CSR matrix.
+    /// Packs per-tag linear models into a CSR matrix: one counting sort of
+    /// their nonzero weights by feature.
     ///
+    /// The matrix spans the largest model [`LinearSvm::dim`], so
+    /// [`Self::to_one_vs_all`] hands each tag back at that dimension.
     /// `threshold` and `min_tags` replicate the prediction policy of the
     /// one-vs-all model (see [`Self::predict`]).
     pub fn from_classifiers<'a, I>(classifiers: I, threshold: f64, min_tags: usize) -> Self
@@ -104,48 +106,37 @@ impl TagWeightMatrix {
             models.windows(2).all(|w| w[0].0 < w[1].0),
             "classifiers must arrive in ascending tag order"
         );
-        let num_features = models
-            .iter()
-            .map(|(_, m)| m.weights().len())
-            .max()
-            .unwrap_or(0);
-        // Count nonzero weights per feature row, then prefix-sum into row_ptr.
-        let mut row_len = vec![0u32; num_features];
+        let num_features = models.iter().map(|(_, m)| m.dim()).max().unwrap_or(0);
+        // Count the weights of feature `j` into `row_ptr[j + 1]`, prefix-sum
+        // so that `row_ptr[j]` is where row `j` starts, then place each
+        // weight at its row's cursor `row_ptr[j]`. Placing advances every
+        // cursor to the next row's start, so shifting the array up by one
+        // restores the row starts.
+        let mut row_ptr = vec![0u32; num_features + 1];
         for (_, model) in &models {
-            for (j, &w) in model.weights().iter().enumerate() {
-                if w != 0.0 {
-                    row_len[j] += 1;
-                }
+            for &j in model.indices() {
+                row_ptr[j as usize + 1] += 1;
             }
         }
-        let mut row_ptr = Vec::with_capacity(num_features + 1);
-        let mut acc = 0u32;
-        row_ptr.push(0);
-        for &len in &row_len {
-            acc += len;
-            row_ptr.push(acc);
+        for j in 1..row_ptr.len() {
+            row_ptr[j] += row_ptr[j - 1];
         }
-        let nnz = acc as usize;
+        let nnz = row_ptr[num_features] as usize;
         let mut entry_slot = vec![0u32; nnz];
         let mut entry_weight = vec![0.0f64; nnz];
-        let mut cursor: Vec<u32> = row_ptr[..num_features].to_vec();
-        let mut tags = Vec::with_capacity(models.len());
-        let mut biases = Vec::with_capacity(models.len());
-        for (slot, (tag, model)) in models.iter().enumerate() {
-            tags.push(*tag);
-            biases.push(model.bias());
-            for (j, &w) in model.weights().iter().enumerate() {
-                if w != 0.0 {
-                    let e = cursor[j] as usize;
-                    entry_slot[e] = slot as u32;
-                    entry_weight[e] = w;
-                    cursor[j] += 1;
-                }
+        for (slot, (_, model)) in models.iter().enumerate() {
+            for (&j, &w) in model.indices().iter().zip(model.values()) {
+                let cursor = &mut row_ptr[j as usize];
+                entry_slot[*cursor as usize] = slot as u32;
+                entry_weight[*cursor as usize] = w;
+                *cursor += 1;
             }
         }
+        row_ptr.copy_within(..num_features, 1);
+        row_ptr[0] = 0;
         Self {
-            tags,
-            biases,
+            tags: models.iter().map(|&(tag, _)| tag).collect(),
+            biases: models.iter().map(|(_, m)| m.bias()).collect(),
             row_ptr,
             entry_slot,
             entry_weight,
@@ -172,9 +163,9 @@ impl TagWeightMatrix {
     /// Raw decision values for every tag, written into `out` in slot
     /// (ascending tag) order. One pass over the document's nonzeros.
     ///
-    /// Identical to calling `classifier.decision(x)` per tag: terms are
-    /// accumulated in ascending feature order and the bias is added last,
-    /// mirroring `dot_dense(x) + bias`.
+    /// Identical to calling `classifier.decision(x)` per tag: the products
+    /// `w_j · x_j` are accumulated in ascending feature order and the bias
+    /// is added last, as [`LinearSvm`]'s `decision` does.
     pub fn decisions_into(&self, x: &SparseVector, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.tags.len(), 0.0);
@@ -182,8 +173,7 @@ impl TagWeightMatrix {
         for (j, v) in x.iter() {
             let j = j as usize;
             if j >= num_features {
-                // Features beyond every model's weight vector contribute
-                // nothing (the scalar path's `dense.get(i)` misses).
+                // Features beyond every model's dimension hold no weight.
                 continue;
             }
             let lo = self.row_ptr[j] as usize;
@@ -197,27 +187,49 @@ impl TagWeightMatrix {
         }
     }
 
-    /// Unpacks the matrix back into per-tag dense classifiers.
+    /// Unpacks the matrix back into per-tag classifiers.
     ///
-    /// Every reconstructed weight vector has length `num_features` (the
-    /// packed dimension); stored nonzeros land at their original indices and
-    /// everything else is `0.0`, so decisions — and warm-started retraining,
-    /// which only reads the weights — are identical to the pre-pack model.
+    /// Every classifier comes back at the packed dimension (the largest
+    /// model's) with its stored nonzeros at their original features, so
+    /// decisions, warm-started retraining and encoded frames are those of
+    /// the model that was packed, whenever its tags share one dimension (as
+    /// one peer's do). Each tag's lists are allocated at their exact size.
     /// This lets a model registry keep nothing but the CSR matrix at rest
-    /// and materialize the dense form only for the one peer being refit.
+    /// and unpack a model only for the one peer being refit.
     pub fn to_one_vs_all(&self) -> crate::multilabel::OneVsAllModel<LinearSvm> {
         let num_features = self.row_ptr.len().saturating_sub(1);
-        let mut weights = vec![vec![0.0f64; num_features]; self.tags.len()];
+        // Counting sort of the entries by slot into one arena, then each
+        // slot's run copied out at its exact size.
+        let mut start = vec![0usize; self.tags.len() + 1];
+        for &slot in &self.entry_slot {
+            start[slot as usize + 1] += 1;
+        }
+        for s in 1..start.len() {
+            start[s] += start[s - 1];
+        }
+        let mut cursor = start.clone();
+        let mut indices = vec![0u32; self.entry_slot.len()];
+        let mut values = vec![0.0f64; self.entry_slot.len()];
         for (j, row) in self.row_ptr.windows(2).enumerate() {
             for e in row[0] as usize..row[1] as usize {
-                weights[self.entry_slot[e] as usize][j] = self.entry_weight[e];
+                let at = &mut cursor[self.entry_slot[e] as usize];
+                indices[*at] = j as u32;
+                values[*at] = self.entry_weight[e];
+                *at += 1;
             }
         }
         let classifiers: std::collections::BTreeMap<TagId, LinearSvm> = self
             .tags
             .iter()
-            .zip(weights.into_iter().zip(self.biases.iter()))
-            .map(|(&tag, (w, &bias))| (tag, LinearSvm::from_weights(w, bias)))
+            .zip(start.windows(2).zip(&self.biases))
+            .map(|(&tag, (run, &bias))| {
+                let run = run[0]..run[1];
+                let (indices, values) = (indices[run.clone()].to_vec(), values[run].to_vec());
+                (
+                    tag,
+                    LinearSvm::from_parts(num_features, indices, values, bias),
+                )
+            })
             .collect();
         crate::multilabel::OneVsAllModel::from_classifiers(
             classifiers,
@@ -664,13 +676,10 @@ mod tests {
         for ((tag_a, a), (tag_b, b)) in model.iter().zip(rebuilt.iter()) {
             assert_eq!(tag_a, tag_b);
             assert_eq!(a.bias(), b.bias());
-            // Same values at every index; the reconstructed vector may carry
-            // trailing zeros up to the packed dimension.
-            for j in 0..a.weights().len().max(b.weights().len()) {
-                let wa = a.weights().get(j).copied().unwrap_or(0.0);
-                let wb = b.weights().get(j).copied().unwrap_or(0.0);
-                assert_eq!(wa, wb, "tag {tag_a} weight {j}");
-            }
+            // The same weights at the same features, at the packed dimension.
+            assert_eq!(a.indices(), b.indices(), "tag {tag_a}");
+            assert_eq!(a.values(), b.values(), "tag {tag_a}");
+            assert_eq!(b.dim(), a.dim(), "tag {tag_a}");
         }
         for probe in [
             sparse(&[(0, 1.0)]),
@@ -767,6 +776,54 @@ mod tests {
             .prop_map(SparseVector::from_pairs)
     }
 
+    /// The packing [`TagWeightMatrix::from_classifiers`] replaced, kept as
+    /// its oracle: it scans every tag's dense weight vector, twice.
+    fn pack_dense(
+        models: &[(TagId, Vec<f64>, f64)],
+        threshold: f64,
+        min_tags: usize,
+    ) -> TagWeightMatrix {
+        let num_features = models.iter().map(|(_, w, _)| w.len()).max().unwrap_or(0);
+        let mut row_len = vec![0u32; num_features];
+        for (_, weights, _) in models {
+            for (j, &w) in weights.iter().enumerate() {
+                if w != 0.0 {
+                    row_len[j] += 1;
+                }
+            }
+        }
+        let mut row_ptr = Vec::with_capacity(num_features + 1);
+        let mut acc = 0u32;
+        row_ptr.push(0);
+        for &len in &row_len {
+            acc += len;
+            row_ptr.push(acc);
+        }
+        let nnz = acc as usize;
+        let mut entry_slot = vec![0u32; nnz];
+        let mut entry_weight = vec![0.0f64; nnz];
+        let mut cursor: Vec<u32> = row_ptr[..num_features].to_vec();
+        for (slot, (_, weights, _)) in models.iter().enumerate() {
+            for (j, &w) in weights.iter().enumerate() {
+                if w != 0.0 {
+                    let e = cursor[j] as usize;
+                    entry_slot[e] = slot as u32;
+                    entry_weight[e] = w;
+                    cursor[j] += 1;
+                }
+            }
+        }
+        TagWeightMatrix {
+            tags: models.iter().map(|(tag, _, _)| *tag).collect(),
+            biases: models.iter().map(|(_, _, bias)| *bias).collect(),
+            row_ptr,
+            entry_slot,
+            entry_weight,
+            threshold,
+            min_tags,
+        }
+    }
+
     /// Random dense weight rows (with deliberate exact zeros) for synthetic
     /// linear models, bypassing training so the property covers weight
     /// patterns training would rarely produce.
@@ -788,7 +845,7 @@ mod tests {
                         *w = 0.0;
                     }
                 }
-                out.insert(tag, LinearSvm::from_weights(weights, bias));
+                out.insert(tag, LinearSvm::from_dense(&weights, bias));
             }
             out.into_iter().collect()
         })
@@ -811,6 +868,17 @@ mod tests {
                 TagWeightMatrix::from_classifiers(models.iter().map(|(t, m)| (*t, m)), 0.0, 1);
             prop_assert_eq!(matrix.scores(&x), scalar.scores(&x));
             prop_assert_eq!(matrix.predict(&x), scalar.predict(&x));
+            // Packed from the nonzeros as the dense scan packed it, and
+            // unpacked to the same nonzeros at the packed dimension.
+            let dense: Vec<_> = models.iter().map(|(t, m)| (*t, m.to_dense(), m.bias())).collect();
+            prop_assert_eq!(&matrix, &pack_dense(&dense, 0.0, 1));
+            let packed_dim = models.iter().map(|(_, m)| m.dim()).max().unwrap_or(0);
+            for ((_, m), (_, back)) in models.iter().zip(matrix.to_one_vs_all().iter()) {
+                prop_assert_eq!(m.indices(), back.indices());
+                prop_assert_eq!(m.values(), back.values());
+                prop_assert_eq!(back.dim(), packed_dim);
+                prop_assert_eq!(m.bias().to_bits(), back.bias().to_bits());
+            }
         }
 
         #[test]

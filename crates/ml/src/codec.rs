@@ -468,9 +468,19 @@ pub fn decode_vectors(r: &mut ByteReader<'_>) -> Result<Vec<SparseVector>, Codec
 /// Encodes a linear SVM: dimension, bias, then the nonzero weights as an
 /// index block + value block at the requested precision.
 pub fn encode_linear_svm(m: &LinearSvm, precision: WeightPrecision, buf: &mut Vec<u8>) {
-    let w = m.weights();
-    put_varint(buf, w.len() as u64);
+    put_varint(buf, m.dim() as u64);
     put_f64(buf, m.bias());
+    put_varint(buf, m.nonzero_weights() as u64);
+    put_index_block(m.indices(), buf);
+    put_value_block(m.values(), precision, buf);
+}
+
+/// The linear body encoder [`encode_linear_svm`] replaced, kept as its
+/// oracle: it filters the nonzeros out of a dense weight vector.
+#[cfg(test)]
+fn encode_linear_dense(w: &[f64], bias: f64, precision: WeightPrecision, buf: &mut Vec<u8>) {
+    put_varint(buf, w.len() as u64);
+    put_f64(buf, bias);
     let (indices, values): (Vec<u32>, Vec<f64>) = w
         .iter()
         .enumerate()
@@ -482,13 +492,18 @@ pub fn encode_linear_svm(m: &LinearSvm, precision: WeightPrecision, buf: &mut Ve
     put_value_block(&values, precision, buf);
 }
 
-/// Largest dense weight dimension [`decode_linear_svm`] will materialize
-/// (16 M features ≈ 128 MiB of `f64`s) — an order of magnitude above any
-/// realistic lexicon, but small enough that a corrupt dimension prefix in a
-/// frame cannot request an absurd allocation.
+/// Largest weight dimension [`decode_linear_svm`] accepts (16 M features),
+/// an order of magnitude above any realistic lexicon. Decoding allocates
+/// only the stored nonzeros, but a model's dimension sizes the dense
+/// scratch a warm start refits it in (and the row pointers of the
+/// [`crate::TagWeightMatrix`] it is packed into), so a corrupt dimension
+/// prefix in a frame cannot request an absurd allocation there.
 pub const MAX_WEIGHT_DIM: usize = 1 << 24;
 
-/// Decodes a linear SVM back to its dense weight vector form.
+/// Decodes a linear SVM into its nonzero weights. A weight that decodes to
+/// exactly `0.0` (a lossy value block rounds small weights there) is
+/// dropped, as it would be absent from the dense vector's nonzeros, so the
+/// model re-encodes to the frame a dense decode would re-encode to.
 pub fn decode_linear_svm(r: &mut ByteReader<'_>) -> Result<LinearSvm, CodecError> {
     let dim = r.read_varint()?;
     if dim > MAX_WEIGHT_DIM as u64 {
@@ -497,17 +512,25 @@ pub fn decode_linear_svm(r: &mut ByteReader<'_>) -> Result<LinearSvm, CodecError
     let dim = dim as usize;
     let bias = r.read_f64()?;
     let nnz = r.read_count_of(1)?;
-    let indices = read_index_block(r, nnz)?;
-    let values = read_value_block(r, nnz)?;
-    let mut w = vec![0.0; dim];
-    for (&i, v) in indices.iter().zip(values) {
-        let i = i as usize;
-        if i >= dim {
-            return Err(CodecError::Invalid("weight index out of range"));
-        }
-        w[i] = v;
+    let mut indices = read_index_block(r, nnz)?;
+    let mut values = read_value_block(r, nnz)?;
+    // Indices ascend, so the last one bounds them all.
+    if indices.last().is_some_and(|&i| i as usize >= dim) {
+        return Err(CodecError::Invalid("weight index out of range"));
     }
-    Ok(LinearSvm::from_weights(w, bias))
+    if values.contains(&0.0) {
+        let mut keep = 0;
+        for k in 0..values.len() {
+            if values[k] != 0.0 {
+                indices[keep] = indices[k];
+                values[keep] = values[k];
+                keep += 1;
+            }
+        }
+        indices.truncate(keep);
+        values.truncate(keep);
+    }
+    Ok(LinearSvm::from_parts(dim, indices, values, bias))
 }
 
 /// Encodes the kernel function tag + parameters.
@@ -840,17 +863,19 @@ pub fn prune_top_k(model: &OneVsAllModel<LinearSvm>, k: usize) -> OneVsAllModel<
     let classifiers: BTreeMap<TagId, LinearSvm> = model
         .iter()
         .map(|(tag, clf)| {
-            let w = clf.weights();
-            let mut nonzero: Vec<usize> = (0..w.len()).filter(|&i| w[i] != 0.0).collect();
-            if nonzero.len() > k {
-                nonzero.sort_by(|&a, &b| w[b].abs().total_cmp(&w[a].abs()).then(a.cmp(&b)));
-                nonzero.truncate(k);
+            let (idx, w) = (clf.indices(), clf.values());
+            let mut keep: Vec<usize> = (0..idx.len()).collect();
+            if keep.len() > k {
+                keep.sort_by(|&a, &b| w[b].abs().total_cmp(&w[a].abs()).then(a.cmp(&b)));
+                keep.truncate(k);
+                keep.sort_unstable();
             }
-            let mut pruned = vec![0.0; w.len()];
-            for &i in &nonzero {
-                pruned[i] = w[i];
-            }
-            (tag, LinearSvm::from_weights(pruned, clf.bias()))
+            let indices = keep.iter().map(|&p| idx[p]).collect();
+            let values = keep.iter().map(|&p| w[p]).collect();
+            (
+                tag,
+                LinearSvm::from_parts(clf.dim(), indices, values, clf.bias()),
+            )
         })
         .collect();
     OneVsAllModel::from_classifiers(classifiers, model.threshold(), model.min_tags())
@@ -1010,6 +1035,118 @@ mod tests {
         assert_eq!(model, decoded);
         for x in &xs {
             assert_eq!(model.decision(x).to_bits(), decoded.decision(x).to_bits());
+        }
+    }
+
+    /// The linear body decoder [`decode_linear_svm`] replaced: the weights
+    /// scattered into a dense vector of the frame's dimension, exact zeros
+    /// included.
+    fn decode_linear_dense(r: &mut ByteReader<'_>) -> (Vec<f64>, f64) {
+        let dim = r.read_varint().unwrap() as usize;
+        let bias = r.read_f64().unwrap();
+        let nnz = r.read_count_of(1).unwrap();
+        let indices = read_index_block(r, nnz).unwrap();
+        let values = read_value_block(r, nnz).unwrap();
+        let mut w = vec![0.0; dim];
+        for (&i, v) in indices.iter().zip(values) {
+            w[i as usize] = v;
+        }
+        (w, bias)
+    }
+
+    const PRECISIONS: [WeightPrecision; 3] = [
+        WeightPrecision::F64,
+        WeightPrecision::F32,
+        WeightPrecision::Q8,
+    ];
+
+    /// `m`'s frame at every precision equals the dense encoder's frame of
+    /// `m.to_dense()`; decoding it and re-encoding gives the frame the dense
+    /// decoder's vector re-encodes to.
+    fn check_linear_frames_match_dense(m: &LinearSvm) {
+        for precision in PRECISIONS {
+            let mut sparse = Vec::new();
+            encode_linear_svm(m, precision, &mut sparse);
+            let mut dense = Vec::new();
+            encode_linear_dense(&m.to_dense(), m.bias(), precision, &mut dense);
+            assert_eq!(sparse, dense, "{precision:?}");
+
+            let decoded = decode_linear_svm(&mut ByteReader::new(&sparse)).unwrap();
+            assert!(decoded.values().iter().all(|&v| v != 0.0));
+            let (w, bias) = decode_linear_dense(&mut ByteReader::new(&sparse));
+            for again in PRECISIONS {
+                let mut sparse = Vec::new();
+                encode_linear_svm(&decoded, again, &mut sparse);
+                let mut dense = Vec::new();
+                encode_linear_dense(&w, bias, again, &mut dense);
+                assert_eq!(sparse, dense, "{precision:?} then {again:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn linear_frames_equal_the_dense_encoders() {
+        let (xs, ys) = crate::svm::test_util::separable(80, 3);
+        check_linear_frames_match_dense(&LinearSvmTrainer::default().train(&xs, &ys));
+        let ds = toy_dataset();
+        let model = OneVsAllTrainer::default().train_linear_csr(&ds, &LinearSvmTrainer::default());
+        for (_, clf) in model.iter() {
+            check_linear_frames_match_dense(clf);
+        }
+        // Empty, NaN and infinite weights, and a trailing zero that only the
+        // dimension remembers.
+        for w in [
+            vec![],
+            vec![0.0, 0.0],
+            vec![f64::NAN, 0.0, -1.0, f64::INFINITY, 0.0],
+        ] {
+            check_linear_frames_match_dense(&LinearSvm::from_dense(&w, -0.5));
+        }
+    }
+
+    #[test]
+    fn lossy_weights_that_round_to_zero_are_dropped_at_decode() {
+        // At f32, 1e-50 underflows to 0.0 and -1e-50 to -0.0; at q8 every
+        // weight under half a step (1/254 of the largest) rounds to 0.
+        let m = LinearSvm::from_dense(&[1.0, 1e-50, 0.0, -1e-50, 1e-3, -2e-3, 0.5], 0.25);
+        for (precision, kept) in [
+            (WeightPrecision::F32, vec![0, 4, 5, 6]),
+            (WeightPrecision::Q8, vec![0, 6]),
+        ] {
+            let mut buf = Vec::new();
+            encode_linear_svm(&m, precision, &mut buf);
+            let decoded = decode_linear_svm(&mut ByteReader::new(&buf)).unwrap();
+            assert_eq!(decoded.indices(), kept, "{precision:?}");
+            assert_eq!(decoded.dim(), m.dim());
+        }
+        check_linear_frames_match_dense(&m);
+    }
+
+    #[test]
+    fn linear_frames_with_a_dimension_past_the_cap_or_an_index_past_it_are_rejected() {
+        let body = |dim: u64, indices: &[u32]| {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, dim);
+            put_f64(&mut buf, 0.0);
+            put_varint(&mut buf, indices.len() as u64);
+            put_index_block(indices, &mut buf);
+            put_value_block(&vec![1.0; indices.len()], WeightPrecision::F64, &mut buf);
+            buf
+        };
+        let decode = |buf: Vec<u8>| decode_linear_svm(&mut ByteReader::new(&buf));
+        let cap = MAX_WEIGHT_DIM as u64;
+        assert!(decode(body(cap, &[0, 7])).is_ok());
+        assert_eq!(
+            decode(body(cap + 1, &[])),
+            Err(CodecError::Invalid("weight dimension exceeds decode cap"))
+        );
+        assert!(decode(body(8, &[2, 7])).is_ok());
+        for indices in [&[2u32, 8][..], &[8], &[0, 3, u32::MAX]] {
+            assert_eq!(
+                decode(body(8, indices)),
+                Err(CodecError::Invalid("weight index out of range")),
+                "{indices:?}"
+            );
         }
     }
 
@@ -1295,9 +1432,23 @@ mod tests {
             .prop_map(|(v, tags)| MultiLabelExample::new(v, tags))
     }
 
+    /// Dense weights of which many are zero, tiny enough to round to zero
+    /// at `f32` or `q8`, or not finite.
+    fn arb_wild_linear_svm() -> impl Strategy<Value = LinearSvm> {
+        let weight = (0u8..10, -4.0f64..4.0).prop_map(|(pick, v)| match pick {
+            0 | 1 => 0.0,
+            2 => v * 1e-3,
+            3 => v * 1e-45,
+            4 => [f64::NAN, f64::INFINITY, -f64::INFINITY, -0.0][(v.abs() as usize).min(3)],
+            _ => v,
+        });
+        (prop::collection::vec(weight, 0..40), -2.0f64..2.0)
+            .prop_map(|(weights, bias)| LinearSvm::from_dense(&weights, bias))
+    }
+
     fn arb_linear_svm() -> impl Strategy<Value = LinearSvm> {
         (prop::collection::vec(-4.0f64..4.0, 0..60), -2.0f64..2.0)
-            .prop_map(|(weights, bias)| LinearSvm::from_weights(weights, bias))
+            .prop_map(|(weights, bias)| LinearSvm::from_dense(&weights, bias))
     }
 
     fn arb_kernel_svm() -> impl Strategy<Value = KernelSvm> {
@@ -1358,6 +1509,12 @@ mod tests {
         fn prop_vectors_roundtrip(vs in prop::collection::vec(arb_vector(), 0..8)) {
             let decoded = roundtrip(&vs, |vs, b| encode_vectors(vs, b), decode_vectors);
             prop_assert_eq!(&decoded, &vs);
+        }
+
+        #[test]
+        fn prop_linear_frames_equal_the_dense_encoders(m in arb_linear_svm(), wild in arb_wild_linear_svm()) {
+            check_linear_frames_match_dense(&m);
+            check_linear_frames_match_dense(&wild);
         }
 
         #[test]

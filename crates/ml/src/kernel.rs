@@ -31,6 +31,19 @@ thread_local! {
 /// only a hostile frame carries, is looked up by binary search instead.
 pub(crate) const SCATTER_LIMIT: usize = 1 << 20;
 
+/// `x`'s indices below [`SCATTER_LIMIT`], the ones a per-thread table holds
+/// (all of them, unless a hostile frame's index lies beyond).
+#[inline]
+pub(crate) fn below_limit(x: &SparseVector) -> &[u32] {
+    let xi = x.indices();
+    match xi.last() {
+        Some(&last) if (last as usize) >= SCATTER_LIMIT => {
+            &xi[..xi.partition_point(|&f| (f as usize) < SCATTER_LIMIT)]
+        }
+        _ => xi,
+    }
+}
+
 /// A Mercer kernel `K(x, z)` on sparse document vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Kernel {

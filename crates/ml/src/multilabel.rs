@@ -106,10 +106,10 @@ impl OneVsAllTrainer {
 
     /// Drives every per-tag linear problem off one shared CSR training
     /// context: `fit(ctx, mask, tag)` runs with the dataset-level state
-    /// (matrix, DCD diagonal, shuffle orders, solver scratch) already hoisted
-    /// out of the per-tag loop. Tag chunks fan out across cores, each chunk
-    /// sequentially reusing its own context; the ordered reduction keeps the
-    /// model identical to a sequential tag loop.
+    /// (matrix, DCD diagonal, feature support, shuffle orders, solver
+    /// scratch) already hoisted out of the per-tag loop. Tag chunks fan out
+    /// across cores, each chunk sequentially reusing its own context; the
+    /// ordered reduction keeps the model identical to a sequential tag loop.
     fn train_linear_csr_with<F>(
         &self,
         data: &MultiLabelDataset,
@@ -124,15 +124,17 @@ impl OneVsAllTrainer {
             return self.assemble(tags, Vec::new());
         }
         let csr = data.to_csr();
-        // The DCD diagonal is label-independent: compute it once and share it
-        // across workers (each worker's context only owns mutable scratch).
+        // The DCD diagonal and the feature support are label-independent:
+        // compute them once and share them across workers (each worker's
+        // context only owns mutable scratch).
         let q = CsrLinearTrainer::dcd_diagonal(&csr);
+        let support = CsrLinearTrainer::feature_support(&csr);
         let chunk = tags
             .len()
             .div_ceil(parallel::effective_threads(tags.len()).max(1))
             .max(1);
         let trained: Vec<LinearSvm> = parallel::par_chunks(&tags, chunk, |_, chunk_tags| {
-            let mut ctx = CsrLinearTrainer::with_diagonal(svm, &csr, &q);
+            let mut ctx = CsrLinearTrainer::with_shared(svm, &csr, &q, &support);
             let mut mask = Vec::new();
             chunk_tags
                 .iter()
@@ -374,7 +376,7 @@ impl<C: BinaryClassifier> OneVsAllModel<C> {
 }
 
 impl OneVsAllModel<LinearSvm> {
-    /// Packs the per-tag weight vectors into a shared CSR matrix whose
+    /// Packs the per-tag nonzero weights into a shared CSR matrix whose
     /// batched [`TagWeightMatrix::scores`] / [`TagWeightMatrix::predict`] are
     /// identical to this model's scalar [`Self::scores`] / [`Self::predict`].
     pub fn weight_matrix(&self) -> TagWeightMatrix {
@@ -659,18 +661,9 @@ mod tests {
         // the fallback must pick the best-*scored* tag — a fallback walking
         // tag-id order would return tag 1.
         let classifiers = BTreeMap::from([
-            (
-                1,
-                LinearSvm::from_weights(vec![0.0, 0.0, 0.0, 0.0, -2.0], 0.0),
-            ),
-            (
-                2,
-                LinearSvm::from_weights(vec![0.0, 0.0, 0.0, 0.0, -1.5], 0.0),
-            ),
-            (
-                9,
-                LinearSvm::from_weights(vec![0.0, 0.0, 0.0, 0.0, -0.2], 0.0),
-            ),
+            (1, LinearSvm::from_dense(&[0.0, 0.0, 0.0, 0.0, -2.0], 0.0)),
+            (2, LinearSvm::from_dense(&[0.0, 0.0, 0.0, 0.0, -1.5], 0.0)),
+            (9, LinearSvm::from_dense(&[0.0, 0.0, 0.0, 0.0, -0.2], 0.0)),
         ]);
         let model = OneVsAllModel::from_classifiers(classifiers, 0.0, 1);
         let probe = SparseVector::from_pairs([(4, 1.0)]);
@@ -684,9 +677,9 @@ mod tests {
         // A degenerate classifier producing NaN decisions must neither be
         // selected by the fallback nor poison the ordering of finite scores.
         let classifiers = BTreeMap::from([
-            (1, LinearSvm::from_weights(vec![-3.0], 0.0)),
-            (2, LinearSvm::from_weights(vec![f64::NAN], 0.0)),
-            (7, LinearSvm::from_weights(vec![-0.5], 0.0)),
+            (1, LinearSvm::from_dense(&[-3.0], 0.0)),
+            (2, LinearSvm::from_dense(&[f64::NAN], 0.0)),
+            (7, LinearSvm::from_dense(&[-0.5], 0.0)),
         ]);
         let model = OneVsAllModel::from_classifiers(classifiers, 0.0, 2);
         let probe = SparseVector::from_pairs([(0, 1.0)]);

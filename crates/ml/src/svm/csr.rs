@@ -11,12 +11,16 @@
 //!
 //! [`CsrLinearTrainer`] hoists the tag-independent state out of the per-tag
 //! loop: it borrows the dataset as a [`CsrMatrix`] (one contiguous row arena
-//! instead of two heap allocations per document), computes the diagonal once
-//! (and can borrow it across parallel workers via [`CsrLinearTrainer::with_diagonal`]),
-//! replays the identical per-pass shuffle stream from a memory-bounded
-//! shared cache, and reuses one weight/dual/label scratch across all fits.
-//! The solver loops stream CSR rows through the bounds-check-free row
-//! kernels ([`CsrMatrix::row_dot_dense`] / [`CsrMatrix::row_axpy_into`]).
+//! instead of two heap allocations per document), computes the diagonal and
+//! the feature support once (and can borrow both across parallel workers via
+//! [`CsrLinearTrainer::with_shared`]), replays the identical per-pass shuffle
+//! stream from a memory-bounded shared cache, and reuses one weight/dual/label
+//! scratch across all fits. The solver loops stream CSR rows through the
+//! bounds-check-free row kernels ([`CsrMatrix::row_dot_dense`] /
+//! [`CsrMatrix::row_axpy_into`]). A fit's weights can only become nonzero
+//! where a row or the warm model holds a feature, so the finished model is
+//! read out of the dense scratch at the feature support (joined with the warm
+//! model's nonzeros), never over the whole dimension.
 //!
 //! # Equivalence contract
 //!
@@ -34,6 +38,7 @@ use super::{LinearSvm, LinearSvmTrainer};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use textproc::CsrMatrix;
 
 /// The XOR applied to the trainer seed by [`LinearSvmTrainer::train_warm`]'s
@@ -134,38 +139,53 @@ pub struct CsrLinearTrainer<'a> {
     trainer: &'a LinearSvmTrainer,
     csr: &'a CsrMatrix,
     /// DCD diagonal `Q_ii = x_i·x_i + 1`, shared by every tag (and, via
-    /// [`Self::with_diagonal`], by every parallel worker).
-    q: std::borrow::Cow<'a, [f64]>,
+    /// [`Self::with_shared`], by every parallel worker).
+    q: Cow<'a, [f64]>,
+    /// Every feature some row stores, ascending: shared like `q`.
+    support: Cow<'a, [u32]>,
     cold_orders: OrderCache,
     warm_orders: OrderCache,
-    // Scratch reused across fits (the output model copies out of `w`).
+    // Scratch reused across fits: the dense weights, duals and labels, and
+    // the features and entries a model is read out of `w` through.
     w: Vec<f64>,
     alpha: Vec<f64>,
     y: Vec<f64>,
+    features: Vec<u32>,
+    entries: (Vec<u32>, Vec<f64>),
 }
 
 impl<'a> CsrLinearTrainer<'a> {
-    /// Builds the shared training context: one pass over the matrix for the
-    /// DCD diagonal; shuffle orders are cached lazily as passes run, with
-    /// retention bounded by a fixed memory budget (fits running past the
-    /// cached passes continue the stream through a private tail).
+    /// Builds the shared training context: one pass over the matrix each for
+    /// the DCD diagonal and the feature support; shuffle orders are cached
+    /// lazily as passes run, with retention bounded by a fixed memory budget
+    /// (fits running past the cached passes continue the stream through a
+    /// private tail).
     pub fn new(trainer: &'a LinearSvmTrainer, csr: &'a CsrMatrix) -> Self {
         Self::build(
             trainer,
             csr,
-            std::borrow::Cow::Owned(Self::dcd_diagonal(csr)),
+            Cow::Owned(Self::dcd_diagonal(csr)),
+            Cow::Owned(Self::feature_support(csr)),
         )
     }
 
-    /// Like [`Self::new`] but borrowing a precomputed [`Self::dcd_diagonal`],
-    /// so parallel tag chunks (one context per worker for the mutable
-    /// scratch) share one diagonal instead of recomputing it per worker.
+    /// Like [`Self::new`] but borrowing a precomputed [`Self::dcd_diagonal`]
+    /// and [`Self::feature_support`], so parallel tag chunks (one context per
+    /// worker for the mutable scratch) share them instead of recomputing
+    /// them per worker.
     ///
     /// # Panics
-    /// Panics when `q.len()` differs from the number of rows.
-    pub fn with_diagonal(trainer: &'a LinearSvmTrainer, csr: &'a CsrMatrix, q: &'a [f64]) -> Self {
+    /// Panics when `q.len()` differs from the number of rows. Debug builds
+    /// also panic when `support` is not the matrix's feature support.
+    pub fn with_shared(
+        trainer: &'a LinearSvmTrainer,
+        csr: &'a CsrMatrix,
+        q: &'a [f64],
+        support: &'a [u32],
+    ) -> Self {
         assert_eq!(q.len(), csr.num_rows(), "diagonal must cover every row");
-        Self::build(trainer, csr, std::borrow::Cow::Borrowed(q))
+        debug_assert_eq!(support, Self::feature_support(csr), "feature support");
+        Self::build(trainer, csr, Cow::Borrowed(q), Cow::Borrowed(support))
     }
 
     /// The DCD diagonal `Q_ii = x_i·x_i + 1` of a matrix — label-independent
@@ -177,21 +197,47 @@ impl<'a> CsrLinearTrainer<'a> {
             .collect()
     }
 
+    /// Every feature some row of `csr` stores, ascending — the only
+    /// features a fit on `csr` can give a nonzero weight (a warm fit adds
+    /// its warm model's), so models are read out of the solver's dense
+    /// scratch there and nowhere else.
+    pub fn feature_support(csr: &CsrMatrix) -> Vec<u32> {
+        let mut seen = vec![0u64; csr.dim().div_ceil(64)];
+        for i in 0..csr.num_rows() {
+            for &j in csr.row(i).0 {
+                seen[j as usize / 64] |= 1 << (j % 64);
+            }
+        }
+        let mut support = Vec::with_capacity(seen.iter().map(|w| w.count_ones() as usize).sum());
+        for (word, &bits) in seen.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                support.push((word * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        support
+    }
+
     fn build(
         trainer: &'a LinearSvmTrainer,
         csr: &'a CsrMatrix,
-        q: std::borrow::Cow<'a, [f64]>,
+        q: Cow<'a, [f64]>,
+        support: Cow<'a, [u32]>,
     ) -> Self {
         let n = csr.num_rows();
         Self {
             trainer,
             csr,
             q,
+            support,
             cold_orders: OrderCache::new(trainer.seed, n),
             warm_orders: OrderCache::new(trainer.seed ^ WARM_SEED_XOR, n),
             w: Vec::new(),
             alpha: Vec::new(),
             y: Vec::new(),
+            features: Vec::new(),
+            entries: (Vec::new(), Vec::new()),
         }
     }
 
@@ -242,14 +288,14 @@ impl<'a> CsrLinearTrainer<'a> {
         }
         let trainer = self.trainer;
         let csr = self.csr;
-        let dim = csr.dim().max(warm.weights().len());
+        let dim = csr.dim().max(warm.dim());
         let lambda = 1.0 / (trainer.c * n as f64);
         Self::fill_labels(&mut self.y, ys);
         let y = &self.y;
         let w = &mut self.w;
         w.clear();
-        w.extend_from_slice(warm.weights());
         w.resize(dim, 0.0);
+        warm.scatter_into(w);
         let mut bias = warm.bias();
         // Pegasos clock starts one epoch in; lazy regularization scale — both
         // exactly as in the scalar warm path.
@@ -278,10 +324,11 @@ impl<'a> CsrLinearTrainer<'a> {
                 }
             }
         }
-        for wj in w.iter_mut() {
-            *wj *= scale;
-        }
-        LinearSvm::from_weights(w.clone(), bias)
+        // Only the data's and the warm model's features can be nonzero;
+        // the final scale is applied as they are read out.
+        union_into(&self.support, warm.indices(), &mut self.features);
+        let features = &self.features;
+        extract(dim, w, features, |v| v * scale, bias, &mut self.entries)
     }
 
     /// Dual coordinate descent over CSR rows; mirrors the scalar
@@ -337,8 +384,49 @@ impl<'a> CsrLinearTrainer<'a> {
             }
         }
         let bias = w[bias_index];
-        LinearSvm::from_weights(w[..dim].to_vec(), bias)
+        extract(dim, w, &self.support, |v| v, bias, &mut self.entries)
     }
+}
+
+/// The model whose weights are the nonzero `value(w[j])` over `features`
+/// (ascending, and covering every nonzero of `w[..dim]`). One pass writes
+/// every candidate into `entries` and advances past the nonzero ones only,
+/// so the pass has no data-dependent branch; the model copies the kept
+/// prefix out at its exact size.
+fn extract(
+    dim: usize,
+    w: &[f64],
+    features: &[u32],
+    value: impl Fn(f64) -> f64,
+    bias: f64,
+    entries: &mut (Vec<u32>, Vec<f64>),
+) -> LinearSvm {
+    let (indices, values) = entries;
+    if indices.len() < features.len() {
+        indices.resize(features.len(), 0);
+        values.resize(features.len(), 0.0);
+    }
+    let mut kept = 0;
+    for &j in features {
+        let v = value(w[j as usize]);
+        indices[kept] = j;
+        values[kept] = v;
+        kept += usize::from(v != 0.0);
+    }
+    LinearSvm::from_parts(dim, indices[..kept].to_vec(), values[..kept].to_vec(), bias)
+}
+
+/// Writes the union of two ascending index lists into `out`, ascending.
+fn union_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    let (mut i, mut k) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(k)) {
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        k += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[k..]);
 }
 
 #[cfg(test)]
@@ -349,10 +437,10 @@ mod tests {
     use textproc::SparseVector;
 
     fn assert_bit_identical(a: &LinearSvm, b: &LinearSvm) {
-        assert_eq!(a.weights().len(), b.weights().len());
-        for (x, y) in a.weights().iter().zip(b.weights()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert_eq!(a.dim(), b.dim());
+        assert_eq!(a.indices(), b.indices());
+        let bits = |m: &LinearSvm| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b));
         assert_eq!(a.bias().to_bits(), b.bias().to_bits());
     }
 
@@ -404,6 +492,25 @@ mod tests {
             &trainer.train_warm(&xs, &flipped, &cold_a),
         );
         assert_bit_identical(&ctx.train(&flipped), &trainer.train(&xs, &flipped));
+    }
+
+    #[test]
+    fn warm_fits_extract_a_warm_support_outside_the_data() {
+        // The data stores features 0 and 1; the warm model also holds 4 and
+        // 8, past the data's dimension, so only the joined support finds
+        // them. The scalar path reads its model off the whole dense vector.
+        let trainer = LinearSvmTrainer::default();
+        let (xs, ys) = test_util::separable(100, 36);
+        let warm = LinearSvm::from_dense(&[0.5, -0.25, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, -1.0], 0.1);
+        let csr = CsrMatrix::from_vectors(&xs);
+        assert_eq!(CsrLinearTrainer::feature_support(&csr), [0, 1]);
+        let mut ctx = CsrLinearTrainer::new(&trainer, &csr);
+        let fast = ctx.train_warm(&ys, &warm);
+        assert_bit_identical(&fast, &trainer.train_warm(&xs, &ys, &warm));
+        assert_eq!(fast.dim(), 9);
+        assert_eq!(fast.indices(), [0, 1, 4, 8]);
+        // A cold fit afterwards reuses the scratch the warm fit dirtied.
+        assert_bit_identical(&ctx.train(&ys), &trainer.train(&xs, &ys));
     }
 
     #[test]
@@ -476,16 +583,37 @@ mod tests {
             let mut ctx = CsrLinearTrainer::new(&trainer, &csr);
             let fast = ctx.train(&ys);
             prop_assert_eq!(&scalar, &fast);
-            for (a, b) in scalar.weights().iter().zip(fast.weights()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-            prop_assert_eq!(scalar.bias().to_bits(), fast.bias().to_bits());
+            assert_bit_identical(&scalar, &fast);
             // Warm refits stay equivalent as well (both may delegate to cold
             // on small n — the delegation thresholds are shared).
             let warm_scalar = trainer.train_warm(&xs, &ys, &scalar);
             let warm_fast = ctx.train_warm(&ys, &scalar);
             prop_assert_eq!(&warm_scalar, &warm_fast);
             prop_assert_eq!(warm_scalar.bias().to_bits(), warm_fast.bias().to_bits());
+        }
+
+        #[test]
+        fn csr_warm_fits_equal_scalar_from_any_warm_model(
+            data in arb_dataset(),
+            warm in (prop::collection::vec((0u8..3, -2.0f64..2.0), 0..32), -1.0f64..1.0),
+            seed in 0u64..64,
+        ) {
+            // Warm SGD on every size, from a model whose support may lie
+            // anywhere relative to the data's.
+            let (xs, ys) = data;
+            let trainer = LinearSvmTrainer {
+                seed,
+                warm_min_examples: 1,
+                ..Default::default()
+            };
+            let (weights, bias) = warm;
+            let weights: Vec<f64> =
+                weights.iter().map(|&(pick, w)| if pick == 0 { w } else { 0.0 }).collect();
+            let warm = LinearSvm::from_dense(&weights, bias);
+            let csr = CsrMatrix::from_vectors(&xs);
+            let mut ctx = CsrLinearTrainer::new(&trainer, &csr);
+            assert_bit_identical(&ctx.train_warm(&ys, &warm), &trainer.train_warm(&xs, &ys, &warm));
+            assert_bit_identical(&ctx.train(&ys), &trainer.train(&xs, &ys));
         }
     }
 }

@@ -16,7 +16,7 @@
 //! result is bit for bit that of a full scan of the column.
 
 use super::BinaryClassifier;
-use crate::kernel::{Kernel, SCATTER_LIMIT};
+use crate::kernel::{below_limit, Kernel, SCATTER_LIMIT};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -482,18 +482,6 @@ pub fn gram_matrix(kernel: Kernel, xs: &[SparseVector]) -> Vec<f64> {
         postings.clear();
     });
     k
-}
-
-/// `x`'s indices below 2²⁰, whose chain heads live in the thread's table
-/// (all of them, unless a hostile frame's index lies beyond).
-fn below_limit(x: &SparseVector) -> &[u32] {
-    let xi = x.indices();
-    match xi.last() {
-        Some(&last) if (last as usize) >= SCATTER_LIMIT => {
-            &xi[..xi.partition_point(|&f| (f as usize) < SCATTER_LIMIT)]
-        }
-        _ => xi,
-    }
 }
 
 /// The chain head of feature `f`: its slot in the thread's table below

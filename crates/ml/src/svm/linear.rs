@@ -2,8 +2,12 @@
 //! Pegasos-style stochastic sub-gradient descent.
 //!
 //! PACE uses "the state-of-the-art linear SVM algorithm to reduce computation
-//! and communication cost": a linear model is a single dense weight vector, so
-//! propagating it to other peers costs `O(m)` instead of `O(#SV · m)`.
+//! and communication cost": a linear model is one weight per feature, so
+//! propagating it to other peers costs `O(m)` instead of `O(#SV · m)`. A
+//! trained [`LinearSvm`] stores only its nonzero weights (a peer's model
+//! touches the features its documents hold, a fraction of the vocabulary)
+//! with the dimension it was trained at; the solvers work on a dense
+//! scratch and extract the nonzeros when they finish.
 
 use super::BinaryClassifier;
 use rand::rngs::StdRng;
@@ -57,23 +61,64 @@ impl Default for LinearSvmTrainer {
     }
 }
 
-/// A trained linear SVM: `decision(x) = w · x + b`.
+/// A trained linear SVM: `decision(x) = w · x + b`, with `w` stored as its
+/// nonzero weights.
+///
+/// Invariants kept by every constructor: `indices` strictly increase and
+/// stay below `dim`, `values` is parallel to them, and no value is exactly
+/// `0.0` (a NaN is kept, as a dense vector's `!= 0.0` test keeps it).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinearSvm {
-    weights: Vec<f64>,
+    dim: usize,
+    indices: Vec<u32>,
+    values: Vec<f64>,
     bias: f64,
 }
 
 impl LinearSvm {
-    /// Builds a model directly from a dense weight vector and bias (used by
-    /// the batched-scoring equivalence tests and model deserialization).
-    pub fn from_weights(weights: Vec<f64>, bias: f64) -> Self {
-        Self { weights, bias }
+    /// Builds a model from a dense weight vector and bias: the dimension is
+    /// `weights.len()` and the entries that are not exactly `0.0` are kept.
+    pub fn from_dense(weights: &[f64], bias: f64) -> Self {
+        let (indices, values) = weights
+            .iter()
+            .enumerate()
+            .filter(|&(_, &w)| w != 0.0)
+            .map(|(j, &w)| (j as u32, w))
+            .unzip();
+        Self::from_parts(weights.len(), indices, values, bias)
     }
 
-    /// The dense weight vector `w`.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
+    /// Builds a model from its nonzero weights.
+    ///
+    /// # Panics
+    /// Debug builds panic when the invariants above do not hold.
+    pub(crate) fn from_parts(dim: usize, indices: Vec<u32>, values: Vec<f64>, bias: f64) -> Self {
+        debug_assert_eq!(indices.len(), values.len());
+        debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(indices.last().map_or(true, |&j| (j as usize) < dim));
+        debug_assert!(values.iter().all(|&w| w != 0.0));
+        Self {
+            dim,
+            indices,
+            values,
+            bias,
+        }
+    }
+
+    /// The dimension the model was trained or decoded at: one past the
+    /// largest feature its weight vector spans.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Features with a nonzero weight, ascending.
+    pub fn indices(&self) -> &[u32] {
+        &self.indices
+    }
+
+    /// The nonzero weights, parallel to [`Self::indices`].
+    pub fn values(&self) -> &[f64] {
+        &self.values
     }
 
     /// The bias term `b`.
@@ -83,19 +128,55 @@ impl LinearSvm {
 
     /// Number of non-zero weights (a proxy for model sparsity).
     pub fn nonzero_weights(&self) -> usize {
-        self.weights.iter().filter(|w| **w != 0.0).count()
+        self.indices.len()
+    }
+
+    /// The weights as a dense vector of length [`Self::dim`].
+    #[cfg(test)]
+    pub(crate) fn to_dense(&self) -> Vec<f64> {
+        let mut w = vec![0.0; self.dim];
+        self.scatter_into(&mut w);
+        w
+    }
+
+    /// Writes the nonzero weights into `dense` at their features.
+    ///
+    /// # Panics
+    /// Panics when `dense` is shorter than the largest stored feature.
+    pub fn scatter_into(&self, dense: &mut [f64]) {
+        for (&j, &w) in self.indices.iter().zip(&self.values) {
+            dense[j as usize] = w;
+        }
     }
 }
 
 impl BinaryClassifier for LinearSvm {
+    /// `w·x + b`, the products `w_j · x_j` summed from `+0.0` over the
+    /// features both hold, in ascending order. A dense `x.dot_dense(w)`
+    /// also adds `0.0 · x_j` for every other `x_j`, which changes a sum
+    /// only when `x_j` is infinite or NaN.
     fn decision(&self, x: &SparseVector) -> f64 {
-        x.dot_dense(&self.weights) + self.bias
+        let (xi, xv) = (x.indices(), x.values());
+        let mut sum = 0.0;
+        let (mut a, mut b) = (0usize, 0usize);
+        while a < self.indices.len() && b < xi.len() {
+            match self.indices[a].cmp(&xi[b]) {
+                std::cmp::Ordering::Less => a += 1,
+                std::cmp::Ordering::Greater => b += 1,
+                std::cmp::Ordering::Equal => {
+                    let w = self.values[a];
+                    sum += w * xv[b];
+                    a += 1;
+                    b += 1;
+                }
+            }
+        }
+        sum + self.bias
     }
 
     fn wire_size(&self) -> usize {
-        // A dense weight vector plus the bias. In practice LIBLINEAR-style
-        // models are shipped sparsely; we charge for the non-zero entries,
-        // matching how PACE counts model transfer cost.
+        // The nonzero weights as (index, value) pairs plus the bias, matching
+        // how PACE counts model transfer cost.
         self.nonzero_weights() * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>())
             + std::mem::size_of::<f64>()
     }
@@ -154,11 +235,11 @@ impl LinearSvmTrainer {
             .map(SparseVector::dim_lower_bound)
             .max()
             .unwrap_or(0)
-            .max(warm.weights.len());
+            .max(warm.dim);
         let n = xs.len();
         let lambda = 1.0 / (self.c * n as f64);
-        let mut w = warm.weights.clone();
-        w.resize(dim, 0.0);
+        let mut w = vec![0.0; dim];
+        warm.scatter_into(&mut w);
         let mut bias = warm.bias;
         let mut rng = StdRng::seed_from_u64(self.seed ^ super::csr::WARM_SEED_XOR);
         let mut order: Vec<usize> = (0..n).collect();
@@ -198,7 +279,7 @@ impl LinearSvmTrainer {
         for wj in &mut w {
             *wj *= scale;
         }
-        LinearSvm { weights: w, bias }
+        LinearSvm::from_dense(&w, bias)
     }
 
     /// Dual coordinate descent for the L1-loss SVM with an augmented bias
@@ -249,9 +330,7 @@ impl LinearSvmTrainer {
                 break;
             }
         }
-        let bias = w[bias_index];
-        w.truncate(dim);
-        LinearSvm { weights: w, bias }
+        LinearSvm::from_dense(&w[..dim], w[bias_index])
     }
 }
 

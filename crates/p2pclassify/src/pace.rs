@@ -34,7 +34,7 @@ use ml::batch::TagWeightMatrix;
 use ml::kmeans::{KMeans, KMeansConfig};
 use ml::lsh::{LshConfig, LshIndex};
 use ml::multilabel::{OneVsAllModel, OneVsAllTrainer, TagPrediction};
-use ml::svm::{BinaryClassifier, LinearSvm, LinearSvmTrainer};
+use ml::svm::{LinearSvm, LinearSvmTrainer};
 use ml::{MultiLabelDataset, MultiLabelExample, TagId};
 use p2psim::message::MessageKind;
 use p2psim::{P2PNetwork, PeerBitset, PeerId};
@@ -42,9 +42,9 @@ use std::collections::BTreeSet;
 use textproc::SparseVector;
 
 /// Peers trained per parallel fan-out before their models are propagated and
-/// their dense classifiers dropped. Bounds the transient dense-model working
-/// set to `TRAIN_CHUNK × per-model bytes` regardless of network size while
-/// keeping every core busy within a chunk.
+/// their per-tag classifiers dropped. Bounds the transient working set of
+/// freshly trained models to `TRAIN_CHUNK × per-model bytes` regardless of
+/// network size while keeping every core busy within a chunk.
 const TRAIN_CHUNK: usize = 512;
 
 /// Configuration of the PACE protocol.
@@ -135,15 +135,15 @@ impl Default for PaceConfig {
 #[derive(Debug, Clone)]
 pub(crate) struct PaceModel {
     source: PeerId,
-    /// Dense per-tag classifiers. Present while a model is being assembled
-    /// and propagated (the wire paths encode from it) and kept at rest only
-    /// under the Scalar backend, whose scoring walks per-classifier weights.
-    /// Under the batched backend the registry drops this after storing —
-    /// `matrix` carries the same weights sparsely at a fraction of the
-    /// bytes, which is what keeps 10k-peer ensembles affordable — and
-    /// [`Self::warm_model`] reconstructs the dense form on demand.
+    /// Per-tag classifiers, each stored as its nonzero weights. Present
+    /// while a model is being assembled and propagated (the wire paths
+    /// encode from it) and kept at rest only under the Scalar backend, whose
+    /// scoring asks each classifier in turn. Under the batched backend the
+    /// registry drops this after storing — `matrix` carries the same
+    /// weights once, packed by feature, which keeps 10k-peer ensembles
+    /// affordable — and [`Self::warm_model`] unpacks it on demand.
     model: Option<OneVsAllModel<LinearSvm>>,
-    /// The per-tag weight vectors of `model` packed into one CSR matrix, so
+    /// The per-tag weights of `model` packed into one CSR matrix, so
     /// the batched backend scores the whole tag universe in a single pass.
     matrix: TagWeightMatrix,
     centroids: Vec<SparseVector>,
@@ -156,9 +156,9 @@ pub(crate) struct PaceModel {
 }
 
 impl PaceModel {
-    /// The dense classifiers — borrowed directly when retained, else a
-    /// transient reconstruction out of the CSR matrix (identical weights; see
-    /// [`TagWeightMatrix::to_one_vs_all`]).
+    /// The per-tag classifiers — borrowed when retained, else unpacked
+    /// from the CSR matrix (the same nonzeros at the same dimension; see
+    /// [`TagWeightMatrix::to_one_vs_all`]). A warm refit only reads them.
     pub(crate) fn warm_model(&self) -> std::borrow::Cow<'_, OneVsAllModel<LinearSvm>> {
         match &self.model {
             Some(m) => std::borrow::Cow::Borrowed(m),
@@ -243,7 +243,7 @@ impl PaceModel {
 pub(crate) struct PaceUpdate {
     /// The peer that trained the model.
     pub(crate) source: PeerId,
-    /// Dense per-tag classifiers.
+    /// Per-tag classifiers.
     pub(crate) model: OneVsAllModel<LinearSvm>,
     /// K-means centroids of the source's training vectors.
     pub(crate) centroids: Vec<SparseVector>,
@@ -327,18 +327,28 @@ pub(crate) fn train_pace_model(
 }
 
 /// Training accuracy of `model` on `data`, averaged over the per-tag binary
-/// problems, from the per-classifier decisions. `ml::batch` pins those
-/// bit-identical (up to the sign of an exact zero, which `>= 0.0` cannot
-/// see) to the packed matrix's scatter, so this is the number a
+/// problems. Each tag's weights are scattered into one dense scratch, so a
+/// decision is `x.dot_dense(w) + b` over the tag's dimension, the arithmetic
+/// of a dense weight vector; `ml::batch` pins the packed matrix's scatter
+/// bit-identical (up to a `0.0 · ±∞` term, which a finite corpus never
+/// forms) to the same decisions, so this is the number a
 /// [`TagWeightMatrix`] pass over the corpus yields — without building one.
 fn training_accuracy(model: &OneVsAllModel<LinearSvm>, data: &MultiLabelDataset) -> f64 {
+    let dim = model.iter().map(|(_, c)| c.dim()).max().unwrap_or(0);
+    let mut w = vec![0.0; dim];
     let acc_sum: f64 = model
         .iter()
         .map(|(tag, classifier)| {
+            classifier.scatter_into(&mut w);
+            let weights = &w[..classifier.dim()];
+            let bias = classifier.bias();
             let correct = data
                 .iter()
-                .filter(|(x, tags)| (classifier.decision(x) >= 0.0) == tags.contains(&tag))
+                .filter(|(x, tags)| (x.dot_dense(weights) + bias >= 0.0) == tags.contains(&tag))
                 .count();
+            for &j in classifier.indices() {
+                w[j as usize] = 0.0;
+            }
             correct as f64 / data.len() as f64
         })
         .sum();
@@ -383,7 +393,7 @@ pub(crate) fn combine_pace_votes(
                     let scores = m
                         .model
                         .as_ref()
-                        .expect("the Scalar backend retains dense classifiers")
+                        .expect("the Scalar backend retains the classifiers")
                         .scores(x)
                         .into_iter()
                         .map(|p| TagPrediction {
@@ -609,9 +619,9 @@ impl Pace {
         }
         if matches!(self.config.backend, ScoringBackend::Batched) {
             // At rest the batched backend scores through `matrix` and
-            // warm-starts reconstruct from it, so the dense classifiers are
-            // dead weight — dropping them here is what keeps the registry's
-            // per-peer footprint sparse-sized at 10k peers.
+            // warm starts unpack from it, so the per-tag classifiers are a
+            // second copy of the same weights — dropping them here keeps the
+            // registry's per-peer footprint to one copy at 10k peers.
             pace_model.model = None;
         }
         self.models[source.index()] = Some(pace_model);
@@ -727,10 +737,10 @@ impl P2PTagClassifier for Pace {
             .enumerate()
             .map(|(i, data)| (PeerId::from(i), data))
             .collect();
-        // Training runs in bounded chunks, each propagated (and its dense
-        // classifiers dropped) before the next chunk trains: at 10k peers,
-        // holding every freshly trained dense model at once would dwarf the
-        // sparse registry the chunks feed.
+        // Training runs in bounded chunks, each propagated (and its
+        // per-tag classifiers dropped) before the next chunk trains: at 10k
+        // peers, holding every freshly trained model at once would dwarf
+        // the packed registry the chunks feed.
         for chunk in jobs.chunks(TRAIN_CHUNK) {
             let net_ref: &P2PNetwork = net;
             let models = parallel::par_map(chunk, |&(peer, data)| {

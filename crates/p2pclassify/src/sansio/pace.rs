@@ -122,12 +122,14 @@ impl PaceCore {
     pub fn train(&mut self, now: Millis, data: &MultiLabelDataset) -> Vec<Output> {
         let mut out = Vec::new();
         self.local_data.extend_from(data);
-        let warm = self
-            .ensemble
-            .get(&self.id.0)
-            .map(|e| e.model.warm_model().into_owned());
-        let Some(update) = train_pace_model(&self.config, self.id, &self.local_data, warm.as_ref())
-        else {
+        // The installed model is borrowed (unpacked only under the batched
+        // backend, which keeps nothing else at rest) and released before
+        // the new one is installed.
+        let update = {
+            let warm = self.ensemble.get(&self.id.0).map(|e| e.model.warm_model());
+            train_pace_model(&self.config, self.id, &self.local_data, warm.as_deref())
+        };
+        let Some(update) = update else {
             return out;
         };
         let version = self

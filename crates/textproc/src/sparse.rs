@@ -410,34 +410,6 @@ impl FromIterator<(u32, f64)> for SparseVector {
     }
 }
 
-/// Computes the (dense) mean of a set of sparse vectors.
-///
-/// Returns the zero vector when `vectors` is empty.
-pub fn mean(vectors: &[SparseVector]) -> SparseVector {
-    mean_iter(vectors)
-}
-
-/// [`mean`] over borrowed vectors from any iterator — the clone-free form the
-/// k-means update step uses (members are accumulated straight off the point
-/// slice instead of being copied into a scratch `Vec` first). Accumulation
-/// order is the iterator order, so for the same sequence of vectors the
-/// result is bit-identical to [`mean`].
-pub fn mean_iter<'a, I>(vectors: I) -> SparseVector
-where
-    I: IntoIterator<Item = &'a SparseVector>,
-{
-    let mut acc = SparseVector::new();
-    let mut n = 0usize;
-    for v in vectors {
-        acc = acc.add(v);
-        n += 1;
-    }
-    if n > 0 {
-        acc.scale(1.0 / n as f64);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,30 +473,6 @@ mod tests {
         assert_eq!(a.cosine(&b), 0.0);
         assert!((a.distance(&b) - 2f64.sqrt()).abs() < 1e-12);
         assert!((a.cosine(&a) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_of_vectors() {
-        let a = SparseVector::from_pairs([(0, 2.0)]);
-        let b = SparseVector::from_pairs([(1, 4.0)]);
-        let m = mean(&[a, b]);
-        assert_eq!(m.get(0), 1.0);
-        assert_eq!(m.get(1), 2.0);
-        assert!(mean(&[]).is_empty());
-    }
-
-    #[test]
-    fn mean_iter_is_bit_identical_to_mean() {
-        let vs: Vec<SparseVector> = (0..7)
-            .map(|i| SparseVector::from_pairs([(i, 1.0 + 0.3 * i as f64), (i + 2, -0.7)]))
-            .collect();
-        let a = mean(&vs);
-        let b = mean_iter(vs.iter());
-        assert_eq!(a, b);
-        for (x, y) in a.values().iter().zip(b.values()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert!(mean_iter(std::iter::empty()).is_empty());
     }
 
     #[test]
