@@ -5,70 +5,64 @@
 //! cargo run --release -p bench --bin experiments            # run everything
 //! cargo run --release -p bench --bin experiments -- e1 e4   # run a subset
 //! cargo run --release -p bench --bin experiments -- --quick # smaller scale
+//! cargo run --release -p bench --bin experiments -- --check crates/bench/golden/experiments.txt
 //! ```
+//!
+//! `--check <file>` prints the run as usual, then compares it byte for byte
+//! with `file` and exits with status 1 (after listing the differing lines on
+//! stderr) when they differ. The run is seeded, so the committed golden
+//! output changes only when a table does.
 
 use bench::experiments as exp;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
+    let check_at = args.iter().position(|a| a == "--check");
+    let check = match check_at.map(|i| args.get(i + 1)) {
+        None => None,
+        Some(Some(path)) => Some(path.clone()),
+        Some(None) => {
+            eprintln!("experiments: --check needs a golden file");
+            return ExitCode::from(2);
+        }
+    };
     let selected: Vec<String> = args
         .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|a| a.to_lowercase())
+        .enumerate()
+        .filter(|&(i, a)| !a.starts_with("--") && Some(i) != check_at.map(|c| c + 1))
+        .map(|(_, a)| a.to_lowercase())
         .collect();
-    let wants = |id: &str| selected.is_empty() || selected.iter().any(|s| s == &id.to_lowercase());
-
-    // Scales: the demo runs "more than 500 peers" for the interactive part;
-    // the reproduction defaults keep every table under a few minutes of CPU.
-    let (e1_users, e2_peers, e3_users, e4_users, e5_peers, misc_users): (
-        usize,
-        Vec<usize>,
-        usize,
-        usize,
-        usize,
-        usize,
-    ) = if quick {
-        (8, vec![8, 16, 32], 8, 12, 128, 8)
-    } else {
-        (24, vec![16, 32, 64, 128], 24, 24, 512, 16)
-    };
-    let seed = 2010;
+    let wants = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
 
     // Tables are printed as soon as each experiment finishes so that partial
     // results survive an interrupted run.
-    let emit = |table: exp::Table| println!("{}", table.render());
-    if wants("e1") {
-        emit(exp::e1_accuracy(e1_users, seed));
-    }
-    if wants("e2") {
-        emit(exp::e2_scalability(&e2_peers, seed));
-    }
-    if wants("e3") {
-        emit(exp::e3_communication(e3_users, seed));
-    }
-    if wants("e4") {
-        emit(exp::e4_churn(e4_users, seed));
-    }
-    if wants("e5") {
-        emit(exp::e5_topology(e5_peers, 200, seed));
-    }
-    if wants("e6") {
-        emit(exp::e6_data_distribution(misc_users, seed));
-    }
-    if wants("e7") {
-        emit(exp::e7_training_fraction(misc_users, seed));
-    }
-    if wants("e8") {
-        emit(exp::e8_refinement(misc_users, seed));
-    }
-    if wants("e9") {
-        emit(exp::e9_tag_cloud(misc_users, seed));
-    }
-    if wants("a1") {
-        emit(exp::a1_pace_ablation(misc_users, seed));
-    }
-    if wants("a2") {
-        emit(exp::a2_cempar_ablation(misc_users, seed));
+    let mut run = String::new();
+    exp::run_suite(quick, wants, |table| {
+        let text = format!("{}\n", table.render());
+        print!("{text}");
+        run.push_str(&text);
+    });
+
+    let Some(path) = check else {
+        return ExitCode::SUCCESS;
+    };
+    let golden = match std::fs::read_to_string(&path) {
+        Ok(golden) => golden,
+        Err(e) => {
+            eprintln!("experiments: cannot read {path}: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    match exp::golden_diff(&golden, &run) {
+        None => {
+            eprintln!("experiments: output matches {path}");
+            ExitCode::SUCCESS
+        }
+        Some(report) => {
+            eprintln!("experiments: output differs from {path}\n{report}");
+            ExitCode::FAILURE
+        }
     }
 }

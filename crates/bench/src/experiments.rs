@@ -67,6 +67,87 @@ fn f(x: f64) -> String {
     format!("{x:.3}")
 }
 
+/// Runs every experiment `wants` selects (by lower-case id: `"e1"` … `"a2"`)
+/// in suite order, at the default scale or the smaller `quick` one, seeded
+/// 2010, and hands each table to `emit` as soon as it is finished.
+pub fn run_suite(quick: bool, wants: impl Fn(&str) -> bool, mut emit: impl FnMut(Table)) {
+    // Scales: the demo runs "more than 500 peers" for the interactive part;
+    // the reproduction defaults keep every table under a few minutes of CPU.
+    let (e1_users, e2_peers, e3_users, e4_users, e5_peers, misc_users): (
+        usize,
+        &[usize],
+        usize,
+        usize,
+        usize,
+        usize,
+    ) = if quick {
+        (8, &[8, 16, 32], 8, 12, 128, 8)
+    } else {
+        (24, &[16, 32, 64, 128], 24, 24, 512, 16)
+    };
+    let seed = 2010;
+    if wants("e1") {
+        emit(e1_accuracy(e1_users, seed));
+    }
+    if wants("e2") {
+        emit(e2_scalability(e2_peers, seed));
+    }
+    if wants("e3") {
+        emit(e3_communication(e3_users, seed));
+    }
+    if wants("e4") {
+        emit(e4_churn(e4_users, seed));
+    }
+    if wants("e5") {
+        emit(e5_topology(e5_peers, 200, seed));
+    }
+    if wants("e6") {
+        emit(e6_data_distribution(misc_users, seed));
+    }
+    if wants("e7") {
+        emit(e7_training_fraction(misc_users, seed));
+    }
+    if wants("e8") {
+        emit(e8_refinement(misc_users, seed));
+    }
+    if wants("e9") {
+        emit(e9_tag_cloud(misc_users, seed));
+    }
+    if wants("a1") {
+        emit(a1_pace_ablation(misc_users, seed));
+    }
+    if wants("a2") {
+        emit(a2_cempar_ablation(misc_users, seed));
+    }
+}
+
+/// The differences between a golden suite output and a run's, line by line
+/// (`-` golden, `+` run), or `None` when the two are byte-identical.
+pub fn golden_diff(golden: &str, run: &str) -> Option<String> {
+    if golden == run {
+        return None;
+    }
+    let (want, got): (Vec<&str>, Vec<&str>) = (golden.lines().collect(), run.lines().collect());
+    let mut report = String::new();
+    for i in 0..want.len().max(got.len()) {
+        let (w, g) = (want.get(i), got.get(i));
+        if w != g {
+            report.push_str(&format!("line {}:\n", i + 1));
+            if let Some(w) = w {
+                report.push_str(&format!("- {w}\n"));
+            }
+            if let Some(g) = g {
+                report.push_str(&format!("+ {g}\n"));
+            }
+        }
+    }
+    if report.is_empty() {
+        // Same lines: the difference is in line endings or a final newline.
+        report.push_str("the outputs differ only in line endings\n");
+    }
+    Some(report)
+}
+
 /// E1 — tagging accuracy of CEMPaR/PACE vs the centralized and local-only
 /// baselines under the demo protocol (20 % training).
 pub fn e1_accuracy(num_users: usize, seed: u64) -> Table {
