@@ -425,6 +425,104 @@ impl Cempar {
         state.contributed.insert(peer, model);
         Ok(())
     }
+
+    /// The requester's half of CEMPaR prediction: every region's super-peer
+    /// is located with `locate(net, peer, key)` (only its success counts),
+    /// sent the query, and its response becomes a weighted vote.
+    ///
+    /// [`P2PTagClassifier::scores`] locates through the network's
+    /// requester-side cache ([`P2PNetwork::resolve`]), so a requester routes
+    /// to a region once and again only after a failed query send or a
+    /// membership change made the answer stale. Tests locate through a full
+    /// [`P2PNetwork::dht_lookup`] per visit, the pre-cache behaviour, as the
+    /// oracle: scores, votes and every other message are the same.
+    fn scores_locating_with(
+        &self,
+        net: &mut P2PNetwork,
+        peer: PeerId,
+        x: &SparseVector,
+        mut locate: impl FnMut(&mut P2PNetwork, PeerId, u64) -> Result<PeerId, DeliveryError>,
+    ) -> Result<Vec<TagPrediction>, ProtocolError> {
+        if !self.trained {
+            return Err(ProtocolError::NotTrained);
+        }
+        if !net.is_online(peer) {
+            return Err(ProtocolError::PeerOffline);
+        }
+        // The same query payload travels to every region: encode it once.
+        // Under the measured wire the super-peers score the vector *decoded
+        // from the frame* (bit-identical to `x` with the lossless default).
+        let (query_bytes, decoded_query) = match self.config.wire.cost {
+            WireCost::Estimated => (x.wire_size(), None),
+            WireCost::Measured => {
+                let frame = wire::encode_query(x);
+                let decoded = wire::decode_query(&frame).expect("self-encoded query frame decodes");
+                (frame.len(), Some(decoded))
+            }
+        };
+        let x_eval = decoded_query.as_ref().unwrap_or(x);
+        let mut votes: Vec<(f64, Vec<TagPrediction>)> = Vec::new();
+        for state in self.regions.iter().flatten() {
+            if state.cascade.regional.is_empty() {
+                continue;
+            }
+            // Route the query to the region's super-peer: locate it over the
+            // DHT, then send the document vector itself and get the response.
+            let key = state.super_peer.ring_key();
+            if locate(net, peer, key).is_err() {
+                continue;
+            }
+            if net
+                .send(
+                    peer,
+                    state.super_peer,
+                    MessageKind::PredictionQuery,
+                    query_bytes,
+                )
+                .is_err()
+            {
+                // Super-peer offline or query lost: this region's vote is
+                // lost (fault tolerance: remaining regions still answer), and
+                // the requester routes to it afresh next time.
+                net.forget(peer, key);
+                continue;
+            }
+            let scores = state.cascade.scores(self.config.backend, x_eval);
+            // The response travels back as a real frame too: the requester
+            // votes with the scores decoded from it.
+            let (response_size, scores) = match self.config.wire.cost {
+                WireCost::Estimated => (scores.len() * (std::mem::size_of::<TagId>() + 8), scores),
+                WireCost::Measured => {
+                    let frame = wire::encode_scores(&scores);
+                    let decoded =
+                        wire::decode_scores(&frame).expect("self-encoded score frame decodes");
+                    (frame.len(), decoded)
+                }
+            };
+            // A region whose response never reaches the requester contributes
+            // no vote (previously a lost response still voted). Query-path
+            // sends cannot route through the reliable link (`scores` is
+            // `&self`); their losses are visible in the network's fault
+            // counters, and fault-free runs never take the error arm — both
+            // endpoints were online a moment ago and nothing advances time
+            // mid-query.
+            if net
+                .send(
+                    state.super_peer,
+                    peer,
+                    MessageKind::PredictionResponse,
+                    response_size,
+                )
+                .is_ok()
+            {
+                votes.push((state.weight(), scores));
+            }
+        }
+        if votes.is_empty() {
+            return Err(ProtocolError::NoModelReachable);
+        }
+        Ok(combine_weighted_scores(&votes))
+    }
 }
 
 impl P2PTagClassifier for Cempar {
@@ -564,83 +662,7 @@ impl P2PTagClassifier for Cempar {
         peer: PeerId,
         x: &SparseVector,
     ) -> Result<Vec<TagPrediction>, ProtocolError> {
-        if !self.trained {
-            return Err(ProtocolError::NotTrained);
-        }
-        if !net.is_online(peer) {
-            return Err(ProtocolError::PeerOffline);
-        }
-        // The same query payload travels to every region: encode it once.
-        // Under the measured wire the super-peers score the vector *decoded
-        // from the frame* (bit-identical to `x` with the lossless default).
-        let (query_bytes, decoded_query) = match self.config.wire.cost {
-            WireCost::Estimated => (x.wire_size(), None),
-            WireCost::Measured => {
-                let frame = wire::encode_query(x);
-                let decoded = wire::decode_query(&frame).expect("self-encoded query frame decodes");
-                (frame.len(), Some(decoded))
-            }
-        };
-        let x_eval = decoded_query.as_ref().unwrap_or(x);
-        let mut votes: Vec<(f64, Vec<TagPrediction>)> = Vec::new();
-        for state in self.regions.iter().flatten() {
-            if state.cascade.regional.is_empty() {
-                continue;
-            }
-            // Route the query to the region's super-peer: DHT lookup + the
-            // document vector itself + the response.
-            let anchor_owner = net.dht_lookup(peer, state.super_peer.ring_key());
-            if anchor_owner.is_err() {
-                continue;
-            }
-            if net
-                .send(
-                    peer,
-                    state.super_peer,
-                    MessageKind::PredictionQuery,
-                    query_bytes,
-                )
-                .is_err()
-            {
-                // Super-peer offline: this region's vote is lost (fault
-                // tolerance: remaining regions still answer).
-                continue;
-            }
-            let scores = state.cascade.scores(self.config.backend, x_eval);
-            // The response travels back as a real frame too: the requester
-            // votes with the scores decoded from it.
-            let (response_size, scores) = match self.config.wire.cost {
-                WireCost::Estimated => (scores.len() * (std::mem::size_of::<TagId>() + 8), scores),
-                WireCost::Measured => {
-                    let frame = wire::encode_scores(&scores);
-                    let decoded =
-                        wire::decode_scores(&frame).expect("self-encoded score frame decodes");
-                    (frame.len(), decoded)
-                }
-            };
-            // A region whose response never reaches the requester contributes
-            // no vote (previously a lost response still voted). Query-path
-            // sends cannot route through the reliable link (`scores` is
-            // `&self`); their losses are visible in the network's fault
-            // counters, and fault-free runs never take the error arm — both
-            // endpoints were online a moment ago and nothing advances time
-            // mid-query.
-            if net
-                .send(
-                    state.super_peer,
-                    peer,
-                    MessageKind::PredictionResponse,
-                    response_size,
-                )
-                .is_ok()
-            {
-                votes.push((state.weight(), scores));
-            }
-        }
-        if votes.is_empty() {
-            return Err(ProtocolError::NoModelReachable);
-        }
-        Ok(combine_weighted_scores(&votes))
+        self.scores_locating_with(net, peer, x, P2PNetwork::resolve)
     }
 
     fn predict(
@@ -982,6 +1004,143 @@ mod tests {
         match result {
             Ok(tags) => assert!(!tags.is_empty()),
             Err(e) => assert_eq!(e, ProtocolError::NoModelReachable),
+        }
+    }
+
+    /// Scores as `Cempar::scores` did before the resolution cache: one full
+    /// DHT lookup before every region visit, used only as an error check.
+    fn scores_with_a_lookup_per_visit(
+        cempar: &Cempar,
+        net: &mut P2PNetwork,
+        peer: PeerId,
+        x: &SparseVector,
+    ) -> Result<Vec<TagPrediction>, ProtocolError> {
+        cempar.scores_locating_with(net, peer, x, |net, from, key| {
+            net.dht_lookup(from, key).map(|(owner, _hops)| owner)
+        })
+    }
+
+    /// One scored query, each prediction as `(tag, score bits, confidence bits)`.
+    type Scored = Result<Vec<(TagId, u64, u64)>, ProtocolError>;
+    type Scorer = fn(
+        &Cempar,
+        &mut P2PNetwork,
+        PeerId,
+        &SparseVector,
+    ) -> Result<Vec<TagPrediction>, ProtocolError>;
+
+    /// A CEMPaR session under churn, crash-restarts and a lossy fault plan:
+    /// every epoch advances time, restarts crashed peers, trains new
+    /// documents, applies corrections and has every online peer score a
+    /// query through `score`. Returns every score vector (as bits) and the
+    /// network's statistics.
+    fn lossy_session(score: Scorer) -> (Vec<Scored>, p2psim::SimStats) {
+        use p2psim::churn::ChurnModel;
+        const PEERS: usize = 24;
+        let mut net = P2PNetwork::new(SimConfig {
+            num_peers: PEERS,
+            churn: ChurnModel::Exponential {
+                mean_session_secs: 900.0,
+                mean_offline_secs: 300.0,
+            },
+            horizon_secs: 100_000,
+            faults: p2psim::FaultPlan::chaos(0.1, None, true),
+            ..Default::default()
+        });
+        let mut cempar = Cempar::new(CemparConfig {
+            regions: 4,
+            ..Default::default()
+        });
+        cempar
+            .train(&mut net, &toy_peer_data(PEERS, 8, 11))
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut scored = Vec::new();
+        for epoch in 0..16 {
+            net.advance(p2psim::SimTime::from_secs(120));
+            for peer in net.drain_crash_restarts() {
+                cempar.on_crash_restart(&mut net, peer);
+            }
+            let arrivals = toy_peer_data(PEERS, 1, 100 + epoch);
+            cempar.train_incremental(&mut net, &arrivals).unwrap();
+            let online: Vec<PeerId> = net.online_peers().collect();
+            for &peer in online.iter().step_by(5) {
+                let v = SparseVector::from_pairs([(0, rng.gen_range(0.8..1.2))]);
+                // A lost propagation is the caller's to retry; here it is not.
+                let _ = cempar.refine(&mut net, peer, &MultiLabelExample::new(v, [1]));
+            }
+            for &peer in &online {
+                let x = SparseVector::from_pairs([
+                    (0, rng.gen_range(0.0..1.5)),
+                    (1, rng.gen_range(0.0..1.5)),
+                ]);
+                let scores = score(&cempar, &mut net, peer, &x);
+                let bits = |p: &TagPrediction| (p.tag, p.score.to_bits(), p.confidence.to_bits());
+                scored.push(scores.map(|s| s.iter().map(bits).collect()));
+            }
+        }
+        (scored, net.stats().clone())
+    }
+
+    #[test]
+    fn resolving_once_scores_and_sends_like_a_lookup_per_visit() {
+        let (cached, cached_stats) = lossy_session(Cempar::scores);
+        let (oracle, oracle_stats) = lossy_session(scores_with_a_lookup_per_visit);
+        assert_eq!(cached, oracle);
+        for &kind in MessageKind::all() {
+            if kind != MessageKind::DhtLookup {
+                assert_eq!(cached_stats.kind(kind), oracle_stats.kind(kind), "{kind:?}");
+            }
+        }
+        let lookups = |stats: &p2psim::SimStats| stats.kind(MessageKind::DhtLookup).messages;
+        assert!(
+            lookups(&cached_stats) < lookups(&oracle_stats),
+            "{} vs {}",
+            lookups(&cached_stats),
+            lookups(&oracle_stats)
+        );
+        // The session exercised what can make a cached answer wrong.
+        let query = oracle_stats.kind(MessageKind::PredictionQuery);
+        assert!(oracle_stats.faults.crashes > 0 && query.dropped > 0);
+        assert!(oracle.iter().any(Result::is_ok));
+    }
+
+    #[test]
+    fn a_failed_query_send_forgets_the_super_peers_resolution() {
+        use p2psim::{FaultPlan, PartitionScope, PartitionWindow};
+        const PIVOT: usize = 8;
+        let mut net = P2PNetwork::new(SimConfig {
+            num_peers: 16,
+            horizon_secs: 100_000,
+            faults: FaultPlan {
+                partitions: vec![PartitionWindow {
+                    start_secs: 100,
+                    end_secs: 200,
+                    scope: PartitionScope::Index { pivot: PIVOT },
+                }],
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        let mut cempar = Cempar::new(CemparConfig {
+            regions: 4,
+            ..Default::default()
+        });
+        cempar.train(&mut net, &toy_peer_data(16, 10, 7)).unwrap();
+        let peer = PeerId(0);
+        let x = SparseVector::from_pairs([(0, 1.0)]);
+        cempar.scores(&mut net, peer, &x).unwrap();
+        // Inside the window, queries across the cut are lost; lookups are not.
+        net.advance(p2psim::SimTime::from_secs(150));
+        let _ = cempar.scores(&mut net, peer, &x);
+        let super_peers = cempar.super_peers();
+        let across = |sp: &PeerId| sp.index() >= PIVOT;
+        assert!(super_peers.iter().any(across) && !super_peers.iter().all(across));
+        for sp in super_peers {
+            let before = net.stats().kind(MessageKind::DhtLookup).messages;
+            assert_eq!(net.resolve(peer, sp.ring_key()), Ok(sp));
+            let routed = net.stats().kind(MessageKind::DhtLookup).messages > before;
+            assert_eq!(routed, across(&sp), "super-peer {sp:?}");
         }
     }
 

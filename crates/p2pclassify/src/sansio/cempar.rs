@@ -11,7 +11,8 @@
 //! Super-peer election is computed purely from the static peer list: the
 //! super-peer of region `r` is the ring successor of the region's anchor key
 //! (Chord semantics, every peer derives it locally — no DHT round-trip in
-//! the core; drivers may charge lookups separately).
+//! the core; drivers may charge lookups separately). The list is static, so
+//! each core elects every region's super-peer once, when it is built.
 //!
 //! Order-independence: contributions are keyed `(source, version)` and only
 //! strictly newer versions install; each install marks the tags it changed
@@ -64,8 +65,8 @@ pub struct CemparCore {
     id: PeerId,
     config: CemparConfig,
     directory: SuperPeerDirectory,
-    /// The static peer list super-peer election runs over.
-    peers: Vec<PeerId>,
+    /// The super-peer of each region, elected once over the static peer list.
+    super_peers: Vec<PeerId>,
     local_data: MultiLabelDataset,
     /// This peer's contribution version (bumped per retrain).
     my_version: u64,
@@ -80,15 +81,19 @@ pub struct CemparCore {
 }
 
 impl CemparCore {
-    /// A fresh core for `id` within the static peer set `peers`.
+    /// A fresh core for `id` within the static peer set `peers` (which holds
+    /// `id`, so it is never empty).
     pub fn new(id: PeerId, peers: Vec<PeerId>, config: CemparConfig) -> Self {
         let directory = SuperPeerDirectory::new(config.regions);
         let link = ReliableCore::new(config.wire.reliability);
+        let super_peers = (0..directory.regions())
+            .map(|region| elect_super_peer(&peers, directory.anchor_key(region)))
+            .collect();
         Self {
             id,
             config,
             directory,
-            peers,
+            super_peers,
             local_data: MultiLabelDataset::new(),
             my_version: 0,
             my_model: None,
@@ -125,23 +130,9 @@ impl CemparCore {
 
     /// The super-peer of a region: the ring successor of the region's anchor
     /// key among the static peer list (deterministic, locally computable).
+    /// Like the anchor key, `region` counts modulo the number of regions.
     pub fn super_peer_of_region(&self, region: usize) -> PeerId {
-        let anchor = self.directory.anchor_key(region);
-        let successor = self
-            .peers
-            .iter()
-            .copied()
-            .filter(|p| p.ring_key() >= anchor)
-            .min_by_key(|p| p.ring_key());
-        successor.unwrap_or_else(|| {
-            // Wrap around the ring: the globally smallest key owns the top
-            // arc. The peer list is never empty (this core is in it).
-            self.peers
-                .iter()
-                .copied()
-                .min_by_key(|p| p.ring_key())
-                .expect("peer list contains at least this core")
-        })
+        self.super_peers[region % self.super_peers.len()]
     }
 
     /// The region this peer contributes to.
@@ -299,6 +290,25 @@ impl CemparCore {
     }
 }
 
+/// The ring successor of `anchor` among `peers`: the peer with the smallest
+/// ring key at or after it, wrapping to the globally smallest key for the
+/// top arc of the ring.
+fn elect_super_peer(peers: &[PeerId], anchor: u64) -> PeerId {
+    let successor = peers
+        .iter()
+        .copied()
+        .filter(|p| p.ring_key() >= anchor)
+        .min_by_key(|p| p.ring_key());
+    successor.unwrap_or_else(|| {
+        // The peer list is never empty (the core's own peer is in it).
+        peers
+            .iter()
+            .copied()
+            .min_by_key(|p| p.ring_key())
+            .expect("peer list contains at least this core")
+    })
+}
+
 /// Reduces a completed query's votes to its prediction effect.
 fn finish_query(query: u64, state: OutstandingQuery) -> Output {
     let votes: Vec<(f64, Vec<TagPrediction>)> = state.votes.into_values().collect();
@@ -389,6 +399,31 @@ impl ProtocolCore for CemparCore {
 mod tests {
     use super::*;
     use ml::MultiLabelExample;
+
+    /// The super-peer table built in `new` names, for every region, the
+    /// ring successor of the region's anchor among the static peers (the
+    /// smallest ring key at or after it, wrapping to the smallest overall);
+    /// regions count modulo the region count, as anchor keys do.
+    #[test]
+    fn the_super_peer_table_holds_each_anchors_ring_successor() {
+        for (n, regions) in [(1, 1), (3, 8), (16, 4), (40, 32)] {
+            let peers: Vec<PeerId> = (0..n).map(PeerId).collect();
+            let config = CemparConfig {
+                regions,
+                ..Default::default()
+            };
+            let core = CemparCore::new(PeerId(0), peers.clone(), config);
+            let directory = SuperPeerDirectory::new(regions);
+            let mut ring = peers;
+            ring.sort_by_key(|p| p.ring_key());
+            for region in 0..2 * regions {
+                let anchor = directory.anchor_key(region);
+                let successor = ring.iter().find(|p| p.ring_key() >= anchor);
+                let want = *successor.unwrap_or(&ring[0]);
+                assert_eq!(core.super_peer_of_region(region), want, "{n} {region}");
+            }
+        }
+    }
 
     /// An install whose inner kernel frame carries the first frame version
     /// (per-tag kernel bodies) installs nothing: its version byte is

@@ -23,7 +23,7 @@
 //!   implement [`engine::Application`] and react to messages and timers — used
 //!   for protocol-level experiments (routing, lookup latency, churn dynamics);
 //! * a **round-based network facade** ([`network::P2PNetwork`]) that exposes
-//!   `send` / `dht_lookup` / `broadcast` primitives with full cost accounting —
+//!   `send` / `dht_lookup` / `resolve` / `broadcast` primitives with full cost accounting —
 //!   this is the substrate the P2P classification protocols (CEMPaR, PACE) run
 //!   on, mirroring how the original P2PDMT hosts data-mining tasks.
 

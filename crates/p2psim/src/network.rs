@@ -23,6 +23,7 @@ use crate::time::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Why a message could not be delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -118,6 +119,10 @@ pub struct P2PNetwork {
     /// Partition windows healed since the last
     /// [`Self::drain_healed_partitions`] call.
     healed: Vec<PartitionWindow>,
+    /// Requester-side resolution cache of [`Self::resolve`]: the owner each
+    /// `(requester, key)` pair was last routed to, kept while that answer
+    /// cannot be wrong (see [`Self::resolve`] for when it is dropped).
+    resolved: BTreeMap<(PeerId, u64), PeerId>,
 }
 
 impl P2PNetwork {
@@ -149,6 +154,7 @@ impl P2PNetwork {
             faults,
             crashed: Vec::new(),
             healed: Vec::new(),
+            resolved: BTreeMap::new(),
         };
         net.sync_overlay_membership();
         net
@@ -193,6 +199,8 @@ impl P2PNetwork {
             if self.online.contains(p) {
                 self.stats.faults.crashes += 1;
                 self.log.log(to, Some(p), "crash", "peer crash-restarted");
+                // A restart loses the peer's in-memory resolutions too.
+                self.resolved.retain(|&(from, _), _| from != p);
                 self.crashed.push(p);
             }
         }
@@ -499,6 +507,34 @@ impl P2PNetwork {
         Ok((result.owner, result.hops()))
     }
 
+    /// [`Self::dht_lookup`] for a requester that remembers its answers: the
+    /// first call for a `(from, key)` pair routes and charges exactly what
+    /// `dht_lookup` charges (hop messages, bytes, latency, the lookup
+    /// record) and caches the owner; later calls return it and charge
+    /// nothing. A failed lookup caches nothing.
+    ///
+    /// An entry lives until its answer can be wrong: [`Self::forget`] drops
+    /// it (say, after a send to the owner failed); a crash-restart of the
+    /// requester or its leaving the overlay drops all of the requester's
+    /// entries; and a membership change drops every entry whose owner left
+    /// or no longer owns the key. Under the unstructured overlay any
+    /// membership change drops every entry, because whether a flood reaches
+    /// the owner depends on the whole graph.
+    pub fn resolve(&mut self, from: PeerId, key: u64) -> Result<PeerId, DeliveryError> {
+        if let Some(&owner) = self.resolved.get(&(from, key)) {
+            return Ok(owner);
+        }
+        let (owner, _hops) = self.dht_lookup(from, key)?;
+        self.resolved.insert((from, key), owner);
+        Ok(owner)
+    }
+
+    /// Drops `from`'s cached resolution of `key`, so the next
+    /// [`Self::resolve`] of the pair routes again.
+    pub fn forget(&mut self, from: PeerId, key: u64) {
+        self.resolved.remove(&(from, key));
+    }
+
     /// Sends `size_bytes` of `kind` from `from` to every other peer — a
     /// one-payload [`Self::broadcast_frames`], so it charges exactly like a
     /// loop of [`Self::send`] over all other peers: an offline receiver is a
@@ -514,6 +550,7 @@ impl P2PNetwork {
 
     fn sync_overlay_membership(&mut self) {
         let now = self.now;
+        let mut changed = false;
         for i in 0..self.config.num_peers {
             let p = PeerId::from(i);
             let online = self.churn.is_online(p, now);
@@ -522,10 +559,22 @@ impl P2PNetwork {
             if online && !member {
                 self.overlay.add_peer(p);
                 self.log.log(now, Some(p), "join", "peer joined overlay");
+                changed = true;
             } else if !online && member {
                 self.overlay.remove_peer(p);
                 self.log.log(now, Some(p), "leave", "peer left overlay");
+                changed = true;
             }
+        }
+        if changed {
+            let overlay = &self.overlay;
+            self.resolved
+                .retain(|&(from, key), &mut owner| match overlay {
+                    AnyOverlay::Chord(ring) => {
+                        ring.contains(from) && ring.owner_of(key) == Some(owner)
+                    }
+                    AnyOverlay::Unstructured(_) => false,
+                });
         }
     }
 }
@@ -827,6 +876,165 @@ mod tests {
             Err(DeliveryError::SenderOffline)
         );
         assert_eq!(net.broadcast(offline, MessageKind::Other, 1), 0);
+    }
+
+    /// Ring keys of a few peers (CEMPaR resolves super-peers by their ring
+    /// keys, so owners move whenever one of these peers comes back) and one
+    /// content key.
+    fn probe_keys(net: &P2PNetwork) -> Vec<u64> {
+        let peers = net.peers().step_by(5).map(PeerId::ring_key);
+        peers.chain([content_key(b"rust")]).collect()
+    }
+
+    /// Every online peer resolves every key of `keys`.
+    fn resolve_from_every_online_peer(net: &mut P2PNetwork, keys: &[u64]) {
+        let online: Vec<PeerId> = net.online_peers().collect();
+        for from in online {
+            for &key in keys {
+                net.resolve(from, key).expect("chord routes for a member");
+            }
+        }
+    }
+
+    #[test]
+    fn a_resolve_miss_charges_what_dht_lookup_charges_and_a_hit_charges_nothing() {
+        let mut cached = churned_network(crate::faults::FaultPlan::default());
+        let mut routed = churned_network(crate::faults::FaultPlan::default());
+        let keys = probe_keys(&cached);
+        let requesters: Vec<PeerId> = cached.online_peers().take(6).collect();
+        for &from in &requesters {
+            for &key in &keys {
+                let want = routed.dht_lookup(from, key).map(|(owner, _)| owner);
+                assert_eq!(cached.resolve(from, key), want);
+                assert_eq!(fingerprint(&cached), fingerprint(&routed));
+            }
+        }
+        let charged = fingerprint(&cached);
+        assert!(cached.stats().kind(MessageKind::DhtLookup).messages > 0);
+        for &from in &requesters {
+            for &key in &keys {
+                let owner = cached.overlay().lookup(from, key).map(|r| r.owner);
+                assert_eq!(cached.resolve(from, key).ok(), owner);
+            }
+        }
+        assert_eq!(fingerprint(&cached), charged, "hits charge nothing");
+        // An offline requester fails like `dht_lookup` and caches nothing.
+        let offline = cached.peers().find(|&p| !cached.is_online(p)).unwrap();
+        assert_eq!(
+            cached.resolve(offline, keys[0]),
+            Err(DeliveryError::SenderOffline)
+        );
+        assert!(!cached.resolved.keys().any(|&(from, _)| from == offline));
+    }
+
+    #[test]
+    fn forget_drops_one_resolution_and_the_next_resolve_routes_again() {
+        let mut net = small_network(32);
+        let keys = probe_keys(&net);
+        resolve_from_every_online_peer(&mut net, &keys);
+        let held = net.resolved.len();
+        let lookups = net.stats().kind(MessageKind::DhtLookup).messages;
+        net.forget(PeerId(3), keys[1]);
+        net.forget(PeerId(3), 12_345); // never resolved: a no-op
+        assert_eq!(net.resolved.len(), held - 1);
+        assert!(!net.resolved.contains_key(&(PeerId(3), keys[1])));
+        resolve_from_every_online_peer(&mut net, &keys);
+        let after = net.stats().kind(MessageKind::DhtLookup).messages;
+        let (_, hops) = net.dht_lookup(PeerId(3), keys[1]).unwrap();
+        assert_eq!(
+            after - lookups,
+            hops as u64,
+            "only the forgotten pair routed"
+        );
+        assert_eq!(net.resolved.len(), held);
+    }
+
+    #[test]
+    fn membership_changes_drop_exactly_the_resolutions_that_went_stale() {
+        let mut net = churned_network(crate::faults::FaultPlan::default());
+        let keys = probe_keys(&net);
+        let (mut requester_left, mut owner_left, mut owner_moved, mut kept) = (0, 0, 0, 0);
+        for _ in 0..30 {
+            resolve_from_every_online_peer(&mut net, &keys);
+            let before = net.resolved.clone();
+            net.advance(SimTime::from_secs(20));
+            for (&(from, key), &owner) in &before {
+                let now_owner = net.overlay().lookup(from, key).map(|r| r.owner);
+                let survived = net.resolved.contains_key(&(from, key));
+                if !net.is_online(from) {
+                    requester_left += 1;
+                    assert!(!survived, "requester {from:?} left");
+                } else if !net.is_online(owner) {
+                    owner_left += 1;
+                    assert!(!survived, "owner {owner:?} left");
+                } else if now_owner != Some(owner) {
+                    owner_moved += 1;
+                    assert!(!survived, "key {key} moved off {owner:?}");
+                } else {
+                    kept += 1;
+                    assert!(survived, "({from:?}, {key}) is still right");
+                }
+            }
+            for (&(from, key), &owner) in &net.resolved {
+                assert_eq!(
+                    net.overlay().lookup(from, key).map(|r| r.owner),
+                    Some(owner)
+                );
+            }
+        }
+        assert!(
+            requester_left > 0 && owner_left > 0 && owner_moved > 0 && kept > 0,
+            "{requester_left} {owner_left} {owner_moved} {kept}"
+        );
+    }
+
+    #[test]
+    fn a_crash_restart_drops_the_requesters_resolutions_only() {
+        let mut net = P2PNetwork::new(SimConfig {
+            num_peers: 32,
+            horizon_secs: 10_000,
+            faults: crate::faults::FaultPlan {
+                crashes: Some(crate::faults::CrashSchedule {
+                    mean_interval_secs: 50.0,
+                    max_crashes: 6,
+                }),
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        let keys = probe_keys(&net);
+        resolve_from_every_online_peer(&mut net, &keys);
+        let before = net.resolved.clone();
+        net.advance(SimTime::from_secs(1_000));
+        let crashed = net.drain_crash_restarts();
+        assert!(!crashed.is_empty());
+        for (&(from, key), &owner) in &before {
+            // No churn: only the crashes can have dropped anything.
+            let want = (!crashed.contains(&from)).then_some(&owner);
+            assert_eq!(net.resolved.get(&(from, key)), want);
+        }
+    }
+
+    #[test]
+    fn unstructured_membership_changes_drop_every_resolution() {
+        let mut net = P2PNetwork::new(SimConfig {
+            num_peers: 48,
+            overlay: OverlayKind::Unstructured { degree: 6, ttl: 6 },
+            churn: ChurnModel::Exponential {
+                mean_session_secs: 100.0,
+                mean_offline_secs: 100.0,
+            },
+            horizon_secs: 10_000,
+            ..Default::default()
+        });
+        net.advance(SimTime::from_secs(150));
+        let online: Vec<PeerId> = net.online_peers().collect();
+        for from in online {
+            let _ = net.resolve(from, content_key(b"rust"));
+        }
+        assert!(!net.resolved.is_empty());
+        net.advance(SimTime::from_secs(200));
+        assert!(net.resolved.is_empty());
     }
 
     #[test]
