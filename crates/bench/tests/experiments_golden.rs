@@ -1,13 +1,15 @@
 //! Tier-1 pin of the experiment suite: the `--quick` run of every table
 //! (E1–E9, A1, A2) must reproduce `golden/experiments-quick.txt` byte for
 //! byte. The default-scale run is pinned the same way by
-//! `experiments --check golden/experiments.txt` in CI.
+//! `experiments --check golden/experiments.txt` in CI, and the orderings the
+//! paper's claims rest on are asserted on that committed file here.
 //!
 //! A change that moves a row regenerates the file with
 //! `cargo run --release -p bench --bin experiments -- --quick > crates/bench/golden/experiments-quick.txt`
 //! and says in its description which rows moved and why.
 
 use bench::experiments::{golden_diff, run_suite};
+use std::collections::BTreeMap;
 
 #[test]
 fn quick_suite_matches_its_golden_output() {
@@ -33,4 +35,215 @@ fn golden_diff_names_each_moved_line() {
         Some("line 2:\n- b\n+ c\nline 3:\n+ d\n")
     );
     assert!(golden_diff("a\n", "a").is_some());
+}
+
+/// One rendered table of a golden file: header cells and rows of cells.
+/// Columns are right-aligned and joined by two spaces, and no cell the
+/// claims read holds two spaces in a row, so runs of two or more spaces
+/// split a line into its cells.
+struct GoldenTable {
+    header: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+impl GoldenTable {
+    fn column(&self, name: &str) -> usize {
+        self.header
+            .iter()
+            .position(|h| h == name)
+            .unwrap_or_else(|| panic!("no column {name:?} in {:?}", self.header))
+    }
+
+    /// Column `value` (a trailing `%` dropped) of the one row whose `keys`
+    /// columns read the given cells.
+    fn value(&self, keys: &[(&str, &str)], value: &str) -> f64 {
+        let keys: Vec<(usize, &str)> = keys.iter().map(|&(k, v)| (self.column(k), v)).collect();
+        let matching: Vec<&Vec<String>> = self
+            .rows
+            .iter()
+            .filter(|row| keys.iter().all(|&(k, v)| row[k] == v))
+            .collect();
+        let [row] = matching[..] else {
+            panic!("{keys:?} matches {} rows", matching.len());
+        };
+        let cell = row[self.column(value)].trim_end_matches('%');
+        cell.parse()
+            .unwrap_or_else(|_| panic!("{value:?} cell {cell:?} is not a number"))
+    }
+
+    /// The distinct cells of column `key`, in first-appearance order.
+    fn keys(&self, key: &str) -> Vec<&str> {
+        let k = self.column(key);
+        let mut keys: Vec<&str> = Vec::new();
+        for row in &self.rows {
+            if !keys.contains(&row[k].as_str()) {
+                keys.push(&row[k]);
+            }
+        }
+        keys
+    }
+}
+
+fn cells(line: &str) -> Vec<String> {
+    line.split("  ")
+        .map(str::trim)
+        .filter(|c| !c.is_empty())
+        .map(String::from)
+        .collect()
+}
+
+/// Every table of a golden file, keyed by its id (`"E1"`, …, `"A2"`).
+fn golden_tables(golden: &str) -> BTreeMap<String, GoldenTable> {
+    let mut tables = BTreeMap::new();
+    let mut lines = golden.lines();
+    while let Some(line) = lines.next() {
+        let Some(title) = line.strip_prefix("## ") else {
+            continue;
+        };
+        let id = title.split_whitespace().next().unwrap_or_default();
+        let header = cells(lines.next().unwrap_or_default());
+        lines.next(); // the dashed rule
+        let rows = lines
+            .by_ref()
+            .take_while(|l| !l.trim().is_empty())
+            .map(cells)
+            .collect();
+        tables.insert(id.to_string(), GoldenTable { header, rows });
+    }
+    tables
+}
+
+/// The orderings EXPERIMENTS.md's "Reading the tables" draws from the
+/// default-scale run, each checked on `golden`. Returns the claims that do
+/// not hold, one line each.
+fn broken_claims(golden: &str) -> Vec<String> {
+    let tables = golden_tables(golden);
+    let table = |id: &str| {
+        tables
+            .get(id)
+            .unwrap_or_else(|| panic!("no table {id} in the golden file"))
+    };
+    let mut broken = Vec::new();
+    let mut claim = |holds: bool, what: String| {
+        if !holds {
+            broken.push(what);
+        }
+    };
+
+    let e1 = table("E1");
+    for metric in ["micro-F1", "macro-F1"] {
+        let f1 = |protocol| e1.value(&[("protocol", protocol)], metric);
+        for p2p in ["pace", "cempar"] {
+            claim(
+                f1("centralized") > f1(p2p),
+                format!("E1: centralized beats {p2p} on {metric}"),
+            );
+            claim(
+                f1(p2p) > f1("local-only"),
+                format!("E1: {p2p} beats local-only on {metric}"),
+            );
+        }
+    }
+
+    let e4 = table("E4");
+    let session = "mean session (s)";
+    for length in e4.keys(session) {
+        let unserved = |protocol| {
+            e4.value(
+                &[(session, length), ("protocol", protocol)],
+                "unserved requests",
+            )
+        };
+        claim(
+            unserved("pace") == 0.0,
+            format!("E4: PACE serves every request at session length {length}"),
+        );
+        claim(
+            unserved("centralized") > unserved("pace")
+                && unserved("centralized") > unserved("cempar"),
+            format!("E4: centralized is the least served at session length {length}"),
+        );
+    }
+
+    let e5 = table("E5");
+    let messages = |overlay| e5.value(&[("overlay", overlay)], "messages/lookup");
+    for flood in ["flood-ttl4", "flood-ttl6"] {
+        claim(
+            messages("chord-dht") < messages(flood),
+            format!("E5: Chord uses fewer messages per lookup than {flood}"),
+        );
+    }
+
+    let e7 = table("E7");
+    let micro = |fraction, protocol| {
+        e7.value(
+            &[("train fraction", fraction), ("protocol", protocol)],
+            "micro-F1",
+        )
+    };
+    for p2p in ["pace", "cempar"] {
+        let ratio = |fraction| micro(fraction, p2p) / micro(fraction, "local-only");
+        claim(
+            ratio("5%") > ratio("40%"),
+            format!("E7: {p2p}'s micro-F1 ratio over local-only is larger at 5 % than at 40 %"),
+        );
+    }
+
+    let a1 = table("A1");
+    for ranking in ["lsh", "exact"] {
+        let micro = |top_k| a1.value(&[("top-k", top_k), ("model ranking", ranking)], "micro-F1");
+        for good in ["3", "7"] {
+            for bad in ["1", "15"] {
+                claim(
+                    micro(good) > micro(bad),
+                    format!("A1 ({ranking}): top-k {good} beats top-k {bad} on micro-F1"),
+                );
+            }
+        }
+    }
+
+    let a2 = table("A2");
+    for regions in a2.keys("regions") {
+        let micro = |cascade| a2.value(&[("regions", regions), ("cascade", cascade)], "micro-F1");
+        claim(
+            micro("retrain") >= micro("pool-only"),
+            format!("A2: retrain ≥ pool-only at {regions} regions"),
+        );
+    }
+    broken
+}
+
+/// The paper's claims as the default-scale golden run shows them. CI's
+/// `experiments --check` ties that file to the code, so a change that
+/// breaks one of these orderings cannot land by regenerating the golden.
+#[test]
+fn default_scale_golden_keeps_the_papers_orderings() {
+    let broken = broken_claims(include_str!("../golden/experiments.txt"));
+    assert!(broken.is_empty(), "claims broken:\n{}", broken.join("\n"));
+}
+
+/// The claim checks read the cells they name: swapping E1's centralized
+/// and local-only micro-F1 cells breaks exactly the claims comparing them.
+#[test]
+fn a_swapped_golden_cell_breaks_its_claims() {
+    let golden = include_str!("../golden/experiments.txt");
+    let swapped = golden
+        .replace(
+            "centralized     0.981     0.971",
+            "centralized     0.706     0.971",
+        )
+        .replace(
+            " local-only     0.706     0.535",
+            " local-only     0.981     0.535",
+        );
+    let broken = broken_claims(&swapped);
+    assert_eq!(
+        broken,
+        [
+            "E1: centralized beats pace on micro-F1",
+            "E1: pace beats local-only on micro-F1",
+            "E1: centralized beats cempar on micro-F1",
+            "E1: cempar beats local-only on micro-F1",
+        ]
+    );
 }

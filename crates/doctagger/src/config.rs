@@ -45,14 +45,14 @@ impl ProtocolKind {
 
     /// Returns the same protocol with the reliable-delivery layer set: `Some`
     /// turns on sequence-numbered ack/retransmit sends, `None` restores the
-    /// fire-and-forget default. Local-only never sends, so the setting is
-    /// carried for uniformity but has no effect there.
+    /// fire-and-forget default. Local-only never sends and carries no wire
+    /// settings, so for it this is a no-op.
     pub fn with_reliability(mut self, reliability: Option<ReliabilityConfig>) -> Self {
         match &mut self {
-            ProtocolKind::Cempar(c) => c.wire.reliability = reliability,
-            ProtocolKind::Pace(c) => c.wire.reliability = reliability,
-            ProtocolKind::Centralized(c) => c.wire.reliability = reliability,
-            ProtocolKind::LocalOnly(c) => c.wire.reliability = reliability,
+            ProtocolKind::Cempar(c) => c.reliability = reliability,
+            ProtocolKind::Pace(c) => c.reliability = reliability,
+            ProtocolKind::Centralized(c) => c.reliability = reliability,
+            ProtocolKind::LocalOnly(_) => {}
         }
         self
     }

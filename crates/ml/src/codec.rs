@@ -52,14 +52,6 @@
 //! against the bytes left before anything is reserved (a value, a support
 //! vector, a dictionary entry or id, a score). Only tag sets, whose
 //! index blocks can describe eight entries per byte, keep the looser bound.
-//!
-//! # Propagation pruning
-//!
-//! [`prune_top_k`] keeps only the `k` largest-magnitude weights per tag — the
-//! classic model-compression move for power-law-distributed term weights.
-//! [`prune_model_guarded`] makes it safe to apply blindly during propagation:
-//! the pruned model is accepted only when its mean per-tag training accuracy
-//! stays within a configured budget of the full model's.
 
 use crate::data::{MultiLabelDataset, MultiLabelExample, TagId};
 use crate::distinct::DistinctIds;
@@ -852,34 +844,8 @@ pub fn decode_predictions(r: &mut ByteReader<'_>) -> Result<Vec<TagPrediction>, 
 }
 
 // ---------------------------------------------------------------------------
-// Propagation pruning
+// Accuracy
 // ---------------------------------------------------------------------------
-
-/// Keeps only the `k` largest-magnitude weights of every per-tag classifier
-/// (ties broken toward lower feature ids, deterministically). Dimensions and
-/// biases are preserved, so the pruned model scores through the same code
-/// paths as the original.
-pub fn prune_top_k(model: &OneVsAllModel<LinearSvm>, k: usize) -> OneVsAllModel<LinearSvm> {
-    let classifiers: BTreeMap<TagId, LinearSvm> = model
-        .iter()
-        .map(|(tag, clf)| {
-            let (idx, w) = (clf.indices(), clf.values());
-            let mut keep: Vec<usize> = (0..idx.len()).collect();
-            if keep.len() > k {
-                keep.sort_by(|&a, &b| w[b].abs().total_cmp(&w[a].abs()).then(a.cmp(&b)));
-                keep.truncate(k);
-                keep.sort_unstable();
-            }
-            let indices = keep.iter().map(|&p| idx[p]).collect();
-            let values = keep.iter().map(|&p| w[p]).collect();
-            (
-                tag,
-                LinearSvm::from_parts(clf.dim(), indices, values, clf.bias()),
-            )
-        })
-        .collect();
-    OneVsAllModel::from_classifiers(classifiers, model.threshold(), model.min_tags())
-}
 
 /// Mean per-tag binary training accuracy of a one-vs-all model on a dataset —
 /// the same quantity PACE uses as its ensemble vote weight. Returns 1.0 on an
@@ -897,30 +863,6 @@ pub fn ensemble_accuracy(model: &OneVsAllModel<LinearSvm>, data: &MultiLabelData
         acc_sum += correct as f64 / data.len() as f64;
     }
     acc_sum / model.num_tags() as f64
-}
-
-/// Accuracy-guarded propagation pruning: returns [`prune_top_k`]`(model, k)`
-/// when the pruned model's [`ensemble_accuracy`] on `data` (the propagating
-/// peer's own training set) stays within `max_accuracy_drop` of the full
-/// model's; otherwise the full model is kept (pruning must never silently
-/// cripple a peer's contribution).
-pub fn prune_model_guarded(
-    model: &OneVsAllModel<LinearSvm>,
-    k: usize,
-    data: &MultiLabelDataset,
-    max_accuracy_drop: f64,
-) -> OneVsAllModel<LinearSvm> {
-    let pruned = prune_top_k(model, k);
-    if data.is_empty() {
-        return pruned;
-    }
-    let full_acc = ensemble_accuracy(model, data);
-    let pruned_acc = ensemble_accuracy(&pruned, data);
-    if full_acc - pruned_acc <= max_accuracy_drop {
-        pruned
-    } else {
-        model.clone()
-    }
 }
 
 #[cfg(test)]
@@ -1404,23 +1346,6 @@ mod tests {
                 xs.len()
             );
         }
-    }
-
-    #[test]
-    fn pruning_keeps_top_weights_and_guard_rejects_harmful_cuts() {
-        let ds = toy_dataset();
-        let model = OneVsAllTrainer::default().train_linear(&ds, &LinearSvmTrainer::default());
-        let pruned = prune_top_k(&model, 1);
-        for (tag, clf) in pruned.iter() {
-            assert!(clf.nonzero_weights() <= 1, "tag {tag}");
-            assert_eq!(clf.bias(), model.classifier(tag).unwrap().bias());
-        }
-        // A generous budget keeps useful models; a zero-weight prune that
-        // destroys accuracy is rejected by the guard.
-        let harsh = prune_model_guarded(&model, 0, &ds, 0.01);
-        let full_acc = ensemble_accuracy(&model, &ds);
-        let harsh_acc = ensemble_accuracy(&harsh, &ds);
-        assert!(full_acc - harsh_acc <= 0.01 + 1e-12);
     }
 
     fn arb_vector() -> impl Strategy<Value = SparseVector> {

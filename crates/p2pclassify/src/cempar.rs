@@ -24,15 +24,14 @@
 //! text — which is the privacy argument the paper makes.
 
 use crate::error::ProtocolError;
-use crate::protocol::{
-    combine_weighted_scores, P2PTagClassifier, PeerDataMap, ScoringBackend, TrainingBackend,
-};
+use crate::protocol::{combine_weighted_scores, P2PTagClassifier, PeerDataMap};
 use crate::reliable::{LinkStats, ReliableLink, SendOutcome};
-use crate::wire::{self, WireConfig, WireCost};
+use crate::wire::{self, ReliabilityConfig};
 use ml::batch::BatchKernelScorer;
 use ml::cascade::{CascadeConfig, CascadeSvm};
+use ml::codec::WeightPrecision;
 use ml::multilabel::{OneVsAllModel, OneVsAllTrainer, TagPrediction};
-use ml::svm::{BinaryClassifier, KernelSvm, KernelSvmTrainer};
+use ml::svm::{KernelSvm, KernelSvmTrainer};
 use ml::{MultiLabelDataset, MultiLabelExample, TagId};
 use p2psim::message::MessageKind;
 use p2psim::network::DeliveryError;
@@ -60,23 +59,12 @@ pub struct CemparConfig {
     pub rel_threshold: f64,
     /// Minimum number of tags assigned when nothing reaches the threshold.
     pub min_tags: usize,
-    /// Query-time scoring implementation. [`ScoringBackend::Batched`] (the
-    /// default) shares kernel-row evaluations across a region's per-tag
-    /// cascaded models; [`ScoringBackend::Scalar`] keeps the pre-refactor
-    /// per-tag kernel expansions. Both produce identical predictions.
-    pub backend: ScoringBackend,
-    /// Training-time implementation. [`TrainingBackend::Csr`] computes each
-    /// peer's kernel (Gram) matrix once and shares it across every per-tag
-    /// SMO fit; [`TrainingBackend::Scalar`] keeps the pre-refactor per-tag
-    /// recomputation as the reference. Both produce bit-identical models.
-    pub train_backend: TrainingBackend,
-    /// Wire accounting. Under [`WireCost::Measured`] (the default) model
-    /// propagations, prediction queries and responses are really encoded —
-    /// sends charge the frame length, super-peers score the *decoded* query
-    /// and requesters vote with the *decoded* response.
-    /// [`WireCost::Estimated`] keeps the legacy `wire_size()` reference
-    /// accounting.
-    pub wire: WireConfig,
+    /// When set, model propagation runs through the reliable-delivery layer
+    /// ([`crate::reliable::ReliableLink`]): sequence-numbered checksummed
+    /// frames, ack/timeout retransmission with exponential backoff, every
+    /// attempt charged in wire bytes. `None` (the default) sends each frame
+    /// once, with no wrapper bytes and no acks.
+    pub reliability: Option<ReliabilityConfig>,
 }
 
 impl Default for CemparConfig {
@@ -102,9 +90,7 @@ impl Default for CemparConfig {
             vote_threshold: 0.0,
             rel_threshold: 0.5,
             min_tags: 1,
-            backend: ScoringBackend::default(),
-            train_backend: TrainingBackend::default(),
-            wire: WireConfig::default(),
+            reliability: None,
         }
     }
 }
@@ -125,7 +111,8 @@ impl CemparConfig {
 /// Trains a peer's local one-vs-all kernel model — the protocol body shared
 /// by the monolithic [`Cempar`] instance and the per-peer sans-io
 /// [`crate::sansio::CemparCore`], so a peer's contribution is identical
-/// whichever driver runs it.
+/// whichever driver runs it. The peer's kernel (Gram) matrix is computed
+/// once and shared by every per-tag SMO fit.
 ///
 /// One peer's fit is the unit of parallelism ([`parallel::inline`]): a lone
 /// refit never forks, batches of peers fan out in [`Cempar::train`] /
@@ -137,10 +124,7 @@ pub(crate) fn train_cempar_local(
     if data.is_empty() {
         return None;
     }
-    let model = parallel::inline(|| match config.train_backend {
-        TrainingBackend::Csr => config.one_vs_all.train_kernel_shared(data, &config.svm),
-        TrainingBackend::Scalar => config.one_vs_all.train_kernel(data, &config.svm),
-    });
+    let model = parallel::inline(|| config.one_vs_all.train_kernel_shared(data, &config.svm));
     (model.num_tags() > 0).then_some(model)
 }
 
@@ -208,22 +192,12 @@ impl RegionCascade {
     }
 
     /// Scores a query against the region's cascaded models — the
-    /// super-peer's half of CEMPaR prediction. The scalar and batched
-    /// branches produce identical `TagPrediction`s in ascending-tag order.
-    pub(crate) fn scores(&self, backend: ScoringBackend, x: &SparseVector) -> Vec<TagPrediction> {
-        let decisions: Vec<(TagId, f64)> = match backend {
-            // Pre-refactor reference: every tag expands its own kernel sum,
-            // re-evaluating K(sv, x) for support vectors shared between tags.
-            ScoringBackend::Scalar => self
-                .regional
-                .iter()
-                .map(|(&tag, clf)| (tag, clf.decision(x)))
-                .collect(),
-            // Batched: one kernel row over the region's distinct support
-            // vectors, shared by every tag.
-            ScoringBackend::Batched => self.scorer.decisions(x),
-        };
-        decisions
+    /// super-peer's half of CEMPaR prediction, in ascending-tag order. One
+    /// kernel row over the region's distinct support vectors is shared by
+    /// every tag.
+    pub(crate) fn scores(&self, x: &SparseVector) -> Vec<TagPrediction> {
+        self.scorer
+            .decisions(x)
             .into_iter()
             .map(|(tag, score)| TagPrediction {
                 tag,
@@ -309,7 +283,7 @@ pub struct Cempar {
     /// trained (its whole local collection is outstanding).
     pending: BTreeMap<PeerId, MultiLabelDataset>,
     /// The send path: passthrough by default, ack/retransmit when
-    /// [`WireConfig::reliability`] is set. Also the ledger of every send
+    /// [`CemparConfig::reliability`] is set. Also the ledger of every send
     /// outcome (losses, retransmits, re-syncs).
     link: ReliableLink,
     trained: bool,
@@ -319,7 +293,7 @@ impl Cempar {
     /// Creates an untrained CEMPaR instance.
     pub fn new(config: CemparConfig) -> Self {
         let directory = SuperPeerDirectory::new(config.regions);
-        let link = ReliableLink::new(config.wire.reliability);
+        let link = ReliableLink::new(config.reliability);
         Self {
             config,
             directory,
@@ -379,10 +353,10 @@ impl Cempar {
     /// DHT lookup and the model transfer. The region records which of its
     /// tags the new model changed; the caller re-cascades them.
     ///
-    /// Under [`WireCost::Measured`] the support-vector model is encoded into
-    /// a real frame, the send charges the frame length, and the super-peer
-    /// records the *decoded* model — the copy every later cascade and
-    /// regional scorer is built from.
+    /// The support-vector model is encoded into a real frame, the send
+    /// charges the frame length, and the super-peer records the *decoded*
+    /// model — the copy every later cascade and regional scorer is built
+    /// from.
     fn propagate_model(
         &mut self,
         net: &mut P2PNetwork,
@@ -393,26 +367,17 @@ impl Cempar {
         let region = self.region_of_peer(peer);
         let anchor = self.directory.anchor_key(region);
         let (super_peer, _hops) = net.dht_lookup(peer, anchor)?;
-        let model = match self.config.wire.cost {
-            WireCost::Estimated => {
-                self.link
-                    .send_sized(net, peer, super_peer, kind, model.wire_size())?;
-                model
-            }
-            WireCost::Measured => {
-                let frame = wire::encode_kernel_model(&model, self.config.wire.precision);
-                // The super-peer records what it decodes off the delivered
-                // bytes; a frame damaged beyond decoding was never
-                // delivered (the sender's pending queue retries it).
-                let delivered = self
-                    .link
-                    .send_frame(net, peer, super_peer, kind, &frame, |b| {
-                        wire::decode_kernel_model(b).is_ok()
-                    })?;
-                wire::decode_kernel_model(&delivered)
-                    .map_err(|_| ProtocolError::Delivery(DeliveryError::Lost))?
-            }
-        };
+        let frame = wire::encode_kernel_model(&model, WeightPrecision::F64);
+        // The super-peer records what it decodes off the delivered bytes; a
+        // frame damaged beyond decoding was never delivered (the sender's
+        // pending queue retries it).
+        let delivered = self
+            .link
+            .send_frame(net, peer, super_peer, kind, &frame, |b| {
+                wire::decode_kernel_model(b).is_ok()
+            })?;
+        let model = wire::decode_kernel_model(&delivered)
+            .map_err(|_| ProtocolError::Delivery(DeliveryError::Lost))?;
         let state = self.regions[region].get_or_insert_with(|| RegionState {
             super_peer,
             contributed: BTreeMap::new(),
@@ -450,17 +415,11 @@ impl Cempar {
             return Err(ProtocolError::PeerOffline);
         }
         // The same query payload travels to every region: encode it once.
-        // Under the measured wire the super-peers score the vector *decoded
-        // from the frame* (bit-identical to `x` with the lossless default).
-        let (query_bytes, decoded_query) = match self.config.wire.cost {
-            WireCost::Estimated => (x.wire_size(), None),
-            WireCost::Measured => {
-                let frame = wire::encode_query(x);
-                let decoded = wire::decode_query(&frame).expect("self-encoded query frame decodes");
-                (frame.len(), Some(decoded))
-            }
-        };
-        let x_eval = decoded_query.as_ref().unwrap_or(x);
+        // The super-peers score the vector *decoded from the frame*
+        // (bit-identical to `x`: vectors travel losslessly).
+        let query = wire::encode_query(x);
+        let query_bytes = query.len();
+        let x_eval = wire::decode_query(&query).expect("self-encoded query frame decodes");
         let mut votes: Vec<(f64, Vec<TagPrediction>)> = Vec::new();
         for state in self.regions.iter().flatten() {
             if state.cascade.regional.is_empty() {
@@ -487,18 +446,11 @@ impl Cempar {
                 net.forget(peer, key);
                 continue;
             }
-            let scores = state.cascade.scores(self.config.backend, x_eval);
             // The response travels back as a real frame too: the requester
             // votes with the scores decoded from it.
-            let (response_size, scores) = match self.config.wire.cost {
-                WireCost::Estimated => (scores.len() * (std::mem::size_of::<TagId>() + 8), scores),
-                WireCost::Measured => {
-                    let frame = wire::encode_scores(&scores);
-                    let decoded =
-                        wire::decode_scores(&frame).expect("self-encoded score frame decodes");
-                    (frame.len(), decoded)
-                }
-            };
+            let response = wire::encode_scores(&state.cascade.scores(&x_eval));
+            let scores = wire::decode_scores(&response).expect("self-encoded score frame decodes");
+            let response_size = response.len();
             // A region whose response never reaches the requester contributes
             // no vote (previously a lost response still voted). Query-path
             // sends cannot route through the reliable link (`scores` is
@@ -769,23 +721,14 @@ impl P2PTagClassifier for Cempar {
         // peer queues a re-contribution — the model re-propagation itself is
         // trained and charged on the next incremental round.
         let digest = wire::encode_digest(&[(peer.0, 0)]);
-        let arrived = match self.config.wire.cost {
-            WireCost::Measured => self.link.deliver_frame(
-                net,
-                peer,
-                super_peer,
-                MessageKind::AntiEntropy,
-                &digest,
-                |b| wire::decode_digest(b).is_ok(),
-            ),
-            WireCost::Estimated => self.link.deliver_sized(
-                net,
-                peer,
-                super_peer,
-                MessageKind::AntiEntropy,
-                digest.len(),
-            ),
-        };
+        let arrived = self.link.deliver_frame(
+            net,
+            peer,
+            super_peer,
+            MessageKind::AntiEntropy,
+            &digest,
+            |b| wire::decode_digest(b).is_ok(),
+        );
         if arrived != SendOutcome::Arrived {
             return 0;
         }

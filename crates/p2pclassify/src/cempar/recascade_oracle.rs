@@ -5,6 +5,7 @@
 
 use super::*;
 use crate::sansio::{CemparCore, ProtocolCore};
+use ml::svm::BinaryClassifier;
 use p2psim::SimConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -191,7 +192,7 @@ fn core_recascade_equals_a_from_scratch_cascade_after_every_install() {
     let mut rng = StdRng::seed_from_u64(15);
     let directory = SuperPeerDirectory::new(config.regions);
     let check = |observer: &mut CemparCore, source, version, model: OneVsAllModel<KernelSvm>| {
-        let parts = wire::encode_kernel_model(&model, config.wire.precision);
+        let parts = wire::encode_kernel_model(&model, WeightPrecision::F64);
         let frame = wire::encode_install(source, version, &[&parts]);
         observer.ingest(0, PeerId(source), &frame);
         let regions: Vec<usize> = observer.regions.keys().copied().collect();
@@ -231,7 +232,7 @@ fn core_recascade_equals_a_from_scratch_cascade_after_every_install() {
     assert!(v1[2].num_tags() > train(&fewer).num_tags());
     check(&mut observer, 2, 2, train(&fewer));
     let region = directory.region_of_key(PeerId(3).ring_key());
-    let parts = wire::encode_kernel_model(&v1[3], config.wire.precision);
+    let parts = wire::encode_kernel_model(&v1[3], WeightPrecision::F64);
     observer.ingest(0, PeerId(3), &wire::encode_install(3, 2, &[&parts]));
     assert!(observer.regions[&region].cascade.dirty.is_empty());
     check(&mut observer, 3, 3, v1[3].clone());

@@ -9,9 +9,9 @@
 //! against; communication- and availability-wise it is the worst case.
 
 use crate::error::ProtocolError;
-use crate::protocol::{P2PTagClassifier, PeerDataMap, ScoringBackend, TrainingBackend};
+use crate::protocol::{P2PTagClassifier, PeerDataMap};
 use crate::reliable::{LinkStats, ReliableLink};
-use crate::wire::{self, WireConfig, WireCost};
+use crate::wire::{self, ReliabilityConfig};
 use ml::batch::TagWeightMatrix;
 use ml::multilabel::{OneVsAllModel, OneVsAllTrainer, TagPrediction};
 use ml::svm::{LinearSvm, LinearSvmTrainer};
@@ -34,20 +34,12 @@ pub struct CentralizedConfig {
     pub vote_threshold: f64,
     /// Minimum number of tags assigned when nothing reaches the threshold.
     pub min_tags: usize,
-    /// Query-time scoring implementation ([`ScoringBackend::Batched`] scores
-    /// the pooled model's whole tag universe in one pass per document).
-    pub backend: ScoringBackend,
-    /// Training-time implementation (CSR shared-storage vs the scalar
-    /// reference; bit-identical models either way). The pooled server-side
-    /// dataset is the largest one-vs-all problem in the system, so this is
-    /// where the shared CSR arena pays the most.
-    pub train_backend: TrainingBackend,
-    /// Wire accounting. Under [`WireCost::Measured`] (the default) the raw
-    /// training uploads, refinements, prediction queries and responses are
-    /// really encoded — sends charge the frame length and the server pools /
-    /// scores the *decoded* payloads. [`WireCost::Estimated`] keeps the
-    /// legacy `wire_size()` reference accounting.
-    pub wire: WireConfig,
+    /// When set, uploads and refinements run through the reliable-delivery
+    /// layer ([`crate::reliable::ReliableLink`]): sequence-numbered
+    /// checksummed frames, ack/timeout retransmission with exponential
+    /// backoff, every attempt charged in wire bytes. `None` (the default)
+    /// sends each frame once, with no wrapper bytes and no acks.
+    pub reliability: Option<ReliabilityConfig>,
 }
 
 impl Default for CentralizedConfig {
@@ -58,9 +50,7 @@ impl Default for CentralizedConfig {
             one_vs_all: OneVsAllTrainer::default(),
             vote_threshold: 0.0,
             min_tags: 1,
-            backend: ScoringBackend::default(),
-            train_backend: TrainingBackend::default(),
-            wire: WireConfig::default(),
+            reliability: None,
         }
     }
 }
@@ -70,8 +60,8 @@ impl Default for CentralizedConfig {
 pub struct Centralized {
     config: CentralizedConfig,
     model: Option<OneVsAllModel<LinearSvm>>,
-    /// CSR-packed form of `model` for the batched backend; rebuilt alongside
-    /// the model on every retrain.
+    /// CSR-packed form of `model`, which scores the whole tag universe in
+    /// one pass per document; rebuilt alongside the model on every retrain.
     matrix: Option<TagWeightMatrix>,
     pooled: MultiLabelDataset,
     /// Per-peer examples that could not reach the server yet (sender or
@@ -81,7 +71,7 @@ pub struct Centralized {
     /// recovery source when the server crash-restarts and loses its pool.
     uploaded: Vec<MultiLabelDataset>,
     /// The send path: passthrough by default, ack/retransmit when
-    /// [`WireConfig::reliability`] is set. Also the ledger of every send
+    /// [`CentralizedConfig::reliability`] is set. Also the ledger of every send
     /// outcome (losses, retransmits, re-syncs).
     link: ReliableLink,
     trained: bool,
@@ -90,7 +80,7 @@ pub struct Centralized {
 impl Centralized {
     /// Creates an untrained centralized baseline.
     pub fn new(config: CentralizedConfig) -> Self {
-        let link = ReliableLink::new(config.wire.reliability);
+        let link = ReliableLink::new(config.reliability);
         Self {
             config,
             model: None,
@@ -119,23 +109,19 @@ impl Centralized {
             self.matrix = None;
             return;
         }
-        let model = match self.config.train_backend {
-            TrainingBackend::Csr => self
-                .config
-                .one_vs_all
-                .train_linear_csr(&self.pooled, &self.config.svm),
-            TrainingBackend::Scalar => self
-                .config
-                .one_vs_all
-                .train_linear(&self.pooled, &self.config.svm),
-        };
+        // The pooled server-side dataset is the largest one-vs-all problem
+        // in the system, so this is where the shared CSR arena pays the most.
+        let model = self
+            .config
+            .one_vs_all
+            .train_linear_csr(&self.pooled, &self.config.svm);
         self.model = (model.num_tags() > 0).then_some(model);
         self.matrix = self.model.as_ref().map(OneVsAllModel::weight_matrix);
     }
 
     /// Ships `data` from `from` to the server over the reliable link and
-    /// returns the dataset the server actually pools — under the measured
-    /// wire that is the copy decoded off the wire, so the TrainingData rows
+    /// returns the dataset the server actually pools — the copy decoded off
+    /// the wire, so the TrainingData rows
     /// of the E3 table stay measured rather than estimated. `None` means the
     /// upload never landed (server unreachable, frame lost, or the frame was
     /// damaged in transit and rejected by strict decode).
@@ -147,25 +133,16 @@ impl Centralized {
         data: &MultiLabelDataset,
     ) -> Option<MultiLabelDataset> {
         let server = self.config.server;
-        match self.config.wire.cost {
-            WireCost::Estimated => self
-                .link
-                .send_sized(net, from, server, kind, data.wire_size())
-                .ok()
-                .map(|_| data.clone()),
-            WireCost::Measured => {
-                let frame = wire::encode_dataset(data);
-                // A corrupted frame that fails strict decode never reaches
-                // the pool: the upload counts as lost and is retried later.
-                let delivered = self
-                    .link
-                    .send_frame(net, from, server, kind, &frame, |b| {
-                        wire::decode_dataset(b).is_ok()
-                    })
-                    .ok()?;
-                wire::decode_dataset(&delivered).ok()
-            }
-        }
+        let frame = wire::encode_dataset(data);
+        // A corrupted frame that fails strict decode never reaches the pool:
+        // the upload counts as lost and is retried later.
+        let delivered = self
+            .link
+            .send_frame(net, from, server, kind, &frame, |b| {
+                wire::decode_dataset(b).is_ok()
+            })
+            .ok()?;
+        wire::decode_dataset(&delivered).ok()
     }
 
     /// Warm-start variant of [`Self::retrain`]: the global model is refit
@@ -182,18 +159,10 @@ impl Centralized {
             return;
         }
         let prev = self.model.take().expect("checked above");
-        let model = match self.config.train_backend {
-            TrainingBackend::Csr => {
-                self.config
-                    .one_vs_all
-                    .train_linear_warm_csr(&self.pooled, &self.config.svm, &prev)
-            }
-            TrainingBackend::Scalar => {
-                self.config
-                    .one_vs_all
-                    .train_linear_warm(&self.pooled, &self.config.svm, &prev)
-            }
-        };
+        let model =
+            self.config
+                .one_vs_all
+                .train_linear_warm_csr(&self.pooled, &self.config.svm, &prev);
         self.model = (model.num_tags() > 0).then_some(model);
         self.matrix = self.model.as_ref().map(OneVsAllModel::weight_matrix);
     }
@@ -262,56 +231,25 @@ impl P2PTagClassifier for Centralized {
         if !net.is_online(peer) {
             return Err(ProtocolError::PeerOffline);
         }
-        let Some(model) = &self.model else {
+        let Some(matrix) = &self.matrix else {
             return Err(ProtocolError::NoModelReachable);
         };
         let server = self.config.server;
         if peer == server {
             // Local query at the server: no communication, no codec.
-            return Ok(match self.config.backend {
-                ScoringBackend::Scalar => model.scores(x),
-                ScoringBackend::Batched => self
-                    .matrix
-                    .as_ref()
-                    .expect("matrix is rebuilt with the model")
-                    .scores(x),
-            });
+            return Ok(matrix.scores(x));
         }
         // Round trip to the server; if it is down, the whole system is down
-        // (the single point of failure the paper warns about). Under the
-        // measured wire the server scores the query *decoded from the frame*
-        // and the requester uses the scores decoded from the response.
-        let (query_bytes, decoded_query) = match self.config.wire.cost {
-            WireCost::Estimated => (x.wire_size(), None),
-            WireCost::Measured => {
-                let frame = wire::encode_query(x);
-                let decoded = wire::decode_query(&frame).expect("self-encoded query frame decodes");
-                (frame.len(), Some(decoded))
-            }
-        };
-        net.send(peer, server, MessageKind::PredictionQuery, query_bytes)
+        // (the single point of failure the paper warns about). The server
+        // scores the query *decoded from the frame* and the requester uses
+        // the scores decoded from the response.
+        let query = wire::encode_query(x);
+        let x_eval = wire::decode_query(&query).expect("self-encoded query frame decodes");
+        net.send(peer, server, MessageKind::PredictionQuery, query.len())
             .map_err(|_| ProtocolError::NoModelReachable)?;
-        let x_eval = decoded_query.as_ref().unwrap_or(x);
-        let scores = match self.config.backend {
-            ScoringBackend::Scalar => model.scores(x_eval),
-            ScoringBackend::Batched => self
-                .matrix
-                .as_ref()
-                .expect("matrix is rebuilt with the model")
-                .scores(x_eval),
-        };
-        let (response_size, scores) = match self.config.wire.cost {
-            WireCost::Estimated => (
-                model.num_tags() * (std::mem::size_of::<TagId>() + 8),
-                scores,
-            ),
-            WireCost::Measured => {
-                let frame = wire::encode_scores(&scores);
-                let decoded =
-                    wire::decode_scores(&frame).expect("self-encoded score frame decodes");
-                (frame.len(), decoded)
-            }
-        };
+        let response = wire::encode_scores(&matrix.scores(&x_eval));
+        let scores = wire::decode_scores(&response).expect("self-encoded score frame decodes");
+        let response_size = response.len();
         // The response frame can be lost under an active fault plan, in which
         // case the requester really has no scores (query-path sends run under
         // `&self` and cannot route through the reliable link; the loss shows
@@ -410,37 +348,22 @@ impl P2PTagClassifier for Centralized {
         let server = self.config.server;
         let mut received = example.clone();
         if peer != server {
-            received = match self.config.wire.cost {
-                WireCost::Estimated => {
-                    self.link
-                        .send_sized(
-                            net,
-                            peer,
-                            server,
-                            MessageKind::RefinementUpdate,
-                            example.wire_size(),
-                        )
-                        .map_err(|_| ProtocolError::NoModelReachable)?;
-                    example.clone()
-                }
-                WireCost::Measured => {
-                    let frame = wire::encode_example(example);
-                    // Strict decode: a frame damaged in transit is a lost
-                    // refinement, never a garbage example in the pool.
-                    let delivered = self
-                        .link
-                        .send_frame(
-                            net,
-                            peer,
-                            server,
-                            MessageKind::RefinementUpdate,
-                            &frame,
-                            |b| wire::decode_example(b).is_ok(),
-                        )
-                        .map_err(|_| ProtocolError::NoModelReachable)?;
-                    wire::decode_example(&delivered).map_err(|_| ProtocolError::NoModelReachable)?
-                }
-            };
+            let frame = wire::encode_example(example);
+            // Strict decode: a frame damaged in transit is a lost
+            // refinement, never a garbage example in the pool.
+            let delivered = self
+                .link
+                .send_frame(
+                    net,
+                    peer,
+                    server,
+                    MessageKind::RefinementUpdate,
+                    &frame,
+                    |b| wire::decode_example(b).is_ok(),
+                )
+                .map_err(|_| ProtocolError::NoModelReachable)?;
+            received =
+                wire::decode_example(&delivered).map_err(|_| ProtocolError::NoModelReachable)?;
         }
         let idx = peer.index();
         if self.uploaded.len() <= idx {
@@ -567,8 +490,7 @@ mod tests {
     fn training_ships_raw_data_to_the_server() {
         let mut net = P2PNetwork::new(SimConfig::with_peers(8));
         let data = toy_peer_data(8, 10, 2);
-        // Under the measured wire (the default) every upload is charged at
-        // its real encoded frame length.
+        // Every upload is charged at its real encoded frame length.
         let expected_bytes: usize = data
             .iter()
             .enumerate()

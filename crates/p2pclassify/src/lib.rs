@@ -46,9 +46,9 @@ pub mod prelude {
     pub use crate::error::ProtocolError;
     pub use crate::local::{LocalOnly, LocalOnlyConfig};
     pub use crate::pace::{Pace, PaceConfig};
-    pub use crate::protocol::{P2PTagClassifier, PeerDataMap, ScoringBackend, TrainingBackend};
+    pub use crate::protocol::{P2PTagClassifier, PeerDataMap};
     pub use crate::reliable::{LinkStats, ReliableLink};
-    pub use crate::wire::{ReliabilityConfig, WireConfig, WireCost};
+    pub use crate::wire::ReliabilityConfig;
 }
 
 pub use cempar::{Cempar, CemparConfig};
@@ -56,6 +56,6 @@ pub use centralized::{Centralized, CentralizedConfig};
 pub use error::ProtocolError;
 pub use local::{LocalOnly, LocalOnlyConfig};
 pub use pace::{Pace, PaceConfig};
-pub use protocol::{P2PTagClassifier, PeerDataMap, ScoringBackend, TrainingBackend};
+pub use protocol::{P2PTagClassifier, PeerDataMap};
 pub use reliable::{LinkStats, ReliableLink};
-pub use wire::{ReliabilityConfig, WireConfig, WireCost};
+pub use wire::ReliabilityConfig;

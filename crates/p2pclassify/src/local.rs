@@ -7,8 +7,7 @@
 //! across peers (§2).
 
 use crate::error::ProtocolError;
-use crate::protocol::{P2PTagClassifier, PeerDataMap, ScoringBackend, TrainingBackend};
-use crate::wire::WireConfig;
+use crate::protocol::{P2PTagClassifier, PeerDataMap};
 use ml::batch::TagWeightMatrix;
 use ml::multilabel::{OneVsAllModel, OneVsAllTrainer, TagPrediction};
 use ml::svm::{LinearSvm, LinearSvmTrainer};
@@ -24,16 +23,6 @@ pub struct LocalOnlyConfig {
     pub svm: LinearSvmTrainer,
     /// One-vs-all reduction settings.
     pub one_vs_all: OneVsAllTrainer,
-    /// Query-time scoring implementation.
-    pub backend: ScoringBackend,
-    /// Training-time implementation (CSR shared-storage vs the scalar
-    /// reference; bit-identical models either way).
-    pub train_backend: TrainingBackend,
-    /// Wire accounting, kept for configuration uniformity with the other
-    /// protocols (the equivalence suite sweeps the same axis everywhere).
-    /// Local-only training and prediction never touch the network, so no
-    /// payload is ever encoded and both settings behave identically.
-    pub wire: WireConfig,
 }
 
 /// A peer's local model together with its packed scoring matrix.
@@ -67,17 +56,11 @@ pub(crate) fn train_local_only(
     if data.is_empty() {
         return None;
     }
-    let m = parallel::inline(|| match (config.train_backend, warm) {
-        (TrainingBackend::Csr, Some(prev)) => {
-            config
-                .one_vs_all
-                .train_linear_warm_csr(data, &config.svm, prev)
-        }
-        (TrainingBackend::Csr, None) => config.one_vs_all.train_linear_csr(data, &config.svm),
-        (TrainingBackend::Scalar, Some(prev)) => {
-            config.one_vs_all.train_linear_warm(data, &config.svm, prev)
-        }
-        (TrainingBackend::Scalar, None) => config.one_vs_all.train_linear(data, &config.svm),
+    let m = parallel::inline(|| match warm {
+        Some(prev) => config
+            .one_vs_all
+            .train_linear_warm_csr(data, &config.svm, prev),
+        None => config.one_vs_all.train_linear_csr(data, &config.svm),
     });
     (m.num_tags() > 0).then(|| LocalModel::build(m))
 }
@@ -170,10 +153,7 @@ impl P2PTagClassifier for LocalOnly {
             return Err(ProtocolError::PeerOffline);
         }
         let local = self.model_for(peer)?;
-        Ok(match self.config.backend {
-            ScoringBackend::Scalar => local.model.scores(x),
-            ScoringBackend::Batched => local.matrix.scores(x),
-        })
+        Ok(local.matrix.scores(x))
     }
 
     fn predict(
@@ -189,10 +169,7 @@ impl P2PTagClassifier for LocalOnly {
             return Err(ProtocolError::PeerOffline);
         }
         let local = self.model_for(peer)?;
-        Ok(match self.config.backend {
-            ScoringBackend::Scalar => local.model.predict(x),
-            ScoringBackend::Batched => local.matrix.predict(x),
-        })
+        Ok(local.matrix.predict(x))
     }
 
     fn predict_batch(
@@ -211,10 +188,7 @@ impl P2PTagClassifier for LocalOnly {
                 return Err(ProtocolError::PeerOffline);
             }
             let local = self.model_for(peer)?;
-            Ok(match self.config.backend {
-                ScoringBackend::Scalar => local.model.predict(x),
-                ScoringBackend::Batched => local.matrix.predict(x),
-            })
+            Ok(local.matrix.predict(x))
         })
     }
 

@@ -15,22 +15,21 @@
 //!    the models' centroids), lets them vote, and weights each vote by the
 //!    model's training accuracy and its distance to the test vector — thereby
 //!    *adapting to the test data distribution*. Prediction is entirely local:
-//!    zero communication per query. Under the batched backend one pass over
-//!    the index's postings prices every centroid
-//!    ([`LshIndex::nearest_items`]); those same distances pick the nearest
-//!    centroids, rank the models they belong to (each at its nearest
-//!    centroid) and weight the votes, so no centroid is priced twice.
+//!    zero communication per query. One pass over the index's postings
+//!    prices every centroid ([`LshIndex::nearest_items`]); those same
+//!    distances pick the nearest centroids, rank the models they belong to
+//!    (each at its nearest centroid) and weight the votes, so no centroid is
+//!    priced twice. Each consulted model scores its whole tag universe in one
+//!    pass over the document through its packed [`TagWeightMatrix`].
 //! 5. **Refinement** — the peer retrains its local model with the corrected
 //!    example and re-propagates it.
 
 use crate::error::ProtocolError;
-use crate::protocol::{
-    combine_confidence_votes, ConfidenceVoteAccumulator, P2PTagClassifier, PeerDataMap,
-    ScoringBackend, TrainingBackend,
-};
+use crate::protocol::{ConfidenceVoteAccumulator, P2PTagClassifier, PeerDataMap};
 use crate::reliable::{LinkStats, Outgoing, ReliableLink, SendOutcome};
-use crate::wire::{self, WireConfig, WireCost};
+use crate::wire::{self, ReliabilityConfig};
 use ml::batch::TagWeightMatrix;
+use ml::codec::WeightPrecision;
 use ml::kmeans::{KMeans, KMeansConfig};
 use ml::lsh::{LshConfig, LshIndex};
 use ml::multilabel::{OneVsAllModel, OneVsAllTrainer, TagPrediction};
@@ -77,29 +76,16 @@ pub struct PaceConfig {
     /// test document.
     pub distance_sharpness: f64,
     /// Coverage damping of per-tag vote normalization (see
-    /// [`crate::protocol::combine_confidence_votes`]): `0.0` fully trusts the
-    /// models that know a tag however few they are, `1.0` counts every
-    /// ignorant model as a "no" vote.
+    /// [`ConfidenceVoteAccumulator`]): `0.0` fully trusts the models that
+    /// know a tag however few they are, `1.0` counts every ignorant model as
+    /// a "no" vote.
     pub coverage_damping: f64,
-    /// Query-time scoring implementation. [`ScoringBackend::Batched`] (the
-    /// default) scores each consulted model's whole tag universe in one pass
-    /// over the document via its packed [`TagWeightMatrix`];
-    /// [`ScoringBackend::Scalar`] keeps the pre-refactor per-tag loops as a
-    /// reference. Both produce identical predictions.
-    pub backend: ScoringBackend,
-    /// Training-time implementation. [`TrainingBackend::Csr`] (the default)
-    /// runs every peer's one-vs-all fit off one shared CSR arena (shared DCD
-    /// diagonal and shuffle orders, reused solver scratch);
-    /// [`TrainingBackend::Scalar`] keeps the pre-refactor per-tag slice loops
-    /// as the reference. Both produce bit-identical models.
-    pub train_backend: TrainingBackend,
-    /// Wire accounting. Under [`WireCost::Measured`] (the default) every
-    /// model + centroid propagation is really encoded — sends charge the
-    /// frame length and the ensemble installs the *decoded* copy, so lossy
-    /// settings ([`WireConfig::precision`], [`WireConfig::prune_top_k`])
-    /// honestly affect predictions. [`WireCost::Estimated`] keeps the legacy
-    /// `wire_size()` reference accounting.
-    pub wire: WireConfig,
+    /// When set, model propagation runs through the reliable-delivery layer
+    /// ([`crate::reliable::ReliableLink`]): sequence-numbered checksummed
+    /// frames, ack/timeout retransmission with exponential backoff, every
+    /// attempt charged in wire bytes. `None` (the default) sends each frame
+    /// once, with no wrapper bytes and no acks.
+    pub reliability: Option<ReliabilityConfig>,
 }
 
 impl Default for PaceConfig {
@@ -119,9 +105,7 @@ impl Default for PaceConfig {
             min_tags: 1,
             distance_sharpness: 2.0,
             coverage_damping: 0.4,
-            backend: ScoringBackend::default(),
-            train_backend: TrainingBackend::default(),
-            wire: WireConfig::default(),
+            reliability: None,
         }
     }
 }
@@ -135,20 +119,18 @@ impl Default for PaceConfig {
 #[derive(Debug, Clone)]
 pub(crate) struct PaceModel {
     source: PeerId,
-    /// Per-tag classifiers, each stored as its nonzero weights. Present
-    /// while a model is being assembled and propagated (the wire paths
-    /// encode from it) and kept at rest only under the Scalar backend, whose
-    /// scoring asks each classifier in turn. Under the batched backend the
-    /// registry drops this after storing — `matrix` carries the same
-    /// weights once, packed by feature, which keeps 10k-peer ensembles
-    /// affordable — and [`Self::warm_model`] unpacks it on demand.
+    /// Per-tag classifiers, each stored as its nonzero weights. A sans-io
+    /// core keeps them at rest; the monolithic [`Pace`] registry drops them
+    /// after storing — `matrix` carries the same weights once, packed by
+    /// feature, which keeps 10k-peer ensembles affordable — and
+    /// [`Self::warm_model`] unpacks them on demand.
     model: Option<OneVsAllModel<LinearSvm>>,
-    /// The per-tag weights of `model` packed into one CSR matrix, so
-    /// the batched backend scores the whole tag universe in a single pass.
+    /// The per-tag weights of `model` packed into one CSR matrix, which
+    /// scores the whole tag universe in a single pass.
     matrix: TagWeightMatrix,
     centroids: Vec<SparseVector>,
-    /// Cached `‖c‖²` per centroid, so the batched backend's distance
-    /// computation skips re-deriving centroid norms on every query.
+    /// Cached `‖c‖²` per centroid, so the distance computation skips
+    /// re-deriving centroid norms on every query.
     centroid_norms_sq: Vec<f64>,
     /// Training accuracy of the source peer's model on its own data, used as
     /// the vote weight numerator.
@@ -166,32 +148,17 @@ impl PaceModel {
         }
     }
 
-    /// Distance from a query vector to this model (nearest centroid), the
-    /// pre-refactor way: every centroid norm is recomputed per query.
-    fn distance_to_scalar(&self, x: &SparseVector) -> f64 {
-        self.centroids
-            .iter()
-            .map(|c| c.distance(x))
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Same distance with the cached centroid norms and a precomputed query
-    /// norm: evaluates the identical expression
+    /// Distance from a query vector to this model (its nearest centroid),
+    /// from the cached centroid norms and a precomputed query norm. It
+    /// evaluates the expression [`SparseVector::distance`] does,
     /// `sqrt(max(‖c‖² + ‖x‖² − 2·c·x, 0))`, so the result is bit-for-bit the
-    /// same as [`Self::distance_to_scalar`].
-    fn distance_to_batched(&self, x: &SparseVector, x_norm_sq: f64) -> f64 {
+    /// same.
+    fn nearest_centroid_distance(&self, x: &SparseVector, x_norm_sq: f64) -> f64 {
         self.centroids
             .iter()
             .zip(&self.centroid_norms_sq)
             .map(|(c, &c_norm_sq)| (c_norm_sq + x_norm_sq - 2.0 * c.dot(x)).max(0.0).sqrt())
             .fold(f64::INFINITY, f64::min)
-    }
-
-    fn distance_to(&self, x: &SparseVector, backend: ScoringBackend, x_norm_sq: f64) -> f64 {
-        match backend {
-            ScoringBackend::Scalar => self.distance_to_scalar(x),
-            ScoringBackend::Batched => self.distance_to_batched(x, x_norm_sq),
-        }
     }
 
     /// The peer that trained this model.
@@ -213,10 +180,8 @@ impl PaceModel {
     /// Assembles an ensemble entry from its propagated parts, building the
     /// derived scoring structures (packed weight matrix, cached centroid
     /// norms). This is the only place they are built, and it runs on the
-    /// copy that is installed — decoded back out of its wire frames under
-    /// [`WireCost::Measured`], so lossy wire settings honestly reach every
-    /// scoring path — never on a trained copy that is about to be encoded
-    /// and dropped.
+    /// copy that is installed — decoded back out of its wire frames — never
+    /// on a trained copy that is about to be encoded and dropped.
     pub(crate) fn assemble(update: PaceUpdate) -> Self {
         let PaceUpdate {
             source,
@@ -251,21 +216,10 @@ pub(crate) struct PaceUpdate {
     pub(crate) accuracy: f64,
 }
 
-/// `(model, centroids)` payload sizes of one contribution under
-/// [`WireCost::Estimated`].
-fn estimated_wire_sizes(
-    model: &OneVsAllModel<LinearSvm>,
-    centroids: &[SparseVector],
-) -> (usize, usize) {
-    (
-        model.wire_size() + 8,
-        centroids.iter().map(SparseVector::wire_size).sum(),
-    )
-}
-
-/// Trains one peer's PACE contribution — per-tag linear SVMs, guarded
-/// propagation pruning, averaged training accuracy, k-means centroids — from
-/// its local data, warm-starting from `warm` when given.
+/// Trains one peer's PACE contribution — per-tag linear SVMs, averaged
+/// training accuracy, k-means centroids — from its local data, warm-starting
+/// from `warm` when given. Every one-vs-all fit runs off one shared CSR arena
+/// (shared DCD diagonal and shuffle orders, reused solver scratch).
 ///
 /// This is the single protocol body shared by the monolithic [`Pace`]
 /// instance (simulator driver) and the per-peer sans-io
@@ -286,33 +240,15 @@ pub(crate) fn train_pace_model(
         return None;
     }
     parallel::inline(|| {
-        let model = match (config.train_backend, warm) {
-            (TrainingBackend::Csr, Some(prev)) => {
-                config
-                    .one_vs_all
-                    .train_linear_warm_csr(data, &config.svm, prev)
-            }
-            (TrainingBackend::Csr, None) => config.one_vs_all.train_linear_csr(data, &config.svm),
-            (TrainingBackend::Scalar, Some(prev)) => {
-                config.one_vs_all.train_linear_warm(data, &config.svm, prev)
-            }
-            (TrainingBackend::Scalar, None) => config.one_vs_all.train_linear(data, &config.svm),
+        let model = match warm {
+            Some(prev) => config
+                .one_vs_all
+                .train_linear_warm_csr(data, &config.svm, prev),
+            None => config.one_vs_all.train_linear_csr(data, &config.svm),
         };
         if model.num_tags() == 0 {
             return None;
         }
-        // Accuracy-guarded propagation pruning: when the measured wire is
-        // configured to prune, the peer ships (and votes with) the top-k
-        // weights per tag — unless that would cost more local training
-        // accuracy than the guard allows, in which case the full model
-        // stands. The accuracy below is computed on the model that actually
-        // propagates.
-        let model = match (config.wire.cost, config.wire.prune_top_k) {
-            (WireCost::Measured, Some(k)) => {
-                ml::codec::prune_model_guarded(&model, k, data, config.wire.prune_guard)
-            }
-            _ => model,
-        };
         let accuracy = training_accuracy(&model, data);
         // K-means runs on the borrowed vector slice — no per-peer clone of
         // the training corpus.
@@ -366,7 +302,7 @@ pub(crate) fn rank_pace_models<'a>(
     x_norm_sq: f64,
 ) -> Vec<(&'a PaceModel, f64)> {
     let mut ranked: Vec<(&PaceModel, f64)> = candidates
-        .map(|m| (m, m.distance_to(x, config.backend, x_norm_sq)))
+        .map(|m| (m, m.nearest_centroid_distance(x, x_norm_sq)))
         .collect();
     ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
     ranked.truncate(config.top_k.max(1));
@@ -377,58 +313,29 @@ pub(crate) fn rank_pace_models<'a>(
 /// adaptation step (vote weight = accuracy · exp(−sharpness · distance)),
 /// shared verbatim by [`Pace`] and [`crate::sansio::PaceCore`] so both
 /// drivers vote identically over the same ensemble.
+///
+/// Each model's packed matrix scores its whole tag universe in one pass over
+/// the document's nonzeros, and the confidences stream straight into the
+/// vote accumulator: no per-model allocation, no per-model sort (the
+/// combination is per tag, so the order of a model's votes is irrelevant).
 pub(crate) fn combine_pace_votes(
     config: &PaceConfig,
     nearest: &[(&PaceModel, f64)],
     x: &SparseVector,
 ) -> Vec<TagPrediction> {
-    match config.backend {
-        ScoringBackend::Scalar => {
-            // Pre-refactor reference: one sorted, allocated score list per
-            // consulted model, one dot product per (model, tag).
-            let votes: Vec<(f64, Vec<TagPrediction>)> = nearest
-                .iter()
-                .map(|&(m, dist)| {
-                    let weight = m.accuracy * (-config.distance_sharpness * dist).exp();
-                    let scores = m
-                        .model
-                        .as_ref()
-                        .expect("the Scalar backend retains the classifiers")
-                        .scores(x)
-                        .into_iter()
-                        .map(|p| TagPrediction {
-                            score: p.confidence,
-                            ..p
-                        })
-                        .collect();
-                    (weight, scores)
-                })
-                .collect();
-            combine_confidence_votes(&votes, config.coverage_damping)
-        }
-        ScoringBackend::Batched => {
-            // Batched path: each model's packed matrix scores its whole
-            // tag universe in one pass over the document's nonzeros, and
-            // the confidences stream straight into the shared vote
-            // accumulator (no per-model allocation, no per-model sort —
-            // the combination is per-tag, so the order of a model's votes
-            // is irrelevant and the result is identical to the scalar
-            // path).
-            let mut acc = ConfidenceVoteAccumulator::new();
-            let mut decisions = Vec::new();
-            let mut votes = Vec::new();
-            for &(m, dist) in nearest {
-                let weight = m.accuracy * (-config.distance_sharpness * dist).exp();
-                acc.add_voter(weight);
-                m.matrix
-                    .confidence_votes_into(x, &mut decisions, &mut votes);
-                for p in &votes {
-                    acc.add_vote(p.tag, weight, p.score);
-                }
-            }
-            acc.finish(config.coverage_damping)
+    let mut acc = ConfidenceVoteAccumulator::new();
+    let mut decisions = Vec::new();
+    let mut votes = Vec::new();
+    for &(m, dist) in nearest {
+        let weight = m.accuracy * (-config.distance_sharpness * dist).exp();
+        acc.add_voter(weight);
+        m.matrix
+            .confidence_votes_into(x, &mut decisions, &mut votes);
+        for p in &votes {
+            acc.add_vote(p.tag, weight, p.score);
         }
     }
+    acc.finish(config.coverage_damping)
 }
 
 /// The PACE protocol instance.
@@ -458,7 +365,7 @@ pub struct Pace {
     /// currency of the anti-entropy digests.
     versions: Vec<u64>,
     /// The send path: passthrough by default, ack/retransmit when
-    /// [`WireConfig::reliability`] is set. Also the ledger of every send
+    /// [`PaceConfig::reliability`] is set. Also the ledger of every send
     /// outcome (losses, retransmits, re-syncs).
     link: ReliableLink,
     trained: bool,
@@ -468,7 +375,7 @@ impl Pace {
     /// Creates an untrained PACE instance.
     pub fn new(config: PaceConfig) -> Self {
         let index = LshIndex::new(config.lsh.clone());
-        let link = ReliableLink::new(config.wire.reliability);
+        let link = ReliableLink::new(config.reliability);
         Self {
             config,
             models: Vec::new(),
@@ -517,13 +424,11 @@ impl Pace {
     /// Broadcasts a model to all other peers, recording who received it, and
     /// installs it in the shared store and LSH index.
     ///
-    /// Under [`WireCost::Measured`] the model and centroids are encoded into
-    /// real wire frames **once** (every receiver gets the same payload), the
-    /// sends charge the frame lengths, and the ensemble installs the model
-    /// *decoded back out of the frames* — so the bytes the statistics record
-    /// are exactly the bytes the predictions run on. Under
-    /// [`WireCost::Estimated`] the legacy `wire_size()` estimates are charged
-    /// and the in-memory model is installed untouched.
+    /// The model and centroids are encoded into real wire frames **once**
+    /// (every receiver gets the same payload), the sends charge the frame
+    /// lengths, and the ensemble installs the model *decoded back out of the
+    /// frames* — so the bytes the statistics record are exactly the bytes
+    /// the predictions run on.
     fn propagate(&mut self, net: &mut P2PNetwork, update: PaceUpdate, kind: MessageKind) {
         let source = update.source;
         let n = net.num_peers();
@@ -555,54 +460,31 @@ impl Pace {
             }
             _ => {}
         };
-        let installed = match self.config.wire.cost {
-            WireCost::Estimated => {
-                let (model_bytes, centroid_bytes) =
-                    estimated_wire_sizes(&update.model, &update.centroids);
-                let parts = [
-                    Outgoing::Sized {
-                        kind,
-                        size_bytes: model_bytes,
-                    },
-                    Outgoing::Sized {
-                        kind: MessageKind::CentroidPropagation,
-                        size_bytes: centroid_bytes,
-                    },
-                ];
-                self.link.broadcast(net, source, parts, record);
-                update
-            }
-            WireCost::Measured => {
-                let model_frame = wire::encode_pace_model(
-                    &update.model,
-                    update.accuracy,
-                    self.config.wire.precision,
-                );
-                let centroid_frame = wire::encode_centroids(&update.centroids);
-                let parts = [
-                    Outgoing::Frame {
-                        kind,
-                        frame: &model_frame,
-                        validate: &|b| wire::decode_pace_model(b).is_ok(),
-                    },
-                    Outgoing::Frame {
-                        kind: MessageKind::CentroidPropagation,
-                        frame: &centroid_frame,
-                        validate: &|b| wire::decode_centroids(b).is_ok(),
-                    },
-                ];
-                self.link.broadcast(net, source, parts, record);
-                let (model, accuracy) = wire::decode_pace_model(&model_frame)
-                    .expect("self-encoded PACE model frame decodes");
-                let centroids = wire::decode_centroids(&centroid_frame)
-                    .expect("self-encoded centroid frame decodes");
-                PaceUpdate {
-                    source,
-                    model,
-                    centroids,
-                    accuracy,
-                }
-            }
+        let model_frame =
+            wire::encode_pace_model(&update.model, update.accuracy, WeightPrecision::F64);
+        let centroid_frame = wire::encode_centroids(&update.centroids);
+        let parts = [
+            Outgoing {
+                kind,
+                frame: &model_frame,
+                validate: &|b| wire::decode_pace_model(b).is_ok(),
+            },
+            Outgoing {
+                kind: MessageKind::CentroidPropagation,
+                frame: &centroid_frame,
+                validate: &|b| wire::decode_centroids(b).is_ok(),
+            },
+        ];
+        self.link.broadcast(net, source, parts, record);
+        let (model, accuracy) =
+            wire::decode_pace_model(&model_frame).expect("self-encoded PACE model frame decodes");
+        let centroids =
+            wire::decode_centroids(&centroid_frame).expect("self-encoded centroid frame decodes");
+        let installed = PaceUpdate {
+            source,
+            model,
+            centroids,
+            accuracy,
         };
         // Replacing a peer's model: its old centroids must leave the index,
         // otherwise incremental re-propagations accumulate stale positions
@@ -617,13 +499,11 @@ impl Pace {
         for c in &pace_model.centroids {
             self.index.insert(c.clone(), source);
         }
-        if matches!(self.config.backend, ScoringBackend::Batched) {
-            // At rest the batched backend scores through `matrix` and
-            // warm starts unpack from it, so the per-tag classifiers are a
-            // second copy of the same weights — dropping them here keeps the
-            // registry's per-peer footprint to one copy at 10k peers.
-            pace_model.model = None;
-        }
+        // At rest the registry scores through `matrix` and warm starts
+        // unpack from it, so the per-tag classifiers are a second copy of the
+        // same weights — dropping them here keeps the registry's per-peer
+        // footprint to one copy at 10k peers.
+        pace_model.model = None;
         self.models[source.index()] = Some(pace_model);
     }
 
@@ -645,31 +525,16 @@ impl Pace {
         // Over-fetch from the index (several centroids can map to the same
         // model, and some candidates may not have reached this peer).
         let want = self.config.top_k * 4 + 8;
-        let mut candidates: Vec<(&PaceModel, f64)> = match self.config.backend {
-            ScoringBackend::Scalar => {
-                let mut seen = BTreeSet::new();
-                let mut out = Vec::new();
-                for (source, _dist) in self.index.query(x, want) {
-                    if !available.contains(*source) || !seen.insert(*source) {
-                        continue;
-                    }
-                    if let Some(m) = self.model_of(*source) {
-                        out.push((m, m.distance_to_scalar(x)));
-                    }
-                }
-                out
-            }
-            // The index already priced every centroid while ranking them, so
-            // each hit model arrives at its nearest-centroid distance (its
-            // centroids are its index keys, in centroid order).
-            ScoringBackend::Batched => self
-                .index
-                .nearest_items(x, want)
-                .into_iter()
-                .filter(|(source, _)| available.contains(**source))
-                .filter_map(|(source, dist)| Some((self.model_of(*source)?, dist)))
-                .collect(),
-        };
+        // The index already priced every centroid while ranking them, so
+        // each hit model arrives at its nearest-centroid distance (its
+        // centroids are its index keys, in centroid order).
+        let mut candidates: Vec<(&PaceModel, f64)> = self
+            .index
+            .nearest_items(x, want)
+            .into_iter()
+            .filter(|(source, _)| available.contains(**source))
+            .filter_map(|(source, dist)| Some((self.model_of(*source)?, dist)))
+            .collect();
         candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         candidates.truncate(self.config.top_k.max(1));
         candidates
@@ -701,9 +566,82 @@ impl Pace {
         // them lets a few confidently-negative models drown out the models
         // that actually know a tag (which collapses recall). The per-tag
         // normalization and coverage damping live in
-        // [`combine_confidence_votes`] / [`ConfidenceVoteAccumulator`],
-        // reached through the driver-shared [`combine_pace_votes`] body.
+        // [`ConfidenceVoteAccumulator`], reached through the driver-shared
+        // [`combine_pace_votes`] body.
         Ok(combine_pace_votes(&self.config, &nearest, x))
+    }
+}
+
+/// PACE's reference query path, the oracle the production path is tested
+/// against: retrieval through [`LshIndex::query`] (or every held model when
+/// `use_lsh` is off) with each hit re-priced centroid by centroid with
+/// [`SparseVector::distance`], then one [`OneVsAllModel::scores`] list per
+/// consulted model combined by
+/// [`crate::protocol::combine_confidence_votes`]. The registry keeps only
+/// the packed matrices at rest, so each model is unpacked with
+/// [`TagWeightMatrix::to_one_vs_all`] first.
+#[cfg(test)]
+impl Pace {
+    pub(crate) fn scores_oracle(
+        &self,
+        net: &P2PNetwork,
+        peer: PeerId,
+        x: &SparseVector,
+    ) -> Result<Vec<TagPrediction>, ProtocolError> {
+        if !self.trained {
+            return Err(ProtocolError::NotTrained);
+        }
+        if !net.is_online(peer) {
+            return Err(ProtocolError::PeerOffline);
+        }
+        let available = self
+            .received
+            .get(peer.index())
+            .filter(|a| !a.is_empty())
+            .ok_or(ProtocolError::NoModelReachable)?;
+        let distance = |m: &PaceModel| {
+            m.centroids
+                .iter()
+                .map(|c| c.distance(x))
+                .fold(f64::INFINITY, f64::min)
+        };
+        let held: Vec<&PaceModel> = if self.config.use_lsh {
+            let mut seen = BTreeSet::new();
+            self.index
+                .query(x, self.config.top_k * 4 + 8)
+                .into_iter()
+                .filter(|&(source, _)| available.contains(*source) && seen.insert(*source))
+                .filter_map(|(source, _)| self.model_of(*source))
+                .collect()
+        } else {
+            available.ones().filter_map(|s| self.model_of(s)).collect()
+        };
+        let mut nearest: Vec<(&PaceModel, f64)> =
+            held.into_iter().map(|m| (m, distance(m))).collect();
+        nearest.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        nearest.truncate(self.config.top_k.max(1));
+        if nearest.is_empty() {
+            return Err(ProtocolError::NoModelReachable);
+        }
+        let votes: Vec<(f64, Vec<TagPrediction>)> = nearest
+            .iter()
+            .map(|&(m, dist)| {
+                let scores = m.matrix.to_one_vs_all().scores(x);
+                let confidences = scores
+                    .into_iter()
+                    .map(|p| TagPrediction {
+                        score: p.confidence,
+                        ..p
+                    })
+                    .collect();
+                let weight = m.accuracy * (-self.config.distance_sharpness * dist).exp();
+                (weight, confidences)
+            })
+            .collect();
+        Ok(crate::protocol::combine_confidence_votes(
+            &votes,
+            self.config.coverage_damping,
+        ))
     }
 }
 
@@ -900,23 +838,14 @@ impl P2PTagClassifier for Pace {
             .map(|s| (s.0, self.versions.get(s.index()).copied().unwrap_or(0)))
             .collect();
         let digest_frame = wire::encode_digest(&digest);
-        let digest_out = match self.config.wire.cost {
-            WireCost::Measured => self.link.deliver_frame(
-                net,
-                peer,
-                partner,
-                MessageKind::AntiEntropy,
-                &digest_frame,
-                |b| wire::decode_digest(b).is_ok(),
-            ),
-            WireCost::Estimated => self.link.deliver_sized(
-                net,
-                peer,
-                partner,
-                MessageKind::AntiEntropy,
-                digest_frame.len(),
-            ),
-        };
+        let digest_out = self.link.deliver_frame(
+            net,
+            peer,
+            partner,
+            MessageKind::AntiEntropy,
+            &digest_frame,
+            |b| wire::decode_digest(b).is_ok(),
+        );
         if digest_out != SendOutcome::Arrived {
             return 0;
         }
@@ -928,61 +857,28 @@ impl P2PTagClassifier for Pace {
         for source in missing {
             // Encode the partner's copy before touching the link (the model
             // borrow must end before the mutable send).
-            let payload = self.model_of(source).map(|m| match self.config.wire.cost {
-                WireCost::Measured => {
-                    let model_frame = wire::encode_pace_model(
-                        &m.warm_model(),
-                        m.accuracy,
-                        self.config.wire.precision,
-                    );
-                    let centroid_frame = wire::encode_centroids(&m.centroids);
-                    (Some((model_frame, centroid_frame)), 0, 0)
-                }
-                WireCost::Estimated => {
-                    let (model_bytes, centroid_bytes) =
-                        estimated_wire_sizes(&m.warm_model(), &m.centroids);
-                    (None, model_bytes, centroid_bytes)
-                }
-            });
-            let Some((frames, model_bytes, centroid_bytes)) = payload else {
+            let Some(m) = self.model_of(source) else {
                 continue;
             };
-            let (model_out, centroid_out) = match &frames {
-                Some((model_frame, centroid_frame)) => (
-                    self.link.deliver_frame(
-                        net,
-                        partner,
-                        peer,
-                        MessageKind::AntiEntropy,
-                        model_frame,
-                        |b| wire::decode_pace_model(b).is_ok(),
-                    ),
-                    self.link.deliver_frame(
-                        net,
-                        partner,
-                        peer,
-                        MessageKind::AntiEntropy,
-                        centroid_frame,
-                        |b| wire::decode_centroids(b).is_ok(),
-                    ),
-                ),
-                None => (
-                    self.link.deliver_sized(
-                        net,
-                        partner,
-                        peer,
-                        MessageKind::AntiEntropy,
-                        model_bytes,
-                    ),
-                    self.link.deliver_sized(
-                        net,
-                        partner,
-                        peer,
-                        MessageKind::AntiEntropy,
-                        centroid_bytes,
-                    ),
-                ),
-            };
+            let model_frame =
+                wire::encode_pace_model(&m.warm_model(), m.accuracy, WeightPrecision::F64);
+            let centroid_frame = wire::encode_centroids(&m.centroids);
+            let model_out = self.link.deliver_frame(
+                net,
+                partner,
+                peer,
+                MessageKind::AntiEntropy,
+                &model_frame,
+                |b| wire::decode_pace_model(b).is_ok(),
+            );
+            let centroid_out = self.link.deliver_frame(
+                net,
+                partner,
+                peer,
+                MessageKind::AntiEntropy,
+                &centroid_frame,
+                |b| wire::decode_centroids(b).is_ok(),
+            );
             if model_out == SendOutcome::Arrived && centroid_out == SendOutcome::Arrived {
                 self.received[peer.index()].insert(source);
                 self.link.note_resync();
@@ -1078,40 +974,260 @@ mod tests {
 
     #[test]
     fn accuracy_from_dense_decisions_equals_the_csr_scatter_bit_for_bit() {
-        let pruned = PaceConfig {
-            wire: WireConfig {
-                prune_top_k: Some(1),
-                ..WireConfig::default()
-            },
-            ..PaceConfig::default()
-        };
+        let config = PaceConfig::default();
         let mut checked = 0;
-        for config in [PaceConfig::default(), pruned] {
-            for seed in [3, 11, 21, 42, 77] {
-                let cold = equivalence_peer_data(6, 14, seed);
-                let more = equivalence_peer_data(6, 5, seed ^ 0xABCD);
-                for (i, (data, extra)) in cold.iter().zip(&more).enumerate() {
-                    let peer = PeerId::from(i);
-                    let first = train_pace_model(&config, peer, data, None).unwrap();
-                    assert_eq!(
-                        first.accuracy.to_bits(),
-                        csr_scatter_accuracy(&first.model, data).to_bits(),
-                        "cold fit, seed {seed}, peer {i}"
-                    );
-                    let mut grown = data.clone();
-                    grown.extend_from(extra);
-                    let warm = train_pace_model(&config, peer, &grown, Some(&first.model)).unwrap();
-                    assert_eq!(
-                        warm.accuracy.to_bits(),
-                        csr_scatter_accuracy(&warm.model, &grown).to_bits(),
-                        "warm refit, seed {seed}, peer {i}"
-                    );
-                    assert!(warm.accuracy > 0.5 && warm.accuracy <= 1.0);
-                    checked += 2;
-                }
+        for seed in [3, 11, 21, 42, 77] {
+            let cold = equivalence_peer_data(6, 14, seed);
+            let more = equivalence_peer_data(6, 5, seed ^ 0xABCD);
+            for (i, (data, extra)) in cold.iter().zip(&more).enumerate() {
+                let peer = PeerId::from(i);
+                let first = train_pace_model(&config, peer, data, None).unwrap();
+                assert_eq!(
+                    first.accuracy.to_bits(),
+                    csr_scatter_accuracy(&first.model, data).to_bits(),
+                    "cold fit, seed {seed}, peer {i}"
+                );
+                let mut grown = data.clone();
+                grown.extend_from(extra);
+                let warm = train_pace_model(&config, peer, &grown, Some(&first.model)).unwrap();
+                assert_eq!(
+                    warm.accuracy.to_bits(),
+                    csr_scatter_accuracy(&warm.model, &grown).to_bits(),
+                    "warm refit, seed {seed}, peer {i}"
+                );
+                assert!(warm.accuracy > 0.5 && warm.accuracy <= 1.0);
+                checked += 2;
             }
         }
-        assert_eq!(checked, 120);
+        assert_eq!(checked, 60);
+    }
+
+    /// Production `scores` against [`Pace::scores_oracle`] on the same
+    /// instance, on `requests`, plus `predict_batch` against the sequential
+    /// `predict` loop.
+    fn assert_matches_oracle(
+        pace: &Pace,
+        net: &mut P2PNetwork,
+        requests: &[(PeerId, &SparseVector)],
+        stage: &str,
+    ) {
+        for (i, &(peer, probe)) in requests.iter().enumerate() {
+            assert_eq!(
+                pace.scores(net, peer, probe),
+                pace.scores_oracle(net, peer, probe),
+                "scores diverge from the oracle after {stage} on probe {i}"
+            );
+        }
+        let sequential: Vec<_> = requests
+            .iter()
+            .map(|&(peer, x)| pace.predict(net, peer, x))
+            .collect();
+        assert_eq!(
+            sequential,
+            pace.predict_batch(net, requests),
+            "predict_batch diverges from predict after {stage}"
+        );
+    }
+
+    /// Per-peer data over 24 features in four interest groups: a peer draws
+    /// mostly from its own group's six features and sometimes from the next
+    /// group's, so a query collides with part of the index, not all of it.
+    fn grouped_peer_data(num_peers: usize, per_peer: usize, seed: u64) -> PeerDataMap {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..num_peers)
+            .map(|p| {
+                let mut ds = MultiLabelDataset::new();
+                for _ in 0..per_peer {
+                    let group = (p as u32 + u32::from(rng.gen_bool(0.2))) % 4;
+                    let nnz = rng.gen_range(2..5usize);
+                    let vector =
+                        SparseVector::from_pairs((0..nnz).map(|_| {
+                            (group * 6 + rng.gen_range(0..6u32), rng.gen_range(0.3..1.5))
+                        }));
+                    let mut tags = vec![group];
+                    if vector.get(group * 6) > 0.9 {
+                        tags.push(8 + group % 3);
+                    }
+                    ds.push(MultiLabelExample::new(vector, tags));
+                }
+                ds
+            })
+            .collect()
+    }
+
+    /// PACE at a scale where model retrieval is really selective: 150 peers
+    /// put ≈ 450 centroids in the index, against the 36 entries a query
+    /// over-fetches, so queries take both the collision path and the
+    /// full-scan fallback. Incremental rounds and refinements re-propagate
+    /// models, which tombstones their old centroids, and the round that
+    /// touches every peer compacts the index. After each stage production
+    /// scoring must equal the oracle bit for bit.
+    #[test]
+    fn scores_equal_the_oracle_at_scale_through_tombstones_and_compaction() {
+        let num_peers = 150;
+        let data = grouped_peer_data(num_peers, 10, 111);
+        let mut net = network(num_peers);
+        let mut pace = Pace::new(PaceConfig::default());
+        pace.train(&mut net, &data).unwrap();
+
+        // Probes spanning a whole group look like its centroids and collide
+        // with many of them; documents like the peers' own collide with
+        // fewer, and scattered ones mostly fall back to the full scan
+        // (features past 23 are in no centroid).
+        let mut rng = StdRng::seed_from_u64(112);
+        let probes: Vec<SparseVector> = (0..12)
+            .map(|i| {
+                SparseVector::from_pairs((0..6).map(|f| ((i % 4) * 6 + f, 0.5 + 0.1 * f as f64)))
+            })
+            .chain(
+                grouped_peer_data(4, 3, 112)
+                    .iter()
+                    .flat_map(|ds| ds.iter().map(|(x, _)| x.clone())),
+            )
+            .chain((0..16).map(|_| {
+                let nnz = rng.gen_range(1..6usize);
+                SparseVector::from_pairs(
+                    (0..nnz).map(|_| (rng.gen_range(0..61u32), rng.gen_range(0.2..1.4))),
+                )
+            }))
+            .collect();
+        let requests: Vec<(PeerId, &SparseVector)> = probes
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (PeerId((i * 37 % num_peers) as u64), p))
+            .collect();
+        assert_matches_oracle(&pace, &mut net, &requests, "train");
+
+        // Every peer, then every third peer, gets new examples.
+        for (round, stride) in [1, 3].into_iter().enumerate() {
+            let fresh = grouped_peer_data(num_peers, 3, 113 + round as u64);
+            let new_data: PeerDataMap = fresh
+                .into_iter()
+                .enumerate()
+                .map(|(p, ds)| {
+                    if p % stride == 0 {
+                        ds
+                    } else {
+                        MultiLabelDataset::new()
+                    }
+                })
+                .collect();
+            pace.train_incremental(&mut net, &new_data).unwrap();
+            let stage = format!("train_incremental round {round}");
+            assert_matches_oracle(&pace, &mut net, &requests, &stage);
+        }
+
+        for (i, (x, tags)) in data[7].iter().take(4).enumerate() {
+            let peer = PeerId((7 + 40 * i) as u64);
+            let ex = MultiLabelExample::new(x.clone(), tags.iter().copied().chain([15]));
+            pace.refine(&mut net, peer, &ex).unwrap();
+        }
+        assert_matches_oracle(&pace, &mut net, &requests, "refine");
+    }
+
+    /// PACE under `config` trained on [`equivalence_peer_data`], with 40
+    /// probes over the first six features asked from every peer in turn.
+    fn trained_with_probes(
+        config: PaceConfig,
+        num_peers: usize,
+        seed: u64,
+    ) -> (Pace, P2PNetwork, Vec<SparseVector>) {
+        let data = equivalence_peer_data(num_peers, 14, seed);
+        let mut net = network(num_peers);
+        let mut pace = Pace::new(config);
+        pace.train(&mut net, &data).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x55);
+        let probes = (0..40)
+            .map(|_| {
+                let nnz = rng.gen_range(1..4usize);
+                SparseVector::from_pairs(
+                    (0..nnz).map(|_| (rng.gen_range(0..6u32), rng.gen_range(0.2..1.4f64))),
+                )
+            })
+            .collect();
+        (pace, net, probes)
+    }
+
+    fn round_robin_requests(
+        probes: &[SparseVector],
+        num_peers: usize,
+    ) -> Vec<(PeerId, &SparseVector)> {
+        probes
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (PeerId((i % num_peers) as u64), p))
+            .collect()
+    }
+
+    /// Production scoring against the oracle right after training, with the
+    /// default (LSH) retrieval.
+    #[test]
+    fn scores_equal_the_oracle() {
+        let num_peers = 12;
+        let (pace, mut net, probes) = trained_with_probes(PaceConfig::default(), num_peers, 71);
+        let requests = round_robin_requests(&probes, num_peers);
+        assert_matches_oracle(&pace, &mut net, &requests, "train");
+    }
+
+    /// Production scoring against the oracle after training, after
+    /// refinements that teach a new tag, and after an incremental round
+    /// large enough to take the warm SGD path.
+    fn assert_matches_oracle_through_refine_and_incremental(
+        config: PaceConfig,
+        num_peers: usize,
+        seed: u64,
+    ) {
+        let (mut pace, mut net, probes) = trained_with_probes(config, num_peers, seed);
+        let requests = round_robin_requests(&probes, num_peers);
+        assert_matches_oracle(&pace, &mut net, &requests, "train");
+
+        for i in 0..6 {
+            let (v, tags): (SparseVector, Vec<TagId>) = if i % 2 == 0 {
+                (
+                    SparseVector::from_pairs([(4, 1.0 + 0.1 * i as f64)]),
+                    vec![9],
+                )
+            } else {
+                (SparseVector::from_pairs([(0, 0.9), (2, 0.5)]), vec![1, 3])
+            };
+            let peer = PeerId((i % 2 + 1) as u64);
+            pace.refine(&mut net, peer, &MultiLabelExample::new(v, tags))
+                .unwrap();
+        }
+        assert_matches_oracle(&pace, &mut net, &requests, "refine");
+
+        let mut new_data = vec![MultiLabelDataset::new(); num_peers];
+        for i in 0..8 {
+            new_data[0].push(MultiLabelExample::new(
+                SparseVector::from_pairs([(3, 0.8 + 0.05 * i as f64)]),
+                [4],
+            ));
+            new_data[num_peers - 1].push(MultiLabelExample::new(
+                SparseVector::from_pairs([(5, 1.0 + 0.05 * i as f64)]),
+                [11],
+            ));
+        }
+        pace.train_incremental(&mut net, &new_data).unwrap();
+        assert_matches_oracle(&pace, &mut net, &requests, "train_incremental");
+    }
+
+    #[test]
+    fn scores_equal_the_oracle_through_refine_and_incremental() {
+        assert_matches_oracle_through_refine_and_incremental(PaceConfig::default(), 8, 91);
+    }
+
+    /// The exact-ranking path (`use_lsh: false`, ablation A1) through the
+    /// same stages.
+    #[test]
+    fn exact_ranking_scores_equal_the_oracle_through_refine_and_incremental() {
+        assert_matches_oracle_through_refine_and_incremental(
+            PaceConfig {
+                use_lsh: false,
+                ..PaceConfig::default()
+            },
+            10,
+            72,
+        );
     }
 
     #[test]

@@ -12,45 +12,6 @@ use textproc::SparseVector;
 /// of peer `i` (its manually tagged documents).
 pub type PeerDataMap = Vec<MultiLabelDataset>;
 
-/// Which scoring implementation a protocol uses at query time.
-///
-/// Both backends produce identical `TagPrediction`s (the equivalence tests in
-/// `tests/equivalence.rs` pin this); they differ only in cost. The scalar
-/// backend is retained as the pre-refactor reference those tests run whole
-/// protocol instances on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoringBackend {
-    /// One dot product / kernel expansion per (tag, classifier): the
-    /// pre-refactor nested scalar loops.
-    Scalar,
-    /// Batched scoring through [`ml::TagWeightMatrix`] /
-    /// [`ml::BatchKernelScorer`]: one pass over the document nonzeros (or one
-    /// kernel row shared by all tags) per consulted model.
-    #[default]
-    Batched,
-}
-
-/// Which training implementation a protocol uses for its one-vs-all fits.
-///
-/// Both backends produce **bit-identical models** (and therefore identical
-/// predictions — `tests/equivalence.rs` pins this across every protocol,
-/// including `train_incremental` warm starts); they differ only in memory
-/// traffic. The scalar backend is retained as the reference
-/// `tests/equivalence.rs` compares the shared-storage engine against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrainingBackend {
-    /// Per-tag fits over the `&[SparseVector]` view, each re-deriving the
-    /// problem dimension, DCD diagonal, shuffle orders (linear) or the full
-    /// kernel matrix (kernel) per tag: the pre-refactor reference loops.
-    Scalar,
-    /// Shared-storage training: linear one-vs-all runs off one row-major CSR
-    /// arena through a shared [`ml::svm::CsrLinearTrainer`] context (shared
-    /// diagonal/orders, reused scratch, bounds-check-free row kernels);
-    /// kernel one-vs-all shares one precomputed Gram matrix across tags.
-    #[default]
-    Csr,
-}
-
 /// A distributed tagging classifier that trains and predicts over a simulated
 /// P2P network, paying for every byte it exchanges.
 pub trait P2PTagClassifier {
@@ -226,8 +187,9 @@ pub fn select_tags_adaptive(
     top_scored_fallback(scores, min_tags)
 }
 
-/// Combines per-tag *confidence* vote lists (scores in `(0, 1)`) into one,
-/// normalizing each tag by the weight of the voters that actually know it.
+/// Combines per-tag *confidence* votes (scores in `(0, 1)`) from weighted
+/// voters into one scored tag list, normalizing each tag by the weight of the
+/// voters that actually know it.
 ///
 /// This is the ensemble combination PACE needs: raw SVM margins from
 /// different peers' models are not calibrated against each other, and with
@@ -244,26 +206,9 @@ pub fn select_tags_adaptive(
 /// know the tag; the second discounts tags known to only a sliver of the
 /// ensemble (`damping = 0` trusts lone experts fully, `damping = 1` recovers
 /// the abstain-is-a-no behaviour of [`combine_weighted_scores`]).
-pub fn combine_confidence_votes(
-    lists: &[(f64, Vec<TagPrediction>)],
-    coverage_damping: f64,
-) -> Vec<TagPrediction> {
-    let mut acc = ConfidenceVoteAccumulator::new();
-    for (weight, scores) in lists {
-        acc.add_voter(*weight);
-        for p in scores {
-            acc.add_vote(p.tag, *weight, p.score);
-        }
-    }
-    acc.finish(coverage_damping)
-}
-
-/// Incremental form of [`combine_confidence_votes`]: the batched PACE vote
-/// streams per-tag confidences straight into this accumulator instead of
-/// materializing one `Vec<TagPrediction>` per consulted model. Feeding the
-/// same `(weight, tag, confidence)` triples in the same voter order produces
-/// a result identical to [`combine_confidence_votes`] (same accumulation
-/// order, same formula, same sort).
+///
+/// Votes stream in per `(weight, tag, confidence)` triple, so PACE never
+/// materializes one score list per consulted model.
 #[derive(Debug, Default)]
 pub struct ConfidenceVoteAccumulator {
     total_weight: f64,
@@ -317,6 +262,24 @@ impl ConfidenceVoteAccumulator {
         });
         out
     }
+}
+
+/// The list form of [`ConfidenceVoteAccumulator`]: one `(weight, scores)`
+/// list per voter, fed in order. PACE's test oracle combines its votes
+/// through this.
+#[cfg(test)]
+pub(crate) fn combine_confidence_votes(
+    lists: &[(f64, Vec<TagPrediction>)],
+    coverage_damping: f64,
+) -> Vec<TagPrediction> {
+    let mut acc = ConfidenceVoteAccumulator::new();
+    for (weight, scores) in lists {
+        acc.add_voter(*weight);
+        for p in scores {
+            acc.add_vote(p.tag, *weight, p.score);
+        }
+    }
+    acc.finish(coverage_damping)
 }
 
 /// Combines several per-tag score lists into one by weighted majority voting:

@@ -96,35 +96,22 @@ impl SendOutcome {
     }
 }
 
-/// One payload of a [`ReliableLink::broadcast`].
+/// One payload of a [`ReliableLink::broadcast`]: an encoded frame, sent to
+/// each receiver as [`ReliableLink::deliver_frame`] would send it.
 #[derive(Clone, Copy)]
-pub enum Outgoing<'a> {
-    /// An encoded frame ([`ReliableLink::deliver_frame`] per receiver).
-    Frame {
-        /// Traffic category charged.
-        kind: MessageKind,
-        /// The encoded bytes every receiver is sent.
-        frame: &'a [u8],
-        /// The receiver's strict decoder, consulted only for a copy that was
-        /// damaged in transit.
-        validate: &'a dyn Fn(&[u8]) -> bool,
-    },
-    /// A size-only payload of the [`crate::wire::WireCost::Estimated`]
-    /// backend ([`ReliableLink::deliver_sized`] per receiver).
-    Sized {
-        /// Traffic category charged.
-        kind: MessageKind,
-        /// Bytes charged per copy.
-        size_bytes: usize,
-    },
+pub struct Outgoing<'a> {
+    /// Traffic category charged.
+    pub kind: MessageKind,
+    /// The encoded bytes every receiver is sent.
+    pub frame: &'a [u8],
+    /// The receiver's strict decoder, consulted only for a copy that was
+    /// damaged in transit.
+    pub validate: &'a dyn Fn(&[u8]) -> bool,
 }
 
 impl<'a> Outgoing<'a> {
     fn on_the_wire(self) -> (MessageKind, Payload<'a>) {
-        match self {
-            Outgoing::Frame { kind, frame, .. } => (kind, Payload::Frame(frame)),
-            Outgoing::Sized { kind, size_bytes } => (kind, Payload::Sized(size_bytes)),
-        }
+        (self.kind, Payload::Frame(self.frame))
     }
 }
 
@@ -173,23 +160,6 @@ impl ReliableLink {
     /// Counts an anti-entropy payload shipped through this link.
     pub fn note_resync(&mut self) {
         self.stats.resyncs += 1;
-    }
-
-    /// Size-only send for the [`crate::wire::WireCost::Estimated`] backend
-    /// (no frame exists to wrap, so the retry policy does not apply): a bare
-    /// [`P2PNetwork::send`] whose outcome lands in [`LinkStats`] instead of
-    /// being silently discarded.
-    pub fn send_sized(
-        &mut self,
-        net: &mut P2PNetwork,
-        from: PeerId,
-        to: PeerId,
-        kind: MessageKind,
-        size_bytes: usize,
-    ) -> Result<p2psim::SimTime, DeliveryError> {
-        let sent = net.send(from, to, kind, size_bytes);
-        self.settle(&[], sent.map(|_| None), |_| true)?;
-        sent
     }
 
     /// Sends `frame` from `from` to `to`, returning the bytes the receiver
@@ -255,9 +225,8 @@ impl ReliableLink {
 
     /// Sends every payload of `parts` from `from` to every other peer,
     /// receiver-major, and hands `on_receiver` each receiver's outcomes in
-    /// `parts` order — [`Self::deliver_frame`] / [`Self::deliver_sized`] for
-    /// each `(receiver, part)`, with identical [`LinkStats`] and network
-    /// statistics.
+    /// `parts` order — [`Self::deliver_frame`] for each `(receiver, part)`,
+    /// with identical [`LinkStats`] and network statistics.
     ///
     /// A passthrough link puts the whole fan-out through
     /// [`P2PNetwork::broadcast_frames`], which charges what does not depend
@@ -276,27 +245,16 @@ impl ReliableLink {
                 let mut sent = sent.into_iter();
                 let outcomes = parts.map(|part| {
                     let copy = sent.next().expect("one result per part");
-                    SendOutcome::of(&match part {
-                        Outgoing::Frame {
-                            frame, validate, ..
-                        } => self.settle(frame, copy.map(|delivery| delivery.corrupted), validate),
-                        Outgoing::Sized { .. } => self.settle(&[], copy.map(|_| None), |_| true),
-                    })
+                    let copy = copy.map(|delivery| delivery.corrupted);
+                    SendOutcome::of(&self.settle(part.frame, copy, part.validate))
                 });
                 on_receiver(to, outcomes);
             });
             return;
         }
         for to in net.peers().filter(|&to| to != from) {
-            let outcomes = parts.map(|part| match part {
-                Outgoing::Frame {
-                    kind,
-                    frame,
-                    validate,
-                } => self.deliver_frame(net, from, to, kind, frame, validate),
-                Outgoing::Sized { kind, size_bytes } => {
-                    self.deliver_sized(net, from, to, kind, size_bytes)
-                }
+            let outcomes = parts.map(|part| {
+                self.deliver_frame(net, from, to, part.kind, part.frame, part.validate)
             });
             on_receiver(to, outcomes);
         }
@@ -405,18 +363,6 @@ impl ReliableLink {
         validate: impl FnOnce(&[u8]) -> bool,
     ) -> SendOutcome {
         SendOutcome::of(&self.send_frame(net, from, to, kind, frame, validate))
-    }
-
-    /// [`Self::send_sized`] reduced to a [`SendOutcome`].
-    pub fn deliver_sized(
-        &mut self,
-        net: &mut P2PNetwork,
-        from: PeerId,
-        to: PeerId,
-        kind: MessageKind,
-        size_bytes: usize,
-    ) -> SendOutcome {
-        SendOutcome::of(&self.send_sized(net, from, to, kind, size_bytes))
     }
 
     fn record_failure(&mut self, e: DeliveryError) {
@@ -539,7 +485,7 @@ mod tests {
         link.broadcast(
             &mut net,
             PeerId(2),
-            [Outgoing::Frame {
+            [Outgoing {
                 kind: MessageKind::AntiEntropy,
                 frame: &payload,
                 validate: &accepts,
@@ -574,6 +520,7 @@ mod tests {
         let mut looped = ReliableLink::new(reliability);
         let model = wire::encode_digest(&[(1, 1), (2, 2), (3, 3), (4, 4)]);
         let centroids = wire::encode_ack(77);
+        let other = wire::encode_ack(99);
         let model_ok = |b: &[u8]| wire::decode_digest(b).is_ok();
         let centroids_ok = |b: &[u8]| wire::decode_ack(b).is_ok();
         for round in 0..6u64 {
@@ -583,19 +530,20 @@ mod tests {
                 &mut batched_net,
                 from,
                 [
-                    Outgoing::Frame {
+                    Outgoing {
                         kind: MessageKind::RefinementUpdate,
                         frame: &model,
                         validate: &model_ok,
                     },
-                    Outgoing::Frame {
+                    Outgoing {
                         kind: MessageKind::CentroidPropagation,
                         frame: &centroids,
                         validate: &centroids_ok,
                     },
-                    Outgoing::Sized {
+                    Outgoing {
                         kind: MessageKind::Other,
-                        size_bytes: 99,
+                        frame: &other,
+                        validate: &centroids_ok,
                     },
                 ],
                 |to, outcomes| got.push((to, outcomes)),
@@ -622,7 +570,14 @@ mod tests {
                             &centroids,
                             centroids_ok,
                         ),
-                        looped.deliver_sized(net, from, to, MessageKind::Other, 99),
+                        looped.deliver_frame(
+                            net,
+                            from,
+                            to,
+                            MessageKind::Other,
+                            &other,
+                            centroids_ok,
+                        ),
                     ],
                 ));
             }

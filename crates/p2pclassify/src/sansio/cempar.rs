@@ -29,6 +29,7 @@ use crate::cempar::{recascade, train_cempar_local, CemparConfig, RegionCascade};
 use crate::protocol::combine_weighted_scores;
 use crate::reliable::LinkStats;
 use crate::wire::{self, PayloadKind};
+use ml::codec::WeightPrecision;
 use ml::multilabel::{OneVsAllModel, TagPrediction};
 use ml::svm::KernelSvm;
 use ml::MultiLabelDataset;
@@ -85,7 +86,7 @@ impl CemparCore {
     /// `id`, so it is never empty).
     pub fn new(id: PeerId, peers: Vec<PeerId>, config: CemparConfig) -> Self {
         let directory = SuperPeerDirectory::new(config.regions);
-        let link = ReliableCore::new(config.wire.reliability);
+        let link = ReliableCore::new(config.reliability);
         let super_peers = (0..directory.regions())
             .map(|region| elect_super_peer(&peers, directory.anchor_key(region)))
             .collect();
@@ -171,7 +172,7 @@ impl CemparCore {
     /// The install envelope carrying this peer's current contribution.
     fn my_install_frame(&self) -> Option<Vec<u8>> {
         let model = self.my_model.as_ref()?;
-        let model_frame = wire::encode_kernel_model(model, self.config.wire.precision);
+        let model_frame = wire::encode_kernel_model(model, WeightPrecision::F64);
         Some(wire::encode_install(
             self.id.0,
             self.my_version,
@@ -270,7 +271,7 @@ impl CemparCore {
         if slot.cascade.regional.is_empty() {
             return Some((request, 0, Vec::new()));
         }
-        let scores = slot.cascade.scores(self.config.backend, &x);
+        let scores = slot.cascade.scores(&x);
         Some((request, slot.contributed.len() as u64, scores))
     }
 
@@ -445,7 +446,7 @@ mod tests {
             ));
         }
         let model = train_cempar_local(&config, &data).expect("two tags train");
-        let current = wire::encode_kernel_model(&model, config.wire.precision);
+        let current = wire::encode_kernel_model(&model, WeightPrecision::F64);
         let mut old = current.clone();
         old[1] = 1;
         assert_eq!(

@@ -10,12 +10,10 @@
 use super::reliable::ReliableCore;
 use super::{LocalEffect, Millis, Output, ProtocolCore};
 use crate::centralized::CentralizedConfig;
-use crate::protocol::{ScoringBackend, TrainingBackend};
 use crate::reliable::LinkStats;
 use crate::wire::{self, PayloadKind};
 use ml::batch::TagWeightMatrix;
-use ml::multilabel::{OneVsAllModel, TagPrediction};
-use ml::svm::LinearSvm;
+use ml::multilabel::TagPrediction;
 use ml::MultiLabelDataset;
 use p2psim::message::MessageKind;
 use p2psim::PeerId;
@@ -33,8 +31,8 @@ pub struct CentralizedCore {
     my_version: u64,
     /// Server role: the newest upload per source.
     uploads: BTreeMap<u64, (u64, MultiLabelDataset)>,
-    /// Server role: the pooled global model (lazily retrained).
-    model: Option<OneVsAllModel<LinearSvm>>,
+    /// Server role: the pooled global model (lazily retrained), packed for
+    /// scoring.
     matrix: Option<TagWeightMatrix>,
     /// Uploads changed since the last retrain.
     dirty: bool,
@@ -46,14 +44,13 @@ impl CentralizedCore {
     /// A fresh core for `id`. The server peer is named by
     /// [`CentralizedConfig::server`].
     pub fn new(id: PeerId, config: CentralizedConfig) -> Self {
-        let link = ReliableCore::new(config.wire.reliability);
+        let link = ReliableCore::new(config.reliability);
         Self {
             id,
             config,
             local_data: MultiLabelDataset::new(),
             my_version: 0,
             uploads: BTreeMap::new(),
-            model: None,
             matrix: None,
             dirty: false,
             link,
@@ -145,31 +142,22 @@ impl CentralizedCore {
             pooled.extend_from(data);
         }
         if pooled.is_empty() {
-            self.model = None;
             self.matrix = None;
             return;
         }
-        let model = match self.config.train_backend {
-            TrainingBackend::Csr => self
-                .config
-                .one_vs_all
-                .train_linear_csr(&pooled, &self.config.svm),
-            TrainingBackend::Scalar => self
-                .config
-                .one_vs_all
-                .train_linear(&pooled, &self.config.svm),
-        };
-        self.model = (model.num_tags() > 0).then_some(model);
-        self.matrix = self.model.as_ref().map(OneVsAllModel::weight_matrix);
+        let model = self
+            .config
+            .one_vs_all
+            .train_linear_csr(&pooled, &self.config.svm);
+        self.matrix = (model.num_tags() > 0).then(|| model.weight_matrix());
     }
 
     /// Scores a query against the pooled model (server role).
     fn server_scores(&mut self, x: &SparseVector) -> Vec<TagPrediction> {
         self.ensure_retrained();
-        match (self.config.backend, &self.model, &self.matrix) {
-            (ScoringBackend::Scalar, Some(model), _) => model.scores(x),
-            (ScoringBackend::Batched, _, Some(matrix)) => matrix.scores(x),
-            _ => Vec::new(),
+        match &self.matrix {
+            Some(matrix) => matrix.scores(x),
+            None => Vec::new(),
         }
     }
 

@@ -5,10 +5,8 @@
 //! bitwise-trivially identical across drivers — and any network traffic a
 //! driver observes from one is a bug.
 
-use super::reliable::ReliableCore;
 use super::{LocalEffect, Millis, Output, ProtocolCore};
 use crate::local::{train_local_only, LocalModel, LocalOnlyConfig};
-use crate::protocol::ScoringBackend;
 use crate::reliable::LinkStats;
 use ml::MultiLabelDataset;
 use p2psim::PeerId;
@@ -22,23 +20,18 @@ pub struct LocalCore {
     local_data: MultiLabelDataset,
     model: Option<LocalModel>,
     version: u64,
-    /// Never sends; kept so [`Self::link_stats`] reports the same all-zero
-    /// ledger shape as every other core.
-    link: ReliableCore,
     next_request: u64,
 }
 
 impl LocalCore {
     /// A fresh core for `id`.
     pub fn new(id: PeerId, config: LocalOnlyConfig) -> Self {
-        let link = ReliableCore::new(config.wire.reliability);
         Self {
             id,
             config,
             local_data: MultiLabelDataset::new(),
             model: None,
             version: 0,
-            link,
             next_request: 0,
         }
     }
@@ -48,9 +41,9 @@ impl LocalCore {
         self.id
     }
 
-    /// The (necessarily all-zero) link counters.
-    pub fn link_stats(&self) -> &LinkStats {
-        self.link.stats()
+    /// The link counters: all zero, since a local-only peer never sends.
+    pub fn link_stats(&self) -> LinkStats {
+        LinkStats::default()
     }
 
     /// This peer's own `(source, version)` — nothing else is ever installed.
@@ -84,10 +77,7 @@ impl LocalCore {
         let request = self.next_request;
         self.next_request += 1;
         let scores = match &self.model {
-            Some(local) => match self.config.backend {
-                ScoringBackend::Scalar => local.model.scores(x),
-                ScoringBackend::Batched => local.matrix.scores(x),
-            },
+            Some(local) => local.matrix.scores(x),
             None => Vec::new(),
         };
         (

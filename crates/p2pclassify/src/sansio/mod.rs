@@ -224,12 +224,13 @@ impl PeerCore {
         }
     }
 
-    /// The reliable layer's send-path counters.
-    pub fn link_stats(&self) -> &LinkStats {
+    /// The reliable layer's send-path counters (all zero for a local-only
+    /// core, which never sends).
+    pub fn link_stats(&self) -> LinkStats {
         match self {
-            PeerCore::Pace(c) => c.link_stats(),
-            PeerCore::Cempar(c) => c.link_stats(),
-            PeerCore::Centralized(c) => c.link_stats(),
+            PeerCore::Pace(c) => *c.link_stats(),
+            PeerCore::Cempar(c) => *c.link_stats(),
+            PeerCore::Centralized(c) => *c.link_stats(),
             PeerCore::Local(c) => c.link_stats(),
         }
     }

@@ -21,6 +21,7 @@ use crate::pace::{
 };
 use crate::reliable::LinkStats;
 use crate::wire::{self, PayloadKind};
+use ml::codec::WeightPrecision;
 use ml::multilabel::OneVsAllModel;
 use ml::svm::LinearSvm;
 use ml::MultiLabelDataset;
@@ -53,7 +54,7 @@ pub struct PaceCore {
 impl PaceCore {
     /// A fresh core for `id` within the static peer set `peers`.
     pub fn new(id: PeerId, peers: Vec<PeerId>, config: PaceConfig) -> Self {
-        let link = ReliableCore::new(config.wire.reliability);
+        let link = ReliableCore::new(config.reliability);
         Self {
             id,
             config,
@@ -89,7 +90,7 @@ impl PaceCore {
         accuracy: f64,
         centroids: &[SparseVector],
     ) -> Vec<u8> {
-        let model_frame = wire::encode_pace_model(model, accuracy, self.config.wire.precision);
+        let model_frame = wire::encode_pace_model(model, accuracy, WeightPrecision::F64);
         let centroid_frame = wire::encode_centroids(centroids);
         wire::encode_install(source.0, version, &[&model_frame, &centroid_frame])
     }
@@ -122,9 +123,8 @@ impl PaceCore {
     pub fn train(&mut self, now: Millis, data: &MultiLabelDataset) -> Vec<Output> {
         let mut out = Vec::new();
         self.local_data.extend_from(data);
-        // The installed model is borrowed (unpacked only under the batched
-        // backend, which keeps nothing else at rest) and released before
-        // the new one is installed.
+        // The installed model is borrowed (a core keeps its classifiers at
+        // rest) and released before the new one is installed.
         let update = {
             let warm = self.ensemble.get(&self.id.0).map(|e| e.model.warm_model());
             train_pace_model(&self.config, self.id, &self.local_data, warm.as_deref())
@@ -144,9 +144,8 @@ impl PaceCore {
             update.accuracy,
             &update.centroids,
         );
-        // Install the copy decoded off the wire, exactly like the measured
-        // monolithic path: lossy wire settings affect this peer's own votes
-        // the same way they affect everyone else's.
+        // Install the copy decoded off the wire, exactly like the monolithic
+        // path: this peer votes with the model everyone else received.
         if let Some(output) = self.decode_install(&envelope) {
             out.push(output);
         }

@@ -5,26 +5,19 @@
 //! Version 2 carries kernel models as a dictionary of distinct support
 //! vectors plus per-tag ids ([`ml::codec::encode_kernel_ova`]); a frame of
 //! any other version is rejected, not misread.
-//! The body encodings live in [`ml::codec`]; this module adds the framing,
-//! strict decode validation (magic/version/kind checks, no trailing bytes)
-//! and the [`WireCost`] switch that mirrors the existing
-//! [`crate::protocol::ScoringBackend`] / [`crate::protocol::TrainingBackend`]
-//! reference/fast pairs:
+//! The body encodings live in [`ml::codec`]; this module adds the framing
+//! and strict decode validation (magic/version/kind checks, no trailing
+//! bytes).
 //!
-//! * [`WireCost::Measured`] (the default) — payloads are **actually
-//!   encoded**; `net.send(..)` charges the encoded byte length and the
-//!   receiving side **decodes its copy from the frame**. Round-tripping every
-//!   propagation is what makes the E3 communication tables falsifiable and
-//!   surfaces any estimate-vs-reality divergence as a test failure.
-//! * [`WireCost::Estimated`] — the legacy hand-rolled `wire_size()`
-//!   estimators, kept as the reference backend `tests/equivalence.rs`
-//!   compares the codec's costs and predictions against.
-//!
-//! With lossless settings ([`WeightPrecision::F64`], no pruning) the decoded
-//! artifacts are **bit-identical** to the encoded ones, so `Measured` changes
-//! no prediction anywhere — `tests/equivalence.rs` pins this for all four
-//! protocols. The lossy knobs ([`WireConfig::precision`],
-//! [`WireConfig::prune_top_k`]) trade bytes for a measured macro-F1 delta.
+//! Every protocol send is a frame: the sender encodes its payload,
+//! `net.send_frame(..)` charges the encoded byte length, and the receiving
+//! side **decodes its copy from the frame**. Round-tripping every
+//! propagation is what makes the E3 communication tables measurements rather
+//! than estimates. The protocols encode model weights at
+//! [`WeightPrecision::F64`], so a decoded artifact is bit-identical to the
+//! encoded one and decoding on receipt changes no prediction. The encoders
+//! still take a precision: `F32`/`Q8` bodies are part of the codec, which
+//! decodes whatever arrives.
 
 use ml::codec::{self, ByteReader, CodecError, WeightPrecision};
 use ml::multilabel::TagPrediction;
@@ -141,58 +134,6 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Which byte-accounting backend a protocol charges its traffic with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireCost {
-    /// The legacy hand-rolled `wire_size()` estimators (nothing is
-    /// serialized). Kept as the reference `tests/equivalence.rs` compares
-    /// the codec against.
-    Estimated,
-    /// Real encoded frames: sends charge `encoded.len()` and receivers decode
-    /// from the bytes.
-    #[default]
-    Measured,
-}
-
-/// Wire-format settings of one protocol instance.
-#[derive(Debug, Clone)]
-pub struct WireConfig {
-    /// Measured frames (default) or the legacy estimator.
-    pub cost: WireCost,
-    /// Precision of model weights on the wire. [`WeightPrecision::F64`]
-    /// (default) round-trips bit-identically; `F32`/`Q8` trade bytes for a
-    /// measured macro-F1 delta. Ignored under [`WireCost::Estimated`].
-    pub precision: WeightPrecision,
-    /// When set, linear models are pruned to the `k` largest-magnitude
-    /// weights per tag before propagation — guarded by
-    /// [`Self::prune_guard`] via [`ml::codec::prune_model_guarded`]. Only
-    /// PACE (linear model propagation) consults this. Ignored under
-    /// [`WireCost::Estimated`].
-    pub prune_top_k: Option<usize>,
-    /// Maximum mean per-tag training-accuracy drop a pruned model may incur
-    /// before propagation falls back to the unpruned model.
-    pub prune_guard: f64,
-    /// When set, model propagation runs through the reliable-delivery layer
-    /// ([`crate::reliable::ReliableLink`]): sequence-numbered checksummed
-    /// frames, ack/timeout retransmission with exponential backoff, every
-    /// attempt charged in measured wire bytes. `None` (the default) keeps the
-    /// exact pre-reliability send behaviour — no wrapper bytes, no acks — so
-    /// fault-free runs stay bit-identical.
-    pub reliability: Option<ReliabilityConfig>,
-}
-
-impl Default for WireConfig {
-    fn default() -> Self {
-        Self {
-            cost: WireCost::Measured,
-            precision: WeightPrecision::F64,
-            prune_top_k: None,
-            prune_guard: 0.02,
-            reliability: None,
-        }
-    }
-}
-
 /// Retry policy of the reliable-delivery layer.
 ///
 /// Retransmits are charged in **measured wire bytes**: every attempt re-sends
@@ -213,32 +154,6 @@ impl Default for ReliabilityConfig {
             max_attempts: 4,
             backoff_base_ms: 250,
         }
-    }
-}
-
-impl WireConfig {
-    /// The legacy-estimator configuration: the pre-codec reference backend
-    /// `tests/equivalence.rs` compares measured frames against.
-    pub fn estimated() -> Self {
-        Self {
-            cost: WireCost::Estimated,
-            ..Self::default()
-        }
-    }
-
-    /// Measured frames with explicit settings.
-    pub fn measured(precision: WeightPrecision, prune_top_k: Option<usize>) -> Self {
-        Self {
-            cost: WireCost::Measured,
-            precision,
-            prune_top_k,
-            ..Self::default()
-        }
-    }
-
-    /// Whether this configuration round-trips payloads bit-identically.
-    pub fn is_lossless(&self) -> bool {
-        self.precision == WeightPrecision::F64 && self.prune_top_k.is_none()
     }
 }
 
@@ -694,17 +609,6 @@ mod tests {
         assert_eq!(decode_query(&trailing), Err(WireError::TrailingBytes));
         // Truncation is rejected.
         assert!(decode_query(&good[..good.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn lossless_default_config() {
-        let cfg = WireConfig::default();
-        assert_eq!(cfg.cost, WireCost::Measured);
-        assert!(cfg.is_lossless());
-        assert!(cfg.reliability.is_none());
-        assert!(!WireConfig::measured(WeightPrecision::Q8, None).is_lossless());
-        assert!(!WireConfig::measured(WeightPrecision::F64, Some(8)).is_lossless());
-        assert_eq!(WireConfig::estimated().cost, WireCost::Estimated);
     }
 
     #[test]

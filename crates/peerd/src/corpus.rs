@@ -1,7 +1,7 @@
 //! A small deterministic tagging corpus for the loopback harness and the
 //! sim-vs-socket equivalence suite.
 //!
-//! Mirrors the generator the backend-equivalence suite uses: five
+//! Mirrors the generator `p2pclassify`'s equivalence suite uses: five
 //! feature-aligned tags plus co-occurring combinations, so ensembles vote
 //! over tags they only partially know. Both drivers are fed from this module
 //! with the same seed — identical inputs are the precondition for demanding

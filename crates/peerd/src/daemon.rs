@@ -277,7 +277,7 @@ impl Daemon {
     fn snapshot(&self) -> Snapshot {
         Snapshot {
             installed: self.core.installed_versions(),
-            link: *self.core.link_stats(),
+            link: self.core.link_stats(),
             frames_sent: self.frames_sent,
             bytes_sent: self.bytes_sent,
             gave_up: self.gave_up,

@@ -69,8 +69,10 @@ fn timers_fire_with_no_command_or_socket_traffic() {
         max_attempts: 3,
         backoff_base_ms: 5,
     };
-    let mut config = PaceConfig::default();
-    config.wire.reliability = Some(reliability);
+    let config = PaceConfig {
+        reliability: Some(reliability),
+        ..PaceConfig::default()
+    };
     let (alone, absent) = (PeerId(0), PeerId(1));
     let core = PeerCore::Pace(PaceCore::new(alone, vec![alone, absent], config));
     let harness = LoopbackHarness::start(vec![core]).expect("harness starts");

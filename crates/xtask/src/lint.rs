@@ -82,8 +82,8 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "wire-discipline",
-        description: "p2pclassify network sends must charge bytes from the WireCost/frame \
-                      layer, never a raw integer literal",
+        description: "p2pclassify network sends must charge bytes from the frame layer, \
+                      never a raw integer literal",
     },
     Rule {
         id: "send-unchecked",
@@ -690,8 +690,7 @@ pub fn lint_source(path: &str, source: &str) -> (Vec<Diagnostic>, Vec<UnsafeSite
                         last[0].line,
                         "wire-discipline",
                         "network send charges a raw integer literal: byte costs must \
-                         come from the WireCost/frame layer (encoded frame length or \
-                         the estimator)"
+                         come from the frame layer (an encoded frame's length)"
                             .to_string(),
                     ));
                 }
