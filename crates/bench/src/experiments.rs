@@ -247,7 +247,6 @@ pub fn e3_communication(num_users: usize, seed: u64) -> Table {
             name,
             by(MessageKind::TrainingData),
             by(MessageKind::ModelPropagation),
-            by(MessageKind::CentroidPropagation),
             by(MessageKind::DhtLookup),
             by(MessageKind::PredictionQuery),
             by(MessageKind::PredictionResponse),
@@ -261,7 +260,6 @@ pub fn e3_communication(num_users: usize, seed: u64) -> Table {
             "protocol",
             "raw data",
             "models",
-            "centroids",
             "dht",
             "queries",
             "responses",

@@ -32,6 +32,16 @@
 //! Framing (magic, version, payload kind) is the transport's concern and
 //! lives in `p2pclassify::wire`; this module encodes payload bodies only.
 //!
+//! # Linear model bodies
+//!
+//! One peer's tags are trained on the same documents, so their nonzero
+//! weights nearly always sit at the same features. A linear one-vs-all model
+//! ([`encode_linear_ova`]) therefore writes the union of its tags' supports
+//! once, as one index block, and each tag then says which support positions
+//! it holds: all of them (one mode byte) or those set in a bitmap over the
+//! support. A lone [`LinearSvm`] ([`encode_linear_svm`]) still writes its
+//! own index block.
+//!
 //! # Kernel model bodies
 //!
 //! A document is a support vector of several of its tags, so a kernel
@@ -497,15 +507,32 @@ pub const MAX_WEIGHT_DIM: usize = 1 << 24;
 /// dropped, as it would be absent from the dense vector's nonzeros, so the
 /// model re-encodes to the frame a dense decode would re-encode to.
 pub fn decode_linear_svm(r: &mut ByteReader<'_>) -> Result<LinearSvm, CodecError> {
+    let dim = read_weight_dim(r)?;
+    let bias = r.read_f64()?;
+    let nnz = r.read_count_of(1)?;
+    let indices = read_index_block(r, nnz)?;
+    let values = read_value_block(r, nnz)?;
+    linear_from_block(dim, indices, values, bias)
+}
+
+/// Reads a weight dimension and checks it against [`MAX_WEIGHT_DIM`].
+fn read_weight_dim(r: &mut ByteReader<'_>) -> Result<usize, CodecError> {
     let dim = r.read_varint()?;
     if dim > MAX_WEIGHT_DIM as u64 {
         return Err(CodecError::Invalid("weight dimension exceeds decode cap"));
     }
-    let dim = dim as usize;
-    let bias = r.read_f64()?;
-    let nnz = r.read_count_of(1)?;
-    let mut indices = read_index_block(r, nnz)?;
-    let mut values = read_value_block(r, nnz)?;
+    Ok(dim as usize)
+}
+
+/// A decoded linear SVM from its ascending indices and parallel values:
+/// every index must lie below `dim`, and values that decoded to exactly
+/// `0.0` are dropped.
+fn linear_from_block(
+    dim: usize,
+    mut indices: Vec<u32>,
+    mut values: Vec<f64>,
+    bias: f64,
+) -> Result<LinearSvm, CodecError> {
     // Indices ascend, so the last one bounds them all.
     if indices.last().is_some_and(|&i| i as usize >= dim) {
         return Err(CodecError::Invalid("weight index out of range"));
@@ -662,25 +689,140 @@ fn read_ova_shell(r: &mut ByteReader<'_>) -> Result<(f64, usize, Vec<TagId>), Co
     Ok((threshold, min_tags, tags))
 }
 
-/// Encodes a one-vs-all linear model (the PACE propagation payload body):
-/// the shell, then one [`encode_linear_svm`] body per tag.
+/// A tag whose nonzero weights sit at every support index.
+const SUPPORT_WHOLE: u8 = 0;
+/// A tag whose nonzero weights sit at the support positions set in a bitmap.
+const SUPPORT_BITMAP: u8 = 1;
+
+/// The union of a linear model's tag supports, ascending — borrowed from
+/// the first tag when every tag holds the same indices (the common case).
+fn linear_support(model: &OneVsAllModel<LinearSvm>) -> std::borrow::Cow<'_, [u32]> {
+    let mut tags = model.iter().map(|(_, clf)| clf.indices());
+    let Some(first) = tags.next() else {
+        return std::borrow::Cow::Borrowed(&[]);
+    };
+    if tags.all(|indices| indices == first) {
+        return std::borrow::Cow::Borrowed(first);
+    }
+    let mut union: Vec<u32> = model
+        .iter()
+        .flat_map(|(_, clf)| clf.indices().iter().copied())
+        .collect();
+    union.sort_unstable();
+    union.dedup();
+    std::borrow::Cow::Owned(union)
+}
+
+/// Encodes a one-vs-all linear model (the PACE propagation payload body)
+/// with the union of its tags' supports written once:
+///
+/// ```text
+/// shell      threshold, min tags, tag universe
+/// support    S varint, then an index block of the S features
+/// per tag    dim varint, bias f64, mode byte,
+///            mode 1 only: ⌈S/8⌉-byte bitmap over support positions,
+///            then a value block of the tag's nonzero weights
+/// ```
+///
+/// Mode 0 means the tag's weights sit at the whole support; mode 1 sets one
+/// bit per support position the tag holds. The support is exactly the
+/// union, so every position is held by some tag, and a tag holding all of
+/// them is always written as mode 0: the frame depends only on the model.
 pub fn encode_linear_ova(
     model: &OneVsAllModel<LinearSvm>,
     precision: WeightPrecision,
     buf: &mut Vec<u8>,
 ) {
     put_ova_shell(model, buf);
+    let support = linear_support(model);
+    put_varint(buf, support.len() as u64);
+    put_index_block(&support, buf);
+    let mut bits = Vec::new();
     for (_, clf) in model.iter() {
-        encode_linear_svm(clf, precision, buf);
+        put_varint(buf, clf.dim() as u64);
+        put_f64(buf, clf.bias());
+        if clf.indices() == &support[..] {
+            buf.push(SUPPORT_WHOLE);
+        } else {
+            buf.push(SUPPORT_BITMAP);
+            bits.clear();
+            bits.resize(support.len().div_ceil(8), 0u8);
+            // The tag's indices are an ascending subsequence of the support.
+            let mut pos = 0;
+            for &j in clf.indices() {
+                while support[pos] != j {
+                    pos += 1;
+                }
+                bits[pos / 8] |= 1 << (pos % 8);
+                pos += 1;
+            }
+            buf.extend_from_slice(&bits);
+        }
+        put_value_block(clf.values(), precision, buf);
     }
 }
 
-/// Decodes a one-vs-all linear model.
+/// Decodes a one-vs-all linear model encoded by [`encode_linear_ova`].
+///
+/// Each tag is checked as [`decode_linear_svm`] checks a lone model: its
+/// dimension against [`MAX_WEIGHT_DIM`], its indices against its dimension,
+/// and values that decode to exactly `0.0` are dropped. An unknown mode, a
+/// bitmap bit past the support, a bitmap selecting the whole support (mode
+/// 0's job) or a support position no tag holds is invalid.
 pub fn decode_linear_ova(r: &mut ByteReader<'_>) -> Result<OneVsAllModel<LinearSvm>, CodecError> {
     let (threshold, min_tags, tags) = read_ova_shell(r)?;
+    // Some tag holds each support index, with a value of at least a byte.
+    let num_support = r.read_count_of(1)?;
+    let support = read_index_block(r, num_support)?;
+    let bitmap_len = num_support.div_ceil(8);
+    // Union of the bitmaps read, unless some tag took the whole support.
+    let mut held_whole = false;
+    let mut held = Vec::new();
     let mut classifiers = BTreeMap::new();
     for tag in tags {
-        classifiers.insert(tag, decode_linear_svm(r)?);
+        let dim = read_weight_dim(r)?;
+        let bias = r.read_f64()?;
+        let clf = match r.read_byte()? {
+            SUPPORT_WHOLE => {
+                held_whole = true;
+                let values = read_value_block(r, num_support)?;
+                linear_from_block(dim, support.clone(), values, bias)?
+            }
+            SUPPORT_BITMAP => {
+                let bits = r.read_bytes(bitmap_len)?;
+                if num_support % 8 != 0 && bits[bitmap_len - 1] >> (num_support % 8) != 0 {
+                    return Err(CodecError::Invalid(
+                        "support bitmap sets a bit past the support",
+                    ));
+                }
+                let count: usize = bits.iter().map(|b| b.count_ones() as usize).sum();
+                if count == num_support {
+                    return Err(CodecError::Invalid(
+                        "support bitmap selects the whole support",
+                    ));
+                }
+                let values = read_value_block(r, count)?;
+                let mut indices = Vec::with_capacity(count);
+                for (byte, &b) in bits.iter().enumerate() {
+                    let mut b = b;
+                    while b != 0 {
+                        indices.push(support[byte * 8 + b.trailing_zeros() as usize]);
+                        b &= b - 1;
+                    }
+                }
+                held.resize(bitmap_len, 0u8);
+                for (h, &b) in held.iter_mut().zip(bits) {
+                    *h |= b;
+                }
+                linear_from_block(dim, indices, values, bias)?
+            }
+            _ => return Err(CodecError::Invalid("unknown support mode")),
+        };
+        classifiers.insert(tag, clf);
+    }
+    let held_count: usize = held.iter().map(|b| b.count_ones() as usize).sum();
+    if !held_whole && held_count != num_support {
+        return Err(CodecError::Invalid("unheld support index"));
     }
     Ok(OneVsAllModel::from_classifiers(
         classifiers,
@@ -841,28 +983,6 @@ pub fn decode_predictions(r: &mut ByteReader<'_>) -> Result<Vec<TagPrediction>, 
         });
     }
     Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Accuracy
-// ---------------------------------------------------------------------------
-
-/// Mean per-tag binary training accuracy of a one-vs-all model on a dataset —
-/// the same quantity PACE uses as its ensemble vote weight. Returns 1.0 on an
-/// empty dataset or tag-less model.
-pub fn ensemble_accuracy(model: &OneVsAllModel<LinearSvm>, data: &MultiLabelDataset) -> f64 {
-    if data.is_empty() || model.num_tags() == 0 {
-        return 1.0;
-    }
-    let mut acc_sum = 0.0;
-    for (tag, clf) in model.iter() {
-        let correct = data
-            .iter()
-            .filter(|(x, tags)| (clf.decision(x) >= 0.0) == tags.contains(&tag))
-            .count();
-        acc_sum += correct as f64 / data.len() as f64;
-    }
-    acc_sum / model.num_tags() as f64
 }
 
 #[cfg(test)]
@@ -1127,6 +1247,212 @@ mod tests {
         ds
     }
 
+    /// The per-tag linear body [`encode_linear_ova`] replaced, kept as its
+    /// oracle: the shell, then each tag's [`encode_linear_svm`], every tag
+    /// writing its own index block.
+    fn encode_linear_ova_per_tag(
+        model: &OneVsAllModel<LinearSvm>,
+        precision: WeightPrecision,
+        buf: &mut Vec<u8>,
+    ) {
+        put_ova_shell(model, buf);
+        for (_, clf) in model.iter() {
+            encode_linear_svm(clf, precision, buf);
+        }
+    }
+
+    /// The oracle body's decoder: the shell, then [`decode_linear_svm`] per
+    /// tag.
+    fn decode_linear_ova_per_tag(r: &mut ByteReader<'_>) -> OneVsAllModel<LinearSvm> {
+        let (threshold, min_tags, tags) = read_ova_shell(r).unwrap();
+        let classifiers = tags
+            .into_iter()
+            .map(|tag| (tag, decode_linear_svm(r).unwrap()))
+            .collect();
+        OneVsAllModel::from_classifiers(classifiers, threshold, min_tags)
+    }
+
+    /// Dimension, indices, value bits and bias bits all equal (NaN weights
+    /// included, which `==` would call unequal).
+    fn linear_bit_eq(a: &LinearSvm, b: &LinearSvm) -> bool {
+        let bits = |m: &LinearSvm| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        a.dim() == b.dim()
+            && a.indices() == b.indices()
+            && bits(a) == bits(b)
+            && a.bias().to_bits() == b.bias().to_bits()
+    }
+
+    fn linear_ova_bit_eq(a: &OneVsAllModel<LinearSvm>, b: &OneVsAllModel<LinearSvm>) -> bool {
+        a.threshold().to_bits() == b.threshold().to_bits()
+            && a.min_tags() == b.min_tags()
+            && a.num_tags() == b.num_tags()
+            && a.iter()
+                .zip(b.iter())
+                .all(|((ta, ca), (tb, cb))| ta == tb && linear_bit_eq(ca, cb))
+    }
+
+    fn index_block_len(indices: &[u32]) -> usize {
+        let mut buf = Vec::new();
+        put_index_block(indices, &mut buf);
+        buf.len()
+    }
+
+    /// Checks a linear one-vs-all frame at every precision against the
+    /// per-tag oracle: both decode to bit-equal models; at `f64` the model
+    /// comes back bit for bit and re-encodes to the same bytes; and the
+    /// frame is the oracle's bytes minus each tag's count and index block,
+    /// plus the support block once and each tag's mode byte and bitmap.
+    fn check_linear_ova_frame(model: &OneVsAllModel<LinearSvm>) {
+        let support: Vec<u32> = linear_support(model).into_owned();
+        for precision in PRECISIONS {
+            let mut frame = Vec::new();
+            encode_linear_ova(model, precision, &mut frame);
+            let mut r = ByteReader::new(&frame);
+            let decoded = decode_linear_ova(&mut r).expect("decodes");
+            assert_eq!(r.remaining(), 0, "{precision:?}");
+            let mut oracle = Vec::new();
+            encode_linear_ova_per_tag(model, precision, &mut oracle);
+            let want = decode_linear_ova_per_tag(&mut ByteReader::new(&oracle));
+            assert!(linear_ova_bit_eq(&decoded, &want), "{precision:?}");
+            if precision == WeightPrecision::F64 {
+                assert!(linear_ova_bit_eq(&decoded, model));
+                let mut again = Vec::new();
+                encode_linear_ova(&decoded, precision, &mut again);
+                assert_eq!(again, frame);
+            }
+            let (mut removed, mut added) = (0, 0);
+            added += varint_len(support.len() as u64) + index_block_len(&support);
+            for (_, clf) in model.iter() {
+                removed +=
+                    varint_len(clf.nonzero_weights() as u64) + index_block_len(clf.indices());
+                added += 1;
+                if clf.indices() != support.as_slice() {
+                    added += support.len().div_ceil(8);
+                }
+            }
+            assert_eq!(frame.len() + removed, oracle.len() + added, "{precision:?}");
+        }
+    }
+
+    #[test]
+    fn linear_ova_frame_writes_the_shared_support_once() {
+        let ds = toy_dataset();
+        let model = OneVsAllTrainer::default().train_linear_csr(&ds, &LinearSvmTrainer::default());
+        assert!(model.num_tags() >= 2);
+        let support = model.iter().next().unwrap().1.indices().to_vec();
+        assert!(
+            model
+                .iter()
+                .all(|(_, clf)| clf.indices() == support.as_slice()),
+            "one peer's tags share their support"
+        );
+        check_linear_ova_frame(&model);
+        let (mut frame, mut oracle) = (Vec::new(), Vec::new());
+        encode_linear_ova(&model, WeightPrecision::F64, &mut frame);
+        encode_linear_ova_per_tag(&model, WeightPrecision::F64, &mut oracle);
+        assert!(
+            frame.len() < oracle.len(),
+            "{} vs {}",
+            frame.len(),
+            oracle.len()
+        );
+        // Differing supports, a tag with no weights, and the empty model.
+        let mut classifiers = BTreeMap::new();
+        classifiers.insert(1, LinearSvm::from_dense(&[0.5, 0.0, -1.0, 2.0], 0.1));
+        classifiers.insert(
+            4,
+            LinearSvm::from_dense(&[0.0, 0.0, 3.0, 0.0, 0.0, 0.0], -0.2),
+        );
+        classifiers.insert(6, LinearSvm::from_dense(&[0.0; 9], 0.0));
+        classifiers.insert(9, LinearSvm::from_dense(&[0.0, 0.25, 0.0, 0.0, 1.5], 0.3));
+        check_linear_ova_frame(&OneVsAllModel::from_classifiers(classifiers, 0.0, 1));
+        check_linear_ova_frame(&OneVsAllModel::from_classifiers(BTreeMap::new(), 0.5, 2));
+    }
+
+    /// A hand-written linear one-vs-all body: a shell over tags
+    /// `0..tags.len()`, the `support`, then per tag its dimension, a zero
+    /// bias, its mode byte, its bitmap bytes and `values` f64 weights.
+    fn linear_ova_body(support: &[u32], tags: &[(u64, u8, &[u8], usize)]) -> Vec<u8> {
+        let mut body = Vec::new();
+        put_f64(&mut body, 0.0);
+        put_varint(&mut body, 1);
+        put_varint(&mut body, tags.len() as u64);
+        if !tags.is_empty() {
+            body.extend_from_slice(&[IDX_CONTIGUOUS, 0]);
+        }
+        put_varint(&mut body, support.len() as u64);
+        put_index_block(support, &mut body);
+        for &(dim, mode, bits, values) in tags {
+            put_varint(&mut body, dim);
+            put_f64(&mut body, 0.0);
+            body.push(mode);
+            body.extend_from_slice(bits);
+            put_value_block(&vec![1.0; values], WeightPrecision::F64, &mut body);
+        }
+        body
+    }
+
+    #[test]
+    fn malformed_support_blocks_are_rejected() {
+        let decode = |body: Vec<u8>| decode_linear_ova(&mut ByteReader::new(&body)).err();
+        let support = [2u32, 5, 9];
+        // The well-formed shapes decode: whole support, and a bitmap.
+        let good = linear_ova_body(&support, &[(10, 0, &[], 3), (10, 1, &[0b101], 2)]);
+        let model = decode_linear_ova(&mut ByteReader::new(&good)).unwrap();
+        assert_eq!(model.classifier(1).unwrap().indices(), &[2, 9]);
+        assert_eq!(
+            decode(linear_ova_body(&support, &[(10, 2, &[], 3)])),
+            Some(CodecError::Invalid("unknown support mode"))
+        );
+        assert_eq!(
+            decode(linear_ova_body(
+                &support,
+                &[(10, 0, &[], 3), (10, 1, &[0b1001], 2)]
+            )),
+            Some(CodecError::Invalid(
+                "support bitmap sets a bit past the support"
+            ))
+        );
+        assert_eq!(
+            decode(linear_ova_body(&support, &[(10, 1, &[0b111], 3)])),
+            Some(CodecError::Invalid(
+                "support bitmap selects the whole support"
+            ))
+        );
+        assert_eq!(
+            decode(linear_ova_body(&support, &[(10, 1, &[0b011], 2)])),
+            Some(CodecError::Invalid("unheld support index"))
+        );
+        // Index 9 is past a dimension of 9; the whole support fits in 10.
+        assert_eq!(
+            decode(linear_ova_body(&support, &[(9, 0, &[], 3)])),
+            Some(CodecError::Invalid("weight index out of range"))
+        );
+        assert_eq!(
+            decode(linear_ova_body(
+                &support,
+                &[(10, 0, &[], 3), (9, 1, &[0b100], 1)]
+            )),
+            Some(CodecError::Invalid("weight index out of range"))
+        );
+        assert!(decode(linear_ova_body(
+            &support,
+            &[(10, 0, &[], 3), (9, 1, &[0b011], 2)]
+        ))
+        .is_none());
+        assert_eq!(
+            decode(linear_ova_body(
+                &support,
+                &[(MAX_WEIGHT_DIM as u64 + 1, 0, &[], 3)]
+            )),
+            Some(CodecError::Invalid("weight dimension exceeds decode cap"))
+        );
+        // Every cut of the good body fails cleanly.
+        for cut in 0..good.len() {
+            assert!(decode(good[..cut].to_vec()).is_some(), "cut at {cut}");
+        }
+    }
+
     #[test]
     fn linear_ova_roundtrip_preserves_scores() {
         let ds = toy_dataset();
@@ -1359,15 +1685,18 @@ mod tests {
 
     /// Dense weights of which many are zero, tiny enough to round to zero
     /// at `f32` or `q8`, or not finite.
-    fn arb_wild_linear_svm() -> impl Strategy<Value = LinearSvm> {
-        let weight = (0u8..10, -4.0f64..4.0).prop_map(|(pick, v)| match pick {
+    fn wild_weight() -> impl Strategy<Value = f64> {
+        (0u8..10, -4.0f64..4.0).prop_map(|(pick, v)| match pick {
             0 | 1 => 0.0,
             2 => v * 1e-3,
             3 => v * 1e-45,
             4 => [f64::NAN, f64::INFINITY, -f64::INFINITY, -0.0][(v.abs() as usize).min(3)],
             _ => v,
-        });
-        (prop::collection::vec(weight, 0..40), -2.0f64..2.0)
+        })
+    }
+
+    fn arb_wild_linear_svm() -> impl Strategy<Value = LinearSvm> {
+        (prop::collection::vec(wild_weight(), 0..40), -2.0f64..2.0)
             .prop_map(|(weights, bias)| LinearSvm::from_dense(&weights, bias))
     }
 
@@ -1506,6 +1835,43 @@ mod tests {
             check_kernel_ova_frame(&model);
             // The frame depends on content only, not on storage history.
             prop_assert_eq!(encoded_kernel_ova(&build(true)), encoded_kernel_ova(&model));
+        }
+
+        #[test]
+        fn prop_shared_support_body_matches_the_per_tag_oracle(
+            pool in prop::collection::btree_set(0u32..40, 0..12),
+            tags in prop::collection::vec(
+                (0u8..4, prop::collection::vec((any::<bool>(), wild_weight()), 12..13), 0usize..3, -2.0f64..2.0),
+                0..5,
+            ),
+            threshold in -1.0f64..1.0,
+            min_tags in 0usize..3,
+        ) {
+            // Each tag holds the whole pool, a masked part of it, nothing,
+            // or the pool plus a feature of its own; its dimension sits just
+            // past its last feature or a little further. Wild weights add
+            // values that are not finite or that round to zero below `f64`
+            // (and exact zeros, which leave the tag's support).
+            let classifiers = tags
+                .iter()
+                .enumerate()
+                .map(|(t, (mode, weights, extra_dim, bias))| {
+                    let mut features: Vec<u32> = match mode {
+                        0 => pool.iter().copied().collect(),
+                        1 => pool.iter().zip(weights).filter(|(_, (keep, _))| *keep).map(|(&j, _)| j).collect(),
+                        2 => Vec::new(),
+                        _ => pool.iter().copied().chain([40 + t as u32]).collect(),
+                    };
+                    features.sort_unstable();
+                    let dim = features.last().map_or(0, |&j| j as usize + 1) + extra_dim;
+                    let mut dense = vec![0.0; dim];
+                    for (k, &j) in features.iter().enumerate() {
+                        dense[j as usize] = weights[k % weights.len()].1;
+                    }
+                    (3 * t as TagId, LinearSvm::from_dense(&dense, *bias))
+                })
+                .collect();
+            check_linear_ova_frame(&OneVsAllModel::from_classifiers(classifiers, threshold, min_tags));
         }
 
         #[test]

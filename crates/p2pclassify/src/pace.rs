@@ -6,8 +6,9 @@
 //!    local data (cheap to train, tiny to ship) and clusters its local
 //!    training vectors with k-means.
 //! 2. **Propagation** — the linear models and the cluster centroids are
-//!    propagated to all other peers. No document vectors ever travel, which is
-//!    PACE's privacy and cost advantage.
+//!    propagated to all other peers, together in one install envelope per
+//!    update. No document vectors ever travel, which is PACE's privacy and
+//!    cost advantage.
 //! 3. **Indexing** — receivers index the models by their centroids using
 //!    locality-sensitive hashing.
 //! 4. **Prediction** — given a document vector, the peer retrieves the top-k
@@ -27,9 +28,9 @@
 use crate::error::ProtocolError;
 use crate::protocol::{ConfidenceVoteAccumulator, P2PTagClassifier, PeerDataMap};
 use crate::reliable::{LinkStats, Outgoing, ReliableLink, SendOutcome};
-use crate::wire::{self, ReliabilityConfig};
+use crate::wire::{self, ReliabilityConfig, WireError};
 use ml::batch::TagWeightMatrix;
-use ml::codec::WeightPrecision;
+use ml::codec::{CodecError, WeightPrecision};
 use ml::kmeans::{KMeans, KMeansConfig};
 use ml::lsh::{LshConfig, LshIndex};
 use ml::multilabel::{OneVsAllModel, OneVsAllTrainer, TagPrediction};
@@ -119,14 +120,10 @@ impl Default for PaceConfig {
 #[derive(Debug, Clone)]
 pub(crate) struct PaceModel {
     source: PeerId,
-    /// Per-tag classifiers, each stored as its nonzero weights. A sans-io
-    /// core keeps them at rest; the monolithic [`Pace`] registry drops them
-    /// after storing — `matrix` carries the same weights once, packed by
-    /// feature, which keeps 10k-peer ensembles affordable — and
+    /// The per-tag classifiers packed into one CSR matrix, which scores the
+    /// whole tag universe in a single pass. It is the only copy of the
+    /// weights at rest (which keeps 10k-peer ensembles affordable);
     /// [`Self::warm_model`] unpacks them on demand.
-    model: Option<OneVsAllModel<LinearSvm>>,
-    /// The per-tag weights of `model` packed into one CSR matrix, which
-    /// scores the whole tag universe in a single pass.
     matrix: TagWeightMatrix,
     centroids: Vec<SparseVector>,
     /// Cached `‖c‖²` per centroid, so the distance computation skips
@@ -138,14 +135,12 @@ pub(crate) struct PaceModel {
 }
 
 impl PaceModel {
-    /// The per-tag classifiers — borrowed when retained, else unpacked
-    /// from the CSR matrix (the same nonzeros at the same dimension; see
-    /// [`TagWeightMatrix::to_one_vs_all`]). A warm refit only reads them.
-    pub(crate) fn warm_model(&self) -> std::borrow::Cow<'_, OneVsAllModel<LinearSvm>> {
-        match &self.model {
-            Some(m) => std::borrow::Cow::Borrowed(m),
-            None => std::borrow::Cow::Owned(self.matrix.to_one_vs_all()),
-        }
+    /// The per-tag classifiers, unpacked from the CSR matrix: the same
+    /// nonzeros at the same dimension (see
+    /// [`TagWeightMatrix::to_one_vs_all`]), so a warm refit starts from, and
+    /// a re-send encodes, the model that was installed.
+    pub(crate) fn warm_model(&self) -> OneVsAllModel<LinearSvm> {
+        self.matrix.to_one_vs_all()
     }
 
     /// Distance from a query vector to this model (its nearest centroid),
@@ -179,9 +174,10 @@ impl PaceModel {
 
     /// Assembles an ensemble entry from its propagated parts, building the
     /// derived scoring structures (packed weight matrix, cached centroid
-    /// norms). This is the only place they are built, and it runs on the
-    /// copy that is installed — decoded back out of its wire frames — never
-    /// on a trained copy that is about to be encoded and dropped.
+    /// norms) and dropping the per-tag classifiers once packed. This is the
+    /// only place they are built, and it runs on the copy that is installed
+    /// — decoded back out of its install envelope — never on a trained copy
+    /// that is about to be encoded and dropped.
     pub(crate) fn assemble(update: PaceUpdate) -> Self {
         let PaceUpdate {
             source,
@@ -193,7 +189,6 @@ impl PaceModel {
         let centroid_norms_sq = centroids.iter().map(SparseVector::norm_sq).collect();
         Self {
             source,
-            model: Some(model),
             matrix,
             centroids,
             centroid_norms_sq,
@@ -202,8 +197,8 @@ impl PaceModel {
     }
 }
 
-/// One peer's contribution as it travels: exactly what the model and
-/// centroid frames carry, and nothing derived from it.
+/// One peer's contribution as it travels: exactly what its install
+/// envelope carries besides the version, and nothing derived from it.
 #[derive(Debug, Clone)]
 pub(crate) struct PaceUpdate {
     /// The peer that trained the model.
@@ -214,6 +209,43 @@ pub(crate) struct PaceUpdate {
     pub(crate) centroids: Vec<SparseVector>,
     /// Training accuracy of `model` on the source's own data.
     pub(crate) accuracy: f64,
+}
+
+/// Encodes one PACE update as the install envelope both drivers put on the
+/// wire, `(source, version, [model frame, centroid frame])`: one frame per
+/// receiver, whether [`Pace`] broadcasts it or a
+/// [`crate::sansio::PaceCore`] sends it.
+pub(crate) fn encode_pace_install(
+    source: PeerId,
+    version: u64,
+    model: &OneVsAllModel<LinearSvm>,
+    accuracy: f64,
+    centroids: &[SparseVector],
+) -> Vec<u8> {
+    let model_frame = wire::encode_pace_model(model, accuracy, WeightPrecision::F64);
+    let centroid_frame = wire::encode_centroids(centroids);
+    wire::encode_install(source.0, version, &[&model_frame, &centroid_frame])
+}
+
+/// Decodes a PACE install envelope to its version and update. The envelope
+/// must carry exactly a model frame and a centroid frame, each decoding
+/// strictly.
+pub(crate) fn decode_pace_install(frame: &[u8]) -> Result<(u64, PaceUpdate), WireError> {
+    let (source, version, parts) = wire::decode_install(frame)?;
+    let [model_frame, centroid_frame] = parts.as_slice() else {
+        return Err(WireError::Codec(CodecError::Invalid(
+            "PACE install carries a model and a centroid frame",
+        )));
+    };
+    let (model, accuracy) = wire::decode_pace_model(model_frame)?;
+    let centroids = wire::decode_centroids(centroid_frame)?;
+    let update = PaceUpdate {
+        source: PeerId(source),
+        model,
+        centroids,
+        accuracy,
+    };
+    Ok((version, update))
 }
 
 /// Trains one peer's PACE contribution — per-tag linear SVMs, averaged
@@ -424,11 +456,12 @@ impl Pace {
     /// Broadcasts a model to all other peers, recording who received it, and
     /// installs it in the shared store and LSH index.
     ///
-    /// The model and centroids are encoded into real wire frames **once**
-    /// (every receiver gets the same payload), the sends charge the frame
-    /// lengths, and the ensemble installs the model *decoded back out of the
-    /// frames* — so the bytes the statistics record are exactly the bytes
-    /// the predictions run on.
+    /// The update is encoded **once** into its install envelope (every
+    /// receiver gets the same payload, one frame each — the frame a
+    /// [`crate::sansio::PaceCore`] sends), the sends charge its length, and
+    /// the ensemble installs the model *decoded back out of the envelope* —
+    /// so the bytes the statistics record are exactly the bytes the
+    /// predictions run on.
     fn propagate(&mut self, net: &mut P2PNetwork, update: PaceUpdate, kind: MessageKind) {
         let source = update.source;
         let n = net.num_peers();
@@ -439,15 +472,24 @@ impl Pace {
             self.versions.resize(n, 0);
         }
         self.versions[source.index()] += 1;
+        let version = self.versions[source.index()];
         // A peer always "has" its own model.
         self.received[source.index()].insert(source);
+        let envelope = encode_pace_install(
+            source,
+            version,
+            &update.model,
+            update.accuracy,
+            &update.centroids,
+        );
+        drop(update);
         // The fan-out is the link's one broadcast walk: no target list is
-        // materialized, the only per-propagation allocations are the wire
-        // frames encoded once below, and every copy's outcome comes back
-        // here, so none is silently discarded.
+        // materialized, the only per-propagation allocation is the envelope
+        // encoded above, and every copy's outcome comes back here, so none
+        // is silently discarded.
         let received = &mut self.received;
-        let record = |to: PeerId, outcomes: [SendOutcome; 2]| match outcomes {
-            [SendOutcome::Arrived, SendOutcome::Arrived] => {
+        let record = |to: PeerId, outcome: SendOutcome| match outcome {
+            SendOutcome::Arrived => {
                 received[to.index()].insert(source);
             }
             // A fault drop means the receiver provably missed *this*
@@ -455,37 +497,19 @@ impl Pace {
             // anti-entropy can repair the gap. Offline failures keep the
             // pre-fault semantics (bit untouched), so fault-free runs
             // behave bit-identically to the pre-reliability send path.
-            [SendOutcome::FaultLost, _] | [_, SendOutcome::FaultLost] => {
+            SendOutcome::FaultLost => {
                 received[to.index()].remove(source);
             }
-            _ => {}
+            SendOutcome::Offline => {}
         };
-        let model_frame =
-            wire::encode_pace_model(&update.model, update.accuracy, WeightPrecision::F64);
-        let centroid_frame = wire::encode_centroids(&update.centroids);
-        let parts = [
-            Outgoing {
-                kind,
-                frame: &model_frame,
-                validate: &|b| wire::decode_pace_model(b).is_ok(),
-            },
-            Outgoing {
-                kind: MessageKind::CentroidPropagation,
-                frame: &centroid_frame,
-                validate: &|b| wire::decode_centroids(b).is_ok(),
-            },
-        ];
-        self.link.broadcast(net, source, parts, record);
-        let (model, accuracy) =
-            wire::decode_pace_model(&model_frame).expect("self-encoded PACE model frame decodes");
-        let centroids =
-            wire::decode_centroids(&centroid_frame).expect("self-encoded centroid frame decodes");
-        let installed = PaceUpdate {
-            source,
-            model,
-            centroids,
-            accuracy,
+        let part = Outgoing {
+            kind,
+            frame: &envelope,
+            validate: &|b| decode_pace_install(b).is_ok(),
         };
+        self.link.broadcast(net, source, part, record);
+        let (_, installed) =
+            decode_pace_install(&envelope).expect("self-encoded PACE install decodes");
         // Replacing a peer's model: its old centroids must leave the index,
         // otherwise incremental re-propagations accumulate stale positions
         // that crowd the candidate set and skew model retrieval.
@@ -495,15 +519,10 @@ impl Pace {
         if self.model_of(source).is_some() {
             self.index.retire(&source);
         }
-        let mut pace_model = PaceModel::assemble(installed);
+        let pace_model = PaceModel::assemble(installed);
         for c in &pace_model.centroids {
             self.index.insert(c.clone(), source);
         }
-        // At rest the registry scores through `matrix` and warm starts
-        // unpack from it, so the per-tag classifiers are a second copy of the
-        // same weights — dropping them here keeps the registry's per-peer
-        // footprint to one copy at 10k peers.
-        pace_model.model = None;
         self.models[source.index()] = Some(pace_model);
     }
 
@@ -762,8 +781,8 @@ impl P2PTagClassifier for Pace {
                 if !net_ref.is_online(peer) {
                     return None;
                 }
-                let warm = self.model_of(peer).map(|m| m.warm_model());
-                self.train_local_warm(peer, &self.local_data[peer.index()], warm.as_deref())
+                let warm = self.model_of(peer).map(PaceModel::warm_model);
+                self.train_local_warm(peer, &self.local_data[peer.index()], warm.as_ref())
             });
             for model in models.into_iter().flatten() {
                 // Replaces this peer's model in the ensemble and swaps its
@@ -792,8 +811,8 @@ impl P2PTagClassifier for Pace {
             self.local_data.resize(idx + 1, MultiLabelDataset::new());
         }
         self.local_data[idx].push(example.clone());
-        let warm = self.model_of(peer).map(|m| m.warm_model());
-        if let Some(model) = self.train_local_warm(peer, &self.local_data[idx], warm.as_deref()) {
+        let warm = self.model_of(peer).map(PaceModel::warm_model);
+        if let Some(model) = self.train_local_warm(peer, &self.local_data[idx], warm.as_ref()) {
             // Re-propagating replaces this peer's model in the ensemble and
             // swaps its centroids in the LSH index.
             self.dirty.remove(peer);
@@ -860,26 +879,18 @@ impl P2PTagClassifier for Pace {
             let Some(m) = self.model_of(source) else {
                 continue;
             };
-            let model_frame =
-                wire::encode_pace_model(&m.warm_model(), m.accuracy, WeightPrecision::F64);
-            let centroid_frame = wire::encode_centroids(&m.centroids);
-            let model_out = self.link.deliver_frame(
+            let version = self.versions.get(source.index()).copied().unwrap_or(0);
+            let envelope =
+                encode_pace_install(source, version, &m.warm_model(), m.accuracy, &m.centroids);
+            let outcome = self.link.deliver_frame(
                 net,
                 partner,
                 peer,
                 MessageKind::AntiEntropy,
-                &model_frame,
-                |b| wire::decode_pace_model(b).is_ok(),
+                &envelope,
+                |b| decode_pace_install(b).is_ok(),
             );
-            let centroid_out = self.link.deliver_frame(
-                net,
-                partner,
-                peer,
-                MessageKind::AntiEntropy,
-                &centroid_frame,
-                |b| wire::decode_centroids(b).is_ok(),
-            );
-            if model_out == SendOutcome::Arrived && centroid_out == SendOutcome::Arrived {
+            if outcome == SendOutcome::Arrived {
                 self.received[peer.index()].insert(source);
                 self.link.note_resync();
                 net.note_resync();
@@ -1249,6 +1260,13 @@ mod tests {
         assert!(pred2.contains(&2), "{pred2:?}");
     }
 
+    /// The install envelope of `source`'s held model at `version`,
+    /// re-encoded from the registry.
+    fn held_envelope(pace: &Pace, source: PeerId, version: u64) -> Vec<u8> {
+        let m = pace.model_of(source).expect("source holds a model");
+        encode_pace_install(source, version, &m.warm_model(), m.accuracy, &m.centroids)
+    }
+
     #[test]
     fn propagation_ships_models_and_centroids_but_no_training_data() {
         let mut net = network(10);
@@ -1256,11 +1274,94 @@ mod tests {
         let mut pace = Pace::new(PaceConfig::default());
         pace.train(&mut net, &data).unwrap();
         let stats = net.stats();
-        assert!(stats.kind(MessageKind::ModelPropagation).messages >= 9 * 10);
-        assert!(stats.kind(MessageKind::CentroidPropagation).messages >= 9 * 10);
+        let models = stats.kind(MessageKind::ModelPropagation);
+        assert_eq!(models.messages, 9 * 10);
+        // The centroids travel inside each update's frame: every copy
+        // charged is its source's whole install envelope, whose centroid
+        // part decodes to the centroids the ensemble ranks with.
+        let mut envelope_bytes = 0;
+        for source in (0..10).map(PeerId) {
+            let envelope = held_envelope(&pace, source, 1);
+            let (_, update) = decode_pace_install(&envelope).unwrap();
+            assert!(!update.centroids.is_empty());
+            assert_eq!(update.centroids, pace.model_of(source).unwrap().centroids);
+            envelope_bytes += 9 * envelope.len() as u64;
+        }
+        assert_eq!(models.bytes_sent(), envelope_bytes);
+        assert_eq!(stats.total_messages(), models.messages);
         assert_eq!(stats.kind(MessageKind::TrainingData).messages, 0);
         // Prediction is local: no DHT lookups, no prediction queries.
         assert_eq!(stats.kind(MessageKind::PredictionQuery).messages, 0);
+    }
+
+    /// An install envelope whose parts are not exactly a model frame and a
+    /// centroid frame, in that order, is not a PACE update.
+    #[test]
+    fn a_pace_install_carries_exactly_a_model_and_a_centroid_frame() {
+        let data = toy_peer_data(1, 12, 5);
+        let update = train_pace_model(&PaceConfig::default(), PeerId(0), &data[0], None).unwrap();
+        let model = wire::encode_pace_model(&update.model, update.accuracy, WeightPrecision::F64);
+        let centroids = wire::encode_centroids(&update.centroids);
+        let good = wire::encode_install(0, 1, &[&model, &centroids]);
+        let (version, decoded) = decode_pace_install(&good).unwrap();
+        assert_eq!((version, decoded.source), (1, PeerId(0)));
+        for parts in [
+            vec![&model[..]],
+            vec![&centroids[..], &model[..]],
+            vec![&model[..], &centroids[..], &centroids[..]],
+        ] {
+            assert!(decode_pace_install(&wire::encode_install(0, 1, &parts)).is_err());
+        }
+    }
+
+    /// One propagation over n peers is n − 1 frames (one per receiver, not
+    /// a model frame and a centroid frame each), and those frames are the
+    /// envelope a [`crate::sansio::PaceCore`] sends for the same update.
+    /// The simulator keeps no frame, so its copies are compared by their
+    /// bytes, after enough corrections that the version varint takes two.
+    #[test]
+    fn one_update_is_one_frame_per_receiver_and_the_cores_envelope() {
+        use crate::sansio::{Output, PaceCore};
+        let n = 10;
+        let data = toy_peer_data(n, 10, 2);
+        let mut net = network(n);
+        let mut pace = Pace::new(PaceConfig::default());
+        pace.train(&mut net, &data).unwrap();
+        let peer = PeerId(4);
+        let peers: Vec<PeerId> = (0..n as u64).map(PeerId).collect();
+        let mut core = PaceCore::new(peer, peers, PaceConfig::default());
+        core.train(0, &data[peer.index()]);
+        // Versions 2..=129 of the peer's model, one correction each.
+        let mut frames = Vec::new();
+        let (mut msgs, mut bytes) = (0, 0);
+        for i in 0..128u32 {
+            let x = SparseVector::from_pairs([(0, 1.1), (3 + i % 4, 0.4)]);
+            let example = MultiLabelExample::new(x, [1 + i % 2]);
+            (msgs, bytes) = (net.stats().total_messages(), net.stats().total_bytes());
+            pace.refine(&mut net, peer, &example).unwrap();
+            let mut correction = MultiLabelDataset::new();
+            correction.push(example);
+            frames = core
+                .train(0, &correction)
+                .into_iter()
+                .filter_map(|out| match out {
+                    Output::Emit { frame, .. } => Some(frame),
+                    _ => None,
+                })
+                .collect();
+        }
+        assert_eq!(net.stats().total_messages() - msgs, n as u64 - 1);
+        assert_eq!(
+            net.stats().kind(MessageKind::RefinementUpdate).messages,
+            128 * (n as u64 - 1)
+        );
+        assert_eq!(frames.len(), n - 1);
+        let envelope = held_envelope(&pace, peer, 129);
+        assert!(frames.iter().all(|f| *f == envelope));
+        assert_eq!(
+            net.stats().total_bytes() - bytes,
+            (n as u64 - 1) * envelope.len() as u64
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`ReliableLink`] is the send path every protocol routes its frames
 //! through. With [`ReliabilityConfig`] unset (the default) it is a strict
 //! passthrough to [`P2PNetwork::send_frame`] (one copy) and
-//! [`P2PNetwork::broadcast_frames`] (one copy per peer) — same bytes charged,
+//! [`P2PNetwork::broadcast_frames`] (one copy of one frame per peer) — same bytes charged,
 //! same RNG stream, bit-identical to the pre-reliability send path. With it
 //! set, each frame travels as a sequence-numbered, checksummed
 //! [`crate::wire::PayloadKind::Reliable`] wrapper:
@@ -96,7 +96,7 @@ impl SendOutcome {
     }
 }
 
-/// One payload of a [`ReliableLink::broadcast`]: an encoded frame, sent to
+/// The payload of a [`ReliableLink::broadcast`]: an encoded frame, sent to
 /// each receiver as [`ReliableLink::deliver_frame`] would send it.
 #[derive(Clone, Copy)]
 pub struct Outgoing<'a> {
@@ -107,12 +107,6 @@ pub struct Outgoing<'a> {
     /// The receiver's strict decoder, consulted only for a copy that was
     /// damaged in transit.
     pub validate: &'a dyn Fn(&[u8]) -> bool,
-}
-
-impl<'a> Outgoing<'a> {
-    fn on_the_wire(self) -> (MessageKind, Payload<'a>) {
-        (self.kind, Payload::Frame(self.frame))
-    }
 }
 
 /// Virtual-ms delay charged before retransmit `attempt` (1-based):
@@ -223,40 +217,36 @@ impl ReliableLink {
         received
     }
 
-    /// Sends every payload of `parts` from `from` to every other peer,
-    /// receiver-major, and hands `on_receiver` each receiver's outcomes in
-    /// `parts` order — [`Self::deliver_frame`] for each `(receiver, part)`,
+    /// Sends `part` from `from` to every other peer and hands `on_receiver`
+    /// each receiver's outcome — [`Self::deliver_frame`] for each receiver,
     /// with identical [`LinkStats`] and network statistics.
     ///
     /// A passthrough link puts the whole fan-out through
     /// [`P2PNetwork::broadcast_frames`], which charges what does not depend
-    /// on the receiver once per part. With reliability configured every
-    /// receiver gets its own sequence-numbered wrapper, so the frames differ
-    /// per receiver and each goes out through [`Self::send_frame`].
-    pub fn broadcast<const N: usize>(
+    /// on the receiver once. With reliability configured every receiver gets
+    /// its own sequence-numbered wrapper, so the frames differ per receiver
+    /// and each goes out through [`Self::send_frame`].
+    pub fn broadcast(
         &mut self,
         net: &mut P2PNetwork,
         from: PeerId,
-        parts: [Outgoing<'_>; N],
-        mut on_receiver: impl FnMut(PeerId, [SendOutcome; N]),
+        part: Outgoing<'_>,
+        mut on_receiver: impl FnMut(PeerId, SendOutcome),
     ) {
         if self.reliability.is_none() {
-            net.broadcast_frames(from, parts.map(Outgoing::on_the_wire), |to, sent| {
-                let mut sent = sent.into_iter();
-                let outcomes = parts.map(|part| {
-                    let copy = sent.next().expect("one result per part");
-                    let copy = copy.map(|delivery| delivery.corrupted);
-                    SendOutcome::of(&self.settle(part.frame, copy, part.validate))
-                });
-                on_receiver(to, outcomes);
+            let payload = Payload::Frame(part.frame);
+            net.broadcast_frames(from, part.kind, payload, |to, sent| {
+                let copy = sent.map(|delivery| delivery.corrupted);
+                on_receiver(
+                    to,
+                    SendOutcome::of(&self.settle(part.frame, copy, part.validate)),
+                );
             });
             return;
         }
         for to in net.peers().filter(|&to| to != from) {
-            let outcomes = parts.map(|part| {
-                self.deliver_frame(net, from, to, part.kind, part.frame, part.validate)
-            });
-            on_receiver(to, outcomes);
+            let outcome = self.deliver_frame(net, from, to, part.kind, part.frame, part.validate);
+            on_receiver(to, outcome);
         }
     }
 
@@ -485,12 +475,12 @@ mod tests {
         link.broadcast(
             &mut net,
             PeerId(2),
-            [Outgoing {
+            Outgoing {
                 kind: MessageKind::AntiEntropy,
                 frame: &payload,
                 validate: &accepts,
-            }],
-            |_, [outcome]| decoded += u64::from(outcome == SendOutcome::Arrived),
+            },
+            |_, outcome| decoded += u64::from(outcome == SendOutcome::Arrived),
         );
         let stats = *link.stats();
         assert_eq!(stats.sends, 67);
@@ -511,75 +501,40 @@ mod tests {
         assert_eq!(net.stats().total_delivered(), stats.sends);
     }
 
-    /// `broadcast` against the per-receiver `deliver_*` loop it replaces, on
-    /// two networks built alike: same outcomes, link and network statistics.
+    /// `broadcast` against the per-receiver `deliver_frame` loop it
+    /// replaces, on two networks built alike: same outcomes, link and network
+    /// statistics.
     fn assert_broadcast_matches_deliver_loop(reliability: Option<ReliabilityConfig>, seed: u64) {
         let mut batched_net = net_with(0.2, 0.3, seed);
         let mut looped_net = net_with(0.2, 0.3, seed);
         let mut batched = ReliableLink::new(reliability);
         let mut looped = ReliableLink::new(reliability);
-        let model = wire::encode_digest(&[(1, 1), (2, 2), (3, 3), (4, 4)]);
-        let centroids = wire::encode_ack(77);
-        let other = wire::encode_ack(99);
-        let model_ok = |b: &[u8]| wire::decode_digest(b).is_ok();
-        let centroids_ok = |b: &[u8]| wire::decode_ack(b).is_ok();
+        let envelope = wire::encode_install(3, 1, &[&wire::encode_digest(&[(1, 1), (2, 2)])]);
+        let accepts = |b: &[u8]| wire::decode_install(b).is_ok();
         for round in 0..6u64 {
             let from = PeerId(round % 8);
             let mut got = Vec::new();
             batched.broadcast(
                 &mut batched_net,
                 from,
-                [
-                    Outgoing {
-                        kind: MessageKind::RefinementUpdate,
-                        frame: &model,
-                        validate: &model_ok,
-                    },
-                    Outgoing {
-                        kind: MessageKind::CentroidPropagation,
-                        frame: &centroids,
-                        validate: &centroids_ok,
-                    },
-                    Outgoing {
-                        kind: MessageKind::Other,
-                        frame: &other,
-                        validate: &centroids_ok,
-                    },
-                ],
-                |to, outcomes| got.push((to, outcomes)),
+                Outgoing {
+                    kind: MessageKind::RefinementUpdate,
+                    frame: &envelope,
+                    validate: &accepts,
+                },
+                |to, outcome| got.push((to, outcome)),
             );
             let mut want = Vec::new();
             for to in looped_net.peers().filter(|&to| to != from) {
-                let net = &mut looped_net;
-                want.push((
+                let outcome = looped.deliver_frame(
+                    &mut looped_net,
+                    from,
                     to,
-                    [
-                        looped.deliver_frame(
-                            net,
-                            from,
-                            to,
-                            MessageKind::RefinementUpdate,
-                            &model,
-                            model_ok,
-                        ),
-                        looped.deliver_frame(
-                            net,
-                            from,
-                            to,
-                            MessageKind::CentroidPropagation,
-                            &centroids,
-                            centroids_ok,
-                        ),
-                        looped.deliver_frame(
-                            net,
-                            from,
-                            to,
-                            MessageKind::Other,
-                            &other,
-                            centroids_ok,
-                        ),
-                    ],
-                ));
+                    MessageKind::RefinementUpdate,
+                    &envelope,
+                    accepts,
+                );
+                want.push((to, outcome));
             }
             assert_eq!(got, want, "round {round}");
             assert_eq!(batched.stats(), looped.stats(), "round {round}");

@@ -8,7 +8,9 @@
 //! over the same ensemble.
 //!
 //! Propagation ships a [`crate::wire::PayloadKind::Install`] envelope
-//! `(source, version, [model frame, centroids frame])` to every other peer.
+//! `(source, version, [model frame, centroids frame])` to every other peer —
+//! the frame the monolithic driver broadcasts too, built and read by the
+//! same `encode_pace_install` / `decode_pace_install` pair.
 //! Installs are idempotent and version-monotonic: a duplicate or stale
 //! delivery changes nothing, so any delivery interleaving converges to the
 //! same ensemble. Prediction is entirely local (PACE's defining property) —
@@ -17,13 +19,11 @@
 use super::reliable::ReliableCore;
 use super::{LocalEffect, Millis, Output, ProtocolCore};
 use crate::pace::{
-    combine_pace_votes, rank_pace_models, train_pace_model, PaceConfig, PaceModel, PaceUpdate,
+    combine_pace_votes, decode_pace_install, encode_pace_install, rank_pace_models,
+    train_pace_model, PaceConfig, PaceModel,
 };
 use crate::reliable::LinkStats;
 use crate::wire::{self, PayloadKind};
-use ml::codec::WeightPrecision;
-use ml::multilabel::OneVsAllModel;
-use ml::svm::LinearSvm;
 use ml::MultiLabelDataset;
 use p2psim::message::MessageKind;
 use p2psim::PeerId;
@@ -81,23 +81,10 @@ impl PaceCore {
         self.ensemble.iter().map(|(&s, e)| (s, e.version)).collect()
     }
 
-    /// Encodes the install envelope for one model at `version`.
-    fn install_frame(
-        &self,
-        source: PeerId,
-        version: u64,
-        model: &OneVsAllModel<LinearSvm>,
-        accuracy: f64,
-        centroids: &[SparseVector],
-    ) -> Vec<u8> {
-        let model_frame = wire::encode_pace_model(model, accuracy, WeightPrecision::F64);
-        let centroid_frame = wire::encode_centroids(centroids);
-        wire::encode_install(source.0, version, &[&model_frame, &centroid_frame])
-    }
-
-    /// The install envelope of an ensemble entry this peer holds.
+    /// The install envelope of an ensemble entry this peer holds, re-encoded
+    /// from its packed weights.
     fn held_install_frame(&self, entry: &Installed) -> Vec<u8> {
-        self.install_frame(
+        encode_pace_install(
             entry.model.source(),
             entry.version,
             &entry.model.warm_model(),
@@ -127,7 +114,7 @@ impl PaceCore {
         // rest) and released before the new one is installed.
         let update = {
             let warm = self.ensemble.get(&self.id.0).map(|e| e.model.warm_model());
-            train_pace_model(&self.config, self.id, &self.local_data, warm.as_deref())
+            train_pace_model(&self.config, self.id, &self.local_data, warm.as_ref())
         };
         let Some(update) = update else {
             return out;
@@ -137,7 +124,7 @@ impl PaceCore {
             .get(&self.id.0)
             .map(|e| e.version + 1)
             .unwrap_or(1);
-        let envelope = self.install_frame(
+        let envelope = encode_pace_install(
             self.id,
             version,
             &update.model,
@@ -169,19 +156,9 @@ impl PaceCore {
 
     /// Decodes and (maybe) installs an install envelope.
     fn decode_install(&mut self, frame: &[u8]) -> Option<Output> {
-        let (source, version, parts) = wire::decode_install(frame).ok()?;
-        let [model_frame, centroid_frame] = parts.as_slice() else {
-            return None;
-        };
-        let (model, accuracy) = wire::decode_pace_model(model_frame).ok()?;
-        let centroids = wire::decode_centroids(centroid_frame).ok()?;
-        let model = PaceModel::assemble(PaceUpdate {
-            source: PeerId(source),
-            model,
-            centroids,
-            accuracy,
-        });
-        self.install(source, version, model)
+        let (version, update) = decode_pace_install(frame).ok()?;
+        let source = update.source.0;
+        self.install(source, version, PaceModel::assemble(update))
     }
 
     /// Starts a (purely local) prediction: ranks the ensemble by centroid
@@ -263,5 +240,72 @@ impl ProtocolCore for PaceCore {
         let mut out = Vec::new();
         self.link.poll_timers(now, &mut out);
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ml::MultiLabelExample;
+
+    fn peer_data(offset: f64) -> MultiLabelDataset {
+        let mut ds = MultiLabelDataset::new();
+        for i in 0..12 {
+            let s = offset + 0.05 * i as f64;
+            let (pairs, tags): (Vec<(u32, f64)>, Vec<u32>) = match i % 3 {
+                0 => (vec![(0, s), (5, 0.2)], vec![1]),
+                1 => (vec![(1, s), (4, 0.3)], vec![2]),
+                _ => (vec![(0, s), (1, s), (7, 0.1)], vec![1, 2]),
+            };
+            ds.push(MultiLabelExample::new(
+                SparseVector::from_pairs(pairs),
+                tags,
+            ));
+        }
+        ds
+    }
+
+    fn emitted(out: Vec<Output>) -> Vec<Vec<u8>> {
+        out.into_iter()
+            .filter_map(|o| match o {
+                Output::Emit { frame, .. } => Some(frame),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A core keeps only the packed weights of what it installed, yet its
+    /// anti-entropy re-send is the envelope of the model decoded off the
+    /// wire (what a core that kept the per-tag classifiers re-encoded), and
+    /// that is the envelope first sent, byte for byte.
+    #[test]
+    fn an_anti_entropy_resend_encodes_the_decoded_model() {
+        let peers: Vec<PeerId> = (0..3).map(PeerId).collect();
+        let config = PaceConfig::default();
+        let mut source = PaceCore::new(PeerId(0), peers.clone(), config.clone());
+        let mut holder = PaceCore::new(PeerId(1), peers.clone(), config.clone());
+        let mut rejoiner = PaceCore::new(PeerId(2), peers, config);
+        let sent = emitted(source.train(0, &peer_data(1.0)));
+        let warm = emitted(source.train(0, &peer_data(0.8)));
+        let envelope = warm.into_iter().next().expect("the refit propagates");
+        assert_eq!(sent.len(), 2);
+        holder.ingest(0, PeerId(0), &sent[0]);
+        holder.ingest(0, PeerId(0), &envelope);
+        assert_eq!(holder.installed_versions(), vec![(0, 2)]);
+
+        let (version, decoded) = decode_pace_install(&envelope).unwrap();
+        assert!(decoded.model.num_tags() >= 2);
+        let want = encode_pace_install(
+            decoded.source,
+            version,
+            &decoded.model,
+            decoded.accuracy,
+            &decoded.centroids,
+        );
+        assert_eq!(want, envelope);
+
+        let digest = emitted(rejoiner.start_anti_entropy(0, PeerId(1)));
+        let resent = emitted(holder.ingest(0, PeerId(2), &digest[0]));
+        assert_eq!(resent, vec![want]);
     }
 }

@@ -1,10 +1,12 @@
 //! Protocol frame layer: every payload the four protocols put on the
 //! simulated network travels as a real byte frame built on [`ml::codec`].
 //!
-//! A frame is `magic (0xD7) | version (2) | payload kind | payload body`.
-//! Version 2 carries kernel models as a dictionary of distinct support
-//! vectors plus per-tag ids ([`ml::codec::encode_kernel_ova`]); a frame of
-//! any other version is rejected, not misread.
+//! A frame is `magic (0xD7) | version (3) | payload kind | payload body`.
+//! Version 2 began carrying kernel models as a dictionary of distinct
+//! support vectors plus per-tag ids ([`ml::codec::encode_kernel_ova`]);
+//! version 3 writes a linear model's shared support once
+//! ([`ml::codec::encode_linear_ova`]). A frame of any other version is
+//! rejected, not misread.
 //! The body encodings live in [`ml::codec`]; this module adds the framing
 //! and strict decode validation (magic/version/kind checks, no trailing
 //! bytes).
@@ -27,9 +29,10 @@ use textproc::SparseVector;
 
 /// First byte of every frame.
 pub const MAGIC: u8 = 0xD7;
-/// Wire format version: 2 since kernel one-vs-all bodies write each
-/// distinct support vector once.
-pub const VERSION: u8 = 2;
+/// Wire format version: 3 since linear one-vs-all bodies write the union of
+/// their tags' supports once (2 when kernel bodies began writing each
+/// distinct support vector once).
+pub const VERSION: u8 = 3;
 
 /// Discriminates the payload carried by a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -414,7 +417,8 @@ pub fn decode_digest(bytes: &[u8]) -> Result<Vec<(u64, u64)>, WireError> {
 
 /// Encodes a versioned install envelope: the `(source, version)` identity of
 /// a model replica plus the inner frames (already framed) that together
-/// replace it. PACE ships `[LinearModel, Centroids]`, CEMPaR `[KernelModel]`,
+/// replace it. PACE ships `[LinearModel, Centroids]` (one envelope per
+/// update under either driver), CEMPaR `[KernelModel]`,
 /// the Centralized baseline `[TrainingData]`. Carrying the version on the
 /// envelope lets sans-io cores install idempotently and version-monotonically
 /// no matter how the driver reorders or duplicates deliveries.
@@ -549,13 +553,44 @@ mod tests {
         let ds = toy_dataset();
         let model = OneVsAllTrainer::default().train_kernel(&ds, &KernelSvmTrainer::default());
         let mut bytes = encode_kernel_model(&model, WeightPrecision::F64);
-        assert_eq!(bytes[1], 2);
+        assert_eq!(bytes[1], 3);
         bytes[1] = 1;
         assert_eq!(
             decode_kernel_model(&bytes).err(),
             Some(WireError::BadVersion(1))
         );
         assert_eq!(peek_kind(&bytes), None);
+    }
+
+    #[test]
+    fn linear_and_install_frames_of_version_two_are_rejected() {
+        // Version 2 wrote each tag's index block; its linear frames, and
+        // the install envelopes carrying them, must fail the version check.
+        let ds = toy_dataset();
+        let model = OneVsAllTrainer::default().train_linear(&ds, &LinearSvmTrainer::default());
+        let mut linear = encode_pace_model(&model, 0.5, WeightPrecision::F64);
+        let centroids = encode_centroids(&[SparseVector::from_pairs([(0, 1.0)])]);
+        let mut install = encode_install(4, 1, &[&linear, &centroids]);
+        assert_eq!((linear[1], install[1]), (3, 3));
+        linear[1] = 2;
+        install[1] = 2;
+        assert_eq!(
+            decode_pace_model(&linear).err(),
+            Some(WireError::BadVersion(2))
+        );
+        assert_eq!(
+            decode_install(&install).err(),
+            Some(WireError::BadVersion(2))
+        );
+        assert_eq!((peek_kind(&linear), peek_kind(&install)), (None, None));
+        // An envelope of this version around a version-2 model frame opens,
+        // but its part does not.
+        let wrapped = encode_install(4, 1, &[&linear, &centroids]);
+        let (_, _, parts) = decode_install(&wrapped).unwrap();
+        assert_eq!(
+            decode_pace_model(&parts[0]).err(),
+            Some(WireError::BadVersion(2))
+        );
     }
 
     #[test]

@@ -69,6 +69,8 @@ fn valid_frames() -> &'static Vec<(&'static str, Vec<u8>)> {
             },
         ];
         let inner = wire::encode_query(&query);
+        let pace_model = wire::encode_pace_model(&linear, 0.9375, WeightPrecision::F64);
+        let pace_centroids = wire::encode_centroids(&centroids);
         vec![
             (
                 "pace_model",
@@ -86,6 +88,10 @@ fn valid_frames() -> &'static Vec<(&'static str, Vec<u8>)> {
             ("reliable", wire::encode_reliable(41, &inner)),
             ("ack", wire::encode_ack(7)),
             ("digest", wire::encode_digest(&[(0, 3), (5, 1), (9, 12)])),
+            (
+                "pace_install",
+                wire::encode_install(3, 2, &[&pace_model, &pace_centroids]),
+            ),
         ]
     })
 }
@@ -105,6 +111,12 @@ fn run_wire_decoders(bytes: &[u8]) -> usize {
     ok += wire::decode_reliable(bytes).is_ok() as usize;
     ok += wire::decode_ack(bytes).is_ok() as usize;
     ok += wire::decode_digest(bytes).is_ok() as usize;
+    if let Ok((_, _, parts)) = wire::decode_install(bytes) {
+        ok += 1;
+        for part in &parts {
+            ok += run_wire_decoders(part);
+        }
+    }
     ok
 }
 
@@ -311,5 +323,97 @@ fn bad_dictionary_ids_entries_and_truncations_are_rejected() {
     for cut in shell..dictionary_end {
         assert!(decode(&good[..cut]).is_err(), "cut at {cut}");
         assert!(wire::decode_kernel_model(&kernel_model_frame(&good[..cut])).is_err());
+    }
+}
+
+/// A linear one-vs-all body written by hand: a shell over tags
+/// `0..tags.len()`, a support of `support_count` entries written as a
+/// contiguous block from feature 0, then per tag its dimension, a zero
+/// bias, its mode byte, `bitmap` and an f64 value block of `values`.
+fn linear_ova_body(support_count: u64, tags: &[(u64, u8, &[u8], usize)]) -> Vec<u8> {
+    let mut body = Vec::new();
+    codec::put_f64(&mut body, 0.0); // threshold
+    codec::put_varint(&mut body, 1); // min tags
+    codec::put_varint(&mut body, tags.len() as u64);
+    if !tags.is_empty() {
+        body.extend_from_slice(&[2, 0]); // contiguous index block from tag 0
+    }
+    codec::put_varint(&mut body, support_count);
+    if support_count > 0 {
+        body.extend_from_slice(&[2, 0]); // support: features 0..support_count
+    }
+    for &(dim, mode, bitmap, values) in tags {
+        codec::put_varint(&mut body, dim);
+        codec::put_f64(&mut body, 0.0); // bias
+        body.push(mode);
+        body.extend_from_slice(bitmap);
+        body.push(0); // f64 values
+        for _ in 0..values {
+            codec::put_f64(&mut body, 1.0);
+        }
+    }
+    body
+}
+
+fn pace_model_frame(body: &[u8]) -> Vec<u8> {
+    let mut frame = vec![
+        wire::MAGIC,
+        wire::VERSION,
+        wire::PayloadKind::LinearModel as u8,
+    ];
+    codec::put_f64(&mut frame, 0.5); // accuracy
+    frame.extend_from_slice(body);
+    frame
+}
+
+/// The shared-support layout's own failure modes: a mode byte that is
+/// neither 0 nor 1, a bitmap cut short, a support count the frame cannot
+/// hold (which would reserve ≈ 2^62 indices if trusted), and a support
+/// index at or past a tag's dimension are errors in the codec and in the
+/// wire frame, never a model.
+#[test]
+fn bad_support_modes_bitmaps_counts_and_indices_are_rejected() {
+    let decode = |body: &[u8]| codec::decode_linear_ova(&mut ByteReader::new(body));
+
+    // The hand-written layout is the encoder's: the whole support, then a
+    // bitmap holding features 1 and 9 of 0..12.
+    let good = linear_ova_body(12, &[(12, 0, &[], 12), (12, 1, &[0b10, 0b10], 2)]);
+    let model = decode(&good).expect("a well-formed body decodes");
+    assert_eq!(model.classifier(1).unwrap().indices(), &[1, 9]);
+    assert!(wire::decode_pace_model(&pace_model_frame(&good)).is_ok());
+
+    let bad_mode = linear_ova_body(12, &[(12, 7, &[], 12)]);
+    // One of the two bitmap bytes, then the end of the body.
+    let mut short_bitmap = linear_ova_body(12, &[(12, 0, &[], 12), (12, 1, &[0b10], 0)]);
+    short_bitmap.pop(); // the value block's precision byte
+    let huge_support = linear_ova_body(u64::MAX >> 2, &[(12, 0, &[], 3)]);
+    let past_dim = linear_ova_body(12, &[(11, 0, &[], 12)]);
+    let past_dim_bitmap = linear_ova_body(12, &[(12, 0, &[], 12), (11, 1, &[0, 0b1000], 1)]);
+    for (body, what) in [
+        (
+            &bad_mode,
+            Some(codec::CodecError::Invalid("unknown support mode")),
+        ),
+        (&short_bitmap, Some(codec::CodecError::Truncated)),
+        (
+            &huge_support,
+            Some(codec::CodecError::Invalid("count exceeds payload size")),
+        ),
+        (
+            &past_dim,
+            Some(codec::CodecError::Invalid("weight index out of range")),
+        ),
+        (
+            &past_dim_bitmap,
+            Some(codec::CodecError::Invalid("weight index out of range")),
+        ),
+    ] {
+        assert_eq!(decode(body).err(), what, "{what:?}");
+        assert!(wire::decode_pace_model(&pace_model_frame(body)).is_err());
+    }
+    // Every cut of the good body fails cleanly, in the codec and framed.
+    for cut in 0..good.len() {
+        assert!(decode(&good[..cut]).is_err(), "cut at {cut}");
+        assert!(wire::decode_pace_model(&pace_model_frame(&good[..cut])).is_err());
     }
 }

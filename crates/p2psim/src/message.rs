@@ -14,10 +14,9 @@ pub enum MessageKind {
     OverlayMaintenance,
     /// DHT lookup / routing hops.
     DhtLookup,
-    /// Propagation of a trained model (support vectors or weight vector).
+    /// Propagation of a trained model (support vectors, or PACE's weight
+    /// vectors and cluster centroids in one install envelope).
     ModelPropagation,
-    /// Propagation of cluster centroids (PACE).
-    CentroidPropagation,
     /// Raw training-data transfer (only the Centralized baseline does this).
     TrainingData,
     /// An untagged document vector sent for prediction (CEMPaR query).
@@ -42,7 +41,6 @@ impl MessageKind {
             MessageKind::OverlayMaintenance => "overlay-maintenance",
             MessageKind::DhtLookup => "dht-lookup",
             MessageKind::ModelPropagation => "model-propagation",
-            MessageKind::CentroidPropagation => "centroid-propagation",
             MessageKind::TrainingData => "training-data",
             MessageKind::PredictionQuery => "prediction-query",
             MessageKind::PredictionResponse => "prediction-response",
@@ -59,7 +57,6 @@ impl MessageKind {
             MessageKind::OverlayMaintenance,
             MessageKind::DhtLookup,
             MessageKind::ModelPropagation,
-            MessageKind::CentroidPropagation,
             MessageKind::TrainingData,
             MessageKind::PredictionQuery,
             MessageKind::PredictionResponse,

@@ -70,7 +70,7 @@ pub struct FrameDelivery {
     pub corrupted: Option<Vec<u8>>,
 }
 
-/// What one message of a [`P2PNetwork::broadcast_frames`] call carries.
+/// What each copy of a [`P2PNetwork::broadcast_frames`] call carries.
 #[derive(Debug, Clone, Copy)]
 pub enum Payload<'a> {
     /// An encoded frame, as [`P2PNetwork::send_frame`] moves it: charged at
@@ -397,23 +397,23 @@ impl P2PNetwork {
         FrameDelivery { latency, corrupted }
     }
 
-    /// Sends every payload of `frames` from `from` to every other peer,
-    /// receiver-major (all of them to peer 0, then to peer 1, …), and hands
-    /// `on_receiver` each receiver's results in `frames` order.
+    /// Sends one copy of `payload` from `from` to every other peer, in
+    /// receiver order, and hands `on_receiver` each receiver's result.
     ///
     /// Outcomes, statistics and fault-stream draws are exactly those of the
     /// equivalent loop of [`Self::send_frame`] / [`Self::send`] calls —
     /// offline receivers and fault drops are charged to the sender, and a
     /// sender that is itself offline charges nothing and fails every copy —
-    /// but what does not depend on the receiver is done once per frame
-    /// instead of once per copy: the sender's online check, the transmission
-    /// delay, and the by-kind and sender-side charges, which are tallied and
-    /// flushed into [`SimStats`] when the walk ends.
-    pub fn broadcast_frames<const N: usize>(
+    /// but what does not depend on the receiver is done once instead of once
+    /// per copy: the sender's online check, the transmission delay, and the
+    /// by-kind and sender-side charges, which are tallied and flushed into
+    /// [`SimStats`] when the walk ends.
+    pub fn broadcast_frames(
         &mut self,
         from: PeerId,
-        frames: [(MessageKind, Payload<'_>); N],
-        mut on_receiver: impl FnMut(PeerId, [Result<FrameDelivery, DeliveryError>; N]),
+        kind: MessageKind,
+        payload: Payload<'_>,
+        mut on_receiver: impl FnMut(PeerId, Result<FrameDelivery, DeliveryError>),
     ) {
         // Index walk + O(1) bit tests: no target list is materialized even
         // when 10k peers are online.
@@ -422,51 +422,31 @@ impl P2PNetwork {
             .filter(|&to| to != from);
         if !self.is_online(from) {
             for to in receivers {
-                on_receiver(
-                    to,
-                    std::array::from_fn(|_| Err(DeliveryError::SenderOffline)),
-                );
+                on_receiver(to, Err(DeliveryError::SenderOffline));
             }
             return;
         }
-        let transmission =
-            frames.map(|(_, payload)| self.physical.transmission_delay(payload.len()));
-        let mut delivered = [0u64; N];
-        let mut dropped = [0u64; N];
+        let size_bytes = payload.len();
+        let transmission = self.physical.transmission_delay(size_bytes);
+        let (mut delivered, mut dropped) = (0u64, 0u64);
         for to in receivers {
-            // The pair's propagation latency, worked out for the first copy
-            // that gets through (an offline receiver never needs it).
-            let mut propagation = None;
-            let (mut bytes, mut deliveries, mut latency_sum) = (0u64, 0u64, SimTime::ZERO);
-            let results = std::array::from_fn(|i| {
-                let payload = frames[i].1;
-                match self.adjudicate(from, to) {
-                    Ok(extra) => {
-                        let propagation =
-                            *propagation.get_or_insert_with(|| self.physical.latency(from, to));
-                        let latency = propagation + transmission[i] + extra;
-                        delivered[i] += 1;
-                        bytes += payload.len() as u64;
-                        deliveries += 1;
-                        latency_sum += latency;
-                        Ok(self.in_transit(payload, latency))
-                    }
-                    Err(e) => {
-                        dropped[i] += 1;
-                        Err(e)
-                    }
+            let result = match self.adjudicate(from, to) {
+                Ok(extra) => {
+                    let latency = self.physical.latency(from, to) + transmission + extra;
+                    delivered += 1;
+                    self.stats
+                        .record_received(to, size_bytes as u64, 1, latency);
+                    Ok(self.in_transit(payload, latency))
                 }
-            });
-            if deliveries > 0 {
-                self.stats
-                    .record_received(to, bytes, deliveries, latency_sum);
-            }
-            on_receiver(to, results);
+                Err(e) => {
+                    dropped += 1;
+                    Err(e)
+                }
+            };
+            on_receiver(to, result);
         }
-        for (i, (kind, payload)) in frames.into_iter().enumerate() {
-            self.stats
-                .record_sent(from, kind, payload.len(), delivered[i], dropped[i]);
-        }
+        self.stats
+            .record_sent(from, kind, size_bytes, delivered, dropped);
     }
 
     /// Routes `key` through the overlay starting at `from`, charging one small
@@ -536,13 +516,13 @@ impl P2PNetwork {
     }
 
     /// Sends `size_bytes` of `kind` from `from` to every other peer — a
-    /// one-payload [`Self::broadcast_frames`], so it charges exactly like a
+    /// size-only [`Self::broadcast_frames`], so it charges exactly like a
     /// loop of [`Self::send`] over all other peers: an offline receiver is a
     /// drop paid for by the sender, as in every protocol's own send loop.
     /// Returns the number of peers actually reached.
     pub fn broadcast(&mut self, from: PeerId, kind: MessageKind, size_bytes: usize) -> usize {
         let mut reached = 0;
-        self.broadcast_frames(from, [(kind, Payload::Sized(size_bytes))], |_, [sent]| {
+        self.broadcast_frames(from, kind, Payload::Sized(size_bytes), |_, sent| {
             reached += usize::from(sent.is_ok());
         });
         reached
@@ -621,7 +601,7 @@ mod tests {
     #[test]
     fn broadcast_reaches_all_other_online_peers() {
         let mut net = small_network(16);
-        let reached = net.broadcast(PeerId(0), MessageKind::CentroidPropagation, 100);
+        let reached = net.broadcast(PeerId(0), MessageKind::ModelPropagation, 100);
         assert_eq!(reached, 15);
         assert_eq!(net.stats().total_bytes(), 1_500);
     }
@@ -666,31 +646,36 @@ mod tests {
             .find(|&p| batched.is_online(p) == from_online)
             .expect("churn leaves peers on both sides");
         let model = vec![0xA5u8; 300];
-        let centroids = vec![0x5Au8; 40];
         // Several rounds, so the tallies flush onto non-empty statistics and
-        // a partition window opens part-way through.
+        // a partition window opens part-way through. Each round walks a
+        // frame, then a bare size.
         for round in 0..4 {
             let mut got = Vec::new();
             batched.broadcast_frames(
                 from,
-                [
-                    (MessageKind::ModelPropagation, Payload::Frame(&model)),
-                    (MessageKind::CentroidPropagation, Payload::Frame(&centroids)),
-                    (MessageKind::ModelPropagation, Payload::Sized(77)),
-                ],
-                |to, [a, b, c]| got.push((to, outcome(a), outcome(b), outcome(c))),
+                MessageKind::ModelPropagation,
+                Payload::Frame(&model),
+                |to, sent| got.push((to, outcome(sent))),
+            );
+            batched.broadcast_frames(
+                from,
+                MessageKind::RefinementUpdate,
+                Payload::Sized(77),
+                |to, sent| got.push((to, outcome(sent))),
             );
             let mut want = Vec::new();
             for to in looped.peers().filter(|&to| to != from) {
-                let a = looped.send_frame(from, to, MessageKind::ModelPropagation, &model);
-                let b = looped.send_frame(from, to, MessageKind::CentroidPropagation, &centroids);
-                let c = looped
-                    .send(from, to, MessageKind::ModelPropagation, 77)
+                let sent = looped.send_frame(from, to, MessageKind::ModelPropagation, &model);
+                want.push((to, outcome(sent)));
+            }
+            for to in looped.peers().filter(|&to| to != from) {
+                let sent = looped
+                    .send(from, to, MessageKind::RefinementUpdate, 77)
                     .map(|latency| FrameDelivery {
                         latency,
                         corrupted: None,
                     });
-                want.push((to, outcome(a), outcome(b), outcome(c)));
+                want.push((to, outcome(sent)));
             }
             assert_eq!(got, want, "round {round}");
             assert_eq!(fingerprint(&batched), fingerprint(&looped), "round {round}");
@@ -739,8 +724,9 @@ mod tests {
         let frame = [7u8; 120];
         batched.broadcast_frames(
             PeerId(3),
-            [(MessageKind::RefinementUpdate, Payload::Frame(&frame))],
-            |_, [sent]| assert!(sent.is_ok_and(|d| d.corrupted.is_none())),
+            MessageKind::RefinementUpdate,
+            Payload::Frame(&frame),
+            |_, sent| assert!(sent.is_ok_and(|d| d.corrupted.is_none())),
         );
         for to in looped.peers().filter(|&to| to != PeerId(3)) {
             looped
@@ -770,7 +756,8 @@ mod tests {
         for _ in 0..4 {
             net.broadcast_frames(
                 from,
-                [(MessageKind::Other, Payload::Frame(&[1u8; 64]))],
+                MessageKind::Other,
+                Payload::Frame(&[1u8; 64]),
                 |_, _| {},
             );
             net.advance(SimTime::from_secs(20));
@@ -789,11 +776,11 @@ mod tests {
         let mut batched = churned_network(crate::faults::FaultPlan::default());
         let mut looped = churned_network(crate::faults::FaultPlan::default());
         let from = batched.online_peers().next().unwrap();
-        let reached = batched.broadcast(from, MessageKind::CentroidPropagation, 100);
+        let reached = batched.broadcast(from, MessageKind::ModelPropagation, 100);
         let mut want = 0;
         for to in looped.peers().filter(|&to| to != from) {
             if looped
-                .send(from, to, MessageKind::CentroidPropagation, 100)
+                .send(from, to, MessageKind::ModelPropagation, 100)
                 .is_ok()
             {
                 want += 1;
@@ -803,7 +790,7 @@ mod tests {
         assert_eq!(reached, batched.num_online() - 1);
         assert_eq!(fingerprint(&batched), fingerprint(&looped));
         // Offline receivers are drops the sender paid for, not skipped.
-        let k = batched.stats().kind(MessageKind::CentroidPropagation);
+        let k = batched.stats().kind(MessageKind::ModelPropagation);
         assert_eq!(k.messages, 47);
         assert_eq!(k.dropped as usize, 47 - reached);
         assert_eq!(batched.stats().bytes_sent_by(from), 4_700);

@@ -6,8 +6,8 @@ fn propagate(net: &mut Network, link: &mut ReliableLink, from: PeerId, to: PeerI
     // The wildcard binding throws the Result away.
     let _ = net.send(from, to, MessageKind::ModelPropagation, frame.len());
     // So does a statement-level `.ok()`.
-    net.send_frame(from, to, MessageKind::CentroidPropagation, frame)
+    net.send_frame(from, to, MessageKind::RefinementUpdate, frame)
         .ok();
     // The reliable link's sends are Results too.
-    let _ = link.send_sized(net, from, to, MessageKind::AntiEntropy, frame.len());
+    let _ = link.send_frame(net, from, to, MessageKind::AntiEntropy, frame, |_| true);
 }

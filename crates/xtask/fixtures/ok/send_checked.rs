@@ -12,14 +12,14 @@ fn propagate(
     net.send(from, to, MessageKind::ModelPropagation, frame.len())?;
     // Consumed: the error arm feeds a loss counter.
     if net
-        .send_frame(from, to, MessageKind::CentroidPropagation, frame)
+        .send_frame(from, to, MessageKind::RefinementUpdate, frame)
         .is_err()
     {
         mark_lost(to);
     }
     // `.ok()` as an adapter (not a statement) keeps the value alive.
     let delivered = link
-        .send_sized(net, from, to, MessageKind::AntiEntropy, frame.len())
+        .send_frame(net, from, to, MessageKind::AntiEntropy, frame, |_| true)
         .ok();
     record(delivered);
     // A reasoned allow is the audited escape hatch.

@@ -7,7 +7,7 @@ fn propagate(net: &mut Network, from: PeerId, to: PeerId, model: &Model) -> Resu
     net.send(from, to, MessageKind::ModelPropagation, frame.len() as u64)?;
     let estimate = model.wire_size();
     if net
-        .send(from, to, MessageKind::CentroidPropagation, estimate)
+        .send(from, to, MessageKind::RefinementUpdate, estimate)
         .is_err()
     {
         mark_lost(to);

@@ -701,7 +701,7 @@ pub fn lint_source(path: &str, source: &str) -> (Vec<Diagnostic>, Vec<UnsafeSite
 
     // --- send-unchecked --------------------------------------------------
     if wire_rule_applies(path) {
-        const SEND_METHODS: &[&str] = &["send", "send_frame", "send_sized"];
+        const SEND_METHODS: &[&str] = &["send", "send_frame"];
         let is_send_at = |i: usize| -> bool {
             toks[i].kind == TokKind::Ident
                 && SEND_METHODS.contains(&toks[i].text.as_str())
@@ -1025,7 +1025,7 @@ mod tests {
         let good = "fn f(net: &mut N) -> Result<(), E> {\n\
                     \x20   net.send(a, b, k, frame.len())?;\n\
                     \x20   if net.send_frame(a, b, k, &frame).is_err() { lost += 1; }\n\
-                    \x20   let got = link.send_sized(net, a, b, k, n).ok();\n\
+                    \x20   let got = link.send_frame(net, a, b, k, &frame, accepts).ok();\n\
                     \x20   use_it(got);\n\
                     \x20   Ok(())\n\
                     }\n";
