@@ -136,4 +136,16 @@ fn crash_restart_regime_recovers_state() {
         row.cells.iter().any(|c| c.faults.crashes > 0),
         "no crash-restart events executed"
     );
+    // The crash schedule draws from a stream of its own, so it does not
+    // depend on how much traffic a protocol sends: every protocol crashes
+    // alike.
+    let crashes: Vec<(&str, u64)> = row
+        .cells
+        .iter()
+        .map(|c| (c.protocol.as_str(), c.faults.crashes))
+        .collect();
+    assert!(
+        crashes.iter().all(|&(_, n)| n == crashes[0].1),
+        "protocols saw different crash schedules: {crashes:?}"
+    );
 }

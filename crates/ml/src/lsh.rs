@@ -11,16 +11,29 @@
 //!
 //! [`LshIndex::query`] is the scalar reference: one merge-join distance per
 //! scored entry. The batched entry points, [`LshIndex::query_batched`] and
-//! [`LshIndex::nearest_items`], share one scoring core that prices every
-//! entry in a single scatter over the query's postings, keeps a bounded
-//! top-k when it has to scan, and reads item distances (the nearest of an
-//! item's keys) from the same buffer. Both return the scalar results bit for
-//! bit.
+//! [`LshIndex::nearest_items`], share one scoring core: a single pass over
+//! the query's nonzeros both projects it onto the hyperplanes and prices
+//! every entry through the feature-indexed postings. The fallback scan
+//! guesses a threshold just above the `k`-th squared distance from a sample
+//! and sorts only what lies under it, and item distances (the nearest of an
+//! item's keys) are read from the same buffer through item slots resolved at
+//! insert time. Both return the scalar results bit for bit.
 //!
 //! To avoid materializing dense random hyperplanes over a vocabulary-sized
-//! space, hyperplane components are derived on the fly from a deterministic
-//! 64-bit mix of `(seed, bit index, feature index)`.
+//! space, hyperplane components are derived from a deterministic 64-bit mix
+//! of `(seed, bit index, feature index)`. The index caches one row of them
+//! (every band's and bit's component) per feature some key carries; a query
+//! feature no key carries is mixed on the fly. [`LshIndex::signature`]
+//! projects from scratch.
+//!
+//! Retiring an item tombstones its entries. Once the dead exceed an eighth of
+//! the live, compaction renumbers the survivors in place: postings, band
+//! tables and item slots are rewritten through one old-to-new map, so no
+//! key is projected or filed again and a query never reads more than that
+//! eighth of dead entries. A feature no live key carries any more loses its
+//! column and cached row at the same time.
 
+use crate::kernel::SCATTER_LIMIT;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -47,34 +60,140 @@ impl Default for LshConfig {
     }
 }
 
+/// Marks a feature without a column in [`LshIndex::column_of`].
+const NO_COLUMN: u32 = u32::MAX;
+
+/// One key feature's inverted postings.
+#[derive(Debug, Clone)]
+struct Column {
+    /// The feature the column belongs to.
+    feature: u32,
+    /// The entries whose key carries the feature, ascending.
+    entries: Vec<u32>,
+    /// Their values, parallel to `entries`.
+    values: Vec<f64>,
+}
+
+impl Column {
+    /// Adds the column's terms `value × qv` to `dots`, each to its entry's
+    /// sum.
+    #[inline]
+    fn scatter(&self, qv: f64, dots: &mut [f64]) {
+        for (&i, &cv) in self.entries.iter().zip(&self.values) {
+            dots[i as usize] += cv * qv;
+        }
+    }
+
+    /// Renumbers the postings through `renumbered` (old entry → new, or
+    /// `u32::MAX` for a dropped one) and drops the dead.
+    fn compact(&mut self, renumbered: &[u32]) {
+        let mut kept = 0;
+        for j in 0..self.entries.len() {
+            let new = renumbered[self.entries[j] as usize];
+            if new != u32::MAX {
+                self.entries[kept] = new;
+                self.values[kept] = self.values[j];
+                kept += 1;
+            }
+        }
+        self.entries.truncate(kept);
+        self.values.truncate(kept);
+    }
+}
+
+/// `‖key‖² + ‖query‖² − 2·key·query`, clamped at zero.
+#[inline]
+fn clamped_distance_sq(key_norm_sq: f64, q_norm_sq: f64, dot: f64) -> f64 {
+    (key_norm_sq + q_norm_sq - 2.0 * dot).max(0.0)
+}
+
+/// Entries the fallback scan samples to guess its threshold.
+const SAMPLE: usize = 256;
+
+/// The order key of a distance or squared distance: its bits without the
+/// sign. Both are never NaN and never below zero, so keys order exactly as
+/// the values do, and `-0.0` ties with `+0.0` as it does under
+/// `partial_cmp`.
+#[inline]
+fn order_key(value: f64) -> u64 {
+    value.to_bits() & (u64::MAX >> 1)
+}
+
+/// Keeps the `k` smallest of `ranked`, in ascending order. Its elements are
+/// distinct, so the `k` smallest are one set whichever way they are found.
+fn keep_first(ranked: &mut Vec<(u64, u32)>, k: usize) {
+    if ranked.len() > k {
+        ranked.select_nth_unstable(k - 1);
+        ranked.truncate(k);
+    }
+    ranked.sort_unstable();
+}
+
+/// A query's dot product with every entry, and the entry distances priced
+/// from it.
+struct Priced<'a> {
+    dots: Vec<f64>,
+    q_norm_sq: f64,
+    norms_sq: &'a [f64],
+}
+
+impl Priced<'_> {
+    /// `SparseVector::distance_sq`'s expression clamped at zero, with the
+    /// cached key norm: never NaN, since `f64::max(NaN, 0.0)` is `0.0`.
+    #[inline]
+    fn distance_sq(&self, entry: usize) -> f64 {
+        clamped_distance_sq(self.norms_sq[entry], self.q_norm_sq, self.dots[entry])
+    }
+
+    /// [`Self::distance_sq`] of every entry, in entry order.
+    fn distances_sq(&self) -> impl Iterator<Item = f64> + '_ {
+        let q_norm_sq = self.q_norm_sq;
+        (self.norms_sq.iter().zip(&self.dots))
+            .map(move |(&norm_sq, &dot)| clamped_distance_sq(norm_sq, q_norm_sq, dot))
+    }
+
+    /// `SparseVector::distance`, bit for bit.
+    #[inline]
+    fn distance(&self, entry: usize) -> f64 {
+        self.distance_sq(entry).sqrt()
+    }
+}
+
 /// An LSH index mapping sparse key vectors to items of type `T`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LshIndex<T> {
     config: LshConfig,
-    /// One hash table per band: band signature → entry indices.
-    tables: Vec<HashMap<u64, Vec<usize>>>,
+    /// One hash table per band: band signature → entry indices, ascending.
+    tables: Vec<HashMap<u64, Vec<u32>>>,
     entries: Vec<(SparseVector, T)>,
-    /// Every entry's band signatures, `num_bands` per entry in entry order.
-    /// Projecting a key through the hyperplanes is the expensive part of an
-    /// insert; keeping the result lets [`Self::compact`] re-file survivors
-    /// instead of re-projecting them.
-    signatures: Vec<u64>,
     /// Cached `‖key‖²` per entry, for the batched query path.
     norms_sq: Vec<f64>,
-    /// Inverted postings over key features: feature → `(entry, value)`.
-    /// Lets [`Self::top_entries`] compute every key dot product in one
-    /// pass over the query's nonzeros instead of one merge-join per entry.
-    postings: HashMap<u32, Vec<(u32, f64)>>,
-    /// Tombstones: `live[i] == false` hides entry `i` from every query.
-    /// Entries are append-only (hash tables and postings hold stable
-    /// indices), so replacing an item's keys retires the old entries instead
-    /// of removing them; see [`Self::retire`].
+    /// Per entry, the slot of its item in [`Self::item_entries`].
+    item_of: Vec<u32>,
+    /// Tombstones: `live[i] == false` hides entry `i` from every query until
+    /// the next compaction drops it.
     live: Vec<bool>,
     /// Number of live entries.
     num_live: usize,
-    /// The live entries of each item, so [`Self::retire`] goes straight to
-    /// them. Looked up by key only, never iterated.
-    by_item: HashMap<T, Vec<usize>>,
+    /// Feature → column, for features below [`SCATTER_LIMIT`]; grown to the
+    /// largest key feature. [`NO_COLUMN`] where no key ever carried it.
+    column_of: Vec<u32>,
+    /// Columns of key features at or past [`SCATTER_LIMIT`], which only a
+    /// hostile frame carries.
+    far_columns: HashMap<u32, u32>,
+    /// Per column, the inverted postings. Lets [`Self::top_entries`]
+    /// compute every key dot product in one pass over the query's nonzeros.
+    /// Every column has at least one entry, live or not yet compacted.
+    columns: Vec<Column>,
+    /// Per column, the feature's hyperplane components: `num_bands ×
+    /// bits_per_band` of them, band-major.
+    rows: Vec<f64>,
+    /// Per item slot, the item's live entries in ascending order.
+    item_entries: Vec<Vec<u32>>,
+    /// Slots of fully retired items, reused by the next new item.
+    free_slots: Vec<u32>,
+    /// Item → slot. Read at insert and retire only, never by a query.
+    by_item: HashMap<T, u32>,
 }
 
 impl<T: Clone + Eq + Hash> LshIndex<T> {
@@ -85,11 +204,16 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
             config,
             tables,
             entries: Vec::new(),
-            signatures: Vec::new(),
             norms_sq: Vec::new(),
-            postings: HashMap::new(),
+            item_of: Vec::new(),
             live: Vec::new(),
             num_live: 0,
+            column_of: Vec::new(),
+            far_columns: HashMap::new(),
+            columns: Vec::new(),
+            rows: Vec::new(),
+            item_entries: Vec::new(),
+            free_slots: Vec::new(),
             by_item: HashMap::new(),
         }
     }
@@ -109,33 +233,108 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
         &self.config
     }
 
-    /// Inserts an item keyed by `key`.
-    pub fn insert(&mut self, key: SparseVector, item: T) {
-        for band in 0..self.config.num_bands {
-            let sig = self.band_signature(&key, band);
-            self.signatures.push(sig);
-        }
-        let norm_sq = key.norm_sq();
-        self.file(key, item, norm_sq);
+    /// The column of `feature`, if a key not yet compacted away carries it.
+    #[inline]
+    fn column(&self, feature: u32) -> Option<usize> {
+        let column = match self.column_of.get(feature as usize) {
+            Some(&c) => c,
+            None if feature as usize >= SCATTER_LIMIT => *self.far_columns.get(&feature)?,
+            None => NO_COLUMN,
+        };
+        (column != NO_COLUMN).then_some(column as usize)
     }
 
-    /// Appends an entry whose band signatures are already the tail of
-    /// `signatures`, filing it under them in every table, in the postings
-    /// and under its item.
-    fn file(&mut self, key: SparseVector, item: T, norm_sq: f64) {
-        let idx = self.entries.len();
-        let bands = self.config.num_bands;
-        for (table, &sig) in self.tables.iter_mut().zip(&self.signatures[idx * bands..]) {
+    /// The column of `feature`, opened (with its hyperplane row) if no key
+    /// carried it before.
+    fn column_or_open(&mut self, feature: u32) -> usize {
+        if let Some(c) = self.column(feature) {
+            return c;
+        }
+        let c = self.columns.len();
+        self.columns.push(Column {
+            feature,
+            entries: Vec::new(),
+            values: Vec::new(),
+        });
+        self.rows.extend(hyperplane_row(&self.config, feature));
+        if (feature as usize) < SCATTER_LIMIT {
+            if self.column_of.len() <= feature as usize {
+                self.column_of.resize(feature as usize + 1, NO_COLUMN);
+            }
+            self.column_of[feature as usize] = c as u32;
+        } else {
+            self.far_columns.insert(feature, c as u32);
+        }
+        c
+    }
+
+    /// Projects `v` onto every hyperplane in one pass over its nonzeros and
+    /// returns its band signatures, handing each nonzero that has a column
+    /// to `on_column` on the way.
+    ///
+    /// Each projection adds the same `component × value` terms in the same
+    /// ascending-feature order as [`Self::signature`]'s; the two sums can
+    /// differ only in the sign of a zero, which `≥ 0.0` does not read, so
+    /// the bits are exact. Features without a row are mixed on the fly.
+    fn project_all(&self, v: &SparseVector, mut on_column: impl FnMut(usize, f64)) -> Vec<u64> {
+        let bits = self.config.bits_per_band;
+        let width = self.config.num_bands * bits;
+        let mut sums = vec![0.0f64; width];
+        let mut unseen = Vec::new();
+        for (feature, value) in v.iter() {
+            let row = match self.column(feature) {
+                Some(c) => {
+                    on_column(c, value);
+                    &self.rows[c * width..(c + 1) * width]
+                }
+                None => {
+                    unseen.clear();
+                    unseen.extend(hyperplane_row(&self.config, feature));
+                    &unseen[..]
+                }
+            };
+            for (sum, &h) in sums.iter_mut().zip(row) {
+                *sum += h * value;
+            }
+        }
+        (0..self.config.num_bands)
+            .map(|band| {
+                sums[band * bits..(band + 1) * bits]
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &s)| s >= 0.0)
+                    .fold(0u64, |sig, (bit, _)| sig | 1 << bit)
+            })
+            .collect()
+    }
+
+    /// Inserts an item keyed by `key`.
+    pub fn insert(&mut self, key: SparseVector, item: T) {
+        let idx = self.entries.len() as u32;
+        for (feature, value) in key.iter() {
+            let c = self.column_or_open(feature);
+            let column = &mut self.columns[c];
+            column.entries.push(idx);
+            column.values.push(value);
+        }
+        let signatures = self.project_all(&key, |_, _| {});
+        for (table, sig) in self.tables.iter_mut().zip(signatures) {
             table.entry(sig).or_default().push(idx);
         }
-        self.norms_sq.push(norm_sq);
-        for (feature, value) in key.iter() {
-            self.postings
-                .entry(feature)
-                .or_default()
-                .push((idx as u32, value));
-        }
-        self.by_item.entry(item.clone()).or_default().push(idx);
+        self.norms_sq.push(key.norm_sq());
+        let slot = match self.by_item.get(&item) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.free_slots.pop().unwrap_or_else(|| {
+                    self.item_entries.push(Vec::new());
+                    self.item_entries.len() as u32 - 1
+                });
+                self.by_item.insert(item.clone(), slot);
+                slot
+            }
+        };
+        self.item_entries[slot as usize].push(idx);
+        self.item_of.push(slot);
         self.entries.push((key, item));
         self.live.push(true);
         self.num_live += 1;
@@ -146,63 +345,123 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
     /// keys changed is replaced: retire the old entries, insert the new
     /// ones. Returns the number of entries retired.
     ///
-    /// When tombstones start to dominate, the index compacts itself (live
-    /// entries are re-filed in their original relative order), so a
+    /// Once the dead entries exceed an eighth of the live ones, the index
+    /// compacts itself in place (survivors keep their relative order), so a
     /// long-running stream of replacements keeps query cost proportional to
     /// the *live* entry count, not the all-time insert count.
     pub fn retire(&mut self, item: &T) -> usize {
-        let retired = self.by_item.remove(item).unwrap_or_default();
+        let Some(slot) = self.by_item.remove(item) else {
+            return 0;
+        };
+        let retired = std::mem::take(&mut self.item_entries[slot as usize]);
+        self.free_slots.push(slot);
         for &idx in &retired {
-            self.live[idx] = false;
+            self.live[idx as usize] = false;
         }
         self.num_live -= retired.len();
         let dead = self.entries.len() - self.num_live;
-        if dead > self.num_live.max(16) {
+        if dead > self.num_live / 8 {
             self.compact();
         }
         retired.len()
     }
 
-    /// Rebuilds the index from its live entries only, dropping tombstones
-    /// from the hash tables, postings and entry store. Live entries keep
-    /// their relative order, so query tie-breaking is unchanged, and their
-    /// stored signatures and norms, so nothing is projected again.
+    /// Drops the tombstones by renumbering the live entries in place: one
+    /// old-to-new map rewrites the postings, the band tables and the item
+    /// slots, and the per-entry stores keep their live rows. Live entries
+    /// keep their relative order, so every list stays ascending and query
+    /// tie-breaking is unchanged; nothing is projected or filed again. The
+    /// columns left without postings are dropped with their rows.
     fn compact(&mut self) {
-        let old_entries = std::mem::take(&mut self.entries);
-        let old_signatures = std::mem::take(&mut self.signatures);
-        let old_norms_sq = std::mem::take(&mut self.norms_sq);
-        let old_live = std::mem::take(&mut self.live);
-        self.tables.iter_mut().for_each(HashMap::clear);
-        self.postings.clear();
-        self.by_item.clear();
-        self.num_live = 0;
-        let bands = self.config.num_bands;
-        for (i, (key, item)) in old_entries.into_iter().enumerate() {
-            if old_live[i] {
-                self.signatures
-                    .extend_from_slice(&old_signatures[i * bands..(i + 1) * bands]);
-                self.file(key, item, old_norms_sq[i]);
+        let mut renumbered = vec![u32::MAX; self.entries.len()];
+        let mut next = 0u32;
+        for (new, &live) in renumbered.iter_mut().zip(&self.live) {
+            if live {
+                *new = next;
+                next += 1;
             }
         }
+        let renumber = |idx: &mut u32| {
+            *idx = renumbered[*idx as usize];
+            *idx != u32::MAX
+        };
+        for column in &mut self.columns {
+            column.compact(&renumbered);
+        }
+        self.drop_empty_columns();
+        for table in &mut self.tables {
+            table.retain(|_, list| {
+                list.retain_mut(renumber);
+                !list.is_empty()
+            });
+        }
+        for list in &mut self.item_entries {
+            list.retain_mut(renumber);
+        }
+        let live = std::mem::take(&mut self.live);
+        let mut keep = live.iter().copied();
+        self.entries.retain(|_| keep.next() == Some(true));
+        let mut keep = live.iter().copied();
+        self.norms_sq.retain(|_| keep.next() == Some(true));
+        let mut keep = live.iter().copied();
+        self.item_of.retain(|_| keep.next() == Some(true));
+        self.live = vec![true; self.num_live];
+    }
+
+    /// Drops the columns without postings, with their hyperplane rows and
+    /// their features' lookups, and renumbers the rest in order.
+    fn drop_empty_columns(&mut self) {
+        let width = self.config.num_bands * self.config.bits_per_band;
+        let mut kept = 0;
+        for c in 0..self.columns.len() {
+            let feature = self.columns[c].feature;
+            let new = if self.columns[c].entries.is_empty() {
+                NO_COLUMN
+            } else {
+                self.columns.swap(kept, c);
+                self.rows
+                    .copy_within(c * width..(c + 1) * width, kept * width);
+                kept += 1;
+                kept as u32 - 1
+            };
+            if (feature as usize) < SCATTER_LIMIT {
+                self.column_of[feature as usize] = new;
+            } else if new == NO_COLUMN {
+                self.far_columns.remove(&feature);
+            } else {
+                self.far_columns.insert(feature, new);
+            }
+        }
+        self.columns.truncate(kept);
+        self.rows.truncate(kept * width);
+    }
+
+    /// The live entries colliding with a query of band signatures
+    /// `signatures` in at least one band, in collision order: band by band,
+    /// each bucket in ascending entry order, each entry at its first
+    /// collision.
+    fn colliding(&self, signatures: &[u64]) -> Vec<usize> {
+        let mut seen = vec![0u64; self.entries.len().div_ceil(64)];
+        let mut out = Vec::new();
+        for (table, sig) in self.tables.iter().zip(signatures) {
+            let Some(list) = table.get(sig) else {
+                continue;
+            };
+            for &idx in list {
+                let (word, bit) = (idx as usize / 64, 1u64 << (idx % 64));
+                if self.live[idx as usize] && seen[word] & bit == 0 {
+                    seen[word] |= bit;
+                    out.push(idx as usize);
+                }
+            }
+        }
+        out
     }
 
     /// Returns the indices of live candidate entries colliding with `query`
     /// in at least one band.
     fn candidates(&self, query: &SparseVector) -> Vec<usize> {
-        let mut seen = vec![false; self.entries.len()];
-        let mut out = Vec::new();
-        for band in 0..self.config.num_bands {
-            let sig = self.band_signature(query, band);
-            if let Some(list) = self.tables[band].get(&sig) {
-                for &idx in list {
-                    if self.live[idx] && !seen[idx] {
-                        seen[idx] = true;
-                        out.push(idx);
-                    }
-                }
-            }
-        }
-        out
+        self.colliding(&self.project_all(query, |_, _| {}))
     }
 
     /// Returns up to `k` items nearest to `query` (by Euclidean distance of the
@@ -246,21 +505,24 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
     /// item's keys in insertion order from `+∞` with `f64::min`, reading the
     /// same dot buffer as the ranking, so the result is bit-for-bit that of
     /// de-duplicating [`Self::query`]'s hits and folding
-    /// `SparseVector::distance` over each item's keys.
+    /// `SparseVector::distance` over each item's keys. Items are told apart
+    /// by the slot each entry was given at insert, so no item is hashed.
     pub fn nearest_items(&self, query: &SparseVector, k: usize) -> Vec<(&T, f64)> {
-        let (top, distance) = self.top_entries(query, k);
-        let mut out: Vec<(&T, f64)> = Vec::new();
+        let (top, priced) = self.top_entries(query, k);
+        let mut slots: Vec<u32> = Vec::with_capacity(top.len());
+        let mut out: Vec<(&T, f64)> = Vec::with_capacity(top.len());
         for (i, _) in top {
-            let item = &self.entries[i].1;
+            let slot = self.item_of[i];
             // At most `k` items: a linear scan beats hashing them.
-            if out.iter().any(|&(seen, _)| seen == item) {
+            if slots.contains(&slot) {
                 continue;
             }
-            let d = self.by_item[item]
+            slots.push(slot);
+            let d = self.item_entries[slot as usize]
                 .iter()
-                .map(|&j| distance(j))
+                .map(|&j| priced.distance(j as usize))
                 .fold(f64::INFINITY, f64::min);
-            out.push((item, d));
+            out.push((&self.entries[i].1, d));
         }
         out
     }
@@ -269,65 +531,111 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
     /// `(entry, distance)`, chosen by [`Self::query`]'s rules, and the
     /// distance of any entry to `query`.
     ///
-    /// The dot products of the query with *every* entry are accumulated in
-    /// one pass over the query's nonzeros through the inverted postings (the
-    /// same CSR scatter the batched tag scorer uses) into one buffer sized to
-    /// the entry count. Each sum adds the same intersection terms in the same
-    /// ascending-feature order as `SparseVector::dot`, and each distance
-    /// evaluates `SparseVector::distance`'s expression with the cached key
-    /// norm, so every distance is bit-for-bit the scalar one. Distances are
-    /// never NaN (`f64::max(NaN, 0.0)` is `0.0`), so the order is total.
+    /// One pass over the query's nonzeros projects it onto the hyperplanes
+    /// and accumulates its dot products with *every* entry through the
+    /// postings (the same CSR scatter the batched tag scorer uses) into one
+    /// buffer sized to the entry count. Each sum adds the same intersection
+    /// terms in the same ascending-feature order as `SparseVector::dot`, and
+    /// each distance evaluates `SparseVector::distance`'s expression with the
+    /// cached key norm, so every distance is bit-for-bit the scalar one.
+    /// Distances are never NaN (`f64::max(NaN, 0.0)` is `0.0`), so the order
+    /// is total.
     ///
     /// When at least `k` entries collide, the colliding entries are stably
     /// sorted from their collision order, exactly as [`Self::query`] does.
-    /// Otherwise a bounded top-`k` list is filled in ascending entry order,
-    /// each entry placed after every equal one, which is what a stable sort
-    /// of all live entries keeps of its first `k`.
-    fn top_entries(
-        &self,
-        query: &SparseVector,
-        k: usize,
-    ) -> (Vec<(usize, f64)>, impl Fn(usize) -> f64 + '_) {
+    /// Otherwise [`Self::nearest_live`] keeps what a stable sort of all live
+    /// entries keeps of its first `k`.
+    fn top_entries(&self, query: &SparseVector, k: usize) -> (Vec<(usize, f64)>, Priced<'_>) {
         let mut dots = vec![0.0f64; self.entries.len()];
-        for (feature, qv) in query.iter() {
-            if let Some(column) = self.postings.get(&feature) {
-                for &(i, cv) in column {
-                    dots[i as usize] += cv * qv;
-                }
-            }
-        }
-        let q_norm_sq = query.norm_sq();
-        let distance = move |i: usize| {
-            (self.norms_sq[i] + q_norm_sq - 2.0 * dots[i])
-                .max(0.0)
-                .sqrt()
+        let signatures = self.project_all(query, |c, qv| self.columns[c].scatter(qv, &mut dots));
+        let priced = Priced {
+            dots,
+            q_norm_sq: query.norm_sq(),
+            norms_sq: &self.norms_sq,
         };
         if self.is_empty() || k == 0 {
-            return (Vec::new(), distance);
+            return (Vec::new(), priced);
         }
-        let candidates = self.candidates(query);
+        let candidates = self.colliding(&signatures);
         let top = if candidates.len() < k {
-            let mut top: Vec<(usize, f64)> = Vec::with_capacity(k.min(self.num_live) + 1);
-            for i in (0..self.entries.len()).filter(|&i| self.live[i]) {
-                let d = distance(i);
-                // Once `k` are kept, an entry no nearer than the last one
-                // would land after it and be cut.
-                if top.len() == k && d >= top[k - 1].1 {
-                    continue;
-                }
-                let at = top.partition_point(|&(_, e)| e <= d);
-                top.insert(at, (i, d));
-                top.truncate(k);
-            }
-            top
+            self.nearest_live(k, &priced)
         } else {
-            let mut scored: Vec<(usize, f64)> =
-                candidates.into_iter().map(|i| (i, distance(i))).collect();
-            scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-            scored.truncate(k);
-            scored
+            // Ranked by (distance, collision position): a stable sort.
+            let mut ranked: Vec<(u64, u32)> = (candidates.iter().enumerate())
+                .map(|(at, &i)| (order_key(priced.distance(i)), at as u32))
+                .collect();
+            keep_first(&mut ranked, k);
+            ranked
+                .into_iter()
+                .map(|(_, at)| {
+                    let i = candidates[at as usize];
+                    (i, priced.distance(i))
+                })
+                .collect()
         };
-        (top, distance)
+        (top, priced)
+    }
+
+    /// The first `k` live entries in `(distance, entry)` order — what a
+    /// stable sort of the live entries by distance keeps of its first `k` —
+    /// with their distances.
+    ///
+    /// The `k`-th distance is not discovered entry by entry. A stride sample
+    /// of the live entries' squared distances guesses a threshold a little
+    /// above the `k`-th one (the sample rank the `k`-th entry is expected
+    /// at, plus two deviations); one pass keeps the live entries at or under
+    /// it (widening the guess in the rare case that keeps fewer than `k`),
+    /// and only the first `k` of those are sorted by `(distance, entry)`.
+    /// Square roots are monotone, so a left-out entry, whose squared
+    /// distance exceeds the threshold `t²`, lies at `d ≥ t`: unless `t`
+    /// reaches the `k`-th kept distance, nothing left out can enter or tie
+    /// into the first `k`. When it does, the entries that could are added
+    /// before the cut.
+    fn nearest_live(&self, k: usize, priced: &Priced<'_>) -> Vec<(usize, f64)> {
+        const DEAD: u64 = u64::MAX;
+        let keys: Vec<u64> = (priced.distances_sq().zip(&self.live))
+            .map(|(s, &live)| if live { order_key(s) } else { DEAD })
+            .collect();
+        let mut sample: Vec<u64> = (keys.iter().step_by(keys.len().div_ceil(SAMPLE)))
+            .copied()
+            .filter(|&key| key != DEAD)
+            .collect();
+        // The sample rank of the `k`-th entry, plus twice its deviation.
+        let expected = k * sample.len() / self.num_live;
+        let mut rank = expected + 2 * (expected as f64).sqrt() as usize + 2;
+        let ranked = |i: usize| (order_key(priced.distance(i)), i as u32);
+        let (threshold, mut kept) = loop {
+            // Dead entries, keyed `DEAD`, stay above every threshold.
+            let threshold = if rank < sample.len() {
+                *sample.select_nth_unstable(rank).1
+            } else {
+                DEAD - 1
+            };
+            let kept: Vec<(u64, u32)> = (keys.iter().enumerate())
+                .filter(|&(_, &key)| key <= threshold)
+                .map(|(i, _)| ranked(i))
+                .collect();
+            if kept.len() >= k || threshold == DEAD - 1 {
+                break (threshold, kept);
+            }
+            rank = 2 * rank + 1;
+        };
+        let left_out = kept.len() < self.num_live;
+        keep_first(&mut kept, k);
+        let reachable = order_key(f64::from_bits(threshold).sqrt());
+        if left_out && reachable <= kept[k - 1].0 {
+            let cut = kept[k - 1].0;
+            kept.extend(
+                (keys.iter().enumerate())
+                    .filter(|&(_, &key)| key > threshold && key != DEAD)
+                    .map(|(i, _)| ranked(i))
+                    .filter(|&(key, _)| key <= cut),
+            );
+            keep_first(&mut kept, k);
+        }
+        kept.into_iter()
+            .map(|(_, i)| (i as usize, priced.distance(i as usize)))
+            .collect()
     }
 
     /// Exact (brute force) top-k query, for testing recall and the LSH-off
@@ -358,18 +666,34 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
 
     /// Signed projection of `v` onto the pseudo-random hyperplane `(band, bit)`.
     fn project(&self, v: &SparseVector, band: usize, bit: usize) -> f64 {
-        let plane_id = (band as u64) << 32 | bit as u64;
         v.iter()
-            .map(|(idx, val)| hyperplane_component(self.config.seed, plane_id, idx) * val)
+            .map(|(idx, val)| {
+                hyperplane_component(self.config.seed, plane_id(band, bit), idx) * val
+            })
             .sum()
     }
 
-    /// Full signature of a vector across all bands (useful for diagnostics).
+    /// Full signature of a vector across all bands, projected from scratch
+    /// without the cached rows (useful for diagnostics, and the reference
+    /// the indexed signatures are tested against).
     pub fn signature(&self, v: &SparseVector) -> Vec<u64> {
         (0..self.config.num_bands)
             .map(|b| self.band_signature(v, b))
             .collect()
     }
+}
+
+/// The id of hyperplane `(band, bit)` in the component mix.
+fn plane_id(band: usize, bit: usize) -> u64 {
+    (band as u64) << 32 | bit as u64
+}
+
+/// `feature`'s component on every hyperplane of `config`, band-major: the
+/// row [`LshIndex`] caches per key feature.
+fn hyperplane_row(config: &LshConfig, feature: u32) -> impl Iterator<Item = f64> {
+    let (seed, bits) = (config.seed, config.bits_per_band);
+    (0..config.num_bands * bits)
+        .map(move |j| hyperplane_component(seed, plane_id(j / bits, j % bits), feature))
 }
 
 /// Deterministic pseudo-random hyperplane component in [-1, 1], derived from
@@ -484,17 +808,63 @@ mod tests {
             idx.insert(SparseVector::from_pairs([(0, 0.1 * round as f64)]), 0);
         }
         assert_eq!(idx.len(), 8);
-        // Compaction bounds the backing store: dead entries never exceed the
-        // live count by more than the compaction slack.
-        assert!(
-            idx.entries.len() <= 2 * idx.len() + 16,
-            "tombstones accumulated: {} entries for {} live",
-            idx.entries.len(),
-            idx.len()
-        );
+        // Compaction bounds the backing store: dead entries never exceed an
+        // eighth of the live ones.
+        assert_dead_share_bounded(&idx);
         // Queries still see exactly the live set.
         let hits = idx.query_exact(&SparseVector::from_pairs([(0, 3.0)]), 8);
         assert_eq!(hits.len(), 8);
+    }
+
+    /// The compaction invariant: at most an eighth as many dead entries as
+    /// live ones, and the postings and band tables hold exactly the entries
+    /// the entry store holds.
+    fn assert_dead_share_bounded<T: Clone + Eq + Hash>(idx: &LshIndex<T>) {
+        let dead = idx.entries.len() - idx.len();
+        assert!(
+            dead <= idx.len() / 8,
+            "{dead} dead entries for {} live",
+            idx.len()
+        );
+        assert_eq!(idx.live.iter().filter(|&&l| l).count(), idx.len());
+        let postings: usize = idx.columns.iter().map(|c| c.entries.len()).sum();
+        let nonzeros: usize = idx.entries.iter().map(|(key, _)| key.nnz()).sum();
+        assert_eq!(postings, nonzeros, "postings hold a compacted entry");
+        assert_columns_are_carried(idx);
+        for table in &idx.tables {
+            let filed: usize = table.values().map(Vec::len).sum();
+            assert_eq!(
+                filed,
+                idx.entries.len(),
+                "a band table holds a compacted entry"
+            );
+        }
+    }
+
+    /// Every column has postings, its feature's lookup names it, its row is
+    /// the feature's hyperplane row, and every key feature has a column.
+    fn assert_columns_are_carried<T: Clone + Eq + Hash>(idx: &LshIndex<T>) {
+        let width = idx.config.num_bands * idx.config.bits_per_band;
+        assert_eq!(idx.rows.len(), idx.columns.len() * width);
+        for (c, column) in idx.columns.iter().enumerate() {
+            assert!(!column.entries.is_empty(), "column {c} has no postings");
+            assert_eq!(idx.column(column.feature), Some(c));
+            let row: Vec<u64> = hyperplane_row(&idx.config, column.feature)
+                .map(f64::to_bits)
+                .collect();
+            let cached: Vec<u64> = idx.rows[c * width..(c + 1) * width]
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            assert_eq!(cached, row, "column {c}'s row");
+        }
+        let looked_up = idx.column_of.iter().filter(|&&c| c != NO_COLUMN).count();
+        assert_eq!(looked_up + idx.far_columns.len(), idx.columns.len());
+        for (key, _) in &idx.entries {
+            for (feature, _) in key.iter() {
+                assert!(idx.column(feature).is_some(), "feature {feature}");
+            }
+        }
     }
 
     #[test]
@@ -519,6 +889,7 @@ mod tests {
             if idx.entries.len() < before {
                 compactions += 1;
             }
+            assert_dead_share_bounded(&idx);
             model.retain(|(_, i)| *i != item);
             for _ in 0..3 {
                 let key = random_vec(&mut rng, 60, 10);
@@ -526,7 +897,8 @@ mod tests {
                 model.push((key, item));
             }
         }
-        assert!(compactions >= 3, "compaction exercised: {compactions}");
+        // 120 live entries allow 15 dead, five retirements' worth.
+        assert!(compactions >= 60, "compaction exercised: {compactions}");
         assert_eq!(idx.retire(&1_000), 0, "unknown items retire nothing");
         let mut fresh = LshIndex::new(LshConfig::default());
         for (key, item) in &model {
@@ -544,6 +916,34 @@ mod tests {
                 assert_batched_matches_scalar(&idx, &q, k);
                 assert_eq!(bits(idx.query_exact(&q, k)), bits(fresh.query_exact(&q, k)));
             }
+        }
+    }
+
+    #[test]
+    fn fallback_admits_a_left_out_entry_that_ties_the_kth_distance() {
+        // Two keys whose squared distances to the empty query differ by one
+        // ulp while their distances round to the same value.
+        let near = SparseVector::from_pairs([(0, 1.0), (1, f64::from_bits(0x3FE6_6666_6666_6669))]);
+        let tied = SparseVector::from_pairs([(0, 1.0), (1, f64::from_bits(0x3FE6_6666_6666_666A))]);
+        assert!(near.norm_sq() < tied.norm_sq());
+        assert_eq!(near.norm_sq().sqrt(), tied.norm_sq().sqrt());
+        let mut idx = LshIndex::new(LshConfig {
+            bits_per_band: 24,
+            num_bands: 2,
+            seed: 13,
+        });
+        // The tied key comes first in entry order, so it wins the tie, though
+        // the sampled threshold (the near keys' squared distance) leaves it
+        // out of the first pass.
+        idx.insert(tied, 0u32);
+        for item in 1..300 {
+            idx.insert(near.clone(), item);
+        }
+        let query = SparseVector::new();
+        for k in [1, 2, 5] {
+            assert!(idx.candidates(&query).len() < k, "k = {k} must scan");
+            assert_batched_matches_scalar(&idx, &query, k);
+            assert_eq!(*idx.query_batched(&query, k)[0].0, 0);
         }
     }
 
@@ -672,9 +1072,10 @@ mod tests {
             for (item, key, op) in ops {
                 match op {
                     // Retires tombstone entries, and compact once the dead
-                    // outnumber the live.
+                    // exceed an eighth of the live.
                     0 | 1 => {
                         idx.retire(&item);
+                        assert_dead_share_bounded(&idx);
                     }
                     // Equal keys under different items: distance ties.
                     2 => {
@@ -691,6 +1092,119 @@ mod tests {
                     assert_batched_matches_scalar(&idx, q, k);
                 }
             }
+        }
+
+        #[test]
+        fn indexed_signatures_equal_the_from_scratch_ones(
+            keys in prop::collection::vec(wild::vector(40), 0..12),
+            queries in prop::collection::vec(wild::vector(80), 0..6),
+            bits in 1usize..65,
+            bands in 1usize..5,
+            far in 0u8..2,
+        ) {
+            let mut idx = LshIndex::new(LshConfig {
+                bits_per_band: bits,
+                num_bands: bands,
+                seed: 5,
+            });
+            // Keys at or past the dense column table, as a hostile frame's.
+            let beyond = |v: &SparseVector| {
+                SparseVector::from_pairs(
+                    v.iter().map(|(f, x)| (f + SCATTER_LIMIT as u32 - 20, x)),
+                )
+            };
+            for (item, key) in keys.iter().enumerate() {
+                let key = if far == 1 { beyond(key) } else { key.clone() };
+                idx.insert(key.clone(), item);
+                // A key's own signature is projected through the rows it
+                // just opened.
+                prop_assert_eq!(idx.project_all(&key, |_, _| {}), idx.signature(&key));
+            }
+            // Queries share some features with the keys and carry others no
+            // key holds, which are projected on the fly. Retiring half the
+            // keys compacts away the columns only they carried, and their
+            // features are then projected on the fly too.
+            let empty = SparseVector::new();
+            for round in 0..2 {
+                if round == 1 {
+                    for item in (0..keys.len()).step_by(2) {
+                        idx.retire(&item);
+                    }
+                    assert_dead_share_bounded(&idx);
+                }
+                for q in queries.iter().chain(&keys).chain([&empty]) {
+                    let q = if far == 1 { beyond(q) } else { q.clone() };
+                    prop_assert_eq!(idx.project_all(&q, |_, _| {}), idx.signature(&q));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fallback_keeps_the_lowest_entries_among_ties_at_the_kth_distance() {
+        // Wide bands: almost nothing collides, so every query scans.
+        let mut idx = LshIndex::new(LshConfig {
+            bits_per_band: 24,
+            num_bands: 2,
+            seed: 13,
+        });
+        let query = SparseVector::from_pairs([(0, 1.0)]);
+        // Entry order interleaves five groups, each key on a feature of its
+        // own so that hardly any collides with the query: keys at distance
+        // √2 (the ties), nearer keys at √1.25, NaN keys (priced at distance
+        // 0), farther keys at √5, and infinite keys (+∞).
+        let tie = f64::sqrt(2.0);
+        let group = |i: u32| i % 6;
+        let mut near = 0;
+        for i in 0..120u32 {
+            let own = 10 + i;
+            let key = match group(i) {
+                0 | 3 => SparseVector::from_pairs([(own, 1.0)]),
+                1 => SparseVector::from_pairs([(0, 1.5), (own, 1.0)]),
+                2 => SparseVector::from_pairs([(own, 2.0)]),
+                4 if i % 12 == 4 => SparseVector::from_pairs([(own, f64::INFINITY)]),
+                4 => SparseVector::from_pairs([(own, f64::NAN)]),
+                _ => SparseVector::from_pairs([(own, 2.0)]),
+            };
+            near += usize::from(group(i) == 1 || i % 12 == 10);
+            idx.insert(key, i);
+        }
+        for k in [near + 1, near + 7, near + 30, 200] {
+            assert!(idx.candidates(&query).len() < k, "k = {k} must scan");
+            assert_batched_matches_scalar(&idx, &query, k);
+            let hits = idx.query_batched(&query, k);
+            assert_eq!(hits.len(), k.min(idx.len()));
+            if k < 200 {
+                // Every nearer entry, then the lowest-numbered ties.
+                let ties: Vec<u32> = hits
+                    .iter()
+                    .filter(|(_, d)| *d == tie)
+                    .map(|(&item, _)| item)
+                    .collect();
+                let expected: Vec<u32> = (0..120u32)
+                    .filter(|&i| group(i) == 0 || group(i) == 3)
+                    .take(k - near)
+                    .collect();
+                assert_eq!(ties, expected, "k = {k}");
+            } else {
+                // Everything, the infinite keys last in entry order.
+                let infinite: Vec<u32> = hits
+                    .iter()
+                    .filter(|(_, d)| d.is_infinite())
+                    .map(|(&item, _)| item)
+                    .collect();
+                let expected: Vec<u32> = (0..120u32).filter(|i| i % 12 == 4).collect();
+                assert_eq!(infinite, expected);
+                assert_eq!(hits.last().map(|(_, d)| *d), Some(f64::INFINITY));
+            }
+        }
+        // Ties spread over a retired item's old entries and the compaction
+        // that drops them.
+        for i in (0..120u32).step_by(5) {
+            idx.retire(&i);
+        }
+        for k in [1, 9, 40, 200] {
+            assert_batched_matches_scalar(&idx, &query, k);
         }
     }
 

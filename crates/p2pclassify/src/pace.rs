@@ -16,12 +16,14 @@
 //!    the models' centroids), lets them vote, and weights each vote by the
 //!    model's training accuracy and its distance to the test vector — thereby
 //!    *adapting to the test data distribution*. Prediction is entirely local:
-//!    zero communication per query. One pass over the index's postings
-//!    prices every centroid ([`LshIndex::nearest_items`]); those same
-//!    distances pick the nearest centroids, rank the models they belong to
-//!    (each at its nearest centroid) and weight the votes, so no centroid is
-//!    priced twice. Each consulted model scores its whole tag universe in one
-//!    pass over the document through its packed [`TagWeightMatrix`].
+//!    zero communication per query. One pass over the document's nonzeros
+//!    hashes it through the hyperplane rows the index cached at insert and
+//!    prices every live centroid through the index's postings
+//!    ([`LshIndex::nearest_items`]); those same distances pick the nearest
+//!    centroids, rank the models they belong to (each at its nearest
+//!    centroid) and weight the votes, so no centroid is priced twice. Each
+//!    consulted model scores its whole tag universe in one pass over the
+//!    document through its packed [`TagWeightMatrix`].
 //! 5. **Refinement** — the peer retrains its local model with the corrected
 //!    example and re-propagates it.
 
@@ -232,7 +234,7 @@ pub(crate) fn encode_pace_install(
 /// strictly.
 pub(crate) fn decode_pace_install(frame: &[u8]) -> Result<(u64, PaceUpdate), WireError> {
     let (source, version, parts) = wire::decode_install(frame)?;
-    let [model_frame, centroid_frame] = parts.as_slice() else {
+    let &[model_frame, centroid_frame] = parts.as_slice() else {
         return Err(WireError::Codec(CodecError::Invalid(
             "PACE install carries a model and a centroid frame",
         )));

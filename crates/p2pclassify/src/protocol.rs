@@ -255,13 +255,19 @@ impl ConfidenceVoteAccumulator {
                 }
             })
             .collect();
-        out.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        out.sort_by(by_score_descending);
         out
     }
+}
+
+/// Descending score order, NaN scores last: for scores without NaN this is
+/// `partial_cmp` reversed (so `-0.0` ties with `0.0` and a stable sort keeps
+/// their tag order). Reading an incomparable pair as equal instead is not
+/// an order, and the standard sort may panic on it.
+fn by_score_descending(a: &TagPrediction, b: &TagPrediction) -> std::cmp::Ordering {
+    b.score
+        .partial_cmp(&a.score)
+        .unwrap_or_else(|| a.score.is_nan().cmp(&b.score.is_nan()))
 }
 
 /// The list form of [`ConfidenceVoteAccumulator`]: one `(weight, scores)`
@@ -410,5 +416,56 @@ mod tests {
     #[test]
     fn combine_empty_is_empty() {
         assert!(combine_weighted_scores(&[]).is_empty());
+    }
+
+    /// Sparse tag ids, up to `TagId::MAX`.
+    fn tag() -> impl Strategy<Value = TagId> {
+        (0u8..3, 0u32..48).prop_map(|(pick, t)| match pick {
+            0 => t * 61,
+            1 => TagId::MAX - t,
+            _ => t,
+        })
+    }
+
+    /// Zeros of both signs, NaN, infinities and ordinary values.
+    fn number(range: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
+        (0u8..12, range).prop_map(|(pick, v)| match pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::NAN,
+            3 => f64::INFINITY,
+            4 => 1e-300,
+            _ => v,
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_tally_sorts_any_votes_descending_with_nan_last(
+            voters in prop::collection::vec(
+                (number(-0.5..3.0), prop::collection::vec((tag(), number(-1.0..1.0)), 0..8)),
+                0..10,
+            ),
+            damping in 0.0f64..1.5,
+        ) {
+            let mut tally = ConfidenceVoteAccumulator::new();
+            for (weight, votes) in &voters {
+                tally.add_voter(*weight);
+                for &(tag, confidence) in votes {
+                    tally.add_vote(tag, *weight, confidence);
+                }
+            }
+            let out = tally.finish(damping);
+            let tags: BTreeSet<TagId> = out.iter().map(|p| p.tag).collect();
+            prop_assert_eq!(tags.len(), out.len());
+            for pair in out.windows(2) {
+                let (a, b) = (pair[0].score, pair[1].score);
+                prop_assert!(b.is_nan() || a >= b, "{} before {}", a, b);
+            }
+        }
     }
 }

@@ -208,7 +208,7 @@ impl CemparCore {
     /// Decodes and (maybe) installs an install envelope.
     fn decode_install(&mut self, frame: &[u8]) -> Option<Output> {
         let (source, version, parts) = wire::decode_install(frame).ok()?;
-        let [model_frame] = parts.as_slice() else {
+        let &[model_frame] = parts.as_slice() else {
             return None;
         };
         let model = wire::decode_kernel_model(model_frame).ok()?;

@@ -115,7 +115,7 @@ impl CentralizedCore {
     /// Decodes and (maybe) pools an upload envelope (server role).
     fn decode_install(&mut self, frame: &[u8]) -> Option<Output> {
         let (source, version, parts) = wire::decode_install(frame).ok()?;
-        let [dataset_frame] = parts.as_slice() else {
+        let &[dataset_frame] = parts.as_slice() else {
             return None;
         };
         let data = wire::decode_dataset(dataset_frame).ok()?;

@@ -434,8 +434,9 @@ pub fn encode_install(source: u64, version: u64, parts: &[&[u8]]) -> Vec<u8> {
     buf
 }
 
-/// Decodes an install envelope to `(source, version, inner frames)`.
-pub fn decode_install(bytes: &[u8]) -> Result<(u64, u64, Vec<Vec<u8>>), WireError> {
+/// Decodes an install envelope to `(source, version, inner frames)`. The
+/// inner frames are borrowed from `bytes`: nothing is copied.
+pub fn decode_install(bytes: &[u8]) -> Result<(u64, u64, Vec<&[u8]>), WireError> {
     let mut r = open(bytes, PayloadKind::Install)?;
     let source = r.read_varint()?;
     let version = r.read_varint()?;
@@ -455,7 +456,7 @@ pub fn decode_install(bytes: &[u8]) -> Result<(u64, u64, Vec<Vec<u8>>), WireErro
                 "install part length exceeds frame",
             )));
         }
-        parts.push(r.read_bytes(len).map_err(WireError::from)?.to_vec());
+        parts.push(r.read_bytes(len).map_err(WireError::from)?);
     }
     finish(r, (source, version, parts))
 }
@@ -588,7 +589,7 @@ mod tests {
         let wrapped = encode_install(4, 1, &[&linear, &centroids]);
         let (_, _, parts) = decode_install(&wrapped).unwrap();
         assert_eq!(
-            decode_pace_model(&parts[0]).err(),
+            decode_pace_model(parts[0]).err(),
             Some(WireError::BadVersion(2))
         );
     }
@@ -692,14 +693,19 @@ mod tests {
         let (source, version, parts) = decode_install(&bytes).unwrap();
         assert_eq!(source, 7);
         assert_eq!(version, 3);
-        assert_eq!(parts, vec![part_a.clone(), part_b]);
+        assert_eq!(parts, vec![&part_a[..], &part_b[..]]);
+        // The parts are views into the envelope, not copies.
+        let envelope = bytes.as_ptr_range();
+        assert!(parts
+            .iter()
+            .all(|p| envelope.contains(&p.as_ptr()) && p.as_ptr_range().end <= envelope.end));
         // Inner frames survive verbatim (full envelope validation included).
-        assert_eq!(decode_query(&parts[0]).unwrap(), q);
+        assert_eq!(decode_query(parts[0]).unwrap(), q);
         // Empty envelopes are legal (tombstone installs).
-        assert_eq!(
-            decode_install(&encode_install(0, 1, &[])).unwrap().2,
-            Vec::<Vec<u8>>::new()
-        );
+        assert!(decode_install(&encode_install(0, 1, &[]))
+            .unwrap()
+            .2
+            .is_empty());
     }
 
     #[test]

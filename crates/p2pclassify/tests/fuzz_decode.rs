@@ -113,7 +113,7 @@ fn run_wire_decoders(bytes: &[u8]) -> usize {
     ok += wire::decode_digest(bytes).is_ok() as usize;
     if let Ok((_, _, parts)) = wire::decode_install(bytes) {
         ok += 1;
-        for part in &parts {
+        for part in parts {
             ok += run_wire_decoders(part);
         }
     }

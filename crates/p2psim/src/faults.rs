@@ -5,9 +5,12 @@
 //! every real P2P deployment also lives with lossy links, congestion bursts,
 //! bisected networks and processes that die mid-protocol. A [`FaultPlan`]
 //! describes those hazards declaratively; a [`FaultState`] executes it from
-//! its **own** seeded RNG stream, so
+//! its **own** seeded RNG streams, so
 //!
 //! * replays are bit-identical (same seed ⇒ same faults at the same sends),
+//! * the crash schedule is a function of the seed and the clock alone (it
+//!   draws from a stream of its own, never from the per-send stream), so
+//!   protocols that send different amounts of traffic crash alike,
 //! * enabling faults never perturbs the protocol/overlay RNG streams, and
 //! * a fully disabled plan (the default) consumes **zero** RNG draws and
 //!   takes an early-return path — runs with `FaultPlan::default()` are
@@ -33,6 +36,11 @@ use serde::{Deserialize, Serialize};
 /// Salt xored into the simulation seed so the fault stream is independent of
 /// every other consumer of the seed (overlay, churn, protocols).
 const FAULT_SEED_SALT: u64 = 0xF_A170_CA5C;
+
+/// Salt of the crash schedule's own stream. Crash times and victims never
+/// share a stream with the per-send draws, so the schedule is the same
+/// however much traffic the protocol sends between two sweeps.
+const CRASH_SEED_SALT: u64 = 0xC8A5_11ED_5EED;
 
 /// Gilbert–Elliott two-state burst-loss channel: the link oscillates between
 /// a good state (no extra loss) and a bad state dropping `loss` of messages.
@@ -225,11 +233,14 @@ pub enum SendFault {
     Drop(FaultDrop),
 }
 
-/// Executes a [`FaultPlan`] from a dedicated seeded RNG stream.
+/// Executes a [`FaultPlan`] from dedicated seeded RNG streams.
 #[derive(Debug, Clone)]
 pub struct FaultState {
     plan: FaultPlan,
+    /// Per-send draws: loss, bursts, latency, corruption.
     rng: StdRng,
+    /// Crash times and victims.
+    crash_rng: StdRng,
     /// Gilbert–Elliott chain state: `true` = bad (bursting).
     burst_bad: bool,
     /// Next scheduled crash time (lazily drawn).
@@ -238,12 +249,14 @@ pub struct FaultState {
 }
 
 impl FaultState {
-    /// Builds the executor for `plan`, deriving its RNG from the simulation
-    /// seed (salted, so it is independent of every other seed consumer).
+    /// Builds the executor for `plan`, deriving its RNGs from the simulation
+    /// seed (salted, so they are independent of every other seed consumer
+    /// and of each other).
     pub fn new(plan: FaultPlan, seed: u64) -> Self {
         Self {
             plan,
             rng: StdRng::seed_from_u64(seed ^ FAULT_SEED_SALT),
+            crash_rng: StdRng::seed_from_u64(seed ^ CRASH_SEED_SALT),
             burst_bad: false,
             next_crash: None,
             crashes_emitted: 0,
@@ -355,7 +368,9 @@ impl FaultState {
 
     /// Emits every crash event scheduled in `(from, to]` into `out`.
     /// Victims are drawn uniformly over the peer set; the caller decides
-    /// what a crash of an offline peer means (typically a no-op).
+    /// what a crash of an offline peer means (typically a no-op). Times and
+    /// victims come from the crash stream, so sends judged between two calls
+    /// do not move the schedule.
     pub fn crashes_between(
         &mut self,
         from: SimTime,
@@ -378,7 +393,7 @@ impl FaultState {
             if at > to {
                 break;
             }
-            out.push(PeerId::from(self.rng.gen_range(0..num_peers)));
+            out.push(PeerId::from(self.crash_rng.gen_range(0..num_peers)));
             self.crashes_emitted += 1;
             let gap = self.draw_exponential(c.mean_interval_secs);
             self.next_crash = Some(at + gap);
@@ -405,10 +420,11 @@ impl FaultState {
         rand::RngCore::next_u64(&mut self.rng.clone())
     }
 
-    /// Exponential draw with the given mean, as a [`SimTime`] gap of at
-    /// least one millisecond (so schedules always advance).
+    /// Exponential draw from the crash stream with the given mean, as a
+    /// [`SimTime`] gap of at least one millisecond (so schedules always
+    /// advance).
     fn draw_exponential(&mut self, mean_secs: f64) -> SimTime {
-        let u = self.rng.gen_unit_f64();
+        let u = self.crash_rng.gen_unit_f64();
         let secs = -mean_secs * (1.0_f64 - u).max(f64::MIN_POSITIVE).ln();
         SimTime::from_secs_f64(secs.max(1e-3))
     }
@@ -458,6 +474,7 @@ mod tests {
     fn disabled_plan_draws_no_randomness() {
         let mut a = FaultState::new(FaultPlan::default(), 7);
         let mut b = StdRng::seed_from_u64(7 ^ FAULT_SEED_SALT);
+        let mut crash_b = StdRng::seed_from_u64(7 ^ CRASH_SEED_SALT);
         for i in 0..100usize {
             let v = a.on_send(SimTime::from_secs(i as u64), PeerId(0), PeerId(1));
             assert_eq!(
@@ -472,8 +489,34 @@ mod tests {
             a.crashes_between(SimTime::ZERO, SimTime::from_secs(3_600), 10, &mut crashed);
             assert!(crashed.is_empty());
         }
-        // The internal stream was never advanced.
+        // Neither internal stream was ever advanced.
         assert_eq!(a.rng.next_u64(), b.next_u64());
+        assert_eq!(a.crash_rng.next_u64(), crash_b.next_u64());
+    }
+
+    #[test]
+    fn crash_schedule_does_not_depend_on_traffic() {
+        // The same sweep of the clock, once with no sends judged and once
+        // with 10 000 sends judged before every sweep step.
+        let schedule = |sends_per_step: u64| {
+            let mut s = FaultState::new(active_plan(), 42);
+            let mut crashed = Vec::new();
+            let mut prev = SimTime::ZERO;
+            for step in 1..=36u64 {
+                let now = SimTime::from_secs(step * 100);
+                for i in 0..sends_per_step {
+                    s.on_send(prev, PeerId(i % 8), PeerId((i + 3) % 8));
+                }
+                let mut victims = Vec::new();
+                s.crashes_between(prev, now, 8, &mut victims);
+                crashed.extend(victims.into_iter().map(|p| (step, p)));
+                prev = now;
+            }
+            crashed
+        };
+        let quiet = schedule(0);
+        assert!(!quiet.is_empty(), "no crash drawn");
+        assert_eq!(quiet, schedule(10_000));
     }
 
     #[test]
