@@ -5,6 +5,19 @@
 //! words. Crucially — as the paper stresses — the tag names themselves are
 //! **never** placed in the document text, so tags cannot be produced by
 //! indexing the documents' words; they must be *learned* from tagged examples.
+//!
+//! The stream is frozen: every experiment golden, `BENCH_*.json` and benchmark
+//! fingerprint is generated from it, so a spec and seed yield the same corpus
+//! bit for bit, from the same `StdRng` draws in the same order. Generation
+//! pays for those draws and little else. Weight vectors that never change
+//! during a run — the within-topic word Zipf weights (one table for every
+//! topic), the global tag weights, each community's pool weights and each
+//! user's interest weights — are sampling tables built once, their totals
+//! summed once in index order, as a per-draw sum would sum them. The
+//! imitation urn changes after every document, so each of its draws sums it
+//! afresh. Sampling keeps the subtractive walk; a binary search over a
+//! cumulative table would pick another index at bucket edges. Each document's
+//! text is spelled into one reused buffer and copied out exactly sized.
 
 use crate::corpus::Corpus;
 use crate::error::{self, SpecError};
@@ -308,6 +321,273 @@ impl CorpusGenerator {
         let background: Vec<String> = (0..spec.background_vocab)
             .map(|w| format!("zq{}", syllables(w)))
             .collect();
+        // Zipf-ish within-topic word choice: low indices more common. Every
+        // topic vocabulary has `words_per_tag` words, so one table serves all.
+        let word_zipf = WeightTable::new(
+            (1..=spec.words_per_tag)
+                .map(|i| 1.0 / (i as f64).powf(WORD_ZIPF_EXPONENT))
+                .collect(),
+        );
+
+        // Zipf weights over tags: tag popularity rank == tag index.
+        let tag_weights = WeightTable::new(
+            (0..spec.num_tags)
+                .map(|i| 1.0 / ((i + 1) as f64).powf(spec.tag_zipf_exponent))
+                .collect(),
+        );
+
+        // Community structure (None = independent users, the legacy model).
+        // Both paths must consume identical randomness when communities are
+        // disabled so legacy seeds keep generating bit-identical corpora.
+        let assignments = self.community_assignments();
+        let pools = self.community_tag_pools();
+        let pool_weights: Option<Vec<WeightTable>> = pools.as_ref().map(|pools| {
+            pools
+                .iter()
+                .map(|pool| {
+                    WeightTable::new(pool.iter().map(|&t| tag_weights.weights[t]).collect())
+                })
+                .collect()
+        });
+        let cross_ratio = spec
+            .communities
+            .as_ref()
+            .map_or(0.0, |c| c.cross_community_ratio);
+
+        // Corpus-wide tagging history for imitation: a Polya urn seeded with
+        // the Zipf prior (every tag stays reachable, and reinforcement
+        // amplifies the head instead of washing it out toward uniform). It
+        // changes after every document, so each draw sums it afresh.
+        let imitating = spec.imitation > 0.0;
+        let mut urn: Vec<f64> = tag_weights.weights.clone();
+
+        // Scratch reused across documents: each document's text is spelled
+        // into `text` and handed on as an exactly sized copy.
+        let mut text = String::new();
+        let mut doc_tag_list: Vec<usize> = Vec::new();
+        let mut events: Vec<usize> = Vec::new();
+
+        for user in 0..spec.num_users {
+            // Each user focuses on a few topics, sampled by global popularity
+            // within their community's tag pool (or the whole universe).
+            let community = assignments.as_ref().map(|a| a[user]);
+            let (pool, pool_w): (&[usize], &WeightTable) = match (&pools, &pool_weights, community)
+            {
+                (Some(p), Some(w), Some(c)) => (&p[c], &w[c]),
+                _ => (&[], &tag_weights),
+            };
+            let mut interests = BTreeSet::new();
+            let universe = if pool.is_empty() {
+                spec.num_tags
+            } else {
+                pool.len()
+            };
+            let want = spec.interests_per_user.clamp(1, universe);
+            let mut guard = 0;
+            while interests.len() < want && guard < 10_000 {
+                let t = if pool.is_empty() {
+                    tag_weights.sample(&mut rng)
+                } else if cross_ratio > 0.0 && rng.gen_bool(cross_ratio) {
+                    // Cross-community exploration: a few interests come from
+                    // the global distribution, not the community pool.
+                    tag_weights.sample(&mut rng)
+                } else {
+                    pool[pool_w.sample(&mut rng)]
+                };
+                interests.insert(t);
+                guard += 1;
+            }
+            let interests: Vec<usize> = interests.into_iter().collect();
+            let interest_weights =
+                WeightTable::new(interests.iter().map(|&t| tag_weights.weights[t]).collect());
+
+            let num_docs = rng.gen_range(spec.min_docs_per_user..spec.max_docs_per_user);
+            for _ in 0..num_docs {
+                let num_doc_tags = rng.gen_range(1..=spec.max_tags_per_doc.max(1));
+                // Exploration: some documents are about topics outside the
+                // user's usual interests (newly discovered content).
+                let explore = rng.gen_bool(spec.exploration_ratio);
+                let fresh_draw = |rng: &mut StdRng| {
+                    if explore {
+                        tag_weights.sample(rng)
+                    } else {
+                        interests[interest_weights.sample(rng)]
+                    }
+                };
+                let mut doc_tags = BTreeSet::new();
+                if imitating {
+                    // A bounded stream of tagging events: later events copy
+                    // the document's earlier taggings with probability
+                    // `imitation` (so the distinct set stabilizes — G&H), and
+                    // fresh draws imitate the corpus-wide urn with the same
+                    // probability (preferential attachment) before falling
+                    // back to the interest/exploration draw.
+                    events.clear();
+                    for _ in 0..num_doc_tags * 2 + 2 {
+                        let t = if !events.is_empty() && rng.gen_bool(spec.imitation) {
+                            *events.choose(&mut rng).expect("non-empty")
+                        } else if rng.gen_bool(spec.imitation) {
+                            sample_weighted(&urn, urn.iter().sum(), &mut rng)
+                        } else {
+                            fresh_draw(&mut rng)
+                        };
+                        events.push(t);
+                        if doc_tags.len() < num_doc_tags || doc_tags.contains(&t) {
+                            doc_tags.insert(t);
+                        }
+                    }
+                    for &t in &doc_tags {
+                        urn[t] += 1.0;
+                    }
+                } else {
+                    let mut guard = 0;
+                    while doc_tags.len() < num_doc_tags && guard < 1_000 {
+                        doc_tags.insert(fresh_draw(&mut rng));
+                        guard += 1;
+                    }
+                }
+                doc_tag_list.clear();
+                doc_tag_list.extend(doc_tags.iter().copied());
+                text.clear();
+                for i in 0..spec.words_per_doc {
+                    let word = if rng.gen_bool(spec.background_ratio) {
+                        background.choose(&mut rng).expect("non-empty")
+                    } else {
+                        let &t = doc_tag_list.choose(&mut rng).expect("at least one tag");
+                        &tag_vocab[t][word_zipf.sample(&mut rng)]
+                    };
+                    if i > 0 {
+                        text.push(' ');
+                    }
+                    text.push_str(word);
+                }
+                let tag_name_set: BTreeSet<String> =
+                    doc_tag_list.iter().map(|&t| tag_names[t].clone()).collect();
+                corpus.push_document(user, text.as_str().to_owned(), tag_name_set);
+            }
+        }
+        corpus
+    }
+}
+
+/// A deterministic consonant-vowel stem so synthetic words look like words.
+fn synth_stem(tag: usize, word: usize) -> String {
+    const CONS: &[char] = &[
+        'b', 'd', 'f', 'g', 'k', 'l', 'm', 'n', 'p', 'r', 's', 't', 'v', 'z',
+    ];
+    const VOWELS: &[char] = &['a', 'e', 'i', 'o', 'u'];
+    let mut s = String::new();
+    let mut x = (tag as u64 + 1)
+        .wrapping_mul(2654435761)
+        .wrapping_add(word as u64);
+    for i in 0..4 {
+        let set = if i % 2 == 0 { CONS } else { VOWELS };
+        s.push(set[(x % set.len() as u64) as usize]);
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407)
+            >> 3;
+    }
+    s
+}
+
+/// Encodes a non-negative number as consonant-vowel syllables ("0" → "ba",
+/// "27" → "firu", …) so synthetic word tokens contain no digits and are not
+/// filtered out by the tokenizer.
+fn syllables(mut n: usize) -> String {
+    const CONS: &[char] = &['b', 'd', 'f', 'g', 'k', 'l', 'm', 'n', 'p', 'r'];
+    const VOWELS: &[char] = &['a', 'e', 'i', 'o', 'u'];
+    let mut s = String::new();
+    loop {
+        let digit = n % 10;
+        s.push(CONS[digit]);
+        s.push(VOWELS[(n / 10) % 5]);
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    s
+}
+
+/// Zipf exponent of the within-topic word choice.
+const WORD_ZIPF_EXPONENT: f64 = 1.1;
+
+/// A weight vector that never changes during generation, with its total
+/// summed once, in index order, as a per-draw `iter().sum()` would sum it.
+struct WeightTable {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl WeightTable {
+    fn new(weights: Vec<f64>) -> Self {
+        let total = weights.iter().sum();
+        Self { weights, total }
+    }
+
+    /// Samples an index proportionally to the weights.
+    fn sample(&self, rng: &mut StdRng) -> usize {
+        sample_weighted(&self.weights, self.total, rng)
+    }
+}
+
+/// Samples an index proportionally to `weights`, whose sum is `total`.
+///
+/// The walk subtracts each weight from one uniform draw in index order. A
+/// binary search over a cumulative table can pick a different index when the
+/// draw lands within rounding of a bucket edge, so it would not reproduce the
+/// stream by construction.
+fn sample_weighted(weights: &[f64], total: f64, rng: &mut StdRng) -> usize {
+    let mut x = rng.gen_range(0.0..total);
+    for (i, &w) in weights.iter().enumerate() {
+        if x < w {
+            return i;
+        }
+        x -= w;
+    }
+    weights.len() - 1
+}
+
+/// The generator as it was before the sampling tables, kept verbatim as the
+/// oracle that the table-driven body must reproduce bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// The generator body before its sampling tables: per-draw sums,
+    /// `zipf_index` and `words.join(" ")`.
+    pub(super) fn generate(generator: &CorpusGenerator) -> Corpus {
+        let spec = &generator.spec;
+        let mut rng = StdRng::seed_from_u64(spec.seed);
+        let mut corpus = Corpus::new();
+
+        // Tag names and per-tag vocabularies. Word tokens are synthetic but
+        // pronounceable-ish ("datab3x17") so the Porter stemmer and stop-word
+        // filter see realistic-looking input without ever seeing the tag name.
+        let tag_names: Vec<String> = (0..spec.num_tags)
+            .map(|i| {
+                TAG_NAME_POOL
+                    .get(i)
+                    .map(|s| s.to_string())
+                    .unwrap_or_else(|| format!("topic{i}"))
+            })
+            .collect();
+        for name in &tag_names {
+            corpus.intern_tag(name);
+        }
+        // Tokens must survive the preprocessing pipeline (which drops tokens
+        // containing digits), so numeric indices are encoded as syllables.
+        let tag_vocab: Vec<Vec<String>> = (0..spec.num_tags)
+            .map(|t| {
+                (0..spec.words_per_tag)
+                    .map(|w| format!("{}{}", synth_stem(t, w), syllables(w)))
+                    .collect()
+            })
+            .collect();
+        let background: Vec<String> = (0..spec.background_vocab)
+            .map(|w| format!("zq{}", syllables(w)))
+            .collect();
 
         // Zipf weights over tags: tag popularity rank == tag index.
         let tag_weights: Vec<f64> = (0..spec.num_tags)
@@ -317,8 +597,8 @@ impl CorpusGenerator {
         // Community structure (None = independent users, the legacy model).
         // Both paths must consume identical randomness when communities are
         // disabled so legacy seeds keep generating bit-identical corpora.
-        let assignments = self.community_assignments();
-        let pools = self.community_tag_pools();
+        let assignments = generator.community_assignments();
+        let pools = generator.community_tag_pools();
         let pool_weights: Option<Vec<Vec<f64>>> = pools.as_ref().map(|pools| {
             pools
                 .iter()
@@ -434,74 +714,34 @@ impl CorpusGenerator {
         }
         corpus
     }
-}
 
-/// A deterministic consonant-vowel stem so synthetic words look like words.
-fn synth_stem(tag: usize, word: usize) -> String {
-    const CONS: &[char] = &[
-        'b', 'd', 'f', 'g', 'k', 'l', 'm', 'n', 'p', 'r', 's', 't', 'v', 'z',
-    ];
-    const VOWELS: &[char] = &['a', 'e', 'i', 'o', 'u'];
-    let mut s = String::new();
-    let mut x = (tag as u64 + 1)
-        .wrapping_mul(2654435761)
-        .wrapping_add(word as u64);
-    for i in 0..4 {
-        let set = if i % 2 == 0 { CONS } else { VOWELS };
-        s.push(set[(x % set.len() as u64) as usize]);
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407)
-            >> 3;
-    }
-    s
-}
-
-/// Encodes a non-negative number as consonant-vowel syllables ("0" → "ba",
-/// "27" → "firu", …) so synthetic word tokens contain no digits and are not
-/// filtered out by the tokenizer.
-fn syllables(mut n: usize) -> String {
-    const CONS: &[char] = &['b', 'd', 'f', 'g', 'k', 'l', 'm', 'n', 'p', 'r'];
-    const VOWELS: &[char] = &['a', 'e', 'i', 'o', 'u'];
-    let mut s = String::new();
-    loop {
-        let digit = n % 10;
-        s.push(CONS[digit]);
-        s.push(VOWELS[(n / 10) % 5]);
-        n /= 10;
-        if n == 0 {
-            break;
+    /// Samples an index proportionally to `weights`.
+    fn sample_weighted(weights: &[f64], rng: &mut StdRng) -> usize {
+        let total: f64 = weights.iter().sum();
+        let mut x = rng.gen_range(0.0..total);
+        for (i, &w) in weights.iter().enumerate() {
+            if x < w {
+                return i;
+            }
+            x -= w;
         }
+        weights.len() - 1
     }
-    s
-}
 
-/// Samples an index proportionally to `weights`.
-fn sample_weighted(weights: &[f64], rng: &mut StdRng) -> usize {
-    let total: f64 = weights.iter().sum();
-    let mut x = rng.gen_range(0.0..total);
-    for (i, &w) in weights.iter().enumerate() {
-        if x < w {
-            return i;
+    /// Samples an index in `[0, n)` with Zipf weight `1/(i+1)^s`.
+    fn zipf_index(n: usize, s: f64, rng: &mut StdRng) -> usize {
+        // Small n: direct inverse-CDF sampling is fine.
+        let total: f64 = (1..=n).map(|i| 1.0 / (i as f64).powf(s)).sum();
+        let mut x = rng.gen_range(0.0..total);
+        for i in 1..=n {
+            let w = 1.0 / (i as f64).powf(s);
+            if x < w {
+                return i - 1;
+            }
+            x -= w;
         }
-        x -= w;
+        n - 1
     }
-    weights.len() - 1
-}
-
-/// Samples an index in `[0, n)` with Zipf weight `1/(i+1)^s`.
-fn zipf_index(n: usize, s: f64, rng: &mut StdRng) -> usize {
-    // Small n: direct inverse-CDF sampling is fine.
-    let total: f64 = (1..=n).map(|i| 1.0 / (i as f64).powf(s)).sum();
-    let mut x = rng.gen_range(0.0..total);
-    for i in 1..=n {
-        let w = 1.0 / (i as f64).powf(s);
-        if x < w {
-            return i - 1;
-        }
-        x -= w;
-    }
-    n - 1
 }
 
 #[cfg(test)]
@@ -795,5 +1035,212 @@ mod tests {
         })
         .generate();
         assert_eq!(corpus, explicit);
+    }
+
+    /// `benchmark/src/spec.rs`'s session corpus shape (`pace-session`,
+    /// `cempar-session`).
+    fn session_shape(peers: usize, seed: u64) -> CorpusSpec {
+        CorpusSpec {
+            num_tags: 24,
+            num_users: peers,
+            min_docs_per_user: 12,
+            max_docs_per_user: 20,
+            words_per_doc: 40,
+            words_per_tag: 25,
+            background_vocab: 300,
+            interests_per_user: 5,
+            seed,
+            ..CorpusSpec::default()
+        }
+    }
+
+    /// `benchmark/src/spec.rs`'s `bulk-learn` corpus shape.
+    fn bulk_shape(peers: usize, seed: u64) -> CorpusSpec {
+        CorpusSpec {
+            num_tags: 48,
+            words_per_doc: 60,
+            ..session_shape(peers, seed)
+        }
+    }
+
+    /// `benchmark/src/spec.rs`'s `peerd-loopback` corpus shape (four users
+    /// per daemon).
+    fn loopback_shape(daemons: usize, seed: u64) -> CorpusSpec {
+        CorpusSpec {
+            num_tags: 12,
+            num_users: daemons * 4,
+            min_docs_per_user: 30,
+            max_docs_per_user: 31,
+            words_per_doc: 60,
+            words_per_tag: 30,
+            background_vocab: 400,
+            interests_per_user: 5,
+            seed,
+            ..CorpusSpec::default()
+        }
+    }
+
+    /// Specs that between them take every branch of the generator.
+    fn oracle_specs() -> Vec<(&'static str, CorpusSpec)> {
+        let tiny = CorpusSpec::tiny();
+        let communities = |tag_overlap, cross_community_ratio| {
+            Some(CommunitySpec {
+                num_communities: 3,
+                tag_overlap,
+                cross_community_ratio,
+            })
+        };
+        vec![
+            ("tiny", tiny.clone()),
+            ("demo", CorpusSpec::demo(12, 2010)),
+            ("pace-session", session_shape(40, 2010)),
+            ("cempar-session", session_shape(100, 2010)),
+            ("cempar-session seed 7", session_shape(100, 7)),
+            ("bulk-learn", bulk_shape(60, 2010)),
+            ("peerd-loopback", loopback_shape(4, 2010)),
+            (
+                "communities",
+                CorpusSpec {
+                    communities: Some(CommunitySpec::default()),
+                    ..tiny.clone()
+                },
+            ),
+            (
+                "overlapping communities, cross draws",
+                CorpusSpec {
+                    communities: communities(0.5, 0.3),
+                    ..tiny.clone()
+                },
+            ),
+            (
+                "more communities than tags",
+                CorpusSpec {
+                    num_tags: 3,
+                    communities: Some(CommunitySpec {
+                        num_communities: 5,
+                        ..CommunitySpec::default()
+                    }),
+                    ..tiny.clone()
+                },
+            ),
+            (
+                "imitation 0.5",
+                CorpusSpec {
+                    imitation: 0.5,
+                    ..tiny.clone()
+                },
+            ),
+            (
+                "imitation 0.9 in communities",
+                CorpusSpec {
+                    imitation: 0.9,
+                    max_tags_per_doc: 4,
+                    communities: communities(0.25, 0.1),
+                    ..tiny.clone()
+                },
+            ),
+            (
+                "no exploration",
+                CorpusSpec {
+                    exploration_ratio: 0.0,
+                    ..tiny.clone()
+                },
+            ),
+            (
+                "exploration only",
+                CorpusSpec {
+                    exploration_ratio: 1.0,
+                    ..tiny.clone()
+                },
+            ),
+            (
+                "no background",
+                CorpusSpec {
+                    background_ratio: 0.0,
+                    ..tiny.clone()
+                },
+            ),
+            (
+                "background only",
+                CorpusSpec {
+                    background_ratio: 1.0,
+                    ..tiny.clone()
+                },
+            ),
+            (
+                "one word per tag",
+                CorpusSpec {
+                    words_per_tag: 1,
+                    ..tiny.clone()
+                },
+            ),
+            (
+                "more tags per document than tags",
+                CorpusSpec {
+                    max_tags_per_doc: 10,
+                    ..tiny.clone()
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn sampling_tables_reproduce_the_oracle_corpus() {
+        for (name, spec) in oracle_specs() {
+            let generator = CorpusGenerator::new(spec);
+            let expected = oracle::generate(&generator);
+            let corpus = generator.generate();
+            assert_eq!(corpus.len(), expected.len(), "{name}: document count");
+            for (got, want) in corpus.documents().iter().zip(expected.documents()) {
+                assert_eq!(got, want, "{name}: document {}", want.id);
+            }
+            assert_eq!(corpus, expected, "{name}");
+        }
+    }
+
+    #[test]
+    fn document_texts_are_exactly_sized() {
+        for (name, spec) in oracle_specs() {
+            for d in CorpusGenerator::new(spec).generate().documents() {
+                assert_eq!(
+                    d.text.capacity(),
+                    d.text.len(),
+                    "{name}: document {} keeps spare capacity",
+                    d.id
+                );
+            }
+        }
+    }
+
+    /// FNV-1a over every document's user, text and tag names, in order.
+    fn fingerprint(corpus: &Corpus) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for d in corpus.documents() {
+            eat(&(d.user as u64).to_le_bytes());
+            eat(d.text.as_bytes());
+            for tag in &d.tags {
+                eat(&[0xff]);
+                eat(tag.as_bytes());
+            }
+            eat(&[0xfe]);
+        }
+        h
+    }
+
+    #[test]
+    fn bulk_shaped_corpus_matches_its_pinned_fingerprint() {
+        let corpus = CorpusGenerator::new(bulk_shape(60, 2010)).generate();
+        assert_eq!(
+            (corpus.len(), fingerprint(&corpus)),
+            (935, 0xcf45_6f79_6f98_ff4e),
+            "the corpus stream moved: every experiment golden, every BENCH_*.json \
+             and every benchmark fingerprint was generated from it, so all of them \
+             move too"
+        );
     }
 }

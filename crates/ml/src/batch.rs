@@ -48,7 +48,7 @@
 use crate::data::TagId;
 use crate::distinct::DistinctIds;
 use crate::kernel::Kernel;
-use crate::multilabel::TagPrediction;
+use crate::multilabel::{by_score_descending, TagPrediction};
 use crate::svm::{KernelSvm, LinearSvm};
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
@@ -58,17 +58,6 @@ use textproc::SparseVector;
 #[inline]
 fn logistic(score: f64) -> f64 {
     1.0 / (1.0 + (-score).exp())
-}
-
-/// Sorts predictions by descending score — stable, with the exact comparator
-/// the scalar [`crate::multilabel::OneVsAllModel::scores`] uses, so tie-breaks
-/// agree bit for bit (both paths start from ascending-tag order).
-fn sort_by_descending_score(out: &mut [TagPrediction]) {
-    out.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
 }
 
 /// All per-tag linear models packed into one shared CSR matrix, plus the
@@ -270,7 +259,9 @@ impl TagWeightMatrix {
                 confidence: logistic(score),
             })
             .collect();
-        sort_by_descending_score(&mut out);
+        // The scalar path's stable sort from the same ascending-tag order, so
+        // tie-breaks agree bit for bit.
+        out.sort_by(by_score_descending);
         out
     }
 
@@ -614,7 +605,9 @@ impl BatchKernelScorer {
                 confidence: logistic(score),
             })
             .collect();
-        sort_by_descending_score(&mut out);
+        // The scalar path's stable sort from the same ascending-tag order, so
+        // tie-breaks agree bit for bit.
+        out.sort_by(by_score_descending);
         out
     }
 
@@ -1223,5 +1216,47 @@ mod tests {
         ] {
             assert_decisions_bitwise(&models, &x);
         }
+    }
+
+    /// `(tag, score bits)` in list order: NaN scores compare by bits.
+    fn order(scores: &[TagPrediction]) -> Vec<(TagId, u64)> {
+        scores.iter().map(|p| (p.tag, p.score.to_bits())).collect()
+    }
+
+    #[test]
+    fn batched_scores_sort_nan_last_in_the_scalar_order() {
+        // Tag 0 (first in tag order) scores NaN, tag 3 −0.0 against tag 4's
+        // +0.0: the batched sorts must move the NaN last and keep the zeros
+        // in tag order, exactly as the scalar sort does.
+        let biases = [f64::NAN, 0.5, f64::NAN, -0.0, 0.0, -1.0, f64::INFINITY];
+        let linear: BTreeMap<TagId, LinearSvm> = biases
+            .iter()
+            .enumerate()
+            .map(|(t, &b)| (t as TagId, LinearSvm::from_dense(&[1.0], b)))
+            .collect();
+        let linear = OneVsAllModel::from_classifiers(linear, 0.0, 1);
+        let kernel: BTreeMap<TagId, KernelSvm> = biases
+            .iter()
+            .enumerate()
+            .map(|(t, &b)| {
+                let sv = SupportVector {
+                    vector: sparse(&[(1, 1.0)]),
+                    label: true,
+                    alpha: 1.0,
+                };
+                let model = KernelSvm::from_support_vectors(vec![sv], b, Kernel::Linear);
+                (t as TagId, model)
+            })
+            .collect();
+        let kernel = OneVsAllModel::from_classifiers(kernel, 0.0, 1);
+        let x = sparse(&[(0, 0.0), (2, 1.0)]);
+        let scalar = linear.scores(&x);
+        assert_eq!(
+            scalar.iter().map(|p| p.tag).collect::<Vec<_>>(),
+            [6, 1, 3, 4, 5, 0, 2]
+        );
+        assert_eq!(order(&linear.weight_matrix().scores(&x)), order(&scalar));
+        assert_eq!(order(&kernel.scores(&x)), order(&scalar));
+        assert_eq!(order(&kernel.kernel_scorer().scores(&x)), order(&scalar));
     }
 }

@@ -333,11 +333,7 @@ impl<C: BinaryClassifier> OneVsAllModel<C> {
                 }
             })
             .collect();
-        out.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        out.sort_by(by_score_descending);
         out
     }
 
@@ -400,6 +396,18 @@ impl OneVsAllModel<KernelSvm> {
 /// Logistic squashing used to turn decision values into display confidences.
 fn logistic(score: f64) -> f64 {
     1.0 / (1.0 + (-score).exp())
+}
+
+/// Descending score order with NaN scores last: a total order, so every sort
+/// of scored tags is well defined whatever a model frame decoded to. For
+/// scores without NaN it is `partial_cmp` reversed, so `-0.0` ties with
+/// `0.0` and a stable sort keeps tied tags in their input order. Reading an
+/// incomparable pair as equal instead is no order, and the standard sort may
+/// panic on it.
+pub fn by_score_descending(a: &TagPrediction, b: &TagPrediction) -> std::cmp::Ordering {
+    b.score
+        .partial_cmp(&a.score)
+        .unwrap_or_else(|| a.score.is_nan().cmp(&b.score.is_nan()))
 }
 
 /// The `min_tags` fallback selection shared by every predict path (the
@@ -719,5 +727,60 @@ mod tests {
         assert!(logistic(10.0) > 0.99);
         assert!((logistic(0.0) - 0.5).abs() < 1e-12);
         assert!(logistic(1.0) > logistic(0.5));
+    }
+
+    /// NaN, zeros of both signs, infinities, the smallest subnormal and
+    /// ordinary values.
+    fn score() -> impl Strategy<Value = f64> {
+        (0u8..10, -2.0f64..2.0).prop_map(|(pick, v)| match pick {
+            0 => f64::NAN,
+            1 => 0.0,
+            2 => -0.0,
+            3 => f64::INFINITY,
+            4 => f64::NEG_INFINITY,
+            5 => f64::from_bits(1),
+            _ => v,
+        })
+    }
+
+    fn scored(score: f64) -> TagPrediction {
+        TagPrediction {
+            tag: 0,
+            score,
+            confidence: 0.5,
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn by_score_descending_is_a_total_order_with_nan_last(
+            a in score(),
+            b in score(),
+            c in score(),
+        ) {
+            use std::cmp::Ordering::*;
+            let cmp = |x: f64, y: f64| by_score_descending(&scored(x), &scored(y));
+            // Reflexive and antisymmetric.
+            prop_assert_eq!(cmp(a, a), Equal);
+            prop_assert_eq!(cmp(a, b), cmp(b, a).reverse());
+            // Transitive, for `Less` and `Equal` alike.
+            if cmp(a, b) != Greater && cmp(b, c) != Greater {
+                prop_assert!(cmp(a, c) != Greater, "{} {} {}", a, b, c);
+            }
+            if cmp(a, b) == Equal && cmp(b, c) == Equal {
+                prop_assert_eq!(cmp(a, c), Equal);
+            }
+            // NaN after every number; numbers descending, `-0.0 == 0.0`.
+            match (a.is_nan(), b.is_nan()) {
+                (true, true) => prop_assert_eq!(cmp(a, b), Equal),
+                (true, false) => prop_assert_eq!(cmp(a, b), Greater),
+                (false, true) => prop_assert_eq!(cmp(a, b), Less),
+                (false, false) => prop_assert_eq!(cmp(a, b), b.partial_cmp(&a).unwrap()),
+            }
+        }
     }
 }

@@ -1100,4 +1100,53 @@ mod tests {
         assert!(cempar.regional_support_vectors() > 0);
         assert!(cempar.regional_support_vectors() < 2 * total_training);
     }
+
+    #[test]
+    fn a_nan_weight_model_ranks_its_tag_last_without_panicking() {
+        let mut net = network(16);
+        let data = toy_peer_data(16, 12, 1);
+        let mut cempar = Cempar::new(CemparConfig {
+            regions: 4,
+            ..Default::default()
+        });
+        cempar.train(&mut net, &data).unwrap();
+        // Peer 0 re-propagates its model with an extra tag 0 whose support
+        // vector weight is NaN; its region's cascade keeps that lone
+        // contribution as the regional model for tag 0. Tag 0 sorts first
+        // in tag order, so only the comparator can move it last.
+        let local = cempar.train_local(&data[0]).unwrap();
+        let kernel = local.classifier(1).unwrap().kernel();
+        let mut classifiers: BTreeMap<TagId, KernelSvm> =
+            local.iter().map(|(t, c)| (t, c.clone())).collect();
+        let nan_sv = ml::svm::SupportVector {
+            vector: SparseVector::from_pairs([(0, 1.0), (1, 1.0)]),
+            label: true,
+            alpha: f64::NAN,
+        };
+        classifiers.insert(
+            0,
+            KernelSvm::from_support_vectors(vec![nan_sv], 0.0, kernel),
+        );
+        let model = OneVsAllModel::from_classifiers(classifiers, local.threshold(), 1);
+        cempar
+            .propagate_model(&mut net, PeerId(0), model, MessageKind::ModelPropagation)
+            .unwrap();
+        cempar.recascade();
+        for x in [
+            SparseVector::from_pairs([(0, 1.0)]),
+            SparseVector::from_pairs([(1, 1.0)]),
+            SparseVector::from_pairs([(0, 1.0), (1, 1.0)]),
+        ] {
+            let scores = cempar.scores(&mut net, PeerId(3), &x).unwrap();
+            let nan_from = scores.iter().position(|p| p.score.is_nan()).unwrap();
+            assert!(nan_from > 0, "{scores:?}");
+            assert!(
+                scores[nan_from..].iter().all(|p| p.score.is_nan()),
+                "{scores:?}"
+            );
+            assert!(scores[nan_from..].iter().any(|p| p.tag == 0), "{scores:?}");
+            let tags = cempar.predict(&mut net, PeerId(3), &x).unwrap();
+            assert!(!tags.is_empty() && !tags.contains(&0), "{tags:?}");
+        }
+    }
 }

@@ -912,6 +912,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn toy_peer_data(num_peers: usize, per_peer: usize, seed: u64) -> PeerDataMap {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1425,6 +1426,55 @@ mod tests {
             }
         }
         assert!(agree >= 4, "LSH changed too many predictions: {agree}/5");
+    }
+
+    /// Asserts that every NaN score comes after every number, and that tag 0
+    /// (the one a NaN-weight model knows) scored NaN.
+    fn assert_nan_tag_last(scores: &[TagPrediction]) {
+        let nan_from = scores
+            .iter()
+            .position(|p| p.score.is_nan())
+            .expect("tag 0 scores NaN");
+        assert!(nan_from > 0, "{scores:?}");
+        assert!(
+            scores[nan_from..].iter().all(|p| p.score.is_nan()),
+            "{scores:?}"
+        );
+        assert!(scores[nan_from..].iter().any(|p| p.tag == 0), "{scores:?}");
+    }
+
+    #[test]
+    fn a_nan_weight_model_ranks_its_tag_last_without_panicking() {
+        let mut net = network(12);
+        let data = toy_peer_data(12, 12, 1);
+        let mut pace = Pace::new(PaceConfig::default());
+        pace.train(&mut net, &data).unwrap();
+        // Every held model gains tag 0 with NaN weights and is installed
+        // from its re-encoded envelope, as a hostile or corrupt frame would
+        // be. Tag 0 sorts first in tag order, so only the comparator can
+        // move it last.
+        for source in (0..12).map(PeerId) {
+            let held = pace.model_of(source).unwrap();
+            let warm = held.warm_model();
+            let mut classifiers: BTreeMap<TagId, LinearSvm> =
+                warm.iter().map(|(t, c)| (t, c.clone())).collect();
+            classifiers.insert(0, LinearSvm::from_dense(&[f64::NAN, f64::NAN], 0.0));
+            let model = OneVsAllModel::from_classifiers(classifiers, warm.threshold(), 1);
+            let envelope = encode_pace_install(source, 2, &model, held.accuracy, &held.centroids);
+            let (_, update) = decode_pace_install(&envelope).unwrap();
+            pace.models[source.index()] = Some(PaceModel::assemble(update));
+        }
+        for x in [
+            SparseVector::from_pairs([(0, 1.0)]),
+            SparseVector::from_pairs([(1, 1.0)]),
+            SparseVector::from_pairs([(0, 1.0), (1, 1.0)]),
+        ] {
+            let scores = pace.scores(&mut net, PeerId(5), &x).unwrap();
+            assert_nan_tag_last(&scores);
+            assert_nan_tag_last(&pace.scores_oracle(&net, PeerId(5), &x).unwrap());
+            let tags = pace.predict(&mut net, PeerId(5), &x).unwrap();
+            assert!(!tags.is_empty() && !tags.contains(&0), "{tags:?}");
+        }
     }
 
     #[test]

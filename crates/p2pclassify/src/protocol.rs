@@ -2,7 +2,7 @@
 
 use crate::error::ProtocolError;
 use crate::reliable::LinkStats;
-use ml::multilabel::TagPrediction;
+use ml::multilabel::{by_score_descending, TagPrediction};
 use ml::{MultiLabelDataset, MultiLabelExample, TagId};
 use p2psim::{P2PNetwork, PeerId};
 use std::collections::BTreeSet;
@@ -260,16 +260,6 @@ impl ConfidenceVoteAccumulator {
     }
 }
 
-/// Descending score order, NaN scores last: for scores without NaN this is
-/// `partial_cmp` reversed (so `-0.0` ties with `0.0` and a stable sort keeps
-/// their tag order). Reading an incomparable pair as equal instead is not
-/// an order, and the standard sort may panic on it.
-fn by_score_descending(a: &TagPrediction, b: &TagPrediction) -> std::cmp::Ordering {
-    b.score
-        .partial_cmp(&a.score)
-        .unwrap_or_else(|| a.score.is_nan().cmp(&b.score.is_nan()))
-}
-
 /// The list form of [`ConfidenceVoteAccumulator`]: one `(weight, scores)`
 /// list per voter, fed in order. PACE's test oracle combines its votes
 /// through this.
@@ -316,11 +306,7 @@ pub fn combine_weighted_scores(lists: &[(f64, Vec<TagPrediction>)]) -> Vec<TagPr
             }
         })
         .collect();
-    out.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    out.sort_by(by_score_descending);
     out
 }
 

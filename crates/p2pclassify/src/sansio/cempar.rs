@@ -330,14 +330,14 @@ impl ProtocolCore for CemparCore {
         let Some(inner) = self.link.on_frame(from, frame, &mut out) else {
             return out;
         };
-        match wire::peek_kind(&inner) {
+        match wire::peek_kind(inner) {
             Some(PayloadKind::Install) => {
-                if let Some(effect) = self.decode_install(&inner) {
+                if let Some(effect) = self.decode_install(inner) {
                     out.push(effect);
                 }
             }
             Some(PayloadKind::QueryRequest) => {
-                if let Some((request, weight, scores)) = self.answer_query(&inner) {
+                if let Some((request, weight, scores)) = self.answer_query(inner) {
                     self.link.send(
                         now,
                         from,
@@ -348,7 +348,7 @@ impl ProtocolCore for CemparCore {
                 }
             }
             Some(PayloadKind::QueryResponse) => {
-                if let Ok((request, weight, scores)) = wire::decode_query_response(&inner) {
+                if let Ok((request, weight, scores)) = wire::decode_query_response(inner) {
                     let regions = self.directory.regions() as u64;
                     let query = request / regions;
                     let region = (request % regions) as usize;
@@ -368,7 +368,7 @@ impl ProtocolCore for CemparCore {
             Some(PayloadKind::Digest) => {
                 // Re-push this peer's own contribution when the digest shows
                 // the partner (typically its super-peer) is behind on it.
-                if let Ok(entries) = wire::decode_digest(&inner) {
+                if let Ok(entries) = wire::decode_digest(inner) {
                     let theirs: BTreeMap<u64, u64> = entries.into_iter().collect();
                     let behind = theirs.get(&self.id.0).copied().unwrap_or(0) < self.my_version;
                     if behind && self.my_model.is_some() {

@@ -209,14 +209,14 @@ impl ProtocolCore for CentralizedCore {
         let Some(inner) = self.link.on_frame(from, frame, &mut out) else {
             return out;
         };
-        match wire::peek_kind(&inner) {
+        match wire::peek_kind(inner) {
             Some(PayloadKind::Install) => {
-                if let Some(effect) = self.decode_install(&inner) {
+                if let Some(effect) = self.decode_install(inner) {
                     out.push(effect);
                 }
             }
             Some(PayloadKind::QueryRequest) => {
-                if let Ok((request, x)) = wire::decode_query_request(&inner) {
+                if let Ok((request, x)) = wire::decode_query_request(inner) {
                     let scores = self.server_scores(&x);
                     self.link.send(
                         now,
@@ -228,14 +228,14 @@ impl ProtocolCore for CentralizedCore {
                 }
             }
             Some(PayloadKind::QueryResponse) => {
-                if let Ok((request, _weight, scores)) = wire::decode_query_response(&inner) {
+                if let Ok((request, _weight, scores)) = wire::decode_query_response(inner) {
                     out.push(Output::Effect(LocalEffect::Prediction { request, scores }));
                 }
             }
             Some(PayloadKind::Digest) => {
                 // Re-upload when the partner (the server) is behind on this
                 // peer's contribution.
-                if let Ok(entries) = wire::decode_digest(&inner) {
+                if let Ok(entries) = wire::decode_digest(inner) {
                     let theirs: BTreeMap<u64, u64> = entries.into_iter().collect();
                     let behind = theirs.get(&self.id.0).copied().unwrap_or(0) < self.my_version;
                     if behind && !self.is_server() && !self.local_data.is_empty() {

@@ -203,15 +203,15 @@ impl ProtocolCore for PaceCore {
         let Some(inner) = self.link.on_frame(from, frame, &mut out) else {
             return out;
         };
-        match wire::peek_kind(&inner) {
+        match wire::peek_kind(inner) {
             Some(PayloadKind::Install) => {
-                if let Some(effect) = self.decode_install(&inner) {
+                if let Some(effect) = self.decode_install(inner) {
                     out.push(effect);
                 }
             }
             Some(PayloadKind::Digest) => {
                 // Push every entry the partner is missing or behind on.
-                if let Ok(entries) = wire::decode_digest(&inner) {
+                if let Ok(entries) = wire::decode_digest(inner) {
                     let theirs: BTreeMap<u64, u64> = entries.into_iter().collect();
                     let stale: Vec<Vec<u8>> = self
                         .ensemble

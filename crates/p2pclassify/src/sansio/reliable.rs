@@ -112,18 +112,18 @@ impl ReliableCore {
     }
 
     /// Processes one received frame. Returns the payload the protocol should
-    /// decode — `None` when the frame was consumed by the reliability layer
-    /// (an ack, a duplicate, a corrupted wrapper).
+    /// decode, borrowed from `frame` — `None` when the frame was consumed by
+    /// the reliability layer (an ack, a duplicate, a corrupted wrapper).
     ///
     /// Reliable wrappers are unwrapped (checksum-checked, deduplicated, and
     /// always re-acked); acks retire their pending entry; anything else
     /// passes through untouched.
-    pub fn on_frame(
+    pub fn on_frame<'f>(
         &mut self,
         from: PeerId,
-        frame: &[u8],
+        frame: &'f [u8],
         out: &mut Vec<Output>,
-    ) -> Option<Vec<u8>> {
+    ) -> Option<&'f [u8]> {
         match wire::peek_kind(frame) {
             Some(PayloadKind::Reliable) => match wire::decode_reliable(frame) {
                 Ok((seq, inner)) => {
@@ -159,7 +159,7 @@ impl ReliableCore {
                 }
                 None
             }
-            _ => Some(frame.to_vec()),
+            _ => Some(frame),
         }
     }
 
@@ -247,7 +247,7 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(
             rx.on_frame(PeerId(1), &payload(), &mut out),
-            Some(payload())
+            Some(&payload()[..])
         );
         assert!(out.is_empty());
     }
@@ -284,7 +284,7 @@ mod tests {
         let mut rx_out = Vec::new();
         assert_eq!(
             rx.on_frame(PeerId(1), &wrapped, &mut rx_out),
-            Some(payload())
+            Some(&payload()[..])
         );
         let ack = match &rx_out[0] {
             Output::Emit { to, kind, frame } => {
@@ -370,7 +370,10 @@ mod tests {
         assert_eq!(rx.stats().corrupted_rx, 1);
         // The intact retransmission then delivers normally.
         let mut out = Vec::new();
-        assert_eq!(rx.on_frame(PeerId(3), &wrapped, &mut out), Some(payload()));
+        assert_eq!(
+            rx.on_frame(PeerId(3), &wrapped, &mut out),
+            Some(&payload()[..])
+        );
         assert_eq!(out.len(), 1);
     }
 }

@@ -338,12 +338,13 @@ pub fn encode_reliable(seq: u64, inner: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// Unwraps a reliable frame to `(seq, inner frame bytes)`.
+/// Unwraps a reliable frame to `(seq, inner frame bytes)`, the inner frame
+/// borrowed from `bytes`.
 ///
 /// Fails with [`WireError::ChecksumMismatch`] when the body does not hash to
 /// the carried checksum — the receiver must treat the frame as never
 /// delivered (drop, no ack) rather than decode garbage.
-pub fn decode_reliable(bytes: &[u8]) -> Result<(u64, Vec<u8>), WireError> {
+pub fn decode_reliable(bytes: &[u8]) -> Result<(u64, &[u8]), WireError> {
     let mut r = open(bytes, PayloadKind::Reliable)?;
     let seq = r.read_varint()?;
     let checksum = u64::from_le_bytes(
@@ -361,8 +362,8 @@ pub fn decode_reliable(bytes: &[u8]) -> Result<(u64, Vec<u8>), WireError> {
             "reliable body length mismatch",
         )));
     }
-    let inner = r.read_bytes(len).map_err(WireError::from)?.to_vec();
-    if reliable_checksum(seq, &inner) != checksum {
+    let inner = r.read_bytes(len).map_err(WireError::from)?;
+    if reliable_checksum(seq, inner) != checksum {
         return Err(WireError::ChecksumMismatch);
     }
     finish(r, (seq, inner))
@@ -655,7 +656,9 @@ mod tests {
         let (seq, body) = decode_reliable(&wrapped).unwrap();
         assert_eq!(seq, 42);
         assert_eq!(body, inner);
-        assert_eq!(decode_query(&body).unwrap(), q);
+        assert_eq!(decode_query(body).unwrap(), q);
+        // The body is the wrapper's own tail, not a copy.
+        assert!(std::ptr::eq(&wrapped[wrapped.len() - body.len()..], body));
 
         // Flip one bit anywhere in the body: the checksum must catch it even
         // when the flipped byte still decodes structurally (float payloads).
