@@ -5,7 +5,6 @@ use doctagger::{AutoTagOutcome, DocTaggerConfig, P2PDocTagger, ProtocolKind, Ses
 use p2pclassify::CemparConfig;
 use p2psim::churn::ChurnModel;
 use p2psim::SimConfig;
-use std::sync::Arc;
 
 /// Scale of a generated workload. Experiments default to [`Scale::Demo`];
 /// tests and the sweeps use [`Scale::Small`] to keep run times reasonable.
@@ -195,12 +194,10 @@ impl ScenarioSpec {
 }
 
 /// A generated workload: corpus + 20/80 split (or a custom fraction).
-///
-/// The corpus is behind an [`Arc`] so systems can share it without a deep
-/// copy — at 10k peers the raw documents are by far the largest allocation.
 pub struct Workload {
-    /// The generated corpus (shared, never cloned per system).
-    pub corpus: Arc<Corpus>,
+    /// The generated corpus. Every system ingesting it shares its documents
+    /// (a [`Corpus`] is a shared handle).
+    pub corpus: Corpus,
     /// The train/test split.
     pub split: TrainTestSplit,
 }
@@ -218,7 +215,7 @@ impl Workload {
         seed: u64,
         train_fraction: f64,
     ) -> Self {
-        let corpus = Arc::new(CorpusGenerator::new(corpus_spec(num_users, scale, seed)).generate());
+        let corpus = CorpusGenerator::new(corpus_spec(num_users, scale, seed)).generate();
         let split = TrainTestSplit::stratified_by_user(&corpus, train_fraction, seed ^ 0xABCD);
         Self { corpus, split }
     }
@@ -276,7 +273,7 @@ pub fn run_system(
         seed,
         ..DocTaggerConfig::default()
     });
-    system.ingest_shared(workload.corpus.clone());
+    system.ingest(&workload.corpus);
     system.learn(&workload.split).expect("learning succeeds");
     let train_bytes = system.network_stats().total_bytes();
     let outcome = system.auto_tag_all().expect("auto tagging runs");

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Identifier of a document within a corpus.
 pub type DocumentId = usize;
@@ -23,22 +24,32 @@ pub struct Document {
 }
 
 /// A collection of documents with a registry of tag names.
+///
+/// A `Corpus` is a shared, immutable handle: its contents sit behind one
+/// [`Arc`], so [`Clone`] bumps a reference count and every clone reads the
+/// same documents. The mutators ([`Self::push_document`],
+/// [`Self::intern_tag`]) copy on write: a corpus that owns its contents
+/// alone (a generator building one) mutates them in place, and mutating a
+/// shared clone first copies the contents, so the other holders never see
+/// the change. [`Self::shares_storage_with`] tells whether two handles still
+/// read one copy. Equality compares contents, not handles.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Corpus {
+    contents: Arc<Contents>,
+}
+
+/// What a [`Corpus`] handle points at.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+struct Contents {
     documents: Vec<Document>,
     tag_names: Vec<String>,
     tag_ids: BTreeMap<String, u32>,
     num_users: usize,
 }
 
-impl Corpus {
-    /// Creates an empty corpus.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl Contents {
     /// Registers (or looks up) a tag name and returns its dense id.
-    pub fn intern_tag(&mut self, name: &str) -> u32 {
+    fn intern(&mut self, name: &str) -> u32 {
         if let Some(&id) = self.tag_ids.get(name) {
             return id;
         }
@@ -47,25 +58,47 @@ impl Corpus {
         self.tag_ids.insert(name.to_string(), id);
         id
     }
+}
+
+impl Corpus {
+    /// Creates an empty corpus.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether this handle reads the same contents as `other` — two clones
+    /// of one corpus report `true` until one of them is mutated.
+    pub fn shares_storage_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.contents, &other.contents)
+    }
+
+    /// Registers (or looks up) a tag name and returns its dense id. Looking
+    /// up a registered name never copies a shared corpus.
+    pub fn intern_tag(&mut self, name: &str) -> u32 {
+        match self.tag_id(name) {
+            Some(id) => id,
+            None => Arc::make_mut(&mut self.contents).intern(name),
+        }
+    }
 
     /// The id of a tag name, if registered.
     pub fn tag_id(&self, name: &str) -> Option<u32> {
-        self.tag_ids.get(name).copied()
+        self.contents.tag_ids.get(name).copied()
     }
 
     /// The name of a tag id.
     pub fn tag_name(&self, id: u32) -> Option<&str> {
-        self.tag_names.get(id as usize).map(String::as_str)
+        self.contents.tag_names.get(id as usize).map(String::as_str)
     }
 
     /// Number of distinct tags.
     pub fn num_tags(&self) -> usize {
-        self.tag_names.len()
+        self.contents.tag_names.len()
     }
 
     /// Number of users.
     pub fn num_users(&self) -> usize {
-        self.num_users
+        self.contents.num_users
     }
 
     /// Adds a document, interning its tags, and returns its id.
@@ -75,12 +108,13 @@ impl Corpus {
         text: String,
         tags: BTreeSet<String>,
     ) -> DocumentId {
-        let id = self.documents.len();
+        let contents = Arc::make_mut(&mut self.contents);
+        let id = contents.documents.len();
         for t in &tags {
-            self.intern_tag(t);
+            contents.intern(t);
         }
-        self.num_users = self.num_users.max(user + 1);
-        self.documents.push(Document {
+        contents.num_users = contents.num_users.max(user + 1);
+        contents.documents.push(Document {
             id,
             user,
             text,
@@ -91,22 +125,22 @@ impl Corpus {
 
     /// All documents, ordered by id.
     pub fn documents(&self) -> &[Document] {
-        &self.documents
+        &self.contents.documents
     }
 
     /// A document by id.
     pub fn document(&self, id: DocumentId) -> Option<&Document> {
-        self.documents.get(id)
+        self.contents.documents.get(id)
     }
 
     /// Number of documents.
     pub fn len(&self) -> usize {
-        self.documents.len()
+        self.contents.documents.len()
     }
 
     /// Whether the corpus has no documents.
     pub fn is_empty(&self) -> bool {
-        self.documents.is_empty()
+        self.contents.documents.is_empty()
     }
 
     /// The tag-id set of a document.
@@ -114,7 +148,7 @@ impl Corpus {
         // Inserted one by one: a handful of ids goes straight into one leaf,
         // where `collect` would first buffer and sort them in a `Vec`.
         let mut ids = BTreeSet::new();
-        for tag in &self.documents[id].tags {
+        for tag in &self.contents.documents[id].tags {
             ids.extend(self.tag_id(tag));
         }
         ids
@@ -122,8 +156,8 @@ impl Corpus {
 
     /// Documents owned by each user, ordered by user id.
     pub fn documents_by_user(&self) -> Vec<Vec<DocumentId>> {
-        let mut out = vec![Vec::new(); self.num_users];
-        for d in &self.documents {
+        let mut out = vec![Vec::new(); self.contents.num_users];
+        for d in &self.contents.documents {
             out[d.user].push(d.id);
         }
         out
@@ -132,7 +166,7 @@ impl Corpus {
     /// Number of documents carrying each tag, keyed by tag id.
     pub fn tag_frequencies(&self) -> BTreeMap<u32, usize> {
         let mut out = BTreeMap::new();
-        for d in &self.documents {
+        for d in &self.contents.documents {
             for t in &d.tags {
                 if let Some(id) = self.tag_id(t) {
                     *out.entry(id).or_insert(0) += 1;
@@ -144,11 +178,11 @@ impl Corpus {
 
     /// Mean number of tags per document.
     pub fn mean_tags_per_document(&self) -> f64 {
-        if self.documents.is_empty() {
+        let documents = &self.contents.documents;
+        if documents.is_empty() {
             return 0.0;
         }
-        self.documents.iter().map(|d| d.tags.len()).sum::<usize>() as f64
-            / self.documents.len() as f64
+        documents.iter().map(|d| d.tags.len()).sum::<usize>() as f64 / documents.len() as f64
     }
 }
 
@@ -210,6 +244,55 @@ mod tests {
         assert_eq!(freq[&c.tag_id("x").unwrap()], 2);
         assert_eq!(freq[&c.tag_id("y").unwrap()], 2);
         assert!((c.mean_tags_per_document() - 4.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn clones_share_storage_until_mutated() {
+        let mut a = Corpus::new();
+        a.push_document(0, "rust code".into(), tags(&["rust"]));
+        let b = a.clone();
+        assert!(b.shares_storage_with(&a));
+        assert_eq!(b, a);
+
+        // A new document on a shared clone: copied on write.
+        let mut pushed = a.clone();
+        pushed.push_document(2, "web page".into(), tags(&["web"]));
+        assert!(!pushed.shares_storage_with(&a));
+        assert!(b.shares_storage_with(&a), "the other holders still share");
+        assert_eq!((a.len(), a.num_users(), a.num_tags()), (1, 1, 1));
+        assert_eq!(
+            (pushed.len(), pushed.num_users(), pushed.num_tags()),
+            (2, 3, 2)
+        );
+        assert!(a.tag_id("web").is_none());
+
+        // A new tag on a shared clone: copied on write; a known one is a
+        // lookup and keeps sharing.
+        let mut interned = a.clone();
+        assert_eq!(interned.intern_tag("rust"), a.tag_id("rust").unwrap());
+        assert!(interned.shares_storage_with(&a));
+        interned.intern_tag("brand-new");
+        assert!(!interned.shares_storage_with(&a));
+        assert!(a.tag_id("brand-new").is_none());
+        assert_eq!(a.num_tags(), 1);
+
+        // Equality compares contents, not handles.
+        let mut rebuilt = Corpus::new();
+        rebuilt.push_document(0, "rust code".into(), tags(&["rust"]));
+        assert!(!rebuilt.shares_storage_with(&a));
+        assert_eq!(rebuilt, a);
+        assert_ne!(pushed, a);
+        assert_ne!(interned, a);
+    }
+
+    #[test]
+    fn a_sole_owner_mutates_in_place() {
+        let mut c = Corpus::new();
+        c.push_document(0, "a".into(), tags(&["x"]));
+        let before = Arc::as_ptr(&c.contents);
+        c.push_document(1, "b".into(), tags(&["y"]));
+        c.intern_tag("z");
+        assert_eq!(Arc::as_ptr(&c.contents), before);
     }
 
     #[test]

@@ -203,14 +203,9 @@ impl SessionDriver {
     /// timeline, rolls the per-document manual/refine decisions, and ingests
     /// the corpus into a network whose churn spans the whole session.
     ///
-    /// The corpus is deep-copied into the system; sessions at scale should
-    /// hand over an [`Arc`] via [`Self::new_shared`] instead.
+    /// The system shares the caller's documents (see
+    /// [`P2PDocTagger::ingest`]); nothing is copied.
     pub fn new(protocol: ProtocolKind, config: SessionConfig, corpus: &Corpus) -> Self {
-        Self::new_shared(protocol, config, Arc::new(corpus.clone()))
-    }
-
-    /// Like [`Self::new`], but shares the corpus instead of copying it.
-    pub fn new_shared(protocol: ProtocolKind, config: SessionConfig, corpus: Arc<Corpus>) -> Self {
         assert!(config.epochs > 0, "need at least one epoch");
         assert!(config.epoch_secs > 0.0, "epochs must have positive length");
         let horizon_secs = config.epochs as f64 * config.epoch_secs;
@@ -230,7 +225,7 @@ impl SessionDriver {
             ..DocTaggerConfig::default()
         });
         let arrivals = ArrivalTimeline::generate(
-            &corpus,
+            corpus,
             &ArrivalSpec {
                 horizon_secs,
                 drift: config.drift,
@@ -256,7 +251,7 @@ impl SessionDriver {
             }
         }
         let num_docs = corpus.len();
-        system.ingest_shared(corpus);
+        system.ingest(corpus);
         Self {
             system,
             arrivals,
@@ -265,6 +260,12 @@ impl SessionDriver {
             refine_roll,
             num_docs,
         }
+    }
+
+    /// Builds a driver over a corpus held in an [`Arc`]: equivalent to
+    /// [`Self::new`], which shares the documents too.
+    pub fn new_shared(protocol: ProtocolKind, config: SessionConfig, corpus: Arc<Corpus>) -> Self {
+        Self::new(protocol, config, &corpus)
     }
 
     /// Read access to the system under test (library, tag store, network
@@ -562,6 +563,25 @@ mod tests {
         // Refinements happened and lifted the final numbers above the raw
         // per-epoch trajectory.
         assert!(outcome.total_refinements > 0);
+    }
+
+    #[test]
+    fn both_constructors_share_the_callers_corpus_and_run_alike() {
+        let corpus = session_corpus();
+        let mut by_ref = SessionDriver::new(ProtocolKind::pace(), churny(true), &corpus);
+        let mut shared =
+            SessionDriver::new_shared(ProtocolKind::pace(), churny(true), Arc::new(corpus.clone()));
+        for driver in [&by_ref, &shared] {
+            assert!(driver
+                .system()
+                .corpus()
+                .unwrap()
+                .shares_storage_with(&corpus));
+        }
+        let (a, b) = (by_ref.run().unwrap(), shared.run().unwrap());
+        assert_eq!(a.final_metrics, b.final_metrics);
+        assert_eq!(a.manual_per_user, b.manual_per_user);
+        assert_eq!(a.total_refinements, b.total_refinements);
     }
 
     /// The acceptance criterion of the streaming session layer: a multi-epoch

@@ -55,7 +55,7 @@ impl AutoTagOutcome {
 pub struct P2PDocTagger {
     config: DocTaggerConfig,
     protocol: Box<dyn P2PTagClassifier>,
-    corpus: Option<Arc<Corpus>>,
+    corpus: Option<Corpus>,
     vectorized: Option<VectorizedCorpus>,
     network: Option<P2PNetwork>,
     split: Option<TrainTestSplit>,
@@ -106,17 +106,10 @@ impl P2PDocTagger {
     /// document and builds the simulated P2P environment (one peer per user
     /// unless an explicit network configuration was provided).
     ///
-    /// The corpus is deep-copied. Callers that already hold the corpus in an
-    /// [`Arc`] should prefer [`Self::ingest_shared`], which shares it — at
-    /// 10k peers the copy is hundreds of thousands of strings.
+    /// The system keeps a clone of the [`Corpus`] handle, which shares the
+    /// caller's documents: nothing is copied, whatever the corpus' size.
     pub fn ingest(&mut self, corpus: &Corpus) {
-        self.ingest_shared(Arc::new(corpus.clone()));
-    }
-
-    /// Ingests a shared corpus without copying the documents (see
-    /// [`Self::ingest`]).
-    pub fn ingest_shared(&mut self, corpus: Arc<Corpus>) {
-        let vectorized = VectorizedCorpus::build_with_weighting(&corpus, self.config.weighting);
+        let vectorized = VectorizedCorpus::build_with_weighting(corpus, self.config.weighting);
         let sim = self.config.network.clone().unwrap_or_else(|| SimConfig {
             num_peers: corpus.num_users().max(1),
             seed: self.config.seed,
@@ -124,7 +117,7 @@ impl P2PDocTagger {
         });
         self.network = Some(P2PNetwork::new(sim));
         self.vectorized = Some(vectorized);
-        self.corpus = Some(corpus);
+        self.corpus = Some(corpus.clone());
         // The previous corpus' split names document ids this one may not have.
         self.split = None;
         self.library = DocumentLibrary::new();
@@ -133,6 +126,12 @@ impl P2PDocTagger {
         self.eval_universe = None;
         self.unseen_refinements = BTreeMap::new();
         self.learned = false;
+    }
+
+    /// Ingests a corpus held in an [`Arc`]: equivalent to [`Self::ingest`],
+    /// which shares the documents too.
+    pub fn ingest_shared(&mut self, corpus: Arc<Corpus>) {
+        self.ingest(&corpus);
     }
 
     /// Number of peers in the simulated network (0 before ingestion).
@@ -525,7 +524,7 @@ impl P2PDocTagger {
 
     /// The ingested corpus, if any.
     pub fn corpus(&self) -> Option<&Corpus> {
-        self.corpus.as_deref()
+        self.corpus.as_ref()
     }
 
     /// Number of tags currently known to the system (including ones introduced
@@ -556,6 +555,32 @@ mod tests {
         });
         sys.ingest(&corpus);
         (sys, corpus, split)
+    }
+
+    #[test]
+    fn ingest_shares_the_callers_corpus() {
+        let (sys, corpus, _) = system_with(ProtocolKind::pace());
+        assert!(sys.corpus().unwrap().shares_storage_with(&corpus));
+    }
+
+    #[test]
+    fn ingest_and_ingest_shared_run_alike() {
+        let (mut by_ref, corpus, split) = system_with(ProtocolKind::pace());
+        let mut shared = P2PDocTagger::new(DocTaggerConfig {
+            protocol: ProtocolKind::pace(),
+            ..Default::default()
+        });
+        shared.ingest_shared(Arc::new(corpus.clone()));
+        assert!(shared.corpus().unwrap().shares_storage_with(&corpus));
+        by_ref.learn(&split).unwrap();
+        shared.learn(&split).unwrap();
+        let a = by_ref.auto_tag_all().unwrap();
+        let b = shared.auto_tag_all().unwrap();
+        assert_eq!(a.metrics, b.metrics);
+        assert_eq!((a.tagged, a.failed), (b.tagged, b.failed));
+        let (sa, sb) = (by_ref.network_stats(), shared.network_stats());
+        assert_eq!(sa.total_bytes(), sb.total_bytes());
+        assert_eq!(sa.total_messages(), sb.total_messages());
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! column and cached row at the same time.
 
 use crate::kernel::SCATTER_LIMIT;
+use crate::multilabel::by_distance_ascending;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -479,7 +480,7 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
             .into_iter()
             .map(|i| (i, self.entries[i].0.distance(query)))
             .collect();
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        scored.sort_by(|a, b| by_distance_ascending(a.1, b.1));
         scored
             .into_iter()
             .take(k)
@@ -645,7 +646,7 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
             .filter(|&i| self.live[i])
             .map(|i| (i, self.entries[i].0.distance(query)))
             .collect();
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        scored.sort_by(|a, b| by_distance_ascending(a.1, b.1));
         scored
             .into_iter()
             .take(k)
@@ -1204,6 +1205,44 @@ mod tests {
             idx.retire(&i);
         }
         for k in [1, 9, 40, 200] {
+            assert_batched_matches_scalar(&idx, &query, k);
+        }
+    }
+
+    #[test]
+    fn queries_over_nan_valued_keys_return_in_one_order() {
+        let mut idx = LshIndex::new(LshConfig::default());
+        let query = SparseVector::from_pairs([(0, 1.0), (1, 0.5)]);
+        // NaN on a feature of the key's own, NaN on a query feature, a NaN
+        // key equal to nothing, infinite keys and finite keys, interleaved.
+        for i in 0..60u32 {
+            let own = 10 + i;
+            let key = match i % 6 {
+                0 => SparseVector::from_pairs([(own, f64::NAN)]),
+                1 => SparseVector::from_pairs([(0, f64::NAN), (own, 1.0)]),
+                2 => SparseVector::from_pairs([(0, 1.0), (1, 0.5)]),
+                3 => SparseVector::from_pairs([(own, f64::INFINITY)]),
+                4 => SparseVector::from_pairs([(0, f64::NAN), (1, f64::NAN)]),
+                _ => SparseVector::from_pairs([(0, 0.5), (own, f64::from(i) / 10.0)]),
+            };
+            idx.insert(key, i);
+        }
+        for k in [1, 5, 17, 40, 60, 100] {
+            let exact = idx.query_exact(&query, k);
+            assert_eq!(exact.len(), k.min(idx.len()));
+            for hits in [idx.query(&query, k), exact] {
+                assert!(hits
+                    .windows(2)
+                    .all(|w| by_distance_ascending(w[0].1, w[1].1).is_le()));
+                // `SparseVector::distance` clamps a NaN squared distance at
+                // zero, so a NaN-valued key is priced at distance 0: no NaN
+                // reaches the sort, and such keys tie with the exact match.
+                for (&item, d) in &hits {
+                    if matches!(item % 6, 0 | 1 | 4) {
+                        assert_eq!(d.to_bits(), 0.0f64.to_bits(), "item {item}");
+                    }
+                }
+            }
             assert_batched_matches_scalar(&idx, &query, k);
         }
     }

@@ -410,6 +410,16 @@ pub fn by_score_descending(a: &TagPrediction, b: &TagPrediction) -> std::cmp::Or
         .unwrap_or_else(|| a.score.is_nan().cmp(&b.score.is_nan()))
 }
 
+/// Ascending distance order with NaN distances last: a total order, so every
+/// sort of ranked neighbours (LSH entries, PACE models) is well defined
+/// whatever a key or centroid decoded to. For distances without NaN it is
+/// `partial_cmp`, so `-0.0` ties with `0.0` and a stable sort keeps tied
+/// entries in their input order, where `total_cmp` would split them.
+pub fn by_distance_ascending(a: f64, b: f64) -> std::cmp::Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
 /// The `min_tags` fallback selection shared by every predict path (the
 /// scalar and batched model predicts here, the protocol-level
 /// `select_tags` / `select_tags_adaptive` in `p2pclassify`): the
@@ -780,6 +790,31 @@ mod tests {
                 (true, false) => prop_assert_eq!(cmp(a, b), Greater),
                 (false, true) => prop_assert_eq!(cmp(a, b), Less),
                 (false, false) => prop_assert_eq!(cmp(a, b), b.partial_cmp(&a).unwrap()),
+            }
+        }
+
+        #[test]
+        fn by_distance_ascending_is_a_total_order_with_nan_last(
+            a in score(),
+            b in score(),
+            c in score(),
+        ) {
+            use std::cmp::Ordering::*;
+            let cmp = by_distance_ascending;
+            prop_assert_eq!(cmp(a, a), Equal);
+            prop_assert_eq!(cmp(a, b), cmp(b, a).reverse());
+            if cmp(a, b) != Greater && cmp(b, c) != Greater {
+                prop_assert!(cmp(a, c) != Greater, "{} {} {}", a, b, c);
+            }
+            if cmp(a, b) == Equal && cmp(b, c) == Equal {
+                prop_assert_eq!(cmp(a, c), Equal);
+            }
+            // NaN after every number; numbers ascending, `-0.0 == 0.0`.
+            match (a.is_nan(), b.is_nan()) {
+                (true, true) => prop_assert_eq!(cmp(a, b), Equal),
+                (true, false) => prop_assert_eq!(cmp(a, b), Greater),
+                (false, true) => prop_assert_eq!(cmp(a, b), Less),
+                (false, false) => prop_assert_eq!(cmp(a, b), a.partial_cmp(&b).unwrap()),
             }
         }
     }

@@ -35,7 +35,7 @@ use ml::batch::TagWeightMatrix;
 use ml::codec::{CodecError, WeightPrecision};
 use ml::kmeans::{KMeans, KMeansConfig};
 use ml::lsh::{LshConfig, LshIndex};
-use ml::multilabel::{OneVsAllModel, OneVsAllTrainer, TagPrediction};
+use ml::multilabel::{by_distance_ascending, OneVsAllModel, OneVsAllTrainer, TagPrediction};
 use ml::svm::{LinearSvm, LinearSvmTrainer};
 use ml::{MultiLabelDataset, MultiLabelExample, TagId};
 use p2psim::message::MessageKind;
@@ -252,8 +252,9 @@ pub(crate) fn decode_pace_install(frame: &[u8]) -> Result<(u64, PaceUpdate), Wir
 
 /// Trains one peer's PACE contribution — per-tag linear SVMs, averaged
 /// training accuracy, k-means centroids — from its local data, warm-starting
-/// from `warm` when given. Every one-vs-all fit runs off one shared CSR arena
-/// (shared DCD diagonal and shuffle orders, reused solver scratch).
+/// from the weights of `warm`, the peer's installed model, when given.
+/// Every one-vs-all fit runs off one shared CSR arena (shared DCD diagonal
+/// and shuffle orders, reused solver scratch).
 ///
 /// This is the single protocol body shared by the monolithic [`Pace`]
 /// instance (simulator driver) and the per-peer sans-io
@@ -268,13 +269,20 @@ pub(crate) fn train_pace_model(
     config: &PaceConfig,
     peer: PeerId,
     data: &MultiLabelDataset,
-    warm: Option<&OneVsAllModel<LinearSvm>>,
+    warm: Option<&PaceModel>,
 ) -> Option<PaceUpdate> {
     if data.is_empty() {
         return None;
     }
+    // The warm solver reads the stored weights only from
+    // `warm_min_examples` examples up and solves cold below that, so a
+    // smaller refit skips unpacking them: it trains what the warm path would
+    // have, bit for bit.
+    let warm = warm
+        .filter(|_| data.len() >= config.svm.warm_min_examples)
+        .map(PaceModel::warm_model);
     parallel::inline(|| {
-        let model = match warm {
+        let model = match &warm {
             Some(prev) => config
                 .one_vs_all
                 .train_linear_warm_csr(data, &config.svm, prev),
@@ -338,7 +346,7 @@ pub(crate) fn rank_pace_models<'a>(
     let mut ranked: Vec<(&PaceModel, f64)> = candidates
         .map(|m| (m, m.nearest_centroid_distance(x, x_norm_sq)))
         .collect();
-    ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+    ranked.sort_by(|a, b| by_distance_ascending(a.1, b.1));
     ranked.truncate(config.top_k.max(1));
     ranked
 }
@@ -444,13 +452,13 @@ impl Pace {
     }
 
     /// Trains one peer's local model + centroids, warm-starting the per-tag
-    /// SVMs from `warm` when given (the incremental path: a few SGD passes
-    /// from the stored weights instead of a cold dual solve).
+    /// SVMs from `warm`'s weights when given (the incremental path: a few
+    /// SGD passes from the stored weights instead of a cold dual solve).
     fn train_local_warm(
         &self,
         peer: PeerId,
         data: &MultiLabelDataset,
-        warm: Option<&OneVsAllModel<LinearSvm>>,
+        warm: Option<&PaceModel>,
     ) -> Option<PaceUpdate> {
         train_pace_model(&self.config, peer, data, warm)
     }
@@ -556,7 +564,7 @@ impl Pace {
             .filter(|(source, _)| available.contains(**source))
             .filter_map(|(source, dist)| Some((self.model_of(*source)?, dist)))
             .collect();
-        candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        candidates.sort_by(|a, b| by_distance_ascending(a.1, b.1));
         candidates.truncate(self.config.top_k.max(1));
         candidates
     }
@@ -639,7 +647,7 @@ impl Pace {
         };
         let mut nearest: Vec<(&PaceModel, f64)> =
             held.into_iter().map(|m| (m, distance(m))).collect();
-        nearest.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        nearest.sort_by(|a, b| by_distance_ascending(a.1, b.1));
         nearest.truncate(self.config.top_k.max(1));
         if nearest.is_empty() {
             return Err(ProtocolError::NoModelReachable);
@@ -783,8 +791,7 @@ impl P2PTagClassifier for Pace {
                 if !net_ref.is_online(peer) {
                     return None;
                 }
-                let warm = self.model_of(peer).map(PaceModel::warm_model);
-                self.train_local_warm(peer, &self.local_data[peer.index()], warm.as_ref())
+                self.train_local_warm(peer, &self.local_data[peer.index()], self.model_of(peer))
             });
             for model in models.into_iter().flatten() {
                 // Replaces this peer's model in the ensemble and swaps its
@@ -813,8 +820,8 @@ impl P2PTagClassifier for Pace {
             self.local_data.resize(idx + 1, MultiLabelDataset::new());
         }
         self.local_data[idx].push(example.clone());
-        let warm = self.model_of(peer).map(PaceModel::warm_model);
-        if let Some(model) = self.train_local_warm(peer, &self.local_data[idx], warm.as_ref()) {
+        if let Some(model) = self.train_local_warm(peer, &self.local_data[idx], self.model_of(peer))
+        {
             // Re-propagating replaces this peer's model in the ensemble and
             // swaps its centroids in the LSH index.
             self.dirty.remove(peer);
@@ -1003,7 +1010,8 @@ mod tests {
                 );
                 let mut grown = data.clone();
                 grown.extend_from(extra);
-                let warm = train_pace_model(&config, peer, &grown, Some(&first.model)).unwrap();
+                let held = PaceModel::assemble(first);
+                let warm = train_pace_model(&config, peer, &grown, Some(&held)).unwrap();
                 assert_eq!(
                     warm.accuracy.to_bits(),
                     csr_scatter_accuracy(&warm.model, &grown).to_bits(),
@@ -1014,6 +1022,57 @@ mod tests {
             }
         }
         assert_eq!(checked, 60);
+    }
+
+    /// The bytes of a model's lossless frame: equal bytes, equal weights
+    /// and biases bit for bit.
+    fn model_bytes(model: &OneVsAllModel<LinearSvm>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        ml::codec::encode_linear_ova(model, WeightPrecision::F64, &mut buf);
+        buf
+    }
+
+    #[test]
+    fn a_refit_unpacks_the_held_model_only_where_the_warm_solver_reads_it() {
+        let config = PaceConfig::default();
+        let min = config.svm.warm_min_examples;
+        let peer = PeerId(0);
+        for seed in [5, 19] {
+            let all = equivalence_peer_data(1, min + 8, seed).remove(0);
+            let prefix = |n: usize| {
+                let mut data = all.clone();
+                data.truncate(n);
+                data
+            };
+            let held =
+                PaceModel::assemble(train_pace_model(&config, peer, &prefix(10), None).unwrap());
+            for n in [1, 12, min - 1, min, min + 1, min + 8] {
+                let data = &prefix(n);
+                let refit = train_pace_model(&config, peer, data, Some(&held)).unwrap();
+                // What a refit trained before it decided to unpack: always
+                // the warm solver, from the unpacked weights.
+                let warm_solver =
+                    config
+                        .one_vs_all
+                        .train_linear_warm_csr(data, &config.svm, &held.warm_model());
+                assert_eq!(
+                    model_bytes(&refit.model),
+                    model_bytes(&warm_solver),
+                    "seed {seed}, n {n}"
+                );
+                let cold = config.one_vs_all.train_linear_csr(data, &config.svm);
+                assert_eq!(
+                    model_bytes(&refit.model) == model_bytes(&cold),
+                    n < min,
+                    "seed {seed}, n {n}: below the threshold a refit is the cold fit"
+                );
+                let from_scratch = train_pace_model(&config, peer, data, None).unwrap();
+                if n < min {
+                    assert_eq!(refit.accuracy.to_bits(), from_scratch.accuracy.to_bits());
+                    assert_eq!(refit.centroids, from_scratch.centroids);
+                }
+            }
+        }
     }
 
     /// Production `scores` against [`Pace::scores_oracle`] on the same

@@ -110,12 +110,10 @@ impl PaceCore {
     pub fn train(&mut self, now: Millis, data: &MultiLabelDataset) -> Vec<Output> {
         let mut out = Vec::new();
         self.local_data.extend_from(data);
-        // The installed model is borrowed (a core keeps its classifiers at
-        // rest) and released before the new one is installed.
-        let update = {
-            let warm = self.ensemble.get(&self.id.0).map(|e| e.model.warm_model());
-            train_pace_model(&self.config, self.id, &self.local_data, warm.as_ref())
-        };
+        // The installed model is borrowed and released before the new one is
+        // installed.
+        let warm = self.ensemble.get(&self.id.0).map(|e| &e.model);
+        let update = train_pace_model(&self.config, self.id, &self.local_data, warm);
         let Some(update) = update else {
             return out;
         };
