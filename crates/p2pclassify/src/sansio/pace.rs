@@ -306,4 +306,45 @@ mod tests {
         let resent = emitted(holder.ingest(0, PeerId(2), &digest[0]));
         assert_eq!(resent, vec![want]);
     }
+
+    /// An install whose centroids hold a NaN, or whose accuracy is no
+    /// fraction, fails validation like a bad checksum: whether it would
+    /// update a held source or add a new one, the core keeps what it held.
+    #[test]
+    fn installs_with_non_finite_centroids_or_an_out_of_range_accuracy_are_refused() {
+        use ml::codec::{CodecError, WeightPrecision};
+        let peers: Vec<PeerId> = (0..3).map(PeerId).collect();
+        let config = PaceConfig::default();
+        let mut source = PaceCore::new(PeerId(0), peers.clone(), config.clone());
+        let mut holder = PaceCore::new(PeerId(1), peers, config);
+        let sent = emitted(source.train(0, &peer_data(1.0)));
+        holder.ingest(0, PeerId(0), &sent[0]);
+        let held = holder.installed_versions();
+        assert_eq!(held, vec![(0, 1)]);
+
+        let (_, update) = decode_pace_install(&sent[0]).unwrap();
+        let model = wire::encode_pace_model(&update.model, update.accuracy, WeightPrecision::F64);
+        let centroids = wire::encode_centroids(&update.centroids);
+        let huge_accuracy = wire::forge_f64(&model, update.accuracy, 1e9);
+        let value = update.centroids[0].values()[0];
+        let nan_centroid = wire::forge_f64(&centroids, value, f64::NAN);
+        let invalid = |what| Some(wire::WireError::Codec(CodecError::Invalid(what)));
+        let reason = wire::decode_pace_model(&huge_accuracy).err();
+        assert_eq!(reason, invalid("PACE accuracy outside [0, 1]"));
+        let reason = wire::decode_centroids(&nan_centroid).err();
+        assert_eq!(reason, invalid("non-finite centroid value"));
+
+        let deliver = |holder: &mut PaceCore, src: u64, parts: [&[u8]; 2]| {
+            holder.ingest(0, PeerId(src), &wire::encode_install(src, 2, &parts))
+        };
+        for parts in [[&huge_accuracy, &centroids], [&model, &nan_centroid]] {
+            for src in [0, 2] {
+                deliver(&mut holder, src, parts.map(Vec::as_slice));
+                assert_eq!(holder.installed_versions(), held);
+            }
+        }
+        // The same envelope, unforged, installs.
+        deliver(&mut holder, 0, [&model, &centroids]);
+        assert_eq!(holder.installed_versions(), vec![(0, 2)]);
+    }
 }

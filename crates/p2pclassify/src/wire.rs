@@ -200,38 +200,60 @@ fn finish<T>(r: ByteReader<'_>, value: T) -> Result<T, WireError> {
 }
 
 /// Encodes a PACE propagation frame: the peer's linear one-vs-all model plus
-/// its training accuracy (the ensemble vote weight).
+/// its training accuracy (the ensemble vote weight), which lies in `[0, 1]`.
 pub fn encode_pace_model(
     model: &OneVsAllModel<LinearSvm>,
     accuracy: f64,
     precision: WeightPrecision,
 ) -> Vec<u8> {
+    debug_assert!(accuracy_is_valid(accuracy), "accuracy {accuracy}");
     let mut buf = frame(PayloadKind::LinearModel);
     codec::put_f64(&mut buf, accuracy);
     codec::encode_linear_ova(model, precision, &mut buf);
     buf
 }
 
-/// Decodes a PACE propagation frame back to `(model, accuracy)`.
+/// Decodes a PACE propagation frame back to `(model, accuracy)`. An accuracy
+/// outside `[0, 1]` (NaN included) is [`CodecError::Invalid`]: it would be
+/// the frame's vote weight.
 pub fn decode_pace_model(bytes: &[u8]) -> Result<(OneVsAllModel<LinearSvm>, f64), WireError> {
     let mut r = open(bytes, PayloadKind::LinearModel)?;
     let accuracy = r.read_f64()?;
+    if !accuracy_is_valid(accuracy) {
+        return Err(CodecError::Invalid("PACE accuracy outside [0, 1]").into());
+    }
     let model = codec::decode_linear_ova(&mut r)?;
     finish(r, (model, accuracy))
 }
 
-/// Encodes a PACE centroid frame.
+fn accuracy_is_valid(accuracy: f64) -> bool {
+    (0.0..=1.0).contains(&accuracy)
+}
+
+/// Encodes a PACE centroid frame; every centroid value is finite.
 pub fn encode_centroids(centroids: &[SparseVector]) -> Vec<u8> {
+    debug_assert!(all_finite(centroids), "non-finite centroid value");
     let mut buf = frame(PayloadKind::Centroids);
     codec::encode_vectors(centroids, &mut buf);
     buf
 }
 
-/// Decodes a PACE centroid frame.
+/// Decodes a PACE centroid frame. A non-finite value is
+/// [`CodecError::Invalid`]: the retrieval distance would price a NaN
+/// centroid at 0, nearest to every query.
 pub fn decode_centroids(bytes: &[u8]) -> Result<Vec<SparseVector>, WireError> {
     let mut r = open(bytes, PayloadKind::Centroids)?;
     let centroids = codec::decode_vectors(&mut r)?;
+    if !all_finite(&centroids) {
+        return Err(CodecError::Invalid("non-finite centroid value").into());
+    }
     finish(r, centroids)
+}
+
+fn all_finite(vectors: &[SparseVector]) -> bool {
+    vectors
+        .iter()
+        .all(|v| v.values().iter().all(|x| x.is_finite()))
 }
 
 /// Encodes a CEMPaR propagation frame: a kernel one-vs-all model.
@@ -500,6 +522,20 @@ pub fn decode_query_response(bytes: &[u8]) -> Result<(u64, u64, Vec<TagPredictio
     finish(r, (request, weight, scores))
 }
 
+/// `bytes` with the first occurrence of `from`'s little-endian encoding
+/// replaced by `to`'s: how a test forges a value the encoders refuse.
+#[cfg(test)]
+pub(crate) fn forge_f64(bytes: &[u8], from: f64, to: f64) -> Vec<u8> {
+    let (from, to) = (from.to_le_bytes(), to.to_le_bytes());
+    let at = bytes
+        .windows(8)
+        .position(|w| w == from)
+        .expect("value is on the wire");
+    let mut forged = bytes.to_vec();
+    forged[at..at + 8].copy_from_slice(&to);
+    forged
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,6 +570,38 @@ mod tests {
         assert_eq!(accuracy, 0.9375);
         for (x, _) in ds.iter() {
             assert_eq!(model.scores(x), decoded.scores(x));
+        }
+    }
+
+    #[test]
+    fn pace_frames_carry_finite_values_and_an_accuracy_in_the_unit_interval() {
+        let ds = toy_dataset();
+        let model = OneVsAllTrainer::default().train_linear(&ds, &LinearSvmTrainer::default());
+        fn invalid<T>(what: &'static str) -> Result<T, WireError> {
+            Err(WireError::Codec(CodecError::Invalid(what)))
+        }
+        for accuracy in [0.0, 1.0] {
+            let frame = encode_pace_model(&model, accuracy, WeightPrecision::F64);
+            assert_eq!(decode_pace_model(&frame).unwrap().1, accuracy);
+        }
+        let good = encode_pace_model(&model, 0.9375, WeightPrecision::F64);
+        for accuracy in [f64::NAN, f64::INFINITY, -0.25, 1.5, 1e9] {
+            let forged = forge_f64(&good, 0.9375, accuracy);
+            let got = decode_pace_model(&forged).map(|(_, a)| a);
+            assert_eq!(got, invalid("PACE accuracy outside [0, 1]"), "{accuracy}");
+        }
+
+        let good = encode_centroids(&[
+            SparseVector::from_pairs([(0, 1.0), (3, 0.625)]),
+            SparseVector::from_pairs([(1, 0.9)]),
+        ]);
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let forged = forge_f64(&good, 0.625, value);
+            assert_eq!(
+                decode_centroids(&forged),
+                invalid("non-finite centroid value"),
+                "{value}"
+            );
         }
     }
 

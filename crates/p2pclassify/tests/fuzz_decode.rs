@@ -13,6 +13,9 @@
 //!    of entries must be rejected *before* it sizes an allocation; decoding
 //!    stays cheap no matter what the prefix says.
 //!
+//! One property holds the PACE decoders to their value contract: an install
+//! that decodes carries finite centroids and an accuracy in `[0, 1]`.
+//!
 //! [`CorruptionFaults`]: p2psim::faults::CorruptionFaults
 
 use std::sync::OnceLock;
@@ -174,6 +177,48 @@ proptest! {
         flipped[bit / 8] ^= 1 << (bit % 8);
         run_wire_decoders(&flipped);
         run_codec_decoders(&flipped);
+    }
+
+    /// Every PACE install that decodes carries finite centroids and an
+    /// accuracy in `[0, 1]`. The valid install is forged by writing an f64
+    /// (any bit pattern, or NaN, ±∞, 1e9, -0.5) over the accuracy, over a
+    /// centroid value or at an arbitrary offset, and by flipping one bit;
+    /// whatever still decodes is held to the contract.
+    #[test]
+    fn decoded_pace_installs_carry_finite_centroids_and_a_unit_accuracy(
+        target in any::<usize>(),
+        bits in any::<u64>(),
+        special in 0usize..6,
+        bit in any::<usize>(),
+    ) {
+        let install = &valid_frames().iter().find(|(name, _)| *name == "pace_install").unwrap().1;
+        // The accuracy, then the centroid values, then anywhere.
+        let aimed: Vec<usize> = [0.9375, 1.0, 0.5, 0.9]
+            .iter()
+            .map(|v: &f64| install.windows(8).position(|w| w == v.to_le_bytes()).unwrap())
+            .collect();
+        let at = match target % (aimed.len() + 1) {
+            i if i < aimed.len() => aimed[i],
+            _ => target % (install.len() - 7),
+        };
+        let value = [f64::from_bits(bits), f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e9, -0.5][special];
+        let mut forged = install.clone();
+        forged[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let bit = bit % (install.len() * 8);
+        let mut flipped = install.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        for frame in [forged, flipped] {
+            let Ok((_, _, parts)) = wire::decode_install(&frame) else { continue };
+            let &[model, centroids] = parts.as_slice() else { continue };
+            let (Ok((_, accuracy)), Ok(centroids)) =
+                (wire::decode_pace_model(model), wire::decode_centroids(centroids))
+            else {
+                continue;
+            };
+            prop_assert!((0.0..=1.0).contains(&accuracy), "accuracy {}", accuracy);
+            let finite = centroids.iter().all(|c| c.values().iter().all(|x| x.is_finite()));
+            prop_assert!(finite, "a decoded centroid holds a non-finite value");
+        }
     }
 
     /// Truncation at an arbitrary byte boundary (the simulator's other

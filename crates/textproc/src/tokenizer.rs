@@ -2,6 +2,13 @@
 //!
 //! The tokenizer splits raw text into lower-cased word tokens, mirroring the
 //! information-retrieval-style preprocessing described in §2 of the paper.
+//!
+//! Splitting and normalizing are two steps. `raw_runs` cuts the text into
+//! *raw runs*, maximal runs of alphanumeric characters and apostrophes, as
+//! slices of the text; `Tokenizer::token` turns one raw run into its token
+//! (apostrophes dropped, lower-cased, length and digit rules). A run's token
+//! depends on its bytes alone, so the vectorizer normalizes each distinct raw
+//! spelling once per call and a repeat costs the split and one memo probe.
 
 use serde::{Deserialize, Serialize};
 
@@ -30,6 +37,51 @@ impl Default for Tokenizer {
     }
 }
 
+/// Whether each ASCII byte continues a run (alphanumeric or `'`); bytes
+/// ≥ 0x80 start a non-ASCII char, which decides by [`char::is_alphanumeric`].
+static RUN_BYTE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 128 {
+        table[b] = (b as u8).is_ascii_alphanumeric() || b as u8 == b'\'';
+        b += 1;
+    }
+    table
+};
+
+/// Hands `emit` every raw run of `text` in order: each maximal run of
+/// alphanumeric chars and apostrophes, unnormalized, as a slice of `text`.
+pub(crate) fn raw_runs<'t>(text: &'t str, mut emit: impl FnMut(&'t str)) {
+    let bytes = text.as_bytes();
+    let (mut start, mut i) = (0, 0);
+    loop {
+        while i < bytes.len() && RUN_BYTE[bytes[i] as usize] {
+            i += 1;
+        }
+        // `i` ends the text, or sits on an ASCII break or a non-ASCII char.
+        let width = match bytes.get(i) {
+            None => 0,
+            Some(&b) if b < 0x80 => 1,
+            Some(_) => {
+                let ch = text[i..].chars().next().expect("i is a char boundary");
+                if ch.is_alphanumeric() {
+                    i += ch.len_utf8();
+                    continue;
+                }
+                ch.len_utf8()
+            }
+        };
+        if start < i {
+            emit(&text[start..i]);
+        }
+        if width == 0 {
+            return;
+        }
+        i += width;
+        start = i;
+    }
+}
+
 impl Tokenizer {
     /// Creates a tokenizer with default settings.
     pub fn new() -> Self {
@@ -42,25 +94,30 @@ impl Tokenizer {
     /// stripped, so that "don't" becomes "dont").
     pub fn tokenize(&self, text: &str) -> Vec<String> {
         let mut tokens = Vec::new();
-        let keep = |run: &str| tokens.extend(self.keeps(run).then(|| run.to_string()));
-        self.scan(text, &mut String::new(), keep);
+        self.scan(text, |t| tokens.push(t.to_string()));
         tokens
     }
 
-    /// The one text scanner, shared with the vectorizer: hands `emit` every
-    /// maximal alphanumeric run (lower-cased when configured, apostrophes
-    /// stripped), spelled in the reused `buf`. The length and digit rules are
-    /// [`Self::keeps`], which a memoising caller applies once per distinct run.
-    pub(crate) fn scan(&self, text: &str, buf: &mut String, mut emit: impl FnMut(&str)) {
+    /// The one text scanner, shared with the vectorizer's `terms`: hands
+    /// `emit` the token of every raw run that yields one, spelled in one
+    /// reused buffer.
+    pub(crate) fn scan(&self, text: &str, mut emit: impl FnMut(&str)) {
+        let mut buf = String::new();
+        raw_runs(text, |raw| {
+            if let Some(token) = self.token(raw, &mut buf) {
+                emit(token);
+            }
+        });
+    }
+
+    /// The token of one raw run, spelled in the reused `buf`: apostrophes
+    /// dropped, lower-cased when configured, then held to the length and
+    /// digit rules. `None` when the run yields no token.
+    pub(crate) fn token<'b>(&self, raw: &str, buf: &'b mut String) -> Option<&'b str> {
         buf.clear();
-        // The trailing space flushes the last run.
-        for ch in text.chars().chain([' ']) {
-            if !ch.is_alphanumeric() {
+        for ch in raw.chars() {
+            if ch == '\'' {
                 // apostrophes are dropped but do not break the token: don't -> dont
-                if ch != '\'' && !buf.is_empty() {
-                    emit(buf);
-                    buf.clear();
-                }
             } else if !self.lowercase {
                 buf.push(ch);
             } else if ch.is_ascii() {
@@ -70,12 +127,11 @@ impl Tokenizer {
                 buf.extend(ch.to_lowercase().filter(|c| c.is_alphanumeric()));
             }
         }
-    }
-
-    /// The length and digit rules a scanned run must pass to be a token.
-    pub(crate) fn keeps(&self, run: &str) -> bool {
-        (self.min_len..=self.max_len).contains(&run.chars().count())
-            && (self.keep_numeric || !run.bytes().any(|b| b.is_ascii_digit()))
+        let chars = buf.chars().count();
+        let kept = chars > 0
+            && (self.min_len..=self.max_len).contains(&chars)
+            && (self.keep_numeric || !buf.bytes().any(|b| b.is_ascii_digit()));
+        kept.then_some(buf.as_str())
     }
 }
 
@@ -127,6 +183,13 @@ mod tests {
         let t = Tokenizer::new();
         assert!(t.tokenize("").is_empty());
         assert!(t.tokenize("   ,,, !!").is_empty());
+        // A run of apostrophes spells nothing, which is no token even when
+        // the length rule would admit it.
+        let t = Tokenizer {
+            min_len: 0,
+            ..Tokenizer::default()
+        };
+        assert_eq!(t.tokenize("' '' a'"), vec!["a"]);
     }
 
     #[test]
@@ -173,6 +236,7 @@ mod tests {
             "trailing token",
             "",
             " \t\n,,,",
+            "peer's\tPEER's\t'peer' ''' 'x' 2'4 ab'c'd\u{301}e\u{a0}f",
         ];
         for lowercase in [true, false] {
             for keep_numeric in [true, false] {

@@ -3,11 +3,18 @@
 //! Mirrors the "Document preprocessing" box of Figure 1: the output of the
 //! pipeline is the sparse bag-of-words vector that is the only document
 //! representation ever handled by the learning and P2P layers.
+//!
+//! The vectorizing paths (`fit`, `transform(_batch)`, `fit_transform`) scan
+//! each text once. Per token they pay a split, one probe of a call-local memo
+//! keyed by the token's *raw* bytes, and one count into a dense per-id
+//! scratch; normalizing, filtering, stemming and the vocabulary lookup run
+//! only on the first occurrence of each raw spelling in the call. At the end
+//! of a document only its distinct ids are sorted.
 
 use crate::porter::PorterStemmer;
 use crate::sparse::SparseVector;
 use crate::stopwords::StopWordFilter;
-use crate::tokenizer::Tokenizer;
+use crate::tokenizer::{raw_runs, Tokenizer};
 use crate::vocabulary::Vocabulary;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -106,14 +113,18 @@ pub struct PreprocessPipeline {
     stemming: bool,
 }
 
-/// Call-local scratch of the scanner: reused run and stem buffers, the memo
-/// from each distinct scanned run to its term id (`None`: dropped or unknown;
-/// lookup-only, never iterated) and the current document's `(id, tf)` pairs.
+/// Call-local scratch of the scanner over texts that live for `'t`: reused
+/// token and stem buffers, the memo from each distinct raw run (a slice of
+/// the call's texts) to its term id (`None`: dropped or unknown; lookup-only,
+/// never iterated), the current document's count per term id with the ids it
+/// touched, and its `(id, tf)` pairs.
 #[derive(Default)]
-struct Scratch {
-    run: String,
+struct Scratch<'t> {
+    token: String,
     stem: Vec<u8>,
-    memo: HashMap<String, Option<u32>>,
+    memo: HashMap<&'t str, Option<u32>>,
+    counts: Vec<u32>,
+    touched: Vec<u32>,
     tf: Vec<(u32, f64)>,
 }
 
@@ -153,40 +164,67 @@ impl PreprocessPipeline {
     /// Tokenizes, filters and stems a raw document into processed terms.
     pub fn terms(&self, text: &str) -> Vec<String> {
         let (mut terms, mut stem) = (Vec::new(), Vec::new());
-        self.tokenizer.scan(text, &mut String::new(), |run| {
-            terms.extend(self.term_of(run, &mut stem).map(str::to_string));
+        self.tokenizer.scan(text, |token| {
+            terms.extend(self.term_of(token, &mut stem).map(str::to_string));
         });
         terms
     }
 
-    /// The processed term of one scanned run (token rules, stop- and sensitive-
-    /// word filter, Porter stem into the reused `stem`); `None` when dropped.
-    fn term_of<'a>(&self, run: &'a str, stem: &'a mut Vec<u8>) -> Option<&'a str> {
-        let kept = self.tokenizer.keeps(run) && !self.stop_words.is_filtered(run);
-        kept.then(|| match self.stemming {
-            true => self.stemmer.stem_into(run, stem),
-            false => run,
+    /// The processed term of one token (stop- and sensitive-word filter,
+    /// Porter stem into the reused `stem`); `None` when dropped.
+    fn term_of<'a>(&self, token: &'a str, stem: &'a mut Vec<u8>) -> Option<&'a str> {
+        (!self.stop_words.is_filtered(token)).then(|| match self.stemming {
+            true => self.stemmer.stem_into(token, stem),
+            false => token,
         })
     }
 
     /// Scans `text` once, leaving its terms' `(id, tf)` pairs, ascending by id,
-    /// in `s.tf`. [`Self::term_of`] and `id_of` (term to id) run once per
-    /// *distinct run* of the call, later occurrences being one memo probe; an
-    /// inserting `id_of` still hands out ids in first-seen order, since a
-    /// term's first occurrence is the first occurrence of its run.
-    fn scan_tf(&self, text: &str, s: &mut Scratch, mut id_of: impl FnMut(&str) -> Option<u32>) {
-        s.tf.clear();
-        self.tokenizer.scan(text, &mut s.run, |run| {
-            let id = s.memo.get(run).copied().unwrap_or_else(|| {
-                let id = self.term_of(run, &mut s.stem).and_then(&mut id_of);
-                s.memo.insert(run.to_string(), id);
+    /// in `s.tf`. The token rules, [`Self::term_of`] and `id_of` (term to id)
+    /// run once per *distinct raw run* of the call: a run's term depends on its
+    /// bytes alone, so a repeat is one memo probe and one count. An inserting
+    /// `id_of` still hands out ids in first-seen order, since a term's first
+    /// occurrence is the first occurrence of one of its raw spellings.
+    fn scan_tf<'t>(
+        &self,
+        text: &'t str,
+        s: &mut Scratch<'t>,
+        mut id_of: impl FnMut(&str) -> Option<u32>,
+    ) {
+        let Scratch {
+            token,
+            stem,
+            memo,
+            counts,
+            touched,
+            tf,
+        } = s;
+        raw_runs(text, |raw| {
+            let id = *memo.entry(raw).or_insert_with(|| {
+                let term = self.tokenizer.token(raw, token);
+                let id = term
+                    .and_then(|t| self.term_of(t, stem))
+                    .and_then(&mut id_of);
+                if let Some(id) = id {
+                    let len = counts.len().max(id as usize + 1);
+                    counts.resize(len, 0);
+                }
                 id
             });
-            s.tf.extend(id.map(|id| (id, 1.0)));
+            if let Some(id) = id {
+                let count = &mut counts[id as usize];
+                if *count == 0 {
+                    touched.push(id);
+                }
+                *count += 1;
+            }
         });
-        s.tf.sort_unstable_by_key(|&(id, _)| id);
-        // Run-length count: a repeat is folded into the first pair of its id.
-        s.tf.dedup_by(|next, kept| (next.0 == kept.0).then(|| kept.1 += next.1).is_some());
+        // Only the distinct ids are sorted; a count is the exact sum of the
+        // occurrences' 1.0s, and taking it leaves the dense scratch all zero.
+        touched.sort_unstable();
+        tf.clear();
+        let take = |id: u32| (id, f64::from(std::mem::take(&mut counts[id as usize])));
+        tf.extend(touched.drain(..).map(take));
     }
 
     /// The fitting pass: observes `docs` in order, growing the vocabulary and
@@ -242,7 +280,12 @@ impl PreprocessPipeline {
     }
 
     /// Scans one document against the fitted vocabulary and weights it.
-    fn vectorize(&self, text: &str, s: &mut Scratch, idf: impl Fn(u32) -> f64) -> SparseVector {
+    fn vectorize<'t>(
+        &self,
+        text: &'t str,
+        s: &mut Scratch<'t>,
+        idf: impl Fn(u32) -> f64,
+    ) -> SparseVector {
         self.scan_tf(text, s, |term| self.vocabulary.id_of(term));
         let mut v = SparseVector::from_sorted_pairs(s.tf.iter().copied());
         self.reweight(&mut v, idf);
@@ -259,8 +302,8 @@ impl PreprocessPipeline {
     /// order, sharing one memo and one idf table across the batch.
     pub fn transform_batch(&self, docs: &[&str]) -> Vec<SparseVector> {
         let (idf, mut s) = (self.idf_table(), Scratch::default());
-        let vectorize = |doc: &&str| self.vectorize(doc, &mut s, |id| idf[id as usize]);
-        docs.iter().map(vectorize).collect()
+        let vectorize = |doc| self.vectorize(doc, &mut s, |id| idf[id as usize]);
+        docs.iter().copied().map(vectorize).collect()
     }
 
     /// Fits on the corpus and returns the vector of every document, in order.
@@ -439,6 +482,23 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn raw_spellings_of_one_term_share_its_id_through_their_own_memo_entries() {
+        let p = PreprocessPipeline::new();
+        let mut vocabulary = Vocabulary::new();
+        let mut s = Scratch::default();
+        p.scan_tf("Peer PEER peer's Peer peer's", &mut s, |term| {
+            vocabulary.get_or_insert(term)
+        });
+        let id = vocabulary.id_of("peer").expect("the stem of all three");
+        assert_eq!(vocabulary.len(), 1);
+        assert_eq!(s.tf, [(id, 5.0)]);
+        assert_eq!(s.memo.len(), 3);
+        for raw in ["Peer", "PEER", "peer's"] {
+            assert_eq!(s.memo[raw], Some(id), "{raw}");
         }
     }
 
