@@ -16,8 +16,9 @@
 //! it is byte-identical to a run on a build without the fault layer and is
 //! the reference column the faulty cells are compared against.
 //!
-//! The binary writes `BENCH_chaos.json` at the repository root;
-//! `EXPERIMENTS.md` records a captured run.
+//! The experiment suite renders the grid as table CH1
+//! ([`crate::experiments::ch1_chaos`]); `EXPERIMENTS.md` records the
+//! default-scale golden run.
 
 use crate::workload::{corpus_spec, standard_protocols, Scale};
 use dataset::CorpusGenerator;
@@ -26,15 +27,12 @@ use p2pclassify::{LinkStats, ReliabilityConfig};
 use p2psim::churn::ChurnModel;
 use p2psim::faults::{FaultPlan, PartitionScope, PartitionWindow};
 use p2psim::stats::FaultStats;
-use std::time::Instant;
 
 /// One point of the loss × partition × crash grid.
 #[derive(Debug, Clone)]
 pub struct ChaosRegime {
     /// Row label.
     pub name: &'static str,
-    /// What the regime stresses.
-    pub description: &'static str,
     /// Independent per-send loss probability (the burst channel and frame
     /// corruption scale with it, see [`FaultPlan::chaos`]).
     pub loss: f64,
@@ -42,8 +40,6 @@ pub struct ChaosRegime {
     pub partition: bool,
     /// Whether peers crash-restart (losing in-memory protocol state).
     pub crashes: bool,
-    /// Whether the protocols send over the reliable link.
-    pub reliable: bool,
 }
 
 /// The standard grid: a fault-free reference, the two loss rates the paper
@@ -53,51 +49,39 @@ pub fn standard_regimes() -> Vec<ChaosRegime> {
     vec![
         ChaosRegime {
             name: "baseline",
-            description: "no faults, reliability off — the pre-fault-layer reference",
             loss: 0.0,
             partition: false,
             crashes: false,
-            reliable: false,
         },
         ChaosRegime {
             name: "loss-10",
-            description: "10 % frame loss with bursts and corruption",
             loss: 0.10,
             partition: false,
             crashes: false,
-            reliable: true,
         },
         ChaosRegime {
             name: "loss-20",
-            description: "20 % frame loss with bursts and corruption",
             loss: 0.20,
             partition: false,
             crashes: false,
-            reliable: true,
         },
         ChaosRegime {
             name: "partition",
-            description: "5 % loss plus a mid-session overlay bisection",
             loss: 0.05,
             partition: true,
             crashes: false,
-            reliable: true,
         },
         ChaosRegime {
             name: "crash",
-            description: "5 % loss plus scheduled crash-restarts",
             loss: 0.05,
             partition: false,
             crashes: true,
-            reliable: true,
         },
         ChaosRegime {
             name: "chaos-full",
-            description: "15 % loss, partition and crash-restarts together",
             loss: 0.15,
             partition: true,
             crashes: true,
-            reliable: true,
         },
     ]
 }
@@ -154,19 +138,11 @@ pub struct ChaosCell {
     /// The protocol's reliable-link counters (retransmits, give-ups,
     /// re-syncs, corrupted frames rejected).
     pub link: LinkStats,
-    /// Wall-clock seconds for the session replay.
-    pub secs: f64,
 }
 
-/// One regime's row: the regime plus one cell per protocol.
+/// One regime's row: one cell per protocol.
 #[derive(Debug, Clone)]
 pub struct ChaosRow {
-    /// The regime replayed.
-    pub regime: ChaosRegime,
-    /// Corpus size in documents.
-    pub documents: usize,
-    /// Number of peers (= users).
-    pub peers: usize,
     /// One cell per protocol, in [`standard_protocols`] order.
     pub cells: Vec<ChaosCell>,
 }
@@ -189,7 +165,8 @@ pub fn measure_regime(
     let corpus = CorpusGenerator::new(corpus_spec(num_users, scale, seed)).generate();
     let epoch_secs = 600.0;
     let plan = fault_plan(regime, epochs, epoch_secs, corpus.num_users());
-    let reliability = regime.reliable.then(ReliabilityConfig::default);
+    // Every faulty regime sends over the reliable link; the baseline does not.
+    let reliability = plan.is_active().then(ReliabilityConfig::default);
     let cells = standard_protocols(corpus.num_users())
         .into_iter()
         .map(|protocol| {
@@ -205,9 +182,7 @@ pub fn measure_regime(
             };
             let mut driver =
                 SessionDriver::new(protocol.with_reliability(reliability), config, &corpus);
-            let t = Instant::now();
             let outcome = driver.run().expect("chaos session completes");
-            let secs = t.elapsed().as_secs_f64();
             let stats = driver.system().network_stats();
             ChaosCell {
                 micro_f1: outcome.final_micro_f1(),
@@ -217,88 +192,16 @@ pub fn measure_regime(
                 bytes: stats.total_bytes(),
                 faults: stats.faults,
                 link: driver.system().protocol_link_stats(),
-                secs,
                 protocol: name,
             }
         })
         .collect();
-    ChaosRow {
-        regime: regime.clone(),
-        documents: corpus.len(),
-        peers: corpus.num_users(),
-        cells,
-    }
-}
-
-/// Renders the grid as the `BENCH_chaos.json` document.
-pub fn to_json(rows: &[ChaosRow], epochs: usize, seed: u64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"chaos\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"epochs\": {epochs},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"regime\": \"{}\",\n", r.regime.name));
-        out.push_str(&format!(
-            "      \"description\": \"{}\",\n",
-            r.regime.description
-        ));
-        out.push_str(&format!("      \"loss\": {},\n", r.regime.loss));
-        out.push_str(&format!("      \"partition\": {},\n", r.regime.partition));
-        out.push_str(&format!("      \"crashes\": {},\n", r.regime.crashes));
-        out.push_str(&format!("      \"reliable\": {},\n", r.regime.reliable));
-        out.push_str(&format!("      \"documents\": {},\n", r.documents));
-        out.push_str(&format!("      \"peers\": {},\n", r.peers));
-        out.push_str("      \"protocols\": [\n");
-        for (j, c) in r.cells.iter().enumerate() {
-            let curve = c
-                .epoch_macro_f1
-                .iter()
-                .map(|f| format!("{f:.4}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            // Two retransmit/recovery views per cell: the *network's* fault
-            // counters (`faults`, what the chaos harness injected) and the
-            // *protocol's* own reliable-link ledger (`link_*`, what its
-            // ReliableLink observed and repaired).
-            out.push_str(&format!(
-                "        {{\"protocol\": \"{}\", \"micro_f1\": {:.4}, \"macro_f1\": {:.4}, \"epoch_macro_f1\": [{}], \"auto_failed\": {}, \"bytes\": {}, \"dropped\": {}, \"corrupted\": {}, \"crashes\": {}, \"retransmits\": {}, \"recovered\": {}, \"resyncs\": {}, \"link_retransmits\": {}, \"link_recovered\": {}, \"link_resyncs\": {}, \"gave_up\": {}, \"secs\": {:.3}}}{}\n",
-                c.protocol,
-                c.micro_f1,
-                c.macro_f1,
-                curve,
-                c.auto_failed,
-                c.bytes,
-                c.faults.total_fault_drops(),
-                c.faults.corrupted,
-                c.faults.crashes,
-                c.faults.retransmits,
-                c.faults.recovered,
-                c.faults.resyncs,
-                c.link.retransmits,
-                c.link.recovered,
-                c.link.resyncs,
-                c.link.gave_up,
-                c.secs,
-                if j + 1 < r.cells.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(if i + 1 < rows.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    ChaosRow { cells }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::validate_json;
 
     #[test]
     fn baseline_regime_has_an_inactive_plan() {
@@ -311,15 +214,29 @@ mod tests {
         }
     }
 
+    /// The network's fault counters and the protocol's reliable-link ledger
+    /// count the same retransmits, recoveries and re-syncs on every cell,
+    /// which is why table CH1 prints only the link's columns.
+    fn assert_one_retransmit_ledger(row: &ChaosRow, regime: &str) {
+        for cell in &row.cells {
+            let (net, link) = (&cell.faults, &cell.link);
+            assert_eq!(
+                (net.retransmits, net.recovered, net.resyncs),
+                (link.retransmits, link.recovered, link.resyncs),
+                "{} under {}: the network's and the link's ledgers disagree",
+                cell.protocol,
+                regime
+            );
+        }
+    }
+
     #[test]
     fn lossy_regime_fills_cells_and_reports_fault_activity() {
         let regime = ChaosRegime {
             name: "loss-10",
-            description: "test",
             loss: 0.10,
             partition: false,
             crashes: false,
-            reliable: true,
         };
         let row = measure_regime(&regime, 6, Scale::Small, 2, 7);
         assert_eq!(row.cells.len(), 4);
@@ -332,17 +249,22 @@ mod tests {
         let pace = row.cell("pace").unwrap();
         assert!(pace.faults.total_fault_drops() + pace.faults.corrupted > 0);
         assert!(pace.link.sends > 0);
+        assert!(pace.link.retransmits > 0);
         // Local-only never sends: its link ledger stays empty.
         let local = row.cell("local-only").unwrap();
         assert_eq!(local.link, LinkStats::default());
         assert_eq!(local.bytes, 0);
-        let json = to_json(&[row], 2, 7);
-        validate_json(&json).unwrap();
-        assert!(json.contains("\"retransmits\""));
-        assert!(json.contains("\"link_retransmits\""));
-        assert!(json.contains("\"link_recovered\""));
-        assert!(json.contains("\"link_resyncs\""));
-        assert!(json.contains("\"epoch_macro_f1\""));
+        assert_one_retransmit_ledger(&row, "loss-10");
+
+        let crash = standard_regimes()
+            .into_iter()
+            .find(|r| r.name == "crash")
+            .unwrap();
+        // Crash-restarts fire here, and PACE's anti-entropy re-syncs after them.
+        let row = measure_regime(&crash, 6, Scale::Small, 3, 2010);
+        assert!(row.cells.iter().all(|c| c.faults.crashes > 0));
+        assert!(row.cell("pace").unwrap().link.resyncs > 0);
+        assert_one_retransmit_ledger(&row, "crash");
     }
 
     #[test]

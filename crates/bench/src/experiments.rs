@@ -1,4 +1,4 @@
-//! The experiment suite (E1–E9, A1–A2 in `DESIGN.md`).
+//! The experiment suite (E1–E9, A1–A2, CH1 and C1 in `DESIGN.md`).
 //!
 //! The original paper is a demonstration paper without numeric result tables;
 //! each experiment here reproduces either a scenario the demo varies (§3) or a
@@ -6,7 +6,9 @@
 //! wins, by roughly how much, where the trends go) is the reproduction target.
 //! `EXPERIMENTS.md` records one captured run of every table.
 
-use crate::workload::{corpus_spec, run_system, standard_protocols, Scale, Workload};
+use crate::chaos::{measure_regime, standard_regimes, ChaosRegime};
+use crate::scenarios::measure_scenario;
+use crate::workload::{corpus_spec, run_system, standard_protocols, Scale, ScenarioSpec, Workload};
 use dataset::{CorpusGenerator, TrainTestSplit, VectorizedCorpus};
 use doctagger::library::TagSource;
 use doctagger::{DocTaggerConfig, P2PDocTagger, ProtocolKind, TagCloud};
@@ -67,9 +69,14 @@ fn f(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Runs every experiment `wants` selects (by lower-case id: `"e1"` … `"a2"`)
-/// in suite order, at the default scale or the smaller `quick` one, seeded
-/// 2010, and hands each table to `emit` as soon as it is finished.
+fn header(names: &[&str]) -> Vec<String> {
+    names.iter().map(|s| s.to_string()).collect()
+}
+
+/// Runs every experiment `wants` selects (by lower-case id: `"e1"` … `"a2"`,
+/// `"ch1"`, `"c1"`) in suite order, at the default scale or the smaller
+/// `quick` one, seeded 2010, and hands each table to `emit` as soon as it is
+/// finished.
 pub fn run_suite(quick: bool, wants: impl Fn(&str) -> bool, mut emit: impl FnMut(Table)) {
     // Scales: the demo runs "more than 500 peers" for the interactive part;
     // the reproduction defaults keep every table under a few minutes of CPU.
@@ -118,6 +125,40 @@ pub fn run_suite(quick: bool, wants: impl Fn(&str) -> bool, mut emit: impl FnMut
     }
     if wants("a2") {
         emit(a2_cempar_ablation(misc_users, seed));
+    }
+    // The session grids: every chaos regime and scenario at demo scale; the
+    // quick scale keeps the fault-free and one lossy regime, and the benign
+    // and one skewed scenario.
+    let (grid_users, grid_scale, grid_epochs) = if quick {
+        (10, Scale::Small, 3)
+    } else {
+        (16, Scale::Demo, 5)
+    };
+    if wants("ch1") {
+        let regimes: Vec<ChaosRegime> = standard_regimes()
+            .into_iter()
+            .filter(|r| !quick || matches!(r.name, "baseline" | "loss-10"))
+            .collect();
+        emit(ch1_chaos(
+            &regimes,
+            grid_users,
+            grid_scale,
+            grid_epochs,
+            seed,
+        ));
+    }
+    if wants("c1") {
+        let scenarios: Vec<ScenarioSpec> = ScenarioSpec::matrix()
+            .into_iter()
+            .filter(|s| !quick || matches!(s.name, "benign" | "zipf-heavy"))
+            .collect();
+        emit(c1_scenarios(
+            &scenarios,
+            grid_users,
+            grid_scale,
+            grid_epochs,
+            seed,
+        ));
     }
 }
 
@@ -168,7 +209,7 @@ pub fn e1_accuracy(num_users: usize, seed: u64) -> Table {
     Table {
         id: "E1",
         title: "tagging accuracy vs baselines (20% train, no churn)",
-        header: [
+        header: header(&[
             "protocol",
             "micro-F1",
             "macro-F1",
@@ -176,10 +217,7 @@ pub fn e1_accuracy(num_users: usize, seed: u64) -> Table {
             "recall",
             "hamming",
             "subset-acc",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
     }
 }
@@ -209,17 +247,14 @@ pub fn e2_scalability(peer_counts: &[usize], seed: u64) -> Table {
     Table {
         id: "E2",
         title: "scalability with network size",
-        header: [
+        header: header(&[
             "peers",
             "protocol",
             "micro-F1",
             "bytes/peer",
             "hotspot bytes",
             "mean hops",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
     }
 }
@@ -256,7 +291,7 @@ pub fn e3_communication(num_users: usize, seed: u64) -> Table {
     Table {
         id: "E3",
         title: "communication cost by phase (bytes, whole run)",
-        header: [
+        header: header(&[
             "protocol",
             "raw data",
             "models",
@@ -264,10 +299,7 @@ pub fn e3_communication(num_users: usize, seed: u64) -> Table {
             "queries",
             "responses",
             "total/peer",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
     }
 }
@@ -338,15 +370,12 @@ pub fn e4_churn(num_users: usize, seed: u64) -> Table {
     Table {
         id: "E4",
         title: "churn resilience (exponential churn, requests spread over time)",
-        header: [
+        header: header(&[
             "mean session (s)",
             "protocol",
             "unserved requests",
             "example-F1 (served)",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
     }
 }
@@ -395,16 +424,13 @@ pub fn e5_topology(num_peers: usize, lookups: usize, seed: u64) -> Table {
     Table {
         id: "E5",
         title: "overlay topology: routing success, hops and messages per lookup",
-        header: [
+        header: header(&[
             "overlay",
             "peers",
             "success",
             "mean hops",
             "messages/lookup",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
     }
 }
@@ -481,16 +507,13 @@ pub fn e6_data_distribution(num_peers: usize, seed: u64) -> Table {
     Table {
         id: "E6",
         title: "per-peer size and class distribution (micro-F1)",
-        header: [
+        header: header(&[
             "distribution",
             "size gini",
             "label entropy",
             "protocol",
             "micro-F1",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
         rows,
     }
 }
@@ -565,10 +588,7 @@ pub fn e7_training_fraction(num_users: usize, seed: u64) -> Table {
     Table {
         id: "E7",
         title: "accuracy vs manually-tagged fraction",
-        header: ["train fraction", "protocol", "micro-F1", "macro-F1"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+        header: header(&["train fraction", "protocol", "micro-F1", "macro-F1"]),
         rows,
     }
 }
@@ -630,10 +650,7 @@ pub fn e8_refinement(num_users: usize, seed: u64) -> Table {
         id: "E8",
         title:
             "tag refinement: held-out micro-F1 after rounds of user corrections (PACE, 10% train)",
-        header: ["round", "total corrections", "micro-F1"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+        header: header(&["round", "total corrections", "micro-F1"]),
         rows,
     }
 }
@@ -681,10 +698,7 @@ pub fn e9_tag_cloud(num_users: usize, seed: u64) -> Table {
     Table {
         id: "E9",
         title: "tag cloud and co-occurrence structure",
-        header: ["statistic", "value"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+        header: header(&["statistic", "value"]),
         rows,
     }
 }
@@ -712,10 +726,7 @@ pub fn a1_pace_ablation(num_users: usize, seed: u64) -> Table {
     Table {
         id: "A1",
         title: "PACE ablation: top-k consulted models and LSH index",
-        header: ["top-k", "model ranking", "micro-F1", "macro-F1"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+        header: header(&["top-k", "model ranking", "micro-F1", "macro-F1"]),
         rows,
     }
 }
@@ -743,16 +754,121 @@ pub fn a2_cempar_ablation(num_users: usize, seed: u64) -> Table {
     Table {
         id: "A2",
         title: "CEMPaR ablation: super-peer regions and cascade retraining",
-        header: [
+        header: header(&[
             "regions",
             "cascade",
             "micro-F1",
             "bytes/peer",
             "hotspot bytes",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
+        ]),
+        rows,
+    }
+}
+
+/// CH1 — the chaos grid: each protocol's streaming session under each fault
+/// regime, with its quality, its per-epoch recovery curve and the fault and
+/// reliable-link counters that priced it.
+pub fn ch1_chaos(
+    regimes: &[ChaosRegime],
+    num_users: usize,
+    scale: Scale,
+    epochs: usize,
+    seed: u64,
+) -> Table {
+    let mut rows = Vec::new();
+    for regime in regimes {
+        let row = measure_regime(regime, num_users, scale, epochs, seed);
+        for c in &row.cells {
+            let curve: Vec<String> = c.epoch_macro_f1.iter().map(|&x| f(x)).collect();
+            rows.push(vec![
+                regime.name.to_string(),
+                c.protocol.clone(),
+                f(c.micro_f1),
+                f(c.macro_f1),
+                curve.join(" "),
+                c.auto_failed.to_string(),
+                c.bytes.to_string(),
+                c.faults.total_fault_drops().to_string(),
+                c.faults.corrupted.to_string(),
+                c.faults.crashes.to_string(),
+                c.link.retransmits.to_string(),
+                c.link.recovered.to_string(),
+                c.link.resyncs.to_string(),
+                c.link.gave_up.to_string(),
+            ]);
+        }
+    }
+    Table {
+        id: "CH1",
+        title: "chaos grid: fault regimes × protocols with reliable delivery",
+        header: header(&[
+            "regime",
+            "protocol",
+            "micro-F1",
+            "macro-F1",
+            "macro-F1 by epoch",
+            "failed",
+            "bytes",
+            "dropped",
+            "corrupted",
+            "crashes",
+            "retransmits",
+            "recovered",
+            "resyncs",
+            "gave up",
+        ]),
+        rows,
+    }
+}
+
+/// C1 — the scenario matrix: each protocol's streaming session on each
+/// adversarial workload, with head/tail-tag and cold-start quality.
+pub fn c1_scenarios(
+    scenarios: &[ScenarioSpec],
+    num_users: usize,
+    scale: Scale,
+    epochs: usize,
+    seed: u64,
+) -> Table {
+    let mut rows = Vec::new();
+    for scenario in scenarios {
+        let row = measure_scenario(scenario, num_users, scale, epochs, seed);
+        for c in &row.cells {
+            rows.push(vec![
+                scenario.name.to_string(),
+                c.protocol.clone(),
+                scenario.is_skewed().to_string(),
+                c.overlay.to_string(),
+                f(c.micro_f1),
+                f(c.macro_f1),
+                f(c.head_macro_f1),
+                f(c.tail_macro_f1),
+                c.head_tags.to_string(),
+                c.tail_tags.to_string(),
+                f(c.cold_start_macro_f1),
+                f(c.cold_start_micro_f1),
+                c.bytes.to_string(),
+            ]);
+        }
+    }
+    Table {
+        id: "C1",
+        title: "scenario matrix: adversarial workloads, stratified F1",
+        header: header(&[
+            "scenario",
+            "protocol",
+            "skewed",
+            "overlay",
+            "micro-F1",
+            "macro-F1",
+            "head F1",
+            "tail F1",
+            "head tags",
+            "tail tags",
+            "cold macro-F1",
+            "cold micro-F1",
+            "bytes",
+        ]),
         rows,
     }
 }

@@ -56,10 +56,8 @@ pub fn corpus_spec(num_users: usize, scale: Scale, seed: u64) -> CorpusSpec {
 /// be attributed to a single generator feature.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
-    /// Scenario name (the key in `BENCH_scenarios.json`).
+    /// Scenario name (the row key of table C1).
     pub name: &'static str,
-    /// One-line description for reports.
-    pub description: &'static str,
     /// Tag-popularity Zipf exponent (1.0 = the benign default).
     pub tag_zipf_exponent: f64,
     /// User interest communities (`None` = independent users).
@@ -81,7 +79,6 @@ impl ScenarioSpec {
     pub fn benign() -> Self {
         Self {
             name: "benign",
-            description: "smooth Poisson arrivals, independent users, Zipf(1.0) tags",
             tag_zipf_exponent: 1.0,
             communities: None,
             imitation: 0.0,
@@ -96,13 +93,11 @@ impl ScenarioSpec {
             Self::benign(),
             Self {
                 name: "zipf-heavy",
-                description: "heavy-tailed tag popularity, Zipf exponent 1.7",
                 tag_zipf_exponent: 1.7,
                 ..Self::benign()
             },
             Self {
                 name: "communities",
-                description: "4 interest communities, 25% tag overlap, 10% cross-community",
                 communities: Some(CommunitySpec {
                     num_communities: 4,
                     tag_overlap: 0.25,
@@ -112,13 +107,11 @@ impl ScenarioSpec {
             },
             Self {
                 name: "imitation",
-                description: "Golder-Huberman re-tagging imitation at strength 0.7",
                 imitation: 0.7,
                 ..Self::benign()
             },
             Self {
                 name: "flash-crowd",
-                description: "3 self-exciting arrival bursts, width 180s, attraction 0.85",
                 bursts: Some(BurstSpec {
                     num_bursts: 3,
                     width_secs: 180.0,
@@ -128,7 +121,6 @@ impl ScenarioSpec {
             },
             Self {
                 name: "combined",
-                description: "Zipf 1.5 + communities + imitation 0.5 + bursts together",
                 tag_zipf_exponent: 1.5,
                 communities: Some(CommunitySpec {
                     num_communities: 4,
@@ -145,7 +137,6 @@ impl ScenarioSpec {
             },
             Self {
                 name: "overlay-churn",
-                description: "exponential churn (600s/120s): chord-dht vs super-peer routing under membership flux",
                 churn: ChurnModel::Exponential {
                     mean_session_secs: 600.0,
                     mean_offline_secs: 120.0,

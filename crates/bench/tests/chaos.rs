@@ -25,11 +25,9 @@ fn run(regime: &ChaosRegime) -> ChaosRow {
 fn lossy(name: &'static str, loss: f64, partition: bool) -> ChaosRegime {
     ChaosRegime {
         name,
-        description: "tier-1 regression regime",
         loss,
         partition,
         crashes: false,
-        reliable: true,
     }
 }
 
@@ -117,11 +115,9 @@ fn standard_grid_covers_loss_partition_and_crash_axes() {
 fn crash_restart_regime_recovers_state() {
     let row = run(&ChaosRegime {
         name: "crash",
-        description: "tier-1 crash regime",
         loss: 0.05,
         partition: false,
         crashes: true,
-        reliable: true,
     });
     for cell in &row.cells {
         assert!(

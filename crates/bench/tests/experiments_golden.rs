@@ -1,13 +1,15 @@
 //! Tier-1 pin of the experiment suite: the `--quick` run of every table
-//! (E1–E9, A1, A2) must reproduce `golden/experiments-quick.txt` byte for
-//! byte. The default-scale run is pinned the same way by
+//! (E1–E9, A1, A2, CH1, C1) must reproduce `golden/experiments-quick.txt`
+//! byte for byte. The default-scale run is pinned the same way by
 //! `experiments --check golden/experiments.txt` in CI, and the orderings the
-//! paper's claims rest on are asserted on that committed file here.
+//! paper's claims rest on are asserted on that committed file here; the
+//! chaos (CH1) and scenario (C1) grids' orderings on both files.
 //!
 //! A change that moves a row regenerates the file with
 //! `cargo run --release -p bench --bin experiments -- --quick > crates/bench/golden/experiments-quick.txt`
 //! and says in its description which rows moved and why.
 
+use bench::chaos::standard_regimes;
 use bench::experiments::{golden_diff, run_suite};
 use std::collections::BTreeMap;
 
@@ -54,9 +56,9 @@ impl GoldenTable {
             .unwrap_or_else(|| panic!("no column {name:?} in {:?}", self.header))
     }
 
-    /// Column `value` (a trailing `%` dropped) of the one row whose `keys`
-    /// columns read the given cells.
-    fn value(&self, keys: &[(&str, &str)], value: &str) -> f64 {
+    /// Column `column` of the one row whose `keys` columns read the given
+    /// cells.
+    fn cell(&self, keys: &[(&str, &str)], column: &str) -> &str {
         let keys: Vec<(usize, &str)> = keys.iter().map(|&(k, v)| (self.column(k), v)).collect();
         let matching: Vec<&Vec<String>> = self
             .rows
@@ -66,7 +68,13 @@ impl GoldenTable {
         let [row] = matching[..] else {
             panic!("{keys:?} matches {} rows", matching.len());
         };
-        let cell = row[self.column(value)].trim_end_matches('%');
+        &row[self.column(column)]
+    }
+
+    /// Column `value` (a trailing `%` dropped) of the one row whose `keys`
+    /// columns read the given cells.
+    fn value(&self, keys: &[(&str, &str)], value: &str) -> f64 {
+        let cell = self.cell(keys, value).trim_end_matches('%');
         cell.parse()
             .unwrap_or_else(|_| panic!("{value:?} cell {cell:?} is not a number"))
     }
@@ -92,7 +100,7 @@ fn cells(line: &str) -> Vec<String> {
         .collect()
 }
 
-/// Every table of a golden file, keyed by its id (`"E1"`, …, `"A2"`).
+/// Every table of a golden file, keyed by its id (`"E1"`, …, `"C1"`).
 fn golden_tables(golden: &str) -> BTreeMap<String, GoldenTable> {
     let mut tables = BTreeMap::new();
     let mut lines = golden.lines();
@@ -213,6 +221,72 @@ fn broken_claims(golden: &str) -> Vec<String> {
     broken
 }
 
+/// The orderings the chaos (CH1) and scenario (C1) grids are run to guard,
+/// each checked on `golden` at whichever regimes and scenarios it holds.
+/// Returns the claims that do not hold, one line each.
+fn broken_grid_claims(golden: &str) -> Vec<String> {
+    let tables = golden_tables(golden);
+    let table = |id: &str| {
+        tables
+            .get(id)
+            .unwrap_or_else(|| panic!("no table {id} in the golden file"))
+    };
+    let mut broken = Vec::new();
+    let mut claim = |holds: bool, what: String| {
+        if !holds {
+            broken.push(what);
+        }
+    };
+
+    let ch1 = table("CH1");
+    let regimes = standard_regimes();
+    for regime in ch1.keys("regime") {
+        let value =
+            |protocol, column| ch1.value(&[("regime", regime), ("protocol", protocol)], column);
+        for protocol in ch1.keys("protocol") {
+            claim(
+                value(protocol, "macro-F1") > 0.1,
+                format!("CH1: {protocol} keeps macro-F1 above 0.1 under {regime}"),
+            );
+        }
+        if regimes.iter().any(|r| r.name == regime && r.loss > 0.0) {
+            claim(
+                value("pace", "dropped") + value("pace", "corrupted") > 0.0,
+                format!("CH1: the network drops or corrupts PACE frames under {regime}"),
+            );
+            claim(
+                value("pace", "macro-F1").max(value("cempar", "macro-F1"))
+                    >= value("local-only", "macro-F1"),
+                format!("CH1: max(PACE, CEMPaR) ≥ local-only on macro-F1 under {regime}"),
+            );
+        }
+    }
+
+    let c1 = table("C1");
+    for scenario in c1.keys("scenario") {
+        let value =
+            |protocol, column| c1.value(&[("scenario", scenario), ("protocol", protocol)], column);
+        claim(
+            value("pace", "macro-F1") > 0.25,
+            format!("C1: PACE keeps macro-F1 above 0.25 on {scenario}"),
+        );
+        if scenario == "benign" {
+            claim(
+                value("pace", "macro-F1") > 0.4,
+                "C1: PACE keeps macro-F1 above 0.4 on benign".to_string(),
+            );
+        }
+        if c1.cell(&[("scenario", scenario), ("protocol", "pace")], "skewed") == "true" {
+            claim(
+                value("cempar", "tail F1").max(value("pace", "tail F1"))
+                    >= value("local-only", "tail F1"),
+                format!("C1: max(CEMPaR, PACE) ≥ local-only on tail F1 on {scenario}"),
+            );
+        }
+    }
+    broken
+}
+
 /// The paper's claims as the default-scale golden run shows them. CI's
 /// `experiments --check` ties that file to the code, so a change that
 /// breaks one of these orderings cannot land by regenerating the golden.
@@ -245,5 +319,60 @@ fn a_swapped_golden_cell_breaks_its_claims() {
             "E1: centralized beats cempar on micro-F1",
             "E1: cempar beats local-only on micro-F1",
         ]
+    );
+}
+
+/// The grid orderings hold on both committed goldens: the default-scale one
+/// (every regime and scenario) and the quick one, which
+/// `quick_suite_matches_its_golden_output` ties to the code.
+#[test]
+fn both_goldens_keep_the_grid_orderings() {
+    for (name, golden) in [
+        ("experiments.txt", include_str!("../golden/experiments.txt")),
+        (
+            "experiments-quick.txt",
+            include_str!("../golden/experiments-quick.txt"),
+        ),
+    ] {
+        let broken = broken_grid_claims(golden);
+        assert!(
+            broken.is_empty(),
+            "grid claims broken in {name}:\n{}",
+            broken.join("\n")
+        );
+    }
+}
+
+/// The grid claims read the cells they name: swapping zipf-heavy's CEMPaR
+/// and local-only tail-F1 cells, or loss-10's PACE and local-only macro-F1
+/// cells, breaks exactly the claim comparing them.
+#[test]
+fn a_swapped_grid_cell_breaks_its_claims() {
+    let golden = include_str!("../golden/experiments.txt");
+    let tail = golden
+        .replace(
+            "zipf-heavy       cempar    true  super-peer     0.908     0.782    0.922    0.712",
+            "zipf-heavy       cempar    true  super-peer     0.908     0.782    0.922    0.549",
+        )
+        .replace(
+            "zipf-heavy   local-only    true        none     0.882     0.662    0.889    0.549",
+            "zipf-heavy   local-only    true        none     0.882     0.662    0.889    0.712",
+        );
+    assert_eq!(
+        broken_grid_claims(&tail),
+        ["C1: max(CEMPaR, PACE) ≥ local-only on tail F1 on zipf-heavy"]
+    );
+    let macro_f1 = golden
+        .replace(
+            "loss-10         pace     0.881     0.845",
+            "loss-10         pace     0.881     0.748",
+        )
+        .replace(
+            "loss-10   local-only     0.833     0.748",
+            "loss-10   local-only     0.833     0.845",
+        );
+    assert_eq!(
+        broken_grid_claims(&macro_f1),
+        ["CH1: max(PACE, CEMPaR) ≥ local-only on macro-F1 under loss-10"]
     );
 }

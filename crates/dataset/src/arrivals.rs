@@ -103,13 +103,6 @@ pub struct Arrival {
     pub doc: DocumentId,
 }
 
-impl Arrival {
-    /// Arrival time in seconds.
-    pub fn time_secs(&self) -> f64 {
-        self.time_micros as f64 / 1e6
-    }
-}
-
 /// Arrival times for every document of a corpus, sorted by time.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ArrivalTimeline {
@@ -243,14 +236,6 @@ impl ArrivalTimeline {
         self.per_doc_micros[doc] as f64 / 1e6
     }
 
-    /// The documents arriving in `[from_secs, to_secs)`, in arrival order.
-    pub fn arrivals_between(&self, from_secs: f64, to_secs: f64) -> &[Arrival] {
-        self.arrivals_between_micros(
-            (from_secs.max(0.0) * 1e6) as u64,
-            (to_secs.max(0.0) * 1e6) as u64,
-        )
-    }
-
     /// The documents arriving in `[from, to)` microseconds, in arrival order.
     /// Integer bounds let epoch drivers partition the timeline without
     /// float-rounding gaps or overlaps at window boundaries.
@@ -280,7 +265,7 @@ mod tests {
         docs.dedup();
         assert_eq!(docs.len(), c.len());
         for a in tl.arrivals() {
-            assert!(a.time_secs() < tl.horizon_secs());
+            assert!((a.time_micros as f64 / 1e6) < tl.horizon_secs());
         }
         for w in tl.arrivals().windows(2) {
             assert!(w[0].time_micros <= w[1].time_micros);
@@ -307,15 +292,12 @@ mod tests {
     fn windows_partition_the_timeline() {
         let c = corpus();
         let tl = ArrivalTimeline::generate(&c, &ArrivalSpec::default());
-        let h = tl.horizon_secs();
+        let h = (tl.horizon_secs() * 1e6) as u64;
         let total: usize = (0..4)
-            .map(|i| {
-                tl.arrivals_between(i as f64 * h / 4.0, (i + 1) as f64 * h / 4.0)
-                    .len()
-            })
+            .map(|i| tl.arrivals_between_micros(i * h / 4, (i + 1) * h / 4).len())
             .sum();
         assert_eq!(total, tl.len());
-        assert!(tl.arrivals_between(h, h * 2.0).is_empty());
+        assert!(tl.arrivals_between_micros(h, h * 2).is_empty());
     }
 
     fn bursty_spec(seed: u64) -> ArrivalSpec {
@@ -340,7 +322,7 @@ mod tests {
         docs.dedup();
         assert_eq!(docs.len(), c.len(), "every document arrives exactly once");
         for a in tl.arrivals() {
-            assert!(a.time_secs() < tl.horizon_secs());
+            assert!((a.time_micros as f64 / 1e6) < tl.horizon_secs());
         }
         for w in tl.arrivals().windows(2) {
             assert!(w[0].time_micros <= w[1].time_micros);

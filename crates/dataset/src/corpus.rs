@@ -164,6 +164,7 @@ impl Corpus {
     }
 
     /// Number of documents carrying each tag, keyed by tag id.
+    #[cfg(test)]
     pub fn tag_frequencies(&self) -> BTreeMap<u32, usize> {
         let mut out = BTreeMap::new();
         for d in &self.contents.documents {

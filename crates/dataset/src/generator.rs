@@ -153,16 +153,6 @@ impl CorpusSpec {
         }
     }
 
-    /// A spec matching the scale the demo describes per peer (50–199 documents
-    /// per user) with a medium number of users; used by the experiment harness.
-    pub fn demo(num_users: usize, seed: u64) -> Self {
-        Self {
-            num_users,
-            seed,
-            ..Self::default()
-        }
-    }
-
     /// Validates every field, returning a typed error naming the first
     /// offending field instead of clamping silently or panicking deep inside
     /// generation.
@@ -1092,7 +1082,14 @@ mod tests {
         };
         vec![
             ("tiny", tiny.clone()),
-            ("demo", CorpusSpec::demo(12, 2010)),
+            (
+                "demo",
+                CorpusSpec {
+                    num_users: 12,
+                    seed: 2010,
+                    ..CorpusSpec::default()
+                },
+            ),
             ("pace-session", session_shape(40, 2010)),
             ("cempar-session", session_shape(100, 2010)),
             ("cempar-session seed 7", session_shape(100, 7)),

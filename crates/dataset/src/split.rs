@@ -70,6 +70,7 @@ impl TrainTestSplit {
     }
 
     /// Training documents belonging to a given user.
+    #[cfg(test)]
     pub fn train_docs_of_user(&self, corpus: &Corpus, user: usize) -> Vec<DocumentId> {
         self.train
             .iter()
@@ -79,6 +80,7 @@ impl TrainTestSplit {
     }
 
     /// Test documents belonging to a given user.
+    #[cfg(test)]
     pub fn test_docs_of_user(&self, corpus: &Corpus, user: usize) -> Vec<DocumentId> {
         self.test
             .iter()

@@ -6,7 +6,6 @@
 //! distributed over peers.
 
 use crate::corpus::{Corpus, DocumentId};
-use crate::split::TrainTestSplit;
 use ml::{MultiLabelDataset, MultiLabelExample};
 use std::collections::BTreeSet;
 use textproc::{PreprocessPipeline, SparseVector, Weighting};
@@ -86,17 +85,13 @@ impl VectorizedCorpus {
     pub fn dataset_of(&self, docs: &[DocumentId]) -> MultiLabelDataset {
         docs.iter().map(|&d| self.example(d)).collect()
     }
-
-    /// Convenience: the train and test datasets of a split.
-    pub fn split_datasets(&self, split: &TrainTestSplit) -> (MultiLabelDataset, MultiLabelDataset) {
-        (self.dataset_of(&split.train), self.dataset_of(&split.test))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::{CorpusGenerator, CorpusSpec};
+    use crate::split::TrainTestSplit;
 
     fn vectorized() -> (Corpus, VectorizedCorpus) {
         let corpus = CorpusGenerator::new(CorpusSpec::tiny()).generate();
@@ -192,7 +187,7 @@ mod tests {
     fn split_datasets_partition_the_corpus() {
         let (corpus, v) = vectorized();
         let split = TrainTestSplit::demo_protocol(&corpus, 5);
-        let (train, test) = v.split_datasets(&split);
+        let (train, test) = (v.dataset_of(&split.train), v.dataset_of(&split.test));
         assert_eq!(train.len() + test.len(), corpus.len());
         assert!(train.len() < test.len());
     }

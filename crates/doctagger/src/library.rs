@@ -138,6 +138,7 @@ impl DocumentLibrary {
     }
 
     /// Number of documents whose tags were refined by the user.
+    #[cfg(test)]
     pub fn refined_count(&self) -> usize {
         self.entries
             .values()

@@ -35,11 +35,6 @@ impl Refinement {
     pub fn removed(&self) -> BTreeSet<String> {
         self.before.difference(&self.after).cloned().collect()
     }
-
-    /// Whether the correction actually changed anything.
-    pub fn is_noop(&self) -> bool {
-        self.before == self.after
-    }
 }
 
 /// The record of all corrections made in a session.
@@ -73,21 +68,6 @@ impl RefinementLog {
     pub fn iter(&self) -> impl Iterator<Item = &Refinement> {
         self.refinements.iter()
     }
-
-    /// Number of corrections that changed at least one tag.
-    pub fn effective_corrections(&self) -> usize {
-        self.refinements.iter().filter(|r| !r.is_noop()).count()
-    }
-
-    /// Total number of tag additions across all corrections.
-    pub fn total_added(&self) -> usize {
-        self.refinements.iter().map(|r| r.added().len()).sum()
-    }
-
-    /// Total number of tag removals across all corrections.
-    pub fn total_removed(&self) -> usize {
-        self.refinements.iter().map(|r| r.removed().len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +88,6 @@ mod tests {
         };
         assert_eq!(r.added(), tags(&["database"]));
         assert_eq!(r.removed(), tags(&["web"]));
-        assert!(!r.is_noop());
     }
 
     #[test]
@@ -119,7 +98,7 @@ mod tests {
             before: tags(&["a"]),
             after: tags(&["a"]),
         };
-        assert!(r.is_noop());
+        assert!(r.added().is_empty() && r.removed().is_empty());
     }
 
     #[test]
@@ -138,9 +117,6 @@ mod tests {
             after: tags(&["c"]),
         });
         assert_eq!(log.len(), 2);
-        assert_eq!(log.effective_corrections(), 1);
-        assert_eq!(log.total_added(), 1);
-        assert_eq!(log.total_removed(), 0);
         assert!(!log.is_empty());
     }
 }

@@ -38,19 +38,6 @@ pub struct AutoTagOutcome {
     pub failed_unreachable: usize,
 }
 
-impl AutoTagOutcome {
-    /// Fraction of requests issued by *online* peers that could not be served.
-    /// This isolates the protocol's availability from the requester's own
-    /// churn (a peer that is offline cannot ask for tags in the first place).
-    pub fn service_failure_rate(&self) -> f64 {
-        let served_or_failed = self.tagged + self.failed_unreachable;
-        if served_or_failed == 0 {
-            return 0.0;
-        }
-        self.failed_unreachable as f64 / served_or_failed as f64
-    }
-}
-
 /// The automated, distributed collaborative document tagging system.
 pub struct P2PDocTagger {
     config: DocTaggerConfig,
@@ -527,12 +514,6 @@ impl P2PDocTagger {
         self.corpus.as_ref()
     }
 
-    /// Number of tags currently known to the system (including ones introduced
-    /// through refinement).
-    pub fn known_tags(&self) -> BTreeMap<String, usize> {
-        self.library.tag_counts()
-    }
-
     /// The synthetic file path under which a document's tags are stored as
     /// metadata.
     pub fn path_of(doc: DocumentId, user: usize) -> String {
@@ -679,7 +660,7 @@ mod tests {
         assert_eq!(sys.refinements().len(), 1);
         assert_eq!(sys.library().refined_count(), 1);
         // The new tag becomes part of the system's vocabulary.
-        assert!(sys.known_tags().contains_key("entirely-new-tag"));
+        assert!(sys.library().tag_counts().contains_key("entirely-new-tag"));
         // The original corpus is untouched.
         assert!(corpus.tag_id("entirely-new-tag").is_none());
     }

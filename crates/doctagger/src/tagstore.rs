@@ -50,36 +50,9 @@ impl TagStore {
         }
     }
 
-    /// Adds a single tag to a file.
-    pub fn add_tag(&mut self, path: &str, tag: impl Into<String>) {
-        self.files
-            .entry(path.to_string())
-            .or_default()
-            .insert(tag.into());
-    }
-
-    /// Removes a single tag from a file; the entry disappears when no tags remain.
-    pub fn remove_tag(&mut self, path: &str, tag: &str) {
-        if let Some(tags) = self.files.get_mut(path) {
-            tags.remove(tag);
-            if tags.is_empty() {
-                self.files.remove(path);
-            }
-        }
-    }
-
     /// The tags of a file (empty when the file has none).
     pub fn tags_of(&self, path: &str) -> BTreeSet<String> {
         self.files.get(path).cloned().unwrap_or_default()
-    }
-
-    /// Files carrying the given tag.
-    pub fn files_with_tag(&self, tag: &str) -> Vec<&str> {
-        self.files
-            .iter()
-            .filter(|(_, tags)| tags.contains(tag))
-            .map(|(path, _)| path.as_str())
-            .collect()
     }
 
     /// Renders a file's tags as the value another PIM tool would read from the
@@ -126,29 +99,10 @@ mod tests {
         let mut store = TagStore::new();
         store.set_tags("/home/u/doc.pdf", ["rust", "paper"]);
         assert_eq!(store.tags_of("/home/u/doc.pdf").len(), 2);
-        store.remove_tag("/home/u/doc.pdf", "paper");
+        store.set_tags("/home/u/doc.pdf", ["rust"]);
         assert_eq!(store.tags_of("/home/u/doc.pdf").len(), 1);
-        store.remove_tag("/home/u/doc.pdf", "rust");
+        store.set_tags("/home/u/doc.pdf", Vec::<String>::new());
         assert!(store.is_empty());
-    }
-
-    #[test]
-    fn add_tag_accumulates() {
-        let mut store = TagStore::new();
-        store.add_tag("a.txt", "x");
-        store.add_tag("a.txt", "y");
-        store.add_tag("a.txt", "x");
-        assert_eq!(store.tags_of("a.txt").len(), 2);
-    }
-
-    #[test]
-    fn files_with_tag() {
-        let mut store = TagStore::new();
-        store.set_tags("a", ["x", "y"]);
-        store.set_tags("b", ["y"]);
-        store.set_tags("c", ["z"]);
-        assert_eq!(store.files_with_tag("y"), vec!["a", "b"]);
-        assert!(store.files_with_tag("missing").is_empty());
     }
 
     #[test]

@@ -72,7 +72,9 @@ fn ingest_allocates_no_copy_of_the_corpus() {
     // whatever the corpus, stays well under the slack.
     let corpus = CorpusGenerator::new(CorpusSpec {
         words_per_doc: 5_000,
-        ..CorpusSpec::demo(3, 2010)
+        num_users: 3,
+        seed: 2010,
+        ..CorpusSpec::default()
     })
     .generate();
     let text_bytes: usize = corpus.documents().iter().map(|d| d.text.len()).sum();

@@ -302,23 +302,6 @@ impl TagWeightMatrix {
         }
         crate::multilabel::top_scored_tags(&scores, self.min_tags)
     }
-
-    /// Scores a whole slice of documents, in input order. Documents are
-    /// scored independently (and in parallel when cores are available); the
-    /// ordered reduction keeps the output deterministic.
-    pub fn scores_batch(&self, xs: &[SparseVector]) -> Vec<Vec<TagPrediction>> {
-        let chunk = xs
-            .len()
-            .div_ceil(parallel::effective_threads(xs.len()).max(1))
-            .max(1);
-        let per_chunk = parallel::par_chunks(xs, chunk, |_, docs| {
-            let mut scratch = Vec::new();
-            docs.iter()
-                .map(|x| self.scores_with_scratch(x, &mut scratch))
-                .collect::<Vec<_>>()
-        });
-        per_chunk.into_iter().flatten().collect()
-    }
 }
 
 /// Batched scoring over per-tag [`KernelSvm`] models.
@@ -535,12 +518,14 @@ impl BatchKernelScorer {
 
     /// Number of distinct support vectors shared across all tags (versus
     /// [`Self::total_terms`] scalar kernel evaluations without sharing).
+    #[cfg(test)]
     pub fn num_unique_vectors(&self) -> usize {
         self.unique.len()
     }
 
     /// Total number of (tag, support-vector) terms — the number of kernel
     /// evaluations the scalar path performs per query.
+    #[cfg(test)]
     pub fn total_terms(&self) -> usize {
         self.terms.iter().map(Vec::len).sum()
     }
@@ -694,20 +679,6 @@ mod tests {
             let scalar = clf.decision(&probe);
             assert_eq!(matrix.tags()[slot], tag);
             assert_eq!(decisions[slot].to_bits(), scalar.to_bits());
-        }
-    }
-
-    #[test]
-    fn scores_batch_matches_individual_scores() {
-        let model = trained_linear();
-        let matrix = model.weight_matrix();
-        let docs: Vec<SparseVector> = (0..20)
-            .map(|i| sparse(&[(i % 3, 0.5 + 0.1 * i as f64), (3, -0.2)]))
-            .collect();
-        let batch = matrix.scores_batch(&docs);
-        assert_eq!(batch.len(), docs.len());
-        for (x, scores) in docs.iter().zip(&batch) {
-            assert_eq!(scores, &matrix.scores(x));
         }
     }
 

@@ -28,11 +28,6 @@ impl MultiLabelExample {
         }
     }
 
-    /// Returns whether the example carries the given tag.
-    pub fn has_tag(&self, tag: TagId) -> bool {
-        self.tags.contains(&tag)
-    }
-
     /// Approximate wire size in bytes when the vector and tag list are shipped
     /// to another peer (used for communication-cost accounting).
     pub fn wire_size(&self) -> usize {
@@ -113,18 +108,8 @@ impl MultiLabelDataset {
         self.vectors.iter().zip(self.tags.iter())
     }
 
-    /// The set of all tags occurring in the dataset (the observed universe `Y`).
-    pub fn tag_universe(&self) -> BTreeSet<TagId> {
-        self.tags.iter().flat_map(|t| t.iter().copied()).collect()
-    }
-
-    /// Number of examples carrying the given tag.
-    pub fn tag_count(&self, tag: TagId) -> usize {
-        self.tags.iter().filter(|t| t.contains(&tag)).count()
-    }
-
     /// Per-tag positive-example counts over the whole dataset, computed in one
-    /// pass (use instead of [`Self::tag_count`] per tag on hot paths).
+    /// pass.
     pub fn tag_counts(&self) -> std::collections::BTreeMap<TagId, usize> {
         let mut counts = std::collections::BTreeMap::new();
         for tags in &self.tags {
@@ -217,9 +202,6 @@ mod tests {
     #[test]
     fn tag_universe_and_counts() {
         let ds = MultiLabelDataset::from_examples(vec![ex(&[1, 2]), ex(&[2]), ex(&[3])]);
-        assert_eq!(ds.tag_universe(), BTreeSet::from([1, 2, 3]));
-        assert_eq!(ds.tag_count(2), 2);
-        assert_eq!(ds.tag_count(9), 0);
         assert_eq!(ds.len(), 3);
         let counts = ds.tag_counts();
         assert_eq!(counts.get(&2), Some(&2));

@@ -33,6 +33,7 @@ impl BinaryMetrics {
     }
 
     /// Computes metrics from parallel prediction/truth slices.
+    #[cfg(test)]
     pub fn from_predictions(predicted: &[bool], actual: &[bool]) -> Self {
         assert_eq!(predicted.len(), actual.len());
         let mut m = Self::default();

@@ -212,6 +212,7 @@ impl OneVsAllTrainer {
     /// cold-trained. `data` is the peer's *full* (old + new) local dataset,
     /// so the refit sees every example — only the optimization is
     /// incremental, not the data.
+    #[cfg(test)]
     pub fn train_linear_warm(
         &self,
         data: &MultiLabelDataset,
@@ -224,10 +225,10 @@ impl OneVsAllTrainer {
         })
     }
 
-    /// CSR-native variant of [`Self::train_linear_warm`]: warm refits and
-    /// cold fits of new tags all run through one shared [`CsrLinearTrainer`]
-    /// context per worker. Produces a model **bit-identical** to
-    /// [`Self::train_linear_warm`] on the same inputs.
+    /// CSR-native variant of the scalar `train_linear_warm` (a test oracle):
+    /// warm refits and cold fits of new tags all run through one shared
+    /// [`CsrLinearTrainer`] context per worker. Produces a model
+    /// **bit-identical** to `train_linear_warm` on the same inputs.
     pub fn train_linear_warm_csr(
         &self,
         data: &MultiLabelDataset,

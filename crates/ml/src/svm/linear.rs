@@ -183,14 +183,6 @@ impl BinaryClassifier for LinearSvm {
 }
 
 impl LinearSvmTrainer {
-    /// Creates a trainer with the given cost parameter and default settings.
-    pub fn with_c(c: f64) -> Self {
-        Self {
-            c,
-            ..Self::default()
-        }
-    }
-
     /// Trains a linear SVM on `(xs, ys)` with dual coordinate descent for the
     /// L1-loss (hinge) SVM — Hsieh et al. 2008, the LIBLINEAR default.
     /// Deterministic given the seed.
@@ -424,8 +416,12 @@ mod tests {
         // With tiny C the model barely fits the data; with large C it fits it
         // well. Just assert training succeeds and large C is at least as good.
         let (xs, ys) = test_util::separable(100, 6);
-        let loose = LinearSvmTrainer::with_c(1e-4).train(&xs, &ys);
-        let tight = LinearSvmTrainer::with_c(10.0).train(&xs, &ys);
+        let trainer = |c| LinearSvmTrainer {
+            c,
+            ..LinearSvmTrainer::default()
+        };
+        let loose = trainer(1e-4).train(&xs, &ys);
+        let tight = trainer(10.0).train(&xs, &ys);
         assert!(accuracy_on(&tight, &xs, &ys) >= accuracy_on(&loose, &xs, &ys));
     }
 }

@@ -43,6 +43,7 @@ pub trait BinaryClassifier {
 
 /// Accuracy of a classifier on a labeled set (fraction of correct hard
 /// predictions). Returns 1.0 on an empty set.
+#[cfg(test)]
 pub fn accuracy_on<C: BinaryClassifier>(model: &C, xs: &[SparseVector], ys: &[bool]) -> f64 {
     assert_eq!(xs.len(), ys.len(), "xs and ys must have equal length");
     if xs.is_empty() {

@@ -322,6 +322,7 @@ impl Cempar {
 
     /// Total number of support vectors held by the regional models (a proxy
     /// for global model size).
+    #[cfg(test)]
     pub fn regional_support_vectors(&self) -> usize {
         self.regions
             .iter()

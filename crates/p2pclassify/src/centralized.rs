@@ -99,6 +99,7 @@ impl Centralized {
     }
 
     /// Number of training examples pooled at the server.
+    #[cfg(test)]
     pub fn pooled_examples(&self) -> usize {
         self.pooled.len()
     }

@@ -86,6 +86,7 @@ impl LocalOnly {
     }
 
     /// Number of peers that managed to train a usable local model.
+    #[cfg(test)]
     pub fn peers_with_models(&self) -> usize {
         self.models.iter().flatten().count()
     }

@@ -437,6 +437,7 @@ impl Pace {
     }
 
     /// Number of models in the ensemble.
+    #[cfg(test)]
     pub fn ensemble_size(&self) -> usize {
         self.models.iter().flatten().count()
     }

@@ -63,13 +63,6 @@ pub struct LinkStats {
     pub backoff_ms: u64,
 }
 
-impl LinkStats {
-    /// All attempt-level drops: in-transit losses plus offline failures.
-    pub fn total_drops(&self) -> u64 {
-        self.lost_sends + self.offline_drops
-    }
-}
-
 /// How a frame delivery ended, for the protocols' "who received what"
 /// bookkeeping. The split matters because the two failure classes carry
 /// different semantics: a fault drop means the receiver provably missed the

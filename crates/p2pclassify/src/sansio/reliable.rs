@@ -204,8 +204,8 @@ impl ReliableCore {
         }
     }
 
-    /// The earliest pending retransmit deadline, if any (drivers may use it
-    /// instead of tracking `SetTimer` outputs).
+    /// The earliest pending retransmit deadline, if any.
+    #[cfg(test)]
     pub fn next_deadline(&self) -> Option<Millis> {
         self.pending.values().map(|p| p.deadline).min()
     }

@@ -72,6 +72,7 @@ impl ChurnModel {
     }
 
     /// Expected long-run fraction of time a peer is online.
+    #[cfg(test)]
     pub fn expected_availability(&self) -> f64 {
         match *self {
             ChurnModel::None => 1.0,
@@ -192,21 +193,6 @@ impl ChurnTimeline {
             .collect()
     }
 
-    /// Number of peers online at `time` (no allocation).
-    pub fn num_online_at(&self, time: SimTime) -> usize {
-        (0..self.num_peers())
-            .filter(|&i| self.is_online(PeerId::from(i), time))
-            .count()
-    }
-
-    /// Fraction of peers online at `time`.
-    pub fn availability_at(&self, time: SimTime) -> f64 {
-        if self.num_peers() == 0 {
-            return 0.0;
-        }
-        self.num_online_at(time) as f64 / self.num_peers() as f64
-    }
-
     /// Produces the time-ordered stream of join/leave events.
     pub fn events(&self) -> Vec<ChurnEvent> {
         let mut out = Vec::new();
@@ -237,6 +223,7 @@ impl ChurnTimeline {
     }
 
     /// Mean number of online intervals per peer — a proxy for the churn rate.
+    #[cfg(test)]
     pub fn mean_sessions_per_peer(&self) -> f64 {
         if self.intervals.is_empty() {
             return 0.0;
@@ -253,7 +240,7 @@ mod tests {
     fn no_churn_keeps_everyone_online() {
         let tl = ChurnTimeline::generate(ChurnModel::None, 10, SimTime::from_secs(100), 1);
         assert_eq!(tl.online_peers(SimTime::from_secs(50)).len(), 10);
-        assert_eq!(tl.availability_at(SimTime::from_secs(99)), 1.0);
+        assert_eq!(tl.online_peers(SimTime::from_secs(99)).len(), 10);
         assert!(tl.events().iter().all(|e| e.online));
     }
 
@@ -265,7 +252,7 @@ mod tests {
         };
         let tl = ChurnTimeline::generate(model, 400, SimTime::from_secs(2_000), 42);
         // Expected availability 0.75; sample mid-simulation with tolerance.
-        let a = tl.availability_at(SimTime::from_secs(1_000));
+        let a = tl.online_peers(SimTime::from_secs(1_000)).len() as f64 / 400.0;
         assert!(
             (a - model.expected_availability()).abs() < 0.12,
             "availability {a}"

@@ -103,11 +103,6 @@ impl<'a, P> Context<'a, P> {
         self.online.contains(peer)
     }
 
-    /// Number of peers currently online. O(1).
-    pub fn num_online(&self) -> usize {
-        self.online.len()
-    }
-
     /// Iterates all currently online peers in ascending id order.
     ///
     /// The iterator borrows the engine's cached online bitset (lifetime
@@ -216,6 +211,7 @@ impl<P> EventPool<P> {
         kind
     }
 
+    #[cfg(test)]
     fn high_water_mark(&self) -> usize {
         self.slots.len()
     }
@@ -319,12 +315,6 @@ impl<A: Application> Engine<A> {
         self.faults = FaultState::new(plan, self.seed);
     }
 
-    /// Peak number of simultaneously in-flight events so far (the slab's
-    /// high-water mark — steady state never grows past it).
-    pub fn in_flight_high_water_mark(&self) -> usize {
-        self.pool.high_water_mark()
-    }
-
     /// Immutable access to a peer's application state (for assertions).
     pub fn app(&self, peer: PeerId) -> &A {
         &self.apps[peer.index()]
@@ -336,6 +326,7 @@ impl<A: Application> Engine<A> {
     }
 
     /// Number of peers currently online. O(1).
+    #[cfg(test)]
     pub fn num_online(&self) -> usize {
         self.online.len()
     }
@@ -434,11 +425,6 @@ impl<A: Application> Engine<A> {
         processed
     }
 
-    /// Runs the full queue with a generous event cap (tests / small sims).
-    pub fn run_to_completion(&mut self) -> u64 {
-        self.run(SimTime(u64::MAX), 10_000_000)
-    }
-
     fn dispatch<F>(&mut self, peer: PeerId, f: F)
     where
         F: FnOnce(&mut A, &mut Context<'_, A::Payload>),
@@ -512,6 +498,11 @@ impl<A: Application> Engine<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs the full queue with a generous event cap.
+    fn run_to_completion<A: Application>(e: &mut Engine<A>) -> u64 {
+        e.run(SimTime(u64::MAX), 10_000_000)
+    }
     use crate::churn::ChurnModel;
     use crate::physical::PhysicalNetwork;
 
@@ -561,7 +552,7 @@ mod tests {
     #[test]
     fn ping_pong_round_trip() {
         let mut e = engine(10);
-        e.run_to_completion();
+        run_to_completion(&mut e);
         assert_eq!(e.app(PeerId(0)).pongs_received, 9);
         for i in 1..10u64 {
             assert_eq!(e.app(PeerId(i)).pings_received, 1);
@@ -577,7 +568,7 @@ mod tests {
         // Nothing can be delivered in the first microsecond except the start events.
         e.run(SimTime::from_micros(1), 1_000_000);
         assert_eq!(e.app(PeerId(0)).pongs_received, 0);
-        e.run_to_completion();
+        run_to_completion(&mut e);
         assert_eq!(e.app(PeerId(0)).pongs_received, 9);
     }
 
@@ -604,7 +595,7 @@ mod tests {
         let timeline = ChurnTimeline::generate(ChurnModel::None, 4, SimTime::from_secs(1_000), 3);
         e.apply_churn(&timeline);
         e.push_event(SimTime::ZERO, EventKind::PeerOffline(PeerId(3)));
-        e.run_to_completion();
+        run_to_completion(&mut e);
         assert_eq!(e.stats().total_dropped(), 1);
         assert!(e.stats().delivery_rate() < 1.0);
     }
@@ -628,7 +619,7 @@ mod tests {
             }
         }
         let mut e = Engine::new(vec![TimerApp::default()], PhysicalNetwork::default(), 3);
-        e.run_to_completion();
+        run_to_completion(&mut e);
         assert_eq!(e.app(PeerId(0)).fired, vec![1, 2, 3]);
     }
 
@@ -645,7 +636,7 @@ mod tests {
             5,
         );
         e.apply_churn(&timeline);
-        e.run_to_completion();
+        run_to_completion(&mut e);
         // With peers mostly offline, some of peer 0's pings must be dropped
         // (peer 0 itself may also churn out, in which case nothing is sent).
         let stats = e.stats();
@@ -684,25 +675,25 @@ mod tests {
         }
         let apps = (0..2).map(|_| Bouncer::default()).collect();
         let mut e = Engine::new(apps, PhysicalNetwork::default(), 7);
-        e.run_to_completion();
+        run_to_completion(&mut e);
         let total = e.app(PeerId(0)).bounces + e.app(PeerId(1)).bounces;
         assert_eq!(total, 501);
         // Ramp-up: 2 PeerOnline events + 1 in-flight message. Steady state
         // recycles those slots for all ~500 subsequent deliveries.
         assert!(
-            e.in_flight_high_water_mark() <= 3,
+            e.pool.high_water_mark() <= 3,
             "slab grew to {} slots for a 1-message-in-flight workload",
-            e.in_flight_high_water_mark()
+            e.pool.high_water_mark()
         );
     }
 
     #[test]
     fn num_online_tracks_churn() {
         let mut e = engine(10);
-        e.run_to_completion();
+        run_to_completion(&mut e);
         assert_eq!(e.num_online(), 10);
         e.push_event(e.now(), EventKind::PeerOffline(PeerId(4)));
-        e.run_to_completion();
+        run_to_completion(&mut e);
         assert_eq!(e.num_online(), 9);
         assert!(!e.is_online(PeerId(4)));
     }

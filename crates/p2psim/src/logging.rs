@@ -87,6 +87,7 @@ impl ActivityLog {
     }
 
     /// Entries matching a category.
+    #[cfg(test)]
     pub fn by_category<'a>(&'a self, category: &'a str) -> impl Iterator<Item = &'a LogEntry> {
         self.entries.iter().filter(move |e| e.category == category)
     }

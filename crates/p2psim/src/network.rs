@@ -15,7 +15,7 @@ use crate::config::SimConfig;
 use crate::faults::{FaultDrop, FaultState, PartitionWindow, SendFault};
 use crate::logging::ActivityLog;
 use crate::message::MessageKind;
-use crate::overlay::{AnyOverlay, Overlay, SuperPeerDirectory};
+use crate::overlay::{AnyOverlay, Overlay};
 use crate::peer::PeerId;
 use crate::physical::PhysicalNetwork;
 use crate::stats::SimStats;
@@ -281,11 +281,6 @@ impl P2PNetwork {
     /// Mutable activity log (for protocol-level annotations).
     pub fn log_mut(&mut self) -> &mut ActivityLog {
         &mut self.log
-    }
-
-    /// Builds a super-peer directory with `regions` regions over this overlay.
-    pub fn super_peer_directory(&self, regions: usize) -> SuperPeerDirectory {
-        SuperPeerDirectory::new(regions)
     }
 
     /// Sends `size_bytes` of category `kind` from `from` to `to`.

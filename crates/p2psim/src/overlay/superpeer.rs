@@ -53,11 +53,6 @@ impl SuperPeerDirectory {
         overlay.lookup(from, anchor).map(|r| r.owner)
     }
 
-    /// The super-peer responsible for a content key (e.g. a tag's hash).
-    pub fn super_peer_for_key<O: Overlay>(&self, overlay: &O, key: u64) -> Option<PeerId> {
-        self.super_peer_of_region(overlay, self.region_of_key(key))
-    }
-
     /// All currently elected super-peers (one per region; regions may share a
     /// peer when the network is small).
     pub fn elect<O: Overlay>(&self, overlay: &O) -> Vec<PeerId> {
@@ -91,9 +86,8 @@ mod tests {
         let dir = SuperPeerDirectory::new(4);
         let elected = dir.elect(&o);
         for tag in ["rust", "database", "p2p", "svm", "tagging"] {
-            let sp = dir
-                .super_peer_for_key(&o, content_key(tag.as_bytes()))
-                .unwrap();
+            let region = dir.region_of_key(content_key(tag.as_bytes()));
+            let sp = dir.super_peer_of_region(&o, region).unwrap();
             assert!(elected.contains(&sp), "{tag} maps to non-elected {sp}");
         }
     }

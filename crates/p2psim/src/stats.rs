@@ -221,17 +221,8 @@ impl SimStats {
         self.by_kind.values().map(KindStats::bytes_sent).sum()
     }
 
-    /// Total bytes actually *delivered* across all categories.
-    pub fn total_bytes_delivered(&self) -> u64 {
-        self.by_kind.values().map(|k| k.bytes).sum()
-    }
-
-    /// Total bytes sent but never delivered across all categories.
-    pub fn total_bytes_dropped(&self) -> u64 {
-        self.by_kind.values().map(|k| k.bytes_dropped).sum()
-    }
-
     /// Total messages dropped.
+    #[cfg(test)]
     pub fn total_dropped(&self) -> u64 {
         self.by_kind.values().map(|k| k.dropped).sum()
     }
@@ -242,6 +233,7 @@ impl SimStats {
     }
 
     /// Fraction of sent messages that were delivered (1.0 when nothing was sent).
+    #[cfg(test)]
     pub fn delivery_rate(&self) -> f64 {
         let sent = self.total_messages();
         if sent == 0 {
@@ -251,6 +243,7 @@ impl SimStats {
     }
 
     /// Bytes sent by a given peer.
+    #[cfg(test)]
     pub fn bytes_sent_by(&self, peer: PeerId) -> u64 {
         self.bytes_sent_by_peer
             .get(peer.index())
@@ -266,22 +259,12 @@ impl SimStats {
             .unwrap_or(0)
     }
 
-    /// Number of peers that sent at least one message.
-    pub fn num_senders(&self) -> usize {
-        self.senders.len()
-    }
-
     /// Average bytes sent per participating peer (0.0 when no peer sent data).
     pub fn mean_bytes_sent_per_peer(&self) -> f64 {
         if self.senders.is_empty() {
             return 0.0;
         }
         self.total_bytes() as f64 / self.senders.len() as f64
-    }
-
-    /// Maximum bytes sent by any single peer (the hot-spot load).
-    pub fn max_bytes_sent_by_any_peer(&self) -> u64 {
-        self.bytes_sent_by_peer.iter().copied().max().unwrap_or(0)
     }
 
     /// Maximum bytes *received* by any single peer (super-peers concentrate load here).
@@ -343,6 +326,14 @@ impl SimStats {
 mod tests {
     use super::*;
 
+    impl SimStats {
+        /// Bytes delivered and bytes dropped, summed over the categories.
+        fn delivered_and_dropped(&self) -> (u64, u64) {
+            let kinds = self.by_kind.values();
+            kinds.fold((0, 0), |(d, x), k| (d + k.bytes, x + k.bytes_dropped))
+        }
+    }
+
     #[test]
     fn delivery_accounting() {
         let mut s = SimStats::new();
@@ -395,8 +386,8 @@ mod tests {
         assert_eq!(k.bytes_dropped, 40);
         assert_eq!(k.bytes_sent(), 140);
         assert_eq!(s.total_bytes(), 140, "sent view counts both");
-        assert_eq!(s.total_bytes_delivered(), 100);
-        assert_eq!(s.total_bytes_dropped(), 40);
+        assert_eq!(s.delivered_and_dropped().0, 100);
+        assert_eq!(s.delivered_and_dropped().1, 40);
         // The sender paid for the dropped bytes too.
         assert_eq!(s.bytes_sent_by(PeerId(0)), 140);
         assert_eq!(s.bytes_received_by(PeerId(1)), 100);
@@ -426,11 +417,11 @@ mod tests {
         }
         assert_eq!(
             s.total_bytes(),
-            s.total_bytes_delivered() + s.total_bytes_dropped()
+            s.delivered_and_dropped().0 + s.delivered_and_dropped().1
         );
         // 303 delivered + (10+1 + 20+1 + 30+1) dropped.
-        assert_eq!(s.total_bytes_delivered(), 303);
-        assert_eq!(s.total_bytes_dropped(), 63);
+        assert_eq!(s.delivered_and_dropped().0, 303);
+        assert_eq!(s.delivered_and_dropped().1, 63);
         assert_eq!(s.total_bytes(), 366);
         // Per-peer accounting matches: sender paid for drops, receiver only
         // saw deliveries.
@@ -449,16 +440,16 @@ mod tests {
         );
         let (sent_a, del_a, drop_a) = (
             s.total_bytes(),
-            s.total_bytes_delivered(),
-            s.total_bytes_dropped(),
+            s.delivered_and_dropped().0,
+            s.delivered_and_dropped().1,
         );
         s.merge(&other);
         assert_eq!(s.total_bytes(), sent_a + 507);
-        assert_eq!(s.total_bytes_delivered(), del_a + 7);
-        assert_eq!(s.total_bytes_dropped(), drop_a + 500);
+        assert_eq!(s.delivered_and_dropped().0, del_a + 7);
+        assert_eq!(s.delivered_and_dropped().1, drop_a + 500);
         assert_eq!(
             s.total_bytes(),
-            s.total_bytes_delivered() + s.total_bytes_dropped()
+            s.delivered_and_dropped().0 + s.delivered_and_dropped().1
         );
         for &kind in &kinds {
             let k = s.kind(kind);
@@ -480,7 +471,6 @@ mod tests {
         let mut s = SimStats::new();
         s.record_delivery(PeerId(0), PeerId(9), MessageKind::Other, 10, SimTime::ZERO);
         s.record_delivery(PeerId(1), PeerId(9), MessageKind::Other, 30, SimTime::ZERO);
-        assert_eq!(s.max_bytes_sent_by_any_peer(), 30);
         assert_eq!(s.max_bytes_received_by_any_peer(), 40);
         assert!(s.mean_bytes_sent_per_peer() > 0.0);
     }
@@ -498,7 +488,6 @@ mod tests {
             SimTime::ZERO,
         );
         s.record_drop(PeerId(700), MessageKind::Other, 50);
-        assert_eq!(s.num_senders(), 2);
         assert!((s.mean_bytes_sent_per_peer() - 75.0).abs() < 1e-12);
     }
 
@@ -512,11 +501,10 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total_messages(), 2);
         assert_eq!(a.total_bytes(), 30);
-        assert_eq!(a.total_bytes_delivered(), 10);
-        assert_eq!(a.total_bytes_dropped(), 20);
+        assert_eq!(a.delivered_and_dropped().0, 10);
+        assert_eq!(a.delivered_and_dropped().1, 20);
         assert_eq!(a.total_dropped(), 1);
         assert_eq!(a.mean_lookup_hops(), 4.0);
-        assert_eq!(a.num_senders(), 2);
     }
 
     #[test]

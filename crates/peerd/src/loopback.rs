@@ -30,6 +30,7 @@ const INSTALL_POLL: Duration = Duration::from_millis(1);
 /// A running fleet of peer daemons on loopback TCP.
 pub struct LoopbackHarness {
     peers: Vec<PeerId>,
+    addrs: BTreeMap<u64, SocketAddr>,
     commands: BTreeMap<u64, CommandSender>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -57,6 +58,7 @@ impl LoopbackHarness {
         }
         Ok(LoopbackHarness {
             peers,
+            addrs,
             commands,
             handles,
         })
@@ -65,6 +67,12 @@ impl LoopbackHarness {
     /// The fleet's peer ids, in core order.
     pub fn peers(&self) -> &[PeerId] {
         &self.peers
+    }
+
+    /// The address `peer`'s daemon listens on, for a client that writes
+    /// frames to it directly.
+    pub fn addr(&self, peer: PeerId) -> Option<SocketAddr> {
+        self.addrs.get(&peer.0).copied()
     }
 
     fn command(&self, peer: PeerId, command: Command) -> io::Result<()> {

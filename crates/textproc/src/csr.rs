@@ -112,6 +112,7 @@ impl CsrMatrix {
     }
 
     /// Number of stored entries in row `i`.
+    #[cfg(test)]
     pub fn row_nnz(&self, i: usize) -> usize {
         self.indptr[i + 1] - self.indptr[i]
     }

@@ -370,14 +370,6 @@ impl SparseVector {
         }
     }
 
-    /// Normalizes the vector so its entries sum to one (no-op if the sum is zero).
-    pub fn l1_normalize(&mut self) {
-        let s: f64 = self.values.iter().map(|v| v.abs()).sum();
-        if s > 0.0 {
-            self.scale(1.0 / s);
-        }
-    }
-
     /// Approximate number of bytes required to transmit this vector over the
     /// network (index + value per entry). Used by the communication-cost
     /// accounting of the P2P protocols.
@@ -461,9 +453,6 @@ mod tests {
         let mut v = SparseVector::from_pairs([(0, 3.0), (1, 4.0)]);
         v.l2_normalize();
         assert!((v.norm() - 1.0).abs() < 1e-12);
-        let mut u = SparseVector::from_pairs([(0, 3.0), (1, 1.0)]);
-        u.l1_normalize();
-        assert!((u.sum() - 1.0).abs() < 1e-12);
     }
 
     #[test]

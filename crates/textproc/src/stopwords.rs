@@ -185,48 +185,10 @@ impl StopWordFilter {
         }
     }
 
-    /// Creates a filter from a custom stop-word list.
-    pub fn from_words<I, S>(words: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        Self {
-            stop_words: words.into_iter().map(Into::into).collect(),
-            sensitive_words: HashSet::new(),
-        }
-    }
-
-    /// Adds an extra stop word.
-    pub fn add_stop_word(&mut self, word: impl Into<String>) {
-        self.stop_words.insert(word.into().to_lowercase());
-    }
-
     /// Registers a user-specified sensitive word; sensitive words are removed
     /// from documents before any vector is built, so they never leave the peer.
     pub fn add_sensitive_word(&mut self, word: impl Into<String>) {
         self.sensitive_words.insert(word.into().to_lowercase());
-    }
-
-    /// Registers many sensitive words at once.
-    pub fn add_sensitive_words<I, S>(&mut self, words: I)
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        for w in words {
-            self.add_sensitive_word(w);
-        }
-    }
-
-    /// Number of configured stop words.
-    pub fn stop_word_count(&self) -> usize {
-        self.stop_words.len()
-    }
-
-    /// Number of configured sensitive words.
-    pub fn sensitive_word_count(&self) -> usize {
-        self.sensitive_words.len()
     }
 
     /// Returns `true` if `word` should be removed.
@@ -267,7 +229,7 @@ mod tests {
     #[test]
     fn filter_removes_tokens() {
         let mut f = StopWordFilter::english();
-        f.add_sensitive_words(["salary"]);
+        f.add_sensitive_word("salary");
         let toks = vec![
             "the".to_string(),
             "salary".to_string(),
@@ -280,13 +242,5 @@ mod tests {
     fn empty_filter_keeps_everything() {
         let f = StopWordFilter::empty();
         assert!(!f.is_filtered("the"));
-    }
-
-    #[test]
-    fn custom_list() {
-        let f = StopWordFilter::from_words(["foo", "bar"]);
-        assert!(f.is_filtered("foo"));
-        assert!(!f.is_filtered("the"));
-        assert_eq!(f.stop_word_count(), 2);
     }
 }

@@ -245,12 +245,6 @@ impl PreprocessPipeline {
         self.vocabulary = vocabulary;
     }
 
-    /// Observes a document, growing the vocabulary (fit step). Returns nothing;
-    /// use [`Self::transform`] afterwards, or [`Self::fit_transform`] for both.
-    pub fn fit_one(&mut self, text: &str) {
-        self.observe([text], |_| {});
-    }
-
     /// Fits the vocabulary on a corpus and freezes it.
     pub fn fit<'a, I>(&mut self, docs: I)
     where
@@ -508,11 +502,11 @@ mod tests {
         fitted.fit_transform(DOCS);
         let mut by_hand = PreprocessPipeline::new();
         for doc in DOCS {
-            by_hand.fit_one(doc);
+            by_hand.observe([doc], |_| {});
         }
         by_hand.vocabulary.freeze();
         // The memo is call-local: sharing it across documents or not, same state.
-        assert_same_vocabulary(fitted.vocabulary(), by_hand.vocabulary(), "fit_one");
+        assert_same_vocabulary(fitted.vocabulary(), by_hand.vocabulary(), "per document");
         assert_eq!(fitted.transform(DOCS[0]), by_hand.transform(DOCS[0]));
     }
 

@@ -49,11 +49,6 @@ impl Vocabulary {
         self.frozen = true;
     }
 
-    /// Whether the vocabulary is frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Returns the id of `word`, inserting it if absent and not frozen.
     pub fn get_or_insert(&mut self, word: &str) -> Option<u32> {
         if let Some(&id) = self.word_to_id.get(word) {
@@ -165,7 +160,6 @@ mod tests {
         let mut v = Vocabulary::new();
         v.get_or_insert("alpha");
         v.freeze();
-        assert!(v.is_frozen());
         assert_eq!(v.get_or_insert("beta"), None);
         assert_eq!(v.get_or_insert("alpha"), Some(0));
         assert_eq!(v.len(), 1);

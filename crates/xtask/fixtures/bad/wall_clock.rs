@@ -1,4 +1,4 @@
-// Fixture: wall-clock reads outside crates/bench and the timing helper.
+// Fixture: wall-clock reads outside the timing helper and the socket boundary.
 // Simulation code runs on virtual time; Instant::now here breaks replay.
 
 fn measure() -> f64 {

@@ -26,7 +26,7 @@
 //! | id | invariant |
 //! |----|-----------|
 //! | `hash-iter` | no iteration over `HashMap`/`HashSet` (order-sensitive paths must sort or use `BTreeMap`) |
-//! | `wall-clock` | no `Instant`/`SystemTime` outside `crates/bench`, `crates/doctagger/src/timing.rs` and the real-socket boundary (`crates/peerd`, `vendor/reactor`) |
+//! | `wall-clock` | no `Instant`/`SystemTime` outside `crates/doctagger/src/timing.rs` and the real-socket boundary (`crates/peerd`, `vendor/reactor`) |
 //! | `thread-spawn` | no `thread::spawn`/`mpsc` outside `vendor/parallel` (the deterministic substrate) and the real-socket boundary (`crates/peerd`, `vendor/reactor`) |
 //! | `seedless-rng` | every RNG flows from an explicit seed — no `thread_rng`/`from_entropy`/`OsRng`/`getrandom` |
 //! | `unsafe-safety` | every `unsafe` carries a `// SAFETY:` comment naming the proved invariant |
@@ -60,8 +60,8 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "wall-clock",
-        description: "no Instant/SystemTime outside crates/bench, \
-                      crates/doctagger/src/timing.rs and the audited real-socket boundary \
+        description: "no Instant/SystemTime outside crates/doctagger/src/timing.rs and \
+                      the audited real-socket boundary \
                       (crates/peerd, vendor/reactor): sim code runs on virtual time",
     },
     Rule {
@@ -376,9 +376,7 @@ fn socket_boundary(path: &str) -> bool {
 }
 
 fn wall_clock_allowed(path: &str) -> bool {
-    path.starts_with("crates/bench/")
-        || path == "crates/doctagger/src/timing.rs"
-        || socket_boundary(path)
+    path == "crates/doctagger/src/timing.rs" || socket_boundary(path)
 }
 
 fn thread_spawn_allowed(path: &str) -> bool {
@@ -524,7 +522,7 @@ pub fn lint_source(path: &str, source: &str) -> (Vec<Diagnostic>, Vec<UnsafeSite
                     t.line,
                     "wall-clock",
                     format!(
-                        "`{}` outside crates/bench: simulation code runs on virtual \
+                        "`{}` outside the timing helper: simulation code runs on virtual \
                          time — route measurement through doctagger::timing",
                         t.text
                     ),
@@ -948,7 +946,7 @@ mod tests {
     fn wall_clock_scoped_by_path() {
         let src = "fn f() { let t = std::time::Instant::now(); }\n";
         assert_eq!(diags("crates/ml/src/x.rs", src).len(), 1);
-        assert!(diags("crates/bench/src/x.rs", src).is_empty());
+        assert_eq!(diags("crates/bench/src/x.rs", src).len(), 1);
         assert!(diags("crates/doctagger/src/timing.rs", src).is_empty());
         assert_eq!(diags("vendor/criterion/src/lib.rs", src).len(), 1);
         // The real-socket boundary is audited; the sim crates stay banned.

@@ -100,8 +100,11 @@ fn bad_fixtures_outside_scoped_paths_do_not_fire_scoped_rules() {
         &fixture("bad/raw_wire_cost.rs"),
     );
     assert!(diags.is_empty(), "{diags:#?}");
-    // wall-clock is allowed in crates/bench.
-    let (diags, _) = lint_source("crates/bench/src/fixture.rs", &fixture("bad/wall_clock.rs"));
+    // wall-clock is allowed in the timing helper.
+    let (diags, _) = lint_source(
+        "crates/doctagger/src/timing.rs",
+        &fixture("bad/wall_clock.rs"),
+    );
     assert!(diags.is_empty(), "{diags:#?}");
     // The real-socket boundary (peer daemon + reactor shim) is an audited
     // exception for both wall-clock and thread-spawn...
