@@ -74,6 +74,7 @@ pub struct ScenarioRow {
     pub cells: Vec<ProtocolCell>,
 }
 
+#[cfg(test)]
 impl ScenarioRow {
     /// The cell of a protocol by name, if present.
     pub fn cell(&self, protocol: &str) -> Option<&ProtocolCell> {

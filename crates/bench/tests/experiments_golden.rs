@@ -271,9 +271,29 @@ fn broken_grid_claims(golden: &str) -> Vec<String> {
             format!("C1: PACE keeps macro-F1 above 0.25 on {scenario}"),
         );
         if scenario == "benign" {
+            // The scenario knobs are off: every protocol stays healthy.
+            for protocol in c1.keys("protocol") {
+                claim(
+                    value(protocol, "macro-F1") > 0.4,
+                    format!("C1: {protocol} keeps macro-F1 above 0.4 on benign"),
+                );
+            }
             claim(
-                value("pace", "macro-F1") > 0.4,
-                "C1: PACE keeps macro-F1 above 0.4 on benign".to_string(),
+                value("cempar", "macro-F1") >= value("local-only", "macro-F1"),
+                "C1: CEMPaR ≥ local-only on macro-F1 on benign".to_string(),
+            );
+        }
+        if scenario == "zipf-heavy" {
+            // The tail stratum is no token one, and the peers with the fewest
+            // manual taggings gain from their neighbours' knowledge.
+            claim(
+                value("cempar", "tail tags") >= 2.0,
+                "C1: zipf-heavy's tail stratum holds at least 2 tags".to_string(),
+            );
+            claim(
+                value("cempar", "cold macro-F1").max(value("pace", "cold macro-F1"))
+                    >= value("local-only", "cold macro-F1"),
+                "C1: max(CEMPaR, PACE) ≥ local-only on cold macro-F1 on zipf-heavy".to_string(),
             );
         }
         if c1.cell(&[("scenario", scenario), ("protocol", "pace")], "skewed") == "true" {
@@ -344,8 +364,8 @@ fn both_goldens_keep_the_grid_orderings() {
 }
 
 /// The grid claims read the cells they name: swapping zipf-heavy's CEMPaR
-/// and local-only tail-F1 cells, or loss-10's PACE and local-only macro-F1
-/// cells, breaks exactly the claim comparing them.
+/// and local-only tail-F1 or cold macro-F1 cells, or loss-10's PACE and
+/// local-only macro-F1 cells, breaks exactly the claim comparing them.
 #[test]
 fn a_swapped_grid_cell_breaks_its_claims() {
     let golden = include_str!("../golden/experiments.txt");
@@ -361,6 +381,19 @@ fn a_swapped_grid_cell_breaks_its_claims() {
     assert_eq!(
         broken_grid_claims(&tail),
         ["C1: max(CEMPaR, PACE) ≥ local-only on tail F1 on zipf-heavy"]
+    );
+    let cold = golden
+        .replace(
+            "0.922    0.712          4          8          0.770",
+            "0.922    0.712          4          8          0.602",
+        )
+        .replace(
+            "0.889    0.549          4          8          0.602",
+            "0.889    0.549          4          8          0.770",
+        );
+    assert_eq!(
+        broken_grid_claims(&cold),
+        ["C1: max(CEMPaR, PACE) ≥ local-only on cold macro-F1 on zipf-heavy"]
     );
     let macro_f1 = golden
         .replace(

@@ -8,7 +8,7 @@
 use crate::corpus::{Corpus, DocumentId};
 use ml::{MultiLabelDataset, MultiLabelExample};
 use std::collections::BTreeSet;
-use textproc::{PreprocessPipeline, SparseVector, Weighting};
+use textproc::{PreprocessPipeline, SparseVector};
 
 /// A corpus whose documents have been vectorized with a shared vocabulary.
 #[derive(Debug, Clone)]
@@ -22,12 +22,7 @@ impl VectorizedCorpus {
     /// Vectorizes every document of `corpus` with a TF-IDF pipeline fitted on
     /// the whole corpus (the shared lexicon all peers agree on).
     pub fn build(corpus: &Corpus) -> Self {
-        Self::build_with_weighting(corpus, Weighting::TfIdf)
-    }
-
-    /// Vectorizes with an explicit weighting scheme.
-    pub fn build_with_weighting(corpus: &Corpus, weighting: Weighting) -> Self {
-        let mut pipeline = PreprocessPipeline::builder().weighting(weighting).build();
+        let mut pipeline = PreprocessPipeline::new();
         let texts: Vec<&str> = corpus.documents().iter().map(|d| d.text.as_str()).collect();
         let vectors = pipeline.fit_transform(texts.iter().copied());
         let tags = corpus
@@ -129,7 +124,7 @@ mod tests {
         for spec in [CorpusSpec::tiny(), mid_size] {
             let corpus = CorpusGenerator::new(spec).generate();
             let v = VectorizedCorpus::build(&corpus);
-            let (tokenizer, filter) = (Tokenizer::default(), StopWordFilter::english());
+            let (tokenizer, filter) = (Tokenizer::new(), StopWordFilter::english());
             let terms = |text: &str| {
                 let mut terms = filter.filter(tokenizer.tokenize(text));
                 PorterStemmer::new().stem_all(&mut terms);

@@ -6,7 +6,6 @@ use p2pclassify::{
     P2PTagClassifier, Pace, PaceConfig, ReliabilityConfig,
 };
 use p2psim::SimConfig;
-use textproc::Weighting;
 
 /// The pluggable P2P classification component (§2: "the P2P classification
 /// algorithm in P2PDocTagger is a pluggable component").
@@ -92,8 +91,6 @@ pub struct DocTaggerConfig {
     /// Simulated network environment. When `None`, the network size is derived
     /// from the ingested corpus (one peer per user).
     pub network: Option<SimConfig>,
-    /// Term weighting used by the preprocessing pipeline.
-    pub weighting: Weighting,
     /// Default confidence threshold of the suggestion cloud's slider.
     pub confidence_threshold: f64,
     /// Seed for any system-level randomness (peer assignment, etc.).
@@ -105,7 +102,6 @@ impl Default for DocTaggerConfig {
         Self {
             protocol: ProtocolKind::default(),
             network: None,
-            weighting: Weighting::TfIdf,
             confidence_threshold: 0.5,
             seed: 2010,
         }

@@ -96,7 +96,7 @@ impl P2PDocTagger {
     /// The system keeps a clone of the [`Corpus`] handle, which shares the
     /// caller's documents: nothing is copied, whatever the corpus' size.
     pub fn ingest(&mut self, corpus: &Corpus) {
-        let vectorized = VectorizedCorpus::build_with_weighting(corpus, self.config.weighting);
+        let vectorized = VectorizedCorpus::build(corpus);
         let sim = self.config.network.clone().unwrap_or_else(|| SimConfig {
             num_peers: corpus.num_users().max(1),
             seed: self.config.seed,

@@ -81,9 +81,7 @@ fn ingest_allocates_no_copy_of_the_corpus() {
     // Ingest first: state initialized lazily on a first call (thread-local
     // scratch, the parallel shim's thread count) then counts against it.
     let (system, ingest_bytes) = allocated_by(|| ingest(&corpus));
-    let weighting = DocTaggerConfig::default().weighting;
-    let (_, vectorize_bytes) =
-        allocated_by(|| VectorizedCorpus::build_with_weighting(&corpus, weighting));
+    let (_, vectorize_bytes) = allocated_by(|| VectorizedCorpus::build(&corpus));
 
     assert!(system.corpus().unwrap().shares_storage_with(&corpus));
     let beyond = ingest_bytes.saturating_sub(vectorize_bytes);

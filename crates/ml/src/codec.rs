@@ -22,12 +22,9 @@
 //!     weight vectors over the observed vocabulary);
 //!   * *contiguous* — just the first index, when the list is exactly
 //!     `first..first+len` (fully dense weight vectors).
-//! * **Value blocks** — the parallel `f64` payload values, at one of three
-//!   precisions ([`WeightPrecision`]): lossless little-endian `f64` (the
-//!   default — decoded models are **bit-identical**), `f32`, or `q8` (8-bit
-//!   linear quantization against the block's max magnitude, Golder &
-//!   Huberman-style power-law weight distributions tolerate this well). The
-//!   precision tag is stored in the block, so decoding is self-describing.
+//! * **Value blocks** — the parallel payload values as little-endian `f64`
+//!   behind a precision tag byte that is always 0 ([`WeightPrecision::F64`]),
+//!   so decoded models are **bit-identical**. Decoders reject any other tag.
 //!
 //! Framing (magic, version, payload kind) is the transport's concern and
 //! lives in `p2pclassify::wire`; this module encodes payload bodies only.
@@ -62,6 +59,12 @@
 //! against the bytes left before anything is reserved (a value, a support
 //! vector, a dictionary entry or id, a score). Only tag sets, whose
 //! index blocks can describe eight entries per byte, keep the looser bound.
+//!
+//! Every value a model or vector decoder reads is finite: value-block
+//! entries (weights, dual coefficients, vector and centroid values), biases,
+//! kernel parameters and one-vs-all thresholds. A non-finite one, or a
+//! stored linear weight of zero (which an encoder never writes), is
+//! [`CodecError::Invalid`]; the encoders `debug_assert` the same contract.
 
 use crate::data::{MultiLabelDataset, MultiLabelExample, TagId};
 use crate::distinct::DistinctIds;
@@ -92,33 +95,13 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Precision at which model weight values (linear weights, SV dual
-/// coefficients) are put on the wire.
-///
-/// [`WeightPrecision::F64`] round-trips bit-identically; the lossy modes trade
-/// bytes for a macro-F1 delta.
-/// Document vectors, centroids and score payloads are always shipped at `f64`:
-/// only *model* weights are quantization candidates.
+/// coefficients) are put on the wire: lossless `f64`, the one encoding, so
+/// a decoded model is bit-identical to the encoded one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WeightPrecision {
     /// Lossless IEEE-754 double precision (8 bytes per value).
     #[default]
     F64,
-    /// Single precision (4 bytes per value).
-    F32,
-    /// 8-bit linear quantization against the value block's max magnitude
-    /// (1 byte per value + a 4-byte scale per block).
-    Q8,
-}
-
-impl WeightPrecision {
-    /// Stable display name for benchmark tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            WeightPrecision::F64 => "f64",
-            WeightPrecision::F32 => "f32",
-            WeightPrecision::Q8 => "q8",
-        }
-    }
 }
 
 /// A cursor over an encoded payload.
@@ -211,10 +194,13 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_le_bytes(raw.try_into().expect("8 bytes")))
     }
 
-    /// Reads a little-endian `f32`.
-    pub fn read_f32(&mut self) -> Result<f32, CodecError> {
-        let raw = self.read_bytes(4)?;
-        Ok(f32::from_le_bytes(raw.try_into().expect("4 bytes")))
+    /// Reads a little-endian `f64` that must be finite.
+    fn read_finite_f64(&mut self) -> Result<f64, CodecError> {
+        let v = self.read_f64()?;
+        if !v.is_finite() {
+            return Err(CodecError::Invalid("non-finite value"));
+        }
+        Ok(v)
     }
 }
 
@@ -239,6 +225,12 @@ pub fn varint_len(v: u64) -> usize {
 /// Appends a little-endian `f64`.
 pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a model parameter the decoders hold to be finite.
+fn put_finite_f64(buf: &mut Vec<u8>, v: f64) {
+    debug_assert!(v.is_finite(), "non-finite value {v} on the wire");
+    put_f64(buf, v);
 }
 
 // ---------------------------------------------------------------------------
@@ -363,69 +355,26 @@ fn read_index_block(r: &mut ByteReader<'_>, count: usize) -> Result<Vec<u32>, Co
 // Value blocks
 // ---------------------------------------------------------------------------
 
+/// The precision tag of an `f64` value block, the only one written or read.
 const VAL_F64: u8 = 0;
-const VAL_F32: u8 = 1;
-const VAL_Q8: u8 = 2;
 
-/// Encodes a parallel value block at the requested precision.
-fn put_value_block(values: &[f64], precision: WeightPrecision, buf: &mut Vec<u8>) {
-    match precision {
-        WeightPrecision::F64 => {
-            buf.push(VAL_F64);
-            for &v in values {
-                put_f64(buf, v);
-            }
-        }
-        WeightPrecision::F32 => {
-            buf.push(VAL_F32);
-            for &v in values {
-                buf.extend_from_slice(&(v as f32).to_le_bytes());
-            }
-        }
-        WeightPrecision::Q8 => {
-            buf.push(VAL_Q8);
-            let max_abs = values.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            buf.extend_from_slice(&(max_abs as f32).to_le_bytes());
-            let scale = if max_abs > 0.0 { 127.0 / max_abs } else { 0.0 };
-            for &v in values {
-                let q = (v * scale).round().clamp(-127.0, 127.0) as i8;
-                buf.push(q as u8);
-            }
-        }
+/// Encodes a parallel block of finite values.
+fn put_value_block(values: &[f64], buf: &mut Vec<u8>) {
+    buf.push(VAL_F64);
+    for &v in values {
+        put_finite_f64(buf, v);
     }
 }
 
-/// Decodes a value block of `count` values (the precision tag is read from
-/// the stream, so decoding works whatever the encoder chose).
+/// Decodes a value block of `count` finite values.
 fn read_value_block(r: &mut ByteReader<'_>, count: usize) -> Result<Vec<f64>, CodecError> {
-    let tag = r.read_byte()?;
-    let mut out = Vec::new();
-    match tag {
-        VAL_F64 => {
-            r.check_fits(count as u64, 8)?;
-            out.reserve_exact(count);
-            for _ in 0..count {
-                out.push(r.read_f64()?);
-            }
-        }
-        VAL_F32 => {
-            r.check_fits(count as u64, 4)?;
-            out.reserve_exact(count);
-            for _ in 0..count {
-                out.push(f64::from(r.read_f32()?));
-            }
-        }
-        VAL_Q8 => {
-            let max_abs = f64::from(r.read_f32()?);
-            let step = max_abs / 127.0;
-            r.check_fits(count as u64, 1)?;
-            out.reserve_exact(count);
-            for _ in 0..count {
-                let q = r.read_byte()? as i8;
-                out.push(f64::from(q) * step);
-            }
-        }
-        _ => return Err(CodecError::Invalid("unknown value block precision")),
+    if r.read_byte()? != VAL_F64 {
+        return Err(CodecError::Invalid("unknown value block precision"));
+    }
+    r.check_fits(count as u64, 8)?;
+    let mut out = Vec::with_capacity(count);
+    for _ in 0..count {
+        out.push(r.read_finite_f64()?);
     }
     Ok(out)
 }
@@ -439,7 +388,7 @@ fn read_value_block(r: &mut ByteReader<'_>, count: usize) -> Result<Vec<f64>, Co
 pub fn encode_vector(v: &SparseVector, buf: &mut Vec<u8>) {
     put_varint(buf, v.nnz() as u64);
     put_index_block(v.indices(), buf);
-    put_value_block(v.values(), WeightPrecision::F64, buf);
+    put_value_block(v.values(), buf);
 }
 
 /// Decodes a sparse document vector.
@@ -468,19 +417,19 @@ pub fn decode_vectors(r: &mut ByteReader<'_>) -> Result<Vec<SparseVector>, Codec
 }
 
 /// Encodes a linear SVM: dimension, bias, then the nonzero weights as an
-/// index block + value block at the requested precision.
-pub fn encode_linear_svm(m: &LinearSvm, precision: WeightPrecision, buf: &mut Vec<u8>) {
+/// index block + value block.
+pub fn encode_linear_svm(m: &LinearSvm, _precision: WeightPrecision, buf: &mut Vec<u8>) {
     put_varint(buf, m.dim() as u64);
-    put_f64(buf, m.bias());
+    put_finite_f64(buf, m.bias());
     put_varint(buf, m.nonzero_weights() as u64);
     put_index_block(m.indices(), buf);
-    put_value_block(m.values(), precision, buf);
+    put_value_block(m.values(), buf);
 }
 
 /// The linear body encoder [`encode_linear_svm`] replaced, kept as its
 /// oracle: it filters the nonzeros out of a dense weight vector.
 #[cfg(test)]
-fn encode_linear_dense(w: &[f64], bias: f64, precision: WeightPrecision, buf: &mut Vec<u8>) {
+fn encode_linear_dense(w: &[f64], bias: f64, buf: &mut Vec<u8>) {
     put_varint(buf, w.len() as u64);
     put_f64(buf, bias);
     let (indices, values): (Vec<u32>, Vec<f64>) = w
@@ -491,7 +440,7 @@ fn encode_linear_dense(w: &[f64], bias: f64, precision: WeightPrecision, buf: &m
         .unzip();
     put_varint(buf, indices.len() as u64);
     put_index_block(&indices, buf);
-    put_value_block(&values, precision, buf);
+    put_value_block(&values, buf);
 }
 
 /// Largest weight dimension [`decode_linear_svm`] accepts (16 M features),
@@ -502,13 +451,10 @@ fn encode_linear_dense(w: &[f64], bias: f64, precision: WeightPrecision, buf: &m
 /// prefix in a frame cannot request an absurd allocation there.
 pub const MAX_WEIGHT_DIM: usize = 1 << 24;
 
-/// Decodes a linear SVM into its nonzero weights. A weight that decodes to
-/// exactly `0.0` (a lossy value block rounds small weights there) is
-/// dropped, as it would be absent from the dense vector's nonzeros, so the
-/// model re-encodes to the frame a dense decode would re-encode to.
+/// Decodes a linear SVM into its nonzero weights.
 pub fn decode_linear_svm(r: &mut ByteReader<'_>) -> Result<LinearSvm, CodecError> {
     let dim = read_weight_dim(r)?;
-    let bias = r.read_f64()?;
+    let bias = r.read_finite_f64()?;
     let nnz = r.read_count_of(1)?;
     let indices = read_index_block(r, nnz)?;
     let values = read_value_block(r, nnz)?;
@@ -525,12 +471,11 @@ fn read_weight_dim(r: &mut ByteReader<'_>) -> Result<usize, CodecError> {
 }
 
 /// A decoded linear SVM from its ascending indices and parallel values:
-/// every index must lie below `dim`, and values that decoded to exactly
-/// `0.0` are dropped.
+/// every index must lie below `dim`, and every value is a stored nonzero.
 fn linear_from_block(
     dim: usize,
-    mut indices: Vec<u32>,
-    mut values: Vec<f64>,
+    indices: Vec<u32>,
+    values: Vec<f64>,
     bias: f64,
 ) -> Result<LinearSvm, CodecError> {
     // Indices ascend, so the last one bounds them all.
@@ -538,16 +483,7 @@ fn linear_from_block(
         return Err(CodecError::Invalid("weight index out of range"));
     }
     if values.contains(&0.0) {
-        let mut keep = 0;
-        for k in 0..values.len() {
-            if values[k] != 0.0 {
-                indices[keep] = indices[k];
-                values[keep] = values[k];
-                keep += 1;
-            }
-        }
-        indices.truncate(keep);
-        values.truncate(keep);
+        return Err(CodecError::Invalid("zero weight"));
     }
     Ok(LinearSvm::from_parts(dim, indices, values, bias))
 }
@@ -558,7 +494,7 @@ fn put_kernel(k: Kernel, buf: &mut Vec<u8>) {
         Kernel::Linear => buf.push(0),
         Kernel::Rbf { gamma } => {
             buf.push(1);
-            put_f64(buf, gamma);
+            put_finite_f64(buf, gamma);
         }
         Kernel::Polynomial {
             gamma,
@@ -566,8 +502,8 @@ fn put_kernel(k: Kernel, buf: &mut Vec<u8>) {
             degree,
         } => {
             buf.push(2);
-            put_f64(buf, gamma);
-            put_f64(buf, coef0);
+            put_finite_f64(buf, gamma);
+            put_finite_f64(buf, coef0);
             put_varint(buf, u64::from(degree));
         }
     }
@@ -577,11 +513,11 @@ fn read_kernel(r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
     match r.read_byte()? {
         0 => Ok(Kernel::Linear),
         1 => Ok(Kernel::Rbf {
-            gamma: r.read_f64()?,
+            gamma: r.read_finite_f64()?,
         }),
         2 => Ok(Kernel::Polynomial {
-            gamma: r.read_f64()?,
-            coef0: r.read_f64()?,
+            gamma: r.read_finite_f64()?,
+            coef0: r.read_finite_f64()?,
             degree: u32::try_from(r.read_varint()?)
                 .map_err(|_| CodecError::Invalid("polynomial degree overflows u32"))?,
         }),
@@ -590,12 +526,11 @@ fn read_kernel(r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
 }
 
 /// Writes a kernel SVM's head: kernel, bias, support-vector count, labels
-/// as a bitmap and dual coefficients as one value block at the requested
-/// precision. The support vectors' vectors follow, in whatever form the
-/// body uses.
-fn put_kernel_svm_head(m: &KernelSvm, precision: WeightPrecision, buf: &mut Vec<u8>) {
+/// as a bitmap and dual coefficients as one value block. The support
+/// vectors' vectors follow, in whatever form the body uses.
+fn put_kernel_svm_head(m: &KernelSvm, buf: &mut Vec<u8>) {
     put_kernel(m.kernel(), buf);
-    put_f64(buf, m.bias());
+    put_finite_f64(buf, m.bias());
     let svs = m.support_vectors();
     put_varint(buf, svs.len() as u64);
     let mut labels = vec![0u8; svs.len().div_ceil(8)];
@@ -606,7 +541,7 @@ fn put_kernel_svm_head(m: &KernelSvm, precision: WeightPrecision, buf: &mut Vec<
     }
     buf.extend_from_slice(&labels);
     let alphas: Vec<f64> = svs.iter().map(|sv| sv.alpha).collect();
-    put_value_block(&alphas, precision, buf);
+    put_value_block(&alphas, buf);
 }
 
 /// A decoded kernel SVM head: everything but the support vectors' vectors.
@@ -620,7 +555,7 @@ struct KernelSvmHead<'a> {
 impl KernelSvmHead<'_> {
     fn read<'a>(r: &mut ByteReader<'a>) -> Result<KernelSvmHead<'a>, CodecError> {
         let kernel = read_kernel(r)?;
-        let bias = r.read_f64()?;
+        let bias = r.read_finite_f64()?;
         // A support vector takes at least an alpha byte and a byte of its
         // vector (or of its dictionary id).
         let n = r.read_count_of(2)?;
@@ -657,8 +592,8 @@ const MIN_VECTOR_BYTES: usize = 2;
 
 /// Encodes a kernel SVM on its own: its head, then each support vector's
 /// vector losslessly.
-pub fn encode_kernel_svm(m: &KernelSvm, precision: WeightPrecision, buf: &mut Vec<u8>) {
-    put_kernel_svm_head(m, precision, buf);
+pub fn encode_kernel_svm(m: &KernelSvm, _precision: WeightPrecision, buf: &mut Vec<u8>) {
+    put_kernel_svm_head(m, buf);
     for sv in m.support_vectors() {
         encode_vector(&sv.vector, buf);
     }
@@ -672,7 +607,7 @@ pub fn decode_kernel_svm(r: &mut ByteReader<'_>) -> Result<KernelSvm, CodecError
 /// Encodes a one-vs-all model shell: threshold, min-tags policy, tag
 /// universe.
 fn put_ova_shell<C: BinaryClassifier>(model: &OneVsAllModel<C>, buf: &mut Vec<u8>) {
-    put_f64(buf, model.threshold());
+    put_finite_f64(buf, model.threshold());
     put_varint(buf, model.min_tags() as u64);
     let tags: Vec<TagId> = model.tags().collect();
     put_varint(buf, tags.len() as u64);
@@ -681,7 +616,7 @@ fn put_ova_shell<C: BinaryClassifier>(model: &OneVsAllModel<C>, buf: &mut Vec<u8
 
 /// Decodes a one-vs-all model shell to `(threshold, min_tags, tags)`.
 fn read_ova_shell(r: &mut ByteReader<'_>) -> Result<(f64, usize, Vec<TagId>), CodecError> {
-    let threshold = r.read_f64()?;
+    let threshold = r.read_finite_f64()?;
     let min_tags = r.read_varint()? as usize;
     // Every tag has a classifier body of at least a byte.
     let num_tags = r.read_count_of(1)?;
@@ -730,7 +665,7 @@ fn linear_support(model: &OneVsAllModel<LinearSvm>) -> std::borrow::Cow<'_, [u32
 /// them is always written as mode 0: the frame depends only on the model.
 pub fn encode_linear_ova(
     model: &OneVsAllModel<LinearSvm>,
-    precision: WeightPrecision,
+    _precision: WeightPrecision,
     buf: &mut Vec<u8>,
 ) {
     put_ova_shell(model, buf);
@@ -740,7 +675,7 @@ pub fn encode_linear_ova(
     let mut bits = Vec::new();
     for (_, clf) in model.iter() {
         put_varint(buf, clf.dim() as u64);
-        put_f64(buf, clf.bias());
+        put_finite_f64(buf, clf.bias());
         if clf.indices() == &support[..] {
             buf.push(SUPPORT_WHOLE);
         } else {
@@ -758,7 +693,7 @@ pub fn encode_linear_ova(
             }
             buf.extend_from_slice(&bits);
         }
-        put_value_block(clf.values(), precision, buf);
+        put_value_block(clf.values(), buf);
     }
 }
 
@@ -766,7 +701,7 @@ pub fn encode_linear_ova(
 ///
 /// Each tag is checked as [`decode_linear_svm`] checks a lone model: its
 /// dimension against [`MAX_WEIGHT_DIM`], its indices against its dimension,
-/// and values that decode to exactly `0.0` are dropped. An unknown mode, a
+/// and its bias and weights finite and its weights nonzero. An unknown mode, a
 /// bitmap bit past the support, a bitmap selecting the whole support (mode
 /// 0's job) or a support position no tag holds is invalid.
 pub fn decode_linear_ova(r: &mut ByteReader<'_>) -> Result<OneVsAllModel<LinearSvm>, CodecError> {
@@ -781,7 +716,7 @@ pub fn decode_linear_ova(r: &mut ByteReader<'_>) -> Result<OneVsAllModel<LinearS
     let mut classifiers = BTreeMap::new();
     for tag in tags {
         let dim = read_weight_dim(r)?;
-        let bias = r.read_f64()?;
+        let bias = r.read_finite_f64()?;
         let clf = match r.read_byte()? {
             SUPPORT_WHOLE => {
                 held_whole = true;
@@ -848,7 +783,7 @@ pub fn decode_linear_ova(r: &mut ByteReader<'_>) -> Result<OneVsAllModel<LinearS
 /// content, not on which of its vectors share storage.
 pub fn encode_kernel_ova(
     model: &OneVsAllModel<KernelSvm>,
-    precision: WeightPrecision,
+    _precision: WeightPrecision,
     buf: &mut Vec<u8>,
 ) {
     put_ova_shell(model, buf);
@@ -870,7 +805,7 @@ pub fn encode_kernel_ova(
     }
     let mut sv_ids = sv_ids.into_iter();
     for (_, clf) in model.iter() {
-        put_kernel_svm_head(clf, precision, buf);
+        put_kernel_svm_head(clf, buf);
         for id in sv_ids.by_ref().take(clf.num_support_vectors()) {
             put_varint(buf, u64::from(id));
         }
@@ -1048,25 +983,152 @@ mod tests {
         );
     }
 
+    /// Overwrites every occurrence of `from`'s bytes in `frame` with `to`'s
+    /// and says whether there was one: how a test writes values no encoder
+    /// puts on the wire.
+    fn forge(frame: &mut [u8], from: f64, to: f64) -> bool {
+        let (from, to) = (from.to_le_bytes(), to.to_le_bytes());
+        let mut found = false;
+        let mut at = 0;
+        while at + 8 <= frame.len() {
+            if frame[at..at + 8] == from {
+                frame[at..at + 8].copy_from_slice(&to);
+                found = true;
+                at += 8;
+            } else {
+                at += 1;
+            }
+        }
+        found
+    }
+
+    /// `frame` with every stand-in ([`stand_in`]) on it forged into a
+    /// non-finite value of its kind, or `None` when it holds none.
+    fn forged(frame: &[u8]) -> Option<Vec<u8>> {
+        let mut out = frame.to_vec();
+        let mut found = false;
+        for (magnitude, value) in [(NAN_STAND_IN, f64::NAN), (INF_STAND_IN, f64::INFINITY)] {
+            for sign in [1.0, -1.0] {
+                found |= forge(&mut out, sign * magnitude, sign * value);
+            }
+        }
+        found.then_some(out)
+    }
+
+    const NAN_STAND_IN: f64 = std::f64::consts::PI * 1e7;
+    const INF_STAND_IN: f64 = std::f64::consts::E * 1e7;
+
+    /// `v`, or for a NaN or an infinity a finite stand-in of its sign that
+    /// [`forged`] turns back into a value of its kind.
+    fn stand_in(v: f64) -> f64 {
+        match v {
+            v if v.is_nan() => NAN_STAND_IN.copysign(v),
+            v if v.is_infinite() => INF_STAND_IN.copysign(v),
+            v => v,
+        }
+    }
+
+    const NON_FINITE: Result<(), CodecError> = Err(CodecError::Invalid("non-finite value"));
+
     #[test]
     fn value_block_precisions() {
-        let values = [1.5, -0.25, 0.75, -2.0];
-        for precision in [
-            WeightPrecision::F64,
-            WeightPrecision::F32,
-            WeightPrecision::Q8,
-        ] {
-            let mut buf = Vec::new();
-            put_value_block(&values, precision, &mut buf);
-            let decoded = read_value_block(&mut ByteReader::new(&buf), values.len()).unwrap();
-            for (orig, dec) in values.iter().zip(&decoded) {
-                let tol = match precision {
-                    WeightPrecision::F64 => 0.0,
-                    WeightPrecision::F32 => 1e-6,
-                    WeightPrecision::Q8 => 2.0 / 127.0 * 2.0,
-                };
-                assert!((orig - dec).abs() <= tol, "{precision:?}: {orig} vs {dec}");
+        let values = [1.5, -0.25, 0.75, -2.0, 1e-300, -0.0];
+        let mut buf = Vec::new();
+        put_value_block(&values, &mut buf);
+        assert_eq!(buf.len(), 1 + 8 * values.len());
+        let decoded = read_value_block(&mut ByteReader::new(&buf), values.len()).unwrap();
+        let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&decoded), bits(&values));
+        // The tags of the lossy blocks once written (1: f32, 2: q8), and any
+        // other, are unknown precisions.
+        for tag in [1, 2, 3, 0xFF] {
+            buf[0] = tag;
+            assert_eq!(
+                read_value_block(&mut ByteReader::new(&buf), values.len()),
+                Err(CodecError::Invalid("unknown value block precision")),
+                "tag {tag}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_at_decode() {
+        let bad = |frame: &[u8]| forged(frame).expect("a stand-in is on the wire");
+        for v in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let x = stand_in(v);
+            // A value block, a document vector and a centroid list.
+            let mut block = Vec::new();
+            put_value_block(&[1.0, x], &mut block);
+            let got = read_value_block(&mut ByteReader::new(&bad(&block)), 2);
+            assert_eq!(got.map(|_| ()), NON_FINITE, "{v}");
+            let vector = SparseVector::from_pairs([(2, 0.5), (7, x)]);
+            let mut frame = Vec::new();
+            encode_vectors(&[SparseVector::from_pairs([(0, 1.0)]), vector], &mut frame);
+            let got = decode_vectors(&mut ByteReader::new(&bad(&frame)));
+            assert_eq!(got.map(|_| ()), NON_FINITE, "{v}");
+            // A linear weight and bias, alone and in a one-vs-all body.
+            for (w, bias) in [(x, 0.5), (0.5, x)] {
+                let m = LinearSvm::from_dense(&[0.25, w, 0.0], bias);
+                let mut frame = Vec::new();
+                encode_linear_svm(&m, WeightPrecision::F64, &mut frame);
+                let got = decode_linear_svm(&mut ByteReader::new(&bad(&frame)));
+                assert_eq!(got.map(|_| ()), NON_FINITE, "{v}");
+                let model = OneVsAllModel::from_classifiers(BTreeMap::from([(3, m)]), 0.0, 1);
+                let mut frame = Vec::new();
+                encode_linear_ova(&model, WeightPrecision::F64, &mut frame);
+                let got = decode_linear_ova(&mut ByteReader::new(&bad(&frame)));
+                assert_eq!(got.map(|_| ()), NON_FINITE, "{v}");
             }
+            // A kernel alpha, bias, RBF gamma, support-vector value and
+            // one-vs-all threshold, alone and in a dictionary body.
+            let sv = |value, alpha| SupportVector {
+                vector: SparseVector::from_pairs([(1, value)]),
+                label: true,
+                alpha,
+            };
+            for (value, alpha, bias, gamma, threshold) in [
+                (1.0, x, 0.5, 0.5, 0.0),
+                (1.0, 0.5, x, 0.5, 0.0),
+                (1.0, 0.5, 0.5, x, 0.0),
+                (x, 0.5, 0.5, 0.5, 0.0),
+                (1.0, 0.5, 0.5, 0.5, x),
+            ] {
+                let m = KernelSvm::from_support_vectors(
+                    vec![sv(value, alpha)],
+                    bias,
+                    Kernel::Rbf { gamma },
+                );
+                if threshold == 0.0 {
+                    let mut frame = Vec::new();
+                    encode_kernel_svm(&m, WeightPrecision::F64, &mut frame);
+                    let got = decode_kernel_svm(&mut ByteReader::new(&bad(&frame)));
+                    assert_eq!(got.map(|_| ()), NON_FINITE, "{v}");
+                }
+                let model = OneVsAllModel::from_classifiers(BTreeMap::from([(3, m)]), threshold, 1);
+                let got =
+                    decode_kernel_ova(&mut ByteReader::new(&bad(&encoded_kernel_ova(&model))));
+                assert_eq!(got.map(|_| ()), NON_FINITE, "{v}");
+            }
+        }
+        // A polynomial kernel's parameters.
+        for (gamma, coef0) in [(NAN_STAND_IN, 1.0), (0.5, -INF_STAND_IN)] {
+            let m = KernelSvm::from_support_vectors(
+                vec![SupportVector {
+                    vector: SparseVector::from_pairs([(1, 1.0)]),
+                    label: false,
+                    alpha: 0.5,
+                }],
+                0.0,
+                Kernel::Polynomial {
+                    gamma,
+                    coef0,
+                    degree: 2,
+                },
+            );
+            let mut frame = Vec::new();
+            encode_kernel_svm(&m, WeightPrecision::F64, &mut frame);
+            let got = decode_kernel_svm(&mut ByteReader::new(&bad(&frame)));
+            assert_eq!(got.map(|_| ()), NON_FINITE);
         }
     }
 
@@ -1116,33 +1178,29 @@ mod tests {
         (w, bias)
     }
 
-    const PRECISIONS: [WeightPrecision; 3] = [
-        WeightPrecision::F64,
-        WeightPrecision::F32,
-        WeightPrecision::Q8,
-    ];
-
-    /// `m`'s frame at every precision equals the dense encoder's frame of
-    /// `m.to_dense()`; decoding it and re-encoding gives the frame the dense
-    /// decoder's vector re-encodes to.
+    /// `m`'s frame equals the dense encoder's frame of `m.to_dense()`;
+    /// decoding it and re-encoding gives the frame the dense decoder's vector
+    /// re-encodes to. When `m` holds stand-ins, the frame with them forged
+    /// non-finite is rejected.
     fn check_linear_frames_match_dense(m: &LinearSvm) {
-        for precision in PRECISIONS {
-            let mut sparse = Vec::new();
-            encode_linear_svm(m, precision, &mut sparse);
-            let mut dense = Vec::new();
-            encode_linear_dense(&m.to_dense(), m.bias(), precision, &mut dense);
-            assert_eq!(sparse, dense, "{precision:?}");
+        let mut sparse = Vec::new();
+        encode_linear_svm(m, WeightPrecision::F64, &mut sparse);
+        let mut dense = Vec::new();
+        encode_linear_dense(&m.to_dense(), m.bias(), &mut dense);
+        assert_eq!(sparse, dense);
 
-            let decoded = decode_linear_svm(&mut ByteReader::new(&sparse)).unwrap();
-            assert!(decoded.values().iter().all(|&v| v != 0.0));
-            let (w, bias) = decode_linear_dense(&mut ByteReader::new(&sparse));
-            for again in PRECISIONS {
-                let mut sparse = Vec::new();
-                encode_linear_svm(&decoded, again, &mut sparse);
-                let mut dense = Vec::new();
-                encode_linear_dense(&w, bias, again, &mut dense);
-                assert_eq!(sparse, dense, "{precision:?} then {again:?}");
-            }
+        let decoded = decode_linear_svm(&mut ByteReader::new(&sparse)).unwrap();
+        assert!(decoded.values().iter().all(|&v| v != 0.0));
+        let (w, bias) = decode_linear_dense(&mut ByteReader::new(&sparse));
+        let mut again = Vec::new();
+        encode_linear_svm(&decoded, WeightPrecision::F64, &mut again);
+        let mut dense = Vec::new();
+        encode_linear_dense(&w, bias, &mut dense);
+        assert_eq!(again, dense);
+
+        if let Some(forged) = forged(&sparse) {
+            let got = decode_linear_svm(&mut ByteReader::new(&forged));
+            assert_eq!(got.map(|_| ()), NON_FINITE);
         }
     }
 
@@ -1155,33 +1213,38 @@ mod tests {
         for (_, clf) in model.iter() {
             check_linear_frames_match_dense(clf);
         }
-        // Empty, NaN and infinite weights, and a trailing zero that only the
-        // dimension remembers.
+        // Empty weights, a trailing zero that only the dimension remembers,
+        // and NaN and infinite weights, whose frames are rejected.
         for w in [
             vec![],
             vec![0.0, 0.0],
             vec![f64::NAN, 0.0, -1.0, f64::INFINITY, 0.0],
         ] {
+            let w: Vec<f64> = w.into_iter().map(stand_in).collect();
             check_linear_frames_match_dense(&LinearSvm::from_dense(&w, -0.5));
         }
     }
 
     #[test]
-    fn lossy_weights_that_round_to_zero_are_dropped_at_decode() {
-        // At f32, 1e-50 underflows to 0.0 and -1e-50 to -0.0; at q8 every
-        // weight under half a step (1/254 of the largest) rounds to 0.
-        let m = LinearSvm::from_dense(&[1.0, 1e-50, 0.0, -1e-50, 1e-3, -2e-3, 0.5], 0.25);
-        for (precision, kept) in [
-            (WeightPrecision::F32, vec![0, 4, 5, 6]),
-            (WeightPrecision::Q8, vec![0, 6]),
-        ] {
-            let mut buf = Vec::new();
-            encode_linear_svm(&m, precision, &mut buf);
-            let decoded = decode_linear_svm(&mut ByteReader::new(&buf)).unwrap();
-            assert_eq!(decoded.indices(), kept, "{precision:?}");
-            assert_eq!(decoded.dim(), m.dim());
+    fn a_zero_linear_weight_is_rejected_at_decode() {
+        // No model stores a zero weight, so no encoder writes one: a frame
+        // carrying one (of either sign), alone or in a one-vs-all body, is
+        // invalid rather than a model that drops it.
+        let zero = Err(CodecError::Invalid("zero weight"));
+        let m = LinearSvm::from_dense(&[1.0, 0.0, 0.375, -2.0], 0.25);
+        let model = OneVsAllModel::from_classifiers(BTreeMap::from([(4, m.clone())]), 0.0, 1);
+        for z in [0.0, -0.0] {
+            let mut frame = Vec::new();
+            encode_linear_svm(&m, WeightPrecision::F64, &mut frame);
+            assert!(forge(&mut frame, 0.375, z));
+            let got = decode_linear_svm(&mut ByteReader::new(&frame));
+            assert_eq!(got.map(|_| ()), zero, "{z}");
+            let mut frame = Vec::new();
+            encode_linear_ova(&model, WeightPrecision::F64, &mut frame);
+            assert!(forge(&mut frame, 0.375, z));
+            let got = decode_linear_ova(&mut ByteReader::new(&frame));
+            assert_eq!(got.map(|_| ()), zero, "{z}");
         }
-        check_linear_frames_match_dense(&m);
     }
 
     #[test]
@@ -1192,7 +1255,7 @@ mod tests {
             put_f64(&mut buf, 0.0);
             put_varint(&mut buf, indices.len() as u64);
             put_index_block(indices, &mut buf);
-            put_value_block(&vec![1.0; indices.len()], WeightPrecision::F64, &mut buf);
+            put_value_block(&vec![1.0; indices.len()], &mut buf);
             buf
         };
         let decode = |buf: Vec<u8>| decode_linear_svm(&mut ByteReader::new(&buf));
@@ -1250,14 +1313,10 @@ mod tests {
     /// The per-tag linear body [`encode_linear_ova`] replaced, kept as its
     /// oracle: the shell, then each tag's [`encode_linear_svm`], every tag
     /// writing its own index block.
-    fn encode_linear_ova_per_tag(
-        model: &OneVsAllModel<LinearSvm>,
-        precision: WeightPrecision,
-        buf: &mut Vec<u8>,
-    ) {
+    fn encode_linear_ova_per_tag(model: &OneVsAllModel<LinearSvm>, buf: &mut Vec<u8>) {
         put_ova_shell(model, buf);
         for (_, clf) in model.iter() {
-            encode_linear_svm(clf, precision, buf);
+            encode_linear_svm(clf, WeightPrecision::F64, buf);
         }
     }
 
@@ -1297,40 +1356,41 @@ mod tests {
         buf.len()
     }
 
-    /// Checks a linear one-vs-all frame at every precision against the
-    /// per-tag oracle: both decode to bit-equal models; at `f64` the model
-    /// comes back bit for bit and re-encodes to the same bytes; and the
-    /// frame is the oracle's bytes minus each tag's count and index block,
-    /// plus the support block once and each tag's mode byte and bitmap.
+    /// Checks a linear one-vs-all frame against the per-tag oracle: both
+    /// decode to the model bit for bit, the decoded model re-encodes to the
+    /// same bytes, and the frame is the oracle's bytes minus each tag's
+    /// count and index block, plus the support block once and each tag's
+    /// mode byte and bitmap. When the model holds stand-ins, the frame with
+    /// them forged non-finite is rejected.
     fn check_linear_ova_frame(model: &OneVsAllModel<LinearSvm>) {
         let support: Vec<u32> = linear_support(model).into_owned();
-        for precision in PRECISIONS {
-            let mut frame = Vec::new();
-            encode_linear_ova(model, precision, &mut frame);
-            let mut r = ByteReader::new(&frame);
-            let decoded = decode_linear_ova(&mut r).expect("decodes");
-            assert_eq!(r.remaining(), 0, "{precision:?}");
-            let mut oracle = Vec::new();
-            encode_linear_ova_per_tag(model, precision, &mut oracle);
-            let want = decode_linear_ova_per_tag(&mut ByteReader::new(&oracle));
-            assert!(linear_ova_bit_eq(&decoded, &want), "{precision:?}");
-            if precision == WeightPrecision::F64 {
-                assert!(linear_ova_bit_eq(&decoded, model));
-                let mut again = Vec::new();
-                encode_linear_ova(&decoded, precision, &mut again);
-                assert_eq!(again, frame);
+        let mut frame = Vec::new();
+        encode_linear_ova(model, WeightPrecision::F64, &mut frame);
+        let mut r = ByteReader::new(&frame);
+        let decoded = decode_linear_ova(&mut r).expect("decodes");
+        assert_eq!(r.remaining(), 0);
+        let mut oracle = Vec::new();
+        encode_linear_ova_per_tag(model, &mut oracle);
+        let want = decode_linear_ova_per_tag(&mut ByteReader::new(&oracle));
+        assert!(linear_ova_bit_eq(&decoded, &want));
+        assert!(linear_ova_bit_eq(&decoded, model));
+        let mut again = Vec::new();
+        encode_linear_ova(&decoded, WeightPrecision::F64, &mut again);
+        assert_eq!(again, frame);
+        let (mut removed, mut added) = (0, 0);
+        added += varint_len(support.len() as u64) + index_block_len(&support);
+        for (_, clf) in model.iter() {
+            removed += varint_len(clf.nonzero_weights() as u64) + index_block_len(clf.indices());
+            added += 1;
+            if clf.indices() != support.as_slice() {
+                added += support.len().div_ceil(8);
             }
-            let (mut removed, mut added) = (0, 0);
-            added += varint_len(support.len() as u64) + index_block_len(&support);
-            for (_, clf) in model.iter() {
-                removed +=
-                    varint_len(clf.nonzero_weights() as u64) + index_block_len(clf.indices());
-                added += 1;
-                if clf.indices() != support.as_slice() {
-                    added += support.len().div_ceil(8);
-                }
-            }
-            assert_eq!(frame.len() + removed, oracle.len() + added, "{precision:?}");
+        }
+        assert_eq!(frame.len() + removed, oracle.len() + added);
+
+        if let Some(forged) = forged(&frame) {
+            let got = decode_linear_ova(&mut ByteReader::new(&forged));
+            assert_eq!(got.map(|_| ()), NON_FINITE);
         }
     }
 
@@ -1349,7 +1409,7 @@ mod tests {
         check_linear_ova_frame(&model);
         let (mut frame, mut oracle) = (Vec::new(), Vec::new());
         encode_linear_ova(&model, WeightPrecision::F64, &mut frame);
-        encode_linear_ova_per_tag(&model, WeightPrecision::F64, &mut oracle);
+        encode_linear_ova_per_tag(&model, &mut oracle);
         assert!(
             frame.len() < oracle.len(),
             "{} vs {}",
@@ -1387,7 +1447,7 @@ mod tests {
             put_f64(&mut body, 0.0);
             body.push(mode);
             body.extend_from_slice(bits);
-            put_value_block(&vec![1.0; values], WeightPrecision::F64, &mut body);
+            put_value_block(&vec![1.0; values], &mut body);
         }
         body
     }
@@ -1484,14 +1544,10 @@ mod tests {
     /// The per-tag kernel body [`encode_kernel_ova`] replaced, kept as its
     /// oracle: the shell, then each tag's [`encode_kernel_svm`], every
     /// support vector written in full.
-    fn encode_kernel_ova_per_tag(
-        model: &OneVsAllModel<KernelSvm>,
-        precision: WeightPrecision,
-        buf: &mut Vec<u8>,
-    ) {
+    fn encode_kernel_ova_per_tag(model: &OneVsAllModel<KernelSvm>, buf: &mut Vec<u8>) {
         put_ova_shell(model, buf);
         for (_, clf) in model.iter() {
-            encode_kernel_svm(clf, precision, buf);
+            encode_kernel_svm(clf, WeightPrecision::F64, buf);
         }
     }
 
@@ -1512,7 +1568,8 @@ mod tests {
     /// decode into one allocation, re-encoding reproduces the frame byte for
     /// byte, and the frame is the oracle's bytes minus each repeated
     /// vector's encoding plus the dictionary count and one id per support
-    /// vector (ids in first-appearance order by content).
+    /// vector (ids in first-appearance order by content). When the model
+    /// holds stand-ins, the frame with them forged non-finite is rejected.
     fn check_kernel_ova_frame(model: &OneVsAllModel<KernelSvm>) {
         let frame = encoded_kernel_ova(model);
         let mut r = ByteReader::new(&frame);
@@ -1540,7 +1597,7 @@ mod tests {
         assert_eq!(&encoded_kernel_ova(&decoded), &frame);
 
         let mut oracle = Vec::new();
-        encode_kernel_ova_per_tag(model, WeightPrecision::F64, &mut oracle);
+        encode_kernel_ova_per_tag(model, &mut oracle);
         let mut ids: BTreeMap<(Vec<u32>, Vec<u64>), u64> = BTreeMap::new();
         let (mut saved, mut added) = (0usize, 0usize);
         for (_, clf) in model.iter() {
@@ -1557,6 +1614,11 @@ mod tests {
         }
         added += varint_len(ids.len() as u64);
         assert_eq!(frame.len() + saved, oracle.len() + added);
+
+        if let Some(forged) = forged(&frame) {
+            let got = decode_kernel_ova(&mut ByteReader::new(&forged));
+            assert_eq!(got.map(|_| ()), NON_FINITE);
+        }
     }
 
     #[test]
@@ -1565,7 +1627,7 @@ mod tests {
         let model = OneVsAllTrainer::default().train_kernel(&ds, &KernelSvmTrainer::default());
         check_kernel_ova_frame(&model);
         let mut oracle = Vec::new();
-        encode_kernel_ova_per_tag(&model, WeightPrecision::F64, &mut oracle);
+        encode_kernel_ova_per_tag(&model, &mut oracle);
         let frame = encoded_kernel_ova(&model);
         // Both tags draw their support vectors from one peer's documents.
         assert!(
@@ -1586,7 +1648,7 @@ mod tests {
         let ds = toy_dataset();
         let model = OneVsAllTrainer::default().train_kernel(&ds, &KernelSvmTrainer::default());
         let mut oracle = Vec::new();
-        encode_kernel_ova_per_tag(&model, WeightPrecision::F64, &mut oracle);
+        encode_kernel_ova_per_tag(&model, &mut oracle);
         assert!(decode_kernel_ova(&mut ByteReader::new(&oracle)).is_err());
     }
 
@@ -1595,11 +1657,9 @@ mod tests {
         let too_many = Some(CodecError::Invalid("count exceeds payload size"));
         // A reservation of `usize::MAX / 16` values or indices would abort
         // the process, so reaching the assertions shows none was made.
-        for tag in [VAL_F64, VAL_F32, VAL_Q8] {
-            let block = [tag, 0, 0, 0, 0, 1, 2, 3];
-            let got = read_value_block(&mut ByteReader::new(&block), usize::MAX / 16);
-            assert_eq!(got.err(), too_many, "value tag {tag}");
-        }
+        let block = [VAL_F64, 0, 0, 0, 0, 1, 2, 3];
+        let got = read_value_block(&mut ByteReader::new(&block), usize::MAX / 16);
+        assert_eq!(got.err(), too_many);
         let delta = [IDX_DELTA, 0, 0, 0];
         let got = read_index_block(&mut ByteReader::new(&delta), usize::MAX / 16);
         assert_eq!(got.err(), too_many);
@@ -1610,7 +1670,7 @@ mod tests {
         // claims more nonzeros than there are bytes left for their values.
         let mut body = Vec::new();
         put_varint(&mut body, 64);
-        body.extend_from_slice(&[IDX_CONTIGUOUS, 0, VAL_Q8]);
+        body.extend_from_slice(&[IDX_CONTIGUOUS, 0, VAL_F64]);
         body.extend_from_slice(&[1; 20]);
         assert_eq!(decode_vector(&mut ByteReader::new(&body)).err(), too_many);
         // A kernel SVM with more support vectors than bytes.
@@ -1654,26 +1714,6 @@ mod tests {
         assert_eq!(got.err(), too_many);
     }
 
-    #[test]
-    fn quantized_linear_model_stays_close() {
-        let (xs, ys) = crate::svm::test_util::separable(120, 5);
-        let model = LinearSvmTrainer::default().train(&xs, &ys);
-        for precision in [WeightPrecision::F32, WeightPrecision::Q8] {
-            let mut buf = Vec::new();
-            encode_linear_svm(&model, precision, &mut buf);
-            let decoded = decode_linear_svm(&mut ByteReader::new(&buf)).unwrap();
-            let agree = xs
-                .iter()
-                .filter(|x| model.predict(x) == decoded.predict(x))
-                .count();
-            assert!(
-                agree as f64 / xs.len() as f64 > 0.95,
-                "{precision:?}: {agree}/{}",
-                xs.len()
-            );
-        }
-    }
-
     fn arb_vector() -> impl Strategy<Value = SparseVector> {
         prop::collection::vec((0u32..5_000, -3.0f64..3.0), 0..40).prop_map(SparseVector::from_pairs)
     }
@@ -1683,8 +1723,7 @@ mod tests {
             .prop_map(|(v, tags)| MultiLabelExample::new(v, tags))
     }
 
-    /// Dense weights of which many are zero, tiny enough to round to zero
-    /// at `f32` or `q8`, or not finite.
+    /// Dense weights of which many are zero, small, tiny or not finite.
     fn wild_weight() -> impl Strategy<Value = f64> {
         (0u8..10, -4.0f64..4.0).prop_map(|(pick, v)| match pick {
             0 | 1 => 0.0,
@@ -1695,9 +1734,12 @@ mod tests {
         })
     }
 
+    /// A model of wild weights, each non-finite one held as its stand-in.
     fn arb_wild_linear_svm() -> impl Strategy<Value = LinearSvm> {
-        (prop::collection::vec(wild_weight(), 0..40), -2.0f64..2.0)
-            .prop_map(|(weights, bias)| LinearSvm::from_dense(&weights, bias))
+        (prop::collection::vec(wild_weight(), 0..40), -2.0f64..2.0).prop_map(|(weights, bias)| {
+            let weights: Vec<f64> = weights.into_iter().map(stand_in).collect();
+            LinearSvm::from_dense(&weights, bias)
+        })
     }
 
     fn arb_linear_svm() -> impl Strategy<Value = LinearSvm> {
@@ -1808,7 +1850,12 @@ mod tests {
         ) {
             // Tags draw support vectors from one pool, each either sharing
             // the pool vector's storage or holding a content-equal copy.
+            // Non-finite values are held as their stand-ins.
             let copy = |v: &SparseVector| SparseVector::from_sorted_pairs(v.iter());
+            let pool: Vec<SparseVector> = pool
+                .iter()
+                .map(|v| SparseVector::from_sorted_pairs(v.iter().map(|(i, x)| (i, stand_in(x)))))
+                .collect();
             let build = |deep: bool| {
                 let classifiers = tags
                     .iter()
@@ -1821,12 +1868,13 @@ mod tests {
                                 SupportVector {
                                     vector: if shared && !deep { v.clone() } else { copy(v) },
                                     label,
-                                    alpha,
+                                    alpha: stand_in(alpha),
                                 }
                             })
                             .collect();
                         let kernel = crate::kernel::wild::KERNELS[*kernel];
-                        (3 * t as TagId, KernelSvm::from_support_vectors(svs, *bias, kernel))
+                        let bias = stand_in(*bias);
+                        (3 * t as TagId, KernelSvm::from_support_vectors(svs, bias, kernel))
                     })
                     .collect();
                 OneVsAllModel::from_classifiers(classifiers, threshold, min_tags)
@@ -1850,8 +1898,8 @@ mod tests {
             // Each tag holds the whole pool, a masked part of it, nothing,
             // or the pool plus a feature of its own; its dimension sits just
             // past its last feature or a little further. Wild weights add
-            // values that are not finite or that round to zero below `f64`
-            // (and exact zeros, which leave the tag's support).
+            // tiny values, stand-ins of non-finite ones and exact zeros
+            // (which leave the tag's support).
             let classifiers = tags
                 .iter()
                 .enumerate()
@@ -1866,7 +1914,7 @@ mod tests {
                     let dim = features.last().map_or(0, |&j| j as usize + 1) + extra_dim;
                     let mut dense = vec![0.0; dim];
                     for (k, &j) in features.iter().enumerate() {
-                        dense[j as usize] = weights[k % weights.len()].1;
+                        dense[j as usize] = stand_in(weights[k % weights.len()].1);
                     }
                     (3 * t as TagId, LinearSvm::from_dense(&dense, *bias))
                 })

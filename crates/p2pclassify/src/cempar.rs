@@ -1111,10 +1111,12 @@ mod tests {
             ..Default::default()
         });
         cempar.train(&mut net, &data).unwrap();
-        // Peer 0 re-propagates its model with an extra tag 0 whose support
-        // vector weight is NaN; its region's cascade keeps that lone
-        // contribution as the regional model for tag 0. Tag 0 sorts first
-        // in tag order, so only the comparator can move it last.
+        // Peer 0's contribution gains an extra tag 0 whose support vector
+        // weight is NaN; its region's cascade keeps that lone contribution
+        // as the regional model for tag 0. No decoder accepts a non-finite
+        // weight, so the contribution is recorded at the super-peer
+        // directly. Tag 0 sorts first in tag order, so only the comparator
+        // can move it last.
         let local = cempar.train_local(&data[0]).unwrap();
         let kernel = local.classifier(1).unwrap().kernel();
         let mut classifiers: BTreeMap<TagId, KernelSvm> =
@@ -1129,9 +1131,12 @@ mod tests {
             KernelSvm::from_support_vectors(vec![nan_sv], 0.0, kernel),
         );
         let model = OneVsAllModel::from_classifiers(classifiers, local.threshold(), 1);
-        cempar
-            .propagate_model(&mut net, PeerId(0), model, MessageKind::ModelPropagation)
-            .unwrap();
+        let region = cempar.region_of_peer(PeerId(0));
+        let state = cempar.regions[region].as_mut().unwrap();
+        state
+            .cascade
+            .replaced(state.contributed.get(&PeerId(0)), &model);
+        state.contributed.insert(PeerId(0), model);
         cempar.recascade();
         for x in [
             SparseVector::from_pairs([(0, 1.0)]),

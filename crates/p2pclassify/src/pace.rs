@@ -1510,18 +1510,21 @@ mod tests {
         let mut pace = Pace::new(PaceConfig::default());
         pace.train(&mut net, &data).unwrap();
         // Every held model gains tag 0 with NaN weights and is installed
-        // from its re-encoded envelope, as a hostile or corrupt frame would
-        // be. Tag 0 sorts first in tag order, so only the comparator can
-        // move it last.
+        // directly: no decoder accepts a non-finite weight, so this is a
+        // model a peer built itself. Tag 0 sorts first in tag order, so only
+        // the comparator can move it last.
         for source in (0..12).map(PeerId) {
             let held = pace.model_of(source).unwrap();
             let warm = held.warm_model();
             let mut classifiers: BTreeMap<TagId, LinearSvm> =
                 warm.iter().map(|(t, c)| (t, c.clone())).collect();
             classifiers.insert(0, LinearSvm::from_dense(&[f64::NAN, f64::NAN], 0.0));
-            let model = OneVsAllModel::from_classifiers(classifiers, warm.threshold(), 1);
-            let envelope = encode_pace_install(source, 2, &model, held.accuracy, &held.centroids);
-            let (_, update) = decode_pace_install(&envelope).unwrap();
+            let update = PaceUpdate {
+                source,
+                model: OneVsAllModel::from_classifiers(classifiers, warm.threshold(), 1),
+                centroids: held.centroids.clone(),
+                accuracy: held.accuracy,
+            };
             pace.models[source.index()] = Some(PaceModel::assemble(update));
         }
         for x in [

@@ -332,7 +332,7 @@ mod tests {
         let reason = wire::decode_pace_model(&huge_accuracy).err();
         assert_eq!(reason, invalid("PACE accuracy outside [0, 1]"));
         let reason = wire::decode_centroids(&nan_centroid).err();
-        assert_eq!(reason, invalid("non-finite centroid value"));
+        assert_eq!(reason, invalid("non-finite value"));
 
         let deliver = |holder: &mut PaceCore, src: u64, parts: [&[u8]; 2]| {
             holder.ingest(0, PeerId(src), &wire::encode_install(src, 2, &parts))

@@ -15,11 +15,11 @@
 //! `net.send_frame(..)` charges the encoded byte length, and the receiving
 //! side **decodes its copy from the frame**. Round-tripping every
 //! propagation is what makes the E3 communication tables measurements rather
-//! than estimates. The protocols encode model weights at
-//! [`WeightPrecision::F64`], so a decoded artifact is bit-identical to the
-//! encoded one and decoding on receipt changes no prediction. The encoders
-//! still take a precision: `F32`/`Q8` bodies are part of the codec, which
-//! decodes whatever arrives.
+//! than estimates. Model weights travel at [`WeightPrecision::F64`], the
+//! codec's one lossless encoding, so a decoded artifact is bit-identical to
+//! the encoded one and decoding on receipt changes no prediction. Every
+//! value a model, vector or centroid decoder reads is finite
+//! ([`ml::codec`] rejects the rest).
 
 use ml::codec::{self, ByteReader, CodecError, WeightPrecision};
 use ml::multilabel::TagPrediction;
@@ -232,28 +232,18 @@ fn accuracy_is_valid(accuracy: f64) -> bool {
 
 /// Encodes a PACE centroid frame; every centroid value is finite.
 pub fn encode_centroids(centroids: &[SparseVector]) -> Vec<u8> {
-    debug_assert!(all_finite(centroids), "non-finite centroid value");
     let mut buf = frame(PayloadKind::Centroids);
     codec::encode_vectors(centroids, &mut buf);
     buf
 }
 
 /// Decodes a PACE centroid frame. A non-finite value is
-/// [`CodecError::Invalid`]: the retrieval distance would price a NaN
-/// centroid at 0, nearest to every query.
+/// [`CodecError::Invalid`], as in every codec value block: the retrieval
+/// distance would price a NaN centroid at 0, nearest to every query.
 pub fn decode_centroids(bytes: &[u8]) -> Result<Vec<SparseVector>, WireError> {
     let mut r = open(bytes, PayloadKind::Centroids)?;
     let centroids = codec::decode_vectors(&mut r)?;
-    if !all_finite(&centroids) {
-        return Err(CodecError::Invalid("non-finite centroid value").into());
-    }
     finish(r, centroids)
-}
-
-fn all_finite(vectors: &[SparseVector]) -> bool {
-    vectors
-        .iter()
-        .all(|v| v.values().iter().all(|x| x.is_finite()))
 }
 
 /// Encodes a CEMPaR propagation frame: a kernel one-vs-all model.
@@ -599,7 +589,7 @@ mod tests {
             let forged = forge_f64(&good, 0.625, value);
             assert_eq!(
                 decode_centroids(&forged),
-                invalid("non-finite centroid value"),
+                invalid("non-finite value"),
                 "{value}"
             );
         }

@@ -13,14 +13,16 @@
 //!    of entries must be rejected *before* it sizes an allocation; decoding
 //!    stays cheap no matter what the prefix says.
 //!
-//! One property holds the PACE decoders to their value contract: an install
-//! that decodes carries finite centroids and an accuracy in `[0, 1]`.
+//! Two properties hold the decoders to their value contract: every model,
+//! vector, centroid and dataset that decodes carries only finite values,
+//! and a PACE install that decodes an accuracy in `[0, 1]`.
 //!
 //! [`CorruptionFaults`]: p2psim::faults::CorruptionFaults
 
 use std::sync::OnceLock;
 
 use ml::codec::{self, ByteReader, WeightPrecision};
+use ml::kernel::Kernel;
 use ml::multilabel::{OneVsAllTrainer, TagPrediction};
 use ml::svm::{KernelSvmTrainer, LinearSvmTrainer};
 use ml::{MultiLabelDataset, MultiLabelExample};
@@ -139,6 +141,46 @@ fn run_codec_decoders(bytes: &[u8]) -> usize {
     ok
 }
 
+fn finite_vector(v: &SparseVector) -> bool {
+    v.values().iter().all(|x| x.is_finite())
+}
+
+fn finite_kernel(kernel: Kernel) -> bool {
+    match kernel {
+        Kernel::Linear => true,
+        Kernel::Rbf { gamma } => gamma.is_finite(),
+        Kernel::Polynomial { gamma, coef0, .. } => gamma.is_finite() && coef0.is_finite(),
+    }
+}
+
+/// Whether every value the model, vector, centroid and dataset decoders
+/// return for `bytes` is finite (vacuously so when none decodes).
+fn decoded_values_are_finite(bytes: &[u8]) -> bool {
+    let linear = wire::decode_pace_model(bytes).map_or(true, |(model, _)| {
+        model.threshold().is_finite()
+            && model.iter().all(|(_, clf)| {
+                clf.bias().is_finite() && clf.values().iter().all(|w| w.is_finite())
+            })
+    });
+    let kernel = wire::decode_kernel_model(bytes).map_or(true, |model| {
+        model.threshold().is_finite()
+            && model.iter().all(|(_, clf)| {
+                finite_kernel(clf.kernel())
+                    && clf.bias().is_finite()
+                    && clf
+                        .support_vectors()
+                        .iter()
+                        .all(|sv| sv.alpha.is_finite() && finite_vector(&sv.vector))
+            })
+    });
+    let centroids = wire::decode_centroids(bytes).map_or(true, |cs| cs.iter().all(finite_vector));
+    let dataset =
+        wire::decode_dataset(bytes).map_or(true, |ds| ds.iter().all(|(v, _)| finite_vector(v)));
+    let example = wire::decode_example(bytes).map_or(true, |ex| finite_vector(&ex.vector));
+    let query = wire::decode_query(bytes).map_or(true, |q| finite_vector(&q));
+    linear && kernel && centroids && dataset && example && query
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -218,6 +260,35 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&accuracy), "accuracy {}", accuracy);
             let finite = centroids.iter().all(|c| c.values().iter().all(|x| x.is_finite()));
             prop_assert!(finite, "a decoded centroid holds a non-finite value");
+        }
+    }
+
+    /// Every frame that decodes carries only finite values. A valid frame
+    /// is forged by writing an f64 (any bit pattern, or NaN, ±∞) at an
+    /// arbitrary offset, and by flipping one bit; whatever still decodes is
+    /// held to the contract.
+    #[test]
+    fn decoded_frames_carry_only_finite_values(
+        which in any::<usize>(),
+        target in any::<usize>(),
+        bits in any::<u64>(),
+        special in 0usize..4,
+        bit in any::<usize>(),
+    ) {
+        let frames = valid_frames();
+        let (name, frame) = &frames[which % frames.len()];
+        let value = [f64::from_bits(bits), f64::NAN, f64::INFINITY, f64::NEG_INFINITY][special];
+        let forged = (frame.len() >= 8).then(|| {
+            let at = target % (frame.len() - 7);
+            let mut forged = frame.clone();
+            forged[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            forged
+        });
+        let bit = bit % (frame.len() * 8);
+        let mut flipped = frame.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        for bytes in forged.into_iter().chain([flipped]) {
+            prop_assert!(decoded_values_are_finite(&bytes), "{}: {:?}", name, bytes);
         }
     }
 

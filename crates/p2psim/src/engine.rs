@@ -20,7 +20,6 @@
 
 use crate::bitset::{Ones, PeerBitset};
 use crate::churn::ChurnTimeline;
-use crate::faults::{FaultDrop, FaultPlan, FaultState, SendFault};
 use crate::logging::ActivityLog;
 use crate::message::{Envelope, MessageKind};
 use crate::peer::PeerId;
@@ -233,10 +232,6 @@ pub struct Engine<A: Application> {
     seq: u64,
     rng: StdRng,
     events_processed: u64,
-    /// Fault injection on the engine's send path (disabled by default;
-    /// see [`Engine::set_fault_plan`]).
-    faults: FaultState,
-    seed: u64,
 }
 
 impl<A: Application> Engine<A> {
@@ -259,8 +254,6 @@ impl<A: Application> Engine<A> {
             seq: 0,
             rng: StdRng::seed_from_u64(seed),
             events_processed: 0,
-            faults: FaultState::new(FaultPlan::default(), seed),
-            seed,
         };
         for i in 0..n {
             engine.push_event(SimTime::ZERO, EventKind::PeerOnline(PeerId::from(i)));
@@ -300,19 +293,6 @@ impl<A: Application> Engine<A> {
     /// remaining steady-state allocation source at scale.
     pub fn set_churn_logging(&mut self, enabled: bool) {
         self.log_churn = enabled;
-    }
-
-    /// Installs a fault plan on the engine's send path (loss, burst loss,
-    /// latency spikes, partitions — frame corruption does not apply, since
-    /// engine payloads are typed values, not byte frames). The plan runs
-    /// from its own seeded RNG stream, so installing a disabled plan (the
-    /// default) leaves the run bit-identical, and an active plan never
-    /// perturbs the application RNG.
-    ///
-    /// Call before [`Engine::run`]; mid-run installation is allowed and
-    /// simply takes effect for subsequent sends.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = FaultState::new(plan, self.seed);
     }
 
     /// Immutable access to a peer's application state (for assertions).
@@ -448,29 +428,7 @@ impl<A: Application> Engine<A> {
                     size_bytes,
                     payload,
                 } => {
-                    let extra = match self.faults.on_send(self.now, peer, to) {
-                        SendFault::Drop(drop) => {
-                            self.stats.record_drop(peer, kind, size_bytes);
-                            match drop {
-                                FaultDrop::Loss { burst: true } => {
-                                    self.stats.faults.burst_lost += 1
-                                }
-                                FaultDrop::Loss { burst: false } => self.stats.faults.lost += 1,
-                                FaultDrop::Partitioned => self.stats.faults.partition_drops += 1,
-                            }
-                            continue;
-                        }
-                        SendFault::Deliver {
-                            extra_latency,
-                            spiked,
-                        } => {
-                            if spiked {
-                                self.stats.faults.latency_spikes += 1;
-                            }
-                            extra_latency
-                        }
-                    };
-                    let delay = self.physical.delivery_delay(peer, to, size_bytes) + extra;
+                    let delay = self.physical.delivery_delay(peer, to, size_bytes);
                     let env = Envelope {
                         from: peer,
                         to,

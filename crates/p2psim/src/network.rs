@@ -788,7 +788,8 @@ mod tests {
         let k = batched.stats().kind(MessageKind::ModelPropagation);
         assert_eq!(k.messages, 47);
         assert_eq!(k.dropped as usize, 47 - reached);
-        assert_eq!(batched.stats().bytes_sent_by(from), 4_700);
+        assert_eq!(k.bytes_sent(), 4_700);
+        assert_eq!(batched.stats().mean_bytes_sent_per_peer(), 4_700.0);
     }
 
     #[test]

@@ -93,8 +93,6 @@ impl FaultStats {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SimStats {
     by_kind: BTreeMap<MessageKind, KindStats>,
-    /// Bytes sent, indexed by peer (grow-on-demand).
-    bytes_sent_by_peer: Vec<u64>,
     /// Bytes received, indexed by peer (grow-on-demand).
     bytes_received_by_peer: Vec<u64>,
     /// Peers that recorded at least one send (delivered or dropped) — the
@@ -123,11 +121,10 @@ impl SimStats {
         Self::default()
     }
 
-    /// Pre-sizes the per-peer columns for `num_peers` peers, so recording
-    /// never reallocates mid-run.
+    /// Pre-sizes the per-peer column and sender set for `num_peers` peers,
+    /// so recording never reallocates mid-run.
     pub fn with_peers(num_peers: usize) -> Self {
         Self {
-            bytes_sent_by_peer: vec![0; num_peers],
             bytes_received_by_peer: vec![0; num_peers],
             senders: PeerBitset::new(num_peers),
             ..Self::default()
@@ -155,8 +152,8 @@ impl SimStats {
     }
 
     /// The sender-side half of the accounting, for `delivered + dropped`
-    /// copies of one `bytes`-sized message at once: the kind's counters and
-    /// the sender's column are charged what that many
+    /// copies of one `bytes`-sized message at once: the kind's counters are
+    /// charged, and the sender counted, as that many
     /// [`Self::record_delivery`] / [`Self::record_drop`] calls would have
     /// charged them, in one probe of the by-kind map. A broadcast flushes
     /// each of its frames through here once instead of once per receiver.
@@ -178,11 +175,6 @@ impl SimStats {
         k.bytes += delivered * bytes;
         k.bytes_dropped += dropped * bytes;
         k.dropped += dropped;
-        bump(
-            &mut self.bytes_sent_by_peer,
-            from,
-            (delivered + dropped) * bytes,
-        );
         self.senders.insert(from);
     }
 
@@ -242,15 +234,6 @@ impl SimStats {
         self.delivered as f64 / sent as f64
     }
 
-    /// Bytes sent by a given peer.
-    #[cfg(test)]
-    pub fn bytes_sent_by(&self, peer: PeerId) -> u64 {
-        self.bytes_sent_by_peer
-            .get(peer.index())
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Bytes received by a given peer.
     pub fn bytes_received_by(&self, peer: PeerId) -> u64 {
         self.bytes_received_by_peer
@@ -301,11 +284,6 @@ impl SimStats {
             k.bytes_dropped += ks.bytes_dropped;
             k.dropped += ks.dropped;
         }
-        for (i, &b) in other.bytes_sent_by_peer.iter().enumerate() {
-            if b > 0 {
-                bump(&mut self.bytes_sent_by_peer, PeerId::from(i), b);
-            }
-        }
         for (i, &b) in other.bytes_received_by_peer.iter().enumerate() {
             if b > 0 {
                 bump(&mut self.bytes_received_by_peer, PeerId::from(i), b);
@@ -353,7 +331,7 @@ mod tests {
         );
         assert_eq!(s.total_messages(), 2);
         assert_eq!(s.total_bytes(), 150);
-        assert_eq!(s.bytes_sent_by(PeerId(0)), 150);
+        assert_eq!(s.mean_bytes_sent_per_peer(), 150.0, "one sender");
         assert_eq!(s.bytes_received_by(PeerId(1)), 100);
         assert_eq!(s.delivery_rate(), 1.0);
         assert_eq!(s.mean_latency(), SimTime::from_millis(20));
@@ -388,8 +366,8 @@ mod tests {
         assert_eq!(s.total_bytes(), 140, "sent view counts both");
         assert_eq!(s.delivered_and_dropped().0, 100);
         assert_eq!(s.delivered_and_dropped().1, 40);
-        // The sender paid for the dropped bytes too.
-        assert_eq!(s.bytes_sent_by(PeerId(0)), 140);
+        // The one sender paid for the dropped bytes too.
+        assert_eq!(s.mean_bytes_sent_per_peer(), 140.0);
         assert_eq!(s.bytes_received_by(PeerId(1)), 100);
     }
 
@@ -423,10 +401,9 @@ mod tests {
         assert_eq!(s.delivered_and_dropped().0, 303);
         assert_eq!(s.delivered_and_dropped().1, 63);
         assert_eq!(s.total_bytes(), 366);
-        // Per-peer accounting matches: sender paid for drops, receiver only
-        // saw deliveries.
-        assert_eq!(s.bytes_sent_by(PeerId(0)), 303);
-        assert_eq!(s.bytes_sent_by(PeerId(2)), 63);
+        // Per-peer accounting matches: the two senders paid for drops too,
+        // the receiver only saw deliveries.
+        assert_eq!(s.mean_bytes_sent_per_peer(), 366.0 / 2.0);
         assert_eq!(s.bytes_received_by(PeerId(1)), 303);
         // The identity survives a merge of disjoint partial collectors.
         let mut other = SimStats::new();

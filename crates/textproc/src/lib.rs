@@ -11,8 +11,9 @@
 //! 3. **Porter stemming** — words are normalized to remove the commoner
 //!    morphological and inflexional endings ([`porter::PorterStemmer`]).
 //! 4. **Vectorization** — documents are represented as multidimensional sparse
-//!    feature vectors, where the attribute id is the word id and the value is a
-//!    weight derived from the word frequency in the document
+//!    feature vectors, where the attribute id is the word id and the value is
+//!    the word's frequency in the document times its inverse document
+//!    frequency, L2-normalized
 //!    ([`vectorizer::PreprocessPipeline`], [`sparse::SparseVector`]).
 //!
 //! The resulting vectors intentionally discard word order and the original
@@ -28,9 +29,7 @@
 //!     "Peer to peer networks share resources among autonomous peers.",
 //!     "Support vector machines learn a classification model from training data.",
 //! ];
-//! let mut pipeline = PreprocessPipeline::builder()
-//!     .weighting(Weighting::TfIdf)
-//!     .build();
+//! let mut pipeline = PreprocessPipeline::new();
 //! let vectors = pipeline.fit_transform(docs.iter().copied());
 //! assert_eq!(vectors.len(), 2);
 //! assert!(vectors[0].nnz() > 0);
@@ -54,7 +53,7 @@ pub mod prelude {
     pub use crate::sparse::SparseVector;
     pub use crate::stopwords::StopWordFilter;
     pub use crate::tokenizer::Tokenizer;
-    pub use crate::vectorizer::{PreprocessPipeline, PreprocessPipelineBuilder, Weighting};
+    pub use crate::vectorizer::PreprocessPipeline;
     pub use crate::vocabulary::Vocabulary;
 }
 
@@ -63,5 +62,5 @@ pub use porter::PorterStemmer;
 pub use sparse::{SparseVector, StorageKey};
 pub use stopwords::StopWordFilter;
 pub use tokenizer::Tokenizer;
-pub use vectorizer::{PreprocessPipeline, PreprocessPipelineBuilder, Weighting};
+pub use vectorizer::PreprocessPipeline;
 pub use vocabulary::Vocabulary;

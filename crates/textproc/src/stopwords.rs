@@ -177,14 +177,6 @@ impl StopWordFilter {
         }
     }
 
-    /// Creates a filter with no stop words at all (useful for tests).
-    pub fn empty() -> Self {
-        Self {
-            stop_words: HashSet::new(),
-            sensitive_words: HashSet::new(),
-        }
-    }
-
     /// Registers a user-specified sensitive word; sensitive words are removed
     /// from documents before any vector is built, so they never leave the peer.
     pub fn add_sensitive_word(&mut self, word: impl Into<String>) {
@@ -236,11 +228,5 @@ mod tests {
             "report".to_string(),
         ];
         assert_eq!(f.filter(toks), vec!["report".to_string()]);
-    }
-
-    #[test]
-    fn empty_filter_keeps_everything() {
-        let f = StopWordFilter::empty();
-        assert!(!f.is_filtered("the"));
     }
 }

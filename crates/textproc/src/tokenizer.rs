@@ -12,30 +12,15 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Configuration and implementation of the word tokenizer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Tokenizer {
-    /// Convert tokens to lower case (default `true`).
-    pub lowercase: bool,
-    /// Minimum token length in characters; shorter tokens are dropped (default 2).
-    pub min_len: usize,
-    /// Maximum token length in characters; longer tokens are dropped (default 40).
-    pub max_len: usize,
-    /// Keep tokens that contain digits (default `false`, i.e. purely numeric or
-    /// alphanumeric tokens such as `42` or `x86` are dropped).
-    pub keep_numeric: bool,
-}
+/// The word tokenizer: lower-cased tokens of 2 to 40 characters, none of
+/// which is a digit.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct Tokenizer;
 
-impl Default for Tokenizer {
-    fn default() -> Self {
-        Self {
-            lowercase: true,
-            min_len: 2,
-            max_len: 40,
-            keep_numeric: false,
-        }
-    }
-}
+/// Tokens shorter than this many characters are dropped.
+const MIN_LEN: usize = 2;
+/// Tokens longer than this many characters are dropped.
+const MAX_LEN: usize = 40;
 
 /// Whether each ASCII byte continues a run (alphanumeric or `'`); bytes
 /// ≥ 0x80 start a non-ASCII char, which decides by [`char::is_alphanumeric`].
@@ -83,12 +68,12 @@ pub(crate) fn raw_runs<'t>(text: &'t str, mut emit: impl FnMut(&'t str)) {
 }
 
 impl Tokenizer {
-    /// Creates a tokenizer with default settings.
+    /// Creates the tokenizer.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Splits `text` into tokens according to the configuration.
+    /// Splits `text` into tokens.
     ///
     /// Tokens are maximal runs of alphanumeric characters (plus `'` which is
     /// stripped, so that "don't" becomes "dont").
@@ -111,15 +96,13 @@ impl Tokenizer {
     }
 
     /// The token of one raw run, spelled in the reused `buf`: apostrophes
-    /// dropped, lower-cased when configured, then held to the length and
-    /// digit rules. `None` when the run yields no token.
+    /// dropped, lower-cased, then held to the length and digit rules. `None`
+    /// when the run yields no token.
     pub(crate) fn token<'b>(&self, raw: &str, buf: &'b mut String) -> Option<&'b str> {
         buf.clear();
         for ch in raw.chars() {
             if ch == '\'' {
                 // apostrophes are dropped but do not break the token: don't -> dont
-            } else if !self.lowercase {
-                buf.push(ch);
             } else if ch.is_ascii() {
                 buf.push(ch.to_ascii_lowercase());
             } else {
@@ -128,9 +111,7 @@ impl Tokenizer {
             }
         }
         let chars = buf.chars().count();
-        let kept = chars > 0
-            && (self.min_len..=self.max_len).contains(&chars)
-            && (self.keep_numeric || !buf.bytes().any(|b| b.is_ascii_digit()));
+        let kept = (MIN_LEN..=MAX_LEN).contains(&chars) && !buf.bytes().any(|b| b.is_ascii_digit());
         kept.then_some(buf.as_str())
     }
 }
@@ -161,21 +142,11 @@ mod tests {
     }
 
     #[test]
-    fn keep_numeric_option() {
-        let t = Tokenizer {
-            keep_numeric: true,
-            ..Tokenizer::default()
-        };
-        assert_eq!(t.tokenize("ipv6 42"), vec!["ipv6", "42"]);
-    }
-
-    #[test]
     fn respects_max_len() {
-        let t = Tokenizer {
-            max_len: 5,
-            ..Tokenizer::default()
-        };
-        assert_eq!(t.tokenize("short verylongword"), vec!["short"]);
+        let t = Tokenizer::new();
+        let (longest, too_long) = ("w".repeat(MAX_LEN), "w".repeat(MAX_LEN + 1));
+        let text = format!("short {too_long} {longest}");
+        assert_eq!(t.tokenize(&text), vec!["short".to_string(), longest]);
     }
 
     #[test]
@@ -183,13 +154,8 @@ mod tests {
         let t = Tokenizer::new();
         assert!(t.tokenize("").is_empty());
         assert!(t.tokenize("   ,,, !!").is_empty());
-        // A run of apostrophes spells nothing, which is no token even when
-        // the length rule would admit it.
-        let t = Tokenizer {
-            min_len: 0,
-            ..Tokenizer::default()
-        };
-        assert_eq!(t.tokenize("' '' a'"), vec!["a"]);
+        // Apostrophes spell nothing and count toward no token's length.
+        assert_eq!(t.tokenize("' '' a' ''' ab'"), vec!["ab"]);
     }
 
     #[test]
@@ -203,7 +169,7 @@ mod tests {
 
     /// The char-by-char, `String`-per-token tokenizer the scanner replaced
     /// (with the lower-case expansion filtered), kept as its oracle.
-    fn reference(t: &Tokenizer, text: &str) -> Vec<String> {
+    fn reference(text: &str) -> Vec<String> {
         let mut runs = vec![String::new()];
         for ch in text.chars() {
             let run = runs.last_mut().unwrap();
@@ -211,17 +177,13 @@ mod tests {
                 if ch != '\'' {
                     runs.push(String::new());
                 }
-            } else if t.lowercase {
-                run.extend(ch.to_lowercase().filter(|c| c.is_alphanumeric()));
             } else {
-                run.push(ch);
+                run.extend(ch.to_lowercase().filter(|c| c.is_alphanumeric()));
             }
         }
         runs.retain(|run| {
             let n = run.chars().count();
-            n >= t.min_len
-                && n <= t.max_len
-                && (t.keep_numeric || !run.chars().any(|c| c.is_ascii_digit()))
+            (MIN_LEN..=MAX_LEN).contains(&n) && !run.chars().any(|c| c.is_ascii_digit())
         });
         runs
     }
@@ -234,22 +196,14 @@ mod tests {
             "a I x86 42 ok ٣٣٣ x٣",
             "İstanbul İİ aİb ǅungla ẞ straße Müller 中文 λόγος 𝕏𝕏",
             "trailing token",
+            "forty-char wwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwww and forty-one ẞwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwwww",
             "",
             " \t\n,,,",
             "peer's\tPEER's\t'peer' ''' 'x' 2'4 ab'c'd\u{301}e\u{a0}f",
         ];
-        for lowercase in [true, false] {
-            for keep_numeric in [true, false] {
-                let t = Tokenizer {
-                    lowercase,
-                    keep_numeric,
-                    min_len: 2,
-                    max_len: 8,
-                };
-                for text in texts {
-                    assert_eq!(t.tokenize(text), reference(&t, text), "{t:?} {text:?}");
-                }
-            }
+        let t = Tokenizer::new();
+        for text in texts {
+            assert_eq!(t.tokenize(text), reference(text), "{text:?}");
         }
     }
 

@@ -19,98 +19,14 @@ use crate::vocabulary::Vocabulary;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Term weighting schemes for document vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Weighting {
-    /// Raw term frequency (the paper's "value of the attributes represents the
-    /// word frequency in the documents").
-    Tf,
-    /// Term frequency scaled by smoothed inverse document frequency.
-    #[default]
-    TfIdf,
-    /// 1.0 if the word occurs, 0.0 otherwise.
-    Binary,
-    /// `1 + ln(tf)` sub-linear term frequency.
-    LogTf,
-}
-
-/// Builder for [`PreprocessPipeline`].
-#[derive(Debug, Clone, Default)]
-pub struct PreprocessPipelineBuilder {
-    tokenizer: Tokenizer,
-    stop_words: Option<StopWordFilter>,
-    weighting: Weighting,
-    l2_normalize: bool,
-    stemming: bool,
-}
-
-impl PreprocessPipelineBuilder {
-    /// Creates a builder with default components (English stop words, Porter
-    /// stemming, TF-IDF weighting, L2 normalization).
-    pub fn new() -> Self {
-        Self {
-            tokenizer: Tokenizer::default(),
-            stop_words: None,
-            weighting: Weighting::TfIdf,
-            l2_normalize: true,
-            stemming: true,
-        }
-    }
-
-    /// Overrides the tokenizer.
-    pub fn tokenizer(mut self, tokenizer: Tokenizer) -> Self {
-        self.tokenizer = tokenizer;
-        self
-    }
-
-    /// Overrides the stop-word / sensitive-word filter.
-    pub fn stop_words(mut self, filter: StopWordFilter) -> Self {
-        self.stop_words = Some(filter);
-        self
-    }
-
-    /// Selects the term weighting scheme.
-    pub fn weighting(mut self, weighting: Weighting) -> Self {
-        self.weighting = weighting;
-        self
-    }
-
-    /// Enables or disables L2 normalization of the final vectors.
-    pub fn l2_normalize(mut self, enabled: bool) -> Self {
-        self.l2_normalize = enabled;
-        self
-    }
-
-    /// Enables or disables Porter stemming.
-    pub fn stemming(mut self, enabled: bool) -> Self {
-        self.stemming = enabled;
-        self
-    }
-
-    /// Builds the pipeline.
-    pub fn build(self) -> PreprocessPipeline {
-        PreprocessPipeline {
-            tokenizer: self.tokenizer,
-            stop_words: self.stop_words.unwrap_or_default(),
-            stemmer: PorterStemmer::new(),
-            vocabulary: Vocabulary::new(),
-            weighting: self.weighting,
-            l2_normalize: self.l2_normalize,
-            stemming: self.stemming,
-        }
-    }
-}
-
-/// Complete preprocessing pipeline producing sparse document vectors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Complete preprocessing pipeline producing sparse document vectors:
+/// English stop words, Porter stemming, TF-IDF weights, L2-normalized.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PreprocessPipeline {
     tokenizer: Tokenizer,
     stop_words: StopWordFilter,
     stemmer: PorterStemmer,
     vocabulary: Vocabulary,
-    weighting: Weighting,
-    l2_normalize: bool,
-    stemming: bool,
 }
 
 /// Call-local scratch of the scanner over texts that live for `'t`: reused
@@ -128,31 +44,15 @@ struct Scratch<'t> {
     tf: Vec<(u32, f64)>,
 }
 
-impl Default for PreprocessPipeline {
-    fn default() -> Self {
-        PreprocessPipelineBuilder::new().build()
-    }
-}
-
 impl PreprocessPipeline {
-    /// Creates a pipeline with default settings.
+    /// Creates an unfitted pipeline.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Returns a builder for customizing the pipeline.
-    pub fn builder() -> PreprocessPipelineBuilder {
-        PreprocessPipelineBuilder::new()
     }
 
     /// The fitted vocabulary.
     pub fn vocabulary(&self) -> &Vocabulary {
         &self.vocabulary
-    }
-
-    /// The configured weighting scheme.
-    pub fn weighting(&self) -> Weighting {
-        self.weighting
     }
 
     /// Mutable access to the stop-word / sensitive-word filter, e.g. for
@@ -173,10 +73,7 @@ impl PreprocessPipeline {
     /// The processed term of one token (stop- and sensitive-word filter,
     /// Porter stem into the reused `stem`); `None` when dropped.
     fn term_of<'a>(&self, token: &'a str, stem: &'a mut Vec<u8>) -> Option<&'a str> {
-        (!self.stop_words.is_filtered(token)).then(|| match self.stemming {
-            true => self.stemmer.stem_into(token, stem),
-            false => token,
-        })
+        (!self.stop_words.is_filtered(token)).then(|| self.stemmer.stem_into(token, stem))
     }
 
     /// Scans `text` once, leaving its terms' `(id, tf)` pairs, ascending by id,
@@ -254,17 +151,10 @@ impl PreprocessPipeline {
         self.vocabulary.freeze();
     }
 
-    /// Turns a term-frequency vector into the configured weighting, in place.
-    fn reweight(&self, v: &mut SparseVector, idf: impl Fn(u32) -> f64) {
-        match self.weighting {
-            Weighting::Tf => {}
-            Weighting::Binary => v.map_values(|_, _| 1.0),
-            Weighting::LogTf => v.map_values(|_, tf| 1.0 + tf.ln()),
-            Weighting::TfIdf => v.map_values(|id, tf| tf * idf(id)),
-        }
-        if self.l2_normalize {
-            v.l2_normalize();
-        }
+    /// Turns a term-frequency vector into its L2-normalized tf·idf, in place.
+    fn reweight(v: &mut SparseVector, idf: impl Fn(u32) -> f64) {
+        v.map_values(|id, tf| tf * idf(id));
+        v.l2_normalize();
     }
 
     /// The idf of every word id, computed once for a batch.
@@ -282,7 +172,7 @@ impl PreprocessPipeline {
     ) -> SparseVector {
         self.scan_tf(text, s, |term| self.vocabulary.id_of(term));
         let mut v = SparseVector::from_sorted_pairs(s.tf.iter().copied());
-        self.reweight(&mut v, idf);
+        Self::reweight(&mut v, idf);
         v
     }
 
@@ -317,7 +207,7 @@ impl PreprocessPipeline {
         });
         self.vocabulary.freeze();
         let idf = self.idf_table();
-        let reweight = |v| self.reweight(v, |id| idf[id as usize]);
+        let reweight = |v| Self::reweight(v, |id| idf[id as usize]);
         vectors.iter_mut().for_each(reweight);
         vectors
     }
@@ -340,31 +230,17 @@ mod tests {
 
     /// `terms` as it was before the one-pass scanner: the public tokenizer,
     /// filter and stemmer composed per document.
-    fn oracle_terms(
-        tokenizer: &Tokenizer,
-        filter: &StopWordFilter,
-        stemming: bool,
-        text: &str,
-    ) -> Vec<String> {
-        let mut terms = filter.filter(tokenizer.tokenize(text));
-        if stemming {
-            PorterStemmer::new().stem_all(&mut terms);
-        }
+    fn oracle_terms(filter: &StopWordFilter, text: &str) -> Vec<String> {
+        let mut terms = filter.filter(Tokenizer::new().tokenize(text));
+        PorterStemmer::new().stem_all(&mut terms);
         terms
     }
 
     /// What `fit` + `transform` were before the one-pass scanner:
     /// [`oracle_terms`] and the public vocabulary counters, twice over the
     /// corpus. Kept as the oracle the scanner is held to.
-    fn oracle(
-        tokenizer: &Tokenizer,
-        filter: &StopWordFilter,
-        stemming: bool,
-        weighting: Weighting,
-        l2: bool,
-        docs: &[&str],
-    ) -> (Vocabulary, Vec<SparseVector>) {
-        let terms = |text: &str| oracle_terms(tokenizer, filter, stemming, text);
+    fn oracle(filter: &StopWordFilter, docs: &[&str]) -> (Vocabulary, Vec<SparseVector>) {
+        let terms = |text: &str| oracle_terms(filter, text);
         let mut vocabulary = Vocabulary::new();
         for doc in docs {
             vocabulary.observe_document(terms(doc).iter().map(String::as_str));
@@ -374,19 +250,12 @@ mod tests {
             .iter()
             .map(|doc| {
                 let counts = vocabulary.count_tokens(terms(doc).iter().map(String::as_str));
-                let mut v = SparseVector::from_sorted_pairs(counts.iter().map(|(&id, &tf)| {
-                    let tf = tf as f64;
-                    let w = match weighting {
-                        Weighting::Tf => tf,
-                        Weighting::Binary => 1.0,
-                        Weighting::LogTf => 1.0 + tf.ln(),
-                        Weighting::TfIdf => tf * vocabulary.idf(id),
-                    };
-                    (id, w)
-                }));
-                if l2 {
-                    v.l2_normalize();
-                }
+                let mut v = SparseVector::from_sorted_pairs(
+                    counts
+                        .iter()
+                        .map(|(&id, &tf)| (id, tf as f64 * vocabulary.idf(id))),
+                );
+                v.l2_normalize();
                 v
             })
             .collect();
@@ -427,55 +296,27 @@ mod tests {
         ];
         let mut filter = StopWordFilter::english();
         filter.add_sensitive_word("salary");
-        let tokenizers = [
-            Tokenizer::default(),
-            Tokenizer {
-                lowercase: false,
-                min_len: 1,
-                max_len: 12,
-                keep_numeric: true,
-            },
-        ];
-        let weightings = [
-            Weighting::Tf,
-            Weighting::TfIdf,
-            Weighting::Binary,
-            Weighting::LogTf,
-        ];
-        for tokenizer in &tokenizers {
-            for weighting in weightings {
-                for (stemming, l2) in [(true, true), (true, false), (false, true), (false, false)] {
-                    let what = format!("{tokenizer:?} {weighting:?} stem={stemming} l2={l2}");
-                    let (vocabulary, want) =
-                        oracle(tokenizer, &filter, stemming, weighting, l2, &docs);
-                    let pipeline = || {
-                        PreprocessPipeline::builder()
-                            .tokenizer(tokenizer.clone())
-                            .stop_words(filter.clone())
-                            .weighting(weighting)
-                            .stemming(stemming)
-                            .l2_normalize(l2)
-                            .build()
-                    };
+        let (vocabulary, want) = oracle(&filter, &docs);
+        let pipeline = || {
+            let mut p = PreprocessPipeline::new();
+            p.stop_words_mut().add_sensitive_word("salary");
+            p
+        };
 
-                    let mut one_pass = pipeline();
-                    let got = one_pass.fit_transform(docs);
-                    assert_same_vocabulary(one_pass.vocabulary(), &vocabulary, &what);
-                    assert_bit_identical(&got, &want, &what);
+        let mut one_pass = pipeline();
+        let got = one_pass.fit_transform(docs);
+        assert_same_vocabulary(one_pass.vocabulary(), &vocabulary, "fit_transform");
+        assert_bit_identical(&got, &want, "fit_transform");
 
-                    let mut two_step = pipeline();
-                    two_step.fit(docs);
-                    assert_same_vocabulary(two_step.vocabulary(), &vocabulary, &what);
-                    assert_bit_identical(&two_step.transform_batch(&docs), &want, &what);
-                    let singly: Vec<_> = docs.iter().map(|d| two_step.transform(d)).collect();
-                    assert_bit_identical(&singly, &want, &what);
+        let mut two_step = pipeline();
+        two_step.fit(docs);
+        assert_same_vocabulary(two_step.vocabulary(), &vocabulary, "fit");
+        assert_bit_identical(&two_step.transform_batch(&docs), &want, "transform_batch");
+        let singly: Vec<_> = docs.iter().map(|d| two_step.transform(d)).collect();
+        assert_bit_identical(&singly, &want, "transform");
 
-                    for doc in docs {
-                        let want = oracle_terms(tokenizer, &filter, stemming, doc);
-                        assert_eq!(one_pass.terms(doc), want, "{what}: {doc:?}");
-                    }
-                }
-            }
+        for doc in docs {
+            assert_eq!(one_pass.terms(doc), oracle_terms(&filter, doc), "{doc:?}");
         }
     }
 
@@ -591,36 +432,8 @@ mod tests {
     }
 
     #[test]
-    fn tf_weighting_counts_occurrences() {
-        let mut p = PreprocessPipeline::builder()
-            .weighting(Weighting::Tf)
-            .l2_normalize(false)
-            .build();
-        p.fit(["peer peer peer network"]);
-        let v = p.transform("peer peer network");
-        let id = p.vocabulary().id_of("peer").unwrap();
-        assert_eq!(v.get(id), 2.0);
-    }
-
-    #[test]
-    fn binary_weighting_is_zero_or_one() {
-        let mut p = PreprocessPipeline::builder()
-            .weighting(Weighting::Binary)
-            .l2_normalize(false)
-            .build();
-        p.fit(["alpha alpha beta"]);
-        let v = p.transform("alpha alpha alpha beta");
-        for (_, w) in v.iter() {
-            assert_eq!(w, 1.0);
-        }
-    }
-
-    #[test]
     fn tfidf_downweights_ubiquitous_terms() {
-        let mut p = PreprocessPipeline::builder()
-            .weighting(Weighting::TfIdf)
-            .l2_normalize(false)
-            .build();
+        let mut p = PreprocessPipeline::new();
         let corpus = [
             "shared term alpha",
             "shared term beta",
@@ -631,6 +444,11 @@ mod tests {
         let v = p.transform("shared unique");
         let shared = p.vocabulary().id_of("share").unwrap();
         let unique = p.vocabulary().id_of("uniqu").unwrap();
-        assert!(v.get(unique) > v.get(shared));
+        // Both terms occur once, so L2 scales them alike: the ratio is the idfs'.
+        let ratio = v.get(unique) / v.get(shared);
+        let idf = |id| p.vocabulary().idf(id);
+        assert!(ratio > 1.0, "{ratio}");
+        assert!((ratio - idf(unique) / idf(shared)).abs() < 1e-12, "{ratio}");
+        assert!((v.norm() - 1.0).abs() < 1e-12);
     }
 }

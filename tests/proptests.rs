@@ -81,8 +81,9 @@ const SURFACE_FORMS: &[&str] = &[
 const SEPARATORS: &[&str] = &[" ", "\t", ", ", ".", "-", "\n", "!\t", "’", "\u{a0}"];
 
 /// The char-by-char, `String`-per-token tokenizer the raw-run scanner
-/// replaced: the first stage of the ingest oracle.
-fn charwise_tokens(t: &Tokenizer, text: &str) -> Vec<String> {
+/// replaced: the first stage of the ingest oracle. Tokens are lower-cased,
+/// 2 to 40 chars long and hold no digit.
+fn charwise_tokens(text: &str) -> Vec<String> {
     let mut runs = vec![String::new()];
     for ch in text.chars() {
         let run = runs.last_mut().unwrap();
@@ -90,17 +91,13 @@ fn charwise_tokens(t: &Tokenizer, text: &str) -> Vec<String> {
             if ch != '\'' {
                 runs.push(String::new());
             }
-        } else if t.lowercase {
-            run.extend(ch.to_lowercase().filter(|c| c.is_alphanumeric()));
         } else {
-            run.push(ch);
+            run.extend(ch.to_lowercase().filter(|c| c.is_alphanumeric()));
         }
     }
     runs.retain(|run| {
         let n = run.chars().count();
-        n > 0
-            && (t.min_len..=t.max_len).contains(&n)
-            && (t.keep_numeric || !run.chars().any(|c| c.is_ascii_digit()))
+        (2..=40).contains(&n) && !run.chars().any(|c| c.is_ascii_digit())
     });
     runs
 }
@@ -177,10 +174,9 @@ proptest! {
 
     #[test]
     fn tokenizer_output_obeys_length_and_charset_rules(text in ".{0,200}") {
-        let tokenizer = Tokenizer::default();
-        for token in tokenizer.tokenize(&text) {
+        for token in Tokenizer::new().tokenize(&text) {
             let n = token.chars().count();
-            prop_assert!(n >= tokenizer.min_len && n <= tokenizer.max_len);
+            prop_assert!((2..=40).contains(&n));
             prop_assert!(token.chars().all(|c| c.is_alphanumeric()));
             prop_assert!(!token.chars().any(|c| c.is_ascii_digit()));
         }
@@ -201,9 +197,6 @@ proptest! {
             (prop::collection::vec((0..SURFACE_FORMS.len(), 0..SEPARATORS.len()), 0..24), ".{0,40}"),
             1..6,
         ),
-        weighting in 0usize..4,
-        stemming in any::<bool>(),
-        l2 in any::<bool>(),
     ) {
         // Each document spells a few terms under several raw spellings (case,
         // apostrophes, non-ASCII case mappings) between assorted separators,
@@ -220,83 +213,61 @@ proptest! {
             })
             .collect();
         let docs: Vec<&str> = docs.iter().map(String::as_str).collect();
-        let weighting = [Weighting::Tf, Weighting::TfIdf, Weighting::Binary, Weighting::LogTf][weighting];
-        let tokenizers = [
-            Tokenizer::default(),
-            Tokenizer { lowercase: false, min_len: 1, keep_numeric: true, ..Tokenizer::default() },
-        ];
-        for tokenizer in tokenizers {
-            // A char-by-char tokenizer, the filter, the stemmer and the public
-            // vocabulary counters, composed per document and twice over the
-            // corpus — what `fit` + `transform` did before the one-pass
-            // scanner — are the oracle.
-            let mut filter = StopWordFilter::english();
-            filter.add_sensitive_word("ok");
-            let terms = |text: &str| {
-                let mut terms = filter.filter(charwise_tokens(&tokenizer, text));
-                if stemming {
-                    PorterStemmer::new().stem_all(&mut terms);
-                }
-                terms
-            };
-            let mut vocabulary = Vocabulary::new();
-            for doc in &docs {
-                vocabulary.observe_document(terms(doc).iter().map(String::as_str));
-            }
-            let want: Vec<SparseVector> = docs
-                .iter()
-                .map(|doc| {
-                    let counts = vocabulary.count_tokens(terms(doc).iter().map(String::as_str));
-                    let mut v = SparseVector::from_sorted_pairs(counts.iter().map(|(&id, &tf)| {
-                        let tf = f64::from(tf);
-                        (id, match weighting {
-                            Weighting::Tf => tf,
-                            Weighting::Binary => 1.0,
-                            Weighting::LogTf => 1.0 + tf.ln(),
-                            Weighting::TfIdf => tf * vocabulary.idf(id),
-                        })
-                    }));
-                    if l2 {
-                        v.l2_normalize();
-                    }
-                    v
-                })
-                .collect();
+        // A char-by-char tokenizer, the filter, the stemmer and the public
+        // vocabulary counters, composed per document and twice over the
+        // corpus — what `fit` + `transform` did before the one-pass scanner —
+        // are the oracle.
+        let mut filter = StopWordFilter::english();
+        filter.add_sensitive_word("ok");
+        let terms = |text: &str| {
+            let mut terms = filter.filter(charwise_tokens(text));
+            PorterStemmer::new().stem_all(&mut terms);
+            terms
+        };
+        let mut vocabulary = Vocabulary::new();
+        for doc in &docs {
+            vocabulary.observe_document(terms(doc).iter().map(String::as_str));
+        }
+        let want: Vec<SparseVector> = docs
+            .iter()
+            .map(|doc| {
+                let counts = vocabulary.count_tokens(terms(doc).iter().map(String::as_str));
+                let mut v = SparseVector::from_sorted_pairs(
+                    counts.iter().map(|(&id, &tf)| (id, f64::from(tf) * vocabulary.idf(id))),
+                );
+                v.l2_normalize();
+                v
+            })
+            .collect();
 
-            let pipeline = || {
-                let mut p = PreprocessPipeline::builder()
-                    .tokenizer(tokenizer.clone())
-                    .weighting(weighting)
-                    .stemming(stemming)
-                    .l2_normalize(l2)
-                    .build();
-                p.stop_words_mut().add_sensitive_word("ok");
-                p
-            };
-            let mut one_pass = pipeline();
-            let one_pass_vectors = one_pass.fit_transform(docs.iter().copied());
-            let mut two_step = pipeline();
-            two_step.fit(docs.iter().copied());
-            let two_step_vectors = two_step.transform_batch(&docs);
-            let singly: Vec<SparseVector> = docs.iter().map(|doc| two_step.transform(doc)).collect();
-            for (p, got) in [(&one_pass, &one_pass_vectors), (&two_step, &two_step_vectors), (&two_step, &singly)] {
-                let v = p.vocabulary();
-                prop_assert_eq!(v.num_docs(), vocabulary.num_docs());
-                prop_assert_eq!(v.iter().collect::<Vec<_>>(), vocabulary.iter().collect::<Vec<_>>());
-                for (_, id) in v.iter() {
-                    prop_assert_eq!(v.doc_freq(id), vocabulary.doc_freq(id));
-                }
-                prop_assert_eq!(got.len(), want.len());
-                for (g, w) in got.iter().zip(&want) {
-                    prop_assert_eq!(g.indices(), w.indices());
-                    let bits = |v: &SparseVector| v.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    prop_assert_eq!(bits(g), bits(w));
-                }
+        let pipeline = || {
+            let mut p = PreprocessPipeline::new();
+            p.stop_words_mut().add_sensitive_word("ok");
+            p
+        };
+        let mut one_pass = pipeline();
+        let one_pass_vectors = one_pass.fit_transform(docs.iter().copied());
+        let mut two_step = pipeline();
+        two_step.fit(docs.iter().copied());
+        let two_step_vectors = two_step.transform_batch(&docs);
+        let singly: Vec<SparseVector> = docs.iter().map(|doc| two_step.transform(doc)).collect();
+        for (p, got) in [(&one_pass, &one_pass_vectors), (&two_step, &two_step_vectors), (&two_step, &singly)] {
+            let v = p.vocabulary();
+            prop_assert_eq!(v.num_docs(), vocabulary.num_docs());
+            prop_assert_eq!(v.iter().collect::<Vec<_>>(), vocabulary.iter().collect::<Vec<_>>());
+            for (_, id) in v.iter() {
+                prop_assert_eq!(v.doc_freq(id), vocabulary.doc_freq(id));
             }
-            for doc in &docs {
-                prop_assert_eq!(tokenizer.tokenize(doc), charwise_tokens(&tokenizer, doc));
-                prop_assert_eq!(one_pass.terms(doc), terms(doc));
+            prop_assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(g.indices(), w.indices());
+                let bits = |v: &SparseVector| v.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(g), bits(w));
             }
+        }
+        for doc in &docs {
+            prop_assert_eq!(Tokenizer::new().tokenize(doc), charwise_tokens(doc));
+            prop_assert_eq!(one_pass.terms(doc), terms(doc));
         }
     }
 
