@@ -4,14 +4,27 @@
 //! allocations, and so does `transform` of a document and of its double. A
 //! repeat adds tokens but no new raw spelling, id or vector entry, so any
 //! per-token allocation — a `String` per token, a pair per occurrence — would
-//! show as a difference. The counter is process-global, so this file holds
-//! exactly one test.
+//! show as a difference. Only the measuring thread's allocations count: the
+//! pipeline runs on its caller's thread, and the test harness's own thread
+//! allocates at moments of its own choosing (it once added four allocations
+//! to the first measurement and failed the comparison).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 use textproc::PreprocessPipeline;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made on this thread while [`allocations_of`] measures, or
+    /// `None` outside a measurement.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+/// Counts one allocation if the current thread is measuring. `try_with`
+/// keeps an allocation made while the thread-local is being torn down from
+/// panicking.
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+}
 
 struct CountingAllocator;
 
@@ -21,7 +34,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards `layout` unchanged to `System.alloc`, which upholds the
     // GlobalAlloc contract; the counter never touches the returned block.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -34,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: delegates to `System.realloc` with the caller's
     // `(ptr, layout, new_size)` untouched; the counter is not part of it.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,12 +55,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allocations (and reallocations) made while `f` runs; what it returns is
-/// dropped only afterwards.
+/// Allocations (and reallocations) made on this thread while `f` runs; what
+/// it returns is dropped only afterwards.
 fn allocations_of<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCATIONS.load(Relaxed);
+    ALLOCATIONS.with(|n| n.set(Some(0)));
     let out = f();
-    (out, ALLOCATIONS.load(Relaxed) - before)
+    let made = ALLOCATIONS
+        .with(|n| n.take())
+        .expect("measurement in progress");
+    (out, made)
 }
 
 /// Raw spellings with case variants, apostrophes, digits, stop words and
