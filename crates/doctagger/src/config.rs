@@ -2,8 +2,8 @@
 //! network is simulated, and how suggestions are filtered.
 
 use p2pclassify::{
-    Cempar, CemparConfig, Centralized, CentralizedConfig, LocalOnly, LocalOnlyConfig,
-    P2PTagClassifier, Pace, PaceConfig, ReliabilityConfig,
+    Cempar, CemparConfig, Centralized, CentralizedConfig, LocalOnly, P2PTagClassifier, Pace,
+    PaceConfig, ReliabilityConfig,
 };
 use p2psim::SimConfig;
 
@@ -18,7 +18,7 @@ pub enum ProtocolKind {
     /// Centralized baseline (all data shipped to one server).
     Centralized(CentralizedConfig),
     /// Local-only baseline (no collaboration).
-    LocalOnly(LocalOnlyConfig),
+    LocalOnly,
 }
 
 impl ProtocolKind {
@@ -39,7 +39,7 @@ impl ProtocolKind {
 
     /// Local-only baseline with default parameters.
     pub fn local_only() -> Self {
-        ProtocolKind::LocalOnly(LocalOnlyConfig::default())
+        ProtocolKind::LocalOnly
     }
 
     /// Returns the same protocol with the reliable-delivery layer set: `Some`
@@ -51,7 +51,7 @@ impl ProtocolKind {
             ProtocolKind::Cempar(c) => c.reliability = reliability,
             ProtocolKind::Pace(c) => c.reliability = reliability,
             ProtocolKind::Centralized(c) => c.reliability = reliability,
-            ProtocolKind::LocalOnly(_) => {}
+            ProtocolKind::LocalOnly => {}
         }
         self
     }
@@ -62,7 +62,7 @@ impl ProtocolKind {
             ProtocolKind::Cempar(_) => "cempar",
             ProtocolKind::Pace(_) => "pace",
             ProtocolKind::Centralized(_) => "centralized",
-            ProtocolKind::LocalOnly(_) => "local-only",
+            ProtocolKind::LocalOnly => "local-only",
         }
     }
 
@@ -72,7 +72,7 @@ impl ProtocolKind {
             ProtocolKind::Cempar(c) => Box::new(Cempar::new(c.clone())),
             ProtocolKind::Pace(c) => Box::new(Pace::new(c.clone())),
             ProtocolKind::Centralized(c) => Box::new(Centralized::new(c.clone())),
-            ProtocolKind::LocalOnly(c) => Box::new(LocalOnly::new(c.clone())),
+            ProtocolKind::LocalOnly => Box::new(LocalOnly::new()),
         }
     }
 }

@@ -20,8 +20,8 @@
 //!   hoisting the (expensive) kernel evaluations out of the per-tag loop.
 //!   The row itself is one scatter of the query's nonzeros through inverted
 //!   postings over the distinct vectors, so a query pays for the nonzeros
-//!   it shares with them, not for all of theirs; the postings and the
-//!   vectors' squared norms are built once, on the scorer's first query.
+//!   it shares with them, not for all of theirs; the postings are built
+//!   once, on the scorer's first query.
 //!   Building the scorer finds the distinct vectors by storage first: a
 //!   support vector whose storage it has seen (a clone, as a decoded model
 //!   or a cascade's pooled vectors are) costs one address lookup, and a
@@ -35,19 +35,17 @@
 //! support-vector) order, so every floating-point operation happens in the
 //! same sequence as the scalar code. A linear model stores no zero weight,
 //! so the matrix holds exactly the weights [`LinearSvm`]'s `decision`
-//! multiplies. The kernel scorer's postings scatter forms each kernel's dot
-//! product from the same products in the same order as the merge-join, and
-//! finishes it through the same expression with the same norms, so its
-//! decisions match the scalar ones in every bit, NaN and ±∞ included. (Rust
-//! leaves unspecified which NaN an addition of two NaNs returns, so an
-//! optimizer that orders such operands differently in the two paths may
-//! flip a NaN decision's sign; unoptimized builds keep source order, and
-//! the tests hold them to every bit.) Property tests in this
+//! multiplies. The kernel scorer's postings scatter forms each kernel value,
+//! a dot product, from the same products in the same order as the
+//! merge-join, so its decisions match the scalar ones in every bit, NaN and
+//! ±∞ included. (Rust leaves unspecified which NaN an addition of two NaNs
+//! returns, so an optimizer that orders such operands differently in the
+//! two paths may flip a NaN decision's sign; unoptimized builds keep source
+//! order, and the tests hold them to every bit.) Property tests in this
 //! module and protocol-level tests in `p2pclassify` pin the equivalence.
 
 use crate::data::TagId;
 use crate::distinct::DistinctIds;
-use crate::kernel::Kernel;
 use crate::multilabel::{by_score_descending, TagPrediction};
 use crate::svm::{KernelSvm, LinearSvm};
 use std::collections::BTreeSet;
@@ -309,34 +307,28 @@ impl TagWeightMatrix {
 /// The scalar path evaluates `K(sv, x)` once per (tag, support vector); in a
 /// cascade the same document vectors survive as support vectors of many tags,
 /// so the kernel row is recomputed per tag. This scorer stores each distinct
-/// `(kernel, support vector)` once, evaluates the kernel row once per query,
+/// support vector once, evaluates the kernel row once per query,
 /// and lets every tag read its terms from the shared row. Distinct vectors
 /// are numbered in first-appearance order by storage identity, falling back
 /// to indices and value bits on a storage's first sighting, so `unique`
 /// does not depend on how the vectors are stored.
 ///
 /// The row is priced through inverted postings over the distinct vectors,
-/// built with their squared norms on the first query after construction: a
-/// re-cascade that replaces the scorer before anyone queries it never pays
-/// for them.
+/// built on the first query after construction: a re-cascade that replaces
+/// the scorer before anyone queries it never pays for them.
 #[derive(Debug, Clone, Default)]
 pub struct BatchKernelScorer {
     tags: Vec<TagId>,
     biases: Vec<f64>,
     /// Per tag slot: `(unique_row_index, alpha · y)` in original SV order.
     terms: Vec<Vec<(u32, f64)>>,
-    /// Distinct (kernel, support vector) pairs' vectors, in first-seen order.
+    /// Distinct support vectors, in first-seen order.
     unique: Vec<SparseVector>,
-    /// `unique` as runs of one kernel: `(kernel, end)` covers
-    /// `unique[previous end..end]` — one run whenever the tags share a
-    /// kernel, as a region's cascaded models do.
-    runs: Vec<(Kernel, usize)>,
-    /// Postings and norms of `unique`, built by the first `decisions`.
+    /// Postings of `unique`, built by the first `decisions`.
     index: OnceLock<SupportIndex>,
 }
 
-/// Inverted postings over a scorer's distinct support vectors, and their
-/// squared norms.
+/// Inverted postings over a scorer's distinct support vectors.
 ///
 /// `features` holds, ascending, every index some vector stores;
 /// `offsets[k]..offsets[k + 1]` delimits feature `k`'s postings in the
@@ -355,7 +347,6 @@ pub struct BatchKernelScorer {
 /// never by an index value.
 #[derive(Debug, Clone)]
 struct SupportIndex {
-    norms_sq: Vec<f64>,
     features: Vec<u32>,
     /// `features[0]` and `features[F - 1] - features[0]` (0 and 0 when
     /// there are none).
@@ -376,7 +367,6 @@ impl SupportIndex {
     /// in that order. Positions follow vector ids, so each feature's ids
     /// come out ascending, and no nonzero is searched for.
     fn build(vectors: &[SparseVector]) -> Self {
-        let norms_sq = vectors.iter().map(SparseVector::norm_sq).collect();
         let nnz: usize = vectors.iter().map(SparseVector::nnz).sum();
         // Positions, offsets and ids below are then `u32` without loss.
         let nnz_u32 = u32::try_from(nnz).expect("fewer than 2³² stored nonzeros");
@@ -417,7 +407,6 @@ impl SupportIndex {
             directory[b] += directory[b - 1];
         }
         Self {
-            norms_sq,
             features,
             lo,
             span,
@@ -472,7 +461,6 @@ impl BatchKernelScorer {
         let mut biases = Vec::new();
         let mut terms: Vec<Vec<(u32, f64)>> = Vec::new();
         let mut unique: Vec<SparseVector> = Vec::new();
-        let mut runs: Vec<(Kernel, usize)> = Vec::new();
         let mut ids = DistinctIds::new();
         for (tag, model) in classifiers {
             if let Some(&last) = tags.last() {
@@ -480,16 +468,11 @@ impl BatchKernelScorer {
             }
             tags.push(tag);
             biases.push(model.bias());
-            let kernel = model.kernel();
             let mut tag_terms = Vec::with_capacity(model.num_support_vectors());
             for sv in model.support_vectors() {
-                let (idx, first) = ids.id(kernel.bits(), &sv.vector);
+                let (idx, first) = ids.id(&sv.vector);
                 if first {
                     unique.push(sv.vector.clone());
-                    match runs.last_mut() {
-                        Some((k, end)) if k.bits() == kernel.bits() => *end += 1,
-                        _ => runs.push((kernel, unique.len())),
-                    }
                 }
                 let y = if sv.label { 1.0 } else { -1.0 };
                 tag_terms.push((idx, sv.alpha * y));
@@ -501,7 +484,6 @@ impl BatchKernelScorer {
             biases,
             terms,
             unique,
-            runs,
             index: OnceLock::new(),
         }
     }
@@ -554,27 +536,17 @@ impl BatchKernelScorer {
             .collect()
     }
 
-    /// `K(z, x)` for every distinct support vector `z`, in `unique` order,
-    /// bit for bit [`Kernel::eval`]`(z, x)`.
+    /// `z · x` for every distinct support vector `z`, in `unique` order,
+    /// bit for bit the merge-join `z.dot(x)`.
     ///
     /// One scatter of `x` through the postings adds `z_j · x_j` into `z`'s
     /// entry for every index both hold, in ascending index order from
     /// `+0.0`: the products, operand order and summation order of the
-    /// merge-join `z.dot(x)` that `eval` forms. Each entry is then finished
-    /// through `eval`'s own expression with the cached `‖z‖²` and `‖x‖²`,
-    /// per kernel run. The first call builds the postings.
+    /// merge-join. The first call builds the postings.
     fn kernel_row(&self, x: &SparseVector) -> Vec<f64> {
         let index = self.index.get_or_init(|| SupportIndex::build(&self.unique));
         let mut row = vec![0.0; self.unique.len()];
         index.scatter(x, &mut row);
-        let x_norm_sq = x.norm_sq();
-        let mut start = 0;
-        for &(kernel, end) in &self.runs {
-            for (dot, &z_norm_sq) in row[start..end].iter_mut().zip(&index.norms_sq[start..end]) {
-                *dot = kernel.finish_dot(*dot, || (z_norm_sq, x_norm_sq));
-            }
-            start = end;
-        }
         row
     }
 
@@ -693,16 +665,10 @@ mod tests {
             label,
             alpha,
         };
-        let m1 = KernelSvm::from_support_vectors(
-            vec![sv(&v1, true, 0.5), sv(&v2, false, 0.25)],
-            0.1,
-            Kernel::Linear,
-        );
-        let m2 = KernelSvm::from_support_vectors(
-            vec![sv(&v2, true, 1.0), sv(&v1, false, 0.75)],
-            -0.2,
-            Kernel::Linear,
-        );
+        let m1 =
+            KernelSvm::from_support_vectors(vec![sv(&v1, true, 0.5), sv(&v2, false, 0.25)], 0.1);
+        let m2 =
+            KernelSvm::from_support_vectors(vec![sv(&v2, true, 1.0), sv(&v1, false, 0.75)], -0.2);
         let models = BTreeMap::from([(3u32, m1), (8u32, m2)]);
         let scorer = BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
         assert_eq!(scorer.total_terms(), 4);
@@ -862,9 +828,8 @@ mod tests {
             let take = |step: usize| -> Vec<SupportVector> {
                 pool.iter().step_by(step).cloned().collect()
             };
-            let kernel = Kernel::Rbf { gamma: 0.8 };
-            let m1 = KernelSvm::from_support_vectors(take(1), 0.3, kernel);
-            let m2 = KernelSvm::from_support_vectors(take(2), -0.1, kernel);
+            let m1 = KernelSvm::from_support_vectors(take(1), 0.3);
+            let m2 = KernelSvm::from_support_vectors(take(2), -0.1);
             let models = BTreeMap::from([(1u32, m1), (2u32, m2)]);
             let scorer =
                 BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
@@ -879,12 +844,10 @@ mod tests {
                 1..10,
             ),
             x in wild::vector(14),
-            kernel_pick in 0usize..4,
             shift_pick in 0usize..3,
         ) {
-            // Three tags over overlapping SV subsets; the last kernel choice
-            // gives each tag its own kernel, so the row spans several runs.
-            // Every index may be shifted past 2²⁰, up to `u32::MAX`.
+            // Three tags over overlapping SV subsets. Every index may be
+            // shifted past 2²⁰, up to `u32::MAX`.
             let shift = [0, (1u32 << 20) - 5, u32::MAX - 13][shift_pick];
             let shifted =
                 |v: SparseVector| SparseVector::from_pairs(v.iter().map(|(j, z)| (j + shift, z)));
@@ -895,9 +858,8 @@ mod tests {
                 .collect();
             let models: BTreeMap<TagId, KernelSvm> = (0..3usize)
                 .map(|t| {
-                    let kernel = wild::KERNELS[if kernel_pick == 3 { t } else { kernel_pick }];
                     let svs = pool.iter().skip(t).step_by(t + 1).cloned().collect();
-                    (t as TagId, KernelSvm::from_support_vectors(svs, 0.1 * t as f64, kernel))
+                    (t as TagId, KernelSvm::from_support_vectors(svs, 0.1 * t as f64))
                 })
                 .collect();
             assert_decisions_bitwise(&models, &x);
@@ -918,12 +880,11 @@ mod tests {
         }
     }
 
-    /// The scorer's kernel row equals [`Kernel::eval_row`]'s, run by run,
-    /// and its decisions equal each model's scalar decision, all in
-    /// [`value_bits`].
+    /// The scorer's kernel row equals [`crate::kernel::dot_row`]'s, and its
+    /// decisions equal each model's scalar decision, all in [`value_bits`].
     fn assert_decisions_bitwise(models: &BTreeMap<TagId, KernelSvm>, x: &SparseVector) {
         let scorer = BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
-        assert_row_matches_eval_row(&scorer, x);
+        assert_row_matches_dot_row(&scorer, x);
         let decisions = scorer.decisions(x);
         assert_eq!(decisions.len(), models.len());
         for ((tag, got), (&want_tag, model)) in decisions.into_iter().zip(models) {
@@ -937,17 +898,10 @@ mod tests {
         }
     }
 
-    fn assert_row_matches_eval_row(scorer: &BatchKernelScorer, x: &SparseVector) {
+    fn assert_row_matches_dot_row(scorer: &BatchKernelScorer, x: &SparseVector) {
         let bits = |row: &[f64]| row.iter().copied().map(value_bits).collect::<Vec<_>>();
         let mut want = vec![0.0; scorer.unique.len()];
-        let mut start = 0;
-        for &(kernel, end) in &scorer.runs {
-            let zs = &scorer.unique[start..end];
-            let norms: Vec<f64> = zs.iter().map(SparseVector::norm_sq).collect();
-            kernel.eval_row(x, x.norm_sq(), zs, &norms, &mut want[start..end]);
-            start = end;
-        }
-        assert_eq!(start, scorer.unique.len());
+        crate::kernel::dot_row(x, &scorer.unique, &mut want);
         assert_eq!(bits(&scorer.kernel_row(x)), bits(&want));
     }
 
@@ -956,8 +910,7 @@ mod tests {
         decisions.map(|(tag, d)| (tag, value_bits(d))).collect()
     }
 
-    /// Three tags, each with its own kernel (three runs), over support
-    /// vectors indexed up to `u32::MAX`.
+    /// Three tags over support vectors indexed up to `u32::MAX`.
     fn far_indexed_models() -> BTreeMap<TagId, KernelSvm> {
         let top = u32::MAX;
         let sv = |pairs: &[(u32, f64)], label, alpha| SupportVector {
@@ -971,15 +924,10 @@ mod tests {
             sv(&[(top - 2, f64::INFINITY)], true, 0.25),
             sv(&[(7, 2.0)], false, 1.0),
         ];
-        wild::KERNELS
-            .into_iter()
-            .enumerate()
-            .map(|(t, kernel)| {
+        (0..3)
+            .map(|t| {
                 let svs = pool.iter().skip(t % 2).cloned().collect();
-                (
-                    t as TagId,
-                    KernelSvm::from_support_vectors(svs, 0.1, kernel),
-                )
+                (t as TagId, KernelSvm::from_support_vectors(svs, 0.1))
             })
             .collect()
     }
@@ -988,8 +936,6 @@ mod tests {
     fn kernel_scorer_handles_indices_past_two_to_the_twenty_and_disjoint_queries() {
         let top = u32::MAX;
         let models = far_indexed_models();
-        let scorer = BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
-        assert_eq!(scorer.runs.len(), 3);
         for x in [
             sparse(&[
                 (3, 2.0),
@@ -1006,35 +952,22 @@ mod tests {
         }
     }
 
-    /// A kernel's parameters by bit pattern.
-    type KernelBits = (u8, u64, u64, u32);
-
     /// The content-only dedup `from_classifiers` replaced, kept as its
-    /// oracle: every support vector's (kernel, indices, value bits) looked
-    /// up in one map. Returns `(terms, unique, runs)` as the scorer keeps
-    /// them, coefficients and kernels by bits.
-    #[allow(clippy::type_complexity)]
+    /// oracle: every support vector's (indices, value bits) looked up in
+    /// one map. Returns `(terms, unique)` as the scorer keeps them,
+    /// coefficients by bits.
     fn content_only_dedup(
         models: &BTreeMap<TagId, KernelSvm>,
-    ) -> (
-        Vec<Vec<(u32, u64)>>,
-        Vec<SparseVector>,
-        Vec<(KernelBits, usize)>,
-    ) {
-        let mut seen: BTreeMap<(KernelBits, Vec<u32>, Vec<u64>), u32> = BTreeMap::new();
-        let (mut terms, mut unique, mut runs) = (Vec::new(), Vec::new(), Vec::new());
+    ) -> (Vec<Vec<(u32, u64)>>, Vec<SparseVector>) {
+        let mut seen: BTreeMap<(Vec<u32>, Vec<u64>), u32> = BTreeMap::new();
+        let (mut terms, mut unique) = (Vec::new(), Vec::new());
         for model in models.values() {
-            let kernel = model.kernel().bits();
             let mut tag_terms = Vec::new();
             for sv in model.support_vectors() {
                 let bits = sv.vector.values().iter().map(|v| v.to_bits()).collect();
-                let key = (kernel, sv.vector.indices().to_vec(), bits);
+                let key = (sv.vector.indices().to_vec(), bits);
                 let idx = *seen.entry(key).or_insert_with(|| {
                     unique.push(sv.vector.clone());
-                    match runs.last_mut() {
-                        Some((k, end)) if *k == kernel => *end += 1,
-                        _ => runs.push((kernel, unique.len())),
-                    }
                     (unique.len() - 1) as u32
                 });
                 let y = if sv.label { 1.0 } else { -1.0 };
@@ -1042,7 +975,7 @@ mod tests {
             }
             terms.push(tag_terms);
         }
-        (terms, unique, runs)
+        (terms, unique)
     }
 
     proptest! {
@@ -1052,22 +985,18 @@ mod tests {
         fn scorer_dedup_by_storage_equals_the_content_only_loop(
             pool in prop::collection::vec(wild::vector(10), 1..6),
             tags in prop::collection::vec(
-                (
-                    0usize..3,
-                    prop::collection::vec((0usize..6, any::<bool>(), any::<bool>(), wild::value()), 0..6),
-                ),
+                prop::collection::vec((0usize..6, any::<bool>(), any::<bool>(), wild::value()), 0..6),
                 0..5,
             ),
             x in wild::vector(12),
         ) {
             // Support vectors share the pool's storage or hold content-equal
-            // copies; tags mix kernels, so equal vectors of two kernels are
-            // two rows.
+            // copies.
             let copy = |v: &SparseVector| SparseVector::from_sorted_pairs(v.iter());
             let models: BTreeMap<TagId, KernelSvm> = tags
                 .iter()
                 .enumerate()
-                .map(|(t, (kernel, svs))| {
+                .map(|(t, svs)| {
                     let svs = svs
                         .iter()
                         .map(|&(pick, shared, label, alpha)| {
@@ -1076,12 +1005,12 @@ mod tests {
                             SupportVector { vector, label, alpha }
                         })
                         .collect();
-                    let model = KernelSvm::from_support_vectors(svs, 0.1, wild::KERNELS[*kernel]);
+                    let model = KernelSvm::from_support_vectors(svs, 0.1);
                     (t as TagId, model)
                 })
                 .collect();
             let scorer = BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
-            let (terms, unique, runs) = content_only_dedup(&models);
+            let (terms, unique) = content_only_dedup(&models);
             let term_bits: Vec<Vec<(u32, u64)>> = scorer
                 .terms
                 .iter()
@@ -1092,9 +1021,6 @@ mod tests {
             for (got, want) in scorer.unique.iter().zip(&unique) {
                 prop_assert!(got.shares_storage_with(want));
             }
-            let run_bits: Vec<(KernelBits, usize)> =
-                scorer.runs.iter().map(|&(k, end)| (k.bits(), end)).collect();
-            prop_assert_eq!(run_bits, runs);
             assert_decisions_bitwise(&models, &x);
         }
     }
@@ -1110,7 +1036,7 @@ mod tests {
             assert!(scorer.kernel_row(&x).is_empty());
         }
         // Tags whose models kept no support vector: no rows, bias only.
-        let bare = KernelSvm::from_support_vectors(Vec::new(), -0.5, Kernel::default());
+        let bare = KernelSvm::from_support_vectors(Vec::new(), -0.5);
         let models = BTreeMap::from([(4u32, bare.clone()), (9u32, bare)]);
         let scorer = BatchKernelScorer::from_classifiers(models.iter().map(|(&t, m)| (t, m)));
         assert_eq!(scorer.num_unique_vectors(), 0);
@@ -1161,7 +1087,7 @@ mod tests {
             alpha,
         };
         let mut models = BTreeMap::new();
-        for (tag, kernel) in wild::KERNELS.into_iter().enumerate() {
+        for tag in 0..3 {
             let model = KernelSvm::from_support_vectors(
                 vec![
                     sv(&[(0, f64::NAN), (3, 1.0)], true, 0.5),
@@ -1170,7 +1096,6 @@ mod tests {
                     sv(&[(3, -1.5)], false, 0.25),
                 ],
                 if tag == 2 { f64::NEG_INFINITY } else { 0.3 },
-                kernel,
             );
             models.insert(tag as TagId, model);
         }
@@ -1211,7 +1136,7 @@ mod tests {
                     label: true,
                     alpha: 1.0,
                 };
-                let model = KernelSvm::from_support_vectors(vec![sv], b, Kernel::Linear);
+                let model = KernelSvm::from_support_vectors(vec![sv], b);
                 (t as TagId, model)
             })
             .collect();

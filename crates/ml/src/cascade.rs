@@ -15,38 +15,34 @@
 //! re-merge only the tags that model carries — every other tag's merge would
 //! reproduce its current result bit for bit.
 //!
-//! A re-cascade merges all of a region's changed tags at once
-//! ([`CascadeSvm::merge_pools`], of which `merge` is the one-pool case). A
-//! document is a support vector of several tags, so their pools overlap:
-//! each cascade level evaluates one Gram matrix over the distinct vectors
-//! of the groups that retrain, and gathers each group's block, in its pool
-//! order, for that group's SMO. The block equals the group's own
-//! `gram_matrix` bit for bit, because `Kernel::eval` is bitwise symmetric
-//! on NaN-free inputs (its products commute, and so does the RBF norm sum):
-//! an entry read across the union's diagonal is the same value. With NaN
-//! inputs the same entries are NaN, but which NaN (payload, sign) can
-//! differ where the union's order swaps a pair, so merges then agree up to
-//! which NaN they hold.
+//! Every pool of two or more models merges in one step: its models' support
+//! vectors are pooled and retrained together. A re-cascade merges all of a
+//! region's changed tags at once ([`CascadeSvm::merge_pools`], of which
+//! `merge` is the one-pool case). A document is a support vector of several
+//! tags, so their pools overlap: one Gram matrix is evaluated over the
+//! distinct vectors of the pools that retrain, and each pool's block is
+//! gathered, in its pool order, for that pool's SMO. The block equals the
+//! pool's own `gram_matrix` bit for bit, because the dot product is bitwise
+//! symmetric on NaN-free inputs (its products commute): an entry read
+//! across the union's diagonal is the same value. With NaN inputs the same
+//! entries are NaN, but which NaN (payload, sign) can differ where the
+//! union's order swaps a pair, so merges then agree up to which NaN they
+//! hold.
 
 use crate::distinct::DistinctIds;
-use crate::kernel::Kernel;
 use crate::svm::{gram_matrix, KernelSvm, KernelSvmTrainer, SupportVector};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use textproc::SparseVector;
 
 /// Configuration of the cascade merge.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CascadeConfig {
-    /// Trainer used for the retraining step at each cascade level.
+    /// Trainer used for the retraining step.
     pub trainer: KernelSvmTrainer,
     /// When `true` (the default) the pooled support vectors are retrained;
     /// when `false` the pooled SVs are used as-is with their original alphas
     /// (a cheaper but cruder merge, kept for the ablation experiment A2).
     pub retrain: bool,
-    /// Maximum number of models merged per cascade step; larger groups are
-    /// merged hierarchically. 0 means "merge everything in one step".
-    pub fan_in: usize,
 }
 
 impl Default for CascadeConfig {
@@ -54,7 +50,6 @@ impl Default for CascadeConfig {
         Self {
             trainer: KernelSvmTrainer::default(),
             retrain: true,
-            fan_in: 0,
         }
     }
 }
@@ -71,16 +66,6 @@ impl CascadeSvm {
         Self { config }
     }
 
-    /// Creates a combiner with default configuration but a specific kernel.
-    pub fn with_kernel(kernel: Kernel) -> Self {
-        Self {
-            config: CascadeConfig {
-                trainer: KernelSvmTrainer::with_kernel(kernel),
-                ..Default::default()
-            },
-        }
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &CascadeConfig {
         &self.config
@@ -89,8 +74,8 @@ impl CascadeSvm {
     /// Merges several local models into one cascaded model — the one-pool
     /// case of [`Self::merge_pools`].
     ///
-    /// Returns `None` when `models` is empty or none of them carries a support
-    /// vector.
+    /// Returns `None` when `models` is empty, or holds two or more models
+    /// none of which carries a support vector.
     pub fn merge(&self, models: &[KernelSvm]) -> Option<KernelSvm> {
         self.merge_pools(&[models.iter().collect()]).pop().flatten()
     }
@@ -98,78 +83,27 @@ impl CascadeSvm {
     /// Merges each pool of models into one cascaded model, in pool order:
     /// result `p` is [`Self::merge`] of pool `p`'s models.
     ///
-    /// The pools share their kernel work. A cascade level pools each group's
-    /// support vectors; the groups that retrain (both classes present) are
-    /// numbered by their distinct vectors, one [`gram_matrix`] is evaluated
-    /// over those, and each group's retrain reads its block of it, gathered
-    /// in the group's pool order. A document that is a support vector of
-    /// several pools' tags is thus evaluated once per level, not once per
-    /// pool.
+    /// An empty pool has no result, and a one-model pool's result is its
+    /// model. The pools of two or more models share their kernel work: those
+    /// that retrain (both classes present) are numbered by their distinct
+    /// vectors, one [`gram_matrix`] is evaluated over those, and each
+    /// pool's retrain reads its block of it, gathered in the pool's order.
+    /// A document that is a support vector of several pools' tags is thus
+    /// evaluated once, not once per pool.
     pub fn merge_pools(&self, pools: &[Vec<&KernelSvm>]) -> Vec<Option<KernelSvm>> {
-        // Each pool's current level; `None` once one of its groups pooled
-        // no support vector (the merge then has no result).
-        let mut levels: Vec<Option<Vec<Cow<'_, KernelSvm>>>> = pools
-            .iter()
-            .map(|pool| {
-                (!pool.is_empty()).then(|| pool.iter().map(|&m| Cow::Borrowed(m)).collect())
-            })
-            .collect();
-        loop {
-            // This level's groups across all pools, and the pool of each.
-            let mut owners = Vec::new();
-            let mut groups = Vec::new();
-            for (p, level) in levels.iter().enumerate() {
-                let Some(level) = level.as_ref().filter(|level| level.len() > 1) else {
-                    continue;
-                };
-                let fan_in = match self.config.fan_in {
-                    0 => level.len(),
-                    fan_in => fan_in.max(2),
-                };
-                for group in level.chunks(fan_in) {
-                    owners.push(p);
-                    groups.push(group);
-                }
-            }
-            if groups.is_empty() {
-                break;
-            }
-            let mut merged = self.merge_groups(groups).into_iter();
-            let mut owners = owners.into_iter().peekable();
-            for (p, level) in levels.iter_mut().enumerate() {
-                if owners.peek() != Some(&p) {
-                    continue;
-                }
-                let mut next = Some(Vec::new());
-                while owners.next_if_eq(&p).is_some() {
-                    let model = merged.next().expect("one result per group");
-                    next = next.zip(model).map(|(mut next, model)| {
-                        next.push(Cow::Owned(model));
-                        next
-                    });
-                }
-                *level = next;
-            }
-        }
-        levels
-            .into_iter()
-            .map(|level| level.and_then(|mut level| level.pop()).map(Cow::into_owned))
-            .collect()
-    }
-
-    /// Merges each group of models into one, sharing one Gram matrix among
-    /// the groups that retrain; `None` for a group with no support vector.
-    fn merge_groups(&self, groups: Vec<&[Cow<'_, KernelSvm>]>) -> Vec<Option<KernelSvm>> {
-        let kernel = self.config.trainer.kernel;
-        /// A group's merge: finished, or waiting for its Gram block.
+        /// A pool's merge: finished, or waiting for its Gram block.
         enum Step<'m> {
             Done(Option<KernelSvm>),
             Retrain(Vec<&'m SupportVector>, Vec<u32>),
         }
         let mut ids = DistinctIds::new();
         let mut distinct: Vec<SparseVector> = Vec::new();
-        let mut steps = Vec::new();
-        for models in groups {
+        let mut steps = Vec::with_capacity(pools.len());
+        for models in pools {
+            if let [model] = models[..] {
+                steps.push(Step::Done(Some(model.clone())));
+                continue;
+            }
             let pooled: Vec<&SupportVector> =
                 models.iter().flat_map(|m| m.support_vectors()).collect();
             if pooled.is_empty() {
@@ -192,7 +126,6 @@ impl CascadeSvm {
                 steps.push(Step::Done(Some(KernelSvm::from_support_vectors(
                     svs,
                     mean_bias(),
-                    kernel,
                 ))));
                 continue;
             }
@@ -206,14 +139,13 @@ impl CascadeSvm {
                 steps.push(Step::Done(Some(KernelSvm::from_support_vectors(
                     svs,
                     mean_bias(),
-                    kernel,
                 ))));
                 continue;
             }
             let local = pooled
                 .iter()
                 .map(|sv| {
-                    let (id, first) = ids.id((), &sv.vector);
+                    let (id, first) = ids.id(&sv.vector);
                     if first {
                         distinct.push(sv.vector.clone());
                     }
@@ -222,7 +154,7 @@ impl CascadeSvm {
                 .collect();
             steps.push(Step::Retrain(pooled, local));
         }
-        let gram = gram_matrix(kernel, &distinct);
+        let gram = gram_matrix(&distinct);
         let width = distinct.len();
         steps
             .into_iter()
@@ -274,7 +206,7 @@ mod tests {
         seed: u64,
     ) -> (Vec<KernelSvm>, Vec<SparseVector>, Vec<bool>) {
         let (xs, ys) = separable(parts * per_part, seed);
-        let trainer = KernelSvmTrainer::with_kernel(Kernel::Linear);
+        let trainer = KernelSvmTrainer::default();
         let mut models = Vec::new();
         for p in 0..parts {
             let lo = p * per_part;
@@ -287,7 +219,7 @@ mod tests {
     #[test]
     fn merged_model_is_accurate_on_the_union() {
         let (models, xs, ys) = partitioned_models(4, 40, 21);
-        let cascade = CascadeSvm::with_kernel(Kernel::Linear);
+        let cascade = CascadeSvm::default();
         let merged = cascade.merge(&models).expect("merge produces a model");
         assert!(accuracy_on(&merged, &xs, &ys) > 0.95);
     }
@@ -295,7 +227,7 @@ mod tests {
     #[test]
     fn merged_model_has_fewer_svs_than_pooled_training_data() {
         let (models, xs, _ys) = partitioned_models(4, 50, 22);
-        let cascade = CascadeSvm::with_kernel(Kernel::Linear);
+        let cascade = CascadeSvm::default();
         let merged = cascade.merge(&models).unwrap();
         assert!(merged.num_support_vectors() < xs.len());
         assert!(merged.num_support_vectors() > 0);
@@ -304,7 +236,7 @@ mod tests {
     #[test]
     fn merge_of_single_model_is_identity() {
         let (models, xs, _) = partitioned_models(1, 30, 23);
-        let cascade = CascadeSvm::with_kernel(Kernel::Linear);
+        let cascade = CascadeSvm::default();
         let merged = cascade.merge(&models).unwrap();
         for x in &xs {
             assert!((merged.decision(x) - models[0].decision(x)).abs() < 1e-12);
@@ -321,30 +253,11 @@ mod tests {
     fn no_retrain_merge_still_classifies() {
         let (models, xs, ys) = partitioned_models(3, 40, 24);
         let cascade = CascadeSvm::new(CascadeConfig {
-            trainer: KernelSvmTrainer::with_kernel(Kernel::Linear),
             retrain: false,
-            fan_in: 0,
+            ..CascadeConfig::default()
         });
         let merged = cascade.merge(&models).unwrap();
         assert!(accuracy_on(&merged, &xs, &ys) > 0.85);
-    }
-
-    #[test]
-    fn hierarchical_fan_in_matches_flat_merge_quality() {
-        let (models, xs, ys) = partitioned_models(8, 25, 25);
-        let flat = CascadeSvm::with_kernel(Kernel::Linear)
-            .merge(&models)
-            .unwrap();
-        let hier = CascadeSvm::new(CascadeConfig {
-            trainer: KernelSvmTrainer::with_kernel(Kernel::Linear),
-            retrain: true,
-            fan_in: 2,
-        })
-        .merge(&models)
-        .unwrap();
-        let acc_flat = accuracy_on(&flat, &xs, &ys);
-        let acc_hier = accuracy_on(&hier, &xs, &ys);
-        assert!(acc_hier > acc_flat - 0.1, "flat {acc_flat} hier {acc_hier}");
     }
 
     #[test]
@@ -356,11 +269,9 @@ mod tests {
             label: true,
             alpha: 1.0,
         };
-        let m1 = KernelSvm::from_support_vectors(vec![sv(1.0)], 0.1, Kernel::Linear);
-        let m2 = KernelSvm::from_support_vectors(vec![sv(2.0)], 0.3, Kernel::Linear);
-        let merged = CascadeSvm::with_kernel(Kernel::Linear)
-            .merge(&[m1, m2])
-            .unwrap();
+        let m1 = KernelSvm::from_support_vectors(vec![sv(1.0)], 0.1);
+        let m2 = KernelSvm::from_support_vectors(vec![sv(2.0)], 0.3);
+        let merged = CascadeSvm::default().merge(&[m1, m2]).unwrap();
         assert_eq!(merged.num_support_vectors(), 2);
         assert!(merged.predict(&SparseVector::from_pairs([(0, 1.5)])));
     }
@@ -377,8 +288,7 @@ mod tests {
     /// [`KernelSvm::bit_eq`] up to which NaN a NaN is.
     fn eq_by_nan_class(a: &KernelSvm, b: &KernelSvm) -> bool {
         let same = |x: f64, y: f64| nan_class(x) == nan_class(y);
-        a.kernel().bits() == b.kernel().bits()
-            && same(a.bias(), b.bias())
+        same(a.bias(), b.bias())
             && a.num_support_vectors() == b.num_support_vectors()
             && a.support_vectors()
                 .iter()
@@ -437,7 +347,7 @@ mod tests {
                                 }
                             })
                             .collect();
-                        KernelSvm::from_support_vectors(svs, *bias, config.trainer.kernel)
+                        KernelSvm::from_support_vectors(svs, *bias)
                     })
                     .collect()
             })
@@ -457,11 +367,10 @@ mod tests {
         }
     }
 
-    fn config(kernel: usize, fan_in: usize, retrain: bool) -> CascadeConfig {
+    fn config(retrain: bool) -> CascadeConfig {
         CascadeConfig {
-            trainer: KernelSvmTrainer::with_kernel(wild::KERNELS[kernel]),
             retrain,
-            fan_in,
+            ..CascadeConfig::default()
         }
     }
 
@@ -475,19 +384,16 @@ mod tests {
                 (prop::collection::vec(arb_model(), 0..5), any::<bool>()),
                 0..6,
             ),
-            kernel in 0usize..3,
-            fan_in_pick in 0usize..3,
             retrain in any::<bool>(),
         ) {
-            // NaN-free: `eval` is then bitwise symmetric, so every gathered
+            // NaN-free: the dot product is then bitwise symmetric, so every gathered
             // Gram block is the pool's own Gram matrix.
             let tame = |v: &SparseVector| {
                 let pairs = v.iter().map(|(j, x)| (j, if x.is_nan() { 0.5 } else { x }));
                 SparseVector::from_sorted_pairs(pairs)
             };
             let vectors: Vec<SparseVector> = vectors.iter().map(tame).collect();
-            let fan_in = [0, 2, 3][fan_in_pick];
-            check_merge_pools(&vectors, &pools, config(kernel, fan_in, retrain), true);
+            check_merge_pools(&vectors, &pools, config(retrain), true);
         }
 
         #[test]
@@ -497,18 +403,15 @@ mod tests {
                 (prop::collection::vec(arb_model(), 0..5), any::<bool>()),
                 0..6,
             ),
-            kernel in 0usize..3,
-            fan_in_pick in 0usize..2,
         ) {
-            let fan_in = [0, 2][fan_in_pick];
-            check_merge_pools(&vectors, &pools, config(kernel, fan_in, true), false);
+            check_merge_pools(&vectors, &pools, config(true), false);
         }
     }
 
     #[test]
     fn merge_pools_shares_one_vector_across_pools_and_keeps_pool_order() {
         let (models, xs, ys) = partitioned_models(4, 30, 26);
-        let cascade = CascadeSvm::with_kernel(Kernel::Linear);
+        let cascade = CascadeSvm::default();
         // Pools overlap in models (so in support vectors), one is a single
         // model and one is empty.
         let pools: Vec<Vec<&KernelSvm>> = vec![

@@ -44,7 +44,7 @@
 //! A document is a support vector of several of its tags, so a kernel
 //! one-vs-all model ([`encode_kernel_ova`]) is written as a dictionary:
 //! each distinct vector once (equal indices and value bits are one
-//! vector), then per tag its kernel, bias, labels, dual coefficients and
+//! vector), then per tag its kernel tag byte, bias, labels, dual coefficients and
 //! one varint dictionary id per support vector. Ids follow first
 //! appearance, so the frame is canonical whatever the model's storage
 //! history, and the decoder hands every tag that keeps a vector the same
@@ -61,14 +61,13 @@
 //! index blocks can describe eight entries per byte, keep the looser bound.
 //!
 //! Every value a model or vector decoder reads is finite: value-block
-//! entries (weights, dual coefficients, vector and centroid values), biases,
-//! kernel parameters and one-vs-all thresholds. A non-finite one, or a
+//! entries (weights, dual coefficients, vector and centroid values), biases
+//! and one-vs-all thresholds. A non-finite one, or a
 //! stored linear weight of zero (which an encoder never writes), is
 //! [`CodecError::Invalid`]; the encoders `debug_assert` the same contract.
 
 use crate::data::{MultiLabelDataset, MultiLabelExample, TagId};
 use crate::distinct::DistinctIds;
-use crate::kernel::Kernel;
 use crate::multilabel::{OneVsAllModel, TagPrediction};
 use crate::svm::{BinaryClassifier, KernelSvm, LinearSvm, SupportVector};
 use std::collections::BTreeMap;
@@ -488,48 +487,16 @@ fn linear_from_block(
     Ok(LinearSvm::from_parts(dim, indices, values, bias))
 }
 
-/// Encodes the kernel function tag + parameters.
-fn put_kernel(k: Kernel, buf: &mut Vec<u8>) {
-    match k {
-        Kernel::Linear => buf.push(0),
-        Kernel::Rbf { gamma } => {
-            buf.push(1);
-            put_finite_f64(buf, gamma);
-        }
-        Kernel::Polynomial {
-            gamma,
-            coef0,
-            degree,
-        } => {
-            buf.push(2);
-            put_finite_f64(buf, gamma);
-            put_finite_f64(buf, coef0);
-            put_varint(buf, u64::from(degree));
-        }
-    }
-}
+/// The kernel tag byte of a kernel SVM head: the dot product's. The tags of
+/// the kernels once written beside it (1: RBF, 2: polynomial), and any
+/// other, are unknown.
+const KERNEL_LINEAR: u8 = 0;
 
-fn read_kernel(r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
-    match r.read_byte()? {
-        0 => Ok(Kernel::Linear),
-        1 => Ok(Kernel::Rbf {
-            gamma: r.read_finite_f64()?,
-        }),
-        2 => Ok(Kernel::Polynomial {
-            gamma: r.read_finite_f64()?,
-            coef0: r.read_finite_f64()?,
-            degree: u32::try_from(r.read_varint()?)
-                .map_err(|_| CodecError::Invalid("polynomial degree overflows u32"))?,
-        }),
-        _ => Err(CodecError::Invalid("unknown kernel tag")),
-    }
-}
-
-/// Writes a kernel SVM's head: kernel, bias, support-vector count, labels
-/// as a bitmap and dual coefficients as one value block. The support
+/// Writes a kernel SVM's head: kernel tag, bias, support-vector count,
+/// labels as a bitmap and dual coefficients as one value block. The support
 /// vectors' vectors follow, in whatever form the body uses.
 fn put_kernel_svm_head(m: &KernelSvm, buf: &mut Vec<u8>) {
-    put_kernel(m.kernel(), buf);
+    buf.push(KERNEL_LINEAR);
     put_finite_f64(buf, m.bias());
     let svs = m.support_vectors();
     put_varint(buf, svs.len() as u64);
@@ -546,7 +513,6 @@ fn put_kernel_svm_head(m: &KernelSvm, buf: &mut Vec<u8>) {
 
 /// A decoded kernel SVM head: everything but the support vectors' vectors.
 struct KernelSvmHead<'a> {
-    kernel: Kernel,
     bias: f64,
     labels: &'a [u8],
     alphas: Vec<f64>,
@@ -554,7 +520,9 @@ struct KernelSvmHead<'a> {
 
 impl KernelSvmHead<'_> {
     fn read<'a>(r: &mut ByteReader<'a>) -> Result<KernelSvmHead<'a>, CodecError> {
-        let kernel = read_kernel(r)?;
+        if r.read_byte()? != KERNEL_LINEAR {
+            return Err(CodecError::Invalid("unknown kernel tag"));
+        }
         let bias = r.read_finite_f64()?;
         // A support vector takes at least an alpha byte and a byte of its
         // vector (or of its dictionary id).
@@ -562,7 +530,6 @@ impl KernelSvmHead<'_> {
         let labels = r.read_bytes(n.div_ceil(8))?;
         let alphas = read_value_block(r, n)?;
         Ok(KernelSvmHead {
-            kernel,
             bias,
             labels,
             alphas,
@@ -582,7 +549,7 @@ impl KernelSvmHead<'_> {
                 alpha,
             });
         }
-        Ok(KernelSvm::from_support_vectors(svs, self.bias, self.kernel))
+        Ok(KernelSvm::from_support_vectors(svs, self.bias))
     }
 }
 
@@ -772,7 +739,7 @@ pub fn decode_linear_ova(r: &mut ByteReader<'_>) -> Result<OneVsAllModel<LinearS
 /// ```text
 /// shell            threshold, min tags, tag universe
 /// D                varint, then D vectors (encode_vector)
-/// per tag          kernel, bias, n, label bitmap, alpha value block,
+/// per tag          kernel tag 0, bias, n, label bitmap, alpha value block,
 ///                  then n varint dictionary ids
 /// ```
 ///
@@ -792,7 +759,7 @@ pub fn encode_kernel_ova(
     let mut sv_ids: Vec<u32> = Vec::new();
     for (_, clf) in model.iter() {
         for sv in clf.support_vectors() {
-            let (id, first) = ids.id((), &sv.vector);
+            let (id, first) = ids.id(&sv.vector);
             if first {
                 dictionary.push(&sv.vector);
             }
@@ -1079,25 +1046,20 @@ mod tests {
                 let got = decode_linear_ova(&mut ByteReader::new(&bad(&frame)));
                 assert_eq!(got.map(|_| ()), NON_FINITE, "{v}");
             }
-            // A kernel alpha, bias, RBF gamma, support-vector value and
-            // one-vs-all threshold, alone and in a dictionary body.
+            // A kernel alpha, bias, support-vector value and one-vs-all
+            // threshold, alone and in a dictionary body.
             let sv = |value, alpha| SupportVector {
                 vector: SparseVector::from_pairs([(1, value)]),
                 label: true,
                 alpha,
             };
-            for (value, alpha, bias, gamma, threshold) in [
-                (1.0, x, 0.5, 0.5, 0.0),
-                (1.0, 0.5, x, 0.5, 0.0),
-                (1.0, 0.5, 0.5, x, 0.0),
-                (x, 0.5, 0.5, 0.5, 0.0),
-                (1.0, 0.5, 0.5, 0.5, x),
+            for (value, alpha, bias, threshold) in [
+                (1.0, x, 0.5, 0.0),
+                (1.0, 0.5, x, 0.0),
+                (x, 0.5, 0.5, 0.0),
+                (1.0, 0.5, 0.5, x),
             ] {
-                let m = KernelSvm::from_support_vectors(
-                    vec![sv(value, alpha)],
-                    bias,
-                    Kernel::Rbf { gamma },
-                );
+                let m = KernelSvm::from_support_vectors(vec![sv(value, alpha)], bias);
                 if threshold == 0.0 {
                     let mut frame = Vec::new();
                     encode_kernel_svm(&m, WeightPrecision::F64, &mut frame);
@@ -1110,25 +1072,46 @@ mod tests {
                 assert_eq!(got.map(|_| ()), NON_FINITE, "{v}");
             }
         }
-        // A polynomial kernel's parameters.
-        for (gamma, coef0) in [(NAN_STAND_IN, 1.0), (0.5, -INF_STAND_IN)] {
-            let m = KernelSvm::from_support_vectors(
-                vec![SupportVector {
-                    vector: SparseVector::from_pairs([(1, 1.0)]),
-                    label: false,
-                    alpha: 0.5,
-                }],
-                0.0,
-                Kernel::Polynomial {
-                    gamma,
-                    coef0,
-                    degree: 2,
-                },
-            );
-            let mut frame = Vec::new();
-            encode_kernel_svm(&m, WeightPrecision::F64, &mut frame);
-            let got = decode_kernel_svm(&mut ByteReader::new(&bad(&frame)));
-            assert_eq!(got.map(|_| ()), NON_FINITE);
+    }
+
+    #[test]
+    fn retired_kernel_tags_are_rejected_at_decode() {
+        // The frames the RBF (tag 1, gamma) and polynomial (tag 2, gamma,
+        // coef0, degree) kernels were once written as: the head's tag byte
+        // and parameters, then the rest of an honest head.
+        let sv = SupportVector {
+            vector: SparseVector::from_pairs([(1, 1.0), (4, -0.5)]),
+            label: true,
+            alpha: 0.5,
+        };
+        let m = KernelSvm::from_support_vectors(vec![sv.clone()], 0.25);
+        let mut rbf = vec![1];
+        put_finite_f64(&mut rbf, 0.7);
+        let mut polynomial = vec![2];
+        put_finite_f64(&mut polynomial, 0.3);
+        put_finite_f64(&mut polynomial, 1.0);
+        put_varint(&mut polynomial, 3);
+        let retag = |frame: &[u8], at: usize, tag: &[u8]| {
+            assert_eq!(frame[at], KERNEL_LINEAR);
+            [&frame[..at], tag, &frame[at + 1..]].concat()
+        };
+        let unknown = Err(CodecError::Invalid("unknown kernel tag"));
+        let mut lone = Vec::new();
+        encode_kernel_svm(&m, WeightPrecision::F64, &mut lone);
+        let model = OneVsAllModel::from_classifiers(BTreeMap::from([(3, m)]), 0.0, 1);
+        let dictionary = encoded_kernel_ova(&model);
+        // The head follows the shell, the dictionary count and the one
+        // dictionary vector.
+        let mut head_at = Vec::new();
+        put_ova_shell(&model, &mut head_at);
+        put_varint(&mut head_at, 1);
+        encode_vector(&sv.vector, &mut head_at);
+        for tag in [&rbf[..], &polynomial[..], &[3], &[0xFF]] {
+            let got = decode_kernel_svm(&mut ByteReader::new(&retag(&lone, 0, tag)));
+            assert_eq!(got.map(|_| ()), unknown, "{tag:?}");
+            let frame = retag(&dictionary, head_at.len(), tag);
+            let got = decode_kernel_ova(&mut ByteReader::new(&frame));
+            assert_eq!(got.map(|_| ()), unknown, "{tag:?}");
         }
     }
 
@@ -1751,15 +1734,8 @@ mod tests {
         (
             prop::collection::vec((arb_vector(), any::<bool>(), 0.01f64..3.0), 0..12),
             -2.0f64..2.0,
-            0.1f64..2.0,
-            0u8..2,
         )
-            .prop_map(|(svs, bias, gamma, which)| {
-                let kernel = if which == 0 {
-                    Kernel::Linear
-                } else {
-                    Kernel::Rbf { gamma }
-                };
+            .prop_map(|(svs, bias)| {
                 let svs = svs
                     .into_iter()
                     .map(|(vector, label, alpha)| SupportVector {
@@ -1768,7 +1744,7 @@ mod tests {
                         alpha,
                     })
                     .collect();
-                KernelSvm::from_support_vectors(svs, bias, kernel)
+                KernelSvm::from_support_vectors(svs, bias)
             })
     }
 
@@ -1836,7 +1812,6 @@ mod tests {
             pool in prop::collection::vec(crate::kernel::wild::vector(12), 1..6),
             tags in prop::collection::vec(
                 (
-                    0usize..3,
                     crate::kernel::wild::value(),
                     prop::collection::vec(
                         (0usize..6, any::<bool>(), any::<bool>(), crate::kernel::wild::value()),
@@ -1860,7 +1835,7 @@ mod tests {
                 let classifiers = tags
                     .iter()
                     .enumerate()
-                    .map(|(t, (kernel, bias, svs))| {
+                    .map(|(t, (bias, svs))| {
                         let svs = svs
                             .iter()
                             .map(|&(pick, shared, label, alpha)| {
@@ -1872,9 +1847,8 @@ mod tests {
                                 }
                             })
                             .collect();
-                        let kernel = crate::kernel::wild::KERNELS[*kernel];
                         let bias = stand_in(*bias);
-                        (3 * t as TagId, KernelSvm::from_support_vectors(svs, bias, kernel))
+                        (3 * t as TagId, KernelSvm::from_support_vectors(svs, bias))
                     })
                     .collect();
                 OneVsAllModel::from_classifiers(classifiers, threshold, min_tags)

@@ -24,16 +24,15 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use textproc::{SparseVector, StorageKey};
 
-/// Numbers distinct vectors in first-appearance order, per class: vectors
-/// of different classes (the scorer's kernels) never share an id.
+/// Numbers distinct vectors in first-appearance order.
 #[derive(Debug)]
-pub(crate) struct DistinctIds<'a, C> {
-    by_storage: HashMap<(C, StorageKey), u32, BuildHasherDefault<AddressHasher>>,
-    by_content: HashMap<ContentKey<'a, C>, u32>,
+pub(crate) struct DistinctIds<'a> {
+    by_storage: HashMap<StorageKey, u32, BuildHasherDefault<AddressHasher>>,
+    by_content: HashMap<ContentKey<'a>, u32>,
     len: u32,
 }
 
-impl<'a, C: Copy + Eq + Hash> DistinctIds<'a, C> {
+impl<'a> DistinctIds<'a> {
     pub(crate) fn new() -> Self {
         Self {
             by_storage: HashMap::default(),
@@ -42,18 +41,15 @@ impl<'a, C: Copy + Eq + Hash> DistinctIds<'a, C> {
         }
     }
 
-    /// `v`'s id within `class`, and whether `v` is the first of its content
-    /// (its id is then the number of ids handed out before it).
-    pub(crate) fn id(&mut self, class: C, v: &'a SparseVector) -> (u32, bool) {
-        let storage = (class, v.storage_key());
+    /// `v`'s id, and whether `v` is the first of its content (its id is
+    /// then the number of ids handed out before it).
+    pub(crate) fn id(&mut self, v: &'a SparseVector) -> (u32, bool) {
+        let storage = v.storage_key();
         if let Some(&id) = self.by_storage.get(&storage) {
             return (id, false);
         }
         let next = self.len;
-        let id = *self
-            .by_content
-            .entry(ContentKey { class, vector: v })
-            .or_insert(next);
+        let id = *self.by_content.entry(ContentKey(v)).or_insert(next);
         self.by_storage.insert(storage, id);
         let first = id == next;
         if first {
@@ -63,38 +59,33 @@ impl<'a, C: Copy + Eq + Hash> DistinctIds<'a, C> {
     }
 }
 
-/// A vector and its class, equal by indices and value bits — the
-/// granularity at which kernel values coincide. It borrows the vector, so a
-/// lookup allocates nothing.
+/// A vector, equal by indices and value bits — the granularity at which
+/// kernel values coincide. It borrows the vector, so a lookup allocates
+/// nothing.
 #[derive(Debug, Clone, Copy)]
-struct ContentKey<'a, C> {
-    class: C,
-    vector: &'a SparseVector,
-}
+struct ContentKey<'a>(&'a SparseVector);
 
-impl<C: Eq> PartialEq for ContentKey<'_, C> {
+impl PartialEq for ContentKey<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.class == other.class
-            && self.vector.indices() == other.vector.indices()
+        self.0.indices() == other.0.indices()
             && self
-                .vector
+                .0
                 .values()
                 .iter()
-                .zip(other.vector.values())
+                .zip(other.0.values())
                 .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 }
 
-impl<C: Eq> Eq for ContentKey<'_, C> {}
+impl Eq for ContentKey<'_> {}
 
-impl<C: Hash> Hash for ContentKey<'_, C> {
+impl Hash for ContentKey<'_> {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.class.hash(state);
-        self.vector.indices().hash(state);
+        self.0.indices().hash(state);
         // Value bits go in through a stack buffer, 32 per `write`: one
         // `write_u64` per value costs half again as much.
         let mut bytes = [0u8; 256];
-        for values in self.vector.values().chunks(32) {
+        for values in self.0.values().chunks(32) {
             for (slot, v) in bytes.chunks_exact_mut(8).zip(values) {
                 slot.copy_from_slice(&v.to_bits().to_le_bytes());
             }
@@ -166,7 +157,7 @@ mod tests {
         let a_clone = a.clone();
         let mut ids = DistinctIds::new();
         let seq = [&a, &b, &a_copy, &a_clone, &nan, &neg_nan, &empty, &b];
-        let got: Vec<(u32, bool)> = seq.iter().map(|x| ids.id((), x)).collect();
+        let got: Vec<(u32, bool)> = seq.iter().map(|x| ids.id(x)).collect();
         assert_eq!(
             got,
             [
@@ -180,15 +171,6 @@ mod tests {
                 (1, false)
             ]
         );
-        assert_eq!(ids.id((), &v(&[(9, 1.0)])), (5, true));
-    }
-
-    #[test]
-    fn classes_keep_equal_vectors_apart() {
-        let a = v(&[(1, 2.0)]);
-        let mut ids = DistinctIds::new();
-        assert_eq!(ids.id(7u8, &a), (0, true));
-        assert_eq!(ids.id(9u8, &a), (1, true));
-        assert_eq!(ids.id(7u8, &a.clone()), (0, false));
+        assert_eq!(ids.id(&v(&[(9, 1.0)])), (5, true));
     }
 }

@@ -6,8 +6,9 @@
 //! binary problems, each solved with an SVM. The two P2P classification
 //! protocols the system plugs in are built from the primitives in this crate:
 //!
-//! * **CEMPaR** needs non-linear (kernel) SVMs and the *cascade SVM* merge of
-//!   peer-local models ([`svm::KernelSvm`], [`cascade`]).
+//! * **CEMPaR** needs dual-form (kernel) SVMs, whose support vectors are what
+//!   travels, and the *cascade SVM* merge of peer-local models
+//!   ([`svm::KernelSvm`], [`cascade`]). The kernel is the dot product.
 //! * **PACE** needs linear SVMs, k-means cluster centroids of the local data
 //!   and a locality-sensitive-hashing index over model centroids
 //!   ([`svm::LinearSvm`], [`kmeans`], [`lsh`]).
@@ -18,21 +19,25 @@
 //! shared-kernel-row scoring, bit-for-bit identical to the scalar per-tag
 //! loops — lives in [`batch`]. The binary wire codec every propagated model,
 //! example and prediction payload travels through (delta-varint indices,
-//! optional weight quantization, guarded top-k pruning) lives in [`codec`].
+//! lossless `f64` value blocks) lives in [`codec`].
 //!
 //! ```
 //! use ml::prelude::*;
 //! use textproc::SparseVector;
 //!
-//! // A linearly separable toy problem.
-//! let xs = vec![
+//! // A linearly separable toy problem: tag 0 on one side, tag 1 on the other.
+//! let xs = [
 //!     SparseVector::from_pairs([(0u32, 1.0), (1, 1.0)]),
 //!     SparseVector::from_pairs([(0u32, -1.0), (1, -1.0)]),
 //! ];
-//! let ys = vec![true, false];
-//! let model = LinearSvmTrainer::default().train(&xs, &ys);
-//! assert!(model.predict(&xs[0]));
-//! assert!(!model.predict(&xs[1]));
+//! let data = MultiLabelDataset::from_examples(vec![
+//!     MultiLabelExample::new(xs[0].clone(), [0]),
+//!     MultiLabelExample::new(xs[1].clone(), [1]),
+//! ]);
+//! let model = OneVsAllTrainer::default().train_linear_csr(&data, &LinearSvmTrainer::default());
+//! let tag0 = model.classifier(0).unwrap();
+//! assert!(tag0.predict(&xs[0]));
+//! assert!(!tag0.predict(&xs[1]));
 //! ```
 
 #![warn(missing_docs)]
@@ -43,7 +48,7 @@ pub mod cascade;
 pub mod codec;
 pub mod data;
 mod distinct;
-pub mod kernel;
+mod kernel;
 pub mod kmeans;
 pub mod lsh;
 pub mod metrics;
@@ -55,7 +60,6 @@ pub mod prelude {
     pub use crate::batch::{BatchKernelScorer, TagWeightMatrix};
     pub use crate::cascade::{CascadeConfig, CascadeSvm};
     pub use crate::data::{MultiLabelDataset, MultiLabelExample, TagId};
-    pub use crate::kernel::Kernel;
     pub use crate::kmeans::{KMeans, KMeansConfig};
     pub use crate::lsh::{LshConfig, LshIndex};
     pub use crate::metrics::{BinaryMetrics, GroupedMetrics, HeadTailSplit, MultiLabelMetrics};
@@ -68,7 +72,6 @@ pub mod prelude {
 pub use batch::{BatchKernelScorer, TagWeightMatrix};
 pub use codec::{ByteReader, CodecError, WeightPrecision};
 pub use data::{MultiLabelDataset, MultiLabelExample, TagId};
-pub use kernel::Kernel;
 pub use metrics::{BinaryMetrics, GroupedMetrics, HeadTailSplit, MultiLabelMetrics};
 pub use multilabel::{OneVsAllModel, OneVsAllTrainer, TagPrediction};
 pub use svm::{BinaryClassifier, KernelSvm, KernelSvmTrainer, LinearSvm, LinearSvmTrainer};

@@ -9,11 +9,12 @@
 //! exact distance among hash-collision candidates (falling back to scanning
 //! when too few candidates collide, so recall never collapses).
 //!
-//! [`LshIndex::query`] is the scalar reference: one merge-join distance per
-//! scored entry. The batched entry points, [`LshIndex::query_batched`] and
-//! [`LshIndex::nearest_items`], share one scoring core: a single pass over
-//! the query's nonzeros both projects it onto the hyperplanes and prices
-//! every entry through the feature-indexed postings. The fallback scan
+//! The scalar `LshIndex::query` (compiled for tests only) is the reference:
+//! one merge-join distance per scored entry. The batched entry points,
+//! [`LshIndex::query_batched`] and [`LshIndex::nearest_items`], share one
+//! scoring core: a single pass over the query's nonzeros both projects it
+//! onto the hyperplanes and prices every entry through the feature-indexed
+//! postings. The fallback scan
 //! guesses a threshold just above the `k`-th squared distance from a sample
 //! and sorts only what lies under it, and item distances (the nearest of an
 //! item's keys) are read from the same buffer through item slots resolved at
@@ -34,6 +35,7 @@
 //! column and cached row at the same time.
 
 use crate::kernel::SCATTER_LIMIT;
+#[cfg(test)]
 use crate::multilabel::by_distance_ascending;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -461,13 +463,16 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
 
     /// Returns the indices of live candidate entries colliding with `query`
     /// in at least one band.
+    #[cfg(test)]
     fn candidates(&self, query: &SparseVector) -> Vec<usize> {
         self.colliding(&self.project_all(query, |_, _| {}))
     }
 
     /// Returns up to `k` items nearest to `query` (by Euclidean distance of the
     /// key vectors), preferring LSH candidates and falling back to a full scan
-    /// when fewer than `k` candidates collide.
+    /// when fewer than `k` candidates collide: the scalar oracle of
+    /// [`Self::query_batched`].
+    #[cfg(test)]
     pub fn query(&self, query: &SparseVector, k: usize) -> Vec<(&T, f64)> {
         if self.is_empty() || k == 0 {
             return Vec::new();
@@ -488,8 +493,11 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
             .collect()
     }
 
-    /// Batched variant of [`Self::query`], returning **identical** results
-    /// from the scoring core it shares with [`Self::nearest_items`].
+    /// Returns up to `k` items nearest to `query` (by Euclidean distance of
+    /// the key vectors), preferring LSH candidates and falling back to a full
+    /// scan when fewer than `k` candidates collide. Identical to the scalar
+    /// `query` (a test oracle); it shares its scoring core with
+    /// [`Self::nearest_items`].
     pub fn query_batched(&self, query: &SparseVector, k: usize) -> Vec<(&T, f64)> {
         let (top, _) = self.top_entries(query, k);
         top.into_iter()
@@ -505,7 +513,7 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
     /// nearest key" in one pass over the index. The fold runs over the
     /// item's keys in insertion order from `+∞` with `f64::min`, reading the
     /// same dot buffer as the ranking, so the result is bit-for-bit that of
-    /// de-duplicating [`Self::query`]'s hits and folding
+    /// de-duplicating the scalar `query`'s hits and folding
     /// `SparseVector::distance` over each item's keys. Items are told apart
     /// by the slot each entry was given at insert, so no item is hashed.
     pub fn nearest_items(&self, query: &SparseVector, k: usize) -> Vec<(&T, f64)> {
@@ -529,7 +537,7 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
     }
 
     /// The scoring core of every batched query: the top `k` live entries as
-    /// `(entry, distance)`, chosen by [`Self::query`]'s rules, and the
+    /// `(entry, distance)`, chosen by the scalar `query`'s rules, and the
     /// distance of any entry to `query`.
     ///
     /// One pass over the query's nonzeros projects it onto the hyperplanes
@@ -543,7 +551,7 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
     /// is total.
     ///
     /// When at least `k` entries collide, the colliding entries are stably
-    /// sorted from their collision order, exactly as [`Self::query`] does.
+    /// sorted from their collision order, exactly as the scalar `query` does.
     /// Otherwise [`Self::nearest_live`] keeps what a stable sort of all live
     /// entries keeps of its first `k`.
     fn top_entries(&self, query: &SparseVector, k: usize) -> (Vec<(usize, f64)>, Priced<'_>) {
@@ -639,8 +647,8 @@ impl<T: Clone + Eq + Hash> LshIndex<T> {
             .collect()
     }
 
-    /// Exact (brute force) top-k query, for testing recall and the LSH-off
-    /// ablation.
+    /// Exact (brute force) top-k query, for testing recall.
+    #[cfg(test)]
     pub fn query_exact(&self, query: &SparseVector, k: usize) -> Vec<(&T, f64)> {
         let mut scored: Vec<(usize, f64)> = (0..self.entries.len())
             .filter(|&i| self.live[i])

@@ -69,7 +69,9 @@ impl OneVsAllTrainer {
     /// the per-tag problems are trained in parallel — each invocation of
     /// `train_fn` is independent, so `train_fn` must be `Fn + Sync` and must
     /// not share mutable state (seed any RNG per call, as the SVM trainers
-    /// do). The resulting model is identical to sequential training.
+    /// do). The resulting model is identical to sequential training. It
+    /// drives the scalar oracles only.
+    #[cfg(test)]
     pub fn train_with<C, F>(&self, data: &MultiLabelDataset, train_fn: F) -> OneVsAllModel<C>
     where
         C: BinaryClassifier + Send,
@@ -150,7 +152,9 @@ impl OneVsAllTrainer {
         self.assemble(tags, trained)
     }
 
-    /// Convenience: one linear SVM per tag (the PACE base classifier).
+    /// One scalar linear SVM per tag: the oracle [`Self::train_linear_csr`]
+    /// is held to.
+    #[cfg(test)]
     pub fn train_linear(
         &self,
         data: &MultiLabelDataset,
@@ -159,12 +163,12 @@ impl OneVsAllTrainer {
         self.train_with(data, |_, xs, ys| svm.train(xs, ys))
     }
 
-    /// CSR-native variant of [`Self::train_linear`]: the dataset is
+    /// One linear SVM per tag (the PACE base classifier): the dataset is
     /// materialized once as a row-major [`textproc::CsrMatrix`] and every
     /// per-tag fit runs through one shared [`CsrLinearTrainer`] context —
     /// shared DCD diagonal, shared shuffle orders, reused solver scratch, no
     /// per-tag corpus view of any kind. Produces a model **bit-identical** to
-    /// [`Self::train_linear`] on the same inputs.
+    /// the scalar `train_linear` (a test oracle) on the same inputs.
     pub fn train_linear_csr(
         &self,
         data: &MultiLabelDataset,
@@ -173,7 +177,9 @@ impl OneVsAllTrainer {
         self.train_linear_csr_with(data, svm, |ctx, mask, _| ctx.train(mask))
     }
 
-    /// Convenience: one kernel SVM per tag (the CEMPaR base classifier).
+    /// One kernel SVM per tag, each computing its own Gram matrix: the
+    /// oracle [`Self::train_kernel_shared`] is held to.
+    #[cfg(test)]
     pub fn train_kernel(
         &self,
         data: &MultiLabelDataset,
@@ -182,12 +188,12 @@ impl OneVsAllTrainer {
         self.train_with(data, |_, xs, ys| svm.train(xs, ys))
     }
 
-    /// Shared-Gram variant of [`Self::train_kernel`]: the kernel (Gram)
+    /// One kernel SVM per tag (the CEMPaR base classifier): the kernel (Gram)
     /// matrix depends only on the data, not the labels, so it is computed
     /// **once** and shared by every per-tag SMO fit instead of being
     /// re-evaluated per tag (`O(T · n² · nnz)` → `O(n² · nnz + T · n²)`
-    /// kernel work). Produces a model **bit-identical** to
-    /// [`Self::train_kernel`] on the same inputs.
+    /// kernel work). Produces a model **bit-identical** to the per-tag
+    /// `train_kernel` (a test oracle) on the same inputs.
     pub fn train_kernel_shared(
         &self,
         data: &MultiLabelDataset,
@@ -198,7 +204,7 @@ impl OneVsAllTrainer {
             return self.assemble(tags, Vec::new());
         }
         let xs = data.vectors();
-        let gram = gram_matrix(svm.kernel, xs);
+        let gram = gram_matrix(xs);
         let trained = parallel::par_map(&tags, |&tag| {
             let ys = data.label_mask(tag);
             svm.train_with_gram(xs, &ys, &gram)
@@ -207,7 +213,7 @@ impl OneVsAllTrainer {
     }
 
     /// Warm-start one-vs-all refit for linear models: tags already known to
-    /// `prev` are refit with [`LinearSvmTrainer::train_warm`] (a few SGD
+    /// `prev` are refit with `LinearSvmTrainer::train_warm` (a few SGD
     /// passes from the stored weights), tags new to the dataset are
     /// cold-trained. `data` is the peer's *full* (old + new) local dataset,
     /// so the refit sees every example — only the optimization is

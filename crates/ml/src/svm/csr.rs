@@ -25,14 +25,15 @@
 //! # Equivalence contract
 //!
 //! For every `(trainer, dataset, labels)`, [`CsrLinearTrainer::train`] and
-//! [`CsrLinearTrainer::train_warm`] produce models **bit-identical** to
-//! [`LinearSvmTrainer::train`] / [`LinearSvmTrainer::train_warm`] on the same
-//! data: every floating-point operation happens in the same sequence (row
-//! kernels accumulate in stored order, shared shuffle orders replay the exact
-//! per-tag RNG streams, the shared diagonal holds the same bits the per-call
-//! recomputation would produce). The scalar path is kept untouched as the
-//! reference; the property tests below and the protocol equivalence suite in
-//! `p2pclassify` pin the contract.
+//! [`CsrLinearTrainer::train_warm`] produce models **bit-identical** to the
+//! scalar `LinearSvmTrainer::train` / `LinearSvmTrainer::train_warm` (test
+//! oracles) on the same data: every floating-point operation happens in the
+//! same sequence (row kernels accumulate in stored order, shared shuffle
+//! orders replay the exact per-tag RNG streams, the shared diagonal holds
+//! the same bits the per-call recomputation would produce). The scalar path
+//! is kept untouched as the reference, compiled for tests only; the
+//! property tests below and the protocol equivalence suite in `p2pclassify`
+//! pin the contract.
 
 use super::{LinearSvm, LinearSvmTrainer};
 use rand::rngs::StdRng;
@@ -41,8 +42,8 @@ use rand::SeedableRng;
 use std::borrow::Cow;
 use textproc::CsrMatrix;
 
-/// The XOR applied to the trainer seed by [`LinearSvmTrainer::train_warm`]'s
-/// RNG (kept in sync with `linear.rs`).
+/// The XOR applied to the trainer seed by the warm refit's RNG (shared with
+/// the scalar oracle in `linear.rs`).
 pub(crate) const WARM_SEED_XOR: u64 = 0x57A8_57A8;
 
 /// Memory budget for one cache's retained shuffle orders. The cache keeps at
@@ -252,8 +253,10 @@ impl<'a> CsrLinearTrainer<'a> {
         y.extend(ys.iter().map(|&b| if b { 1.0 } else { -1.0 }));
     }
 
-    /// Trains a linear SVM on the context's rows against `ys` — bit-identical
-    /// to [`LinearSvmTrainer::train`] on the same data.
+    /// Trains a linear SVM on the context's rows against `ys` with dual
+    /// coordinate descent for the L1-loss (hinge) SVM — Hsieh et al. 2008,
+    /// the LIBLINEAR default — bit-identical to the scalar
+    /// `LinearSvmTrainer::train` on the same data.
     ///
     /// # Panics
     /// Panics when `ys.len()` differs from the number of rows or is zero.
@@ -267,9 +270,11 @@ impl<'a> CsrLinearTrainer<'a> {
         self.train_dcd(ys)
     }
 
-    /// Warm refit from `warm`'s weights — bit-identical to
-    /// [`LinearSvmTrainer::train_warm`] on the same data (including the
-    /// small-problem delegation to the cold solver).
+    /// Warm refit from `warm`'s weights: Pegasos-style stochastic
+    /// sub-gradient passes ([`LinearSvmTrainer::warm_passes`]), bit-identical
+    /// to the scalar `LinearSvmTrainer::train_warm` on the same data
+    /// (including the delegation to the cold solver below
+    /// [`LinearSvmTrainer::warm_min_examples`]).
     ///
     /// # Panics
     /// Panics when `ys.len()` differs from the number of rows or is zero.

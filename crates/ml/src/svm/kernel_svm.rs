@@ -4,19 +4,22 @@
 //! training data"; the resulting support vectors are the only artifact that is
 //! propagated (once) to a super-peer, where models are cascaded. This module
 //! provides that local model and exposes its support vectors for the cascade.
+//! The kernel is the dot product: on L2-normalized TF-IDF vectors, which are
+//! close to linearly separable, it fits the small per-peer collections better
+//! than a narrow RBF and keeps the cascade's support-vector sets compact.
 //!
-//! Training fills a Gram matrix by rows ([`gram_matrix`], each `‖x‖²`
-//! computed once, each row one walk of per-feature postings chains, so a
-//! pair costs the features its vectors share) and runs simplified SMO over
-//! it; a cascade merge hands [`KernelSvmTrainer::train_with_gram`] blocks of
-//! one Gram matrix shared by several pools. Each SMO decision value
-//! sums over the current support set only — the indices with a nonzero
-//! dual, kept ascending with their `α·y` — and reads the contiguous Gram
-//! row, which the mirrored fill makes bitwise equal to the column; the
-//! result is bit for bit that of a full scan of the column.
+//! Training fills a Gram matrix by rows ([`gram_matrix`], each row one walk
+//! of per-feature postings chains, so a pair costs the features its vectors
+//! share) and runs simplified SMO over it; a cascade merge hands
+//! [`KernelSvmTrainer::train_with_gram`] blocks of one Gram matrix shared by
+//! several pools. Each SMO decision value sums over the current support set
+//! only — the indices with a nonzero dual, kept ascending with their `α·y` —
+//! and reads the contiguous Gram row, which the mirrored fill makes bitwise
+//! equal to the column; the result is bit for bit that of a full scan of the
+//! column.
 
 use super::BinaryClassifier;
-use crate::kernel::{below_limit, Kernel, SCATTER_LIMIT};
+use crate::kernel::{below_limit, SCATTER_LIMIT};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -41,56 +44,42 @@ impl SupportVector {
     }
 }
 
+/// KKT violation tolerance.
+const TOL: f64 = 1e-3;
+/// Number of passes without any alpha change before SMO stops.
+const MAX_PASSES: usize = 5;
+/// Hard cap on optimization sweeps (protects against pathological data).
+const MAX_ITER: usize = 200;
+
 /// Hyper-parameters for SMO training.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KernelSvmTrainer {
     /// Soft-margin cost parameter `C`.
     pub c: f64,
-    /// Kernel function.
-    pub kernel: Kernel,
-    /// KKT violation tolerance.
-    pub tol: f64,
-    /// Maximum number of passes without any alpha change before stopping.
-    pub max_passes: usize,
-    /// Hard cap on optimization sweeps (protects against pathological data).
-    pub max_iter: usize,
     /// RNG seed for the second-alpha choice.
     pub seed: u64,
 }
 
 impl Default for KernelSvmTrainer {
     fn default() -> Self {
-        Self {
-            c: 1.0,
-            kernel: Kernel::default(),
-            tol: 1e-3,
-            max_passes: 5,
-            max_iter: 200,
-            seed: 13,
-        }
+        Self { c: 1.0, seed: 13 }
     }
 }
 
-/// A trained kernel SVM: `decision(x) = Σ alpha_i y_i K(sv_i, x) + b`.
+/// A trained kernel SVM: `decision(x) = Σ alpha_i y_i (sv_i · x) + b`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelSvm {
     support_vectors: Vec<SupportVector>,
     bias: f64,
-    kernel: Kernel,
 }
 
 impl KernelSvm {
     /// Builds a model directly from support vectors (used by the cascade when a
     /// merged model is assembled from the SVs of several peers).
-    pub fn from_support_vectors(
-        support_vectors: Vec<SupportVector>,
-        bias: f64,
-        kernel: Kernel,
-    ) -> Self {
+    pub fn from_support_vectors(support_vectors: Vec<SupportVector>, bias: f64) -> Self {
         Self {
             support_vectors,
             bias,
-            kernel,
         }
     }
 
@@ -104,25 +93,19 @@ impl KernelSvm {
         self.support_vectors.len()
     }
 
-    /// The kernel this model was trained with.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
     /// The bias term.
     pub fn bias(&self) -> f64 {
         self.bias
     }
 
-    /// Whether `other` is this model bit for bit: same kernel, bias, and
+    /// Whether `other` is this model bit for bit: same bias and
     /// support vectors (indices, value and alpha bits, labels) in the same
     /// order. Stricter than `==`, which compares floats by value (`NaN ≠
     /// NaN`, `-0.0 == 0.0`); two bit-equal models compute bit-equal
     /// decisions and merges.
     pub fn bit_eq(&self, other: &Self) -> bool {
         let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
-        self.kernel.bits() == other.kernel.bits()
-            && same(self.bias, other.bias)
+        same(self.bias, other.bias)
             && self.support_vectors.len() == other.support_vectors.len()
             && self
                 .support_vectors
@@ -146,7 +129,7 @@ impl BinaryClassifier for KernelSvm {
         let mut sum = self.bias;
         for sv in &self.support_vectors {
             let y = if sv.label { 1.0 } else { -1.0 };
-            sum += sv.alpha * y * self.kernel.eval(&sv.vector, x);
+            sum += sv.alpha * y * sv.vector.dot(x);
         }
         sum
     }
@@ -161,14 +144,6 @@ impl BinaryClassifier for KernelSvm {
 }
 
 impl KernelSvmTrainer {
-    /// Creates a trainer with the given kernel and default settings.
-    pub fn with_kernel(kernel: Kernel) -> Self {
-        Self {
-            kernel,
-            ..Self::default()
-        }
-    }
-
     /// Trains a kernel SVM on `(xs, ys)` with simplified SMO.
     ///
     /// # Panics
@@ -181,19 +156,19 @@ impl KernelSvmTrainer {
         }
         // Precompute the kernel matrix; per-peer local datasets are small
         // (tens to a few hundred documents), so O(n²) memory is acceptable.
-        let k = gram_matrix(self.kernel, xs);
+        let k = gram_matrix(xs);
         self.train_smo(xs, ys, &k)
     }
 
     /// [`Self::train`] against a caller-provided Gram matrix (row-major
     /// `n × n`, as [`gram_matrix`] builds it).
     ///
-    /// The Gram matrix depends only on the kernel and the data — not on the
-    /// labels — so a one-vs-all reduction over `T` tags can compute it once
-    /// and share it across every per-tag fit instead of re-evaluating all
-    /// `n²` kernel entries per tag ([`crate::multilabel::OneVsAllTrainer::train_kernel_shared`]).
-    /// Given `gram == gram_matrix(self.kernel, xs)`, the trained model is
-    /// bit-identical to [`Self::train`]'s.
+    /// The Gram matrix depends only on the data — not on the labels — so a
+    /// one-vs-all reduction over `T` tags can compute it once and share it
+    /// across every per-tag fit instead of re-evaluating all `n²` kernel
+    /// entries per tag ([`crate::multilabel::OneVsAllTrainer::train_kernel_shared`]).
+    /// Given `gram == gram_matrix(xs)`, the trained model is bit-identical
+    /// to [`Self::train`]'s.
     ///
     /// The matrix must be mirrored bit for bit (`gram[i·n + j]` and
     /// `gram[j·n + i]` have the same bits), as [`gram_matrix`] builds it:
@@ -228,7 +203,6 @@ impl KernelSvmTrainer {
                 alpha: 1.0,
             }],
             bias: 0.0,
-            kernel: self.kernel,
         }
     }
 
@@ -253,14 +227,14 @@ impl KernelSvmTrainer {
 
         let mut passes = 0;
         let mut iter = 0;
-        while passes < self.max_passes && iter < self.max_iter {
+        while passes < MAX_PASSES && iter < MAX_ITER {
             iter += 1;
             let mut num_changed = 0;
             for i in 0..n {
                 let ei = duals.decision(row(i), b) - y[i];
                 let alpha_i = duals.alpha[i];
-                let violates_kkt = (y[i] * ei < -self.tol && alpha_i < self.c)
-                    || (y[i] * ei > self.tol && alpha_i > 0.0);
+                let violates_kkt =
+                    (y[i] * ei < -TOL && alpha_i < self.c) || (y[i] * ei > TOL && alpha_i > 0.0);
                 if !violates_kkt {
                     continue;
                 }
@@ -333,7 +307,6 @@ impl KernelSvmTrainer {
         KernelSvm {
             support_vectors,
             bias: b,
-            kernel: self.kernel,
         }
     }
 }
@@ -405,12 +378,12 @@ struct Posting {
     value: f64,
 }
 
-/// Precomputes the symmetric Gram matrix `K[i·n + j] = K(x_i, x_j)` in
+/// Precomputes the symmetric Gram matrix `K[i·n + j] = x_i · x_j` in
 /// row-major order, hoisted out of the SMO trainer so label-independent
 /// consumers (the one-vs-all reduction, a region's re-cascade) can share one
 /// matrix across tags.
 ///
-/// Row `j` up to the diagonal holds `eval(x_i, x_j)` for every `i ≤ j`,
+/// Row `j` up to the diagonal holds `x_i.dot(x_j)` for every `i ≤ j`,
 /// mirrored across the diagonal, which makes row `i` and column `i`
 /// bitwise equal, as the SMO solver relies on. The row is filled by
 /// postings: each of `x_j`'s nonzeros, in ascending index order, walks its
@@ -418,17 +391,15 @@ struct Posting {
 /// entry `i`, and is then linked into that chain; the diagonal sums
 /// `x_f · x_f` alongside. Entry `i` therefore sums the products the
 /// merge-join `x_i.dot(x_j)` forms — the same operands in the same order,
-/// from `+0.0`, in ascending index order — and is finished through `eval`'s
-/// own expression with each `‖x_i‖²` computed once: the bits of the
-/// pairwise `eval` loop, paid for by the nonzeros the vectors share rather
-/// than by all of theirs.
+/// from `+0.0`, in ascending index order: the bits of the pairwise `dot`
+/// loop, paid for by the nonzeros the vectors share rather than by all of
+/// theirs.
 ///
 /// Features below 2²⁰ keep their chain heads in a per-thread table; any
 /// other index (a hostile frame can carry any `u32`) keeps it in a sorted
 /// list of the call's own, so no index sizes an allocation.
-pub fn gram_matrix(kernel: Kernel, xs: &[SparseVector]) -> Vec<f64> {
+pub fn gram_matrix(xs: &[SparseVector]) -> Vec<f64> {
     let n = xs.len();
-    let norms_sq: Vec<f64> = xs.iter().map(SparseVector::norm_sq).collect();
     let mut k = vec![0.0; n * n];
     let nnz: usize = xs.iter().map(SparseVector::nnz).sum();
     assert!(u32::try_from(nnz).is_ok(), "fewer than 2³² stored nonzeros");
@@ -467,9 +438,6 @@ pub fn gram_matrix(kernel: Kernel, xs: &[SparseVector]) -> Vec<f64> {
                 *head = postings.len() as u32;
             }
             row[j] = diagonal;
-            for (dot, &z_norm_sq) in row.iter_mut().zip(&norms_sq) {
-                *dot = kernel.finish_dot(*dot, || (z_norm_sq, norms_sq[j]));
-            }
             for i in 0..j {
                 k[i * n + j] = k[j * n + i];
             }
@@ -508,26 +476,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rbf_svm_solves_xor() {
-        let (xs, ys) = test_util::xor(120, 11);
-        let trainer = KernelSvmTrainer {
-            kernel: Kernel::Rbf { gamma: 1.0 },
-            c: 10.0,
-            ..Default::default()
-        };
-        let model = trainer.train(&xs, &ys);
-        assert!(
-            accuracy_on(&model, &xs, &ys) > 0.9,
-            "accuracy {}",
-            accuracy_on(&model, &xs, &ys)
-        );
-    }
-
-    #[test]
     fn linear_kernel_separates_separable_data() {
         let (xs, ys) = test_util::separable(120, 12);
-        let trainer = KernelSvmTrainer::with_kernel(Kernel::Linear);
-        let model = trainer.train(&xs, &ys);
+        let model = KernelSvmTrainer::default().train(&xs, &ys);
         assert!(accuracy_on(&model, &xs, &ys) > 0.95);
     }
 
@@ -544,28 +495,11 @@ mod tests {
     }
 
     #[test]
-    fn generalizes_to_held_out_xor_points() {
-        let (xs, ys) = test_util::xor(240, 14);
-        let (train_x, test_x) = xs.split_at(160);
-        let (train_y, test_y) = ys.split_at(160);
-        let trainer = KernelSvmTrainer {
-            kernel: Kernel::Rbf { gamma: 1.0 },
-            c: 10.0,
-            ..Default::default()
-        };
-        let model = trainer.train(train_x, train_y);
-        assert!(accuracy_on(&model, test_x, test_y) > 0.85);
-    }
-
-    #[test]
     fn from_support_vectors_roundtrip() {
         let (xs, ys) = test_util::separable(60, 15);
         let model = KernelSvmTrainer::default().train(&xs, &ys);
-        let rebuilt = KernelSvm::from_support_vectors(
-            model.support_vectors().to_vec(),
-            model.bias(),
-            model.kernel(),
-        );
+        let rebuilt =
+            KernelSvm::from_support_vectors(model.support_vectors().to_vec(), model.bias());
         for x in &xs {
             assert!((model.decision(x) - rebuilt.decision(x)).abs() < 1e-12);
         }
@@ -586,12 +520,12 @@ mod tests {
 
     /// The pairwise fill `gram_matrix` replaced, kept as its oracle: each
     /// `(i, j ≥ i)` pair evaluated once and mirrored.
-    fn gram_matrix_pairwise(kernel: Kernel, xs: &[SparseVector]) -> Vec<f64> {
+    fn gram_matrix_pairwise(xs: &[SparseVector]) -> Vec<f64> {
         let n = xs.len();
         let mut k = vec![0.0; n * n];
         for i in 0..n {
             for j in i..n {
-                let v = kernel.eval(&xs[i], &xs[j]);
+                let v = xs[i].dot(&xs[j]);
                 k[i * n + j] = v;
                 k[j * n + i] = v;
             }
@@ -614,14 +548,12 @@ mod tests {
         xs.push(SparseVector::from_pairs([(7, 1.0)]));
         xs.push(SparseVector::new());
         xs.push(SparseVector::from_pairs([(1, 0.5), (9_000, 2.0)]));
-        for kernel in crate::kernel::wild::KERNELS {
-            for n in [0, 1, 2, xs.len()] {
-                assert_eq!(
-                    bits(gram_matrix(kernel, &xs[..n])),
-                    bits(gram_matrix_pairwise(kernel, &xs[..n])),
-                    "{kernel:?}, n = {n}"
-                );
-            }
+        for n in [0, 1, 2, xs.len()] {
+            assert_eq!(
+                bits(gram_matrix(&xs[..n])),
+                bits(gram_matrix_pairwise(&xs[..n])),
+                "n = {n}"
+            );
         }
     }
 
@@ -644,14 +576,12 @@ mod tests {
             v(&[(top, -0.5)]),
             v(&[((1 << 20) - 1, 4.0)]),
         ];
-        for kernel in crate::kernel::wild::KERNELS {
-            for n in 0..=xs.len() {
-                assert_eq!(
-                    bits(gram_matrix(kernel, &xs[..n])),
-                    bits(gram_matrix_pairwise(kernel, &xs[..n])),
-                    "{kernel:?}, n = {n}"
-                );
-            }
+        for n in 0..=xs.len() {
+            assert_eq!(
+                bits(gram_matrix(&xs[..n])),
+                bits(gram_matrix_pairwise(&xs[..n])),
+                "n = {n}"
+            );
         }
     }
 
@@ -682,13 +612,13 @@ mod tests {
 
         let mut passes = 0;
         let mut iter = 0;
-        while passes < trainer.max_passes && iter < trainer.max_iter {
+        while passes < MAX_PASSES && iter < MAX_ITER {
             iter += 1;
             let mut num_changed = 0;
             for i in 0..n {
                 let ei = decision(&alpha, b, i) - y[i];
-                let violates_kkt = (y[i] * ei < -trainer.tol && alpha[i] < trainer.c)
-                    || (y[i] * ei > trainer.tol && alpha[i] > 0.0);
+                let violates_kkt = (y[i] * ei < -TOL && alpha[i] < trainer.c)
+                    || (y[i] * ei > TOL && alpha[i] > 0.0);
                 if !violates_kkt {
                     continue;
                 }
@@ -760,18 +690,16 @@ mod tests {
         KernelSvm {
             support_vectors,
             bias: b,
-            kernel: trainer.kernel,
         }
     }
 
     fn assert_smo_matches_full_scan(trainer: &KernelSvmTrainer, xs: &[SparseVector], ys: &[bool]) {
-        let gram = gram_matrix(trainer.kernel, xs);
+        let gram = gram_matrix(xs);
         let got = trainer.train_with_gram(xs, ys, &gram);
         let want = train_smo_full_scan(trainer, xs, ys, &gram);
         assert!(
             got.bit_eq(&want),
-            "{:?}: bias {} vs {}, {} vs {} SVs",
-            trainer.kernel,
+            "bias {} vs {}, {} vs {} SVs",
             got.bias(),
             want.bias(),
             got.num_support_vectors(),
@@ -782,14 +710,11 @@ mod tests {
     #[test]
     fn smo_over_the_support_set_equals_the_full_scan_on_trained_data() {
         let (xs, ys) = test_util::xor(120, 11);
-        for kernel in crate::kernel::wild::KERNELS {
-            let trainer = KernelSvmTrainer {
-                kernel,
-                c: 10.0,
-                ..Default::default()
-            };
-            assert_smo_matches_full_scan(&trainer, &xs, &ys);
-        }
+        let trainer = KernelSvmTrainer {
+            c: 10.0,
+            ..Default::default()
+        };
+        assert_smo_matches_full_scan(&trainer, &xs, &ys);
     }
 
     proptest::proptest! {
@@ -808,7 +733,6 @@ mod tests {
             ),
             duplicates in proptest::collection::vec(0usize..9, 0..4),
             one_class in proptest::prelude::any::<bool>(),
-            kernel_pick in 0usize..3,
             c in 0.05f64..20.0,
             seed in proptest::prelude::any::<u64>(),
         ) {
@@ -836,12 +760,7 @@ mod tests {
             if one_class {
                 ys.iter_mut().for_each(|y| *y = true);
             }
-            let trainer = KernelSvmTrainer {
-                c,
-                kernel: crate::kernel::wild::KERNELS[kernel_pick],
-                seed,
-                ..Default::default()
-            };
+            let trainer = KernelSvmTrainer { c, seed };
             assert_smo_matches_full_scan(&trainer, &xs, &ys);
         }
     }
@@ -849,12 +768,9 @@ mod tests {
     #[test]
     fn shared_gram_training_is_bit_identical_to_inline_precomputation() {
         let (xs, ys) = test_util::xor(80, 17);
-        let trainer = KernelSvmTrainer {
-            kernel: Kernel::Rbf { gamma: 1.0 },
-            ..Default::default()
-        };
+        let trainer = KernelSvmTrainer::default();
         let inline = trainer.train(&xs, &ys);
-        let gram = gram_matrix(trainer.kernel, &xs);
+        let gram = gram_matrix(&xs);
         let shared = trainer.train_with_gram(&xs, &ys, &gram);
         assert_eq!(inline.bias().to_bits(), shared.bias().to_bits());
         assert_eq!(inline.num_support_vectors(), shared.num_support_vectors());

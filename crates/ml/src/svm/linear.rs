@@ -10,9 +10,8 @@
 //! scratch and extract the nonzeros when they finish.
 
 use super::BinaryClassifier;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+#[cfg(test)]
+use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 use serde::{Deserialize, Serialize};
 use textproc::SparseVector;
 
@@ -27,13 +26,14 @@ pub struct LinearSvmTrainer {
     pub tol: f64,
     /// RNG seed controlling example shuffling.
     pub seed: u64,
-    /// Number of SGD passes run by [`Self::train_warm`]. Warm-starting from an
+    /// Number of SGD passes run by a warm refit
+    /// ([`super::CsrLinearTrainer::train_warm`]). Warm-starting from an
     /// existing weight vector converges in far fewer passes than a cold fit,
     /// which is what makes the incremental training path cheap.
     #[serde(default = "default_warm_passes")]
     pub warm_passes: usize,
-    /// Below this many examples [`Self::train_warm`] delegates to the cold
-    /// [`Self::train`]: on tiny problems the exact dual solve is itself cheap
+    /// Below this many examples a warm refit delegates to the cold fit: on
+    /// tiny problems the exact dual solve is itself cheap
     /// and strictly more accurate than a handful of SGD steps, so the warm
     /// path only pays off on collections at least this large.
     #[serde(default = "default_warm_min_examples")]
@@ -182,6 +182,8 @@ impl BinaryClassifier for LinearSvm {
     }
 }
 
+/// The scalar trainers: the oracles [`super::CsrLinearTrainer`] is held to.
+#[cfg(test)]
 impl LinearSvmTrainer {
     /// Trains a linear SVM on `(xs, ys)` with dual coordinate descent for the
     /// L1-loss (hinge) SVM — Hsieh et al. 2008, the LIBLINEAR default.

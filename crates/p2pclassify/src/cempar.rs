@@ -40,6 +40,15 @@ use p2psim::{P2PNetwork, PeerId};
 use std::collections::{BTreeMap, BTreeSet};
 use textproc::SparseVector;
 
+/// Decision threshold for assigning a tag after voting.
+const VOTE_THRESHOLD: f64 = 0.0;
+/// Relative vote cutoff: a tag must also reach this fraction of the best
+/// tag's score (calibrates ensemble votes; see
+/// [`crate::protocol::select_tags_adaptive`]).
+const REL_THRESHOLD: f64 = 0.5;
+/// Minimum number of tags assigned when nothing reaches the threshold.
+const MIN_TAGS: usize = 1;
+
 /// Configuration of the CEMPaR protocol.
 #[derive(Debug, Clone)]
 pub struct CemparConfig {
@@ -51,14 +60,6 @@ pub struct CemparConfig {
     pub one_vs_all: OneVsAllTrainer,
     /// Cascade-merge settings used by super-peers.
     pub cascade: CascadeConfig,
-    /// Decision threshold for assigning a tag after voting.
-    pub vote_threshold: f64,
-    /// Relative vote cutoff: a tag must also reach this fraction of the best
-    /// tag's score (calibrates ensemble votes; see
-    /// [`crate::protocol::select_tags_adaptive`]).
-    pub rel_threshold: f64,
-    /// Minimum number of tags assigned when nothing reaches the threshold.
-    pub min_tags: usize,
     /// When set, model propagation runs through the reliable-delivery layer
     /// ([`crate::reliable::ReliableLink`]): sequence-numbered checksummed
     /// frames, ack/timeout retransmission with exponential backoff, every
@@ -69,12 +70,10 @@ pub struct CemparConfig {
 
 impl Default for CemparConfig {
     fn default() -> Self {
-        // Text classification on TF-IDF vectors is close to linearly separable;
-        // a linear kernel with a softer margin fits the small per-peer
-        // collections far better than a narrow RBF and keeps the cascade's
-        // support-vector sets compact. RBF remains available through `svm`.
+        // The kernel is the dot product (`ml::svm` says why); a softer
+        // margin than the trainer's default fits the small per-peer
+        // collections better.
         let svm = KernelSvmTrainer {
-            kernel: ml::Kernel::Linear,
             c: 10.0,
             ..KernelSvmTrainer::default()
         };
@@ -83,13 +82,9 @@ impl Default for CemparConfig {
             cascade: CascadeConfig {
                 trainer: svm.clone(),
                 retrain: true,
-                fan_in: 0,
             },
             svm,
             one_vs_all: OneVsAllTrainer::default(),
-            vote_threshold: 0.0,
-            rel_threshold: 0.5,
-            min_tags: 1,
             reliability: None,
         }
     }
@@ -627,9 +622,9 @@ impl P2PTagClassifier for Cempar {
         let scores = self.scores(net, peer, x)?;
         Ok(crate::protocol::select_tags_adaptive(
             &scores,
-            self.config.vote_threshold,
-            self.config.rel_threshold,
-            self.config.min_tags,
+            VOTE_THRESHOLD,
+            REL_THRESHOLD,
+            MIN_TAGS,
         ))
     }
 
@@ -1118,7 +1113,6 @@ mod tests {
         // directly. Tag 0 sorts first in tag order, so only the comparator
         // can move it last.
         let local = cempar.train_local(&data[0]).unwrap();
-        let kernel = local.classifier(1).unwrap().kernel();
         let mut classifiers: BTreeMap<TagId, KernelSvm> =
             local.iter().map(|(t, c)| (t, c.clone())).collect();
         let nan_sv = ml::svm::SupportVector {
@@ -1126,10 +1120,7 @@ mod tests {
             label: true,
             alpha: f64::NAN,
         };
-        classifiers.insert(
-            0,
-            KernelSvm::from_support_vectors(vec![nan_sv], 0.0, kernel),
-        );
+        classifiers.insert(0, KernelSvm::from_support_vectors(vec![nan_sv], 0.0));
         let model = OneVsAllModel::from_classifiers(classifiers, local.threshold(), 1);
         let region = cempar.region_of_peer(PeerId(0));
         let state = cempar.regions[region].as_mut().unwrap();

@@ -9,50 +9,35 @@
 //! against; communication- and availability-wise it is the worst case.
 
 use crate::error::ProtocolError;
+use crate::local::fit_linear;
 use crate::protocol::{P2PTagClassifier, PeerDataMap};
 use crate::reliable::{LinkStats, ReliableLink};
 use crate::wire::{self, ReliabilityConfig};
 use ml::batch::TagWeightMatrix;
-use ml::multilabel::{OneVsAllModel, OneVsAllTrainer, TagPrediction};
-use ml::svm::{LinearSvm, LinearSvmTrainer};
+use ml::multilabel::{OneVsAllModel, TagPrediction};
+use ml::svm::LinearSvm;
 use ml::{MultiLabelDataset, MultiLabelExample, TagId};
 use p2psim::message::MessageKind;
 use p2psim::{P2PNetwork, PeerId};
 use std::collections::BTreeSet;
 use textproc::SparseVector;
 
+/// The peer acting as the central server.
+pub(crate) const SERVER: PeerId = PeerId(0);
+/// Decision threshold for assigning a tag.
+const VOTE_THRESHOLD: f64 = 0.0;
+/// Minimum number of tags assigned when nothing reaches the threshold.
+const MIN_TAGS: usize = 1;
+
 /// Configuration of the centralized baseline.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CentralizedConfig {
-    /// The peer acting as the central server.
-    pub server: PeerId,
-    /// Trainer for the per-tag linear SVMs on the pooled data.
-    pub svm: LinearSvmTrainer,
-    /// One-vs-all reduction settings.
-    pub one_vs_all: OneVsAllTrainer,
-    /// Decision threshold for assigning a tag.
-    pub vote_threshold: f64,
-    /// Minimum number of tags assigned when nothing reaches the threshold.
-    pub min_tags: usize,
     /// When set, uploads and refinements run through the reliable-delivery
     /// layer ([`crate::reliable::ReliableLink`]): sequence-numbered
     /// checksummed frames, ack/timeout retransmission with exponential
     /// backoff, every attempt charged in wire bytes. `None` (the default)
     /// sends each frame once, with no wrapper bytes and no acks.
     pub reliability: Option<ReliabilityConfig>,
-}
-
-impl Default for CentralizedConfig {
-    fn default() -> Self {
-        Self {
-            server: PeerId(0),
-            svm: LinearSvmTrainer::default(),
-            one_vs_all: OneVsAllTrainer::default(),
-            vote_threshold: 0.0,
-            min_tags: 1,
-            reliability: None,
-        }
-    }
 }
 
 /// The centralized baseline instance.
@@ -112,10 +97,7 @@ impl Centralized {
         }
         // The pooled server-side dataset is the largest one-vs-all problem
         // in the system, so this is where the shared CSR arena pays the most.
-        let model = self
-            .config
-            .one_vs_all
-            .train_linear_csr(&self.pooled, &self.config.svm);
+        let model = fit_linear(&self.pooled, None);
         self.model = (model.num_tags() > 0).then_some(model);
         self.matrix = self.model.as_ref().map(OneVsAllModel::weight_matrix);
     }
@@ -133,13 +115,12 @@ impl Centralized {
         kind: MessageKind,
         data: &MultiLabelDataset,
     ) -> Option<MultiLabelDataset> {
-        let server = self.config.server;
         let frame = wire::encode_dataset(data);
         // A corrupted frame that fails strict decode never reaches the pool:
         // the upload counts as lost and is retried later.
         let delivered = self
             .link
-            .send_frame(net, from, server, kind, &frame, |b| {
+            .send_frame(net, from, SERVER, kind, &frame, |b| {
                 wire::decode_dataset(b).is_ok()
             })
             .ok()?;
@@ -160,10 +141,7 @@ impl Centralized {
             return;
         }
         let prev = self.model.take().expect("checked above");
-        let model =
-            self.config
-                .one_vs_all
-                .train_linear_warm_csr(&self.pooled, &self.config.svm, &prev);
+        let model = fit_linear(&self.pooled, Some(&prev));
         self.model = (model.num_tags() > 0).then_some(model);
         self.matrix = self.model.as_ref().map(OneVsAllModel::weight_matrix);
     }
@@ -183,13 +161,12 @@ impl P2PTagClassifier for Centralized {
         let n = net.num_peers().max(peer_data.len());
         self.pending = vec![MultiLabelDataset::new(); n];
         self.uploaded = vec![MultiLabelDataset::new(); n];
-        let server = self.config.server;
         for (i, data) in peer_data.iter().enumerate() {
             let peer = PeerId::from(i);
             if data.is_empty() {
                 continue;
             }
-            if peer == server {
+            if peer == SERVER {
                 // Pooled locally — still recorded in the ledger so a server
                 // crash-restart can recover its own share without a send.
                 self.uploaded[i].extend_from(data);
@@ -235,8 +212,7 @@ impl P2PTagClassifier for Centralized {
         let Some(matrix) = &self.matrix else {
             return Err(ProtocolError::NoModelReachable);
         };
-        let server = self.config.server;
-        if peer == server {
+        if peer == SERVER {
             // Local query at the server: no communication, no codec.
             return Ok(matrix.scores(x));
         }
@@ -246,7 +222,7 @@ impl P2PTagClassifier for Centralized {
         // the scores decoded from the response.
         let query = wire::encode_query(x);
         let x_eval = wire::decode_query(&query).expect("self-encoded query frame decodes");
-        net.send(peer, server, MessageKind::PredictionQuery, query.len())
+        net.send(peer, SERVER, MessageKind::PredictionQuery, query.len())
             .map_err(|_| ProtocolError::NoModelReachable)?;
         let response = wire::encode_scores(&matrix.scores(&x_eval));
         let scores = wire::decode_scores(&response).expect("self-encoded score frame decodes");
@@ -257,7 +233,7 @@ impl P2PTagClassifier for Centralized {
         // up in the network fault counters instead). Fault-free runs never
         // take the error arm: the requester was checked online above and no
         // simulated time passes mid-query.
-        net.send(server, peer, MessageKind::PredictionResponse, response_size)
+        net.send(SERVER, peer, MessageKind::PredictionResponse, response_size)
             .map_err(|_| ProtocolError::NoModelReachable)?;
         Ok(scores)
     }
@@ -271,8 +247,8 @@ impl P2PTagClassifier for Centralized {
         let scores = self.scores(net, peer, x)?;
         Ok(crate::protocol::select_tags(
             &scores,
-            self.config.vote_threshold,
-            self.config.min_tags,
+            VOTE_THRESHOLD,
+            MIN_TAGS,
         ))
     }
 
@@ -284,7 +260,6 @@ impl P2PTagClassifier for Centralized {
         if !self.trained {
             return Err(ProtocolError::NotTrained);
         }
-        let server = self.config.server;
         if self.pending.len() < new_data.len().max(net.num_peers()) {
             self.pending.resize(
                 new_data.len().max(net.num_peers()),
@@ -306,7 +281,7 @@ impl P2PTagClassifier for Centralized {
                 continue;
             }
             let peer = PeerId::from(i);
-            let landed = if peer == server {
+            let landed = if peer == SERVER {
                 std::mem::take(&mut self.pending[i])
             } else {
                 if !net.is_online(peer) {
@@ -346,9 +321,8 @@ impl P2PTagClassifier for Centralized {
         if !net.is_online(peer) {
             return Err(ProtocolError::PeerOffline);
         }
-        let server = self.config.server;
         let mut received = example.clone();
-        if peer != server {
+        if peer != SERVER {
             let frame = wire::encode_example(example);
             // Strict decode: a frame damaged in transit is a lost
             // refinement, never a garbage example in the pool.
@@ -357,7 +331,7 @@ impl P2PTagClassifier for Centralized {
                 .send_frame(
                     net,
                     peer,
-                    server,
+                    SERVER,
                     MessageKind::RefinementUpdate,
                     &frame,
                     |b| wire::decode_example(b).is_ok(),
@@ -381,7 +355,7 @@ impl P2PTagClassifier for Centralized {
         // dataset and the global model (the catastrophic single point of
         // failure the paper warns about in §1). Contributors keep their
         // durable `uploaded` ledgers, which is what `resync` rebuilds from.
-        if peer == self.config.server {
+        if peer == SERVER {
             self.pooled = MultiLabelDataset::new();
             self.model = None;
             self.matrix = None;
@@ -389,8 +363,7 @@ impl P2PTagClassifier for Centralized {
     }
 
     fn resync(&mut self, net: &mut P2PNetwork, peer: PeerId) -> usize {
-        let server = self.config.server;
-        if !self.trained || peer != server || !self.pooled.is_empty() || !net.is_online(server) {
+        if !self.trained || peer != SERVER || !self.pooled.is_empty() || !net.is_online(SERVER) {
             return 0;
         }
         // Anti-entropy after a server crash-restart: every contributor
@@ -404,7 +377,7 @@ impl P2PTagClassifier for Centralized {
                 continue;
             }
             let contributor = PeerId::from(i);
-            let landed = if contributor == server {
+            let landed = if contributor == SERVER {
                 // The server's own share never left the machine.
                 Some(self.uploaded[i].clone())
             } else if net.is_online(contributor) {
@@ -416,7 +389,7 @@ impl P2PTagClassifier for Centralized {
             match landed {
                 Some(batch) => {
                     self.pooled.extend_from(&batch);
-                    if contributor != server {
+                    if contributor != SERVER {
                         self.link.note_resync();
                         net.note_resync();
                     }

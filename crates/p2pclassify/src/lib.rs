@@ -44,7 +44,7 @@ pub mod prelude {
     pub use crate::cempar::{Cempar, CemparConfig};
     pub use crate::centralized::{Centralized, CentralizedConfig};
     pub use crate::error::ProtocolError;
-    pub use crate::local::{LocalOnly, LocalOnlyConfig};
+    pub use crate::local::LocalOnly;
     pub use crate::pace::{Pace, PaceConfig};
     pub use crate::protocol::{P2PTagClassifier, PeerDataMap};
     pub use crate::reliable::{LinkStats, ReliableLink};
@@ -54,7 +54,7 @@ pub mod prelude {
 pub use cempar::{Cempar, CemparConfig};
 pub use centralized::{Centralized, CentralizedConfig};
 pub use error::ProtocolError;
-pub use local::{LocalOnly, LocalOnlyConfig};
+pub use local::LocalOnly;
 pub use pace::{Pace, PaceConfig};
 pub use protocol::{P2PTagClassifier, PeerDataMap};
 pub use reliable::{LinkStats, ReliableLink};

@@ -16,13 +16,17 @@ use p2psim::{P2PNetwork, PeerId};
 use std::collections::BTreeSet;
 use textproc::SparseVector;
 
-/// Configuration of the local-only baseline.
-#[derive(Debug, Clone, Default)]
-pub struct LocalOnlyConfig {
-    /// Trainer for the per-tag linear SVMs.
-    pub svm: LinearSvmTrainer,
-    /// One-vs-all reduction settings.
-    pub one_vs_all: OneVsAllTrainer,
+/// One default linear SVM per tag over `data`, warm-started from `prev`
+/// when given: the learner of the local-only and centralized baselines.
+pub(crate) fn fit_linear(
+    data: &MultiLabelDataset,
+    prev: Option<&OneVsAllModel<LinearSvm>>,
+) -> OneVsAllModel<LinearSvm> {
+    let (ova, svm) = (OneVsAllTrainer::default(), LinearSvmTrainer::default());
+    match prev {
+        Some(prev) => ova.train_linear_warm_csr(data, &svm, prev),
+        None => ova.train_linear_csr(data, &svm),
+    }
 }
 
 /// A peer's local model together with its packed scoring matrix.
@@ -49,26 +53,19 @@ impl LocalModel {
 /// refit never forks, batches of peers fan out in [`LocalOnly::train`] /
 /// [`LocalOnly::train_incremental`].
 pub(crate) fn train_local_only(
-    config: &LocalOnlyConfig,
     data: &MultiLabelDataset,
     warm: Option<&OneVsAllModel<LinearSvm>>,
 ) -> Option<LocalModel> {
     if data.is_empty() {
         return None;
     }
-    let m = parallel::inline(|| match warm {
-        Some(prev) => config
-            .one_vs_all
-            .train_linear_warm_csr(data, &config.svm, prev),
-        None => config.one_vs_all.train_linear_csr(data, &config.svm),
-    });
+    let m = parallel::inline(|| fit_linear(data, warm));
     (m.num_tags() > 0).then(|| LocalModel::build(m))
 }
 
 /// The local-only baseline instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LocalOnly {
-    config: LocalOnlyConfig,
     models: Vec<Option<LocalModel>>,
     local_data: Vec<MultiLabelDataset>,
     trained: bool,
@@ -76,13 +73,8 @@ pub struct LocalOnly {
 
 impl LocalOnly {
     /// Creates an untrained local-only baseline.
-    pub fn new(config: LocalOnlyConfig) -> Self {
-        Self {
-            config,
-            models: Vec::new(),
-            local_data: Vec::new(),
-            trained: false,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of peers that managed to train a usable local model.
@@ -104,7 +96,7 @@ impl LocalOnly {
         data: &MultiLabelDataset,
         warm: Option<&LocalModel>,
     ) -> Option<LocalModel> {
-        train_local_only(&self.config, data, warm.map(|w| &w.model))
+        train_local_only(data, warm.map(|w| &w.model))
     }
 
     fn train_peer(&mut self, peer: PeerId) {
@@ -290,7 +282,7 @@ mod tests {
                 two_tag_example(3, 6, 0.8),
             ]),
         ];
-        let mut local = LocalOnly::new(LocalOnlyConfig::default());
+        let mut local = LocalOnly::new();
         local.train(&mut net, &data).unwrap();
         assert_eq!(local.peers_with_models(), 2);
         // Peer 0 cannot ever produce tag 2, no matter the document.
@@ -314,7 +306,7 @@ mod tests {
             MultiLabelDataset::new(),
             MultiLabelDataset::new(),
         ];
-        let mut local = LocalOnly::new(LocalOnlyConfig::default());
+        let mut local = LocalOnly::new();
         local.train(&mut net, &data).unwrap();
         local
             .predict(&mut net, PeerId(0), &SparseVector::from_pairs([(0, 1.0)]))
@@ -330,7 +322,7 @@ mod tests {
             MultiLabelDataset::from_examples(vec![two_tag_example(0, 1, 1.0); 4]),
             MultiLabelDataset::new(),
         ];
-        let mut local = LocalOnly::new(LocalOnlyConfig::default());
+        let mut local = LocalOnly::new();
         local.train(&mut net, &data).unwrap();
         assert_eq!(
             local
@@ -348,7 +340,7 @@ mod tests {
             MultiLabelDataset::from_examples(vec![two_tag_example(1, 2, 1.0); 4]),
             MultiLabelDataset::new(),
         ];
-        let mut local = LocalOnly::new(LocalOnlyConfig::default());
+        let mut local = LocalOnly::new();
         assert_eq!(
             local.train_incremental(&mut net, &data).unwrap_err(),
             ProtocolError::NotTrained
@@ -390,7 +382,7 @@ mod tests {
             MultiLabelDataset::from_examples(vec![two_tag_example(0, 1, 1.0); 4]),
             MultiLabelDataset::new(),
         ];
-        let mut local = LocalOnly::new(LocalOnlyConfig::default());
+        let mut local = LocalOnly::new();
         local.train(&mut net, &data).unwrap();
         for i in 0..4 {
             local

@@ -49,6 +49,18 @@ use textproc::SparseVector;
 /// network size while keeping every core busy within a chunk.
 const TRAIN_CHUNK: usize = 512;
 
+/// Sharpness of the distance adaptation: a consulted model's vote weight is
+/// `accuracy · exp(−sharpness · distance)`, so larger values would
+/// concentrate the ensemble on models whose training data resembles the
+/// test document.
+const DISTANCE_SHARPNESS: f64 = 2.0;
+
+/// Coverage damping of per-tag vote normalization (see
+/// [`ConfidenceVoteAccumulator`]): `0.0` would fully trust the models that
+/// know a tag however few they are, `1.0` count every ignorant model as a
+/// "no" vote.
+const COVERAGE_DAMPING: f64 = 0.4;
+
 /// Configuration of the PACE protocol.
 #[derive(Debug, Clone)]
 pub struct PaceConfig {
@@ -73,16 +85,6 @@ pub struct PaceConfig {
     pub rel_threshold: f64,
     /// Minimum number of tags assigned when nothing reaches the threshold.
     pub min_tags: usize,
-    /// Sharpness of the distance adaptation: a consulted model's vote weight
-    /// is `accuracy · exp(−sharpness · distance)`, so larger values
-    /// concentrate the ensemble on models whose training data resembles the
-    /// test document.
-    pub distance_sharpness: f64,
-    /// Coverage damping of per-tag vote normalization (see
-    /// [`ConfidenceVoteAccumulator`]): `0.0` fully trusts the models that
-    /// know a tag however few they are, `1.0` counts every ignorant model as
-    /// a "no" vote.
-    pub coverage_damping: f64,
     /// When set, model propagation runs through the reliable-delivery layer
     /// ([`crate::reliable::ReliableLink`]): sequence-numbered checksummed
     /// frames, ack/timeout retransmission with exponential backoff, every
@@ -106,8 +108,6 @@ impl Default for PaceConfig {
             vote_threshold: 0.0,
             rel_threshold: 0.7,
             min_tags: 1,
-            distance_sharpness: 2.0,
-            coverage_damping: 0.4,
             reliability: None,
         }
     }
@@ -361,7 +361,6 @@ pub(crate) fn rank_pace_models<'a>(
 /// vote accumulator: no per-model allocation, no per-model sort (the
 /// combination is per tag, so the order of a model's votes is irrelevant).
 pub(crate) fn combine_pace_votes(
-    config: &PaceConfig,
     nearest: &[(&PaceModel, f64)],
     x: &SparseVector,
 ) -> Vec<TagPrediction> {
@@ -369,7 +368,7 @@ pub(crate) fn combine_pace_votes(
     let mut decisions = Vec::new();
     let mut votes = Vec::new();
     for &(m, dist) in nearest {
-        let weight = m.accuracy * (-config.distance_sharpness * dist).exp();
+        let weight = m.accuracy * (-DISTANCE_SHARPNESS * dist).exp();
         acc.add_voter(weight);
         m.matrix
             .confidence_votes_into(x, &mut decisions, &mut votes);
@@ -377,7 +376,7 @@ pub(crate) fn combine_pace_votes(
             acc.add_vote(p.tag, weight, p.score);
         }
     }
-    acc.finish(config.coverage_damping)
+    acc.finish(COVERAGE_DAMPING)
 }
 
 /// The PACE protocol instance.
@@ -598,12 +597,13 @@ impl Pace {
         // normalization and coverage damping live in
         // [`ConfidenceVoteAccumulator`], reached through the driver-shared
         // [`combine_pace_votes`] body.
-        Ok(combine_pace_votes(&self.config, &nearest, x))
+        Ok(combine_pace_votes(&nearest, x))
     }
 }
 
 /// PACE's reference query path, the oracle the production path is tested
-/// against: retrieval through [`LshIndex::query`] (or every held model when
+/// against: retrieval through [`LshIndex::query_batched`] (which `ml`'s tests
+/// hold identical to the scalar `LshIndex::query`; or every held model when
 /// `use_lsh` is off) with each hit re-priced centroid by centroid with
 /// [`SparseVector::distance`], then one [`OneVsAllModel::scores`] list per
 /// consulted model combined by
@@ -638,7 +638,7 @@ impl Pace {
         let held: Vec<&PaceModel> = if self.config.use_lsh {
             let mut seen = BTreeSet::new();
             self.index
-                .query(x, self.config.top_k * 4 + 8)
+                .query_batched(x, self.config.top_k * 4 + 8)
                 .into_iter()
                 .filter(|&(source, _)| available.contains(*source) && seen.insert(*source))
                 .filter_map(|(source, _)| self.model_of(*source))
@@ -664,13 +664,13 @@ impl Pace {
                         ..p
                     })
                     .collect();
-                let weight = m.accuracy * (-self.config.distance_sharpness * dist).exp();
+                let weight = m.accuracy * (-DISTANCE_SHARPNESS * dist).exp();
                 (weight, confidences)
             })
             .collect();
         Ok(crate::protocol::combine_confidence_votes(
             &votes,
-            self.config.coverage_damping,
+            COVERAGE_DAMPING,
         ))
     }
 }

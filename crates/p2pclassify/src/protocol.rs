@@ -75,7 +75,7 @@ pub trait P2PTagClassifier {
     ///
     /// Protocols warm-start from the per-peer models they already hold —
     /// linear models refit with a few SGD passes from the stored weights
-    /// ([`ml::svm::LinearSvmTrainer::train_warm`]), kernel models retrain on
+    /// ([`ml::svm::CsrLinearTrainer::train_warm`]), kernel models retrain on
     /// their retained support vectors pooled with the new examples — and
     /// re-propagate only the affected models/regions. A full
     /// [`Self::train`] on the cumulative data remains the accuracy

@@ -429,7 +429,10 @@ mod tests {
     /// An install whose inner kernel frame carries the first frame version
     /// (per-tag kernel bodies) installs nothing: its version byte is
     /// rejected before the body is read, so the old layout is never misread
-    /// as a dictionary.
+    /// as a dictionary. Neither does one whose kernel part names a retired
+    /// kernel (tag 1, RBF, or tag 2, polynomial, with their parameters):
+    /// the decoder that refuses it here is the one legacy `Cempar`'s
+    /// delivery check runs.
     #[test]
     fn installs_whose_kernel_part_has_version_one_are_rejected() {
         let config = CemparConfig::default();
@@ -454,11 +457,48 @@ mod tests {
             Some(wire::WireError::BadVersion(1))
         );
 
+        // The last tag's head, kernel tag byte first, sits before its one
+        // dictionary id per support vector (one byte each: the dictionary
+        // is small) at the end of the frame.
+        let (_, last) = model.iter().last().expect("a tag");
+        let mut inline = Vec::new();
+        ml::codec::encode_kernel_svm(last, WeightPrecision::F64, &mut inline);
+        let vectors: usize = (last.support_vectors().iter())
+            .map(|sv| {
+                let mut buf = Vec::new();
+                ml::codec::encode_vector(&sv.vector, &mut buf);
+                buf.len()
+            })
+            .sum();
+        let head = inline.len() - vectors;
+        let at = current.len() - head - last.num_support_vectors();
+        assert_eq!(current[at], 0, "the linear kernel's tag");
+        let retired = |tag: u8, params: &[f64], degree: Option<u8>| {
+            let mut frame = current[..at].to_vec();
+            frame.push(tag);
+            params.iter().for_each(|p| frame.extend(p.to_le_bytes()));
+            frame.extend(degree);
+            frame.extend(&current[at + 1..]);
+            frame
+        };
+        let rbf = retired(1, &[0.7], None);
+        let polynomial = retired(2, &[0.3, 1.0], Some(3));
+
         let peers: Vec<PeerId> = (0..4).map(PeerId).collect();
         let mut observer = CemparCore::new(PeerId(0), peers, config);
-        let out = observer.ingest(0, PeerId(2), &wire::encode_install(2, 1, &[&old]));
-        assert!(out.is_empty(), "{out:?}");
-        assert!(observer.installed_versions().is_empty());
+        for frame in [&old, &rbf, &polynomial] {
+            let out = observer.ingest(0, PeerId(2), &wire::encode_install(2, 1, &[frame]));
+            assert!(out.is_empty(), "{out:?}");
+            assert!(observer.installed_versions().is_empty());
+        }
+        for frame in [&rbf, &polynomial] {
+            assert_eq!(
+                wire::decode_kernel_model(frame).err(),
+                Some(wire::WireError::Codec(ml::codec::CodecError::Invalid(
+                    "unknown kernel tag"
+                )))
+            );
+        }
         let out = observer.ingest(0, PeerId(2), &wire::encode_install(2, 1, &[&current]));
         assert!(matches!(
             out.as_slice(),

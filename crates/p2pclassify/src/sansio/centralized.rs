@@ -9,7 +9,8 @@
 
 use super::reliable::ReliableCore;
 use super::{LocalEffect, Millis, Output, ProtocolCore};
-use crate::centralized::CentralizedConfig;
+use crate::centralized::{CentralizedConfig, SERVER};
+use crate::local::fit_linear;
 use crate::reliable::LinkStats;
 use crate::wire::{self, PayloadKind};
 use ml::batch::TagWeightMatrix;
@@ -25,7 +26,6 @@ use textproc::SparseVector;
 #[derive(Debug, Clone)]
 pub struct CentralizedCore {
     id: PeerId,
-    config: CentralizedConfig,
     local_data: MultiLabelDataset,
     /// This peer's upload version (bumped per retrain).
     my_version: u64,
@@ -41,13 +41,11 @@ pub struct CentralizedCore {
 }
 
 impl CentralizedCore {
-    /// A fresh core for `id`. The server peer is named by
-    /// [`CentralizedConfig::server`].
+    /// A fresh core for `id`. The server is peer 0.
     pub fn new(id: PeerId, config: CentralizedConfig) -> Self {
         let link = ReliableCore::new(config.reliability);
         Self {
             id,
-            config,
             local_data: MultiLabelDataset::new(),
             my_version: 0,
             uploads: BTreeMap::new(),
@@ -80,7 +78,7 @@ impl CentralizedCore {
     }
 
     fn is_server(&self) -> bool {
-        self.id == self.config.server
+        self.id == SERVER
     }
 
     /// Appends `data` and uploads the full local collection to the server at
@@ -101,13 +99,8 @@ impl CentralizedCore {
                 out.push(effect);
             }
         } else {
-            self.link.send(
-                now,
-                self.config.server,
-                MessageKind::TrainingData,
-                envelope,
-                &mut out,
-            );
+            self.link
+                .send(now, SERVER, MessageKind::TrainingData, envelope, &mut out);
         }
         out
     }
@@ -145,10 +138,7 @@ impl CentralizedCore {
             self.matrix = None;
             return;
         }
-        let model = self
-            .config
-            .one_vs_all
-            .train_linear_csr(&pooled, &self.config.svm);
+        let model = fit_linear(&pooled, None);
         self.matrix = (model.num_tags() > 0).then(|| model.weight_matrix());
     }
 
@@ -176,7 +166,7 @@ impl CentralizedCore {
         } else {
             self.link.send(
                 now,
-                self.config.server,
+                SERVER,
                 MessageKind::PredictionQuery,
                 wire::encode_query_request(request, x),
                 &mut out,

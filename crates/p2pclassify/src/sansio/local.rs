@@ -6,7 +6,7 @@
 //! driver observes from one is a bug.
 
 use super::{LocalEffect, Millis, Output, ProtocolCore};
-use crate::local::{train_local_only, LocalModel, LocalOnlyConfig};
+use crate::local::{train_local_only, LocalModel};
 use crate::reliable::LinkStats;
 use ml::MultiLabelDataset;
 use p2psim::PeerId;
@@ -16,7 +16,6 @@ use textproc::SparseVector;
 #[derive(Debug, Clone)]
 pub struct LocalCore {
     id: PeerId,
-    config: LocalOnlyConfig,
     local_data: MultiLabelDataset,
     model: Option<LocalModel>,
     version: u64,
@@ -25,10 +24,9 @@ pub struct LocalCore {
 
 impl LocalCore {
     /// A fresh core for `id`.
-    pub fn new(id: PeerId, config: LocalOnlyConfig) -> Self {
+    pub fn new(id: PeerId) -> Self {
         Self {
             id,
-            config,
             local_data: MultiLabelDataset::new(),
             model: None,
             version: 0,
@@ -59,7 +57,7 @@ impl LocalCore {
     pub fn train(&mut self, _now: Millis, data: &MultiLabelDataset) -> Vec<Output> {
         self.local_data.extend_from(data);
         let warm = self.model.as_ref().map(|m| &m.model);
-        match train_local_only(&self.config, &self.local_data, warm) {
+        match train_local_only(&self.local_data, warm) {
             Some(model) => {
                 self.model = Some(model);
                 self.version += 1;

@@ -170,7 +170,7 @@ impl PaceCore {
         let scores = if nearest.is_empty() {
             Vec::new()
         } else {
-            combine_pace_votes(&self.config, &nearest, x)
+            combine_pace_votes(&nearest, x)
         };
         (
             request,

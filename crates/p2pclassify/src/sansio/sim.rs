@@ -204,7 +204,6 @@ mod tests {
     use super::*;
     use crate::cempar::CemparConfig;
     use crate::centralized::CentralizedConfig;
-    use crate::local::LocalOnlyConfig;
     use crate::pace::PaceConfig;
     use crate::sansio::{CemparCore, CentralizedCore, LocalCore, PaceCore};
     use ml::MultiLabelExample;
@@ -338,7 +337,7 @@ mod tests {
         let peers = peer_ids(3);
         let cores = peers
             .iter()
-            .map(|&p| PeerCore::Local(LocalCore::new(p, LocalOnlyConfig::default())))
+            .map(|&p| PeerCore::Local(LocalCore::new(p)))
             .collect();
         let mut driver = SimDriver::new(cores);
         for (i, &p) in peers.iter().enumerate() {

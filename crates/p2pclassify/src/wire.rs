@@ -552,7 +552,7 @@ mod tests {
     #[test]
     fn pace_model_frame_roundtrips() {
         let ds = toy_dataset();
-        let model = OneVsAllTrainer::default().train_linear(&ds, &LinearSvmTrainer::default());
+        let model = OneVsAllTrainer::default().train_linear_csr(&ds, &LinearSvmTrainer::default());
         let bytes = encode_pace_model(&model, 0.9375, WeightPrecision::F64);
         assert_eq!(bytes[0], MAGIC);
         assert_eq!(bytes[1], VERSION);
@@ -566,7 +566,7 @@ mod tests {
     #[test]
     fn pace_frames_carry_finite_values_and_an_accuracy_in_the_unit_interval() {
         let ds = toy_dataset();
-        let model = OneVsAllTrainer::default().train_linear(&ds, &LinearSvmTrainer::default());
+        let model = OneVsAllTrainer::default().train_linear_csr(&ds, &LinearSvmTrainer::default());
         fn invalid<T>(what: &'static str) -> Result<T, WireError> {
             Err(WireError::Codec(CodecError::Invalid(what)))
         }
@@ -598,7 +598,8 @@ mod tests {
     #[test]
     fn kernel_model_frame_roundtrips() {
         let ds = toy_dataset();
-        let model = OneVsAllTrainer::default().train_kernel(&ds, &KernelSvmTrainer::default());
+        let model =
+            OneVsAllTrainer::default().train_kernel_shared(&ds, &KernelSvmTrainer::default());
         let bytes = encode_kernel_model(&model, WeightPrecision::F64);
         let decoded = decode_kernel_model(&bytes).unwrap();
         for (x, _) in ds.iter() {
@@ -611,7 +612,8 @@ mod tests {
         // Version 1 wrote every support vector once per tag; its frames must
         // fail the version check, not be read as a dictionary.
         let ds = toy_dataset();
-        let model = OneVsAllTrainer::default().train_kernel(&ds, &KernelSvmTrainer::default());
+        let model =
+            OneVsAllTrainer::default().train_kernel_shared(&ds, &KernelSvmTrainer::default());
         let mut bytes = encode_kernel_model(&model, WeightPrecision::F64);
         assert_eq!(bytes[1], 3);
         bytes[1] = 1;
@@ -627,7 +629,7 @@ mod tests {
         // Version 2 wrote each tag's index block; its linear frames, and
         // the install envelopes carrying them, must fail the version check.
         let ds = toy_dataset();
-        let model = OneVsAllTrainer::default().train_linear(&ds, &LinearSvmTrainer::default());
+        let model = OneVsAllTrainer::default().train_linear_csr(&ds, &LinearSvmTrainer::default());
         let mut linear = encode_pace_model(&model, 0.5, WeightPrecision::F64);
         let centroids = encode_centroids(&[SparseVector::from_pairs([(0, 1.0)])]);
         let mut install = encode_install(4, 1, &[&linear, &centroids]);

@@ -10,8 +10,8 @@
 
 use ml::{MultiLabelDataset, MultiLabelExample, TagId};
 use p2pclassify::{
-    Cempar, CemparConfig, Centralized, CentralizedConfig, LocalOnly, LocalOnlyConfig,
-    P2PTagClassifier, Pace, PaceConfig,
+    Cempar, CemparConfig, Centralized, CentralizedConfig, LocalOnly, P2PTagClassifier, Pace,
+    PaceConfig,
 };
 use p2psim::{P2PNetwork, PeerId, SimConfig};
 use rand::rngs::StdRng;
@@ -112,7 +112,7 @@ fn pace_predict_batch_equals_sequential() {
 
 #[test]
 fn local_only_predict_batch_equals_sequential() {
-    assert_batch_equals_sequential(6, 82, || LocalOnly::new(LocalOnlyConfig::default()));
+    assert_batch_equals_sequential(6, 82, LocalOnly::new);
 }
 
 #[test]

@@ -8,9 +8,7 @@
 //! `#[test]` entry point.
 
 use ml::{MultiLabelDataset, MultiLabelExample, TagId};
-use p2pclassify::{
-    Cempar, CemparConfig, LocalOnly, LocalOnlyConfig, P2PTagClassifier, Pace, PaceConfig,
-};
+use p2pclassify::{Cempar, CemparConfig, LocalOnly, P2PTagClassifier, Pace, PaceConfig};
 use p2psim::churn::ChurnModel;
 use p2psim::{P2PNetwork, PeerId, SimConfig, SimTime};
 use rand::rngs::StdRng;
@@ -107,5 +105,5 @@ fn assert_worker_count_changes_no_bits<P: P2PTagClassifier>(make: impl Fn() -> P
 fn worker_count_changes_no_bits_of_a_train_increment_refine_script() {
     assert_worker_count_changes_no_bits(|| Pace::new(PaceConfig::default()));
     assert_worker_count_changes_no_bits(|| Cempar::new(CemparConfig::for_network(PEERS)));
-    assert_worker_count_changes_no_bits(|| LocalOnly::new(LocalOnlyConfig::default()));
+    assert_worker_count_changes_no_bits(LocalOnly::new);
 }

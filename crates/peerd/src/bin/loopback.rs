@@ -14,7 +14,7 @@
 
 use ml::TagId;
 use p2pclassify::sansio::{CemparCore, CentralizedCore, LocalCore, PaceCore, PeerCore};
-use p2pclassify::{CemparConfig, CentralizedConfig, LocalOnlyConfig, PaceConfig};
+use p2pclassify::{CemparConfig, CentralizedConfig, PaceConfig};
 use p2psim::PeerId;
 use peerd::corpus;
 use peerd::LoopbackHarness;
@@ -34,7 +34,7 @@ fn fleet(protocol: &str, peers: &[PeerId]) -> Vec<PeerCore> {
             "centralized" => {
                 PeerCore::Centralized(CentralizedCore::new(p, CentralizedConfig::default()))
             }
-            "local" => PeerCore::Local(LocalCore::new(p, LocalOnlyConfig::default())),
+            "local" => PeerCore::Local(LocalCore::new(p)),
             other => panic!("unknown protocol {other}"),
         })
         .collect()

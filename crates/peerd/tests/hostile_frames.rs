@@ -47,7 +47,7 @@ fn a_daemon_refuses_nan_centroid_and_out_of_range_accuracy_installs() {
     let (target, source) = (peers[0], peers[1]);
 
     let data = &corpus::peer_data(1, 12, 0xC0FFEE)[0];
-    let model = OneVsAllTrainer::default().train_linear(data, &LinearSvmTrainer::default());
+    let model = OneVsAllTrainer::default().train_linear_csr(data, &LinearSvmTrainer::default());
     let model_frame = wire::encode_pace_model(&model, ACCURACY, WeightPrecision::F64);
     let centroids = [SparseVector::from_pairs([(0, CENTROID_VALUE), (1, 0.5)])];
     let centroid_frame = wire::encode_centroids(&centroids);

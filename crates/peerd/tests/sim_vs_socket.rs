@@ -12,7 +12,7 @@
 use p2pclassify::sansio::{
     CemparCore, CentralizedCore, LocalCore, LocalEffect, PaceCore, PeerCore, SimDriver,
 };
-use p2pclassify::{CemparConfig, CentralizedConfig, LocalOnlyConfig, PaceConfig};
+use p2pclassify::{CemparConfig, CentralizedConfig, PaceConfig};
 use p2psim::PeerId;
 use peerd::corpus;
 use peerd::LoopbackHarness;
@@ -157,7 +157,7 @@ fn local_sim_and_socket_agree() {
     assert_drivers_agree("local", &peers, || {
         peers
             .iter()
-            .map(|&p| PeerCore::Local(LocalCore::new(p, LocalOnlyConfig::default())))
+            .map(|&p| PeerCore::Local(LocalCore::new(p)))
             .collect()
     });
 }

@@ -526,13 +526,17 @@ proptest! {
         a in 0.5f64..3.0,
         b in -3.0f64..-0.5,
     ) {
-        let xs = vec![
+        let xs = [
             SparseVector::from_pairs([(0u32, a)]),
             SparseVector::from_pairs([(0u32, b)]),
         ];
-        let ys = vec![true, false];
-        let model = LinearSvmTrainer::default().train(&xs, &ys);
-        prop_assert!(model.predict(&xs[0]));
-        prop_assert!(!model.predict(&xs[1]));
+        let data = MultiLabelDataset::from_examples(vec![
+            MultiLabelExample::new(xs[0].clone(), [0]),
+            MultiLabelExample::new(xs[1].clone(), [1]),
+        ]);
+        let model = OneVsAllTrainer::default().train_linear_csr(&data, &LinearSvmTrainer::default());
+        let tag0 = model.classifier(0).expect("tag 0 trains");
+        prop_assert!(tag0.predict(&xs[0]));
+        prop_assert!(!tag0.predict(&xs[1]));
     }
 }
