@@ -17,8 +17,9 @@
 //!    [`SessionConfig::incremental`] is set, or a full retrain on the
 //!    cumulative manual set as the accuracy reference otherwise.
 //! 3. **Refine** — corrections scheduled from earlier epochs are applied
-//!    (users fix wrong automatic tags), exercising the protocols' refinement
-//!    path under churn.
+//!    (users fix wrong automatic tags) as one batch
+//!    ([`P2PDocTagger::refine_batch`]), exercising the protocols' refinement
+//!    path under churn; CEMPaR re-cascades once per batch.
 //! 4. **Auto-tag** — the epoch's untagged arrivals are tagged and scored
 //!    against the evaluation universe frozen at first learn.
 //!
@@ -348,10 +349,16 @@ impl SessionDriver {
             let refine_t = crate::timing::Stopwatch::start();
             let mut refined = 0usize;
             if learned {
+                // The epoch's corrections are one batch: CEMPaR re-cascades
+                // once for all of them.
                 let due = std::mem::take(&mut pending_refine);
-                for doc in due {
-                    let truth = self.truth_names(doc).clone();
-                    match self.system.refine(doc, truth) {
+                let corrections = due
+                    .iter()
+                    .map(|&doc| (doc, self.truth_names(doc).clone()))
+                    .collect();
+                let results = self.system.refine_batch(corrections);
+                for (doc, result) in due.into_iter().zip(results) {
+                    match result {
                         Ok(()) => {
                             refined += 1;
                             if !self.config.incremental {

@@ -358,7 +358,8 @@ impl P2PDocTagger {
     }
 
     /// Applies a user's tag correction: the library and tag store are updated,
-    /// the correction is logged, and the classification models adapt.
+    /// the correction is logged, and the classification models adapt. This is
+    /// the one-correction case of [`Self::refine_batch`].
     ///
     /// Tags inside the evaluation universe frozen at [`Self::learn`] time are
     /// folded into the models as a corrected example. Tags *outside* it
@@ -372,49 +373,79 @@ impl P2PDocTagger {
         doc: DocumentId,
         corrected: BTreeSet<String>,
     ) -> Result<(), ProtocolError> {
+        let mut results = self.refine_batch(vec![(doc, corrected)]);
+        results.pop().expect("one result per correction")
+    }
+
+    /// Applies a batch of tag corrections `(document, corrected tags)`, in
+    /// order, as one protocol refine batch
+    /// ([`P2PTagClassifier::refine_batch`]), and returns one result per
+    /// correction in input order. Each correction that succeeds is applied
+    /// as [`Self::refine`] applies it, in batch order (a document corrected
+    /// twice records the first correction's tags as the second's `before`);
+    /// one that fails leaves no trace in the library, the tag store, the
+    /// refinement log or the unseen-tag map.
+    pub fn refine_batch(
+        &mut self,
+        corrections: Vec<(DocumentId, BTreeSet<String>)>,
+    ) -> Vec<Result<(), ProtocolError>> {
         if !self.learned {
-            return Err(ProtocolError::NotTrained);
+            return corrections
+                .iter()
+                .map(|_| Err(ProtocolError::NotTrained))
+                .collect();
         }
-        let before = self.library.tags_of(doc);
-        let (user, example, unseen) = {
-            let corpus = self.corpus.as_ref().expect("ingested");
-            let user = corpus.document(doc).expect("document exists").user;
-            let mut tag_ids = BTreeSet::new();
-            let mut unseen = Vec::new();
-            for t in &corrected {
-                match corpus.tag_id(t) {
-                    Some(id) => {
-                        tag_ids.insert(id);
-                    }
-                    None => unseen.push(t.clone()),
-                }
-            }
-            let vectorized = self.vectorized.as_ref().expect("ingested");
-            (
-                user,
-                MultiLabelExample::new(vectorized.vector(doc).clone(), tag_ids),
-                unseen,
-            )
-        };
+        let corpus = self.corpus.as_ref().expect("ingested");
+        let vectorized = self.vectorized.as_ref().expect("ingested");
         let network = self.network.as_mut().expect("ingested");
-        let peer = PeerId::from(user % network.num_peers());
+        // Each correction's owner, example and unseen tag names.
+        let prepared: Vec<(usize, MultiLabelExample, Vec<String>)> = corrections
+            .iter()
+            .map(|(doc, corrected)| {
+                let user = corpus.document(*doc).expect("document exists").user;
+                let mut tag_ids = BTreeSet::new();
+                let mut unseen = Vec::new();
+                for t in corrected {
+                    match corpus.tag_id(t) {
+                        Some(id) => {
+                            tag_ids.insert(id);
+                        }
+                        None => unseen.push(t.clone()),
+                    }
+                }
+                let example = MultiLabelExample::new(vectorized.vector(*doc).clone(), tag_ids);
+                (user, example, unseen)
+            })
+            .collect();
         // An example whose known-tag set is empty is still informative: the
         // user is saying none of the modelled tags apply.
-        self.protocol.refine(network, peer, &example)?;
-        self.library
-            .assign(doc, user, corrected.clone(), TagSource::Refined);
-        self.tag_store
-            .set_tags(&Self::path_of(doc, user), corrected.iter().cloned());
-        for name in unseen {
-            self.unseen_refinements.entry(name).or_default().insert(doc);
+        let peers = network.num_peers();
+        let requests: Vec<(PeerId, &MultiLabelExample)> = prepared
+            .iter()
+            .map(|(user, example, _)| (PeerId::from(user % peers), example))
+            .collect();
+        let results = self.protocol.refine_batch(network, &requests);
+        let applied = corrections.into_iter().zip(prepared).zip(&results);
+        for (((doc, corrected), (user, _, unseen)), result) in applied {
+            if result.is_err() {
+                continue;
+            }
+            let before = self.library.tags_of(doc);
+            self.library
+                .assign(doc, user, corrected.clone(), TagSource::Refined);
+            self.tag_store
+                .set_tags(&Self::path_of(doc, user), corrected.iter().cloned());
+            for name in unseen {
+                self.unseen_refinements.entry(name).or_default().insert(doc);
+            }
+            self.refinements.record(Refinement {
+                doc,
+                user,
+                before,
+                after: corrected,
+            });
         }
-        self.refinements.record(Refinement {
-            doc,
-            user,
-            before,
-            after: corrected,
-        });
-        Ok(())
+        results
     }
 
     /// Advances simulated time (churn takes effect), e.g. between the learning
@@ -778,6 +809,116 @@ mod tests {
             sys.auto_tag(0).unwrap_err(),
             ProtocolError::NotTrained
         ));
+    }
+
+    /// A learned, auto-tagged CEMPaR system on a churned network, advanced
+    /// until owners have gone offline. Deterministic: two calls build equal
+    /// systems.
+    fn churned_cempar_system() -> (P2PDocTagger, TrainTestSplit) {
+        use p2psim::churn::ChurnModel;
+        let corpus = CorpusGenerator::new(CorpusSpec {
+            num_tags: 4,
+            num_users: 12,
+            min_docs_per_user: 8,
+            max_docs_per_user: 12,
+            words_per_doc: 30,
+            ..CorpusSpec::tiny()
+        })
+        .generate();
+        let split = TrainTestSplit::stratified_by_user(&corpus, 0.4, 9);
+        let mut sys = P2PDocTagger::new(DocTaggerConfig {
+            protocol: ProtocolKind::cempar(),
+            network: Some(SimConfig {
+                num_peers: corpus.num_users(),
+                churn: ChurnModel::Exponential {
+                    mean_session_secs: 900.0,
+                    mean_offline_secs: 300.0,
+                },
+                horizon_secs: 100_000,
+                seed: 46,
+                ..SimConfig::default()
+            }),
+            ..Default::default()
+        });
+        sys.ingest(&corpus);
+        sys.learn(&split).unwrap();
+        sys.auto_tag_all().unwrap();
+        sys.advance_time(p2psim::SimTime::from_secs(900));
+        (sys, split)
+    }
+
+    #[test]
+    fn refine_batch_equals_refining_each_document() {
+        let (mut batched, split) = churned_cempar_system();
+        let (mut one_by_one, _) = churned_cempar_system();
+        let net = batched.network().unwrap();
+        let corpus = batched.corpus().unwrap();
+        let online = |doc: &&DocumentId| {
+            let user = corpus.document(**doc).unwrap().user;
+            net.is_online(PeerId::from(user % net.num_peers()))
+        };
+        let reachable: Vec<DocumentId> = split.test.iter().filter(online).copied().collect();
+        let offline = *split
+            .test
+            .iter()
+            .find(|d| !online(d))
+            .expect("an offline owner");
+        let truth = |doc: DocumentId| corpus.document(doc).unwrap().tags.clone();
+        let (a, b) = (reachable[0], reachable[1]);
+        let mut with_unseen = truth(a);
+        with_unseen.insert("never-seen-before".to_string());
+        let corrections = vec![
+            (a, with_unseen),
+            (offline, truth(offline)),
+            (b, truth(b)),
+            (a, truth(a)),
+            (reachable[2], BTreeSet::new()),
+        ];
+
+        let want: Vec<_> = corrections
+            .iter()
+            .map(|(doc, tags)| one_by_one.refine(*doc, tags.clone()))
+            .collect();
+        let got = batched.refine_batch(corrections);
+        assert_eq!(got, want);
+        for (i, result) in got.iter().enumerate() {
+            let expected = if i == 1 {
+                Err(ProtocolError::PeerOffline)
+            } else {
+                Ok(())
+            };
+            assert_eq!(*result, expected, "correction {i}");
+        }
+
+        let entries = |sys: &P2PDocTagger| sys.library().iter().cloned().collect::<Vec<_>>();
+        assert_eq!(entries(&batched), entries(&one_by_one));
+        assert_eq!(
+            batched.tag_store().export(),
+            one_by_one.tag_store().export()
+        );
+        assert_eq!(batched.refinements(), one_by_one.refinements());
+        assert_eq!(
+            batched.unseen_tag_refinements(),
+            one_by_one.unseen_tag_refinements()
+        );
+        let (got, want) = (batched.network_stats(), one_by_one.network_stats());
+        assert_eq!(got.total_bytes(), want.total_bytes());
+        assert_eq!(got.total_messages(), want.total_messages());
+        // The second correction of `a` saw the first one's tags as `before`;
+        // the failed one left no trace.
+        let log: Vec<&Refinement> = batched.refinements().iter().collect();
+        assert_eq!(log.len(), 4);
+        assert_eq!(log[2].before, log[0].after);
+        assert!(log.iter().all(|r| r.doc != offline));
+        assert_ne!(
+            batched.library().entry(offline).map(|e| e.source),
+            Some(TagSource::Refined)
+        );
+        assert_eq!(
+            batched.unseen_tag_refinements()["never-seen-before"],
+            BTreeSet::from([a])
+        );
+        assert!(batched.refine_batch(Vec::new()).is_empty());
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!    the region).
 //! 5. **Refinement** — when a user corrects tags, the peer retrains its local
 //!    model and re-propagates it; the super-peer re-cascades the tags the
-//!    new model changed, not the whole region.
+//!    new model changed, not the whole region. A batch of corrections
+//!    re-cascades once, at its end, so a tag several of them change merges
+//!    once.
 //!
 //! Only support vectors (word-id/weight pairs) ever leave a peer — never raw
 //! text — which is the privacy argument the paper makes.
@@ -167,6 +169,9 @@ pub(crate) struct RegionCascade {
     scorer: BatchKernelScorer,
     /// Tags whose contributions changed since the last re-cascade.
     dirty: BTreeSet<TagId>,
+    /// Tags [`recascade`] merged into this cascade so far.
+    #[cfg(test)]
+    merged_tags: usize,
 }
 
 impl RegionCascade {
@@ -216,7 +221,10 @@ impl RegionCascade {
 /// Every other tag keeps its model: its contributors' classifiers are what
 /// they were at its last merge, and the merge is a pure function of them.
 /// So the result equals a from-scratch cascade of the same contributions,
-/// bit for bit, whichever changes led there.
+/// bit for bit, whichever changes led there. That is what lets CEMPaR's
+/// [`P2PTagClassifier::refine_batch`] run it once at the batch's end: a
+/// tag several corrections dirtied merges once, into the model a
+/// re-cascade after every correction would have left.
 pub(crate) fn recascade<'a, I>(config: &CemparConfig, mut regions: Vec<(I, &mut RegionCascade)>)
 where
     I: Iterator<Item = &'a OneVsAllModel<KernelSvm>> + Clone + Sync,
@@ -235,6 +243,10 @@ where
         cascade.merge_pools(&pools)
     });
     for ((_, region), merged) in regions.into_iter().zip(merged) {
+        #[cfg(test)]
+        {
+            region.merged_tags += region.dirty.len();
+        }
         for (&tag, model) in region.dirty.iter().zip(merged) {
             match model {
                 Some(model) => region.regional.insert(tag, model),
@@ -385,6 +397,57 @@ impl Cempar {
         state.cascade.replaced(state.contributed.get(&peer), &model);
         state.contributed.insert(peer, model);
         Ok(())
+    }
+
+    /// One correction of a refine batch: records `example` in the peer's
+    /// local data, refits the peer's model warm (previous support vectors +
+    /// any pending examples + the correction; cold only when the peer never
+    /// contributed) and propagates it to the super-peer, which marks the
+    /// tags it changed dirty. The caller re-cascades. A failed propagation
+    /// rolls the example back out of the local data.
+    fn correct(
+        &mut self,
+        net: &mut P2PNetwork,
+        peer: PeerId,
+        example: &MultiLabelExample,
+    ) -> Result<(), ProtocolError> {
+        if !self.trained {
+            return Err(ProtocolError::NotTrained);
+        }
+        if !net.is_online(peer) {
+            return Err(ProtocolError::PeerOffline);
+        }
+        let idx = peer.index();
+        if idx >= self.local_data.len() {
+            self.local_data.resize(idx + 1, MultiLabelDataset::new());
+        }
+        self.local_data[idx].push(example.clone());
+        let model = {
+            let region = self.region_of_peer(peer);
+            let prev = self.regions[region]
+                .as_ref()
+                .and_then(|s| s.contributed.get(&peer));
+            let mut new = self.pending.get(&peer).cloned().unwrap_or_default();
+            new.push(example.clone());
+            refit_cempar_local(&self.config, &self.local_data[idx], &new, prev)
+        };
+        let Some(model) = model else {
+            return Ok(());
+        };
+        match self.propagate_model(net, peer, model, MessageKind::RefinementUpdate) {
+            Ok(()) => {
+                self.pending.remove(&peer);
+                Ok(())
+            }
+            Err(e) => {
+                // Roll the correction back out of the local store: the error
+                // tells the caller to retry the correction, and a retry must
+                // not find a duplicate of the example already recorded.
+                let len = self.local_data[idx].len();
+                self.local_data[idx].truncate(len - 1);
+                Err(e)
+            }
+        }
     }
 
     /// The requester's half of CEMPaR prediction: every region's super-peer
@@ -634,46 +697,29 @@ impl P2PTagClassifier for Cempar {
         peer: PeerId,
         example: &MultiLabelExample,
     ) -> Result<(), ProtocolError> {
-        if !self.trained {
-            return Err(ProtocolError::NotTrained);
-        }
-        if !net.is_online(peer) {
-            return Err(ProtocolError::PeerOffline);
-        }
-        let idx = peer.index();
-        if idx >= self.local_data.len() {
-            self.local_data.resize(idx + 1, MultiLabelDataset::new());
-        }
-        self.local_data[idx].push(example.clone());
-        // Warm refit: previous support vectors + any pending examples + the
-        // correction itself; cold train only when the peer never contributed.
-        let model = {
-            let region = self.region_of_peer(peer);
-            let prev = self.regions[region]
-                .as_ref()
-                .and_then(|s| s.contributed.get(&peer));
-            let mut new = self.pending.get(&peer).cloned().unwrap_or_default();
-            new.push(example.clone());
-            refit_cempar_local(&self.config, &self.local_data[idx], &new, prev)
-        };
-        let Some(model) = model else {
-            return Ok(());
-        };
-        match self.propagate_model(net, peer, model, MessageKind::RefinementUpdate) {
-            Ok(()) => {
-                self.pending.remove(&peer);
-                self.recascade();
-                Ok(())
-            }
-            Err(e) => {
-                // Roll the correction back out of the local store: the error
-                // tells the caller to retry the whole refine(), and a retry
-                // must not find a duplicate of the example already recorded.
-                let len = self.local_data[idx].len();
-                self.local_data[idx].truncate(len - 1);
-                Err(e)
-            }
-        }
+        let mut results = self.refine_batch(net, &[(peer, example)]);
+        results.pop().expect("one result per correction")
+    }
+
+    /// Every correction refits its peer's model warm and propagates it, in
+    /// order, rolling its example back if the propagation fails; then one
+    /// re-cascade merges each tag the batch dirtied once per region.
+    /// Nothing between two corrections reads the cascade (a refit reads the
+    /// peer's contributed model, a propagation the super-peer and the
+    /// network), and the re-cascade equals a from-scratch cascade of the
+    /// current contributions, so the models are those of a re-cascade after
+    /// every correction.
+    fn refine_batch(
+        &mut self,
+        net: &mut P2PNetwork,
+        corrections: &[(PeerId, &MultiLabelExample)],
+    ) -> Vec<Result<(), ProtocolError>> {
+        let results = corrections
+            .iter()
+            .map(|&(peer, example)| self.correct(net, peer, example))
+            .collect();
+        self.recascade();
+        results
     }
 
     fn on_crash_restart(&mut self, _net: &mut P2PNetwork, peer: PeerId) {

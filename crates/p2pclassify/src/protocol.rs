@@ -105,6 +105,28 @@ pub trait P2PTagClassifier {
         example: &MultiLabelExample,
     ) -> Result<(), ProtocolError>;
 
+    /// Incorporates a batch of corrections, `(peer, corrected example)` in
+    /// order, returning one result per correction in input order. Each
+    /// correction succeeds or fails as [`Self::refine`] would in that
+    /// position of a sequential loop, and a failed one leaves no trace.
+    ///
+    /// The default is that sequential loop, which PACE, Centralized and
+    /// LocalOnly keep. CEMPaR overrides it: each correction refits and
+    /// propagates as one `refine` does, and the super-peers re-cascade once
+    /// at the end of the batch, each region merging every tag the batch
+    /// dirtied once — with the same models as a re-cascade after every
+    /// correction.
+    fn refine_batch(
+        &mut self,
+        net: &mut P2PNetwork,
+        corrections: &[(PeerId, &MultiLabelExample)],
+    ) -> Vec<Result<(), ProtocolError>> {
+        corrections
+            .iter()
+            .map(|&(peer, example)| self.refine(net, peer, example))
+            .collect()
+    }
+
     /// Wipes the in-memory protocol state a crash-restarted `peer` would lose
     /// (received remote models, pooled uploads, pending buffers). Its durable
     /// local training data survives — a restart is not amnesia about what the
