@@ -391,7 +391,6 @@ fn apply_both(
         .map(|&(peer, x)| oracle.0.refine(oracle.1, peer, x))
         .collect();
     assert_eq!(got, want, "{step}");
-    assert_same_state((batched.0, batched.1), (oracle.0, oracle.1), step);
     let got_scores = probe_score_bits(batched.0, batched.1);
     assert_eq!(got_scores, probe_score_bits(oracle.0, oracle.1), "{step}");
     assert!(
